@@ -151,6 +151,28 @@ class Block:
             return -1
         return struct.unpack("<i", tag[:4])[0]
 
+    @cached_property
+    def commitment_fault(self) -> str | None:
+        """Why the header commitment or coinbase is invalid, or ``None``.
+
+        Receiver-independent, so it is worked out once per block object
+        and every receiver reads the same verdict.
+        """
+        if self.header.payload_root != self.payload.root():
+            return "payload root does not match header commitment"
+        if not self.coinbase.is_coinbase:
+            return "first transaction must be a coinbase"
+        return None
+
+    @cached_property
+    def second_coinbase_fault(self) -> str | None:
+        """Why the payload mints coins, or ``None`` (once per object)."""
+        if isinstance(self.payload, TxPayload):
+            for tx in self.payload.transactions:
+                if tx.is_coinbase:
+                    return "payload contains a second coinbase"
+        return None
+
     def __repr__(self) -> str:
         return (
             f"<Block {self.hash.hex()[:8]} prev={self.header.prev_hash.hex()[:8]} "
@@ -197,17 +219,17 @@ def check_block(block: Block, require_pow: bool = True) -> None:
 
     ``require_pow=False`` reproduces regression-test mode, where "the
     client skips the block difficulty validation".
+
+    The receiver-independent verdicts are read off the block object;
+    ``require_pow`` is the receiver's own and is evaluated on every call,
+    in its place between them.
     """
-    if block.header.payload_root != block.payload.root():
-        raise InvalidBlock("payload root does not match header commitment")
-    if not block.coinbase.is_coinbase:
-        raise InvalidBlock("first transaction must be a coinbase")
+    if block.commitment_fault is not None:
+        raise InvalidBlock(block.commitment_fault)
     if require_pow and not block.header.meets_pow():
         raise InvalidBlock("header hash does not meet target")
-    if isinstance(block.payload, TxPayload):
-        for tx in block.payload.transactions:
-            if tx.is_coinbase:
-                raise InvalidBlock("payload contains a second coinbase")
+    if block.second_coinbase_fault is not None:
+        raise InvalidBlock(block.second_coinbase_fault)
 
 
 def make_genesis(

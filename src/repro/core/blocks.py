@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ..bitcoin.blocks import HEADER_SIZE, SyntheticPayload, TxPayload
+from ..crypto.ecdsa import InvalidPoint
 from ..crypto.hashing import sha256d, tagged_hash
 from ..crypto.keys import PrivateKey, PublicKey
 from ..crypto.pow import meets_target, target_from_compact, work_from_target
@@ -93,6 +94,31 @@ class KeyBlock:
             return -1
         return struct.unpack("<i", tag[:4])[0]
 
+    @cached_property
+    def commitment_fault(self) -> str | None:
+        """Why the leader key's length, the coinbase commitment or the
+        coinbase's shape is invalid, or ``None``.
+
+        Receiver-independent, so it is worked out once per block object
+        and every receiver reads the same verdict.
+        """
+        if len(self.header.leader_pubkey) != 33:
+            return "malformed leader public key"
+        if self.header.payload_root != sha256d(self.coinbase.serialize()):
+            return "coinbase commitment mismatch"
+        if not self.coinbase.is_coinbase:
+            return "key block payload must be a coinbase"
+        return None
+
+    @cached_property
+    def leader_key_fault(self) -> str | None:
+        """Why the leader key is no curve point, or ``None`` (once per object)."""
+        try:
+            PublicKey.from_bytes(self.header.leader_pubkey)
+        except InvalidPoint as exc:
+            return f"leader public key undecodable: {exc}"
+        return None
+
     def __repr__(self) -> str:
         return (
             f"<KeyBlock {self.hash.hex()[:8]} "
@@ -139,11 +165,21 @@ class Microblock:
     def n_tx(self) -> int:
         return self.payload.n_tx
 
+    @cached_property
+    def entries_root_fault(self) -> str | None:
+        """Why the header does not commit to the payload, or ``None``.
+
+        Receiver-independent, so worked out once per microblock object.
+        """
+        if self.header.entries_root != self.payload.root():
+            return "entries root does not match payload"
+        return None
+
     def verify_signature(self, leader_pubkey: bytes) -> bool:
         """Check the header signature under the epoch's public key."""
         try:
             pubkey = PublicKey.from_bytes(leader_pubkey)
-        except Exception:
+        except InvalidPoint:
             return False
         return pubkey.verify(self.header.signing_payload(), self.signature)
 
@@ -206,29 +242,28 @@ def mine_key_block(block: KeyBlock, max_iterations: int = 10_000_000) -> KeyBloc
 
 
 def check_key_block(block: KeyBlock, require_pow: bool = True) -> None:
-    """Contextless key block validity."""
-    if len(block.header.leader_pubkey) != 33:
-        raise InvalidNGBlock("malformed leader public key")
-    if block.header.payload_root != sha256d(block.coinbase.serialize()):
-        raise InvalidNGBlock("coinbase commitment mismatch")
-    if not block.coinbase.is_coinbase:
-        raise InvalidNGBlock("key block payload must be a coinbase")
+    """Contextless key block validity.
+
+    The receiver-independent verdicts are read off the block object;
+    ``require_pow`` is the receiver's own and is evaluated on every call,
+    in its place between them.
+    """
+    if block.commitment_fault is not None:
+        raise InvalidNGBlock(block.commitment_fault)
     if require_pow and not block.header.meets_pow():
         raise InvalidNGBlock("key block does not meet its target")
     # Reject an obviously un-parsable key so later signature checks are
     # meaningful.
-    try:
-        PublicKey.from_bytes(block.header.leader_pubkey)
-    except Exception as exc:
-        raise InvalidNGBlock(f"leader public key undecodable: {exc}") from exc
+    if block.leader_key_fault is not None:
+        raise InvalidNGBlock(block.leader_key_fault)
 
 
 def check_microblock_structure(
     micro: Microblock, max_bytes: int
 ) -> None:
     """Contextless microblock validity (signature needs chain context)."""
-    if micro.header.entries_root != micro.payload.root():
-        raise InvalidNGBlock("entries root does not match payload")
+    if micro.entries_root_fault is not None:
+        raise InvalidNGBlock(micro.entries_root_fault)
     if micro.size > max_bytes:
         raise InvalidNGBlock(
             f"microblock size {micro.size} exceeds cap {max_bytes}"

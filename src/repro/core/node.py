@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..bitcoin.blocks import SyntheticPayload, TxPayload
 from ..crypto.hashing import hash160
@@ -38,7 +39,7 @@ from .blocks import (
 from .chain import NGChain, Reorg
 from ..bitcoin.chain import TieBreak
 from .params import NGParams
-from .poison import PoisonEntry, PoisonRegistry
+from .poison import InvalidPoison, PoisonEntry, PoisonRegistry
 from .remuneration import build_ng_coinbase
 
 KIND_KEY = "key"
@@ -104,8 +105,6 @@ class NGNode(GossipNode):
                 "generation interval below the protocol minimum"
             )
         self.key = key or PrivateKey.from_seed(f"ng-node-{node_id}")
-        self.pubkey_bytes = self.key.public_key().to_bytes()
-        self.pubkey_hash = hash160(self.pubkey_bytes)
         if ghost_fork_choice:
             # Section 9 future work: GHOST over key blocks, enabling
             # higher key-block frequencies.
@@ -146,12 +145,23 @@ class NGNode(GossipNode):
         if log is not None:
             log.record_tip(node_id, genesis.hash, sim.now)
 
+    # -- identity -----------------------------------------------------------
+    # Derived on first use: one EC multiplication per node that ever
+    # mines, not one per node built.
+
+    @cached_property
+    def pubkey_bytes(self) -> bytes:
+        return self.key.public_key().to_bytes()
+
+    @cached_property
+    def pubkey_hash(self) -> bytes:
+        return hash160(self.pubkey_bytes)
+
     # -- key block mining ---------------------------------------------------
 
     def generate_key_block(self) -> KeyBlock:
         """Mine a key block on the current tip and become leader."""
         tip = self.chain.tip
-        tip_record = self.chain.record(tip)
         prev_leader_hash = self._prev_leader_payout_hash(tip)
         coinbase = build_ng_coinbase(
             miner_id=self.node_id,
@@ -349,7 +359,7 @@ class NGNode(GossipNode):
                     self.chain, poison, placement_height
                 ):
                     self.poisons_published.append(poison)
-            except Exception:
+            except InvalidPoison:
                 continue
 
     # -- transactions ---------------------------------------------------------

@@ -39,15 +39,20 @@ def point_consensus_delay(
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must be in (0, 1]")
     threshold = math.ceil(epsilon * log.n_nodes)
-    schedules = []
-    candidate_times: set[float] = set()
+    # Nodes holding the same tip report the same prefix at every τ, so
+    # one schedule per distinct tip, weighted by its holders, suffices.
+    holders: dict[bytes | None, int] = {}
     for history in log.tip_histories:
         tip = history.tip_at(t)
+        holders[tip] = holders.get(tip, 0) + 1
+    schedules = []
+    candidate_times: set[float] = set()
+    for tip, count in holders.items():
         if tip is None:
-            schedules.append(([], []))
+            schedules.append(([], [], count))
             continue
         times, hashes = _chain_schedule(log, tip)
-        schedules.append((times, hashes))
+        schedules.append((times, hashes, count))
         for gen_time in times:
             if gen_time <= t:
                 candidate_times.add(gen_time)
@@ -57,10 +62,10 @@ def point_consensus_delay(
         if tau > t:
             continue
         heads: dict[bytes | None, int] = {}
-        for times, hashes in schedules:
+        for times, hashes, count in schedules:
             index = bisect.bisect_right(times, tau) - 1
             head = hashes[index] if index >= 0 else None
-            heads[head] = heads.get(head, 0) + 1
+            heads[head] = heads.get(head, 0) + count
         if heads and max(heads.values()) >= threshold:
             return t - tau
     # All nodes trivially agree on the empty prefix before genesis.

@@ -20,6 +20,10 @@ asks it instead of re-deriving anything:
    they are eligible wholesale (including module-level constants, the
    ``<module>`` pseudo-qualname) even where the simulation never calls
    them — their mutants measure the *test* tier's adequacy.
+   ``core/blocks.py`` is one too: its contextless verdicts are cached
+   properties of the block dataclasses, which the call graph cannot
+   reach (a property read is no call edge and a dataclass has no
+   ``__init__`` for the instantiate closure to resolve).
 
 Sites are then filtered to the consensus packages (``repro.core``,
 ``repro.ledger``, ``repro.crypto``, ``repro.mining``): mutating the
@@ -45,6 +49,7 @@ TARGET_PACKAGES: tuple[str, ...] = (
 
 #: Modules eligible wholesale, by trailing path (see module docstring).
 ANCHOR_SUFFIXES: tuple[str, ...] = (
+    "repro/core/blocks.py",
     "repro/core/incentives.py",
     "repro/core/params.py",
     "repro/core/remuneration.py",

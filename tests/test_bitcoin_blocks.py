@@ -147,3 +147,76 @@ def test_synthetic_payload_validation():
         SyntheticPayload(n_tx=-1)
     with pytest.raises(InvalidBlock):
         SyntheticPayload(n_tx=1, tx_size=0)
+
+
+# -- contextless verdicts: once per block object, never per receiver ---------
+
+
+def _hard(block):
+    """The same block under a target its nonce-0 header misses."""
+    from repro.bitcoin.blocks import Block, BlockHeader
+
+    old = block.header
+    header = BlockHeader(
+        old.prev_hash, old.payload_root, old.timestamp, 0x1D00FFFF, old.nonce
+    )
+    assert not header.meets_pow()
+    return Block(header, block.coinbase, block.payload)
+
+
+def test_faulty_block_is_judged_once_and_rejected_alike_everywhere(count_calls):
+    from repro.bitcoin.blocks import Block
+
+    block = _block()
+    forged = Block(block.header, block.coinbase, SyntheticPayload(99, salt=b"x"))
+    roots = count_calls(SyntheticPayload, "root")
+    messages = []
+    for receiver_requires_pow in (False, False, True):
+        with pytest.raises(InvalidBlock) as caught:
+            check_block(forged, require_pow=receiver_requires_pow)
+        messages.append(str(caught.value))
+    assert messages == ["payload root does not match header commitment"] * 3
+    assert len(roots) == 1
+    # ... and a sound block pays for its verdict once, too.
+    for _ in range(3):
+        check_block(block, require_pow=False)
+    assert len(roots) == 2
+
+
+def test_require_pow_is_the_receivers_and_never_memoised():
+    block = _hard(_block())
+    check_block(block, require_pow=False)
+    with pytest.raises(InvalidBlock, match="header hash does not meet target"):
+        check_block(block, require_pow=True)
+    check_block(block, require_pow=False)
+
+
+def test_first_failing_check_order_survives_the_memo():
+    # A broken commitment is reported ahead of a missed target, a missed
+    # target ahead of a second coinbase -- whichever receiver asked first.
+    from repro.bitcoin.blocks import Block
+    from repro.ledger.transactions import make_coinbase
+
+    minting = _hard(_block(TxPayload((make_coinbase([(PKH, 1)]),))))
+    for require_pow, message in (
+        (False, "payload contains a second coinbase"),
+        (True, "header hash does not meet target"),
+        (False, "payload contains a second coinbase"),
+    ):
+        with pytest.raises(InvalidBlock, match=message):
+            check_block(minting, require_pow=require_pow)
+    headless = Block(minting.header, _tx(9), minting.payload)
+    for require_pow in (True, False):
+        with pytest.raises(InvalidBlock, match="first transaction must be"):
+            check_block(headless, require_pow=require_pow)
+
+
+def test_tampered_copy_of_an_accepted_block_is_judged_afresh():
+    import dataclasses
+
+    block = _block()
+    check_block(block, require_pow=False)
+    tampered = dataclasses.replace(block, payload=SyntheticPayload(99, salt=b"x"))
+    with pytest.raises(InvalidBlock, match="payload root does not match"):
+        check_block(tampered, require_pow=False)
+    check_block(block, require_pow=False)

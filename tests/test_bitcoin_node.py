@@ -189,3 +189,17 @@ def test_full_mode_fees_accrue_to_miner():
     sim.run()
     # The miner's coinbase includes subsidy + the fee.
     assert mined.coinbase.outputs[0].value == nodes[0].policy.reward + fee
+
+
+def test_payout_identity_is_derived_once_per_mining_node(count_calls):
+    from repro.crypto import ecdsa
+
+    expected = hash160(
+        PrivateKey.from_seed("bitcoin-node-0").public_key().to_bytes()
+    )
+    derivations = count_calls(ecdsa, "point_mul")
+    sim, _, nodes = _cluster()
+    assert derivations == []  # nothing at construction
+    blocks = [nodes[0].generate_block() for _ in range(3)]
+    assert len(derivations) == 1  # not one per mined block
+    assert {b.coinbase.outputs[0].pubkey_hash for b in blocks} == {expected}

@@ -320,3 +320,81 @@ def test_connect_and_disconnect_roundtrip_for_tx_microblocks():
     # mempool for re-placement.
     assert outpoint in node.utxo
     assert tx.txid in node.mempool
+
+
+def test_invalid_poison_is_skipped_but_any_other_failure_surfaces(monkeypatch):
+    from repro.core.poison import InvalidPoison
+
+    sim, _, nodes = _cluster()
+    cheater = nodes[0]
+    cheater.generate_key_block()
+    sim.run(until=15.0)
+    fork = build_microblock(
+        cheater.chain.tip_record.parent_hash,
+        timestamp=10.0,
+        payload=SyntheticPayload(n_tx=2, salt=b"evil"),
+        leader_key=cheater.key,
+    )
+    cheater.announce(fork.hash, KIND_MICRO, fork, fork.size)
+    sim.run(until=16.0)
+    reporter = nodes[1]
+    assert reporter.chain.equivocations()
+
+    def refuse(chain, poison, placement_key_height):
+        raise InvalidPoison("poison placed before the subsequent key block")
+
+    monkeypatch.setattr(reporter.poison_registry, "register", refuse)
+    reporter._publish_poisons()  # an unplaceable poison is just not published
+    assert reporter.poisons_published == []
+
+    def broken(chain, poison, placement_key_height):
+        raise RuntimeError("registry bug")
+
+    monkeypatch.setattr(reporter.poison_registry, "register", broken)
+    with pytest.raises(RuntimeError, match="registry bug"):
+        reporter._publish_poisons()
+
+
+def test_receivers_reject_one_faulty_block_object_for_the_cost_of_one_check(
+    monkeypatch, count_calls
+):
+    import repro.core.blocks as blocks_mod
+    from repro.core.blocks import InvalidNGBlock, Microblock
+
+    sim, _, nodes = _cluster()
+    key = nodes[0].generate_key_block()
+    sim.run(until=1.0)
+    bad_key_block = KeyBlock(header=key.header, coinbase=GENESIS.coinbase)
+    good_micro = build_microblock(
+        key.hash, 11.0, SyntheticPayload(n_tx=1, salt=b"ok"), nodes[0].key
+    )
+    bad_micro = Microblock(
+        good_micro.header,
+        good_micro.signature,
+        SyntheticPayload(n_tx=2, salt=b"swapped"),
+    )
+
+    verdicts = []
+    for name in ("check_key_block", "check_microblock_structure"):
+        real = getattr(node_mod, name)
+
+        def recording(*args, _real=real, **kwargs):
+            try:
+                _real(*args, **kwargs)
+            except InvalidNGBlock as exc:
+                verdicts.append(str(exc))
+                raise
+
+        monkeypatch.setattr(node_mod, name, recording)
+    hashed = count_calls(blocks_mod, "sha256d")
+    roots = count_calls(SyntheticPayload, "root")
+
+    for receiver in nodes[1:]:
+        assert receiver._deliver_key_block(bad_key_block, sender=0) is False
+        assert receiver._deliver_microblock(bad_micro, sender=0) is False
+        assert receiver.blocks_rejected == 2
+    assert verdicts == [
+        "coinbase commitment mismatch",
+        "entries root does not match payload",
+    ] * 2
+    assert len(hashed) == 1 and roots == [(bad_micro.payload,)]

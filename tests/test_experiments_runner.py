@@ -104,3 +104,28 @@ def test_as_row_keys(bitcoin_run):
         "time_to_win",
         "transaction_frequency",
     }
+
+
+def test_back_to_back_runs_share_no_identity_or_verdict(count_calls):
+    """Derived keys and contextless verdicts live on the run's own node
+    and block objects, so a second run in the process starts cold."""
+    import repro.core.blocks as blocks_mod
+    from repro.crypto import ecdsa
+    from repro.crypto.keys import PrivateKey
+
+    spies = {
+        "identities": count_calls(PrivateKey, "public_key"),
+        "leader-key verdicts": count_calls(ecdsa, "point_from_bytes"),
+        "commitment verdicts": count_calls(blocks_mod, "sha256d"),
+    }
+    config = SMALL.with_(protocol=Protocol.BITCOIN_NG, key_block_rate=0.02)
+    first, _ = run_experiment(config)
+    first_work = {what: list(calls) for what, calls in spies.items()}
+    for calls in spies.values():
+        del calls[:]
+    second, _ = run_experiment(config)
+    assert second.as_row() == first.as_row()
+    assert spies == first_work and all(first_work.values())
+    # Once per mining node and once per key block -- not once per node.
+    assert len(spies["identities"]) < config.n_nodes
+    assert len(spies["leader-key verdicts"]) <= first.blocks_generated

@@ -79,3 +79,74 @@ def test_consensus_delay_validation():
         consensus_delay(log, delta=0.0)
     with pytest.raises(ValueError):
         consensus_delay(log, n_samples=0)
+
+
+def _reference_point_consensus_delay(log, t, epsilon=0.9):
+    """The per-node loop ``point_consensus_delay`` replaced, kept as the
+    reference: one chain schedule per node, each counted once."""
+    import bisect
+    import math
+
+    threshold = math.ceil(epsilon * log.n_nodes)
+    schedules = []
+    candidate_times = set()
+    for history in log.tip_histories:
+        tip = history.tip_at(t)
+        if tip is None:
+            schedules.append(([], []))
+            continue
+        chain = log.index.chain(tip)
+        times = [log.index.info(h).gen_time for h in chain]
+        schedules.append((times, list(chain)))
+        candidate_times.update(g for g in times if g <= t)
+    for tau in sorted(candidate_times | {t}, reverse=True):
+        heads = {}
+        for times, hashes in schedules:
+            index = bisect.bisect_right(times, tau) - 1
+            head = hashes[index] if index >= 0 else None
+            heads[head] = heads.get(head, 0) + 1
+        if heads and max(heads.values()) >= threshold:
+            return t - tau
+    return t
+
+
+def _generated_log(seed, n_nodes, n_blocks):
+    """A random block tree, with every node hopping between its blocks
+    (so tips fork and reorg); one node is silent throughout, the others
+    until their first report."""
+    import random
+
+    rng = random.Random(seed)
+    log = ObservationLog(n_nodes)
+    hashes = [b"g"]
+    gen_time = {b"g": 0.0}
+    for i in range(n_blocks):
+        parent = rng.choice(hashes)
+        block_hash = b"b%d" % i
+        gen_time[block_hash] = gen_time[parent] + rng.choice([0.0, 0.5, 1.0, 2.5])
+        log.index.add(_info(block_hash, parent, gen_time[block_hash]))
+        hashes.append(block_hash)
+    for node in range(1, n_nodes):  # node 0 never reports a tip
+        at = rng.uniform(0.0, 6.0)  # and the rest have none at first
+        for _ in range(rng.randrange(1, 6)):
+            log.record_tip(node, rng.choice(hashes), at)
+            at += rng.uniform(0.0, 4.0)
+    log.finalize(20.0)
+    return log
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_weighted_tips_equal_the_per_node_reference(seed):
+    log = _generated_log(seed, n_nodes=3 + seed % 9, n_blocks=2 + seed % 13)
+    for epsilon in (0.3, 0.5, 0.9, 1.0):
+        for step in range(41):
+            t = step * 0.5
+            assert point_consensus_delay(
+                log, t, epsilon
+            ) == _reference_point_consensus_delay(log, t, epsilon)
+    # consensus_delay samples at start + (i + 1) * step, from 10% in.
+    samples = sorted(
+        _reference_point_consensus_delay(log, 2.0 + (i + 1) * 0.45, 0.5)
+        for i in range(40)
+    )
+    assert consensus_delay(log, epsilon=0.5, n_samples=40) == samples[36]

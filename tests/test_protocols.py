@@ -166,3 +166,32 @@ def test_default_lifecycle_hooks_resync(monkeypatch):
     assert node.calls == []
     adapter.on_restart(node, sim=None, network=None)
     assert node.calls == ["reset", "tips"]
+
+
+def test_ng_identities_are_derived_on_first_use_not_per_node_built(count_calls):
+    from repro.crypto import ecdsa
+    from repro.crypto.keys import PrivateKey
+
+    expected = PrivateKey.from_seed("ng-node-417").public_key().to_bytes()
+    derivations = count_calls(ecdsa, "point_mul")
+    config = CONFIG.with_(n_nodes=1000)
+    adapter = get_adapter(Protocol.BITCOIN_NG)
+    sim = Simulator(seed=0)
+    nodes, _ = adapter.build_nodes(
+        config,
+        sim,
+        build_network(config, sim),
+        ObservationLog(config.n_nodes),
+        exponential_shares(config.n_nodes),
+    )
+    secrets = [node.key.secret for node in nodes]
+    assert len(secrets) == 1000
+    # (The genesis block derives its own, protocol-defined key.)
+    assert not {args[0] for args in derivations} & set(secrets)
+    del derivations[:]
+    block = nodes[417].generate_key_block()
+    assert derivations == [(secrets[417],)]
+    assert block.header.leader_pubkey == nodes[417].pubkey_bytes == expected
+    nodes[417].generate_key_block()
+    assert len(derivations) == 1  # cached, not re-derived per key block
+
