@@ -1,6 +1,6 @@
 """Performance regression microbenchmarks (emits ``BENCH_simcore.json``).
 
-Three measurements, each written into a machine-readable JSON at the
+Measurements, each written into a machine-readable JSON at the
 repository root so every PR leaves a perf trajectory behind:
 
 * **event core** — a 200k-event chained-timer pump: pure scheduler
@@ -13,6 +13,9 @@ repository root so every PR leaves a perf trajectory behind:
 * **sweep dispatch** — a 4-seed sweep executed serially and through the
   parallel :class:`~repro.experiments.parallel.SweepExecutor` with four
   workers, asserting bit-identical results and recording the speedup.
+* **code size** — non-blank, non-comment lines per top-level package
+  and in total, so a code diet leaves a trajectory the way a speed-up
+  does.  Recorded only; nothing gates on it.
 
 The ``BASELINE`` numbers were measured on the pre-optimization tree
 (commit bc0571a) on the same container these benchmarks run in, so the
@@ -811,6 +814,36 @@ def test_mutate_speed(tmp_path):
     )
 
 
+def _code_lines(path: pathlib.Path) -> int:
+    lines = map(str.strip, path.read_text(encoding="utf-8").splitlines())
+    return sum(1 for text in lines if text and not text.startswith("#"))
+
+
+def test_code_size():
+    """Record how much code there is, per top-level ``repro.*`` package.
+
+    "Least code" is a goal like speed is, so it gets a trajectory in the
+    same file: non-blank, non-comment lines (docstrings count) summed
+    per package, plus the total.  Recorded, not gated.
+    """
+    root = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+    packages: dict[str, int] = {}
+    for path in sorted(root.rglob("*.py")):
+        top = path.relative_to(root).parts[0].removesuffix(".py")
+        name = "repro" if top.startswith("__") else f"repro.{top}"
+        packages[name] = packages.get(name, 0) + _code_lines(path)
+    update_bench(
+        BENCH_JSON,
+        "code_size",
+        {
+            "unit": "non-blank non-comment lines",
+            "packages": packages,
+            "total": sum(packages.values()),
+        },
+    )
+    assert packages["repro.core"] > 0
+
+
 def test_bench_json_is_valid():
     """The emitted trajectory file parses and has every section."""
     data = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
@@ -828,6 +861,7 @@ def test_bench_json_is_valid():
         "lint",
         "lint_semantic",
         "mutation",
+        "code_size",
         "baseline",
     ):
         assert section in data, f"missing {section}"

@@ -9,6 +9,14 @@ the first branch it heard of (footnote 2); both policies are provided.
 The tree tracks cumulative work, computes reorganization paths, buffers
 orphans whose parents have not arrived yet, and reports pruned branches
 for the time-to-prune metric.
+
+:class:`BlockTree` is also the one block-tree implementation behind
+every protocol here.  GHOST (Section 9) and Bitcoin-NG (Section 4.1)
+are this tree with a different answer to two questions — *what record
+does a block get under its parent* (:meth:`BlockTree._record_for`, with
+:meth:`BlockTree._genesis_record` for the root) and *which tip to hold
+once a record has connected* (:meth:`BlockTree._choose_tip`) — so their
+trees subclass it and override only those.
 """
 
 from __future__ import annotations
@@ -29,7 +37,11 @@ class TieBreak(enum.Enum):
 
 @dataclass
 class BlockRecord:
-    """A block plus its position in the tree."""
+    """A block plus its position in the tree.
+
+    The fields every protocol's record has; GHOST's and Bitcoin-NG's
+    extend it with their own bookkeeping.
+    """
 
     block: Block
     height: int
@@ -69,19 +81,22 @@ class Reorg:
 class BlockTree:
     """One node's view of all blocks it knows, with fork choice."""
 
+    # What ``_record_for`` raises to refuse a block.
+    invalid: type[Exception] = InvalidBlock
+
     def __init__(
         self,
         genesis: Block,
         tie_break: TieBreak = TieBreak.FIRST_SEEN,
         rng: random.Random | None = None,
     ) -> None:
-        self._records: dict[bytes, BlockRecord] = {}
         self._orphans: dict[bytes, list[tuple[Block, float]]] = {}
         self.tie_break = tie_break
         self.rng = rng or random.Random(0)
         self.genesis_hash = genesis.hash
-        record = BlockRecord(genesis, height=0, cumulative_work=0, arrival_time=0.0)
-        self._records[genesis.hash] = record
+        self._records: dict[bytes, BlockRecord] = {
+            genesis.hash: self._genesis_record(genesis)
+        }
         self._tip = genesis.hash
 
     # -- queries --------------------------------------------------------
@@ -165,6 +180,14 @@ class BlockTree:
         arrives, so out-of-order gossip delivery is handled here rather
         than by every caller.
         """
+        return self._insert(block, arrival_time, None)
+
+    def _insert(self, block, arrival_time: float, context) -> list[Reorg]:
+        """``add_block`` proper; ``context`` goes to ``_record_for`` as is.
+
+        A refusal of ``block`` itself propagates to the caller; a
+        refused orphan is dropped, and with it whatever waits on it.
+        """
         if block.hash in self._records:
             return []
         parent = self._records.get(block.header.prev_hash)
@@ -173,44 +196,63 @@ class BlockTree:
                 (block, arrival_time)
             )
             return []
-        reorgs = [self._connect(block, parent, arrival_time)]
+        reorgs = [self._connect(block, parent, arrival_time, context)]
         # Adopt any orphans waiting on this block, recursively.
         pending = [block.hash]
         while pending:
             parent_hash = pending.pop()
             for orphan, orphan_time in self._orphans.pop(parent_hash, []):
-                reorg = self._connect(
-                    orphan, self._records[parent_hash], max(orphan_time, arrival_time)
-                )
+                try:
+                    reorg = self._connect(
+                        orphan,
+                        self._records[parent_hash],
+                        max(orphan_time, arrival_time),
+                        context,
+                    )
+                except self.invalid:
+                    continue
                 reorgs.append(reorg)
                 pending.append(orphan.hash)
         return [r for r in reorgs if r is not None]
 
-    def _connect(
-        self, block: Block, parent: BlockRecord, arrival_time: float
-    ) -> Reorg | None:
-        record = BlockRecord(
+    def _connect(self, block, parent, arrival_time: float, context) -> Reorg | None:
+        record = self._record_for(block, parent, arrival_time, context)
+        self._records[block.hash] = record
+        parent.children.append(block.hash)
+        new_tip = self._choose_tip(record)
+        if new_tip == self._tip:
+            return None
+        return self._switch_tip(new_tip)
+
+    # -- what a protocol decides ----------------------------------------
+
+    def _genesis_record(self, genesis: Block) -> BlockRecord:
+        return BlockRecord(genesis, height=0, cumulative_work=0, arrival_time=0.0)
+
+    def _record_for(
+        self, block: Block, parent: BlockRecord, arrival_time: float, context
+    ) -> BlockRecord:
+        """The record ``block`` gets under ``parent``, not yet linked in.
+
+        Raise :attr:`invalid` to refuse the block.
+        """
+        return BlockRecord(
             block,
             height=parent.height + 1,
             cumulative_work=parent.cumulative_work + block.header.work,
             arrival_time=arrival_time,
         )
-        self._records[block.hash] = record
-        parent.children.append(block.hash)
-        return self._maybe_switch_tip(record)
 
-    def _maybe_switch_tip(self, candidate: BlockRecord) -> Reorg | None:
+    def _choose_tip(self, candidate: BlockRecord) -> bytes:
+        """The tip to hold now that ``candidate`` has connected."""
         current = self._records[self._tip]
         if candidate.cumulative_work < current.cumulative_work:
-            return None
-        if candidate.cumulative_work == current.cumulative_work:
-            if candidate.hash == current.hash:
-                return None
-            if self.tie_break is TieBreak.FIRST_SEEN:
-                return None
-            if self.rng.random() < 0.5:
-                return None
-        return self._switch_tip(candidate.hash)
+            return self._tip
+        if candidate.cumulative_work == current.cumulative_work and (
+            self.tie_break is TieBreak.FIRST_SEEN or self.rng.random() < 0.5
+        ):
+            return self._tip
+        return candidate.hash
 
     def _switch_tip(self, new_tip: bytes) -> Reorg:
         old_tip = self._tip

@@ -59,7 +59,178 @@ class BlockPolicy:
         return max(0, self.max_block_bytes // self.synthetic_tx_size)
 
 
-class BitcoinNode(GossipNode):
+class ChainNode(GossipNode):
+    """What every blockchain node here does around its block tree.
+
+    Reporting a generated block and gossiping it, reporting an arrival,
+    and everything that follows an insertion: orphan backfill, replaying
+    the resulting reorgs onto ledger state, reporting the tip change.
+    A protocol's node builds its blocks and supplies the hooks:
+    :meth:`_check_block` (validation that needs no chain context),
+    :meth:`_add_to_tree` when its tree wants more than the arrival time,
+    and :meth:`_connect_block` / :meth:`_disconnect_block` when it keeps
+    a ledger.  The transaction entry points serve the nodes that do:
+    ``mempool`` and ``_spend_fee(tx, height)`` — validate a spend
+    against the node's UTXO set, return its fee — are theirs.
+    """
+
+    def __init__(
+        self,
+        node_id: int,
+        sim: Simulator,
+        network: Network,
+        tree: BlockTree,
+        log: ObservationLog | None,
+        relay_mode: RelayMode,
+        verification_seconds_per_byte: float,
+    ) -> None:
+        super().__init__(
+            node_id,
+            sim,
+            network,
+            relay_mode=relay_mode,
+            verification_seconds_per_byte=verification_seconds_per_byte,
+        )
+        self.tree = tree
+        self.log = log
+        self.blocks_rejected = 0
+        registry = network.obs.registry
+        self._c_gen = registry.counter(
+            "node_blocks_generated", "blocks created, by kind", ("kind",)
+        )
+        self._c_tip = registry.counter(
+            "node_tip_changes", "main-chain tip movements across all nodes"
+        )
+        if log is not None:
+            log.record_tip(node_id, tree.genesis_hash, sim.now)
+
+    # -- generated blocks --------------------------------------------------
+
+    def _publish(self, block, kind: str, work: int, n_tx: int) -> None:
+        """Report a block this node just created, then gossip it."""
+        now = self.sim.now
+        parent = block.header.prev_hash
+        if self.log is not None:
+            self.log.record_generation(
+                BlockInfo(
+                    hash=block.hash,
+                    parent=parent,
+                    miner=self.node_id,
+                    gen_time=now,
+                    work=work,
+                    kind=kind,
+                    n_tx=n_tx,
+                    size=block.size,
+                )
+            )
+            self.log.record_arrival(self.node_id, block.hash, now)
+        self._c_gen.labels(kind=kind).inc()
+        if self._tracer is not None:
+            self._tracer.emit(
+                "block_gen",
+                now,
+                hash=short_hash(block.hash),
+                parent=short_hash(parent),
+                kind=kind,
+                miner=self.node_id,
+                size=block.size,
+                n_tx=n_tx,
+            )
+        self.announce(block.hash, kind, block, block.size)
+
+    # -- received blocks ---------------------------------------------------
+
+    def _receive(self, block, kind: str, sender: int | None):
+        """Take in a block from ``sender`` (``None``: our own).
+
+        Returns ``False`` — do not relay — when the block is refused.
+        """
+        if sender is not None:
+            if self.log is not None:
+                self.log.record_arrival(self.node_id, block.hash, self.sim.now)
+            if self._tracer is not None:
+                self._tracer.emit(
+                    "block_arrival",
+                    self.sim.now,
+                    node=self.node_id,
+                    hash=short_hash(block.hash),
+                    kind=kind,
+                )
+        tree = self.tree
+        try:
+            if sender is not None:
+                self._check_block(block)
+            reorgs = self._add_to_tree(block)
+        except tree.invalid:
+            self.blocks_rejected += 1
+            return False
+        parent_hash = block.header.prev_hash
+        if (
+            sender is not None
+            and block.hash not in tree
+            and parent_hash not in tree
+        ):
+            # Orphan: backfill the gap from whoever sent this block.
+            self.request_object(sender, parent_hash)
+        for reorg in reorgs:
+            for block_hash in reorg.disconnected:
+                self._disconnect_block(block_hash)
+            for block_hash in reorg.connected:
+                self._connect_block(block_hash)
+        if reorgs:
+            if self.log is not None:
+                self.log.record_tip(self.node_id, tree.tip, self.sim.now)
+            self._c_tip.inc()
+            if self._tracer is not None:
+                self._tracer.emit(
+                    "tip_change",
+                    self.sim.now,
+                    node=self.node_id,
+                    tip=short_hash(tree.tip),
+                    height=tree.tip_record.height,
+                )
+        return None
+
+    def _check_block(self, block) -> None:
+        """Contextless validation; raise the tree's ``invalid`` to refuse."""
+        raise NotImplementedError
+
+    def _add_to_tree(self, block) -> list[Reorg]:
+        return self.tree.add_block(block, self.sim.now)
+
+    def _connect_block(self, block_hash: bytes) -> None:
+        """Apply a block that joined the main chain to ledger state."""
+
+    def _disconnect_block(self, block_hash: bytes) -> None:
+        """Unwind a block that left the main chain from ledger state."""
+
+    # -- transaction entry points -----------------------------------------
+
+    def submit_transaction(self, tx: Transaction) -> None:
+        """Accept a locally submitted transaction and gossip it."""
+        fee = self._spend_fee(tx, self.tree.tip_record.height + 1)
+        self.mempool.add(tx, fee)
+        self.announce(tx.txid, "tx", tx, tx.size)
+
+    def _accept_relayed_transaction(self, tx: Transaction) -> None:
+        """Admit a gossiped transaction if it validates; drop otherwise."""
+        try:
+            fee = self._spend_fee(tx, self.tree.tip_record.height + 1)
+            self.mempool.add(tx, fee)
+        except LedgerError:
+            return
+
+    # -- introspection ------------------------------------------------------
+
+    def best_object_id(self) -> bytes | None:
+        return self.tree.tip
+
+    @property
+    def tip(self) -> bytes:
+        return self.tree.tip
+
+
+class BitcoinNode(ChainNode):
     """A miner/relay node running the Bitcoin blockchain protocol."""
 
     KIND = "block"
@@ -83,30 +254,20 @@ class BitcoinNode(GossipNode):
             node_id,
             sim,
             network,
-            relay_mode=relay_mode,
-            verification_seconds_per_byte=verification_seconds_per_byte,
+            BlockTree(genesis, tie_break=tie_break, rng=sim.rng),
+            log,
+            relay_mode,
+            verification_seconds_per_byte,
         )
-        self.log = log
         self.policy = policy or BlockPolicy()
         self.require_pow = require_pow
         self.check_signatures = check_signatures
         self.key = key or PrivateKey.from_seed(f"bitcoin-node-{node_id}")
-        self.tree = BlockTree(genesis, tie_break=tie_break, rng=sim.rng)
         self.utxo = UtxoSet()
         self.mempool = Mempool()
         self._undo: dict[bytes, list[UndoRecord]] = {}
         self._block_counter = 0
         self.blocks_mined = 0
-        self.blocks_rejected = 0
-        registry = network.obs.registry
-        self._c_gen = registry.counter(
-            "node_blocks_generated", "blocks created, by kind", ("kind",)
-        )
-        self._c_tip = registry.counter(
-            "node_tip_changes", "main-chain tip movements across all nodes"
-        )
-        if log is not None:
-            log.record_tip(node_id, genesis.hash, sim.now)
 
     # -- mining ----------------------------------------------------------
 
@@ -143,61 +304,13 @@ class BitcoinNode(GossipNode):
             reward_pubkey_hash=self._payout_hash,
         )
         self.blocks_mined += 1
-        if self.log is not None:
-            self.log.record_generation(
-                BlockInfo(
-                    hash=block.hash,
-                    parent=tip,
-                    miner=self.node_id,
-                    gen_time=self.sim.now,
-                    work=block.header.work,
-                    kind=self.KIND,
-                    n_tx=block.n_tx,
-                    size=block.size,
-                )
-            )
-            self.log.record_arrival(self.node_id, block.hash, self.sim.now)
-        self._c_gen.labels(kind=self.KIND).inc()
-        if self._tracer is not None:
-            self._tracer.emit(
-                "block_gen",
-                self.sim.now,
-                hash=short_hash(block.hash),
-                parent=short_hash(tip),
-                kind=self.KIND,
-                miner=self.node_id,
-                size=block.size,
-                n_tx=block.n_tx,
-            )
-        self.announce(block.hash, self.KIND, block, block.size)
+        self._publish(block, self.KIND, block.header.work, block.n_tx)
         return block
 
     @cached_property
     def _payout_hash(self) -> bytes:
         """Derived on first use: one EC multiplication per mining node."""
         return hash160(self.key.public_key().to_bytes())
-
-    # -- transaction entry points -----------------------------------------
-
-    def submit_transaction(self, tx: Transaction) -> None:
-        """Accept a locally submitted transaction and gossip it."""
-        height = self.tree.height_of(self.tree.tip) + 1
-        fee = validate_spend(
-            tx, self.utxo, height, check_signatures=self.check_signatures
-        )
-        self.mempool.add(tx, fee)
-        self.announce(tx.txid, "tx", tx, tx.size)
-
-    def _accept_relayed_transaction(self, tx: Transaction) -> None:
-        """Admit a gossiped transaction if it validates; drop otherwise."""
-        height = self.tree.height_of(self.tree.tip) + 1
-        try:
-            fee = validate_spend(
-                tx, self.utxo, height, check_signatures=self.check_signatures
-            )
-            self.mempool.add(tx, fee)
-        except LedgerError:
-            return
 
     # -- gossip delivery ---------------------------------------------------
 
@@ -208,55 +321,17 @@ class BitcoinNode(GossipNode):
             return None
         if obj.kind != self.KIND:
             return False  # unknown object kinds are not relayed
-        block: Block = obj.data
-        if sender is not None:
-            if self.log is not None:
-                self.log.record_arrival(self.node_id, block.hash, self.sim.now)
-            if self._tracer is not None:
-                self._tracer.emit(
-                    "block_arrival",
-                    self.sim.now,
-                    node=self.node_id,
-                    hash=short_hash(block.hash),
-                    kind=self.KIND,
-                )
-        if sender is not None:
-            try:
-                check_block(block, require_pow=self.require_pow)
-            except InvalidBlock:
-                self.blocks_rejected += 1
-                return False
-        reorgs = self.tree.add_block(block, self.sim.now)
-        parent_hash = block.header.prev_hash
-        if (
-            sender is not None
-            and block.hash not in self.tree
-            and parent_hash not in self.tree
-        ):
-            # Orphan: backfill the gap from whoever sent this block.
-            self.request_object(sender, parent_hash)
-        for reorg in reorgs:
-            self._apply_reorg(reorg)
-        if reorgs:
-            if self.log is not None:
-                self.log.record_tip(self.node_id, self.tree.tip, self.sim.now)
-            self._c_tip.inc()
-            if self._tracer is not None:
-                self._tracer.emit(
-                    "tip_change",
-                    self.sim.now,
-                    node=self.node_id,
-                    tip=short_hash(self.tree.tip),
-                    height=self.tree.height_of(self.tree.tip),
-                )
+        return self._receive(obj.data, self.KIND, sender)
+
+    def _check_block(self, block: Block) -> None:
+        check_block(block, require_pow=self.require_pow)
 
     # -- state management ----------------------------------------------------
 
-    def _apply_reorg(self, reorg: Reorg) -> None:
-        for block_hash in reorg.disconnected:
-            self._disconnect_block(block_hash)
-        for block_hash in reorg.connected:
-            self._connect_block(block_hash)
+    def _spend_fee(self, tx: Transaction, height: int) -> int:
+        return validate_spend(
+            tx, self.utxo, height, check_signatures=self.check_signatures
+        )
 
     def _connect_block(self, block_hash: bytes) -> None:
         record = self.tree.record(block_hash)
@@ -268,9 +343,7 @@ class BitcoinNode(GossipNode):
         undo_records.append(self.utxo.apply(block.coinbase, height))
         for tx in block.payload.transactions:
             try:
-                validate_spend(
-                    tx, self.utxo, height, check_signatures=self.check_signatures
-                )
+                self._spend_fee(tx, height)
             except LedgerError:
                 # Unwind the partial connect, then surface the failure.
                 for done in reversed(undo_records):
@@ -301,13 +374,6 @@ class BitcoinNode(GossipNode):
                     continue
 
     # -- introspection ------------------------------------------------------
-
-    def best_object_id(self) -> bytes | None:
-        return self.tree.tip
-
-    @property
-    def tip(self) -> bytes:
-        return self.tree.tip
 
     @property
     def height(self) -> int:

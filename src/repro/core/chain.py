@@ -19,35 +19,27 @@ yields the fraud proof a poison transaction needs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..bitcoin.chain import Reorg, TieBreak
+from ..bitcoin.chain import BlockRecord, BlockTree, Reorg, TieBreak
 from .blocks import InvalidNGBlock, KeyBlock, Microblock
 from .params import NGParams
 
 NGBlock = KeyBlock | Microblock
 
 
-@dataclass
-class NGRecord:
-    """One block's position in the NG block tree."""
+@dataclass(kw_only=True)
+class NGRecord(BlockRecord):
+    """One block's position in the NG block tree.
+
+    ``height`` counts blocks of any kind since genesis;
+    ``cumulative_work`` is aggregated over key blocks only.
+    """
 
     block: NGBlock
     is_key: bool
-    height: int  # blocks of any kind since genesis
     key_height: int  # key blocks on the path (epoch number)
-    cumulative_work: int  # aggregated over key blocks only
     leader_pubkey: bytes  # epoch key in force after this block
-    arrival_time: float
-    children: list[bytes] = field(default_factory=list)
-
-    @property
-    def hash(self) -> bytes:
-        return self.block.hash
-
-    @property
-    def parent_hash(self) -> bytes:
-        return self.block.header.prev_hash
 
     @property
     def timestamp(self) -> float:
@@ -72,8 +64,11 @@ class FraudProof:
         return self.pruned_micro.verify_signature(self.offender_pubkey)
 
 
-class NGChain:
+class NGChain(BlockTree):
     """One node's view of the Bitcoin-NG block tree."""
+
+    invalid = InvalidNGBlock
+    _records: dict[bytes, NGRecord]
 
     def __init__(
         self,
@@ -82,45 +77,11 @@ class NGChain:
         tie_break: TieBreak = TieBreak.RANDOM,
         rng: random.Random | None = None,
     ) -> None:
+        super().__init__(genesis, tie_break, rng)
         self.params = params
-        self.tie_break = tie_break
-        self.rng = rng or random.Random(0)
-        self.genesis_hash = genesis.hash
-        self._records: dict[bytes, NGRecord] = {}
-        self._orphans: dict[bytes, list[tuple[NGBlock, float]]] = {}
-        self._records[genesis.hash] = NGRecord(
-            block=genesis,
-            is_key=True,
-            height=0,
-            key_height=0,
-            cumulative_work=0,
-            leader_pubkey=genesis.header.leader_pubkey,
-            arrival_time=0.0,
-        )
-        self._tip = genesis.hash
         self._equivocations: list[FraudProof] = []
 
     # -- queries --------------------------------------------------------
-
-    def __contains__(self, block_hash: bytes) -> bool:
-        return block_hash in self._records
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    @property
-    def tip(self) -> bytes:
-        return self._tip
-
-    @property
-    def tip_record(self) -> NGRecord:
-        return self._records[self._tip]
-
-    def record(self, block_hash: bytes) -> NGRecord:
-        return self._records[block_hash]
-
-    def get(self, block_hash: bytes) -> NGRecord | None:
-        return self._records.get(block_hash)
 
     def current_leader_pubkey(self) -> bytes:
         """The epoch key in force at the tip."""
@@ -133,44 +94,9 @@ class NGChain:
             cursor = self._records[cursor.parent_hash]
         return cursor
 
-    def main_chain(self, tip: bytes | None = None) -> list[bytes]:
-        chain: list[bytes] = []
-        cursor = tip if tip is not None else self._tip
-        while True:
-            chain.append(cursor)
-            if cursor == self.genesis_hash:
-                break
-            cursor = self._records[cursor].parent_hash
-        chain.reverse()
-        return chain
-
-    def is_in_main_chain(self, block_hash: bytes) -> bool:
-        record = self._records.get(block_hash)
-        if record is None:
-            return False
-        cursor = self._records[self._tip]
-        while cursor.height > record.height:
-            cursor = self._records[cursor.parent_hash]
-        return cursor.hash == block_hash
-
-    def find_fork_point(self, a: bytes, b: bytes) -> bytes:
-        ra, rb = self._records[a], self._records[b]
-        while ra.height > rb.height:
-            ra = self._records[ra.parent_hash]
-        while rb.height > ra.height:
-            rb = self._records[rb.parent_hash]
-        while ra.hash != rb.hash:
-            ra = self._records[ra.parent_hash]
-            rb = self._records[rb.parent_hash]
-        return ra.hash
-
     def equivocations(self) -> list[FraudProof]:
         """Fraud proofs discovered so far (one per offense observed)."""
         return list(self._equivocations)
-
-    def pruned_blocks(self) -> list[bytes]:
-        main = set(self.main_chain())
-        return [h for h in self._records if h not in main]
 
     # -- validation -----------------------------------------------------
 
@@ -215,49 +141,32 @@ class NGChain:
 
         Invalid microblocks raise; unknown-parent blocks are buffered.
         """
-        if block.hash in self._records:
-            return []
-        if block.header.prev_hash not in self._records:
-            self._orphans.setdefault(block.header.prev_hash, []).append(
-                (block, arrival_time)
-            )
-            return []
-        reorgs = [
-            self._connect(
-                block,
-                arrival_time,
-                local_time if local_time is not None else arrival_time,
-                check_signature,
-            )
-        ]
-        pending = [block.hash]
-        while pending:
-            parent_hash = pending.pop()
-            for orphan, orphan_time in self._orphans.pop(parent_hash, []):
-                try:
-                    reorg = self._connect(
-                        orphan,
-                        max(orphan_time, arrival_time),
-                        local_time if local_time is not None else arrival_time,
-                        check_signature,
-                    )
-                except InvalidNGBlock:
-                    continue
-                reorgs.append(reorg)
-                pending.append(orphan.hash)
-        return [r for r in reorgs if r is not None]
+        if local_time is None:
+            local_time = arrival_time
+        return self._insert(block, arrival_time, (local_time, check_signature))
 
-    def _connect(
+    # -- what Bitcoin-NG decides ----------------------------------------
+
+    def _genesis_record(self, genesis: KeyBlock) -> NGRecord:
+        return NGRecord(
+            block=genesis,
+            is_key=True,
+            height=0,
+            key_height=0,
+            cumulative_work=0,
+            leader_pubkey=genesis.header.leader_pubkey,
+            arrival_time=0.0,
+        )
+
+    def _record_for(
         self,
         block: NGBlock,
+        parent: NGRecord,
         arrival_time: float,
-        local_time: float,
-        check_signature: bool,
-    ) -> Reorg | None:
-        parent = self._records[block.header.prev_hash]
-        is_key = isinstance(block, KeyBlock)
-        if is_key:
-            record = NGRecord(
+        context: tuple[float, bool],
+    ) -> NGRecord:
+        if isinstance(block, KeyBlock):
+            return NGRecord(
                 block=block,
                 is_key=True,
                 height=parent.height + 1,
@@ -266,26 +175,18 @@ class NGChain:
                 leader_pubkey=block.header.leader_pubkey,
                 arrival_time=arrival_time,
             )
-        else:
-            assert isinstance(block, Microblock)
-            self.validate_microblock(block, local_time, check_signature)
-            record = NGRecord(
-                block=block,
-                is_key=False,
-                height=parent.height + 1,
-                key_height=parent.key_height,
-                cumulative_work=parent.cumulative_work,
-                leader_pubkey=parent.leader_pubkey,
-                arrival_time=arrival_time,
-            )
-            self._detect_equivocation(parent, block)
-        self._records[block.hash] = record
-        parent.children.append(block.hash)
-        self._on_connected(record)
-        return self._maybe_switch_tip(record)
-
-    def _on_connected(self, record: NGRecord) -> None:
-        """Hook for subclasses to index a freshly connected record."""
+        assert isinstance(block, Microblock)
+        self.validate_microblock(block, *context)
+        self._detect_equivocation(parent, block)
+        return NGRecord(
+            block=block,
+            is_key=False,
+            height=parent.height + 1,
+            key_height=parent.key_height,
+            cumulative_work=parent.cumulative_work,
+            leader_pubkey=parent.leader_pubkey,
+            arrival_time=arrival_time,
+        )
 
     def _detect_equivocation(self, parent: NGRecord, new_micro: Microblock) -> None:
         """Two leader-signed microblocks on one parent is fraud."""
@@ -304,53 +205,27 @@ class NGChain:
                 )
             )
 
-    def _maybe_switch_tip(self, candidate: NGRecord) -> Reorg | None:
+    def _choose_tip(self, candidate: NGRecord) -> bytes:
         current = self._records[self._tip]
         if candidate.cumulative_work > current.cumulative_work:
-            return self._switch_tip(candidate.hash)
+            return candidate.hash
         if candidate.cumulative_work < current.cumulative_work:
-            return None
-        if candidate.hash == current.hash:
-            return None
+            return self._tip
         # Equal weight: adopt a microblock that extends the current tip;
-        # anything else is a genuine fork.
-        if self._is_descendant(candidate.hash, self._tip):
-            return self._switch_tip(candidate.hash)
-        if candidate.is_key:
-            # Competing key blocks (Figure 3): tie-break policy applies.
-            if self.tie_break is TieBreak.FIRST_SEEN:
-                return None
-            if self.rng.random() < 0.5:
-                return None
-            return self._switch_tip(candidate.hash)
-        # Competing microblock (leader equivocation): keep the first seen.
-        return None
-
-    def _is_descendant(self, descendant: bytes, ancestor: bytes) -> bool:
-        if descendant == ancestor:
-            return True
-        target = self._records[ancestor]
-        cursor = self._records[descendant]
-        while cursor.height > target.height:
-            cursor = self._records[cursor.parent_hash]
-        return cursor.hash == ancestor
-
-    def _switch_tip(self, new_tip: bytes) -> Reorg:
-        old_tip = self._tip
-        fork = self.find_fork_point(old_tip, new_tip)
-        disconnected = []
-        cursor = old_tip
-        while cursor != fork:
-            disconnected.append(cursor)
-            cursor = self._records[cursor].parent_hash
-        connected = []
-        cursor = new_tip
-        while cursor != fork:
-            connected.append(cursor)
-            cursor = self._records[cursor].parent_hash
-        connected.reverse()
-        self._tip = new_tip
-        return Reorg(old_tip, new_tip, tuple(disconnected), tuple(connected))
+        # anything else is a genuine fork.  (The tip is always a leaf —
+        # a valid child of it connects as heavier or as this extension —
+        # so extending it means being its child.)
+        if candidate.parent_hash == self._tip:
+            return candidate.hash
+        # Competing key blocks (Figure 3): tie-break policy applies.  A
+        # competing microblock (leader equivocation) loses to the first seen.
+        if (
+            candidate.is_key
+            and self.tie_break is not TieBreak.FIRST_SEEN
+            and self.rng.random() >= 0.5
+        ):
+            return candidate.hash
+        return self._tip
 
     # -- invariants -------------------------------------------------------
 

@@ -14,8 +14,8 @@ latest microblock extension is followed as usual.
 
 from __future__ import annotations
 
-from ..bitcoin.chain import Reorg, TieBreak
-from .chain import NGChain, NGRecord
+from ..bitcoin.chain import TieBreak
+from .chain import NGBlock, NGChain, NGRecord
 
 
 class GhostNGChain(NGChain):
@@ -28,16 +28,20 @@ class GhostNGChain(NGChain):
 
     # -- bookkeeping ------------------------------------------------------
 
-    def _on_connected(self, record: NGRecord) -> None:
-        work = record.block.header.work if record.is_key else 0
-        self._subtree_key_work[record.hash] = work
+    def _record_for(
+        self, block: NGBlock, parent: NGRecord, arrival_time: float, context
+    ) -> NGRecord:
+        record = super()._record_for(block, parent, arrival_time, context)
+        work = block.header.work if record.is_key else 0
+        self._subtree_key_work[block.hash] = work
         if work:
-            cursor = self._records[record.parent_hash]
+            cursor = parent
             while True:
                 self._subtree_key_work[cursor.hash] += work
                 if cursor.hash == self.genesis_hash:
                     break
                 cursor = self._records[cursor.parent_hash]
+        return record
 
     def subtree_key_work(self, block_hash: bytes) -> int:
         return self._subtree_key_work[block_hash]
@@ -67,11 +71,8 @@ class GhostNGChain(NGChain):
             cursor = self._records[best]
         return cursor.hash
 
-    def _maybe_switch_tip(self, candidate: NGRecord) -> Reorg | None:
-        new_tip = self._ghost_tip()
-        if new_tip == self._tip:
-            return None
-        return self._switch_tip(new_tip)
+    def _choose_tip(self, candidate: NGRecord) -> bytes:
+        return self._ghost_tip()
 
     def assert_consistent(self) -> None:
         """Extend the base invariants with subtree-weight bookkeeping."""

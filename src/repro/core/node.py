@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ..bitcoin.blocks import SyntheticPayload, TxPayload
+from ..bitcoin.chain import Reorg, TieBreak
+from ..bitcoin.node import ChainNode
 from ..crypto.hashing import hash160
 from ..crypto.keys import PrivateKey
 from ..ledger.errors import LedgerError
@@ -22,8 +24,8 @@ from ..ledger.mempool import Mempool
 from ..ledger.transactions import Transaction
 from ..ledger.utxo import UndoRecord, UtxoSet
 from ..ledger.validation import compute_fee, validate_spend
-from ..metrics.collector import BlockInfo, ObservationLog
-from ..net.gossip import GossipNode, RelayMode, StoredObject
+from ..metrics.collector import ObservationLog
+from ..net.gossip import RelayMode, StoredObject
 from ..obs.trace import short_hash
 from ..net.network import Network
 from ..net.simulator import Simulator
@@ -36,8 +38,8 @@ from .blocks import (
     check_key_block,
     check_microblock_structure,
 )
-from .chain import NGChain, Reorg
-from ..bitcoin.chain import TieBreak
+from .chain import NGChain
+from .ghost_ng import GhostNGChain
 from .params import NGParams
 from .poison import InvalidPoison, PoisonEntry, PoisonRegistry
 from .remuneration import build_ng_coinbase
@@ -59,7 +61,7 @@ class MicroblockPolicy:
         return max(0, self.target_bytes // self.synthetic_tx_size)
 
 
-class NGNode(GossipNode):
+class NGNode(ChainNode):
     """A Bitcoin-NG miner/relay node."""
 
     def __init__(
@@ -81,15 +83,25 @@ class NGNode(GossipNode):
         bits: int = 0x207FFFFF,
         ghost_fork_choice: bool = False,
     ) -> None:
+        if ghost_fork_choice:
+            # Section 9 future work: GHOST over key blocks, enabling
+            # higher key-block frequencies.
+            chain: NGChain = GhostNGChain(
+                genesis, params, tie_break=tie_break, rng=sim.rng
+            )
+        else:
+            chain = NGChain(genesis, params, tie_break=tie_break, rng=sim.rng)
         super().__init__(
             node_id,
             sim,
             network,
-            relay_mode=relay_mode,
-            verification_seconds_per_byte=verification_seconds_per_byte,
+            chain,
+            log,
+            relay_mode,
+            verification_seconds_per_byte,
         )
+        self.chain = chain  # the name NG code knows ``tree`` by
         self.params = params
-        self.log = log
         self.policy = policy or MicroblockPolicy()
         self.require_pow = require_pow
         self.check_signatures = check_signatures
@@ -105,18 +117,6 @@ class NGNode(GossipNode):
                 "generation interval below the protocol minimum"
             )
         self.key = key or PrivateKey.from_seed(f"ng-node-{node_id}")
-        if ghost_fork_choice:
-            # Section 9 future work: GHOST over key blocks, enabling
-            # higher key-block frequencies.
-            from .ghost_ng import GhostNGChain
-
-            self.chain: NGChain = GhostNGChain(
-                genesis, params, tie_break=tie_break, rng=sim.rng
-            )
-        else:
-            self.chain = NGChain(
-                genesis, params, tie_break=tie_break, rng=sim.rng
-            )
         self.utxo = UtxoSet(coinbase_maturity=params.coinbase_maturity)
         self.mempool = Mempool()
         self._undo: dict[bytes, list[UndoRecord]] = {}
@@ -125,25 +125,11 @@ class NGNode(GossipNode):
         self._leading_epoch: bytes | None = None  # our key block when leader
         self.key_blocks_mined = 0
         self.microblocks_generated = 0
-        self.blocks_rejected = 0
         self.poison_registry = PoisonRegistry()
         self.poisons_published: list[PoisonEntry] = []
-        # Pubkey → key-block hash of known leaders (for fee attribution).
-        self._known_leader_hashes: dict[bytes, bytes] = {
-            genesis.header.leader_pubkey: genesis.hash
-        }
-        registry = network.obs.registry
-        self._c_gen = registry.counter(
-            "node_blocks_generated", "blocks created, by kind", ("kind",)
-        )
-        self._c_tip = registry.counter(
-            "node_tip_changes", "main-chain tip movements across all nodes"
-        )
-        self._c_epochs = registry.counter(
+        self._c_epochs = network.obs.registry.counter(
             "ng_leader_epochs", "leader epochs started across all nodes"
         )
-        if log is not None:
-            log.record_tip(node_id, genesis.hash, sim.now)
 
     # -- identity -----------------------------------------------------------
     # Derived on first use: one EC multiplication per node that ever
@@ -179,33 +165,7 @@ class NGNode(GossipNode):
             coinbase=coinbase,
         )
         self.key_blocks_mined += 1
-        if self.log is not None:
-            self.log.record_generation(
-                BlockInfo(
-                    hash=block.hash,
-                    parent=tip,
-                    miner=self.node_id,
-                    gen_time=self.sim.now,
-                    work=block.header.work,
-                    kind=KIND_KEY,
-                    n_tx=0,
-                    size=block.size,
-                )
-            )
-            self.log.record_arrival(self.node_id, block.hash, self.sim.now)
-        self._c_gen.labels(kind=KIND_KEY).inc()
-        if self._tracer is not None:
-            self._tracer.emit(
-                "block_gen",
-                self.sim.now,
-                hash=short_hash(block.hash),
-                parent=short_hash(tip),
-                kind=KIND_KEY,
-                miner=self.node_id,
-                size=block.size,
-                n_tx=0,
-            )
-        self.announce(block.hash, KIND_KEY, block, block.size)
+        self._publish(block, KIND_KEY, block.header.work, 0)
         self._start_leading(block)
         return block
 
@@ -317,33 +277,7 @@ class NGNode(GossipNode):
             leader_key=self.key,
         )
         self.microblocks_generated += 1
-        if self.log is not None:
-            self.log.record_generation(
-                BlockInfo(
-                    hash=micro.hash,
-                    parent=tip,
-                    miner=self.node_id,
-                    gen_time=self.sim.now,
-                    work=0,
-                    kind=KIND_MICRO,
-                    n_tx=micro.n_tx,
-                    size=micro.size,
-                )
-            )
-            self.log.record_arrival(self.node_id, micro.hash, self.sim.now)
-        self._c_gen.labels(kind=KIND_MICRO).inc()
-        if self._tracer is not None:
-            self._tracer.emit(
-                "block_gen",
-                self.sim.now,
-                hash=short_hash(micro.hash),
-                parent=short_hash(tip),
-                kind=KIND_MICRO,
-                miner=self.node_id,
-                size=micro.size,
-                n_tx=micro.n_tx,
-            )
-        self.announce(micro.hash, KIND_MICRO, micro, micro.size)
+        self._publish(micro, KIND_MICRO, 0, micro.n_tx)
         self._publish_poisons()
         return micro
 
@@ -362,127 +296,35 @@ class NGNode(GossipNode):
             except InvalidPoison:
                 continue
 
-    # -- transactions ---------------------------------------------------------
-
-    def submit_transaction(self, tx: Transaction) -> None:
-        """Accept a locally submitted transaction and gossip it."""
-        height = self.chain.tip_record.height + 1
-        fee = validate_spend(
-            tx, self.utxo, height, check_signatures=self.check_signatures
-        )
-        self.mempool.add(tx, fee)
-        self.announce(tx.txid, "tx", tx, tx.size)
-
-    def _accept_relayed_transaction(self, tx: Transaction) -> None:
-        """Admit a gossiped transaction if it validates; drop otherwise."""
-        height = self.chain.tip_record.height + 1
-        try:
-            fee = validate_spend(
-                tx, self.utxo, height, check_signatures=self.check_signatures
-            )
-            self.mempool.add(tx, fee)
-        except LedgerError:
-            return
-
     # -- delivery ---------------------------------------------------------------
 
     def deliver(self, obj: StoredObject, sender: int | None):
-        if obj.kind == KIND_KEY:
-            return self._deliver_key_block(obj.data, sender)
-        if obj.kind == KIND_MICRO:
-            return self._deliver_microblock(obj.data, sender)
+        if obj.kind == KIND_KEY or obj.kind == KIND_MICRO:
+            return self._receive(obj.data, obj.kind, sender)
         if obj.kind == "tx":
             if sender is not None:
                 self._accept_relayed_transaction(obj.data)
             return None
         return False  # unknown object kinds are not relayed
 
-    def _deliver_key_block(self, block: KeyBlock, sender: int | None):
-        if sender is not None:
-            if self.log is not None:
-                self.log.record_arrival(self.node_id, block.hash, self.sim.now)
-            if self._tracer is not None:
-                self._tracer.emit(
-                    "block_arrival",
-                    self.sim.now,
-                    node=self.node_id,
-                    hash=short_hash(block.hash),
-                    kind=KIND_KEY,
-                )
-        if sender is not None:
-            try:
-                check_key_block(block, require_pow=self.require_pow)
-            except InvalidNGBlock:
-                self.blocks_rejected += 1
-                return False
-        self._known_leader_hashes[block.header.leader_pubkey] = block.hash
-        return self._add_and_apply(block, sender)
+    def _check_block(self, block: KeyBlock | Microblock) -> None:
+        if isinstance(block, KeyBlock):
+            check_key_block(block, require_pow=self.require_pow)
+        else:
+            check_microblock_structure(block, self.params.max_microblock_bytes)
 
-    def _deliver_microblock(self, micro: Microblock, sender: int | None):
-        if sender is not None:
-            if self.log is not None:
-                self.log.record_arrival(self.node_id, micro.hash, self.sim.now)
-            if self._tracer is not None:
-                self._tracer.emit(
-                    "block_arrival",
-                    self.sim.now,
-                    node=self.node_id,
-                    hash=short_hash(micro.hash),
-                    kind=KIND_MICRO,
-                )
-        if sender is not None:
-            try:
-                check_microblock_structure(
-                    micro, self.params.max_microblock_bytes
-                )
-            except InvalidNGBlock:
-                self.blocks_rejected += 1
-                return False
-        return self._add_and_apply(micro, sender)
-
-    def _add_and_apply(
-        self, block: KeyBlock | Microblock, sender: int | None = None
-    ):
-        try:
-            reorgs = self.chain.add_block(
-                block,
-                arrival_time=self.sim.now,
-                local_time=self.sim.now,
-                check_signature=self.check_signatures,
-            )
-        except InvalidNGBlock:
-            self.blocks_rejected += 1
-            return False
-        parent_hash = block.header.prev_hash
-        if (
-            sender is not None
-            and block.hash not in self.chain
-            and parent_hash not in self.chain
-        ):
-            # Orphan: backfill the missing ancestor from the sender.
-            self.request_object(sender, parent_hash)
-        for reorg in reorgs:
-            self._apply_reorg(reorg)
-        if reorgs:
-            if self.log is not None:
-                self.log.record_tip(self.node_id, self.chain.tip, self.sim.now)
-            self._c_tip.inc()
-            if self._tracer is not None:
-                self._tracer.emit(
-                    "tip_change",
-                    self.sim.now,
-                    node=self.node_id,
-                    tip=short_hash(self.chain.tip),
-                    height=self.chain.tip_record.height,
-                )
+    def _add_to_tree(self, block: KeyBlock | Microblock) -> list[Reorg]:
+        now = self.sim.now
+        return self.chain.add_block(block, now, now, self.check_signatures)
 
     # -- state management ----------------------------------------------------
 
-    def _apply_reorg(self, reorg: Reorg) -> None:
-        for block_hash in reorg.disconnected:
-            self._disconnect_block(block_hash)
-        for block_hash in reorg.connected:
-            self._connect_block(block_hash)
+    def _spend_fee(self, tx: Transaction, height: int) -> int:
+        # Goes through this module's ``validate_spend`` binding, which is
+        # where the benchmark's ledger span taps NG's spend validation.
+        return validate_spend(
+            tx, self.utxo, height, check_signatures=self.check_signatures
+        )
 
     def _connect_block(self, block_hash: bytes) -> None:
         record = self.chain.record(block_hash)
@@ -495,12 +337,7 @@ class NGNode(GossipNode):
             fees = 0
             for tx in block.payload.transactions:
                 try:
-                    fees += validate_spend(
-                        tx,
-                        self.utxo,
-                        height,
-                        check_signatures=self.check_signatures,
-                    )
+                    fees += self._spend_fee(tx, height)
                 except LedgerError:
                     for done in reversed(undo_records):
                         self.utxo.undo(done)
@@ -530,13 +367,6 @@ class NGNode(GossipNode):
                     continue
 
     # -- introspection ------------------------------------------------------
-
-    def best_object_id(self) -> bytes | None:
-        return self.chain.tip
-
-    @property
-    def tip(self) -> bytes:
-        return self.chain.tip
 
     def balance_of(self, pubkey_hash: bytes) -> int:
         return self.utxo.balance(pubkey_hash)

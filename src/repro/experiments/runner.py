@@ -16,7 +16,6 @@ and is wired here when present; a bare run never touches the engine.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field
 
 from ..clock import wall_clock
@@ -68,8 +67,7 @@ class ExperimentResult:
     # Invariant violations the sanitizer found (empty unless
     # config.check).  This is the one canonical surface: a tuple of
     # frozen ViolationRecords that participates in equality and pickles
-    # through sweep workers.  The old integer field is a deprecated
-    # property below — use ``len(result.violations)``.
+    # through sweep workers.
     violations: tuple = field(default=(), repr=False)
     # Wall-clock phases and the observability snapshot.  Excluded from
     # equality: wall time is machine noise, and the snapshot must not
@@ -77,22 +75,6 @@ class ExperimentResult:
     wall_setup_seconds: float = field(default=0.0, compare=False)
     wall_simulate_seconds: float = field(default=0.0, compare=False)
     obs: dict | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def invariant_violations(self) -> int:
-        """Deprecated: the violation count.  Use ``len(result.violations)``.
-
-        Kept so external callers of the old dual surface keep working;
-        the JSON emitted by ``repro run --json`` still carries an
-        ``invariant_violations`` count key, which is unaffected.
-        """
-        warnings.warn(
-            "ExperimentResult.invariant_violations is deprecated; "
-            "use len(result.violations)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return len(self.violations)
 
     def as_row(self) -> dict[str, float]:
         """Flat numeric dict, convenient for table printing."""

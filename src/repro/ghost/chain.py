@@ -12,95 +12,35 @@ by greedily descending into the heaviest subtree from the genesis.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..bitcoin.blocks import Block, InvalidBlock
-from ..bitcoin.chain import Reorg, TieBreak
+from ..bitcoin.chain import BlockRecord, BlockTree, TieBreak
 
 
-@dataclass
-class GhostRecord:
-    """A block plus GHOST-specific bookkeeping."""
+@dataclass(kw_only=True)
+class GhostRecord(BlockRecord):
+    """A block plus GHOST-specific bookkeeping.
 
-    block: Block
-    height: int
+    GHOST chooses tips by ``subtree_work``, not by the inherited
+    ``cumulative_work`` (chain work along the path from genesis), which
+    stays so protocol-agnostic tooling (state digests, invariant
+    checkers) can read one weight field across every tree.
+    """
+
     own_work: int
     subtree_work: int
-    arrival_time: float
-    # Chain work along the path from genesis.  GHOST chooses tips by
-    # subtree work, not this — it exists so protocol-agnostic tooling
-    # (state digests, invariant checkers) can read one weight field
-    # across every tree implementation.
-    cumulative_work: int = 0
-    children: list[bytes] = field(default_factory=list)
-
-    @property
-    def hash(self) -> bytes:
-        return self.block.hash
-
-    @property
-    def parent_hash(self) -> bytes:
-        return self.block.header.prev_hash
 
 
-class GhostTree:
+class GhostTree(BlockTree):
     """One node's view under the GHOST chain selection rule."""
 
-    def __init__(
-        self,
-        genesis: Block,
-        tie_break: TieBreak = TieBreak.FIRST_SEEN,
-        rng: random.Random | None = None,
-    ) -> None:
-        self._records: dict[bytes, GhostRecord] = {}
-        self._orphans: dict[bytes, list[tuple[Block, float]]] = {}
-        self.tie_break = tie_break
-        self.rng = rng or random.Random(0)
-        self.genesis_hash = genesis.hash
-        self._records[genesis.hash] = GhostRecord(
-            genesis, height=0, own_work=0, subtree_work=0, arrival_time=0.0
-        )
-        self._tip = genesis.hash
+    _records: dict[bytes, GhostRecord]
 
     # -- queries --------------------------------------------------------
 
-    def __contains__(self, block_hash: bytes) -> bool:
-        return block_hash in self._records
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    @property
-    def tip(self) -> bytes:
-        return self._tip
-
-    @property
-    def tip_record(self) -> GhostRecord:
-        return self._records[self._tip]
-
-    def record(self, block_hash: bytes) -> GhostRecord:
-        return self._records[block_hash]
-
-    def get(self, block_hash: bytes) -> GhostRecord | None:
-        return self._records.get(block_hash)
-
-    def height_of(self, block_hash: bytes) -> int:
-        return self._records[block_hash].height
-
     def subtree_work(self, block_hash: bytes) -> int:
         return self._records[block_hash].subtree_work
-
-    def main_chain(self, tip: bytes | None = None) -> list[bytes]:
-        chain = []
-        cursor = tip if tip is not None else self._tip
-        while True:
-            chain.append(cursor)
-            if cursor == self.genesis_hash:
-                break
-            cursor = self._records[cursor].parent_hash
-        chain.reverse()
-        return chain
 
     def best_tip(self) -> bytes:
         """Greedy heaviest-subtree descent from the genesis."""
@@ -122,41 +62,22 @@ class GhostTree:
                 cursor = self.rng.choice(best_children)
         return cursor.hash
 
-    # -- mutation -------------------------------------------------------
+    # -- what GHOST decides ---------------------------------------------
 
-    def add_block(self, block: Block, arrival_time: float) -> list[Reorg]:
-        """Insert a block (buffering orphans); return tip changes."""
-        if block.hash in self._records:
-            return []
-        if block.header.prev_hash not in self._records:
-            self._orphans.setdefault(block.header.prev_hash, []).append(
-                (block, arrival_time)
-            )
-            return []
-        reorgs = [self._connect(block, arrival_time)]
-        pending = [block.hash]
-        while pending:
-            parent_hash = pending.pop()
-            for orphan, orphan_time in self._orphans.pop(parent_hash, []):
-                reorgs.append(
-                    self._connect(orphan, max(orphan_time, arrival_time))
-                )
-                pending.append(orphan.hash)
-        return [r for r in reorgs if r is not None]
-
-    def _connect(self, block: Block, arrival_time: float) -> Reorg | None:
-        parent = self._records[block.header.prev_hash]
-        work = block.header.work
-        record = GhostRecord(
-            block,
-            height=parent.height + 1,
-            own_work=work,
-            subtree_work=work,
-            arrival_time=arrival_time,
-            cumulative_work=parent.cumulative_work + work,
+    def _genesis_record(self, genesis: Block) -> GhostRecord:
+        return GhostRecord(
+            genesis,
+            height=0,
+            cumulative_work=0,
+            arrival_time=0.0,
+            own_work=0,
+            subtree_work=0,
         )
-        self._records[block.hash] = record
-        parent.children.append(block.hash)
+
+    def _record_for(
+        self, block: Block, parent: GhostRecord, arrival_time: float, context
+    ) -> GhostRecord:
+        work = block.header.work
         # Credit the new work to every ancestor's subtree.
         cursor = parent
         while True:
@@ -164,36 +85,17 @@ class GhostTree:
             if cursor.hash == self.genesis_hash:
                 break
             cursor = self._records[cursor.parent_hash]
-        new_tip = self.best_tip()
-        if new_tip == self._tip:
-            return None
-        return self._switch_tip(new_tip)
+        return GhostRecord(
+            block,
+            height=parent.height + 1,
+            cumulative_work=parent.cumulative_work + work,
+            arrival_time=arrival_time,
+            own_work=work,
+            subtree_work=work,
+        )
 
-    def _switch_tip(self, new_tip: bytes) -> Reorg:
-        old_tip = self._tip
-        # Lowest common ancestor walk.
-        ra, rb = self._records[old_tip], self._records[new_tip]
-        while ra.height > rb.height:
-            ra = self._records[ra.parent_hash]
-        while rb.height > ra.height:
-            rb = self._records[rb.parent_hash]
-        while ra.hash != rb.hash:
-            ra = self._records[ra.parent_hash]
-            rb = self._records[rb.parent_hash]
-        fork = ra.hash
-        disconnected = []
-        cursor = old_tip
-        while cursor != fork:
-            disconnected.append(cursor)
-            cursor = self._records[cursor].parent_hash
-        connected = []
-        cursor = new_tip
-        while cursor != fork:
-            connected.append(cursor)
-            cursor = self._records[cursor].parent_hash
-        connected.reverse()
-        self._tip = new_tip
-        return Reorg(old_tip, new_tip, tuple(disconnected), tuple(connected))
+    def _choose_tip(self, candidate: GhostRecord) -> bytes:
+        return self.best_tip()
 
     def assert_consistent(self) -> None:
         """Subtree weights must equal the sum over descendants."""

@@ -10,24 +10,17 @@ from __future__ import annotations
 
 import struct
 
-from ..bitcoin.blocks import (
-    Block,
-    InvalidBlock,
-    SyntheticPayload,
-    build_block,
-    check_block,
-)
+from ..bitcoin.blocks import Block, SyntheticPayload, build_block, check_block
 from ..bitcoin.chain import TieBreak
-from ..bitcoin.node import DEFAULT_BLOCK_REWARD, BlockPolicy
-from ..metrics.collector import BlockInfo, ObservationLog
-from ..net.gossip import GossipNode, RelayMode, StoredObject
+from ..bitcoin.node import DEFAULT_BLOCK_REWARD, BlockPolicy, ChainNode
+from ..metrics.collector import ObservationLog
+from ..net.gossip import RelayMode, StoredObject
 from ..net.network import Network
 from ..net.simulator import Simulator
-from ..obs.trace import short_hash
 from .chain import GhostTree
 
 
-class GhostNode(GossipNode):
+class GhostNode(ChainNode):
     """A miner/relay node running the GHOST selection rule."""
 
     KIND = "block"
@@ -49,25 +42,15 @@ class GhostNode(GossipNode):
             node_id,
             sim,
             network,
-            relay_mode=relay_mode,
-            verification_seconds_per_byte=verification_seconds_per_byte,
+            GhostTree(genesis, tie_break=tie_break, rng=sim.rng),
+            log,
+            relay_mode,
+            verification_seconds_per_byte,
         )
-        self.log = log
         self.policy = policy or BlockPolicy()
         self.require_pow = require_pow
-        self.tree = GhostTree(genesis, tie_break=tie_break, rng=sim.rng)
         self._block_counter = 0
         self.blocks_mined = 0
-        self.blocks_rejected = 0
-        registry = network.obs.registry
-        self._c_gen = registry.counter(
-            "node_blocks_generated", "blocks created, by kind", ("kind",)
-        )
-        self._c_tip = registry.counter(
-            "node_tip_changes", "main-chain tip movements across all nodes"
-        )
-        if log is not None:
-            log.record_tip(node_id, genesis.hash, sim.now)
 
     def generate_block(self) -> Block:
         """Mine a block on the GHOST-selected tip and gossip it."""
@@ -87,72 +70,13 @@ class GhostNode(GossipNode):
             reward=DEFAULT_BLOCK_REWARD,
         )
         self.blocks_mined += 1
-        if self.log is not None:
-            self.log.record_generation(
-                BlockInfo(
-                    hash=block.hash,
-                    parent=tip,
-                    miner=self.node_id,
-                    gen_time=self.sim.now,
-                    work=block.header.work,
-                    kind=self.KIND,
-                    n_tx=block.n_tx,
-                    size=block.size,
-                )
-            )
-            self.log.record_arrival(self.node_id, block.hash, self.sim.now)
-        self._c_gen.labels(kind=self.KIND).inc()
-        if self._tracer is not None:
-            self._tracer.emit(
-                "block_gen",
-                self.sim.now,
-                hash=short_hash(block.hash),
-                parent=short_hash(tip),
-                kind=self.KIND,
-                miner=self.node_id,
-                size=block.size,
-                n_tx=block.n_tx,
-            )
-        self.announce(block.hash, self.KIND, block, block.size)
+        self._publish(block, self.KIND, block.header.work, block.n_tx)
         return block
 
     def deliver(self, obj: StoredObject, sender: int | None):
         if obj.kind != self.KIND:
             return False  # unknown object kinds are not relayed
-        block: Block = obj.data
-        if sender is not None:
-            if self.log is not None:
-                self.log.record_arrival(self.node_id, block.hash, self.sim.now)
-            if self._tracer is not None:
-                self._tracer.emit(
-                    "block_arrival",
-                    self.sim.now,
-                    node=self.node_id,
-                    hash=short_hash(block.hash),
-                    kind=self.KIND,
-                )
-        if sender is not None:
-            try:
-                check_block(block, require_pow=self.require_pow)
-            except InvalidBlock:
-                self.blocks_rejected += 1
-                return False
-        reorgs = self.tree.add_block(block, self.sim.now)
-        if reorgs:
-            if self.log is not None:
-                self.log.record_tip(self.node_id, self.tree.tip, self.sim.now)
-            self._c_tip.inc()
-            if self._tracer is not None:
-                self._tracer.emit(
-                    "tip_change",
-                    self.sim.now,
-                    node=self.node_id,
-                    tip=short_hash(self.tree.tip),
-                )
+        return self._receive(obj.data, self.KIND, sender)
 
-    def best_object_id(self) -> bytes | None:
-        return self.tree.tip
-
-    @property
-    def tip(self) -> bytes:
-        return self.tree.tip
+    def _check_block(self, block: Block) -> None:
+        check_block(block, require_pow=self.require_pow)

@@ -206,32 +206,35 @@ class SemanticIndex:
         """
         if kind == "self" and cls is not None:
             return self.resolve_method(summary, cls, target[0])
-        if kind == "local":
+        if kind == "local" and target[0] in summary.functions:
             name = target[0]
-            if name in summary.functions:
-                return (
-                    FunctionKey(summary.display_path, None, name),
-                    summary.functions[name],
-                )
-            if name in summary.classes:
-                return self.resolve_method(
-                    summary, summary.classes[name], "__init__"
-                )
-            return None
+            return (
+                FunctionKey(summary.display_path, None, name),
+                summary.functions[name],
+            )
         if kind in ("import", "module"):
             module_name, name = target
             target_mod = self.module_named(module_name)
-            if target_mod is None:
-                return None
-            if name in target_mod.functions:
+            if target_mod is not None and name in target_mod.functions:
                 return (
                     FunctionKey(target_mod.display_path, None, name),
                     target_mod.functions[name],
                 )
-            if name in target_mod.classes:
-                return self.resolve_method(
-                    target_mod, target_mod.classes[name], "__init__"
-                )
+        named = self.resolve_class(summary, kind, target)
+        if named is not None:
+            return self.resolve_method(*named, "__init__")
+        return None
+
+    def resolve_class(
+        self, summary: ModuleSummary, kind: str, target: tuple[str, ...]
+    ) -> tuple[ModuleSummary, ClassSummary] | None:
+        """The scanned class a classified call site names, if any."""
+        if kind == "local" and target[0] in summary.classes:
+            return summary, summary.classes[target[0]]
+        if kind in ("import", "module"):
+            target_mod = self.module_named(target[0])
+            if target_mod is not None and target[1] in target_mod.classes:
+                return target_mod, target_mod.classes[target[1]]
         return None
 
     # -- public queries (consumed by repro.mutate and external tooling) ------
@@ -304,9 +307,9 @@ class SemanticIndex:
         The static call graph cannot see simulator-dispatched calls
         (``build_nodes`` hands node objects to the event loop, which
         invokes their methods by name at runtime), so with
-        ``instantiate_closure`` a call that resolves into a class
-        ``__init__`` marks *every* method of that class (and its scanned
-        ancestors) reachable — the object escaped, anything on it may
+        ``instantiate_closure`` a call that instantiates a class marks
+        *every* method of that class (and its scanned ancestors)
+        reachable — the object escaped, anything on it may
         run.  This is the reachability the mutation engine keys on:
         over-approximate in the direction of more mutation sites.
         """
@@ -334,18 +337,12 @@ class SemanticIndex:
                     continue
                 callee_key, _callee_fn = resolved
                 work.append(callee_key)
-                if (
-                    instantiate_closure
-                    and callee_key.class_name is not None
-                    and callee_key.function == "__init__"
-                ):
-                    owner = self.modules.get(callee_key.display_path)
-                    if owner is None:
-                        continue
-                    owner_cls = owner.classes.get(callee_key.class_name)
-                    if owner_cls is None:
-                        continue
-                    work.extend(self.class_surface(owner, owner_cls))
+                if instantiate_closure and callee_key.function == "__init__":
+                    # The class the call names, which may only inherit
+                    # the ``__init__`` it resolved to.
+                    named = self.resolve_class(summary, call.kind, call.target)
+                    if named is not None:
+                        work.extend(self.class_surface(*named))
         return reached
 
     # -- harvests (NG301 / NG303 feeds) --------------------------------------

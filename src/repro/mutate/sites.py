@@ -26,8 +26,10 @@ asks it instead of re-deriving anything:
    ``__init__`` for the instantiate closure to resolve).
 
 Sites are then filtered to the consensus packages (``repro.core``,
-``repro.ledger``, ``repro.crypto``, ``repro.mining``): mutating the
-plotting helpers would only measure noise.
+``repro.ledger``, ``repro.crypto``, ``repro.mining``, plus the shared
+block tree and chain node in ``repro.bitcoin.chain`` /
+``repro.bitcoin.node`` and GHOST's rule in ``repro.ghost``): mutating
+the plotting helpers would only measure noise.
 """
 
 from __future__ import annotations
@@ -45,6 +47,11 @@ TARGET_PACKAGES: tuple[str, ...] = (
     "repro.ledger",
     "repro.crypto",
     "repro.mining",
+    # The one block tree and chain node every protocol runs on, and the
+    # GHOST rule over them.
+    "repro.bitcoin.chain",
+    "repro.bitcoin.node",
+    "repro.ghost",
 )
 
 #: Modules eligible wholesale, by trailing path (see module docstring).

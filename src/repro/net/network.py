@@ -13,16 +13,17 @@ link a dense *edge id*, and per-link ``latency`` / ``bandwidth`` /
 1000-node, 5-degree run has ~10k directed links; touching three list
 slots per send beats a tuple-keyed dict lookup plus attribute access on
 a per-link object, and :meth:`Network.multicast` books a whole
-neighborhood fan-out as one batched event-queue call.  The
-:class:`~repro.net.links.LinkView` facade keeps the old per-link object
-API (``net.link(a, b).latency`` etc.) working on top of the arrays.
+neighborhood fan-out as one batched event-queue call.
+:meth:`Network.link` is the one per-link accessor: it hands out a
+:class:`~repro.net.links.LinkView`, a live per-link object
+(``net.link(a, b).latency`` etc.) on top of the arrays.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Iterator, Protocol
+from typing import Any, Protocol
 
 from ..obs.facade import NULL_OBS
 from .interning import ObjectIdTable
@@ -49,53 +50,6 @@ class MessageHandler(Protocol):
     """Anything that can receive messages from the network."""
 
     def on_message(self, sender: int, message: Message) -> None: ...
-
-
-class _LinkTable:
-    """Read-only mapping view ``(src, dst) -> LinkView`` over the arrays.
-
-    Preserves the dict-of-links API the seed exposed as ``_links``:
-    iteration yields directed pairs, indexing returns a live view.
-    """
-
-    __slots__ = ("_net",)
-
-    def __init__(self, net: "Network") -> None:
-        self._net = net
-
-    def __len__(self) -> int:
-        return len(self._net._lat)
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._net._eid
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(zip(self._net._edge_src, self._net._edge_dst))
-
-    def __getitem__(self, key: tuple[int, int]) -> LinkView:
-        return LinkView(self._net, self._net._eid[key])
-
-    def get(
-        self, key: tuple[int, int], default: LinkView | None = None
-    ) -> LinkView | None:
-        eid = self._net._eid.get(key)
-        return default if eid is None else LinkView(self._net, eid)
-
-    def keys(self) -> Iterator[tuple[int, int]]:
-        return iter(self)
-
-    def values(self) -> Iterator[LinkView]:
-        net = self._net
-        return (LinkView(net, eid) for eid in range(len(net._lat)))
-
-    def items(self) -> Iterator[tuple[tuple[int, int], LinkView]]:
-        net = self._net
-        return (
-            ((src, dst), LinkView(net, eid))
-            for eid, (src, dst) in enumerate(
-                zip(net._edge_src, net._edge_dst)
-            )
-        )
 
 
 class Network:
@@ -198,11 +152,6 @@ class Network:
             # direction — matching how pairwise latency was assigned.
             lat[eid_map[(a, b)]] = latency
             lat[eid_map[(b, a)]] = latency
-
-    @property
-    def _links(self) -> _LinkTable:
-        """Dict-of-links compatibility view over the arrays."""
-        return _LinkTable(self)
 
     def attach(self, node_id: int, handler: MessageHandler) -> None:
         """Register the protocol node living at ``node_id``."""

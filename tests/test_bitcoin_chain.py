@@ -152,6 +152,9 @@ def test_find_fork_point():
     main = _chain(tree, GENESIS.hash, ["a", "b"])
     side = _chain(tree, main[0].hash, ["x", "y"])
     assert tree.find_fork_point(main[1].hash, side[1].hash) == main[0].hash
+    # A block is its own fork point, the genesis included.
+    assert tree.find_fork_point(side[1].hash, side[1].hash) == side[1].hash
+    assert tree.find_fork_point(GENESIS.hash, GENESIS.hash) == GENESIS.hash
 
 
 def test_pruned_blocks():

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.bitcoin.node as node_mod
 from repro.bitcoin.blocks import make_genesis
 from repro.bitcoin.node import BitcoinNode, BlockPolicy
 from repro.crypto.hashing import hash160
@@ -50,6 +51,7 @@ def test_chain_extends_across_miners():
     sim.run()
     assert all(node.tip == block2.hash for node in nodes)
     assert nodes[2].height == 2
+    assert [node.blocks_mined for node in nodes] == [1, 1, 0]
 
 
 def test_concurrent_blocks_fork_then_resolve():
@@ -189,6 +191,65 @@ def test_full_mode_fees_accrue_to_miner():
     sim.run()
     # The miner's coinbase includes subsidy + the fee.
     assert mined.coinbase.outputs[0].value == nodes[0].policy.reward + fee
+
+
+def _node_with_a_spendable_coin():
+    """Two full-mode nodes that both hold one mature coin of ``owner``."""
+    sim = Simulator(seed=0)
+    net = Network(sim, complete_topology(2), constant_histogram(0.01), 1e6)
+    policy = BlockPolicy(max_block_bytes=100_000, synthetic=False)
+    nodes = [BitcoinNode(i, sim, net, GENESIS, policy=policy) for i in range(2)]
+    owner = PrivateKey.from_seed("coin-owner")
+    outpoint = OutPoint(b"\xee" * 32, 0)
+    for node in nodes:
+        node.utxo.credit(
+            TxOutput(100, hash160(owner.public_key().to_bytes())),
+            outpoint,
+            height=0,
+        )
+    spend = Transaction(
+        inputs=(TxInput(outpoint),), outputs=(TxOutput(90, bytes(20)),)
+    ).sign_input(0, owner)
+    return sim, nodes, outpoint, spend
+
+
+def test_submitted_transaction_is_gossiped_into_peer_mempools():
+    sim, nodes, _, spend = _node_with_a_spendable_coin()
+    nodes[0].submit_transaction(spend)
+    sim.run()
+    assert spend.txid in nodes[0].mempool
+    assert spend.txid in nodes[1].mempool
+
+
+def test_tx_admission_validates_at_the_next_height(monkeypatch):
+    sim, _, nodes = _cluster()
+    heights = []
+
+    def fake_validate(tx, utxo, height, check_signatures=True):
+        heights.append(height)
+        return 0
+
+    monkeypatch.setattr(node_mod, "validate_spend", fake_validate)
+    nodes[0].submit_transaction(
+        Transaction(inputs=(), outputs=(TxOutput(1, bytes(20)),))
+    )
+    nodes[0]._accept_relayed_transaction(
+        Transaction(inputs=(), outputs=(TxOutput(2, bytes(20)),))
+    )
+    # A transaction admitted now can first appear in the *next* block.
+    assert heights == [1, 1]
+
+
+def test_disconnecting_a_block_restores_coins_and_returns_its_transactions():
+    sim, nodes, outpoint, spend = _node_with_a_spendable_coin()
+    node = nodes[0]
+    node.submit_transaction(spend)
+    mined = node.generate_block()
+    assert mined.n_tx == 1
+    assert outpoint not in node.utxo and spend.txid not in node.mempool
+    node._disconnect_block(mined.hash)
+    assert outpoint in node.utxo
+    assert spend.txid in node.mempool
 
 
 def test_payout_identity_is_derived_once_per_mining_node(count_calls):

@@ -190,7 +190,7 @@ def test_tampered_key_block_from_peer_rejected_and_counted():
     # Same header, different coinbase: the payload-root commitment no
     # longer matches, so structural validation must veto the relay.
     tampered = KeyBlock(header=key.header, coinbase=GENESIS.coinbase)
-    assert nodes[1]._deliver_key_block(tampered, sender=0) is False
+    assert nodes[1]._receive(tampered, KIND_KEY, sender=0) is False
     assert nodes[1].blocks_rejected == 1
     assert tampered.hash not in nodes[1].chain
 
@@ -206,7 +206,7 @@ def test_oversized_microblock_from_peer_rejected_and_counted():
         nodes[0].key,
     )
     assert big.size > PARAMS.max_microblock_bytes
-    assert nodes[1]._deliver_microblock(big, sender=0) is False
+    assert nodes[1]._receive(big, KIND_MICRO, sender=0) is False
     assert nodes[1].blocks_rejected == 1
     assert big.hash not in nodes[1].chain
 
@@ -218,7 +218,7 @@ def test_wrongly_signed_microblock_rejected_at_the_chain_layer():
     forged = build_microblock(
         key.hash, 11.0, SyntheticPayload(n_tx=1, salt=b"f"), nodes[1].key
     )
-    assert nodes[2]._deliver_microblock(forged, sender=1) is False
+    assert nodes[2]._receive(forged, KIND_MICRO, sender=1) is False
     assert nodes[2].blocks_rejected == 1
 
 
@@ -227,12 +227,12 @@ def test_block_arrival_traced_only_for_relayed_blocks():
     key = nodes[0].generate_key_block()
     tracer = _RecordingTracer()
     nodes[1]._tracer = tracer
-    nodes[1]._deliver_key_block(key, sender=0)
+    nodes[1]._receive(key, KIND_KEY, sender=0)
     assert tracer.events.count("block_arrival") == 1
     # Self-generated objects (sender None) are not arrivals.
     tracer2 = _RecordingTracer()
     nodes[2]._tracer = tracer2
-    nodes[2]._deliver_key_block(key, sender=None)
+    nodes[2]._receive(key, KIND_KEY, sender=None)
     assert tracer2.events.count("block_arrival") == 0
 
 
@@ -245,11 +245,11 @@ def test_microblock_arrival_traced_only_for_relayed_blocks():
     )
     tracer = _RecordingTracer()
     nodes[1]._tracer = tracer
-    nodes[1]._deliver_microblock(micro, sender=0)
+    nodes[1]._receive(micro, KIND_MICRO, sender=0)
     assert tracer.events.count("block_arrival") == 1
     tracer2 = _RecordingTracer()
     nodes[2]._tracer = tracer2
-    nodes[2]._deliver_microblock(micro, sender=None)
+    nodes[2]._receive(micro, KIND_MICRO, sender=None)
     assert tracer2.events.count("block_arrival") == 0
 
 
@@ -311,7 +311,7 @@ def test_connect_and_disconnect_roundtrip_for_tx_microblocks():
         inputs=(TxInput(outpoint),), outputs=(TxOutput(90, bytes(20)),)
     ).sign_input(0, owner)
     micro = build_microblock(key.hash, 10.0, TxPayload((tx,)), node.key)
-    node._deliver_microblock(micro, sender=None)
+    node._receive(micro, KIND_MICRO, sender=None)
     assert node.tip == micro.hash
     assert node._fees_by_micro[micro.hash] == 10
     assert outpoint not in node.utxo
@@ -390,8 +390,8 @@ def test_receivers_reject_one_faulty_block_object_for_the_cost_of_one_check(
     roots = count_calls(SyntheticPayload, "root")
 
     for receiver in nodes[1:]:
-        assert receiver._deliver_key_block(bad_key_block, sender=0) is False
-        assert receiver._deliver_microblock(bad_micro, sender=0) is False
+        assert receiver._receive(bad_key_block, KIND_KEY, sender=0) is False
+        assert receiver._receive(bad_micro, KIND_MICRO, sender=0) is False
         assert receiver.blocks_rejected == 2
     assert verdicts == [
         "coinbase commitment mismatch",

@@ -1,5 +1,7 @@
 """GHOST heaviest-subtree fork choice."""
 
+import random
+
 from repro.bitcoin.blocks import SyntheticPayload, build_block, make_genesis
 from repro.bitcoin.chain import TieBreak
 from repro.ghost.chain import GhostTree
@@ -41,6 +43,8 @@ def test_subtree_work_propagates_to_ancestors():
     unit = blocks[0].header.work
     assert tree.subtree_work(blocks[0].hash) == 3 * unit
     assert tree.subtree_work(blocks[2].hash) == unit
+    # Chain work along the path is kept too, for protocol-agnostic tools.
+    assert tree.record(blocks[2].hash).cumulative_work == 3 * unit
 
 
 def test_ghost_prefers_heavy_subtree_over_long_chain():
@@ -75,6 +79,29 @@ def test_equal_subtrees_first_seen():
     tree.add_block(first, 0.0)
     tree.add_block(second, 1.0)
     assert tree.tip == first.hash
+
+
+def test_equal_subtrees_random_tie_break_goes_both_ways():
+    second_won = set()
+    for seed in range(20):
+        tree = GhostTree(
+            GENESIS, tie_break=TieBreak.RANDOM, rng=random.Random(seed)
+        )
+        tree.add_block(_block(GENESIS.hash, "first"), 0.0)
+        second = _block(GENESIS.hash, "second")
+        tree.add_block(second, 1.0)
+        second_won.add(tree.tip == second.hash)
+    assert second_won == {True, False}
+
+
+def test_random_tie_break_draws_only_at_ties():
+    rng = random.Random(5)
+    tree = GhostTree(GENESIS, tie_break=TieBreak.RANDOM, rng=rng)
+    before = rng.getstate()
+    heavy = _grow(tree, GENESIS.hash, ["a", "b", "c"])
+    _grow(tree, heavy[0].hash, ["lighter"])
+    assert tree.tip == heavy[-1].hash
+    assert rng.getstate() == before
 
 
 def test_reorg_reported():

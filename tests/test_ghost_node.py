@@ -29,6 +29,16 @@ def test_block_propagates():
     assert all(node.tip == block.hash for node in nodes)
 
 
+def test_one_miner_extends_its_own_block():
+    sim, nodes = _cluster()
+    first = nodes[0].generate_block()
+    second = nodes[0].generate_block()
+    sim.run()
+    assert second.header.prev_hash == first.hash
+    assert all(node.tip == second.hash for node in nodes)
+    assert [node.blocks_mined for node in nodes] == [2, 0, 0]
+
+
 def test_fork_resolution_by_subtree():
     sim, nodes = _cluster()
     a = nodes[0].generate_block()

@@ -212,7 +212,15 @@ def test_sites_cover_adapter_reachable_versioned_and_anchor():
     for path in sites.files:
         assert any(
             seg in path
-            for seg in ("/core/", "/ledger/", "/crypto/", "/mining/")
+            for seg in (
+                "/core/",
+                "/ledger/",
+                "/crypto/",
+                "/mining/",
+                "/bitcoin/chain.py",
+                "/bitcoin/node.py",
+                "/ghost/",
+            )
         ), path
 
 

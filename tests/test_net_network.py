@@ -249,7 +249,11 @@ def test_link_latencies_independent_of_edge_insertion_order():
             histogram,
             latency_rng=random.Random(42),
         )
-        return {pair: net.link(*pair).latency for pair in net._links}
+        return {
+            pair: net.link(*pair).latency
+            for a, b in topology.edges
+            for pair in ((a, b), (b, a))
+        }
 
     assert latencies(forward) == latencies(backward)
 

@@ -2,17 +2,26 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bitcoin.blocks import SyntheticPayload, build_block, make_genesis
 from repro.bitcoin.chain import BlockTree, TieBreak
+from repro.core.blocks import build_key_block, build_microblock
 from repro.core.chain import NGChain
 from repro.core.genesis import make_ng_genesis
+from repro.core.ghost_ng import GhostNGChain
 from repro.core.params import NGParams
+from repro.core.remuneration import build_ng_coinbase
+from repro.crypto.hashing import hash160
+from repro.crypto.keys import PrivateKey
 from repro.ghost.chain import GhostTree
 
 GENESIS = make_genesis()
+NG_GENESIS = make_ng_genesis()
+NG_PARAMS = NGParams(key_block_interval=100.0, min_microblock_interval=10.0)
+LEADERS = [PrivateKey.from_seed(f"prop-{i}") for i in range(3)]
 
 
 def _block(prev, salt):
@@ -39,39 +48,94 @@ def _random_dag(seed, n_blocks):
     return out
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 25), st.integers(0, 100))
-def test_bitcoin_tree_invariants_any_arrival_order(seed, n_blocks, shuffle_seed):
-    """Whatever the arrival order (orphans included), the tree ends
-    consistent, with the heaviest tip and every block connected."""
-    blocks = _random_dag(seed, n_blocks)
+def _random_ng_dag(seed, n_blocks):
+    """Key blocks and validly signed microblocks on random earlier parents.
+
+    A microblock is signed by the leader of its parent's epoch and
+    stamped one minimum interval after it; nothing extends the genesis
+    epoch with microblocks, since its key belongs to nobody.
+    """
+    rng = random.Random(seed)
+    made = [(NG_GENESIS, None, 0.0)]  # block, its epoch's leader key, timestamp
+    for i in range(n_blocks):
+        parent, leader, t = rng.choice(made)
+        t += NG_PARAMS.min_microblock_interval
+        if leader is None or rng.random() < 0.5:
+            leader = rng.choice(LEADERS)
+            block = build_key_block(
+                prev_hash=parent.hash,
+                timestamp=t,
+                bits=0x207FFFFF,
+                leader_pubkey=leader.public_key().to_bytes(),
+                coinbase=build_ng_coinbase(
+                    miner_id=i,  # tells apart siblings by one leader
+                    timestamp=t,
+                    self_pubkey_hash=bytes(20),
+                    prev_leader_pubkey_hash=None,
+                    prev_epoch_fees=0,
+                    params=NG_PARAMS,
+                ),
+            )
+        else:
+            payload = SyntheticPayload(n_tx=1, salt=bytes([i, seed % 256]))
+            block = build_microblock(parent.hash, t, payload, leader)
+        made.append((block, leader, t))
+    return [block for block, _, _ in made[1:]]
+
+
+@pytest.mark.parametrize("tree_type", [BlockTree, GhostTree, NGChain, GhostNGChain])
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 20), st.integers(0, 100))
+def test_tree_invariants_any_arrival_order(tree_type, seed, n_blocks, shuffle_seed):
+    """Whatever the arrival order (orphans included), every tree built on
+    the shared plumbing adopts every block, drains its orphan buffer and
+    ends consistent under its own fork-choice rule."""
+    if issubclass(tree_type, NGChain):
+        blocks = _random_ng_dag(seed, n_blocks)
+        tree = tree_type(NG_GENESIS, NG_PARAMS, tie_break=TieBreak.FIRST_SEEN)
+    else:
+        blocks = _random_dag(seed, n_blocks)
+        tree = tree_type(GENESIS, tie_break=TieBreak.FIRST_SEEN)
     arrival = list(blocks)
     random.Random(shuffle_seed).shuffle(arrival)
-    tree = BlockTree(GENESIS, tie_break=TieBreak.FIRST_SEEN)
     for t, block in enumerate(arrival):
-        tree.add_block(block, float(t))
+        # Arrival times past every timestamp: no future-drift refusals.
+        tree.add_block(block, 1_000.0 + t)
     assert len(tree) == n_blocks + 1  # all adopted
     assert tree.orphan_count() == 0
     tree.assert_consistent()
-    # Tip height equals the DAG's maximal depth.
-    max_height = max(tree.height_of(b.hash) for b in blocks)
-    assert tree.height_of(tree.tip) == max_height
+    if tree_type is BlockTree:
+        # Tip height equals the DAG's maximal depth.
+        max_height = max(tree.height_of(b.hash) for b in blocks)
+        assert tree.height_of(tree.tip) == max_height
+    elif tree_type is GhostTree:
+        # Genesis subtree holds all the work.
+        unit = blocks[0].header.work
+        assert tree.subtree_work(GENESIS.hash) == n_blocks * unit
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 20), st.integers(0, 100))
-def test_ghost_tree_invariants_any_arrival_order(seed, n_blocks, shuffle_seed):
-    blocks = _random_dag(seed, n_blocks)
-    arrival = list(blocks)
-    random.Random(shuffle_seed).shuffle(arrival)
-    tree = GhostTree(GENESIS, tie_break=TieBreak.FIRST_SEEN)
-    for t, block in enumerate(arrival):
-        tree.add_block(block, float(t))
-    assert len(tree) == n_blocks + 1
-    tree.assert_consistent()
-    # Genesis subtree holds all the work.
-    unit = blocks[0].header.work
-    assert tree.subtree_work(GENESIS.hash) == n_blocks * unit
+def test_trees_inherit_the_plumbing_rather_than_copy_it():
+    """One orphan loop, LCA walk and reorg construction for all protocols:
+    a subclass that re-defines any of these has started to drift."""
+    shared = (
+        "add_block",
+        "_insert",
+        "_connect",
+        "_switch_tip",
+        "find_fork_point",
+        "main_chain",
+        "is_in_main_chain",
+        "pruned_blocks",
+        "orphan_count",
+    )
+    for tree_type in (GhostTree, NGChain, GhostNGChain):
+        for name in shared:
+            if name == "add_block" and issubclass(tree_type, NGChain):
+                continue  # NG's takes the validation context, then defers
+            assert getattr(tree_type, name) is getattr(BlockTree, name), (
+                tree_type.__name__,
+                name,
+            )
 
 
 @settings(max_examples=30, deadline=None)
@@ -90,17 +154,9 @@ def test_bitcoin_main_chain_is_heaviest_path(seed, n_blocks):
 @given(st.integers(0, 5_000), st.integers(1, 12), st.integers(0, 50))
 def test_ng_chain_invariants_random_epochs(seed, n_epochs, shuffle_seed):
     """Random leader sequence with microblocks; any arrival order."""
-    from repro.core.blocks import build_key_block, build_microblock
-    from repro.core.remuneration import build_ng_coinbase
-    from repro.crypto.hashing import hash160
-    from repro.crypto.keys import PrivateKey
-
-    params = NGParams(key_block_interval=100.0, min_microblock_interval=10.0)
-    genesis = make_ng_genesis()
     rng = random.Random(seed)
-    keys = [PrivateKey.from_seed(f"prop-{i}") for i in range(3)]
     blocks = []
-    prev = genesis
+    prev = NG_GENESIS
     t = 0.0
     for epoch in range(n_epochs):
         leader = rng.choice(range(3))
@@ -108,16 +164,16 @@ def test_ng_chain_invariants_random_epochs(seed, n_epochs, shuffle_seed):
         coinbase = build_ng_coinbase(
             miner_id=leader,
             timestamp=t,
-            self_pubkey_hash=hash160(keys[leader].public_key().to_bytes()),
+            self_pubkey_hash=hash160(LEADERS[leader].public_key().to_bytes()),
             prev_leader_pubkey_hash=None,
             prev_epoch_fees=0,
-            params=params,
+            params=NG_PARAMS,
         )
         key_block = build_key_block(
             prev_hash=prev.hash,
             timestamp=t,
             bits=0x207FFFFF,
-            leader_pubkey=keys[leader].public_key().to_bytes(),
+            leader_pubkey=LEADERS[leader].public_key().to_bytes(),
             coinbase=coinbase,
         )
         blocks.append(key_block)
@@ -128,13 +184,13 @@ def test_ng_chain_invariants_random_epochs(seed, n_epochs, shuffle_seed):
                 prev.hash,
                 t,
                 SyntheticPayload(n_tx=1, salt=bytes([epoch, m])),
-                keys[leader],
+                LEADERS[leader],
             )
             blocks.append(micro)
             prev = micro
     arrival = list(blocks)
     random.Random(shuffle_seed).shuffle(arrival)
-    chain = NGChain(genesis, params)
+    chain = NGChain(NG_GENESIS, NG_PARAMS)
     for i, block in enumerate(arrival):
         chain.add_block(block, float(i), local_time=t + 100.0)
     assert len(chain) == len(blocks) + 1

@@ -663,14 +663,6 @@ def test_leader_crash_scenario_clean_under_incremental_check():
     assert result.violations == ()
 
 
-def test_deprecated_invariant_violations_property_warns():
-    result, _log = run_experiment(
-        ExperimentConfig(n_nodes=8, target_blocks=5, seed=3)
-    )
-    with pytest.warns(DeprecationWarning, match="invariant_violations"):
-        assert result.invariant_violations == 0
-
-
 # -- the stable facade --------------------------------------------------------
 
 

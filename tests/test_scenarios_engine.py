@@ -143,12 +143,15 @@ def test_explicit_restart_fault_restores_node():
         {"at": 25.0, "kind": "crash", "node": 4},
         {"at": 95.0, "kind": "restart", "node": 4},
     )
-    _, log, records = _traced_run(CONFIG.with_(scenario=scenario))
-    assert [e["t"] for e in _events(records, "node_restart")] == [95.0]
-    # The restarted node saw every main-chain block in the end.
-    main = log.main_chain()
-    for block_hash in main:
-        assert block_hash in log.arrivals[4]
+    for protocol in ALL_PROTOCOLS:
+        config = CONFIG.with_(protocol=protocol, scenario=scenario)
+        _, log, records = _traced_run(config)
+        assert [e["t"] for e in _events(records, "node_restart")] == [95.0]
+        # The restarted node saw every main-chain block in the end: the
+        # tips it solicits arrive as orphans and it backfills the outage.
+        main = log.main_chain()
+        for block_hash in main:
+            assert block_hash in log.arrivals[4], protocol
 
 
 def test_restart_without_crash_is_a_no_op():
@@ -316,12 +319,50 @@ def test_partition_both_sides_mine_then_heaviest_chain_wins(protocol):
     half = config.n_nodes // 2
     assert any(m < half for m in split_miners)
     assert any(m >= half for m in split_miners)
-    # After the heal every node converged on one main chain: the last
-    # main-chain block reached all nodes.
+    # After the heal every node converged on one main chain: its last
+    # block reached all nodes, and every node adopted it as its tip.
     main = log.main_chain()
     assert len(main) > 1
-    for arrivals in log.arrivals:
+    for arrivals, history in zip(log.arrivals, log.tip_histories):
         assert main[-1] in arrivals
+        assert history.tips[-1] == main[-1]
+
+
+@pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+def test_partition_heal_leaves_one_tip_and_no_orphans(protocol):
+    # What crosses the healed cut first is the other half's *newest*
+    # block, an orphan to its receivers; each node must backfill the
+    # ancestors from the sender until its buffer drains.  (GHOST nodes
+    # used to skip the backfill and stay split forever.)
+    config = CONFIG.with_(
+        protocol=protocol, power_exponent=0.0, key_block_rate=1 / 15.0
+    )
+    adapter = get_adapter(protocol)
+    sim = Simulator(seed=config.seed)
+    network = build_network(config, sim)
+    shares = exponential_shares(config.n_nodes, config.power_exponent)
+    nodes, scheduler = adapter.build_nodes(
+        config, sim, network, ObservationLog(config.n_nodes), shares
+    )
+    ScenarioEngine(
+        _scenario(
+            {"at": 20.0, "kind": "partition", "split": "halves"},
+            {"at": 170.0, "kind": "heal"},
+        ),
+        sim=sim,
+        network=network,
+        nodes=nodes,
+        adapter=adapter,
+        scheduler=scheduler,
+        shares=shares,
+        seed=config.seed,
+    ).install()
+    scheduler.start()
+    sim.run(until=230.0)
+    scheduler.stop()
+    sim.run(until=830.0)
+    assert len({node.tip for node in nodes}) == 1
+    assert [node.tree.orphan_count() for node in nodes] == [0] * len(nodes)
 
 
 def test_partition_explicit_groups_and_resplit():
