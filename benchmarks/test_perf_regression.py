@@ -6,7 +6,7 @@ repository root so every PR leaves a perf trajectory behind:
 * **event core** — a 200k-event chained-timer pump: pure scheduler
   dispatch, no protocol logic.
 * **single run** — one Bitcoin-NG experiment, reporting wall time and
-  events/sec through :mod:`repro.profiling`.
+  events/sec (:func:`best_of`).
 * **1000-node scale** — the paper's full network size, gating that the
   array-core network layer retains at least a third of the 60-node
   dispatch rate at 16x the node count.
@@ -31,13 +31,63 @@ import json
 import os
 import pathlib
 import time
+from dataclasses import asdict, dataclass
+from typing import Any
 
 from repro.experiments import ExperimentConfig, Protocol, run_experiment
 from repro.experiments.parallel import SweepExecutor
 from repro.net.simulator import Simulator
-from repro.profiling import best_of, update_bench
 
 BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_simcore.json"
+
+
+@dataclass(frozen=True)
+class RunPerf:
+    """Wall-clock performance counters for one simulation run."""
+
+    wall_seconds: float
+    events_processed: int
+    messages_delivered: int
+    events_per_sec: float
+    messages_per_sec: float
+    sim_seconds: float
+    sim_seconds_per_wall_second: float
+
+    def as_dict(self) -> dict[str, float]:
+        return asdict(self)
+
+
+def best_of(config: ExperimentConfig, repeats: int = 3) -> RunPerf:
+    """The fastest of ``repeats`` measurements — least scheduler noise."""
+    best: RunPerf | None = None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result, _log = run_experiment(config)
+        wall = max(time.perf_counter() - start, 1e-9)
+        if best is None or wall < best.wall_seconds:
+            best = RunPerf(
+                wall_seconds=wall,
+                events_processed=result.events_processed,
+                messages_delivered=result.messages_delivered,
+                events_per_sec=result.events_processed / wall,
+                messages_per_sec=result.messages_delivered / wall,
+                sim_seconds=result.duration,
+                sim_seconds_per_wall_second=result.duration / wall,
+            )
+    assert best is not None
+    return best
+
+
+def update_bench(path: pathlib.Path, section: str, payload: Any) -> None:
+    """Merge one section into the benchmark JSON (or create it), as
+    stable, diff-friendly JSON."""
+    data: dict[str, Any] = {}
+    if path.exists():
+        data = json.loads(path.read_text(encoding="utf-8"))
+    data[section] = payload
+    path.write_text(
+        json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
 
 # Pre-PR numbers, measured at commit bc0571a (seed tree) on this
 # container (single CPU), best of repeated runs of the identical
@@ -102,9 +152,9 @@ SINGLE_RUN_WALL_CEILING = 40.0
 SWEEP_WALL_CEILING = 60.0
 PUMP_EVENTS = 200_000
 
-# The incremental-sanitizer gate: a cold-cache checked 60-node NG run
-# must stay within this multiple of the bare run's wall time (the
-# full-sweep strategy cost 20-30x on the same workload).
+# The sanitizer gate: a cold-cache checked 60-node NG run must stay
+# within this multiple of the bare run's wall time (sweeping every node
+# with an uncached INV104 cost 20-30x on the same workload).
 INCREMENTAL_RATIO_CEILING = 3.0
 
 
@@ -347,8 +397,8 @@ def test_sanitizer_disabled_overhead():
     pump, bare versus explicitly-disabled (``set_probe(None)``), must
     stay within the same 5% bound the observability layer honors; the
     bound trips if a default probe or extra per-event work ever lands
-    in the disabled path.  The checked-run wall numbers are recorded
-    unasserted, as the documented cost of turning checking on.
+    in the disabled path.  (What turning checking *on* costs is the
+    gated ``sanitizer_incremental`` section.)
     """
 
     def one_round(install_probe: bool) -> float:
@@ -374,21 +424,6 @@ def test_sanitizer_disabled_overhead():
         bare_rate = max(bare_rate, one_round(install_probe=False))
         disabled_rate = max(disabled_rate, one_round(install_probe=True))
 
-    # Informative (unasserted): full-sweep checked-mode cost on a real
-    # run.  Pinned to ``check_mode="full"`` so this section keeps
-    # recording the original stateless-sweep cost; the incremental
-    # strategy has its own gated section (``sanitizer_incremental``).
-    check_config = SWEEP_BASE.with_(seed=0)
-    start = time.perf_counter()
-    run_experiment(check_config)
-    off_wall = time.perf_counter() - start
-    start = time.perf_counter()
-    checked_result, _ = run_experiment(
-        check_config.with_(check=True, check_mode="full", check_stride=64)
-    )
-    on_wall = time.perf_counter() - start
-    assert len(checked_result.violations) == 0
-
     ratio = disabled_rate / bare_rate
     update_bench(
         BENCH_JSON,
@@ -398,12 +433,6 @@ def test_sanitizer_disabled_overhead():
             "bare_events_per_sec": round(bare_rate, 1),
             "disabled_check_events_per_sec": round(disabled_rate, 1),
             "disabled_over_bare_ratio": round(ratio, 4),
-            "checked_run_wall_seconds": round(on_wall, 3),
-            "unchecked_run_wall_seconds": round(off_wall, 3),
-            "checked_over_unchecked_wall_ratio": round(
-                on_wall / max(off_wall, 1e-9), 3
-            ),
-            "checked_run_violations": len(checked_result.violations),
         },
     )
     assert ratio >= 0.95, (
@@ -415,10 +444,10 @@ def test_sanitizer_disabled_overhead():
 def test_sanitizer_incremental_speed():
     """Incremental checking keeps the 60-node NG run within 3x of bare.
 
-    The gate the incremental redesign exists for: the full-sweep
-    sanitizer cost 20-30x bare wall on this workload, almost entirely
-    INV104 re-verifying every microblock signature on every node.  The
-    incremental runtime skips provably-clean nodes via the dirty-set
+    The gate the incremental design exists for: sweeping every node
+    on every sweep cost 20-30x bare wall on this workload, almost
+    entirely INV104 re-verifying every microblock signature on every
+    node.  The runtime skips provably-clean nodes via the dirty-set
     tracker and memoizes signature verdicts in the process-wide
     :class:`~repro.sanitizer.checkers.SignatureCache`, so a *cold-cache*
     checked run must now land within ``INCREMENTAL_RATIO_CEILING`` of

@@ -23,8 +23,9 @@ Protocol adapters
     register an adapter to plug a new protocol into every experiment.
 Sanitizer
     :class:`SanitizerRuntime` and the per-protocol checker factories
-    (:func:`ng_checkers`, :func:`chain_checkers`, :func:`ghost_checkers`),
-    each accepting ``mode="incremental" | "full"``.
+    (:func:`ng_checkers`, :func:`chain_checkers`, :func:`ghost_checkers`;
+    no arguments — the runtime's ``mode`` is ``"incremental"`` or
+    ``"audit"``).
 Profiler
     :class:`ProfilerRuntime` and :func:`profile_experiment`.
 

@@ -15,7 +15,6 @@ Examples::
     python -m repro lint src/ --json
     python -m repro lint --explain NG301
     python -m repro run --protocol bitcoin-ng --check
-    python -m repro run --protocol bitcoin-ng --check=full
     python -m repro sweep frequency --check=audit
     python -m repro check diverge --protocol bitcoin-ng --nodes 30 --check
     python -m repro check record --out run.digests.jsonl
@@ -32,6 +31,7 @@ import os
 import sys
 
 from .experiments import (
+    CHECK_MODES,
     ExperimentConfig,
     Protocol,
     RunInstrumentation,
@@ -45,8 +45,6 @@ from .experiments import (
 )
 
 _PROTOCOLS = {protocol.value: protocol for protocol in Protocol}
-
-_CHECK_MODES = ("incremental", "full", "audit")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -63,12 +61,16 @@ def _check_mode_requested(args: argparse.Namespace) -> str | None:
     This is the single place the environment toggle is read (the CLI is
     a config entry point; see lint rule NG202) — it flows everywhere
     else as ``config.check``/``config.check_mode``.  ``REPRO_CHECK``
-    accepts a mode name (``incremental``/``full``/``audit``) or any
-    other truthy value for the default incremental mode.
+    accepts ``0``/empty (off), ``1`` (incremental) or a mode name;
+    anything else exits with the valid values rather than silently
+    running a weaker check than the one asked for.
     """
-    return resolve_check_mode(
-        getattr(args, "check", None), os.environ.get("REPRO_CHECK", "")
-    )
+    try:
+        return resolve_check_mode(
+            getattr(args, "check", None), os.environ.get("REPRO_CHECK", "")
+        )
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
 
 
 def _instrumentation(args: argparse.Namespace) -> RunInstrumentation:
@@ -95,11 +97,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     if args.key_blocks is not None:
         config = config.with_(target_key_blocks=args.key_blocks)
-    if args.profile:
-        from .profiling import profile_run
-
-        print(profile_run(config, top=args.profile))
-        return 0
     result, log = run_experiment(config)
     # Event rate over the simulate phase only: topology construction is
     # O(n^2) setup work and would dilute the number the dispatch loop
@@ -337,30 +334,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--check",
         nargs="?",
         const="incremental",
-        choices=_CHECK_MODES,
+        choices=CHECK_MODES,
         default=None,
         metavar="MODE",
         help="checked mode: sweep protocol invariants (repro.sanitizer) "
         "during the run; violations are reported and exit nonzero. "
         "MODE is incremental (default: dirty-set sweeps + the verified-"
-        "signature cache), full (the original sweep-everything cross-"
-        "check path), or audit (incremental plus a periodic full-sweep "
-        "audit).  Also enabled by REPRO_CHECK=1 or REPRO_CHECK=<mode>",
+        "signature cache) or audit (the same plus a periodic from-"
+        "scratch cross-check with independent replica checkers).  "
+        "Also enabled by REPRO_CHECK=1 or REPRO_CHECK=<mode>",
     )
     run_parser.add_argument(
         "--json",
         action="store_true",
         help="machine-readable output: all metrics plus events/sec "
         "(timed over the simulate phase only)",
-    )
-    run_parser.add_argument(
-        "--profile",
-        type=int,
-        nargs="?",
-        const=25,
-        default=None,
-        metavar="TOP",
-        help="run under cProfile and print the TOP hottest functions",
     )
     run_parser.set_defaults(handler=_cmd_run)
 
@@ -401,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--check",
         nargs="?",
         const="incremental",
-        choices=_CHECK_MODES,
+        choices=CHECK_MODES,
         default=None,
         metavar="MODE",
         help="checked mode in every sweep cell; MODE as for `repro run` "

@@ -2,6 +2,7 @@
 
 from .charts import ascii_chart, sweep_chart
 from .config import (
+    CHECK_MODES,
     ExperimentConfig,
     Protocol,
     constant_throughput_block_size,
@@ -42,6 +43,7 @@ from .sweeps import (
 )
 
 __all__ = [
+    "CHECK_MODES",
     "CONSTANT_LOAD_TX_RATE",
     "FREQUENCY_POINTS",
     "JOBS_ENV_VAR",

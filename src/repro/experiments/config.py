@@ -28,10 +28,15 @@ from ..net.links import DEFAULT_BANDWIDTH_BPS
 from ..protocols import Protocol
 
 __all__ = [
+    "CHECK_MODES",
     "ExperimentConfig",
     "Protocol",
     "constant_throughput_block_size",
 ]
+
+#: ``ExperimentConfig.check_mode`` values — also the ``--check`` choices
+#: and the mode names ``REPRO_CHECK`` accepts.
+CHECK_MODES = ("incremental", "audit")
 
 
 @dataclass(frozen=True)
@@ -94,11 +99,10 @@ class ExperimentConfig:
     # sweeps node state every ``check_stride`` simulator events.
     # Checked runs are bit-identical to unchecked runs — checkers only
     # read state — and violations land on ``ExperimentResult.violations``.
-    # ``check_mode`` picks the sweep strategy: "incremental" (dirty-set
-    # tracking + the verified-signature cache), "full" (the original
-    # sweep-everything strategy, uncached — the independent cross-check
-    # path), or "audit" (incremental plus a periodic full-sweep audit
-    # asserting the incremental path missed nothing).
+    # ``check_mode`` is one of CHECK_MODES: "incremental" (dirty-set
+    # sweeps + the verified-signature cache) or "audit" (the same plus
+    # a periodic from-scratch walk with independent replica checkers,
+    # asserting the sweeps missed nothing).
     check: bool = False
     check_mode: str = "incremental"
     check_stride: int = 64
@@ -130,9 +134,10 @@ class ExperimentConfig:
             raise ValueError("need at least one block")
         if self.check_stride < 1:
             raise ValueError("check_stride must be at least 1")
-        if self.check_mode not in ("incremental", "full", "audit"):
+        if self.check_mode not in CHECK_MODES:
             raise ValueError(
-                "check_mode must be 'incremental', 'full', or 'audit'"
+                f"check_mode must be one of {CHECK_MODES}, "
+                f"not {self.check_mode!r}"
             )
         if self.scenario is not None:
             from ..scenarios.spec import validate_scenario

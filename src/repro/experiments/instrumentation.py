@@ -26,12 +26,7 @@ from __future__ import annotations
 import argparse
 from dataclasses import dataclass
 
-from .config import ExperimentConfig
-
-#: ``config.check_mode`` values and what they mean for the sanitizer
-#: runtime; "audit" runs incremental sweeps plus the periodic
-#: full-sweep cross-check.
-CHECK_MODES = ("incremental", "full", "audit")
+from .config import CHECK_MODES, ExperimentConfig
 
 
 def resolve_check_mode(
@@ -41,16 +36,22 @@ def resolve_check_mode(
 
     ``flag_value`` is the ``--check`` argument (``None`` absent, a mode
     string present); ``env_value`` is the raw ``REPRO_CHECK`` contents —
-    empty/``0`` off, a mode name for that mode, any other truthy value
-    for the default incremental mode.
+    empty/``0`` off, ``1`` the default incremental mode, a mode name
+    that mode.  Anything else raises :class:`ValueError`: a mistyped
+    mode must not quietly run a weaker check than the one asked for.
     """
     if flag_value is not None:
         return flag_value
     if env_value in ("", "0"):
         return None
+    if env_value == "1":
+        return "incremental"
     if env_value in CHECK_MODES:
         return env_value
-    return "incremental"
+    raise ValueError(
+        f"REPRO_CHECK={env_value!r} is not a check mode: use 0 (off), "
+        f"1 (incremental) or one of {', '.join(CHECK_MODES)}"
+    )
 
 
 @dataclass(frozen=True)
@@ -128,45 +129,20 @@ class RunInstrumentation:
 
         ``None`` when neither checking nor digest capture is requested.
         ``adapter`` supplies the protocol's checker set (skipped for
-        digest-only runs); legacy adapters whose ``invariant_checkers``
-        takes no mode argument still work — they are called bare and
-        their checkers run through the incremental runtime's default
-        hooks.
+        digest-only runs).
         """
         if not self.check and digest_stride <= 0:
             return None
         from ..sanitizer.runtime import SanitizerRuntime
 
-        mode = self.check_mode
-        if not getattr(adapter, "supports_incremental_check", True):
-            # The adapter opted its checkers out of incremental sweeps:
-            # run them the way they were written, as full sweeps.
-            mode = "full"
         checkers = ()
         if self.check and adapter is not None:
-            checkers = adapter_checkers(adapter, mode)
+            checkers = adapter.invariant_checkers()  # type: ignore[attr-defined]
         return SanitizerRuntime(
             checkers,
             stride=self.check_stride,
-            mode=mode,
+            mode=self.check_mode,
             tracer=tracer,
             digest_stride=digest_stride,
             profiler=profiler,
         )
-
-
-def adapter_checkers(adapter: object, check_mode: str) -> list:
-    """An adapter's checker set for a run mode, with the legacy fallback.
-
-    ``check_mode`` "audit" still builds incremental checkers — the audit
-    machinery itself constructs the independent uncached replicas.
-    Adapters registered before the mode parameter existed (or declaring
-    ``supports_incremental_check = False``) are called without it.
-    """
-    factory_mode = "full" if check_mode == "full" else "incremental"
-    if not getattr(adapter, "supports_incremental_check", True):
-        factory_mode = "full"
-    try:
-        return adapter.invariant_checkers(mode=factory_mode)  # type: ignore[attr-defined]
-    except TypeError:
-        return adapter.invariant_checkers()  # type: ignore[attr-defined]

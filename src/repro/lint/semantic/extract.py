@@ -774,15 +774,6 @@ def extract_module(
         elif isinstance(node, ast.ClassDef):
             methods: dict[str, FunctionSummary] = {}
             class_attrs: list[str] = []
-            class_attr_literals: list[tuple[str, str, int]] = []
-
-            def _record_attr(name: str, value: ast.expr, lineno: int) -> None:
-                class_attrs.append(name)
-                if isinstance(value, ast.Constant):
-                    class_attr_literals.append(
-                        (name, repr(value.value), lineno)
-                    )
-
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     methods[item.name] = _summarize_function(
@@ -799,12 +790,10 @@ def extract_module(
                 elif isinstance(item, ast.Assign):
                     for target in item.targets:
                         if isinstance(target, ast.Name):
-                            _record_attr(target.id, item.value, item.lineno)
+                            class_attrs.append(target.id)
                 elif isinstance(item, ast.AnnAssign) and item.value is not None:
                     if isinstance(item.target, ast.Name):
-                        _record_attr(
-                            item.target.id, item.value, item.lineno
-                        )
+                        class_attrs.append(item.target.id)
             bases = []
             for base in node.bases:
                 resolved = _resolve_base(
@@ -822,7 +811,6 @@ def extract_module(
                 bases=tuple(bases),
                 versioned=_has_versioned_marker(lines, node.lineno),
                 class_attrs=tuple(class_attrs),
-                class_attr_literals=tuple(class_attr_literals),
                 methods=methods,
             )
 

@@ -32,8 +32,8 @@ from .model import ClassSummary, FunctionSummary, ModuleSummary, ParamRef
 
 #: Bump when summary extraction or the serialized shape changes: a
 #: version mismatch discards the whole cache rather than mixing schemas.
-#: v2: class summaries carry ``class_attr_literals``.
-INDEX_VERSION = 2
+#: v2 added per-class attribute literals; v3 dropped them again.
+INDEX_VERSION = 3
 
 
 @dataclass(frozen=True)

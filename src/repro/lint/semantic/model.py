@@ -270,10 +270,6 @@ class ClassSummary:
     versioned: bool = False
     #: Class-level attributes assigned a value (bare annotations excluded).
     class_attrs: tuple[str, ...] = ()
-    #: ``(name, repr(value), lineno)`` for class attributes assigned a
-    #: simple constant — lets rules validate attribute *values* (NG603's
-    #: ``supports_incremental_check`` must be a bool literal).
-    class_attr_literals: tuple[tuple[str, str, int], ...] = ()
     methods: dict[str, FunctionSummary] = field(default_factory=dict)
 
     @property
@@ -289,10 +285,6 @@ class ClassSummary:
             "bases": list(self.bases),
             "versioned": self.versioned,
             "class_attrs": list(self.class_attrs),
-            "class_attr_literals": [
-                [name, value, lineno]
-                for name, value, lineno in self.class_attr_literals
-            ],
             "methods": {
                 name: fn.to_dict() for name, fn in sorted(self.methods.items())
             },
@@ -306,10 +298,6 @@ class ClassSummary:
             bases=tuple(data["bases"]),
             versioned=bool(data["versioned"]),
             class_attrs=tuple(data["class_attrs"]),
-            class_attr_literals=tuple(
-                (name, value, int(lineno))
-                for name, value, lineno in data.get("class_attr_literals", [])
-            ),
             methods={
                 name: FunctionSummary.from_dict(fn)
                 for name, fn in data["methods"].items()

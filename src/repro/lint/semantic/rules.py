@@ -53,7 +53,6 @@ ADAPTER_BASES = frozenset(
 #: Required keyword surface per adapter-protocol method.
 ADAPTER_CONTRACT: dict[str, tuple[str, ...]] = {
     "build_nodes": ("config", "sim", "network", "log", "shares"),
-    "invariant_checkers": ("mode",),
     "current_leader": ("nodes",),
     "on_crash": ("node", "sim", "network"),
     "on_restart": ("node", "sim", "network"),
@@ -68,7 +67,6 @@ ADAPTER_BASE_DEFAULTS = frozenset(
         "on_crash",
         "on_restart",
         "resync",
-        "supports_incremental_check",
     }
 )
 
@@ -395,41 +393,38 @@ class AdapterSurfaceConformance(SemanticRule):
     rationale = (
         "Protocol adapters plug into the harness, the sanitizer, and "
         "the fault injector through one surface: `build_nodes`, a "
-        "registry `name`, and the lifecycle/checker hooks. A "
-        "half-plugged adapter — say one whose `invariant_checkers` "
-        "override dropped the `mode` parameter — imports fine and only "
-        "fails when incremental checking first calls it mid-run. This "
-        "rule checks the full surface statically against the scanned "
-        "`ProtocolAdapter` contract, so a new protocol cannot land "
-        "partially wired. The `supports_incremental_check` opt-out is "
-        "part of that surface: the harness reads it as a plain "
-        "attribute and tests truthiness, so a method-valued override "
-        "is always truthy (the opt-out silently ignored) and only a "
-        "bool literal is an honest declaration."
+        "registry `name`, and the lifecycle hooks. A half-plugged "
+        "adapter — say one whose `resync` override dropped the "
+        "`network` keyword — imports fine and only fails when a "
+        "scenario first restarts a node mid-run. This rule checks the "
+        "full surface statically against the scanned `ProtocolAdapter` "
+        "contract, so a new protocol cannot land partially wired."
     )
     bad_example = (
         "from repro.protocols import ProtocolAdapter\n"
         "\n"
         "\n"
-        "class OptOutAdapter(ProtocolAdapter):\n"
-        '    name = "optout"\n'
+        "class QuietResyncAdapter(ProtocolAdapter):\n"
+        '    name = "quiet-resync"\n'
         "\n"
         "    def build_nodes(self, config, sim, network, log, shares):\n"
         "        return [], None\n"
         "\n"
-        "    def supports_incremental_check(self):\n"
-        "        return False\n"
+        "    def resync(self, node, *, sim):\n"
+        "        node.reset_relay_state()\n"
     )
     good_example = (
         "from repro.protocols import ProtocolAdapter\n"
         "\n"
         "\n"
-        "class OptOutAdapter(ProtocolAdapter):\n"
-        '    name = "optout"\n'
-        "    supports_incremental_check = False\n"
+        "class QuietResyncAdapter(ProtocolAdapter):\n"
+        '    name = "quiet-resync"\n'
         "\n"
         "    def build_nodes(self, config, sim, network, log, shares):\n"
         "        return [], None\n"
+        "\n"
+        "    def resync(self, node, *, sim, network):\n"
+        "        node.reset_relay_state()\n"
     )
 
     def check(
@@ -534,70 +529,12 @@ class AdapterSurfaceConformance(SemanticRule):
                             f"{mod.display_path}:{fn.lineno}: `{current.name}"
                             f".{method}` overrides the adapter contract "
                             f"without `{missing[0]}`",
-                            "the harness and sanitizer call this hook with "
-                            "the full contract signature",
+                            "the harness and fault injector call this hook "
+                            "with the full contract signature",
                         ),
                     )
                 break
 
-        # The incremental opt-out (PR 8): the harness reads
-        # `supports_incremental_check` with `getattr(adapter, ..., True)`
-        # and tests truthiness, so only a bool class attribute works —
-        # a method is a bound-method object (always truthy), and a
-        # non-bool value misdeclares the contract.  Judge the nearest
-        # definition on the chain; the contract class's own
-        # `ClassVar[bool] = True` default conforms.
-        attr = "supports_incremental_check"
-        for mod, current in chain:
-            if current.name == "ProtocolAdapter":
-                break
-            fn = current.methods.get(attr)
-            if fn is not None:
-                emit(
-                    mod.display_path,
-                    fn.lineno,
-                    f"adapter `{cls.name}`: `{attr}` must be a bool "
-                    "class attribute, not a method — the harness reads "
-                    "it as an attribute, and a bound method is always "
-                    "truthy, so the opt-out is silently ignored",
-                    (
-                        f"{mod.display_path}:{fn.lineno}: `{current.name}"
-                        f".{attr}` is defined as a method",
-                        "the harness tests `getattr(adapter, "
-                        f"'{attr}', True)` for truthiness without "
-                        "calling it",
-                    ),
-                )
-                break
-            literal = next(
-                (
-                    entry
-                    for entry in current.class_attr_literals
-                    if entry[0] == attr
-                ),
-                None,
-            )
-            if literal is not None:
-                _, value, lineno = literal
-                if value not in ("True", "False"):
-                    emit(
-                        mod.display_path,
-                        lineno,
-                        f"adapter `{cls.name}`: `{attr}` must be the "
-                        f"bool literal `True` or `False`, not {value} — "
-                        "the harness tests its truthiness to pick the "
-                        "sweep strategy",
-                        (
-                            f"{mod.display_path}:{lineno}: `{current.name}"
-                            f".{attr}` is assigned {value}",
-                            "a non-bool value obscures whether the "
-                            "adapter's checkers tolerate incremental "
-                            "sweeps",
-                        ),
-                    )
-                break
-            if attr in current.class_attrs:
-                break  # non-literal assignment: not judged statically
         return findings
 
 

@@ -4,8 +4,8 @@ Run as ``python -m repro.mutate.probe`` with ``PYTHONPATH`` pointing at
 a (possibly mutated) shadow tree.  One short Bitcoin-NG run feeds two
 kill tiers at once:
 
-* **sanitizer** — the protocol adapter's full invariant-checker set in
-  incremental mode; every :class:`ViolationRecord` comes back verbatim;
+* **sanitizer** — the protocol adapter's full invariant-checker set;
+  every :class:`ViolationRecord` comes back verbatim;
 * **golden** — the same digest fingerprint the golden-equivalence suite
   pins (event/message/block counts, main-chain length, tip set, and a
   truncated sha over every node's state digest), compared against the
@@ -30,7 +30,6 @@ import traceback
 def run_probe() -> dict:
     """Execute the probe simulation; JSON-ready verdict payload."""
     from repro.experiments import ExperimentConfig, run_experiment
-    from repro.experiments.instrumentation import adapter_checkers
     from repro.protocols import Protocol, get_adapter
     from repro.sanitizer.runtime import SanitizerRuntime
 
@@ -56,9 +55,8 @@ def run_probe() -> dict:
     )
     adapter = get_adapter(config.protocol)
     runtime = SanitizerRuntime(
-        adapter_checkers(adapter, "incremental"),
+        adapter.invariant_checkers(),
         stride=16,
-        mode="incremental",
         digest_stride=10**9,
     )
     result, _log = run_experiment(config, sanitizer=runtime)

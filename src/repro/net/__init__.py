@@ -1,10 +1,10 @@
 """Network substrate: event simulation, topology, links, and gossip."""
 
-from .events import Event, EventQueue
+from .events import Event
 from .gossip import GETDATA_SIZE, INV_SIZE, GossipNode, RelayMode, StoredObject
 from .interning import ObjectIdTable
 from .latency import LatencyHistogram, constant_histogram, default_histogram
-from .links import DEFAULT_BANDWIDTH_BPS, Link, LinkView
+from .links import DEFAULT_BANDWIDTH_BPS, LinkView
 from .network import Message, Network
 from .partitions import PartitionController
 from .simulator import Simulator
@@ -15,10 +15,8 @@ __all__ = [
     "GETDATA_SIZE",
     "INV_SIZE",
     "Event",
-    "EventQueue",
     "GossipNode",
     "LatencyHistogram",
-    "Link",
     "LinkView",
     "Message",
     "Network",

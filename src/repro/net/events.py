@@ -1,21 +1,21 @@
-"""Deterministic discrete-event queue.
+"""The scheduled-event handle of the deterministic event loop.
 
 Events fire in (time, sequence) order; the sequence number makes
 simultaneous events deterministic, so a seeded simulation always replays
 identically — a property every experiment and test in this repository
 relies on.
 
-The heap stores plain ``(time, sequence, event)`` tuples rather than
-rich comparable objects: ``heapq`` then compares floats and ints in C
-instead of calling a generated dataclass ``__lt__`` per sift step, which
-is the single hottest comparison site in a million-event run.  The
-:class:`Event` handle returned by :meth:`EventQueue.push` still carries
-the callback and supports cancellation, so the public API is unchanged.
+The :class:`~repro.net.simulator.Simulator`'s heap stores plain
+``(time, sequence, event)`` tuples rather than rich comparable objects:
+``heapq`` then compares floats and ints in C instead of calling a
+generated dataclass ``__lt__`` per sift step, which is the single
+hottest comparison site in a million-event run.  The :class:`Event`
+handle the ``schedule*`` methods return carries the callback and
+supports cancellation.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Any, Callable
 
 
@@ -38,101 +38,5 @@ class Event:
         self.cancelled = False
 
     def cancel(self) -> None:
-        """Mark the event so the queue drops it instead of firing it."""
+        """Mark the event so the dispatch loop drops it instead of firing it."""
         self.cancelled = True
-
-    def fire(self) -> Any:
-        """Invoke the callback with its bound arguments."""
-        return self.callback(*self.args)
-
-
-class EventQueue:
-    """A min-heap of ``(time, sequence, Event)`` tuples, stably ordered."""
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Event]] = []
-        self._sequence = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(
-        self, time: float, callback: Callable[..., Any], *args: Any
-    ) -> Event:
-        """Schedule ``callback(*args)`` at absolute ``time``.
-
-        Passing the arguments here (rather than closing over them in a
-        lambda) avoids one closure allocation per scheduled message on
-        the simulator's hottest path.
-        """
-        if time < 0:
-            raise ValueError(f"cannot schedule event at negative time {time}")
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        event = Event(time, sequence, callback, args)
-        heapq.heappush(self._heap, (time, sequence, event))
-        return event
-
-    def push_batch(
-        self,
-        times: list[float],
-        callback: Callable[..., Any],
-        args_list: list[tuple[Any, ...]],
-    ) -> list[Event]:
-        """Schedule one ``callback(*args)`` per ``(time, args)`` pair.
-
-        Sequence numbers are assigned in list order, exactly as if
-        :meth:`push` had been called once per entry — a batched relay
-        fan-out is therefore indistinguishable from per-neighbor
-        scheduling.  Batching hoists the heap/sequence lookups out of
-        the loop and returns the :class:`Event` slab in list order.
-        """
-        if times and min(times) < 0:
-            raise ValueError("cannot schedule events at negative times")
-        heap = self._heap
-        heappush = heapq.heappush
-        sequence = self._sequence
-        slab = []
-        append = slab.append
-        for time, args in zip(times, args_list):
-            event = Event(time, sequence, callback, args)
-            heappush(heap, (time, sequence, event))
-            sequence += 1
-            append(event)
-        self._sequence = sequence
-        return slab
-
-    def pop(self) -> Event | None:
-        """Remove and return the next live event, or None when empty."""
-        heap = self._heap
-        while heap:
-            event = heapq.heappop(heap)[2]
-            if not event.cancelled:
-                return event
-        return None
-
-    def pop_due(self, limit: float | None = None) -> Event | None:
-        """Pop the next live event at or before ``limit``.
-
-        Cancelled heads are purged as they surface.  Returns None when
-        the queue is empty or the next live event lies beyond ``limit``
-        (in which case it stays queued); ``limit=None`` means no bound.
-        """
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            if head[2].cancelled:
-                heapq.heappop(heap)
-                continue
-            if limit is not None and head[0] > limit:
-                return None
-            heapq.heappop(heap)
-            return head[2]
-        return None
-
-    def peek_time(self) -> float | None:
-        """Time of the next live event without removing it."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None

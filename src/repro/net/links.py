@@ -17,7 +17,6 @@ protocol is designed for — an artifact no real network exhibits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -30,61 +29,17 @@ DEFAULT_BANDWIDTH_BPS = 100_000 / 8  # bytes per second
 SMALL_MESSAGE_CUTOFF = 1500
 
 
-@dataclass(slots=True)
-class Link:
-    """One *directed* link; each direction queues independently."""
-
-    latency: float
-    bandwidth: float = DEFAULT_BANDWIDTH_BPS
-    interleave_cutoff: int = SMALL_MESSAGE_CUTOFF
-    busy_until: float = field(default=0.0)
-    bytes_sent: int = field(default=0)
-    messages_sent: int = field(default=0)
-
-    def __post_init__(self) -> None:
-        if self.latency < 0:
-            raise ValueError("latency cannot be negative")
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.interleave_cutoff < 0:
-            raise ValueError("interleave cutoff cannot be negative")
-
-    def transfer(self, now: float, size_bytes: int) -> float:
-        """Book a transfer starting at ``now``; return the arrival time.
-
-        Bulk messages serialize after any still-queued earlier bulk
-        message (FIFO); small messages interleave, paying only their
-        own serialization.  The last byte arrives one propagation
-        latency after serialization completes.
-        """
-        if size_bytes < 0:
-            raise ValueError("negative message size")
-        serialization = size_bytes / self.bandwidth
-        self.bytes_sent += size_bytes
-        self.messages_sent += 1
-        if size_bytes <= self.interleave_cutoff:
-            # Packet-level interleaving: no head-of-line blocking, and
-            # the negligible capacity used is not charged to the queue.
-            return now + serialization + self.latency
-        start = max(now, self.busy_until)
-        self.busy_until = start + serialization
-        return self.busy_until + self.latency
-
-    def queue_delay(self, now: float) -> float:
-        """Seconds a message sent now would wait before serializing."""
-        return max(0.0, self.busy_until - now)
-
-
 class LinkView:
-    """A :class:`Link`-shaped window onto one directed edge of a
+    """A read-only window onto one directed edge of a
     :class:`~repro.net.network.Network`'s struct-of-arrays core.
 
-    The network keeps per-link state in flat arrays indexed by edge id;
-    this facade re-exposes the old per-link object API (attribute reads
-    and writes, :meth:`transfer`, :meth:`queue_delay`) so link
-    degradation, fault injection, and tests keep working unchanged.
-    Views are cheap, transient handles: reads and writes go straight
-    through to the owning network's arrays.
+    The network keeps per-link state in flat arrays indexed by edge id
+    and applies the link rule itself, in
+    :meth:`~repro.net.network.Network.send` and
+    :meth:`~repro.net.network.Network.multicast`; this is how callers
+    read one link's parameters and counters
+    (``net.link(a, b).latency``).  Views are cheap, transient handles:
+    every read goes straight through to the owning network's arrays.
     """
 
     __slots__ = ("_net", "_eid")
@@ -97,25 +52,13 @@ class LinkView:
     def latency(self) -> float:
         return self._net._lat[self._eid]
 
-    @latency.setter
-    def latency(self, value: float) -> None:
-        self._net._lat[self._eid] = value
-
     @property
     def bandwidth(self) -> float:
         return self._net._bw[self._eid]
 
-    @bandwidth.setter
-    def bandwidth(self, value: float) -> None:
-        self._net._bw[self._eid] = value
-
     @property
     def busy_until(self) -> float:
         return self._net._busy[self._eid]
-
-    @busy_until.setter
-    def busy_until(self, value: float) -> None:
-        self._net._busy[self._eid] = value
 
     @property
     def bytes_sent(self) -> int:
@@ -128,24 +71,3 @@ class LinkView:
     @property
     def interleave_cutoff(self) -> int:
         return self._net._interleave_cutoff
-
-    def transfer(self, now: float, size_bytes: int) -> float:
-        """Book a transfer starting at ``now``; same rules as
-        :meth:`Link.transfer`, applied to the network's arrays."""
-        if size_bytes < 0:
-            raise ValueError("negative message size")
-        net = self._net
-        eid = self._eid
-        serialization = size_bytes / net._bw[eid]
-        net._bytes[eid] += size_bytes
-        net._msgs[eid] += 1
-        if size_bytes <= net._interleave_cutoff:
-            return now + serialization + net._lat[eid]
-        start = max(now, net._busy[eid])
-        busy = start + serialization
-        net._busy[eid] = busy
-        return busy + net._lat[eid]
-
-    def queue_delay(self, now: float) -> float:
-        """Seconds a message sent now would wait before serializing."""
-        return max(0.0, self._net._busy[self._eid] - now)

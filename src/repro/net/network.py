@@ -7,15 +7,17 @@ testbed assigned pairwise latencies.  Supports churn (nodes going
 offline and returning) and link partitions for robustness experiments.
 
 Link state lives in a struct-of-arrays core rather than a dict of
-``Link`` objects: the topology's CSR adjacency assigns every directed
+per-link objects: the topology's CSR adjacency assigns every directed
 link a dense *edge id*, and per-link ``latency`` / ``bandwidth`` /
 ``busy_until`` / traffic counters are flat lists indexed by it.  A
 1000-node, 5-degree run has ~10k directed links; touching three list
 slots per send beats a tuple-keyed dict lookup plus attribute access on
 a per-link object, and :meth:`Network.multicast` books a whole
-neighborhood fan-out as one batched event-queue call.
+neighborhood fan-out as one batched scheduling call.  The link rule of
+:mod:`repro.net.links` (bulk queues FIFO, small interleaves) is applied
+in :meth:`Network.send` and :meth:`Network.multicast`.
 :meth:`Network.link` is the one per-link accessor: it hands out a
-:class:`~repro.net.links.LinkView`, a live per-link object
+read-only :class:`~repro.net.links.LinkView`
 (``net.link(a, b).latency`` etc.) on top of the arrays.
 """
 
@@ -311,7 +313,7 @@ class Network:
         order — same per-peer drop checks, loss draws, link booking
         math, and event-sequence order — but the per-link state is
         touched directly by edge id and all deliveries are booked in
-        one batched event-queue call.  This is the gossip relay fan-out,
+        one batched scheduling call.  This is the gossip relay fan-out,
         the hottest path in a large run.
         """
         indptr = self._indptr

@@ -1,6 +1,6 @@
 """The simulation clock and scheduler.
 
-A :class:`Simulator` owns virtual time, a deterministic event queue, and
+A :class:`Simulator` owns virtual time, the deterministic event heap, and
 a seeded random source.  Everything else in the stack — links, gossip,
 mining, protocol nodes — schedules work through it, so a whole 1000-node
 experiment is one single-threaded, perfectly reproducible event loop.
@@ -16,7 +16,7 @@ import random
 from typing import Any, Callable, Protocol
 
 from ..clock import wall_clock
-from .events import Event, EventQueue
+from .events import Event
 
 
 class DispatchProfiler(Protocol):
@@ -43,7 +43,9 @@ class Simulator:
     """Discrete-event simulation core."""
 
     def __init__(self, seed: int = 0) -> None:
-        self._queue = EventQueue()
+        # Min-heap of (time, sequence, Event); see repro.net.events.
+        self._heap: list[tuple[float, int, Event]] = []
+        self._sequence = 0
         self._now = 0.0
         self.rng = random.Random(seed)
         self._events_processed = 0
@@ -90,17 +92,17 @@ class Simulator:
     ) -> Event:
         """Run ``callback(*args)`` after ``delay`` seconds of virtual time.
 
-        This is the hottest call in the simulator (one per message per
-        link), so the queue push is inlined rather than delegated.
+        Passing the arguments here (rather than closing over them in a
+        lambda) avoids one closure allocation per scheduled message on
+        the simulator's hottest path.
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        queue = self._queue
         time = self._now + delay
-        sequence = queue._sequence
-        queue._sequence = sequence + 1
+        sequence = self._sequence
+        self._sequence = sequence + 1
         event = Event(time, sequence, callback, args)
-        heapq.heappush(queue._heap, (time, sequence, event))
+        heapq.heappush(self._heap, (time, sequence, event))
         return event
 
     def schedule_at(
@@ -109,11 +111,10 @@ class Simulator:
         """Run ``callback(*args)`` at absolute virtual ``time`` (>= now)."""
         if time < self._now:
             raise ValueError(f"cannot schedule in the past ({time} < {self._now})")
-        queue = self._queue
-        sequence = queue._sequence
-        queue._sequence = sequence + 1
+        sequence = self._sequence
+        self._sequence = sequence + 1
         event = Event(time, sequence, callback, args)
-        heapq.heappush(queue._heap, (time, sequence, event))
+        heapq.heappush(self._heap, (time, sequence, event))
         return event
 
     def schedule_batch(
@@ -126,15 +127,26 @@ class Simulator:
 
         Equivalent to calling :meth:`schedule_at` once per entry (same
         sequence-number order, so dispatch order is unchanged), but the
-        per-event heap bookkeeping is hoisted into one queue call — the
-        relay fan-out in :class:`~repro.net.network.Network` books a
-        whole neighborhood this way.
+        heap/sequence lookups are hoisted out of the loop — the relay
+        fan-out in :class:`~repro.net.network.Network` books a whole
+        neighborhood this way.  Returns the events in list order.
         """
         if times and min(times) < self._now:
             raise ValueError(
                 f"cannot schedule in the past ({min(times)} < {self._now})"
             )
-        return self._queue.push_batch(times, callback, args_list)
+        heap = self._heap
+        heappush = heapq.heappush
+        sequence = self._sequence
+        slab = []
+        append = slab.append
+        for time, args in zip(times, args_list):
+            event = Event(time, sequence, callback, args)
+            heappush(heap, (time, sequence, event))
+            sequence += 1
+            append(event)
+        self._sequence = sequence
+        return slab
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Process events in order until the queue empties.
@@ -143,17 +155,14 @@ class Simulator:
         ``max_events`` bounds work, guarding against runaway feedback
         loops in experimental protocol code.
 
-        The dispatch loop works on the queue's heap directly: one
-        method call and one closure per event is exactly the overhead
-        profiling shows dominating a million-event run.  Callbacks
-        scheduling new events append to the same heap list, so holding
-        the reference across iterations is safe.
+        Callbacks scheduling new events push onto the same heap list,
+        so holding the reference across iterations is safe.
         """
         prof = self._prof
         if prof is not None:
             self._run_profiled(until, max_events, prof)
             return
-        heap = self._queue._heap
+        heap = self._heap
         heappop = heapq.heappop
         probe = self._probe
         processed = 0
@@ -195,7 +204,7 @@ class Simulator:
         attribution excludes the profiler's own classification cost,
         which lands in the loop residual instead.
         """
-        heap = self._queue._heap
+        heap = self._heap
         heappop = heapq.heappop
         probe = self._probe
         clock = wall_clock

@@ -19,6 +19,7 @@ from pathlib import Path
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
+    from ..experiments import CHECK_MODES
     from ..protocols import Protocol
 
     parser.add_argument(
@@ -45,7 +46,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         "--check",
         nargs="?",
         const="incremental",
-        choices=("incremental", "full", "audit"),
+        choices=CHECK_MODES,
         default=None,
         metavar="MODE",
         help="profile a checked run too: per-INV1xx-checker attribution "

@@ -91,32 +91,19 @@ class ProtocolAdapter(abc.ABC):
         ``"leader"`` are then skipped."""
         return None
 
-    #: Whether this adapter's checkers implement the incremental
-    #: protocol (``on_event``/``check_dirty``/``depends``).  True for
-    #: every checker built on :class:`repro.sanitizer.checkers
-    #: .InvariantChecker` — the base class supplies sound defaults — so
-    #: adapters only set this False to force full sweeps for checkers
-    #: that read state the dirty tracker does not watch.
-    supports_incremental_check: ClassVar[bool] = True
-
-    def invariant_checkers(
-        self, mode: str = "incremental"
-    ) -> list[InvariantChecker]:
+    def invariant_checkers(self) -> list[InvariantChecker]:
         """Fresh checker instances for ``--check`` runs of this protocol.
-
-        ``mode`` is ``"incremental"`` or ``"full"`` (see
-        :mod:`repro.sanitizer.checkers`); the instrumentation layer
-        calls with the run's configured mode and falls back to a
-        no-argument call for legacy adapters that predate it.
 
         The default is the protocol-agnostic subset (chain weight, tip
         monotonicity, mempool/UTXO consistency, coinbase maturity);
         adapters whose protocols carry richer invariants override this
         (Bitcoin-NG adds the fee-split, microblock, and poison rules).
+        Checkers subclass
+        :class:`~repro.sanitizer.checkers.InvariantChecker`.
         """
         from .sanitizer.checkers import chain_checkers
 
-        return chain_checkers(mode)
+        return chain_checkers()
 
     def on_crash(
         self, node: GossipNode, *, sim: Simulator, network: Network
@@ -231,15 +218,13 @@ class GhostAdapter(ProtocolAdapter):
         )
         return nodes, scheduler
 
-    def invariant_checkers(
-        self, mode: str = "incremental"
-    ) -> list[InvariantChecker]:
+    def invariant_checkers(self) -> list[InvariantChecker]:
         # Heaviest-subtree fork choice may adopt a tip whose *chain*
         # work is lower than the old tip's, so the tip-monotonicity
         # checker from the default subset does not apply.
         from .sanitizer.checkers import ghost_checkers
 
-        return ghost_checkers(mode)
+        return ghost_checkers()
 
 
 class BitcoinNGAdapter(ProtocolAdapter):
@@ -322,12 +307,10 @@ class BitcoinNGAdapter(ProtocolAdapter):
         if isinstance(node, NGNode):
             node.abdicate()
 
-    def invariant_checkers(
-        self, mode: str = "incremental"
-    ) -> list[InvariantChecker]:
+    def invariant_checkers(self) -> list[InvariantChecker]:
         from .sanitizer.checkers import ng_checkers
 
-        return ng_checkers(mode)
+        return ng_checkers()
 
 
 # -- registry ----------------------------------------------------------------

@@ -11,17 +11,17 @@ nondeterminism bug slips through anyway.
   conservation, the 40/60 fee split, coinbase maturity, microblock
   signature/rate/size rules, key-block-only chain weight, poison
   forfeiture, tip monotonicity, and mempool/UTXO cross-consistency.
-  Checkers implement an incremental protocol (``check_block`` /
-  ``on_event`` / ``check_dirty`` plus a ``depends`` component set) and
-  share a process-wide :class:`SignatureCache` so each (leader,
-  microblock) pair is verified exactly once.
+  Checkers subclass :class:`InvariantChecker` (``check_block`` /
+  ``check_state`` / ``on_event`` / ``check_dirty`` plus a ``depends``
+  component set) and share a process-wide :class:`SignatureCache` so
+  each (leader, microblock) pair is verified exactly once.
 * :mod:`.runtime` — :class:`SanitizerRuntime`, the event-boundary probe
   that sweeps node state through the checkers and captures state
-  digests.  Three modes: ``incremental`` (dirty-set tracking, the
-  default), ``full`` (the original stateless sweep, cross-check mode),
-  and ``audit`` (incremental plus a periodic full-sweep audit that
-  asserts incremental ≡ full).  Zero cost when disabled; bit-identical
-  when enabled.
+  digests.  One sweep (dirty-set tracking), two modes: ``incremental``
+  (the default) and ``audit`` (the same sweeps plus a periodic
+  from-scratch walk with independent replica checkers, asserting the
+  sweep missed nothing).  Zero cost when disabled; bit-identical when
+  enabled.
 * :mod:`.digests` — canonical per-node state digests (tip hash, chain
   weight, mempool fingerprint, UTXO root) and their JSONL stream format.
 * :mod:`.bisect` — binary search over two digest streams for the first
@@ -31,7 +31,6 @@ nondeterminism bug slips through anyway.
 
 from .bisect import Divergence, find_divergence
 from .checkers import (
-    CHECK_MODES,
     InvariantChecker,
     NodeDelta,
     SignatureCache,
@@ -46,7 +45,6 @@ from .violations import InvariantViolation, ViolationRecord
 
 __all__ = [
     "AuditDivergence",
-    "CHECK_MODES",
     "Divergence",
     "DigestSnapshot",
     "InvariantChecker",

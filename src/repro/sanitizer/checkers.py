@@ -1,20 +1,18 @@
 """The invariant catalog: what the paper promises, checked against state.
 
-Each checker is a small object with a code (``INV1xx``), a name, and
-four hooks: :meth:`InvariantChecker.check_block` runs once per block the
-sweeping node newly adopted onto its main chain (oldest first);
-:meth:`InvariantChecker.check_state` runs against the node's current
-mempool/UTXO/chain state (the *full-sweep* hook); and the incremental
-pair — :meth:`InvariantChecker.on_event` observes a :class:`NodeDelta`
-describing what changed since the last sweep, and
-:meth:`InvariantChecker.check_dirty` runs the state check only when the
-delta touches the components the checker declares in
-:attr:`InvariantChecker.depends`.  The default ``check_dirty`` delegates
-to ``check_state``, so a checker written against the full-sweep API is
-automatically correct (if not maximally cheap) under the incremental
-runtime.  Checkers only *read* node state — they never schedule events,
-draw randomness, or mutate anything, which is what keeps checked runs
-bit-identical to unchecked runs.
+Each checker subclasses :class:`InvariantChecker`: a code (``INV1xx``),
+a name, and four hooks.  :meth:`InvariantChecker.check_block` runs once
+per block the sweeping node newly adopted onto its main chain (oldest
+first); :meth:`InvariantChecker.check_state` runs against the node's
+current mempool/UTXO/chain state; :meth:`InvariantChecker.on_event`
+observes a :class:`NodeDelta` describing what changed since the last
+sweep; and :meth:`InvariantChecker.check_dirty` runs the state check
+only when the delta touches the components the checker declares in
+:attr:`InvariantChecker.depends` (the default delegates to
+``check_state``).  The audit's replicas call ``check_block`` and
+``check_state`` unconditionally.  Checkers only *read* node state — they
+never schedule events, draw randomness, or mutate anything, which is
+what keeps checked runs bit-identical to unchecked runs.
 
 INV104 (microblock-leader-sig) is the one checker whose work is
 expensive enough to dominate checked runs: a pure-Python ECDSA verify
@@ -44,10 +42,7 @@ INV110    mempool-consistency         ledger bookkeeping
 
 :func:`ng_checkers` builds the full Bitcoin-NG set; :func:`chain_checkers`
 builds the protocol-agnostic subset used for plain Bitcoin and GHOST
-(their records carry no ``is_key``/leader structure to check).  All
-three factories take a ``mode`` — ``"incremental"`` wires the shared
-signature cache in, ``"full"`` builds independent uncached checkers for
-the cross-check path.
+(their records carry no ``is_key``/leader structure to check).
 """
 
 from __future__ import annotations
@@ -69,18 +64,6 @@ TIME_EPSILON = 1e-9
 #: The node-state components a checker can declare in
 #: :attr:`InvariantChecker.depends` (and a :class:`NodeDelta` can dirty).
 COMPONENTS = frozenset({"chain", "mempool", "utxo", "poisons"})
-
-#: Checker modes the factories and the runtime understand.
-CHECK_MODES = ("incremental", "full")
-
-
-def validate_check_mode(mode: str) -> str:
-    """Validate a checker-construction mode string and return it."""
-    if mode not in CHECK_MODES:
-        raise ValueError(
-            f"unknown check mode {mode!r} (choose from {CHECK_MODES})"
-        )
-    return mode
 
 
 @dataclass(frozen=True)
@@ -116,11 +99,6 @@ class NodeDelta:
             for component in COMPONENTS
             if getattr(self, component)
         )
-
-
-#: A delta with every component dirty — what full sweeps hand to
-#: ``check_dirty`` so delegation to ``check_state`` is unconditional.
-ALL_DIRTY = NodeDelta(chain=True, mempool=True, utxo=True, poisons=True)
 
 
 class SignatureCache:
@@ -187,7 +165,7 @@ _SHARED_SIGNATURE_CACHE = SignatureCache()
 
 
 def shared_signature_cache() -> SignatureCache:
-    """The process-wide cache incremental-mode factories wire into INV104."""
+    """The process-wide cache :func:`ng_checkers` wires into INV104."""
     return _SHARED_SIGNATURE_CACHE
 
 
@@ -231,22 +209,21 @@ def _epoch_fees_behind(node: object, chain: object, parent_hash: bytes) -> int:
 class InvariantChecker:
     """One protocol invariant: a code, a description, and four hooks.
 
-    ``check_block``/``check_state`` are the original full-sweep surface;
-    ``on_event``/``check_dirty`` are the incremental surface fed by the
-    runtime's dirty-set tracker.  The defaults make every legacy checker
-    incremental-correct for free: ``check_dirty`` delegates to
-    ``check_state`` whenever the delta touches :attr:`depends`, and
-    ``on_event`` is a no-op observation hook for checkers that maintain
-    cross-sweep state.
+    ``check_block``/``check_state`` say what to verify; ``on_event``/
+    ``check_dirty`` are fed by the runtime's dirty-set tracker and say
+    when.  The defaults are sound for a checker that overrides only the
+    first pair: ``check_dirty`` delegates to ``check_state`` whenever
+    the delta touches :attr:`depends`, and ``on_event`` is a no-op
+    observation hook for checkers that maintain cross-sweep state.
     """
 
     code: ClassVar[str] = "INV000"
     name: ClassVar[str] = "unnamed"
     description: ClassVar[str] = ""
     #: Which node-state components the *state* hook reads.  The
-    #: incremental runtime only calls ``check_dirty`` when the sweep's
-    #: delta touches one of these; block-scoped checkers declare the
-    #: empty set because their state hook checks nothing.
+    #: default ``check_dirty`` only runs it when the sweep's delta
+    #: touches one of these; block-scoped checkers declare the empty
+    #: set because their state hook checks nothing.
     depends: ClassVar[frozenset[str]] = COMPONENTS
 
     def check_block(
@@ -258,7 +235,8 @@ class InvariantChecker:
     def check_state(
         self, node: object, node_id: int, now: float
     ) -> list[ViolationRecord]:
-        """Called against the node's live state on every full sweep."""
+        """Called against the node's live state: by ``check_dirty`` when
+        :attr:`depends` is dirty, and unconditionally by every audit."""
         return []
 
     def on_event(
@@ -266,7 +244,7 @@ class InvariantChecker:
     ) -> None:
         """Observe a node's delta before this sweep's checks run.
 
-        Incremental mode only; called once per dirty node per sweep,
+        Called once per dirty node per sweep (never by the audit),
         before ``check_block``/``check_dirty``.  For checkers that track
         cross-sweep state; must not mutate node state.
         """
@@ -289,7 +267,7 @@ class InvariantChecker:
 #
 # All of these verify properties of individual (immutable) blocks via
 # ``check_block``; their state hook checks nothing, so ``depends`` is
-# empty and the incremental runtime never calls their ``check_dirty``.
+# empty and the runtime never calls their ``check_dirty``.
 
 
 class ValueConservation(InvariantChecker):
@@ -389,10 +367,10 @@ class MicroblockSignature(InvariantChecker):
     depends = frozenset()
 
     def __init__(self, cache: SignatureCache | None = None) -> None:
-        # ``cache=None`` verifies every call independently — the honest
-        # path ``--check=full`` and the periodic audit use.  Incremental
-        # factories pass the shared process-wide cache so each unique
-        # (leader_pubkey, microblock, signature) triple is verified once.
+        # ``cache=None`` verifies every call independently.
+        # :func:`ng_checkers` passes the shared process-wide cache so
+        # each unique (leader_pubkey, microblock, signature) triple is
+        # verified once; the audit gives its replica a private one.
         self.cache = cache
 
     def _verify(self, block: object, leader_pubkey: bytes) -> bool:
@@ -763,22 +741,19 @@ class MempoolConsistency(InvariantChecker):
         return violations
 
 
-def ng_checkers(mode: str = "incremental") -> list[InvariantChecker]:
+def ng_checkers() -> list[InvariantChecker]:
     """Fresh instances of the full Bitcoin-NG invariant catalog.
 
-    ``mode="incremental"`` (the default) wires the shared process-wide
-    :class:`SignatureCache` into INV104 so each unique signature pair is
-    verified once per process; ``mode="full"`` builds an uncached INV104
-    — the genuinely independent verification path the cross-check mode
-    and the periodic audit rely on.
+    INV104 gets the shared process-wide :class:`SignatureCache`, so each
+    unique signature pair is verified once per process.  (The audit
+    builds its own replicas with a private cache — see
+    :meth:`~repro.sanitizer.runtime.SanitizerRuntime._audit_replicas`.)
     """
-    validate_check_mode(mode)
-    cache = shared_signature_cache() if mode == "incremental" else None
     return [
         ValueConservation(),
         FeeSplit(),
         CoinbaseMaturity(),
-        MicroblockSignature(cache=cache),
+        MicroblockSignature(cache=shared_signature_cache()),
         MicroblockRate(),
         MicroblockSize(),
         ChainWeight(),
@@ -788,12 +763,9 @@ def ng_checkers(mode: str = "incremental") -> list[InvariantChecker]:
     ]
 
 
-def chain_checkers(mode: str = "incremental") -> list[InvariantChecker]:
+def chain_checkers() -> list[InvariantChecker]:
     """The protocol-agnostic subset (plain Bitcoin and the default for
-    externally registered adapters).  No checker here caches, so the
-    modes build identical sets — the parameter keeps the factory surface
-    uniform across protocols."""
-    validate_check_mode(mode)
+    externally registered adapters)."""
     return [
         ChainWeight(),
         CoinbaseMaturity(),
@@ -802,14 +774,13 @@ def chain_checkers(mode: str = "incremental") -> list[InvariantChecker]:
     ]
 
 
-def ghost_checkers(mode: str = "incremental") -> list[InvariantChecker]:
+def ghost_checkers() -> list[InvariantChecker]:
     """The GHOST subset: tip monotonicity is deliberately absent.
 
     GHOST picks tips by heaviest *subtree*, so a reorg can legitimately
     adopt a leaf whose chain work is lower than the old tip's — INV109
     is an invariant of heaviest-chain protocols only.
     """
-    validate_check_mode(mode)
     return [
         ChainWeight(),
         CoinbaseMaturity(),

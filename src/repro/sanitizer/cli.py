@@ -24,6 +24,7 @@ import sys
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
+    from ..experiments import CHECK_MODES
     from ..protocols import Protocol
 
     parser.add_argument(
@@ -49,13 +50,12 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         "--check",
         nargs="?",
         const="incremental",
-        choices=("incremental", "full", "audit"),
+        choices=CHECK_MODES,
         default=None,
         metavar="MODE",
         help="also run the protocol's invariant checkers during the "
         "digest run(s); in the run-twice diverge mode both runs use "
-        "this same mode by construction, so a divergence can never be "
-        "an incremental-vs-full artifact",
+        "this same mode by construction",
     )
 
 

@@ -2,33 +2,30 @@
 
 :class:`SanitizerRuntime` installs itself as the simulator's probe (one
 ``None``-check per event when nothing is installed) and, every
-``stride`` processed events, sweeps each node.  Two sweep strategies:
+``stride`` processed events, sweeps each node.  There is one sweep
+strategy: a dirty-set tracker snapshots each node's cheap change
+indicators — main-chain tip hash, the mempool and UTXO mutation
+counters, the published-poison count — and skips nodes whose state
+provably did not change since the last sweep.  For dirty nodes, block
+checkers run once per newly adopted main-chain block (oldest first) and
+state checkers run through
+:meth:`~repro.sanitizer.checkers.InvariantChecker.check_dirty`, which
+gates on the components each checker declares in ``depends``.  INV104
+additionally memoizes signature verdicts in the process-wide
+:class:`~repro.sanitizer.checkers.SignatureCache`.
 
-* **incremental** (the default): a dirty-set tracker snapshots each
-  node's cheap change indicators — main-chain tip hash, the mempool and
-  UTXO mutation counters, the published-poison count — and skips nodes
-  whose state provably did not change since the last sweep.  For dirty
-  nodes, block checkers run once per newly adopted main-chain block
-  (oldest first, exactly as before) and state checkers run through
-  :meth:`~repro.sanitizer.checkers.InvariantChecker.check_dirty`, which
-  gates on the components each checker declares in ``depends``.  INV104
-  additionally memoizes signature verdicts in the process-wide
-  :class:`~repro.sanitizer.checkers.SignatureCache`.
-* **full**: the original strategy — every state checker runs against
-  every node on every sweep, and INV104 verifies uncached.  Kept as the
-  independent cross-check path (``--check=full``).
-
-**audit** mode runs incremental sweeps *plus* a periodic from-scratch
-full sweep (every ``audit_stride`` sweeps and once at finalize) using
-fresh replica checkers that share no state with the incremental set
-(signature replicas carry a private cache, never the process-wide
-one).  Any audit finding the incremental
-path has not already reported is a dirty-tracking or cache bug in the
-sanitizer itself and is surfaced as an ``audit-divergence`` violation
-alongside the missed finding.  Transient violations that appeared and
-cleared between audits are legitimately absent from an audit, so the
-asserted relation is *audit findings ⊆ incremental findings*, per
-``(code, node)``.
+**audit** mode runs the same sweeps *plus* a periodic from-scratch
+walk (every ``audit_stride`` sweeps and once at finalize) using fresh
+replica checkers that share no state with the live set (signature
+replicas carry a private cache, never the process-wide one): every
+node's whole main chain through every block hook, every state hook
+unconditionally.  It is the independent reference for the sweep: any
+audit finding the incremental path has not already reported is a
+dirty-tracking or cache bug in the sanitizer itself and is surfaced as
+an ``audit-divergence`` violation alongside the missed finding.
+Transient violations that appeared and cleared between audits are
+legitimately absent from an audit, so the asserted relation is *audit
+findings ⊆ incremental findings*, per ``(code, node)``.
 
 Violations are collected (deduplicated per ``(code, node)`` so one
 broken invariant does not flood the report) and, when a tracer is
@@ -43,7 +40,7 @@ node never re-hashes its UTXO set.
 Everything here is read-only with respect to simulation state: no
 events scheduled, no RNG draws, no node mutation.  That is the whole
 bit-identicality argument, and ``tests/test_determinism.py`` pins it.
-Skipping a read (the incremental strategy's only trick) is trivially
+Skipping a read (the dirty tracker's only trick) is trivially
 unobservable to the simulation.
 """
 
@@ -51,13 +48,20 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .checkers import InvariantChecker, NodeDelta, chain_of
+from ..clock import wall_clock
+from .checkers import (
+    InvariantChecker,
+    MicroblockSignature,
+    NodeDelta,
+    SignatureCache,
+    chain_of,
+)
 from .digests import DigestSnapshot, NodeDigest, node_digest
 from .violations import ViolationRecord, make_violation
 
-#: Sweep strategies the runtime understands (``audit`` = incremental
-#: sweeps + periodic full-sweep cross-checks).
-RUNTIME_MODES = ("incremental", "full", "audit")
+#: Check modes the runtime understands (``audit`` = incremental sweeps
+#: + periodic from-scratch cross-checks).
+RUNTIME_MODES = ("incremental", "audit")
 
 #: Audit cadence, in *sweeps* (not events), for ``mode="audit"``.  Each
 #: audit re-walks every node's entire main chain from scratch, so the
@@ -90,6 +94,40 @@ class AuditDivergence(InvariantChecker):
     depends = frozenset()
 
 
+class _TimedChecker:
+    """A checker whose block/dirty hook calls are timed for a profiler.
+
+    Same call, same return value — bracketed by two
+    :func:`~repro.clock.wall_clock` reads whose difference goes to
+    ``profiler.record_checker`` under the checker's invariant code.
+    Checkers return eager lists, so timing the call captures the whole
+    verification cost.  Built only when a profiler is attached, so
+    unprofiled checked runs never pay the clock reads.
+    """
+
+    def __init__(self, checker: InvariantChecker, profiler: object) -> None:
+        self.code = checker.code
+        self._check_block = checker.check_block
+        self._check_dirty = checker.check_dirty
+        self._record = profiler.record_checker  # type: ignore[attr-defined]
+
+    def check_block(
+        self, node: object, node_id: int, record: object, now: float
+    ) -> list[ViolationRecord]:
+        started = wall_clock()
+        violations = self._check_block(node, node_id, record, now)
+        self._record(self.code, wall_clock() - started)
+        return violations
+
+    def check_dirty(
+        self, node: object, node_id: int, delta: NodeDelta, now: float
+    ) -> list[ViolationRecord]:
+        started = wall_clock()
+        violations = self._check_dirty(node, node_id, delta, now)
+        self._record(self.code, wall_clock() - started)
+        return violations
+
+
 class SanitizerRuntime:
     """Runs invariant checkers and digest captures during a simulation."""
 
@@ -112,15 +150,10 @@ class SanitizerRuntime:
         self.stride = max(1, int(stride))
         self.mode = mode
         self.tracer = tracer
-        # A repro.prof ProfilerRuntime (or None): when set, sweeps time
-        # each checker call with wall_clock and attribute the seconds
-        # per invariant code.  Call order, violation recording, and
-        # everything the simulation can observe are unchanged.
-        self.profiler = profiler
         self.digest_stride = max(0, int(digest_stride))
         if audit_stride is None:
             audit_stride = DEFAULT_AUDIT_STRIDE if mode == "audit" else 0
-        self.audit_stride = max(0, int(audit_stride)) if mode != "full" else 0
+        self.audit_stride = max(0, int(audit_stride))
         self.violations: list[ViolationRecord] = []
         self.digests: list[DigestSnapshot] = []
         self.sweeps = 0
@@ -143,40 +176,38 @@ class SanitizerRuntime:
         self._audit_checkers: list[InvariantChecker] | None = None
         self._audit_marker = AuditDivergence()
         base = InvariantChecker
-        # Partitions for the incremental strategy: skip hook calls that
-        # are base-class no-ops.  Duck-typed checkers (no subclassing)
-        # are included conservatively wherever they define the hook.
-        self._block_checkers = [
+        # Partitions for the sweep: skip hook calls that are base-class
+        # no-ops.  An overridden ``check_state`` behind the default
+        # ``check_dirty`` is reached through the base delegation.
+        self._block_checkers: list[InvariantChecker | _TimedChecker] = [
             checker
             for checker in self.checkers
-            if getattr(type(checker), "check_block", None)
-            is not base.check_block
-            and hasattr(checker, "check_block")
+            if type(checker).check_block is not base.check_block
         ]
         self._event_checkers = [
             checker
             for checker in self.checkers
-            if getattr(type(checker), "on_event", None) is not None
-            and getattr(type(checker), "on_event") is not base.on_event
+            if type(checker).on_event is not base.on_event
         ]
-        self._dirty_checkers = []
-        for checker in self.checkers:
-            has_dirty = getattr(type(checker), "check_dirty", None)
-            if has_dirty is not None and has_dirty is not base.check_dirty:
-                self._dirty_checkers.append(checker)
-            elif (
-                getattr(type(checker), "check_state", None)
-                is not base.check_state
-                and hasattr(checker, "check_state")
-            ):
-                # Overridden state hook behind the default (or absent)
-                # check_dirty: the base delegation covers subclasses;
-                # legacy duck-typed checkers get a delegating shim.
-                self._dirty_checkers.append(
-                    checker
-                    if has_dirty is not None
-                    else _LegacyDirtyShim(checker)
-                )
+        self._dirty_checkers: list[InvariantChecker | _TimedChecker] = [
+            checker
+            for checker in self.checkers
+            if type(checker).check_dirty is not base.check_dirty
+            or type(checker).check_state is not base.check_state
+        ]
+        if profiler is not None:
+            # A repro.prof ProfilerRuntime: attribute wall time per
+            # invariant code by wrapping each partitioned checker once.
+            # Call order, violation recording, and everything the
+            # simulation can observe are unchanged.
+            self._block_checkers = [
+                _TimedChecker(checker, profiler)
+                for checker in self._block_checkers
+            ]
+            self._dirty_checkers = [
+                _TimedChecker(checker, profiler)
+                for checker in self._dirty_checkers
+            ]
 
     # -- lifecycle ------------------------------------------------------
 
@@ -198,7 +229,7 @@ class SanitizerRuntime:
         if self._sim is None:
             return
         self._sweep()
-        if self.checkers and self.audit_stride > 0 and self.mode != "full":
+        if self.checkers and self.audit_stride > 0:
             self._audit()
         if self.digest_stride > 0:
             self._capture_digest()
@@ -224,16 +255,7 @@ class SanitizerRuntime:
     def _sweep(self) -> None:
         if not self.checkers or self._sim is None:
             return
-        if self.mode == "full":
-            if self.profiler is not None:
-                self._sweep_full_profiled()
-            else:
-                self._sweep_full()
-            return
-        if self.profiler is not None:
-            self._sweep_incremental_profiled()
-        else:
-            self._sweep_incremental()
+        self._sweep_incremental()
         if self.audit_stride > 0:
             self._audit_countdown -= 1
             if self._audit_countdown <= 0:
@@ -315,107 +337,6 @@ class SanitizerRuntime:
                 ):
                     self._record(violation)
 
-    def _sweep_incremental_profiled(self) -> None:
-        """The incremental sweep with per-checker wall-time attribution.
-
-        A verbatim mirror of :meth:`_sweep_incremental` — same node
-        order, same checker order, same violation recording — with each
-        checker call bracketed by :func:`~repro.clock.wall_clock` reads.
-        Kept separate so non-profiled checked runs never pay the clock
-        reads.
-        """
-        from ..clock import wall_clock
-
-        record_checker = self.profiler.record_checker  # type: ignore[attr-defined]
-        now = self._sim.now  # type: ignore[attr-defined]
-        self.sweeps += 1
-        for index, node in enumerate(self._nodes):
-            node_id = self._node_ids[index]
-            chain = chain_of(node)
-            fresh, delta = self._observe(index, node, chain)
-            if delta is None:
-                continue
-            seen = self._seen_blocks[index]
-            for checker in self._event_checkers:
-                checker.on_event(node, node_id, delta, now)
-            for record in reversed(fresh):
-                seen.add(record.hash)
-                for checker in self._block_checkers:
-                    started = wall_clock()
-                    violations = checker.check_block(node, node_id, record, now)
-                    record_checker(checker.code, wall_clock() - started)
-                    for violation in violations:
-                        self._record(violation)
-            for checker in self._dirty_checkers:
-                started = wall_clock()
-                violations = checker.check_dirty(node, node_id, delta, now)
-                record_checker(checker.code, wall_clock() - started)
-                for violation in violations:
-                    self._record(violation)
-
-    def _sweep_full(self) -> None:
-        now = self._sim.now  # type: ignore[attr-defined]
-        self.sweeps += 1
-        for index, node in enumerate(self._nodes):
-            node_id = self._node_ids[index]
-            seen = self._seen_blocks[index]
-            chain = chain_of(node)
-            cursor = chain.tip_record  # type: ignore[attr-defined]
-            fresh = []
-            while cursor is not None and cursor.hash not in seen:
-                fresh.append(cursor)
-                cursor = chain.get(cursor.parent_hash)  # type: ignore[attr-defined]
-            for record in reversed(fresh):
-                seen.add(record.hash)
-                for checker in self.checkers:
-                    for violation in checker.check_block(
-                        node, node_id, record, now
-                    ):
-                        self._record(violation)
-            for checker in self.checkers:
-                for violation in checker.check_state(node, node_id, now):
-                    self._record(violation)
-
-    def _sweep_full_profiled(self) -> None:
-        """The full sweep with per-checker wall-time attribution.
-
-        A verbatim mirror of :meth:`_sweep_full` — same node order, same
-        checker order, same violation recording — with each checker
-        call bracketed by :func:`~repro.clock.wall_clock` reads and the
-        delta fed to ``profiler.record_checker`` keyed by the checker's
-        invariant code.  Checkers return eager lists, so timing the
-        call captures the whole verification cost.  Kept separate so
-        non-profiled checked runs never pay the clock reads.
-        """
-        from ..clock import wall_clock
-
-        record_checker = self.profiler.record_checker  # type: ignore[attr-defined]
-        now = self._sim.now  # type: ignore[attr-defined]
-        self.sweeps += 1
-        for index, node in enumerate(self._nodes):
-            node_id = self._node_ids[index]
-            seen = self._seen_blocks[index]
-            chain = chain_of(node)
-            cursor = chain.tip_record  # type: ignore[attr-defined]
-            fresh = []
-            while cursor is not None and cursor.hash not in seen:
-                fresh.append(cursor)
-                cursor = chain.get(cursor.parent_hash)  # type: ignore[attr-defined]
-            for record in reversed(fresh):
-                seen.add(record.hash)
-                for checker in self.checkers:
-                    started = wall_clock()
-                    violations = checker.check_block(node, node_id, record, now)
-                    record_checker(checker.code, wall_clock() - started)
-                    for violation in violations:
-                        self._record(violation)
-            for checker in self.checkers:
-                started = wall_clock()
-                violations = checker.check_state(node, node_id, now)
-                record_checker(checker.code, wall_clock() - started)
-                for violation in violations:
-                    self._record(violation)
-
     # -- the audit ------------------------------------------------------
 
     def _audit_replicas(self) -> list[InvariantChecker]:
@@ -434,8 +355,6 @@ class SanitizerRuntime:
         audit's cost would grow quadratically with run length.
         """
         if self._audit_checkers is None:
-            from .checkers import MicroblockSignature, SignatureCache
-
             audit_cache = SignatureCache()
             replicas: list[InvariantChecker] = []
             for checker in self.checkers:
@@ -556,21 +475,6 @@ class SanitizerRuntime:
                 index=snapshot.index,
                 nodes=len(snapshot.digests),
             )
-
-
-class _LegacyDirtyShim:
-    """Adapts a duck-typed checker with only ``check_state`` to the
-    incremental loop: delegates unconditionally (no ``depends`` to gate
-    on, so every dirty sweep re-checks — correct, just not minimal)."""
-
-    def __init__(self, checker: object) -> None:
-        self._checker = checker
-        self.code = getattr(checker, "code", "INV000")
-
-    def check_dirty(
-        self, node: object, node_id: int, delta: NodeDelta, now: float
-    ) -> list[ViolationRecord]:
-        return self._checker.check_state(node, node_id, now)  # type: ignore[attr-defined]
 
 
 def _component_dirty(current: object, last: object) -> bool:

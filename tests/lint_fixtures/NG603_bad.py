@@ -1,11 +1,11 @@
 from repro.protocols import ProtocolAdapter
 
 
-class OptOutAdapter(ProtocolAdapter):
-    name = "optout"
+class QuietResyncAdapter(ProtocolAdapter):
+    name = "quiet-resync"
 
     def build_nodes(self, config, sim, network, log, shares):
         return [], None
 
-    def supports_incremental_check(self):
-        return False
+    def resync(self, node, *, sim):
+        node.reset_relay_state()

@@ -1,9 +1,11 @@
 from repro.protocols import ProtocolAdapter
 
 
-class OptOutAdapter(ProtocolAdapter):
-    name = "optout"
-    supports_incremental_check = False
+class QuietResyncAdapter(ProtocolAdapter):
+    name = "quiet-resync"
 
     def build_nodes(self, config, sim, network, log, shares):
         return [], None
+
+    def resync(self, node, *, sim, network):
+        node.reset_relay_state()

@@ -62,14 +62,51 @@ def test_check_flag_parses_bare_and_with_mode():
     parser = build_parser()
     assert parser.parse_args(["run"]).check is None
     assert parser.parse_args(["run", "--check"]).check == "incremental"
-    assert parser.parse_args(["run", "--check", "full"]).check == "full"
     assert parser.parse_args(["run", "--check", "audit"]).check == "audit"
     assert (
-        parser.parse_args(["sweep", "frequency", "--check", "full"]).check
-        == "full"
+        parser.parse_args(["sweep", "frequency", "--check", "audit"]).check
+        == "audit"
     )
     with pytest.raises(SystemExit):
         parser.parse_args(["run", "--check", "bogus"])
+    # The retired full-sweep mode is refused by every --check surface.
+    for command in (
+        ["run"],
+        ["sweep", "frequency"],
+        ["check", "diverge"],
+        ["prof", "run", "--out", "unused"],
+    ):
+        with pytest.raises(SystemExit):
+            parser.parse_args([*command, "--check", "full"])
+
+
+_TINY_RUN = [
+    "run", "--protocol", "bitcoin-ng", "--nodes", "10", "--blocks", "5",
+    "--json",
+]
+
+
+@pytest.mark.parametrize("value", ["audti", "full"])
+def test_repro_check_env_typo_exits_naming_valid_values(monkeypatch, value):
+    monkeypatch.setenv("REPRO_CHECK", value)
+    with pytest.raises(SystemExit) as excinfo:
+        main(_TINY_RUN)
+    message = str(excinfo.value.code)
+    assert excinfo.value.code != 0
+    assert value in message
+    assert "incremental" in message and "audit" in message
+
+
+@pytest.mark.parametrize(
+    "value, expected", [("1", "incremental"), ("audit", "audit"), ("0", None)]
+)
+def test_repro_check_env_valid_values(monkeypatch, capsys, value, expected):
+    import json
+
+    monkeypatch.setenv("REPRO_CHECK", value)
+    assert main(_TINY_RUN) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload.get("check_mode") == expected
 
 
 def test_run_checked_json_reports_mode_and_violations(capsys):

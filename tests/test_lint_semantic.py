@@ -226,7 +226,7 @@ def test_real_tree_has_no_semantic_findings():
     )
 
 
-# -- baselines & NG603 opt-out (regression coverage) -------------------------
+# -- baselines & NG603 lifecycle hooks (regression coverage) ------------------
 
 
 def test_baseline_survives_hide_then_refactor(tmp_path):
@@ -271,85 +271,26 @@ def test_baseline_survives_hide_then_refactor(tmp_path):
     assert report.stale_baseline == []
 
 
-def test_ng603_flags_method_valued_opt_out(tmp_path):
-    """`supports_incremental_check` as a method is always truthy."""
-    bad = tmp_path / "optout_method.py"
+def test_ng603_flags_lifecycle_hook_missing_keyword(tmp_path):
+    """A lifecycle override must keep the contract's keyword surface:
+    the scenario engine calls ``resync(node, sim=..., network=...)``."""
+    bad = tmp_path / "quiet_resync.py"
     bad.write_text(
         "from repro.protocols import ProtocolAdapter\n"
         "\n"
         "\n"
-        "class OptOutAdapter(ProtocolAdapter):\n"
-        '    name = "optout"\n'
+        "class QuietResyncAdapter(ProtocolAdapter):\n"
+        '    name = "quiet-resync"\n'
         "\n"
         "    def build_nodes(self, config, sim, network, log, shares):\n"
         "        return [], None\n"
         "\n"
-        "    def supports_incremental_check(self):\n"
-        "        return False\n",
+        "    def resync(self, node, *, sim):\n"
+        "        node.reset_relay_state()\n",
         encoding="utf-8",
     )
     report = lint_paths([bad])
     assert [f.code for f in report.findings] == ["NG603"]
-    assert "bool class attribute" in report.findings[0].message
-
-
-def test_ng603_flags_non_bool_opt_out_literal(tmp_path):
-    bad = tmp_path / "optout_literal.py"
-    bad.write_text(
-        "from repro.protocols import ProtocolAdapter\n"
-        "\n"
-        "\n"
-        "class OptOutAdapter(ProtocolAdapter):\n"
-        '    name = "optout"\n'
-        '    supports_incremental_check = "no"\n'
-        "\n"
-        "    def build_nodes(self, config, sim, network, log, shares):\n"
-        "        return [], None\n",
-        encoding="utf-8",
-    )
-    report = lint_paths([bad])
-    assert [f.code for f in report.findings] == ["NG603"]
-    assert "bool literal" in report.findings[0].message
-
-
-def test_ng603_accepts_bool_opt_out_attribute(tmp_path):
-    good = tmp_path / "optout_good.py"
-    good.write_text(
-        "from repro.protocols import ProtocolAdapter\n"
-        "\n"
-        "\n"
-        "class OptOutAdapter(ProtocolAdapter):\n"
-        '    name = "optout"\n'
-        "    supports_incremental_check = False\n"
-        "\n"
-        "    def build_nodes(self, config, sim, network, log, shares):\n"
-        "        return [], None\n",
-        encoding="utf-8",
-    )
-    assert lint_paths([good]).findings == []
-
-
-def test_ng603_still_flags_missing_mode_parameter(tmp_path):
-    """The original contract check: `invariant_checkers` must take `mode`.
-
-    This scenario lost its fixture when the NG603 fixtures moved to the
-    opt-out-attribute example, so it is pinned here instead.
-    """
-    bad = tmp_path / "nomode.py"
-    bad.write_text(
-        "from repro.protocols import ProtocolAdapter\n"
-        "\n"
-        "\n"
-        "class NoModeAdapter(ProtocolAdapter):\n"
-        '    name = "nomode"\n'
-        "\n"
-        "    def build_nodes(self, config, sim, network, log, shares):\n"
-        "        return [], None\n"
-        "\n"
-        "    def invariant_checkers(self):\n"
-        "        return []\n",
-        encoding="utf-8",
-    )
-    report = lint_paths([bad])
-    assert [f.code for f in report.findings] == ["NG603"]
-    assert "mode" in report.findings[0].message
+    message = report.findings[0].message
+    assert "`resync()`" in message
+    assert "missing `network`" in message

@@ -336,6 +336,59 @@ def test_profile_experiment_checked_run_attributes_checkers():
     assert checker_total <= profile.phases["sanitize"].seconds + 1e-9
 
 
+@pytest.mark.parametrize("mode", ["incremental", "audit"])
+def test_profiled_sweep_is_the_unprofiled_sweep(mode, count_calls):
+    """The profiler's timing proxies neither skip nor double-call a
+    checker: same sweeps, same findings, same per-checker call counts
+    as the bare sweep — and the counts the profile reports are those."""
+    from repro.experiments import run_experiment
+    from repro.protocols import get_adapter
+    from repro.sanitizer import SanitizerRuntime
+
+    config = _small_config(check=True, check_mode=mode, check_stride=16)
+
+    def spied_run(profiler):
+        checkers = get_adapter(config.protocol).invariant_checkers()
+        spies = {
+            checker.code: (
+                count_calls(checker, "check_block"),
+                count_calls(checker, "check_dirty"),
+            )
+            for checker in checkers
+        }
+        runtime = SanitizerRuntime(
+            checkers, stride=16, mode=mode, profiler=profiler
+        )
+        result, _log = run_experiment(
+            config, sanitizer=runtime, profiler=profiler
+        )
+        calls = {
+            code: len(blocks) + len(dirties)
+            for code, (blocks, dirties) in spies.items()
+        }
+        return result, runtime, calls
+
+    bare_result, bare_runtime, bare_calls = spied_run(None)
+    profiler = ProfilerRuntime()
+    result, runtime, calls = spied_run(profiler)
+    assert runtime.violations == bare_runtime.violations == []
+    assert runtime.sweeps == bare_runtime.sweeps > 0
+    assert runtime.audits == bare_runtime.audits
+    assert result.events_processed == bare_result.events_processed
+    assert calls == bare_calls
+    assert all(calls.values())  # every checker was reached
+    profile = profiler.build_profile(
+        meta={},
+        wall_setup=result.wall_setup_seconds,
+        wall_simulate=result.wall_simulate_seconds,
+        events=result.events_processed,
+        end_time=config.duration + config.cooldown,
+    )
+    assert {
+        code: stat.calls for code, stat in profile.checkers.items()
+    } == calls
+
+
 def test_prof_span_records_land_in_trace(tmp_path):
     from repro.obs import Observability
     from repro.obs.trace import MemorySink, Tracer

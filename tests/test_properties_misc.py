@@ -10,8 +10,10 @@ from repro.core.incentives import (
     min_leader_fraction,
 )
 from repro.core.remuneration import split_fee
-from repro.net.events import EventQueue
-from repro.net.links import Link
+from repro.net.links import SMALL_MESSAGE_CUTOFF
+from repro.net.simulator import Simulator
+
+from .test_net_links import OneLink
 
 
 @given(
@@ -56,12 +58,11 @@ def test_window_interior_compatible_exterior_not(alpha):
     )
 )
 def test_event_queue_pops_in_order(times):
-    queue = EventQueue()
-    for t in times:
-        queue.push(t, lambda: None)
+    sim = Simulator()
     popped = []
-    while (event := queue.pop()) is not None:
-        popped.append(event.time)
+    for t in times:
+        sim.schedule_at(t, lambda: popped.append(sim.now))
+    sim.run()
     assert popped == sorted(times)
 
 
@@ -78,9 +79,8 @@ def test_event_queue_pops_in_order(times):
 )
 def test_link_bulk_arrivals_fifo_monotone(sends):
     """Bulk messages on one directed link arrive in send order (FIFO)."""
-    link = Link(latency=0.05, bandwidth=10_000)
     sends = sorted(sends, key=lambda pair: pair[0])
-    arrivals = [link.transfer(now, size) for now, size in sends]
+    arrivals = OneLink(0.05, 10_000).transfer(*sends)
     assert arrivals == sorted(arrivals)
     for (now, size), arrival in zip(sends, arrivals):
         assert arrival >= now + 0.05 + size / 10_000 - 1e-9
@@ -99,11 +99,10 @@ def test_link_bulk_arrivals_fifo_monotone(sends):
 )
 def test_link_small_messages_never_blocked(sends):
     """Small messages always arrive after exactly their own cost."""
-    link = Link(latency=0.05, bandwidth=10_000)
     sends = sorted(sends, key=lambda pair: pair[0])
     import pytest
 
-    for now, size in sends:
-        arrival = link.transfer(now, size)
-        if size <= link.interleave_cutoff:
+    arrivals = OneLink(0.05, 10_000).transfer(*sends)
+    for (now, size), arrival in zip(sends, arrivals):
+        if size <= SMALL_MESSAGE_CUTOFF:
             assert arrival == pytest.approx(now + 0.05 + size / 10_000)

@@ -2,19 +2,20 @@
 
 Four layers of coverage:
 
-* every hand-built violating state from the full-sweep suite is still
-  caught when swept *incrementally* (dirty-set tracking + the shared
+* every hand-built violating state from ``tests/test_sanitizer.py`` is
+  caught by the runtime's sweep (dirty-set tracking + the shared
   signature cache), including INV109's cross-sweep rollback;
 * the :class:`~repro.sanitizer.checkers.SignatureCache` — exactly-once
   verification, negative-verdict caching, and the reorg story: a
   microblock re-judged under a different epoch leader is a different
   cache key, never a stale verdict;
-* the audit machinery — ``mode="audit"`` cross-checks the incremental
-  path with from-scratch full sweeps and surfaces anything missed as a
-  ``SAN901`` audit-divergence alongside the finding itself;
+* the audit machinery — ``mode="audit"`` cross-checks the sweep with
+  from-scratch walks by independent replica checkers and surfaces
+  anything missed as a ``SAN901`` audit-divergence alongside the
+  finding itself;
 * the :class:`~repro.experiments.RunInstrumentation` options object and
-  the end-to-end equivalences: incremental ≡ full ≡ audit checked runs,
-  all bit-identical to bare runs, with the leader-crash scenario clean
+  the end-to-end equivalences: incremental ≡ audit checked runs, both
+  bit-identical to bare runs, with the leader-crash scenario clean
   under incremental checking.
 """
 
@@ -54,7 +55,10 @@ from repro.sanitizer import (
     SignatureCache,
     ng_checkers,
 )
-from repro.sanitizer.checkers import validate_check_mode
+from repro.sanitizer.checkers import (
+    MicroblockSignature,
+    shared_signature_cache,
+)
 from repro.scenarios import load_scenario
 
 PARAMS = NGParams(key_block_interval=100.0, min_microblock_interval=10.0)
@@ -146,7 +150,7 @@ def _epoch_chain(coinbase2=None):
     return chain
 
 
-# -- every full-sweep fixture, swept incrementally ----------------------------
+# -- every violation fixture, through the sweep -------------------------------
 
 
 def _fixture_inflating_coinbase():
@@ -333,7 +337,10 @@ def test_incremental_skips_provably_clean_nodes():
     assert calls == [0, 0]
 
 
-def test_full_mode_never_skips():
+def test_audit_stride_one_rechecks_every_sweep():
+    """The audit replica is the never-skipping reference: with
+    ``audit_stride=1`` it re-runs the state check on every sweep, while
+    the live checker runs only when its ``depends`` is dirty."""
     calls = []
 
     class Counting(InvariantChecker):
@@ -341,16 +348,21 @@ def test_full_mode_never_skips():
         depends = frozenset({"mempool"})
 
         def check_state(self, node, node_id, now):
-            calls.append(node_id)
+            calls.append(self)
             return []
 
+    live = Counting()
     sim = _FakeSim()
-    runtime = SanitizerRuntime([Counting()], stride=1, mode="full")
+    runtime = SanitizerRuntime([live], stride=1, mode="audit", audit_stride=1)
     runtime.install(sim, [_node(_epoch_chain())])
     sim.probe()
     sim.probe()
     sim.probe()
-    assert calls == [0, 0, 0]
+    assert runtime.audits == 3
+    assert [checker is live for checker in calls] == [
+        True, False, False, False,
+    ]
+    assert len({id(checker) for checker in calls}) == 2  # one replica, reused
 
 
 # -- the signature cache ------------------------------------------------------
@@ -428,21 +440,27 @@ def test_cache_bounds_its_size_by_clearing():
 
 
 def test_invalid_factory_mode_is_rejected():
-    with pytest.raises(ValueError, match="unknown check mode"):
-        validate_check_mode("bogus")
-    with pytest.raises(ValueError, match="unknown check mode"):
-        ng_checkers(mode="bogus")
-    with pytest.raises(ValueError, match="unknown sanitizer mode"):
-        SanitizerRuntime((), mode="bogus")
+    # The factories select nothing any more: any mode argument is refused.
+    with pytest.raises(TypeError):
+        ng_checkers("incremental")
+    with pytest.raises(TypeError):
+        get_adapter("bitcoin-ng").invariant_checkers(mode="incremental")
+    for mode in ("bogus", "full"):
+        with pytest.raises(ValueError, match="unknown sanitizer mode"):
+            SanitizerRuntime((), mode=mode)
 
 
-def test_full_mode_factory_builds_uncached_inv104():
-    from repro.sanitizer.checkers import MicroblockSignature
-
-    cached = [c for c in ng_checkers("incremental") if isinstance(c, MicroblockSignature)]
-    uncached = [c for c in ng_checkers("full") if isinstance(c, MicroblockSignature)]
-    assert cached[0].cache is not None
-    assert uncached[0].cache is None
+def test_live_inv104_shares_the_cache_and_the_audit_replica_does_not():
+    live = [c for c in ng_checkers() if isinstance(c, MicroblockSignature)]
+    assert live[0].cache is shared_signature_cache()
+    runtime = SanitizerRuntime(ng_checkers(), mode="audit")
+    replicas = [
+        c for c in runtime._audit_replicas()
+        if isinstance(c, MicroblockSignature)
+    ]
+    assert len(runtime._audit_replicas()) == len(runtime.checkers)
+    assert isinstance(replicas[0].cache, SignatureCache)
+    assert replicas[0].cache is not shared_signature_cache()
 
 
 # -- the audit ----------------------------------------------------------------
@@ -561,50 +579,35 @@ def test_instrumentation_unchecked_builds_no_sanitizer():
 
 def test_instrumentation_builds_runtime_in_requested_mode():
     adapter = get_adapter("bitcoin-ng")
-    for mode in ("incremental", "full", "audit"):
+    for mode in ("incremental", "audit"):
         inst = RunInstrumentation(check=True, check_mode=mode)
         runtime = inst.build_sanitizer(adapter)
         assert runtime.mode == mode
         assert len(runtime.checkers) == len(ng_checkers())
 
 
-def test_adapter_can_opt_out_of_incremental_checking():
-    class Legacy:
-        supports_incremental_check = False
-
-        def invariant_checkers(self, mode="incremental"):
-            assert mode == "full"
-            return ng_checkers(mode)
-
-    inst = RunInstrumentation(check=True, check_mode="incremental")
-    runtime = inst.build_sanitizer(Legacy())
-    assert runtime.mode == "full"
-
-
-def test_legacy_adapter_without_mode_parameter_still_works():
-    class Old:
-        def invariant_checkers(self):  # pre-mode signature
-            return ng_checkers()
-
-    inst = RunInstrumentation(check=True, check_mode="incremental")
-    runtime = inst.build_sanitizer(Old())
-    assert runtime is not None
-    assert len(runtime.checkers) == len(ng_checkers())
-
-
 def test_resolve_check_mode_resolution_order():
     assert resolve_check_mode(None, "") is None
     assert resolve_check_mode(None, "0") is None
     assert resolve_check_mode(None, "1") == "incremental"
-    assert resolve_check_mode(None, "full") == "full"
+    assert resolve_check_mode(None, "incremental") == "incremental"
     assert resolve_check_mode(None, "audit") == "audit"
-    assert resolve_check_mode("full", "audit") == "full"  # flag wins
-    assert resolve_check_mode("incremental", "") == "incremental"
+    assert resolve_check_mode("incremental", "audit") == "incremental"  # flag wins
+    assert resolve_check_mode("audit", "") == "audit"
+
+
+@pytest.mark.parametrize("value", ["audti", "full", "true", "2"])
+def test_resolve_check_mode_rejects_unknown_env_values(value):
+    # A typo (or the retired ``full``) must not silently run the
+    # default, weaker-than-asked-for incremental mode.
+    with pytest.raises(ValueError, match="incremental, audit"):
+        resolve_check_mode(None, value)
 
 
 def test_config_rejects_unknown_check_mode():
-    with pytest.raises(ValueError, match="check_mode"):
-        ExperimentConfig(check_mode="bogus")
+    for mode in ("bogus", "full"):
+        with pytest.raises(ValueError, match="check_mode"):
+            ExperimentConfig(check_mode=mode)
 
 
 # -- end-to-end equivalence ---------------------------------------------------
@@ -625,7 +628,7 @@ CHECKED = dict(
 def test_checked_modes_are_bit_identical_to_bare():
     bare, _ = run_experiment(ExperimentConfig(**CHECKED))
     reference = None
-    for mode in ("incremental", "full", "audit"):
+    for mode in ("incremental", "audit"):
         config = ExperimentConfig(
             check=True, check_mode=mode, check_stride=32, **CHECKED
         )
