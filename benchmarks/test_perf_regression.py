@@ -158,25 +158,28 @@ PUMP_EVENTS = 200_000
 INCREMENTAL_RATIO_CEILING = 3.0
 
 
+def _pump_round(observer: Any = None) -> float:
+    """One pass of the self-rescheduling pump: events per wall second."""
+    sim = Simulator(seed=0)
+    if observer is not None:
+        sim.attach(observer)
+    count = 0
+
+    def tick() -> None:
+        nonlocal count
+        count += 1
+        if count < PUMP_EVENTS:
+            sim.schedule(1.0, tick)
+
+    sim.schedule(0.0, tick)
+    start = time.perf_counter()
+    sim.run()
+    return PUMP_EVENTS / (time.perf_counter() - start)
+
+
 def _pump_events_per_sec() -> float:
     """Dispatch rate of the bare event loop (no network, no protocol)."""
-
-    def one_round() -> float:
-        sim = Simulator(seed=0)
-        count = 0
-
-        def tick() -> None:
-            nonlocal count
-            count += 1
-            if count < PUMP_EVENTS:
-                sim.schedule(1.0, tick)
-
-        sim.schedule(0.0, tick)
-        start = time.perf_counter()
-        sim.run()
-        return PUMP_EVENTS / (time.perf_counter() - start)
-
-    return max(one_round() for _ in range(3))
+    return max(_pump_round() for _ in range(3))
 
 
 def test_event_core_dispatch_rate():
@@ -388,56 +391,47 @@ def test_obs_disabled_overhead():
     )
 
 
-def test_sanitizer_disabled_overhead():
-    """A run without ``--check`` pays nothing for the sanitizer.
+class _PassThroughObserver:
+    """Attached, but asks for nothing: hands back the pair it was given."""
 
-    The disabled path is one ``None``-check of the simulator's probe
-    slot per event — ``run_experiment`` installs no probe unless
-    ``config.check`` is on.  Interleaved A/B rounds of the 200k-event
-    pump, bare versus explicitly-disabled (``set_probe(None)``), must
-    stay within the same 5% bound the observability layer honors; the
-    bound trips if a default probe or extra per-event work ever lands
-    in the disabled path.  (What turning checking *on* costs is the
-    gated ``sanitizer_incremental`` section.)
+    def wrap_dispatch(self, heappop: Any, probe: Any) -> tuple[Any, Any]:
+        return heappop, probe
+
+
+def test_observer_seam_overhead():
+    """Attaching to the dispatch seam costs nothing per event.
+
+    ``Simulator.attach`` is how the sanitizer and the profiler watch the
+    one dispatch loop: each observer is asked once per ``run()`` for the
+    pop and the probe to use.  An observer that hands back what it was
+    given leaves the loop on ``heapq.heappop`` with no probe — the very
+    loop an unobserved run executes — so interleaved rounds of the
+    200k-event pump, observed over bare, must stay within the 5% bound
+    the observability layer honors.  The bound trips if per-event work
+    ever lands in the seam itself rather than in what an observer asks
+    for.  (What an observer that *does* ask costs is the gated
+    ``sanitizer_incremental`` section and the ``profile`` section.)
     """
-
-    def one_round(install_probe: bool) -> float:
-        sim = Simulator(seed=0)
-        if install_probe:
-            sim.set_probe(None)  # the disabled state, made explicit
-        count = 0
-
-        def tick() -> None:
-            nonlocal count
-            count += 1
-            if count < PUMP_EVENTS:
-                sim.schedule(1.0, tick)
-
-        sim.schedule(0.0, tick)
-        start = time.perf_counter()
-        sim.run()
-        return PUMP_EVENTS / (time.perf_counter() - start)
-
     bare_rate = 0.0
-    disabled_rate = 0.0
-    for _ in range(3):
-        bare_rate = max(bare_rate, one_round(install_probe=False))
-        disabled_rate = max(disabled_rate, one_round(install_probe=True))
+    observed_rate = 0.0
+    for _ in range(9):  # best-of: noise only ever slows a round down
+        bare_rate = max(bare_rate, _pump_round())
+        observed_rate = max(observed_rate, _pump_round(_PassThroughObserver()))
 
-    ratio = disabled_rate / bare_rate
+    ratio = observed_rate / bare_rate
     update_bench(
         BENCH_JSON,
-        "sanitizer",
+        "observer_seam",
         {
             "pump_events": PUMP_EVENTS,
             "bare_events_per_sec": round(bare_rate, 1),
-            "disabled_check_events_per_sec": round(disabled_rate, 1),
-            "disabled_over_bare_ratio": round(ratio, 4),
+            "pass_through_observer_events_per_sec": round(observed_rate, 1),
+            "observed_over_bare_ratio": round(ratio, 4),
         },
     )
     assert ratio >= 0.95, (
-        f"disabled sanitizer cost {1 - ratio:.1%} of dispatch rate "
-        f"(bound: 5%)"
+        f"an attached pass-through observer cost {1 - ratio:.1%} of "
+        f"dispatch rate (bound: 5%)"
     )
 
 
@@ -564,58 +558,6 @@ def test_scenario_disabled_overhead():
     # anything beyond noise means dispatch leaked into the hot path.
     assert ratio < 1.20, (
         f"empty scenario cost {ratio - 1:.1%} wall time over a bare run"
-    )
-
-
-def test_profiler_disabled_overhead():
-    """A run without ``--prof`` pays nothing for the profiler.
-
-    The disabled path is one ``None``-check of the simulator's profiler
-    slot at the top of ``run()`` — a profiled run branches into its own
-    loop, so the bare dispatch loop is byte-identical with or without
-    the profiler subsystem present.  Interleaved A/B rounds of the
-    200k-event pump, bare versus explicitly-disabled
-    (``set_profiler(None)``), must stay within the same 5% bound the
-    observability and sanitizer layers honor.
-    """
-
-    def one_round(install_profiler: bool) -> float:
-        sim = Simulator(seed=0)
-        if install_profiler:
-            sim.set_profiler(None)  # the disabled state, made explicit
-        count = 0
-
-        def tick() -> None:
-            nonlocal count
-            count += 1
-            if count < PUMP_EVENTS:
-                sim.schedule(1.0, tick)
-
-        sim.schedule(0.0, tick)
-        start = time.perf_counter()
-        sim.run()
-        return PUMP_EVENTS / (time.perf_counter() - start)
-
-    bare_rate = 0.0
-    disabled_rate = 0.0
-    for _ in range(3):
-        bare_rate = max(bare_rate, one_round(install_profiler=False))
-        disabled_rate = max(disabled_rate, one_round(install_profiler=True))
-
-    ratio = disabled_rate / bare_rate
-    update_bench(
-        BENCH_JSON,
-        "profiler_overhead",
-        {
-            "pump_events": PUMP_EVENTS,
-            "bare_events_per_sec": round(bare_rate, 1),
-            "disabled_prof_events_per_sec": round(disabled_rate, 1),
-            "disabled_over_bare_ratio": round(ratio, 4),
-        },
-    )
-    assert ratio >= 0.95, (
-        f"disabled profiler cost {1 - ratio:.1%} of dispatch rate "
-        f"(bound: 5%)"
     )
 
 
@@ -882,10 +824,9 @@ def test_bench_json_is_valid():
         "scale_1000",
         "sweep_dispatch",
         "obs_overhead",
-        "sanitizer",
+        "observer_seam",
         "sanitizer_incremental",
         "scenario_overhead",
-        "profiler_overhead",
         "profile",
         "lint",
         "lint_semantic",

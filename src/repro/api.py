@@ -12,10 +12,11 @@ Experiments
     :class:`ExperimentResult`, the frequency/size sweeps, and
     :func:`constant_throughput_block_size`.
 Instrumentation
-    :class:`RunInstrumentation` — the one options object for checked
-    (``--check``), traced (``--obs``), and fault-injected
-    (``--scenario``) runs; shared by ``repro run``, ``repro sweep``,
-    and sweep workers.
+    Config fields, not a separate object: ``check`` / ``check_mode`` /
+    ``check_stride`` (``--check``), ``obs_dir`` (``--obs``) and
+    ``scenario`` (``--scenario``) on :class:`ExperimentConfig` describe
+    a checked, traced, fault-injected run, and travel to sweep workers
+    with it — ``config.with_(check=True, obs_dir="out/")``.
 Protocol adapters
     :class:`ProtocolAdapter` plus the registry
     (:func:`register_adapter` / :func:`unregister_adapter` /
@@ -45,7 +46,6 @@ from .experiments import (
     ExperimentResult,
     PowerEvent,
     Protocol,
-    RunInstrumentation,
     SweepPoint,
     SweepResult,
     build_network,
@@ -80,7 +80,6 @@ __all__ = [
     "ProfilerRuntime",
     "Protocol",
     "ProtocolAdapter",
-    "RunInstrumentation",
     "SanitizerRuntime",
     "SweepPoint",
     "SweepResult",

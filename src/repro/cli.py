@@ -34,69 +34,143 @@ from .experiments import (
     CHECK_MODES,
     ExperimentConfig,
     Protocol,
-    RunInstrumentation,
     format_propagation_table,
     format_sweep_table,
     frequency_sweep,
     propagation_study,
     resolve_check_mode,
+    resolve_jobs,
     run_experiment,
     size_sweep,
 )
 
-_PROTOCOLS = {protocol.value: protocol for protocol in Protocol}
 
+def add_run_arguments(
+    parser: argparse.ArgumentParser,
+    *,
+    protocol: bool = False,
+    instrumentation: tuple[str, ...] = (),
+    nodes: int = 100,
+    blocks: int = 60,
+    block_rate: float = 0.1,
+    block_size: int = 20_000,
+    key_block_rate: float = 0.01,
+) -> None:
+    """Declare the flags that describe a run — the one place they are.
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--nodes", type=int, default=100, help="network size")
+    Every subcommand that runs an experiment gets ``--nodes``,
+    ``--seed`` and ``--blocks``; ``protocol`` adds ``--protocol``, the
+    block parameters and ``--key-blocks`` (the sweeps and the
+    propagation study set those per cell); ``instrumentation`` names
+    which of ``check``, ``obs`` and ``scenario`` the subcommand offers.
+    The keyword defaults are the subcommand's workload.
+    :func:`config_from_args` reads back whatever was declared.
+    """
+    parser.add_argument("--nodes", type=int, default=nodes, help="network size")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--blocks", type=int, default=60, help="target blocks per run"
+        "--blocks", type=int, default=blocks, help="target blocks per run"
     )
+    if protocol:
+        parser.add_argument(
+            "--protocol",
+            choices=sorted(member.value for member in Protocol),
+            default="bitcoin-ng",
+        )
+        parser.add_argument("--block-rate", type=float, default=block_rate)
+        parser.add_argument("--block-size", type=int, default=block_size)
+        parser.add_argument(
+            "--key-block-rate", type=float, default=key_block_rate
+        )
+        parser.add_argument(
+            "--key-blocks",
+            type=int,
+            default=None,
+            metavar="N",
+            help="target key blocks per run (run duration is whichever of "
+            "--blocks/--key-blocks takes longer at its rate; lower this "
+            "for short large-network smokes)",
+        )
+    if "check" in instrumentation:
+        parser.add_argument(
+            "--check",
+            nargs="?",
+            const="incremental",
+            choices=CHECK_MODES,
+            default=None,
+            metavar="MODE",
+            help="checked mode: sweep protocol invariants (repro.sanitizer) "
+            "during the run(s); violations are reported and exit nonzero. "
+            "MODE is incremental (default: dirty-set sweeps + the verified-"
+            "signature cache) or audit (the same plus a periodic from-"
+            "scratch cross-check with independent replica checkers).  "
+            "Also enabled by REPRO_CHECK=1 or REPRO_CHECK=<mode>",
+        )
+    if "obs" in instrumentation:
+        parser.add_argument(
+            "--obs",
+            metavar="DIR",
+            default=None,
+            help="enable the observability layer and write each run's "
+            "event trace and metric snapshot into DIR (analyze with "
+            "`repro trace`)",
+        )
+    if "scenario" in instrumentation:
+        parser.add_argument(
+            "--scenario",
+            metavar="FILE",
+            default=None,
+            help="inject faults from a scenario JSON file (repro.scenarios) "
+            "into every run; fault events land in the --obs trace",
+        )
 
 
-def _check_mode_requested(args: argparse.Namespace) -> str | None:
-    """The requested check mode: --check[=MODE], or REPRO_CHECK.
+def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """The :class:`ExperimentConfig` a parsed command line describes.
 
-    This is the single place the environment toggle is read (the CLI is
-    a config entry point; see lint rule NG202) — it flows everywhere
-    else as ``config.check``/``config.check_mode``.  ``REPRO_CHECK``
-    accepts ``0``/empty (off), ``1`` (incremental) or a mode name;
-    anything else exits with the valid values rather than silently
-    running a weaker check than the one asked for.
+    The inverse of :func:`add_run_arguments`: flags a subcommand did not
+    declare keep their config defaults.  This is also the single place
+    ``REPRO_CHECK`` is read (the CLI is a config entry point; see lint
+    rule NG202), so it reaches every subcommand that runs an experiment,
+    ``--check`` flag or not.  It accepts ``0``/empty (off), ``1``
+    (incremental) or a mode name; anything else exits with the valid
+    values rather than silently running a weaker check than asked for.
     """
     try:
-        return resolve_check_mode(
+        mode = resolve_check_mode(
             getattr(args, "check", None), os.environ.get("REPRO_CHECK", "")
         )
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
+    fields: dict = {
+        "n_nodes": args.nodes,
+        "seed": args.seed,
+        "target_blocks": args.blocks,
+        "check": mode is not None,
+        "check_mode": mode or "incremental",
+        "obs_dir": getattr(args, "obs", None),
+    }
+    if hasattr(args, "protocol"):
+        fields.update(
+            protocol=args.protocol,
+            block_rate=args.block_rate,
+            block_size_bytes=args.block_size,
+            key_block_rate=args.key_block_rate,
+        )
+        if args.key_blocks is not None:
+            fields["target_key_blocks"] = args.key_blocks
+    if getattr(args, "scenario", None) is not None:
+        from .scenarios import ScenarioError, load_scenario
 
-
-def _instrumentation(args: argparse.Namespace) -> RunInstrumentation:
-    """Parse the shared --check/--obs/--scenario surface once."""
-    return RunInstrumentation.from_args(
-        args, check_mode=_check_mode_requested(args)
-    )
-
-
-def _base_config(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(
-        n_nodes=args.nodes,
-        seed=args.seed,
-        target_blocks=args.blocks,
-    )
+        try:
+            fields["scenario"] = load_scenario(args.scenario)
+        except ScenarioError as exc:
+            raise SystemExit(f"error: {exc}")
+    return ExperimentConfig(**fields)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _instrumentation(args).apply(_base_config(args)).with_(
-        protocol=_PROTOCOLS[args.protocol],
-        block_rate=args.block_rate,
-        block_size_bytes=args.block_size,
-        key_block_rate=args.key_block_rate,
-    )
-    if args.key_blocks is not None:
-        config = config.with_(target_key_blocks=args.key_blocks)
+    config = config_from_args(args)
     result, log = run_experiment(config)
     # Event rate over the simulate phase only: topology construction is
     # O(n^2) setup work and would dilute the number the dispatch loop
@@ -172,9 +246,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .experiments import sweep_chart
 
-    instrumentation = _instrumentation(args)
-    base = instrumentation.apply(_base_config(args))
-    scenario = instrumentation.scenario
+    base = config_from_args(args)
     seeds = tuple(args.seeds)
     progress = None
     if args.progress:
@@ -206,8 +278,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.obs:
         cells = sum(1 for p in sweep.points for r in p.results if r.obs)
         print(f"\nobs: {cells} per-cell traces + metric snapshots in {args.obs}")
-    if scenario is not None:
-        print(f"\nscenario: {scenario['name']} injected into every cell")
+    if base.scenario is not None:
+        print(f"\nscenario: {base.scenario['name']} injected into every cell")
     if args.chart:
         for metric in args.chart:
             print()
@@ -263,12 +335,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_propagation(args: argparse.Namespace) -> int:
     # No --check flag here, but REPRO_CHECK still applies (it always has).
-    mode = _check_mode_requested(args)
-    config = _base_config(args)
-    if mode is not None:
-        config = config.with_(check=True, check_mode=mode)
+    config = config_from_args(args)
     points = propagation_study(config)
     print(format_propagation_table(points))
+    if config.check:
+        total = sum(point.violations for point in points)
+        print(f"\ninvariant violations across all sizes: {total}")
+        if total:
+            return 1
     return 0
 
 
@@ -293,56 +367,15 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     run_parser = commands.add_parser("run", help="run one experiment")
-    _add_common(run_parser)
-    run_parser.add_argument(
-        "--protocol",
-        choices=sorted(_PROTOCOLS),
-        default="bitcoin-ng",
-    )
-    run_parser.add_argument("--block-rate", type=float, default=0.1)
-    run_parser.add_argument("--block-size", type=int, default=20_000)
-    run_parser.add_argument("--key-block-rate", type=float, default=0.01)
-    run_parser.add_argument(
-        "--key-blocks",
-        type=int,
-        default=None,
-        metavar="N",
-        help="target key blocks per run (run duration is whichever of "
-        "--blocks/--key-blocks takes longer at its rate; lower this "
-        "for short large-network smokes)",
+    add_run_arguments(
+        run_parser,
+        protocol=True,
+        instrumentation=("check", "obs", "scenario"),
     )
     run_parser.add_argument(
         "--save-trace",
         metavar="PATH",
         help="export the execution's observation log as JSON",
-    )
-    run_parser.add_argument(
-        "--obs",
-        metavar="DIR",
-        default=None,
-        help="enable the observability layer and write the event trace "
-        "and metric snapshot into DIR (analyze with `repro trace`)",
-    )
-    run_parser.add_argument(
-        "--scenario",
-        metavar="FILE",
-        default=None,
-        help="inject faults from a scenario JSON file (repro.scenarios); "
-        "fault events land in the --obs trace",
-    )
-    run_parser.add_argument(
-        "--check",
-        nargs="?",
-        const="incremental",
-        choices=CHECK_MODES,
-        default=None,
-        metavar="MODE",
-        help="checked mode: sweep protocol invariants (repro.sanitizer) "
-        "during the run; violations are reported and exit nonzero. "
-        "MODE is incremental (default: dirty-set sweeps + the verified-"
-        "signature cache) or audit (the same plus a periodic from-"
-        "scratch cross-check with independent replica checkers).  "
-        "Also enabled by REPRO_CHECK=1 or REPRO_CHECK=<mode>",
     )
     run_parser.add_argument(
         "--json",
@@ -356,7 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="run a Figure 8 parameter sweep"
     )
     sweep_parser.add_argument("axis", choices=("frequency", "size"))
-    _add_common(sweep_parser)
+    add_run_arguments(
+        sweep_parser, instrumentation=("check", "obs", "scenario")
+    )
     sweep_parser.add_argument(
         "--seeds", type=int, nargs="+", default=[0], help="seeds to average"
     )
@@ -374,28 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also render ASCII charts for these metrics",
     )
     sweep_parser.add_argument(
-        "--obs",
-        metavar="DIR",
-        default=None,
-        help="write a per-cell event trace and metric snapshot into DIR",
-    )
-    sweep_parser.add_argument(
-        "--scenario",
-        metavar="FILE",
-        default=None,
-        help="inject the same fault scenario into every sweep cell",
-    )
-    sweep_parser.add_argument(
-        "--check",
-        nargs="?",
-        const="incremental",
-        choices=CHECK_MODES,
-        default=None,
-        metavar="MODE",
-        help="checked mode in every sweep cell; MODE as for `repro run` "
-        "(also REPRO_CHECK=1 or REPRO_CHECK=<mode>)",
-    )
-    sweep_parser.add_argument(
         "--progress",
         action="store_true",
         help="print a per-cell heartbeat to stderr as pool workers "
@@ -406,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     prop_parser = commands.add_parser(
         "propagation", help="run the Figure 7 propagation study"
     )
-    _add_common(prop_parser)
+    add_run_arguments(prop_parser)
     prop_parser.set_defaults(handler=_cmd_propagation)
 
     inc_parser = commands.add_parser(
@@ -468,6 +481,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if hasattr(args, "jobs"):
+        # sweep, mutate: a bad --jobs / REPRO_JOBS is a usage error, and
+        # one reported before any work starts.
+        try:
+            args.jobs = resolve_jobs(args.jobs)
+        except ValueError as exc:
+            raise SystemExit(f"error: {exc}")
     try:
         return args.handler(args)
     except BrokenPipeError:

@@ -6,6 +6,7 @@ from .config import (
     ExperimentConfig,
     Protocol,
     constant_throughput_block_size,
+    resolve_check_mode,
 )
 from .difficulty_dynamics import (
     DifficultyTrace,
@@ -22,7 +23,6 @@ from .propagation import (
     propagation_samples,
     propagation_study,
 )
-from .instrumentation import RunInstrumentation, resolve_check_mode
 from .parallel import JOBS_ENV_VAR, SweepExecutor, resolve_jobs, run_many
 from .reporting import (
     METRIC_COLUMNS,
@@ -60,7 +60,6 @@ __all__ = [
     "PowerEvent",
     "PropagationPoint",
     "Protocol",
-    "RunInstrumentation",
     "resolve_check_mode",
     "run_power_drop",
     "simulate_difficulty_dynamics",

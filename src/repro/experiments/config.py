@@ -32,11 +32,38 @@ __all__ = [
     "ExperimentConfig",
     "Protocol",
     "constant_throughput_block_size",
+    "resolve_check_mode",
 ]
 
 #: ``ExperimentConfig.check_mode`` values — also the ``--check`` choices
 #: and the mode names ``REPRO_CHECK`` accepts.
 CHECK_MODES = ("incremental", "audit")
+
+
+def resolve_check_mode(
+    flag_value: str | None, env_value: str = ""
+) -> str | None:
+    """The requested check mode, or ``None`` for an unchecked run.
+
+    ``flag_value`` is the ``--check`` argument (``None`` absent, a mode
+    string present); ``env_value`` is the raw ``REPRO_CHECK`` contents —
+    empty/``0`` off, ``1`` the default incremental mode, a mode name
+    that mode.  Anything else raises :class:`ValueError`: a mistyped
+    mode must not quietly run a weaker check than the one asked for.
+    No environment variable is read here; :mod:`repro.cli` does that.
+    """
+    if flag_value is not None:
+        return flag_value
+    if env_value in ("", "0"):
+        return None
+    if env_value == "1":
+        return "incremental"
+    if env_value in CHECK_MODES:
+        return env_value
+    raise ValueError(
+        f"REPRO_CHECK={env_value!r} is not a check mode: use 0 (off), "
+        f"1 (incremental) or one of {', '.join(CHECK_MODES)}"
+    )
 
 
 @dataclass(frozen=True)

@@ -60,11 +60,22 @@ def resolve_jobs(jobs: int | None = None, *, clamp: bool = True) -> int:
     With ``clamp`` (the default), a request exceeding the CPUs available
     to this process is reduced to that limit and the clamp is logged —
     pure-CPU simulation workers gain nothing from oversubscription.
+    A count below 1, or a ``REPRO_JOBS`` that is not a whole number, is
+    a :class:`ValueError` (``repro.cli`` reports it as a usage error).
     """
     if jobs is None:
         env = os.environ.get(JOBS_ENV_VAR, "").strip()
         if env:
-            jobs = int(env)
+            try:
+                jobs = int(env)
+            except ValueError:
+                jobs = 0  # not a number: reported like any count below 1
+            if jobs < 1:
+                raise ValueError(
+                    f"{JOBS_ENV_VAR}={env!r} is not a worker count: "
+                    "use a whole number >= 1, or leave it unset for one "
+                    "worker per available CPU"
+                )
         else:
             jobs = available_cpus()
     if jobs < 1:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import stats
 from ..metrics.collector import ObservationLog
 from .config import ExperimentConfig, Protocol
 from .runner import run_experiment
@@ -35,6 +36,8 @@ class PropagationPoint:
     p50: float
     p75: float
     samples: int
+    # Invariant violations the run at this size reported (0 unchecked).
+    violations: int = 0
 
 
 def propagation_samples(log: ObservationLog) -> list[float]:
@@ -48,13 +51,6 @@ def propagation_samples(log: ObservationLog) -> list[float]:
             if arrival is not None:
                 samples.append(arrival - info.gen_time)
     return samples
-
-
-def _percentile(ordered: list[float], q: float) -> float:
-    if not ordered:
-        raise ValueError("no samples")
-    position = min(int(q * len(ordered)), len(ordered) - 1)
-    return ordered[position]
 
 
 def propagation_study(
@@ -76,15 +72,16 @@ def propagation_study(
             block_size_bytes=size,
             block_rate=rate,
         )
-        _, log = run_experiment(config)
-        ordered = sorted(propagation_samples(log))
+        result, log = run_experiment(config)
+        samples = sorted(propagation_samples(log))
         points.append(
             PropagationPoint(
                 block_size=size,
-                p25=_percentile(ordered, 0.25),
-                p50=_percentile(ordered, 0.50),
-                p75=_percentile(ordered, 0.75),
-                samples=len(ordered),
+                p25=stats.percentile(samples, 0.25),
+                p50=stats.percentile(samples, 0.50),
+                p75=stats.percentile(samples, 0.75),
+                samples=len(samples),
+                violations=len(result.violations),
             )
         )
     return points
@@ -96,18 +93,7 @@ def linear_fit(points: list[PropagationPoint]) -> tuple[float, float, float]:
     The paper's claim is qualitative linearity; the benchmark asserts a
     high coefficient of determination.
     """
-    if len(points) < 2:
-        raise ValueError("need at least two points")
-    xs = [float(p.block_size) for p in points]
-    ys = [p.p50 for p in points]
-    n = len(xs)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    ss_xy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    ss_xx = sum((x - mean_x) ** 2 for x in xs)
-    slope = ss_xy / ss_xx
-    intercept = mean_y - slope * mean_x
-    ss_res = sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys))
-    ss_tot = sum((y - mean_y) ** 2 for y in ys)
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return slope, intercept, r_squared
+    fit = stats.linear_fit(
+        [float(p.block_size) for p in points], [p.p50 for p in points]
+    )
+    return fit.slope, fit.intercept, fit.r_squared

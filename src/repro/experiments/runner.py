@@ -121,12 +121,12 @@ def run_experiment(
     (digest recording does this), or leave it to be built from the
     protocol adapter's checker set when ``config.check`` is on.
     ``profiler`` (a :class:`~repro.prof.runtime.ProfilerRuntime`)
-    claims the simulator's profiler slot, taps the trace stream for
-    epoch spans, and — combined with ``config.check`` — times each
-    invariant checker; it observes wall time only, so a profiled run is
-    bit-identical to a bare one.  Setup (topology, links, nodes) and
-    simulation are timed separately so event-rate figures cover only
-    the simulate phase.
+    attaches to the simulator's dispatch loop after the sanitizer, taps
+    the trace stream for epoch spans, and — combined with
+    ``config.check`` — times each invariant checker; it observes wall
+    time only, so a profiled run is bit-identical to a bare one.  Setup
+    (topology, links, nodes) and simulation are timed separately so
+    event-rate figures cover only the simulate phase.
     """
     setup_started = wall_clock()
     adapter = get_adapter(config.protocol)
@@ -136,11 +136,9 @@ def run_experiment(
     if profiler is not None:
         obs = profiler.wrap_observability(obs)
     if sanitizer is None and config.check:
-        from .instrumentation import RunInstrumentation
+        from ..sanitizer.runtime import sanitizer_for
 
-        sanitizer = RunInstrumentation.from_config(config).build_sanitizer(
-            adapter, tracer=obs.tracer, profiler=profiler
-        )
+        sanitizer = sanitizer_for(config, tracer=obs.tracer, profiler=profiler)
     network = build_network(config, sim, obs=obs)
     log = ObservationLog(config.n_nodes)
     shares = exponential_shares(config.n_nodes, config.power_exponent)

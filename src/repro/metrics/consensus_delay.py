@@ -16,6 +16,7 @@ from __future__ import annotations
 import bisect
 import math
 
+from ..stats import percentile
 from .collector import ObservationLog
 
 
@@ -94,9 +95,8 @@ def consensus_delay(
     if end <= start:
         raise ValueError("empty observation window")
     step = (end - start) / n_samples
-    samples = sorted(
+    samples = [
         point_consensus_delay(log, start + (i + 1) * step, epsilon)
         for i in range(n_samples)
-    )
-    position = min(int(delta * len(samples)), len(samples) - 1)
-    return samples[position]
+    ]
+    return percentile(samples, delta)

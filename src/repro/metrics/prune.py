@@ -21,15 +21,8 @@ from __future__ import annotations
 import bisect
 from collections import defaultdict
 
+from ..stats import percentile
 from .collector import ObservationLog
-
-
-def _percentile(samples: list[float], q: float) -> float:
-    if not samples:
-        raise ValueError("no samples")
-    ordered = sorted(samples)
-    position = min(int(q * len(ordered)), len(ordered) - 1)
-    return ordered[position]
 
 
 def _branches(log: ObservationLog) -> dict[bytes, list[bytes]]:
@@ -105,7 +98,7 @@ def time_to_prune(log: ObservationLog, delta: float = 0.9) -> float:
     samples = prune_samples(log)
     if not samples:
         return 0.0
-    return _percentile(samples, delta)
+    return percentile(samples, delta)
 
 
 def win_samples(log: ObservationLog) -> list[float]:
@@ -146,4 +139,4 @@ def time_to_win(log: ObservationLog, delta: float = 0.9) -> float:
     samples = win_samples(log)
     if not samples:
         return 0.0
-    return _percentile(samples, delta)
+    return percentile(samples, delta)

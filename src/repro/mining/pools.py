@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from ..stats import percentile
 from .power import PAPER_EXPONENT, exponential_shares, fit_exponential
 
 # Blocks mined per week at one block / 10 min.
@@ -83,13 +84,13 @@ def rank_statistics(
         raise ValueError("no weekly data")
     stats = []
     for rank in range(1, max_rank + 1):
-        samples = sorted(week.share_at_rank(rank) for week in weeks)
+        samples = [week.share_at_rank(rank) for week in weeks]
         stats.append(
             {
                 "rank": float(rank),
-                "p25": _percentile(samples, 0.25),
-                "p50": _percentile(samples, 0.50),
-                "p75": _percentile(samples, 0.75),
+                "p25": percentile(samples, 0.25, interpolate=True),
+                "p50": percentile(samples, 0.50, interpolate=True),
+                "p75": percentile(samples, 0.75, interpolate=True),
             }
         )
     return stats
@@ -105,16 +106,3 @@ def fit_rank_medians(
     stats = rank_statistics(weeks, max_rank)
     medians = [entry["p50"] for entry in stats]
     return fit_exponential(medians)
-
-
-def _percentile(sorted_samples: list[float], q: float) -> float:
-    """Linear-interpolation percentile of pre-sorted samples."""
-    if not sorted_samples:
-        raise ValueError("no samples")
-    if len(sorted_samples) == 1:
-        return sorted_samples[0]
-    position = q * (len(sorted_samples) - 1)
-    low = int(position)
-    high = min(low + 1, len(sorted_samples) - 1)
-    fraction = position - low
-    return sorted_samples[low] * (1 - fraction) + sorted_samples[high] * fraction

@@ -15,28 +15,34 @@ import heapq
 import random
 from typing import Any, Callable, Protocol
 
-from ..clock import wall_clock
 from .events import Event
 
+HeapEntry = tuple[float, int, Event]
+HeapPop = Callable[[list[HeapEntry]], HeapEntry]
+Probe = Callable[[], None]
 
-class DispatchProfiler(Protocol):
-    """What the profiled dispatch loop needs from a profiler.
+
+class DispatchObserver(Protocol):
+    """Something that watches the dispatch loop (see :meth:`Simulator.attach`).
 
     Structural typing keeps :mod:`repro.net` free of any import of the
-    profiling layer (:mod:`repro.prof` implements this protocol); the
-    simulator only ever hands over the event it just dispatched plus
-    wall-clock deltas, so a profiler cannot perturb the simulation.
+    layers that observe it (:mod:`repro.sanitizer` and :mod:`repro.prof`
+    implement this protocol).
     """
 
-    def loop_started(self) -> None: ...
+    def wrap_dispatch(
+        self, heappop: HeapPop, probe: Probe | None
+    ) -> tuple[HeapPop, Probe | None]:
+        """The pair :meth:`Simulator.run` should call instead of the given one.
 
-    def loop_ended(self) -> None: ...
-
-    def record(
-        self, event: Event, pop_seconds: float, callback_seconds: float
-    ) -> None: ...
-
-    def record_probe(self, seconds: float) -> None: ...
+        ``heappop`` removes the next heap entry (the loop calls it once
+        per live event and once per cancelled one); ``probe`` — ``None``
+        when nobody before this observer wants one — runs after every
+        dispatched event's callback.  The returned pop must return what
+        the given pop returns and the returned probe must call the given
+        probe, so observers stack in attach order.
+        """
+        ...
 
 
 class Simulator:
@@ -44,13 +50,12 @@ class Simulator:
 
     def __init__(self, seed: int = 0) -> None:
         # Min-heap of (time, sequence, Event); see repro.net.events.
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[HeapEntry] = []
         self._sequence = 0
         self._now = 0.0
         self.rng = random.Random(seed)
         self._events_processed = 0
-        self._probe: Callable[[], None] | None = None
-        self._prof: DispatchProfiler | None = None
+        self._observers: list[DispatchObserver] = []
 
     @property
     def now(self) -> float:
@@ -61,31 +66,21 @@ class Simulator:
     def events_processed(self) -> int:
         return self._events_processed
 
-    def set_probe(self, probe: Callable[[], None] | None) -> None:
-        """Install (or clear) an after-each-event observation hook.
+    def attach(self, observer: DispatchObserver) -> None:
+        """Let ``observer`` wrap the dispatch loop of every later :meth:`run`.
 
-        The probe runs after every dispatched event's callback.  It must
-        be a pure observer: scheduling events, drawing from ``rng``, or
-        mutating node state from a probe breaks the guarantee that
-        probed runs are bit-identical to bare runs.  The disabled path
-        costs one local load and ``None`` check per event (bounded in
+        Observers must be pure: scheduling events, drawing from ``rng``
+        or mutating node state from a pop or a probe breaks the
+        guarantee that observed runs are bit-identical to bare runs,
+        ``events_processed`` included.  With none attached the loop
+        pays one ``None`` check per event (bounded in
         ``benchmarks/test_perf_regression.py``).
         """
-        self._probe = probe
+        self._observers.append(observer)
 
-    def set_profiler(self, prof: DispatchProfiler | None) -> None:
-        """Install (or clear) the hot-loop wall-time profiler.
-
-        Like :meth:`set_probe`, the profiler is a pure observer: it
-        receives each dispatched event and wall-clock deltas, never the
-        simulation RNG or queue, so profiled runs stay bit-identical to
-        bare runs — including ``events_processed``.  With a profiler
-        installed, :meth:`run` branches into a separate timed loop; the
-        bare loop is untouched, so the disabled path costs exactly one
-        ``None``-check per :meth:`run` call (bounded per-event in
-        ``benchmarks/test_perf_regression.py``).
-        """
-        self._prof = prof
+    def detach(self, observer: DispatchObserver) -> None:
+        """Stop ``observer`` wrapping the loop (from the next :meth:`run`)."""
+        self._observers.remove(observer)
 
     def schedule(
         self, delay: float, callback: Callable[..., Any], *args: Any
@@ -158,13 +153,11 @@ class Simulator:
         Callbacks scheduling new events push onto the same heap list,
         so holding the reference across iterations is safe.
         """
-        prof = self._prof
-        if prof is not None:
-            self._run_profiled(until, max_events, prof)
-            return
         heap = self._heap
-        heappop = heapq.heappop
-        probe = self._probe
+        heappop: HeapPop = heapq.heappop
+        probe: Probe | None = None
+        for observer in self._observers:
+            heappop, probe = observer.wrap_dispatch(heappop, probe)
         processed = 0
         try:
             while heap and (max_events is None or processed < max_events):
@@ -187,60 +180,6 @@ class Simulator:
                     probe()
         finally:
             self._events_processed += processed
-
-    def _run_profiled(
-        self,
-        until: float | None,
-        max_events: int | None,
-        prof: DispatchProfiler,
-    ) -> None:
-        """The dispatch loop with wall-time attribution around each event.
-
-        Mirrors :meth:`run` exactly — same pop order, same callback
-        invocation, same probe placement — with three extra wall-clock
-        reads per event (pop, callback, probe boundaries).  Keeping this
-        a separate loop means the bare path never pays for the reads,
-        and keeping the reads *here* (not in the profiler) means the
-        attribution excludes the profiler's own classification cost,
-        which lands in the loop residual instead.
-        """
-        heap = self._heap
-        heappop = heapq.heappop
-        probe = self._probe
-        clock = wall_clock
-        record = prof.record
-        record_probe = prof.record_probe
-        processed = 0
-        prof.loop_started()
-        mark = clock()
-        try:
-            while heap and (max_events is None or processed < max_events):
-                time, _seq, event = heap[0]
-                if event.cancelled:
-                    heappop(heap)
-                    continue
-                if until is not None and time > until:
-                    self._now = until
-                    return
-                heappop(heap)
-                popped = clock()
-                self._now = time
-                args = event.args
-                if args:
-                    event.callback(*args)
-                else:
-                    event.callback()
-                done = clock()
-                record(event, popped - mark, done - popped)
-                processed += 1
-                if probe is not None:
-                    before = clock()
-                    probe()
-                    record_probe(clock() - before)
-                mark = clock()
-        finally:
-            self._events_processed += processed
-            prof.loop_ended()
 
     def exponential(self, rate: float) -> float:
         """Sample an exponential interval with the given rate (1/mean)."""

@@ -87,6 +87,12 @@ class Observability:
             sample_period=getattr(config, "obs_sample_period", None),
         )
 
+    def tapped(self, tap) -> "Observability":
+        """This facade, its tracer showing ``tap`` each record first."""
+        sink = self.tracer.sink if self.tracer is not None else None
+        self.tracer = Tracer(sink, tap)
+        return self
+
     # -- file layout --------------------------------------------------------
 
     @property
@@ -196,6 +202,16 @@ class _NullObservability:
     out_dir = None
     slug = ""
     samplers: list = []
+
+    def tapped(self, tap) -> "_NullObservability":
+        """A still-disabled facade whose sink-less tracer feeds ``tap``.
+
+        Nodes guard on ``tracer is not None`` alone, so they emit into
+        it; the network keys on ``enabled`` and stays on its bare path.
+        """
+        clone = _NullObservability()
+        clone.tracer = Tracer(None, tap)
+        return clone
 
     def install(self, sim, network, nodes, horizon, meta=None) -> None:
         pass

@@ -114,22 +114,30 @@ class Tracer:
 
     Instrumented code holds either a ``Tracer`` or ``None``; hot paths
     guard with ``if tracer is not None`` so a disabled run pays one
-    attribute check and nothing else.
+    attribute check and nothing else.  ``tap(ev, t, fields)``, when
+    given, sees every record before it is written — what it emits in
+    turn lands ahead of that record; with no ``sink`` the tap is all
+    there is and nothing is written.
     """
 
-    __slots__ = ("sink",)
+    __slots__ = ("sink", "tap")
 
-    def __init__(self, sink) -> None:
+    def __init__(self, sink=None, tap=None) -> None:
         self.sink = sink
+        self.tap = tap
 
     @property
     def records_written(self) -> int:
-        return self.sink.records_written
+        return self.sink.records_written if self.sink is not None else 0
 
     def emit(self, ev: str, t: float, **fields) -> None:
-        record = {"v": SCHEMA_VERSION, "ev": ev, "t": t}
-        record.update(fields)
-        self.sink.write(record)
+        if self.tap is not None:
+            self.tap(ev, t, fields)
+        if self.sink is not None:
+            record = {"v": SCHEMA_VERSION, "ev": ev, "t": t}
+            record.update(fields)
+            self.sink.write(record)
 
     def close(self) -> None:
-        self.sink.close()
+        if self.sink is not None:
+            self.sink.close()

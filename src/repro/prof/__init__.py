@@ -16,8 +16,9 @@ Or from the shell::
     python -m repro prof diff before.prof.json after.prof.json
 
 Profiling never perturbs results: profiled runs are bit-identical to
-bare runs (``tests/test_determinism.py``) and the disabled path is one
-``None``-check per simulator event (``benchmarks/test_perf_regression``).
+bare runs (``tests/test_determinism.py``), and an unprofiled run has no
+profiler code on its path at all — the profiler is an observer attached
+to the simulator's one dispatch seam (``Simulator.attach``).
 """
 
 from .profile import (
@@ -39,7 +40,7 @@ from .report import (
     format_diff,
     format_report,
 )
-from .runtime import ProfilerRuntime, ProfObservability, TapTracer
+from .runtime import ProfilerRuntime
 
 __all__ = [
     "DEFAULT_MIN_DELTA",
@@ -53,8 +54,6 @@ __all__ = [
     "Profile",
     "ProfileError",
     "ProfilerRuntime",
-    "ProfObservability",
-    "TapTracer",
     "compare_profiles",
     "format_diff",
     "format_report",

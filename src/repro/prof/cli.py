@@ -18,81 +18,12 @@ import sys
 from pathlib import Path
 
 
-def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    from ..experiments import CHECK_MODES
-    from ..protocols import Protocol
-
-    parser.add_argument(
-        "--protocol",
-        choices=sorted(protocol.value for protocol in Protocol),
-        default="bitcoin-ng",
-    )
-    parser.add_argument("--nodes", type=int, default=60, help="network size")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--blocks", type=int, default=60, help="target blocks per run"
-    )
-    parser.add_argument(
-        "--key-blocks",
-        type=int,
-        default=None,
-        metavar="N",
-        help="target key blocks per run (caps duration at scale)",
-    )
-    parser.add_argument("--block-rate", type=float, default=0.2)
-    parser.add_argument("--block-size", type=int, default=8_000)
-    parser.add_argument("--key-block-rate", type=float, default=0.02)
-    parser.add_argument(
-        "--check",
-        nargs="?",
-        const="incremental",
-        choices=CHECK_MODES,
-        default=None,
-        metavar="MODE",
-        help="profile a checked run too: per-INV1xx-checker attribution "
-        "(MODE as for `repro run --check`; default incremental)",
-    )
-    parser.add_argument(
-        "--stride",
-        type=int,
-        default=64,
-        help="sanitizer sweep stride when --check is on",
-    )
-    parser.add_argument(
-        "--obs",
-        metavar="DIR",
-        default=None,
-        help="also capture a full observability trace into DIR; closed "
-        "epoch spans are emitted into it as prof_span records",
-    )
-
-
-def _config_from_args(args: argparse.Namespace):
-    from ..experiments import ExperimentConfig
-
-    config = ExperimentConfig(
-        protocol=args.protocol,
-        n_nodes=args.nodes,
-        seed=args.seed,
-        target_blocks=args.blocks,
-        block_rate=args.block_rate,
-        block_size_bytes=args.block_size,
-        key_block_rate=args.key_block_rate,
-        check=args.check is not None,
-        check_mode=args.check if args.check is not None else "incremental",
-        check_stride=args.stride,
-        obs_dir=args.obs,
-    )
-    if args.key_blocks is not None:
-        config = config.with_(target_key_blocks=args.key_blocks)
-    return config
-
-
 def cmd_run(args: argparse.Namespace) -> int:
+    from ..cli import config_from_args
     from . import profile_experiment, to_folded
     from .report import format_report
 
-    config = _config_from_args(args)
+    config = config_from_args(args).with_(check_stride=args.stride)
     result, _log, profile = profile_experiment(config)
     out_dir = Path(args.out)
     slug = profile.meta.get("slug", "run")
@@ -153,6 +84,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 def add_prof_parser(commands: argparse._SubParsersAction) -> None:
     """Register the ``prof`` command group on the main CLI."""
+    from ..cli import add_run_arguments
     from .report import DEFAULT_MIN_DELTA, DEFAULT_THRESHOLD
 
     prof_parser = commands.add_parser(
@@ -166,7 +98,22 @@ def add_prof_parser(commands: argparse._SubParsersAction) -> None:
     run_parser = prof_commands.add_parser(
         "run", help="profile one experiment and write profile + folded stacks"
     )
-    _add_run_options(run_parser)
+    add_run_arguments(
+        run_parser,
+        protocol=True,
+        instrumentation=("check", "obs"),
+        nodes=60,
+        blocks=60,
+        block_rate=0.2,
+        block_size=8_000,
+        key_block_rate=0.02,
+    )
+    run_parser.add_argument(
+        "--stride",
+        type=int,
+        default=64,
+        help="sanitizer sweep stride when --check is on",
+    )
     run_parser.add_argument(
         "--out",
         metavar="DIR",

@@ -1,35 +1,35 @@
 """The profiler runtime: hot-loop phase attribution and epoch spans.
 
-:class:`ProfilerRuntime` plugs into the simulator's profiler slot (a
-second ``None``-checked slot beside the sanitizer probe — see
-:meth:`repro.net.simulator.Simulator.set_profiler`).  The profiled
-dispatch loop hands it three wall-clock readings per event; everything
-else — callback classification, per-phase and per-node accumulation,
-NG epoch span tracking — happens here, out of the bare loop entirely.
+:class:`ProfilerRuntime` attaches to the simulator's one observer seam
+(:meth:`repro.net.simulator.Simulator.attach`) and wraps the two things
+the dispatch loop calls per event — the heap pop and the after-event
+probe — in wall-clock reads.  Callback classification, per-phase and
+per-node accumulation and NG epoch span tracking all happen here; an
+unprofiled run executes none of it.
 
 Design constraints, in priority order:
 
 * **Zero perturbation.**  The runtime never schedules events, never
   draws randomness, never touches node state.  All it consumes is the
-  event object already dispatched and wall-clock deltas from
+  heap entry the loop popped anyway and wall-clock deltas from
   :func:`repro.clock.wall_clock`.  Profiled runs are bit-identical to
   bare runs, including ``events_processed`` (pinned in
   ``tests/test_determinism.py``).
 * **Cheap attribution.**  Callbacks are classified once per distinct
   function (a dict keyed on the underlying function object, built
   lazily), so the steady-state per-event cost is two dict probes and
-  float adds — the loop's own wall-clock reads dominate.
+  float adds — the wall-clock reads dominate.
 * **No layer coupling.**  Classification matches ``__qualname__``
   strings, so the profiler never imports protocol modules and unknown
   callbacks (custom adapters, tests) degrade to an ``other:`` phase
   rather than breaking.
 
-Epoch spans ride the existing trace stream: a :class:`TapTracer`
-interposes on the run's tracer (or on ``None`` for un-instrumented
-runs), watches ``epoch_start``/``epoch_end``/``block_gen`` records, and
-folds them into key-block → microblock-stream → handover spans.  Closed
-spans are re-emitted as schema-v1 ``prof_span`` records when a real
-trace sink is attached.
+Epoch spans ride the existing trace stream: the run's tracer is given
+:meth:`ProfilerRuntime.observe_trace` as its tap (a sink-less tracer
+for un-instrumented runs), which folds ``epoch_start``/``epoch_end``/
+``block_gen`` records into key-block → microblock-stream → handover
+spans.  Closed spans are re-emitted as schema-v1 ``prof_span`` records
+when a real trace sink is attached.
 """
 
 from __future__ import annotations
@@ -62,67 +62,6 @@ _KNOWN_CALLBACKS: dict[str, tuple[str | None, int]] = {
 }
 
 
-class TapTracer:
-    """A tracer interposer feeding epoch events to the profiler.
-
-    Forwards every record to the wrapped tracer (when there is one) so
-    instrumented runs keep their full trace, and mirrors the records the
-    span tracker cares about into the :class:`ProfilerRuntime`.  With no
-    inner tracer (a bare ``--prof`` run) it is the *only* tracer in the
-    system: nodes emit epoch/block records through it, the profiler sees
-    them, and nothing is written anywhere.
-    """
-
-    __slots__ = ("inner", "profiler")
-
-    def __init__(self, inner, profiler: "ProfilerRuntime") -> None:
-        self.inner = inner
-        self.profiler = profiler
-
-    @property
-    def records_written(self) -> int:
-        return self.inner.records_written if self.inner is not None else 0
-
-    def emit(self, ev: str, t: float, **fields) -> None:
-        if ev == "epoch_start" or ev == "epoch_end" or ev == "block_gen":
-            self.profiler.observe_trace(ev, t, fields)
-        if self.inner is not None:
-            self.inner.emit(ev, t, **fields)
-
-    def close(self) -> None:
-        if self.inner is not None:
-            self.inner.close()
-
-
-class ProfObservability:
-    """An :class:`~repro.obs.facade.Observability` wrapper adding the tap.
-
-    Mimics the facade surface the runner, network, and nodes read
-    (``registry``/``tracer``/``enabled``/``install``/``finalize``) while
-    swapping the tracer for a :class:`TapTracer`.  ``enabled`` follows
-    the base facade, so wrapping ``NULL_OBS`` keeps the network's
-    per-send instrumentation off (bit-identical hot path) while nodes —
-    which guard only on ``tracer is not None`` — still feed epoch
-    records to the span tracker.
-    """
-
-    def __init__(self, base, profiler: "ProfilerRuntime") -> None:
-        self.base = base
-        self.enabled = base.enabled
-        self.registry = base.registry
-        self.tracer = TapTracer(base.tracer, profiler)
-        self.samplers = base.samplers
-
-    def install(self, sim, network, nodes, horizon, meta=None) -> None:
-        self.base.install(sim, network, nodes, horizon, meta=meta)
-        self.samplers = self.base.samplers
-
-    def finalize(self, network=None, extra=None, end_time=0.0):
-        return self.base.finalize(
-            network=network, extra=extra, end_time=end_time
-        )
-
-
 class ProfilerRuntime:
     """Accumulates phase/node/checker attribution for one experiment."""
 
@@ -142,37 +81,68 @@ class ProfilerRuntime:
         self._probe_seconds = 0.0
         self._checkers: dict[str, list] = {}
         self._loop_wall = 0.0
-        self._loop_mark: float | None = None
         # Span tracking: leader id -> open EpochSpan.
         self._open_spans: dict[int, EpochSpan] = {}
         self.spans: list[EpochSpan] = []
-        self._span_sink = None  # inner tracer for prof_span emission
+        self._span_sink = None  # the untapped tracer, for prof_span emission
 
     # -- wiring --------------------------------------------------------------
 
     def install(self, sim, n_nodes: int) -> None:
-        """Claim the simulator's profiler slot and size per-node arrays."""
+        """Attach to the simulator's dispatch loop and size per-node arrays."""
         self._node_calls = [0] * n_nodes
         self._node_seconds = [0.0] * n_nodes
-        sim.set_profiler(self)
+        sim.attach(self)
 
-    def wrap_observability(self, obs) -> ProfObservability:
-        """Interpose the span tap on a run's observability facade."""
-        wrapper = ProfObservability(obs, self)
+    def wrap_observability(self, obs):
+        """Tap the span tracker into a run's observability facade."""
         self._span_sink = obs.tracer
-        return wrapper
+        return obs.tapped(self.observe_trace)
 
-    # -- hot-loop callbacks (invoked by Simulator._run_profiled) -------------
+    # -- the dispatch seam (called at the top of each Simulator.run) ---------
 
-    def loop_started(self) -> None:
-        self._loop_mark = wall_clock()
+    def wrap_dispatch(self, heappop, probe):
+        """A timed pop and an after-event probe around the given pair.
 
-    def loop_ended(self) -> None:
-        if self._loop_mark is not None:
-            self._loop_wall += wall_clock() - self._loop_mark
-            self._loop_mark = None
+        The pop remembers the entry it removed; the probe — running
+        right after that entry's callback — attributes the callback to
+        it, times the inner probe (the sanitizer's, when one attached
+        first) as ``sanitize``, and extends the loop wall to its own
+        last clock read.  A pop never followed by a probe was a
+        cancelled event's: its time stays unattributed inside the loop
+        wall, so it lands — with the loop's own work and this
+        bookkeeping — in the ``dispatch`` residual.
+        """
+        clock = wall_clock
+        attribute = self._attribute
+        entry = None
+        pop_seconds = popped_at = 0.0
+        mark = clock()
 
-    def record(
+        def timed_pop(heap):
+            nonlocal entry, pop_seconds, popped_at
+            before = clock()
+            entry = heappop(heap)
+            popped_at = clock()
+            pop_seconds = popped_at - before
+            return entry
+
+        def after_event() -> None:
+            nonlocal mark
+            attribute(entry[2], pop_seconds, clock() - popped_at)
+            now = clock()
+            if probe is not None:
+                before = now
+                probe()
+                now = clock()
+                self._probe_calls += 1
+                self._probe_seconds += now - before
+            self._loop_wall += now - mark
+            mark = now
+
+        return timed_pop, after_event
+
+    def _attribute(
         self, event, pop_seconds: float, callback_seconds: float
     ) -> None:
         """Attribute one dispatched event's pop and callback cost."""
@@ -219,11 +189,6 @@ class ProfilerRuntime:
             self._node_calls[node] += 1
             self._node_seconds[node] += callback_seconds
 
-    def record_probe(self, seconds: float) -> None:
-        """One sanitizer probe invocation (sweep or countdown no-op)."""
-        self._probe_calls += 1
-        self._probe_seconds += seconds
-
     # -- sanitizer attribution (invoked by SanitizerRuntime._sweep) ----------
 
     def record_checker(self, code: str, seconds: float) -> None:
@@ -234,7 +199,7 @@ class ProfilerRuntime:
         stat[0] += 1
         stat[1] += seconds
 
-    # -- epoch spans (invoked by TapTracer) ----------------------------------
+    # -- epoch spans (the tracer tap) ----------------------------------------
 
     def observe_trace(self, ev: str, t: float, fields: dict) -> None:
         if ev == "epoch_start":
@@ -295,8 +260,8 @@ class ProfilerRuntime:
         ``trace_end`` by the time the profile is assembled, and an emit
         here would lazily reopen (and truncate) the finished trace
         file.  The ``dispatch`` phase
-        absorbs the profiled loop's residual wall time — heap scanning,
-        cancelled-event skips, and the profiler's own bookkeeping — so
+        absorbs the loop's residual wall time — heap scanning,
+        cancelled-event pops, and the profiler's own bookkeeping — so
         the phase table always sums to the measured loop wall.
         """
         for leader in sorted(self._open_spans):

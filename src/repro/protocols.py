@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import abc
 import enum
-from collections.abc import Sequence
-from typing import TYPE_CHECKING, ClassVar
+from collections.abc import Callable, Sequence
+from typing import TYPE_CHECKING, ClassVar, TypeVar
 
 from .bitcoin.blocks import make_genesis
 from .bitcoin.chain import TieBreak
@@ -136,6 +136,53 @@ class ProtocolAdapter(abc.ABC):
         node.request_tips()
 
 
+_BlockNode = TypeVar("_BlockNode", BitcoinNode, GhostNode)
+
+
+def _build_block_nodes(
+    make_node: Callable[..., _BlockNode],
+    config: ExperimentConfig,
+    sim: Simulator,
+    network: Network,
+    log: ObservationLog,
+    shares: list[float],
+) -> tuple[list[_BlockNode], MiningScheduler]:
+    """Synthetic full-block nodes plus their block lottery.
+
+    ``make_node`` takes a node's constructor arguments.  Each adapter
+    passes a lambda that spells the constructor call out, rather than
+    the class, because the semantic index (the NG6xx lint rules, the
+    mutation engine's site enumeration) follows the instantiations it
+    can see from ``build_nodes``.
+    """
+    genesis = make_genesis()
+    policy = BlockPolicy(
+        max_block_bytes=config.block_size_bytes,
+        synthetic=True,
+        synthetic_tx_size=config.tx_size,
+    )
+    nodes = [
+        make_node(
+            i,
+            sim,
+            network,
+            genesis,
+            log=log,
+            policy=policy,
+            relay_mode=config.relay_mode,
+            verification_seconds_per_byte=config.verification_seconds_per_byte,
+        )
+        for i in range(config.n_nodes)
+    ]
+    scheduler = MiningScheduler(
+        sim,
+        shares,
+        block_rate=config.block_rate,
+        on_block=lambda winner: nodes[winner].generate_block(),
+    )
+    return nodes, scheduler
+
+
 class BitcoinAdapter(ProtocolAdapter):
     """Heaviest-chain Bitcoin with synthetic full blocks."""
 
@@ -149,33 +196,16 @@ class BitcoinAdapter(ProtocolAdapter):
         log: ObservationLog,
         shares: list[float],
     ) -> tuple[list[BitcoinNode], MiningScheduler]:
-        genesis = make_genesis()
-        policy = BlockPolicy(
-            max_block_bytes=config.block_size_bytes,
-            synthetic=True,
-            synthetic_tx_size=config.tx_size,
-        )
-        nodes = [
-            BitcoinNode(
-                i,
-                sim,
-                network,
-                genesis,
-                log=log,
-                policy=policy,
-                tie_break=TieBreak.RANDOM,
-                relay_mode=config.relay_mode,
-                verification_seconds_per_byte=config.verification_seconds_per_byte,
-            )
-            for i in range(config.n_nodes)
-        ]
-        scheduler = MiningScheduler(
+        return _build_block_nodes(
+            lambda *args, **kwargs: BitcoinNode(
+                *args, tie_break=TieBreak.RANDOM, **kwargs
+            ),
+            config,
             sim,
+            network,
+            log,
             shares,
-            block_rate=config.block_rate,
-            on_block=lambda winner: nodes[winner].generate_block(),
         )
-        return nodes, scheduler
 
 
 class GhostAdapter(ProtocolAdapter):
@@ -191,32 +221,14 @@ class GhostAdapter(ProtocolAdapter):
         log: ObservationLog,
         shares: list[float],
     ) -> tuple[list[GhostNode], MiningScheduler]:
-        genesis = make_genesis()
-        policy = BlockPolicy(
-            max_block_bytes=config.block_size_bytes,
-            synthetic=True,
-            synthetic_tx_size=config.tx_size,
-        )
-        nodes = [
-            GhostNode(
-                i,
-                sim,
-                network,
-                genesis,
-                log=log,
-                policy=policy,
-                relay_mode=config.relay_mode,
-                verification_seconds_per_byte=config.verification_seconds_per_byte,
-            )
-            for i in range(config.n_nodes)
-        ]
-        scheduler = MiningScheduler(
+        return _build_block_nodes(
+            lambda *args, **kwargs: GhostNode(*args, **kwargs),
+            config,
             sim,
+            network,
+            log,
             shares,
-            block_rate=config.block_rate,
-            on_block=lambda winner: nodes[winner].generate_block(),
         )
-        return nodes, scheduler
 
     def invariant_checkers(self) -> list[InvariantChecker]:
         # Heaviest-subtree fork choice may adopt a tip whose *chain*

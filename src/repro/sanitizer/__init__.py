@@ -40,7 +40,12 @@ from .checkers import (
     shared_signature_cache,
 )
 from .digests import DigestSnapshot, NodeDigest, node_digest
-from .runtime import RUNTIME_MODES, AuditDivergence, SanitizerRuntime
+from .runtime import (
+    RUNTIME_MODES,
+    AuditDivergence,
+    SanitizerRuntime,
+    sanitizer_for,
+)
 from .violations import InvariantViolation, ViolationRecord
 
 __all__ = [
@@ -60,5 +65,6 @@ __all__ = [
     "ghost_checkers",
     "ng_checkers",
     "node_digest",
+    "sanitizer_for",
     "shared_signature_cache",
 ]

@@ -13,8 +13,11 @@ first divergent event.  Two input modes:
 
 Exit codes: 0 identical, 1 divergence found, 2 usage/input error.
 
-No environment variables are read here — ``REPRO_CHECK`` is resolved in
-:mod:`repro.cli`, the one config entry point (see lint rule NG202).
+The run itself is described by the flag block every experiment-running
+subcommand shares (:func:`repro.cli.add_run_arguments`), and no
+environment variable is read here — ``REPRO_CHECK`` is resolved by
+:func:`repro.cli.config_from_args`, the one config entry point (see lint
+rule NG202).
 """
 
 from __future__ import annotations
@@ -24,79 +27,42 @@ import sys
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    from ..experiments import CHECK_MODES
-    from ..protocols import Protocol
+    from ..cli import add_run_arguments
 
-    parser.add_argument(
-        "--protocol",
-        choices=sorted(protocol.value for protocol in Protocol),
-        default="bitcoin-ng",
+    add_run_arguments(
+        parser,
+        protocol=True,
+        instrumentation=("check",),
+        nodes=30,
+        blocks=20,
+        block_rate=0.2,
+        block_size=8_000,
+        key_block_rate=0.02,
     )
-    parser.add_argument("--nodes", type=int, default=30, help="network size")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--blocks", type=int, default=20, help="target blocks per run"
-    )
-    parser.add_argument("--block-rate", type=float, default=0.2)
-    parser.add_argument("--block-size", type=int, default=8_000)
-    parser.add_argument("--key-block-rate", type=float, default=0.02)
     parser.add_argument(
         "--stride",
         type=int,
         default=64,
         help="capture a digest snapshot every N simulator events",
     )
-    parser.add_argument(
-        "--check",
-        nargs="?",
-        const="incremental",
-        choices=CHECK_MODES,
-        default=None,
-        metavar="MODE",
-        help="also run the protocol's invariant checkers during the "
-        "digest run(s); in the run-twice diverge mode both runs use "
-        "this same mode by construction",
-    )
 
 
-def _config_from_args(args: argparse.Namespace) -> object:
-    from ..experiments import ExperimentConfig
+def _digest_run(args: argparse.Namespace) -> list:
+    """One run of the configured experiment, capturing a digest stream.
 
-    mode = getattr(args, "check", None)
-    return ExperimentConfig(
-        protocol=args.protocol,
-        n_nodes=args.nodes,
-        seed=args.seed,
-        target_blocks=args.blocks,
-        block_rate=args.block_rate,
-        block_size_bytes=args.block_size,
-        key_block_rate=args.key_block_rate,
-        check=mode is not None,
-        check_mode=mode if mode is not None else "incremental",
-    )
-
-
-def _digest_run(config: object, stride: int) -> list:
-    """One experiment run capturing a digest stream.
-
-    Checking rides along when the config asks for it, built through the
-    same :class:`~repro.experiments.instrumentation.RunInstrumentation`
-    path as ``repro run`` — so two calls with the same config check in
-    the same mode, by construction.
+    Checking rides along when the config asks for it (``--check`` or
+    ``REPRO_CHECK``), through the same
+    :func:`~repro.sanitizer.runtime.sanitizer_for` as ``repro run`` — so
+    two calls with the same arguments check in the same mode, by
+    construction.
     """
-    from ..experiments import RunInstrumentation, run_experiment
-    from ..protocols import get_adapter
+    from ..cli import config_from_args
+    from ..experiments import run_experiment
+    from .runtime import sanitizer_for
 
-    instrumentation = RunInstrumentation.from_config(config)  # type: ignore[arg-type]
-    adapter = (
-        get_adapter(config.protocol)  # type: ignore[attr-defined]
-        if instrumentation.check
-        else None
-    )
-    runtime = instrumentation.build_sanitizer(
-        adapter, digest_stride=max(1, stride)
-    )
-    run_experiment(config, sanitizer=runtime)  # type: ignore[arg-type]
+    config = config_from_args(args)
+    runtime = sanitizer_for(config, digest_stride=max(1, args.stride))
+    run_experiment(config, sanitizer=runtime)
     return runtime.digests
 
 
@@ -120,9 +86,8 @@ def cmd_diverge(args: argparse.Namespace) -> int:
             return 2
         print(f"comparing {args.files[0]} vs {args.files[1]}")
     else:
-        config = _config_from_args(args)
-        stream_a = _digest_run(config, args.stride)
-        stream_b = _digest_run(config, args.stride)
+        stream_a = _digest_run(args)
+        stream_b = _digest_run(args)
         print(
             f"comparing two in-process runs "
             f"(protocol={args.protocol}, seed={args.seed}, "
@@ -142,8 +107,7 @@ def cmd_diverge(args: argparse.Namespace) -> int:
 def cmd_record(args: argparse.Namespace) -> int:
     from .digests import save_stream
 
-    config = _config_from_args(args)
-    snapshots = _digest_run(config, args.stride)
+    snapshots = _digest_run(args)
     save_stream(
         args.out,
         snapshots,

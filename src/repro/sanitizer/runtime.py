@@ -1,7 +1,8 @@
 """The sanitizer runtime: event-boundary sweeps over live node state.
 
-:class:`SanitizerRuntime` installs itself as the simulator's probe (one
-``None``-check per event when nothing is installed) and, every
+:class:`SanitizerRuntime` attaches to the simulator's observer seam
+(:meth:`~repro.net.simulator.Simulator.attach`; it leaves the heap pop
+alone and asks for the after-event probe) and, every
 ``stride`` processed events, sweeps each node.  There is one sweep
 strategy: a dirty-set tracker snapshots each node's cheap change
 indicators — main-chain tip hash, the mempool and UTXO mutation
@@ -222,7 +223,7 @@ class SanitizerRuntime:
         self._seen_blocks = [set() for _ in self._nodes]
         self._node_state = [None for _ in self._nodes]
         self._digest_cache = [None for _ in self._nodes]
-        sim.set_probe(self._probe)  # type: ignore[attr-defined]
+        sim.attach(self)  # type: ignore[attr-defined]
 
     def finalize(self) -> None:
         """Final sweep (+ audit) + digest, then detach from the simulator."""
@@ -233,10 +234,25 @@ class SanitizerRuntime:
             self._audit()
         if self.digest_stride > 0:
             self._capture_digest()
-        self._sim.set_probe(None)  # type: ignore[attr-defined]
+        self._sim.detach(self)  # type: ignore[attr-defined]
         self._sim = None
 
     # -- the probe ------------------------------------------------------
+
+    def wrap_dispatch(self, heappop, probe):
+        """The observer seam: leave the pop alone, run ``_probe`` per event.
+
+        An earlier observer's probe (none in the shipped wiring — the
+        sanitizer attaches first) keeps running, ahead of this one.
+        """
+        if probe is None:
+            return heappop, self._probe
+
+        def chained() -> None:
+            probe()
+            self._probe()
+
+        return heappop, chained
 
     def _probe(self) -> None:
         self.events_seen += 1
@@ -475,6 +491,38 @@ class SanitizerRuntime:
                 index=snapshot.index,
                 nodes=len(snapshot.digests),
             )
+
+
+def sanitizer_for(
+    config,
+    *,
+    tracer: object | None = None,
+    profiler: object | None = None,
+    digest_stride: int = 0,
+) -> SanitizerRuntime | None:
+    """The runtime ``config`` asks for, or ``None``.
+
+    A checked config (``config.check``) gets its protocol adapter's
+    checkers in ``config.check_mode`` on ``config.check_stride``;
+    ``digest_stride > 0`` alone gets a checker-less runtime that only
+    captures digests.  Sweep workers rebuild the same runtime from the
+    same config, which is how a pool cell is checked like a serial run.
+    """
+    if not config.check and digest_stride <= 0:
+        return None
+    checkers: Iterable[InvariantChecker] = ()
+    if config.check:
+        from ..protocols import get_adapter
+
+        checkers = get_adapter(config.protocol).invariant_checkers()
+    return SanitizerRuntime(
+        checkers,
+        stride=config.check_stride,
+        mode=config.check_mode,
+        tracer=tracer,
+        digest_stride=digest_stride,
+        profiler=profiler,
+    )
 
 
 def _component_dirty(current: object, last: object) -> bool:

@@ -372,3 +372,195 @@ def test_sweep_with_scenario(tmp_path, capsys):
     )
     assert code == 0
     assert "sweep-loss" in capsys.readouterr().out
+
+
+# -- one run description ------------------------------------------------------
+
+_RUN_FLAGS = {"nodes", "seed", "blocks"}
+_PROTOCOL_FLAGS = {
+    "protocol", "block_rate", "block_size", "key_block_rate", "key_blocks",
+}
+
+# subcommand -> (its own flags beside the shared block, the shared block's
+# defaults: nodes, blocks, and — when it takes --protocol — the block
+# parameters).  Sharing the block must not silently change a workload.
+_RUN_SURFACES = {
+    ("run",): (
+        _PROTOCOL_FLAGS | {"check", "obs", "scenario", "save_trace", "json"},
+        (100, 60, 0.1, 20_000, 0.01),
+    ),
+    ("sweep", "frequency"): (
+        {"axis", "check", "obs", "scenario", "seeds", "jobs", "chart",
+         "progress"},
+        (100, 60),
+    ),
+    ("propagation",): (set(), (100, 60)),
+    ("check", "record", "--out", "x"): (
+        _PROTOCOL_FLAGS | {"check", "check_command", "out", "stride"},
+        (30, 20, 0.2, 8_000, 0.02),
+    ),
+    ("check", "diverge"): (
+        _PROTOCOL_FLAGS | {"check", "check_command", "files", "stride"},
+        (30, 20, 0.2, 8_000, 0.02),
+    ),
+    ("prof", "run"): (
+        _PROTOCOL_FLAGS
+        | {"check", "obs", "prof_command", "out", "top", "stride"},
+        (60, 60, 0.2, 8_000, 0.02),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", _RUN_SURFACES, ids=" ".join)
+def test_run_flag_surface_and_defaults(command):
+    own, defaults = _RUN_SURFACES[command]
+    args = build_parser().parse_args(list(command))
+    assert set(vars(args)) == _RUN_FLAGS | own | {"command", "handler"}
+    assert (args.nodes, args.blocks, args.seed) == (*defaults[:2], 0)
+    if "protocol" in own:
+        assert args.protocol == "bitcoin-ng" and args.key_blocks is None
+        assert (
+            args.block_rate, args.block_size, args.key_block_rate
+        ) == defaults[2:]
+    if "stride" in own:
+        assert args.stride == 64
+    for flag in {"check", "obs", "scenario"} & own:
+        assert getattr(args, flag) is None
+
+
+def test_config_from_args_is_the_inverse_of_the_flag_block():
+    from repro.cli import config_from_args
+    from repro.experiments import ExperimentConfig, Protocol
+
+    args = build_parser().parse_args(
+        ["prof", "run", "--protocol", "ghost", "--nodes", "7", "--seed", "3",
+         "--blocks", "9", "--key-blocks", "2", "--block-rate", "0.5",
+         "--block-size", "999", "--key-block-rate", "0.25", "--check", "audit",
+         "--obs", "somewhere"]
+    )
+    assert config_from_args(args) == ExperimentConfig(
+        protocol=Protocol.GHOST, n_nodes=7, seed=3, target_blocks=9,
+        target_key_blocks=2, block_rate=0.5, block_size_bytes=999,
+        key_block_rate=0.25, check=True, check_mode="audit",
+        obs_dir="somewhere",
+    )
+    # Flags a subcommand does not declare keep the config's defaults.
+    args = build_parser().parse_args(["propagation", "--nodes", "12"])
+    assert config_from_args(args) == ExperimentConfig(n_nodes=12)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["check", "record", "--out", "unused"],
+        ["check", "diverge"],
+        ["prof", "run", "--out", "unused"],
+        ["propagation"],
+        ["sweep", "frequency"],
+    ],
+    ids=" ".join,
+)
+def test_repro_check_env_reaches_every_experiment_subcommand(
+    monkeypatch, command
+):
+    monkeypatch.setenv("REPRO_CHECK", "audti")
+    with pytest.raises(SystemExit) as excinfo:
+        main(command)
+    assert "audti" in str(excinfo.value.code)
+    assert "incremental, audit" in str(excinfo.value.code)
+
+
+def test_repro_check_env_checks_check_record_and_prof_run(
+    monkeypatch, tmp_path, capsys
+):
+    import json
+
+    from repro.sanitizer import SanitizerRuntime
+
+    modes = []
+    real_init = SanitizerRuntime.__init__
+
+    def spy(self, checkers, **kwargs):
+        real_init(self, checkers, **kwargs)
+        modes.append((self.mode, len(self.checkers)))
+
+    monkeypatch.setattr(SanitizerRuntime, "__init__", spy)
+    monkeypatch.setenv("REPRO_CHECK", "audit")
+    tiny = ["--nodes", "8", "--blocks", "4", "--key-blocks", "2"]
+    out = tmp_path / "run.digests.jsonl"
+    assert main(["check", "record", "--out", str(out), *tiny]) == 0
+    assert main(["prof", "run", "--out", str(tmp_path), *tiny]) == 0
+    assert [mode for mode, _ in modes] == ["audit", "audit"]
+    assert all(n_checkers > 0 for _, n_checkers in modes)
+    [profile] = tmp_path.glob("*.prof.json")
+    assert json.loads(profile.read_text())["meta"]["check"] is True
+    capsys.readouterr()
+
+
+# -- a checked propagation study reports what it found --------------------------
+
+
+def test_checked_propagation_reports_violations_and_exits_nonzero(
+    monkeypatch, capsys
+):
+    from repro.experiments import propagation_study
+    from repro.protocols import BitcoinAdapter, get_adapter, register_adapter
+    from repro.sanitizer import InvariantChecker
+    from repro.sanitizer.violations import make_violation
+
+    class AlwaysFires(InvariantChecker):
+        code = "INV999"
+        name = "always-fires"
+
+        def check_state(self, node, node_id, now):
+            return [make_violation(self, node_id, now, "planted")]
+
+    class Noisy(BitcoinAdapter):
+        def invariant_checkers(self):
+            return [AlwaysFires()]
+
+    # Two sizes instead of Figure 7's five: the test is about the count.
+    monkeypatch.setattr(
+        "repro.cli.propagation_study",
+        lambda config: propagation_study(config, sizes=(20_000, 40_000)),
+    )
+    tiny = ["propagation", "--nodes", "6", "--blocks", "3"]
+    monkeypatch.delenv("REPRO_CHECK", raising=False)
+    assert main(tiny) == 0
+    assert "invariant violations" not in capsys.readouterr().out
+
+    original = get_adapter("bitcoin")
+    register_adapter(Noisy(), replace=True)
+    try:
+        monkeypatch.setenv("REPRO_CHECK", "1")
+        assert main(tiny) == 1
+    finally:
+        register_adapter(original, replace=True)
+    # One finding per (code, node), in each of the two runs.
+    assert (
+        "invariant violations across all sizes: 12" in capsys.readouterr().out
+    )
+
+
+# -- worker-count mistakes are usage errors -------------------------------------
+
+
+def test_bad_repro_jobs_env_is_an_error_not_a_traceback(monkeypatch):
+    monkeypatch.setenv("REPRO_JOBS", "abc")
+    for command in (
+        ["sweep", "frequency", "--nodes", "10", "--blocks", "3"],
+        ["mutate", "run", "--max-mutants", "1"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command)
+        message = str(excinfo.value.code)
+        assert message.startswith("error: REPRO_JOBS='abc'")
+        assert ">= 1" in message
+
+
+def test_jobs_zero_is_an_error_not_a_traceback(monkeypatch):
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "frequency", "--nodes", "10", "--blocks", "3",
+              "--jobs", "0"])
+    assert str(excinfo.value.code) == "error: jobs must be >= 1, got 0"

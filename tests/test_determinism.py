@@ -5,6 +5,8 @@ simulation replays identically — block hashes, arrival times, and all
 derived metrics.
 """
 
+import pytest
+
 from repro.experiments import (
     ExperimentConfig,
     Protocol,
@@ -111,8 +113,8 @@ def test_checked_run_bit_identical_to_bare_run():
 def test_profiled_run_bit_identical_to_bare_run():
     """Profiling must measure, never perturb.
 
-    The profiled dispatch loop only reads the wall clock around work the
-    bare loop already does — no events scheduled, no RNG draws — so a
+    The profiler's pop and probe wrappers only read the wall clock around
+    work the bare loop already does — no events scheduled, no RNG draws — so a
     profiled run reproduces the bare run exactly, including
     ``events_processed``.
     """
@@ -147,6 +149,37 @@ def test_profiled_checked_run_bit_identical_to_bare_run():
     # Per-checker attribution was recorded for every registered checker.
     assert profile.checkers
     assert all(stat.calls > 0 for stat in profile.checkers.values())
+
+
+# -- the observer seam ------------------------------------------------------
+
+
+@pytest.mark.parametrize("stack", ["sanitizer", "profiler", "sanitizer+profiler"])
+def test_observed_run_reports_what_the_bare_run_reports(stack):
+    """Both observers wrap the one dispatch loop (``Simulator.attach``);
+    alone or stacked — the sanitizer in audit mode, so the from-scratch
+    walk runs too — the result is the bare run's, counter for counter."""
+    from repro.prof import ProfilerRuntime
+
+    config = CONFIG.with_(protocol=Protocol.BITCOIN_NG)
+    bare_result, bare_log = run_experiment(config)
+    observed = config
+    if "sanitizer" in stack:
+        observed = config.with_(check=True, check_mode="audit", check_stride=16)
+    profiler = ProfilerRuntime() if "profiler" in stack else None
+    result, log = run_experiment(observed, profiler=profiler)
+    assert _fingerprint(log) == _fingerprint(bare_log)
+    assert result.as_row() == bare_result.as_row()
+    assert result.events_processed == bare_result.events_processed
+    assert result.messages_delivered == bare_result.messages_delivered
+    assert result.blocks_generated == bare_result.blocks_generated
+    assert result.violations == bare_result.violations == ()
+    if profiler is not None:
+        profile = profiler.build_profile(
+            {}, 0.0, result.wall_simulate_seconds, result.events_processed
+        )
+        assert profile.phases["heappop"].calls == result.events_processed
+        assert ("sanitize" in profile.phases) == ("sanitizer" in stack)
 
 
 # -- parallel dispatch ------------------------------------------------------

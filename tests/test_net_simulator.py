@@ -1,5 +1,7 @@
 """Simulator clock, scheduling, determinism."""
 
+import heapq
+
 import pytest
 
 from repro.net.simulator import Simulator
@@ -144,3 +146,134 @@ def test_exponential_mean():
 def test_exponential_rejects_bad_rate():
     with pytest.raises(ValueError):
         Simulator().exponential(0.0)
+
+
+# -- the observer seam ------------------------------------------------------
+
+
+class _Recording:
+    """An observer that asks for a probe and logs when it runs."""
+
+    def __init__(self, name, calls):
+        self.name = name
+        self.calls = calls
+        self.given = []
+
+    def wrap_dispatch(self, heappop, probe):
+        self.given.append((heappop, probe))
+
+        def recording_probe():
+            if probe is not None:
+                probe()
+            self.calls.append(self.name)
+
+        return heappop, recording_probe
+
+
+class _PassThrough:
+    def wrap_dispatch(self, heappop, probe):
+        return heappop, probe
+
+
+def _scripted_run(observers=()):
+    """A self-scheduling workload run in three legs; returns what happened.
+
+    Leg one is cut by ``max_events``, leg two by ``until``, leg three
+    runs dry; a cancelled event sits at the heap top when leg one
+    starts and more are cancelled along the way.
+    """
+    sim = Simulator(seed=3)
+    for observer in observers:
+        sim.attach(observer)
+    fired = []
+
+    def tick(name, depth):
+        fired.append((name, sim.now, sim.rng.random()))
+        if depth:
+            sim.schedule(sim.rng.random(), tick, name + "a", depth - 1)
+            sim.schedule(sim.rng.random(), tick, name + "x", 0).cancel()
+            sim.schedule(sim.rng.random(), tick, name + "b", depth - 1)
+
+    sim.schedule(0.0, tick, "doomed", 0).cancel()
+    sim.schedule(0.1, tick, "r", 4)
+    sim.schedule(0.2, tick, "s", 4)
+    legs = []
+    sim.run(max_events=7)
+    legs.append((sim.now, sim.events_processed, len(fired)))
+    sim.run(until=1.5)
+    legs.append((sim.now, sim.events_processed, len(fired)))
+    sim.run()
+    legs.append((sim.now, sim.events_processed, len(fired)))
+    return fired, legs
+
+
+def test_scripted_run_exercises_every_cut():
+    fired, legs = _scripted_run()
+    assert legs[0][1] == 7  # max_events cut
+    assert legs[1][0] == 1.5 and legs[1][1] > 7  # until cut, mid-run
+    assert legs[2][1] == len(fired) == 62  # ran dry; no cancelled event fired
+    assert all(not name.endswith("x") for name, _, _ in fired)
+
+
+def test_pass_through_observer_leaves_run_bit_identical():
+    assert _scripted_run([_PassThrough()]) == _scripted_run()
+
+
+def test_observers_stack_in_attach_order():
+    calls = []
+    first, second = _Recording("A", calls), _Recording("B", calls)
+    fired, legs = _scripted_run([first, second])
+    assert (fired, legs) == _scripted_run()
+    # Both probes after every event, A's before B's.
+    assert calls == ["A", "B"] * len(fired)
+    # Each run() rebuilds the stack from the bare pair.
+    assert len(first.given) == len(second.given) == 3
+    assert first.given[0] == (heapq.heappop, None)
+    assert second.given[0][0] is heapq.heappop
+    assert second.given[0][1] is not None
+
+
+def test_detach_restores_the_bare_pair():
+    sim = Simulator()
+    calls = []
+    first, second = _Recording("A", calls), _Recording("B", calls)
+    sim.attach(first)
+    sim.attach(second)
+    sim.schedule(1.0, lambda: None)
+    sim.run()
+    assert calls == ["A", "B"]
+    sim.detach(first)
+    sim.schedule(1.0, lambda: None)
+    sim.run()
+    assert calls == ["A", "B", "B"]
+    assert second.given[-1] == (heapq.heappop, None)
+    sim.detach(second)
+    sim.schedule(1.0, lambda: None)
+    sim.run()
+    assert calls == ["A", "B", "B"]
+    assert sim.events_processed == 3
+
+
+@pytest.mark.parametrize(
+    "stack", ["sanitizer", "profiler", "sanitizer-profiler", "profiler-sanitizer"]
+)
+def test_observed_scripted_run_equals_bare(stack):
+    """Shipped observers, alone and stacked, never perturb a run — cut by
+    ``max_events``, cut by ``until``, or with cancelled events on top."""
+    from repro.prof.runtime import ProfilerRuntime
+    from repro.sanitizer.runtime import SanitizerRuntime
+
+    observers = [
+        SanitizerRuntime((), stride=1)
+        if name == "sanitizer"
+        else ProfilerRuntime()
+        for name in stack.split("-")
+    ]
+    fired, legs = _scripted_run(observers)
+    assert (fired, legs) == _scripted_run()
+    for observer in observers:
+        if isinstance(observer, SanitizerRuntime):
+            assert observer.events_seen == len(fired)
+        else:
+            profile = observer.build_profile({}, 0.0, 1.0, len(fired))
+            assert profile.phases["heappop"].calls == len(fired)

@@ -19,7 +19,6 @@ from repro.prof import (
     Profile,
     ProfileError,
     ProfilerRuntime,
-    TapTracer,
     load_profile,
     profile_experiment,
     to_folded,
@@ -153,24 +152,13 @@ def test_folded_skips_zero_phases():
 # -- epoch span tracking ----------------------------------------------------
 
 
-class _RecordingSink:
-    def __init__(self):
-        self.records = []
-        self.records_written = 0
-
-    def emit(self, ev, t, **fields):
-        self.records.append((ev, t, fields))
-        self.records_written += 1
-
-    def close(self):
-        pass
-
-
 def test_span_lifecycle_via_tap_tracer():
+    from repro.obs import Observability
+    from repro.obs.trace import MemorySink, Tracer
+
     runtime = ProfilerRuntime()
-    sink = _RecordingSink()
-    runtime._span_sink = sink
-    tap = TapTracer(sink, runtime)
+    sink = MemorySink()
+    tap = runtime.wrap_observability(Observability(tracer=Tracer(sink))).tracer
     tap.emit("epoch_start", 5.0, leader=1, key_block="ab12")
     tap.emit("block_gen", 6.0, kind="micro", miner=1, hash="m1")
     tap.emit("block_gen", 7.0, kind="micro", miner=1, hash="m2")
@@ -184,20 +172,24 @@ def test_span_lifecycle_via_tap_tracer():
     assert (span.leader, span.key_block, span.micros) == (1, "ab12", 2)
     assert span.start == 5.0 and span.end == 8.5 and span.closed
 
-    # Closing emitted a prof_span record through the sink; the forwarded
-    # originals are also there (TapTracer is an interposer, not a filter).
-    prof_spans = [r for r in sink.records if r[0] == "prof_span"]
-    assert len(prof_spans) == 1
-    _, t, fields = prof_spans[0]
-    assert t == 8.5
-    assert fields == {
+    # Closing emitted a prof_span record into the sink — ahead of the
+    # epoch_end that closed it, since the tap runs before the write; the
+    # originals are all there too (a tap sees records, it does not filter).
+    events = [record["ev"] for record in sink.records]
+    assert events.count("prof_span") == 1
+    assert events.index("prof_span") == events.index("epoch_end") - 1
+    assert sink.records[events.index("prof_span")] == {
+        "v": 1,
+        "ev": "prof_span",
+        "t": 8.5,
         "leader": 1,
         "key_block": "ab12",
         "start": 5.0,
         "micros": 2,
         "closed": True,
     }
-    assert sum(1 for r in sink.records if r[0] == "epoch_start") == 2
+    assert events.count("epoch_start") == 2
+    assert tap.records_written == len(sink.records) == 8
 
     # The still-open epoch closes unclosed at profile build time.
     profile = runtime.build_profile({}, 0.0, 1.0, 0, end_time=12.0)
@@ -208,14 +200,36 @@ def test_span_lifecycle_via_tap_tracer():
 
 
 def test_reelected_leader_closes_stale_span():
+    from repro.obs.trace import Tracer
+
     runtime = ProfilerRuntime()
-    tap = TapTracer(None, runtime)
+    tap = Tracer(None, runtime.observe_trace)
     tap.emit("epoch_start", 1.0, leader=3, key_block="aa")
     tap.emit("epoch_start", 4.0, leader=3, key_block="bb")
     assert len(runtime.spans) == 1
     assert runtime.spans[0].key_block == "aa"
     assert runtime.spans[0].end == 4.0
     assert runtime.spans[0].closed
+    # No sink: the tap is all there is, and nothing was written anywhere.
+    assert tap.records_written == 0
+    tap.close()
+
+
+def test_null_obs_tapped_stays_disabled():
+    from repro.obs.facade import NULL_OBS
+    from repro.obs.registry import NULL_REGISTRY
+
+    seen = []
+    tapped = NULL_OBS.tapped(lambda ev, t, fields: seen.append((ev, t, fields)))
+    assert tapped.enabled is False
+    assert tapped.registry is NULL_REGISTRY
+    tapped.tracer.emit("epoch_start", 2.0, leader=4)
+    assert seen == [("epoch_start", 2.0, {"leader": 4})]
+    assert tapped.tracer.records_written == 0
+    assert tapped.finalize() is None
+    # The singleton itself is untouched.
+    assert tapped is not NULL_OBS
+    assert NULL_OBS.tracer is None
 
 
 def test_dispatch_phase_absorbs_loop_residual():
@@ -323,6 +337,58 @@ def test_profile_experiment_attributes_phases():
     assert profile.spans, "an NG run must produce epoch spans"
     # Per-node attribution covers the handler work.
     assert sum(calls for calls, _ in profile.nodes) > 0
+
+
+def test_profiler_accounting_on_the_dispatch_seam():
+    """Phases sum to the loop wall; one pop and one dispatch per event;
+    a cancelled event's pop is nobody's phase, so it is ``dispatch``'s."""
+    from repro.net.simulator import Simulator
+
+    sim = Simulator()
+    runtime = ProfilerRuntime()
+    runtime.install(sim, 0)
+
+    def work():
+        sum(range(200))
+
+    for index in range(50):
+        sim.schedule(index, work)
+        sim.schedule(index + 0.5, work).cancel()
+    sim.run(max_events=20)
+    sim.run()
+    assert sim.events_processed == 50
+    profile = runtime.build_profile({}, 0.0, 1.0, sim.events_processed)
+    assert profile.phases["heappop"].calls == 50  # not the 100 pops made
+    assert profile.phases["dispatch"].calls == 50
+    assert profile.phases["other:" + work.__qualname__].calls == 50
+    assert "sanitize" not in profile.phases
+    assert profile.phases["dispatch"].seconds > 0
+    assert profile.attributed_seconds == pytest.approx(
+        profile.loop_wall_seconds
+    )
+
+
+def test_profiler_times_a_sanitizer_attached_first():
+    from repro.net.simulator import Simulator
+    from repro.sanitizer import SanitizerRuntime
+
+    sim = Simulator()
+    sanitizer = SanitizerRuntime((), stride=4)
+    sanitizer.install(sim, [])
+    runtime = ProfilerRuntime()
+    runtime.install(sim, 0)
+    for index in range(30):
+        sim.schedule(index, lambda: None)
+    sim.schedule(3.5, lambda: None).cancel()
+    sim.run()
+    sanitizer.finalize()
+    profile = runtime.build_profile({}, 0.0, 1.0, sim.events_processed)
+    assert sanitizer.events_seen == sim.events_processed == 30
+    assert profile.phases["sanitize"].calls == 30
+    assert profile.phases["heappop"].calls == 30
+    assert profile.attributed_seconds == pytest.approx(
+        profile.loop_wall_seconds
+    )
 
 
 def test_profile_experiment_checked_run_attributes_checkers():

@@ -295,12 +295,24 @@ def test_missing_fee_record_trips_only_inv110():
 
 
 class _FakeSim:
+    """The clock and the observer seam; ``probe()`` stands for one event."""
+
     def __init__(self):
         self.now = 0.0
-        self.probe = None
+        self.observers = []
 
-    def set_probe(self, probe):
-        self.probe = probe
+    def attach(self, observer):
+        self.observers.append(observer)
+
+    def detach(self, observer):
+        self.observers.remove(observer)
+
+    def probe(self):
+        heappop, probe = None, None
+        for observer in self.observers:
+            heappop, probe = observer.wrap_dispatch(heappop, probe)
+        if probe is not None:
+            probe()
 
 
 class _Recorder:
@@ -331,7 +343,7 @@ def test_runtime_dedupes_and_emits_trace_events():
     assert len(traced) == 1
     assert traced[0][2]["code"] == "INV104"
     runtime.finalize()
-    assert sim.probe is None  # detached
+    assert sim.observers == []  # detached
 
 
 def test_runtime_captures_digests_on_stride_and_finalize():

@@ -13,7 +13,7 @@ Four layers of coverage:
   from-scratch walks by independent replica checkers and surfaces
   anything missed as a ``SAN901`` audit-divergence alongside the
   finding itself;
-* the :class:`~repro.experiments.RunInstrumentation` options object and
+* :func:`~repro.sanitizer.runtime.sanitizer_for` (config → runtime) and
   the end-to-end equivalences: incremental ≡ audit checked runs, both
   bit-identical to bare runs, with the leader-crash scenario clean
   under incremental checking.
@@ -34,7 +34,6 @@ from repro.crypto.hashing import hash160
 from repro.crypto.keys import PrivateKey
 from repro.experiments import (
     ExperimentConfig,
-    RunInstrumentation,
     resolve_check_mode,
     run_experiment,
 )
@@ -54,6 +53,7 @@ from repro.sanitizer import (
     SanitizerRuntime,
     SignatureCache,
     ng_checkers,
+    sanitizer_for,
 )
 from repro.sanitizer.checkers import (
     MicroblockSignature,
@@ -111,12 +111,24 @@ def _node(chain, params=PARAMS):
 
 
 class _FakeSim:
+    """The clock and the observer seam; ``probe()`` stands for one event."""
+
     def __init__(self):
         self.now = 0.0
-        self.probe = None
+        self.observers = []
 
-    def set_probe(self, probe):
-        self.probe = probe
+    def attach(self, observer):
+        self.observers.append(observer)
+
+    def detach(self, observer):
+        self.observers.remove(observer)
+
+    def probe(self):
+        heappop, probe = None, None
+        for observer in self.observers:
+            heappop, probe = observer.wrap_dispatch(heappop, probe)
+        if probe is not None:
+            probe()
 
 
 def _incremental_codes(node, mode="incremental", sweeps=1):
@@ -556,33 +568,24 @@ def test_utxo_mutators_bump_version():
     assert utxo.version > after_undo
 
 
-# -- RunInstrumentation -------------------------------------------------------
+# -- sanitizer_for: the runtime a config asks for -----------------------------
 
 
-def test_instrumentation_from_args_and_apply_round_trip():
-    args = SimpleNamespace(scenario=None, check_stride=32, obs=None)
-    inst = RunInstrumentation.from_args(args, check_mode="audit")
-    assert inst == RunInstrumentation(
-        check=True, check_mode="audit", check_stride=32
-    )
-    config = inst.apply(ExperimentConfig())
-    assert (config.check, config.check_mode, config.check_stride) == (
-        True, "audit", 32,
-    )
-    assert RunInstrumentation.from_config(config) == inst
+def test_sanitizer_for_unchecked_builds_no_sanitizer():
+    assert sanitizer_for(ExperimentConfig(protocol="bitcoin-ng")) is None
+    # Digest capture alone gets a checker-less runtime.
+    runtime = sanitizer_for(ExperimentConfig(), digest_stride=8)
+    assert runtime.checkers == [] and runtime.digest_stride == 8
 
 
-def test_instrumentation_unchecked_builds_no_sanitizer():
-    inst = RunInstrumentation()
-    assert inst.build_sanitizer(get_adapter("bitcoin-ng")) is None
-
-
-def test_instrumentation_builds_runtime_in_requested_mode():
-    adapter = get_adapter("bitcoin-ng")
+def test_sanitizer_for_builds_runtime_in_requested_mode():
     for mode in ("incremental", "audit"):
-        inst = RunInstrumentation(check=True, check_mode=mode)
-        runtime = inst.build_sanitizer(adapter)
+        config = ExperimentConfig(
+            protocol="bitcoin-ng", check=True, check_mode=mode, check_stride=32
+        )
+        runtime = sanitizer_for(config)
         assert runtime.mode == mode
+        assert runtime.stride == 32
         assert len(runtime.checkers) == len(ng_checkers())
 
 
