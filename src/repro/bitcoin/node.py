@@ -94,13 +94,6 @@ class ChainNode(GossipNode):
         self.tree = tree
         self.log = log
         self.blocks_rejected = 0
-        registry = network.obs.registry
-        self._c_gen = registry.counter(
-            "node_blocks_generated", "blocks created, by kind", ("kind",)
-        )
-        self._c_tip = registry.counter(
-            "node_tip_changes", "main-chain tip movements across all nodes"
-        )
         if log is not None:
             log.record_tip(node_id, tree.genesis_hash, sim.now)
 
@@ -124,7 +117,6 @@ class ChainNode(GossipNode):
                 )
             )
             self.log.record_arrival(self.node_id, block.hash, now)
-        self._c_gen.labels(kind=kind).inc()
         if self._tracer is not None:
             self._tracer.emit(
                 "block_gen",
@@ -180,7 +172,6 @@ class ChainNode(GossipNode):
         if reorgs:
             if self.log is not None:
                 self.log.record_tip(self.node_id, tree.tip, self.sim.now)
-            self._c_tip.inc()
             if self._tracer is not None:
                 self._tracer.emit(
                     "tip_change",

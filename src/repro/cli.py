@@ -142,13 +142,17 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         )
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
+    obs_dir = getattr(args, "obs", None)
+    if obs_dir and os.path.exists(obs_dir) and not os.path.isdir(obs_dir):
+        # Caught here, not by the trace sink's mkdir once the run is built.
+        raise SystemExit(f"error: --obs {obs_dir}: not a directory")
     fields: dict = {
         "n_nodes": args.nodes,
         "seed": args.seed,
         "target_blocks": args.blocks,
         "check": mode is not None,
         "check_mode": mode or "incremental",
-        "obs_dir": getattr(args, "obs", None),
+        "obs_dir": obs_dir,
     }
     if hasattr(args, "protocol"):
         fields.update(
@@ -329,7 +333,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             print(format_timeline(records, buckets=args.buckets))
         else:
             print(f"== {path.name} ==")
-            print(format_toptalkers(records, top=args.top))
+            print(format_toptalkers(summarize(records), top=args.top))
     return 0
 
 

@@ -127,9 +127,6 @@ class NGNode(ChainNode):
         self.microblocks_generated = 0
         self.poison_registry = PoisonRegistry()
         self.poisons_published: list[PoisonEntry] = []
-        self._c_epochs = network.obs.registry.counter(
-            "ng_leader_epochs", "leader epochs started across all nodes"
-        )
 
     # -- identity -----------------------------------------------------------
     # Derived on first use: one EC multiplication per node that ever
@@ -197,7 +194,6 @@ class NGNode(ChainNode):
 
     def _start_leading(self, key_block: KeyBlock) -> None:
         self._leading_epoch = key_block.hash
-        self._c_epochs.inc()
         if self._tracer is not None:
             self._tracer.emit(
                 "epoch_start",

@@ -112,7 +112,7 @@ class ExperimentConfig:
     ng_ghost_fork_choice: bool = False
 
     # Observability (repro.obs).  Setting ``obs_dir`` enables the full
-    # instrumentation layer — metric registry, JSONL event trace, and
+    # instrumentation layer — JSONL event trace, its summary, and
     # periodic samplers — writing per-run files into that directory.
     # Living on the config means observability round-trips through
     # process-pool sweep workers: each worker rebuilds its own

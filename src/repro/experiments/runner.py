@@ -184,7 +184,7 @@ def run_experiment(
     if sanitizer is not None:
         sanitizer.finalize()
     log.finalize(horizon)
-    snapshot = obs.finalize(network=network, end_time=horizon)
+    snapshot = obs.finalize(end_time=horizon)
     result = ExperimentResult(
         config=config,
         consensus_delay=consensus_delay(log),

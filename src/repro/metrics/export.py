@@ -89,8 +89,10 @@ def log_from_dict(data: dict) -> ObservationLog:
 
 
 def save_trace(log: ObservationLog, path: str | Path) -> None:
-    """Write a finalized log as JSON."""
-    Path(path).write_text(json.dumps(log_to_dict(log)), encoding="utf-8")
+    """Write a finalized log as JSON, creating missing parent directories."""
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(json.dumps(log_to_dict(log)), encoding="utf-8")
 
 
 def load_trace(path: str | Path) -> ObservationLog:

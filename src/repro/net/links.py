@@ -37,7 +37,7 @@ class LinkView:
     and applies the link rule itself, in
     :meth:`~repro.net.network.Network.send` and
     :meth:`~repro.net.network.Network.multicast`; this is how callers
-    read one link's parameters and counters
+    read one link's parameters
     (``net.link(a, b).latency``).  Views are cheap, transient handles:
     every read goes straight through to the owning network's arrays.
     """
@@ -59,14 +59,6 @@ class LinkView:
     @property
     def busy_until(self) -> float:
         return self._net._busy[self._eid]
-
-    @property
-    def bytes_sent(self) -> int:
-        return self._net._bytes[self._eid]
-
-    @property
-    def messages_sent(self) -> int:
-        return self._net._msgs[self._eid]
 
     @property
     def interleave_cutoff(self) -> int:

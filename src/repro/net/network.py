@@ -9,7 +9,7 @@ offline and returning) and link partitions for robustness experiments.
 Link state lives in a struct-of-arrays core rather than a dict of
 per-link objects: the topology's CSR adjacency assigns every directed
 link a dense *edge id*, and per-link ``latency`` / ``bandwidth`` /
-``busy_until`` / traffic counters are flat lists indexed by it.  A
+``busy_until`` are flat lists indexed by it.  A
 1000-node, 5-degree run has ~10k directed links; touching three list
 slots per send beats a tuple-keyed dict lookup plus attribute access on
 a per-link object, and :meth:`Network.multicast` books a whole
@@ -75,24 +75,6 @@ class Network:
         self.obs = obs if obs is not None else NULL_OBS
         self.tracer = self.obs.tracer
         self._obs_on = self.obs.enabled
-        registry = self.obs.registry
-        self._c_msgs = registry.counter(
-            "net_messages_sent",
-            "messages booked onto links, by wire kind",
-            labelnames=("kind",),
-        )
-        self._c_bytes = registry.counter(
-            "net_bytes_sent",
-            "payload bytes booked onto links, by wire kind",
-            labelnames=("kind",),
-        )
-        self._c_drops = registry.counter(
-            "net_sends_dropped", "sends discarded by churn or partitions"
-        )
-        self._h_queue_delay = registry.histogram(
-            "net_queue_delay_seconds",
-            "sender-side serialization queueing delay of bulk messages",
-        )
         self._adjacency = topology.neighbor_map()
         # Indexed by node id (None = nothing attached): delivery is the
         # single most frequent dispatch in a run, and a list index beats
@@ -119,20 +101,14 @@ class Network:
         self._indptr = indptr
         self._indices = indices
         n_directed = len(indices)
-        self._edge_dst = indices
-        edge_src = [0] * n_directed
         eid_map: dict[tuple[int, int], int] = {}
         for node in range(topology.n_nodes):
             for eid in range(indptr[node], indptr[node + 1]):
-                edge_src[eid] = node
                 eid_map[(node, indices[eid])] = eid
-        self._edge_src = edge_src
         self._eid = eid_map
         self._lat = [0.0] * n_directed
         self._bw = [bandwidth_bps] * n_directed
         self._busy = [0.0] * n_directed
-        self._bytes = [0] * n_directed
-        self._msgs = [0] * n_directed
         self._interleave_cutoff = SMALL_MESSAGE_CUTOFF
         # Pristine (latency, bandwidth) snapshot, taken lazily on the
         # first degradation so repeated degradations replace, never
@@ -285,8 +261,6 @@ class Network:
         now = self.sim.now
         size = message.size
         serialization = size / self._bw[eid]
-        self._bytes[eid] += size
-        self._msgs[eid] += 1
         if size <= self._interleave_cutoff:
             # Packet-level interleaving: no head-of-line blocking, and
             # the negligible capacity used is not charged to the queue.
@@ -330,8 +304,6 @@ class Network:
         lat = self._lat
         bw = self._bw
         busy_arr = self._busy
-        bytes_arr = self._bytes
-        msgs_arr = self._msgs
         small = size <= self._interleave_cutoff
         src_offline = bool(offline) and src in offline
         times: list[float] = []
@@ -358,8 +330,6 @@ class Network:
                         self._record_drop(src, dst, message)
                     continue
             serialization = size / bw[eid]
-            bytes_arr[eid] += size
-            msgs_arr[eid] += 1
             if small:
                 queue_delay = 0.0
                 arrival = now + serialization + lat[eid]
@@ -392,7 +362,7 @@ class Network:
             return
         self.messages_delivered += 1
         self.bytes_delivered += message.size
-        if self._obs_on and self.tracer is not None:
+        if self._obs_on:
             self.tracer.emit(
                 "deliver",
                 self.sim.now,
@@ -413,33 +383,26 @@ class Network:
         queue_delay: float,
         arrival: float,
     ) -> None:
-        kind = message.kind
-        self._c_msgs.labels(kind=kind).inc()
-        self._c_bytes.labels(kind=kind).inc(message.size)
-        self._h_queue_delay.observe(queue_delay)
-        if self.tracer is not None:
-            self.tracer.emit(
-                "send",
-                self.sim.now,
-                src=src,
-                dst=dst,
-                kind=kind,
-                size=message.size,
-                qd=round(queue_delay, 6),
-                arr=round(arrival, 6),
-            )
+        self.tracer.emit(
+            "send",
+            self.sim.now,
+            src=src,
+            dst=dst,
+            kind=message.kind,
+            size=message.size,
+            qd=round(queue_delay, 6),
+            arr=round(arrival, 6),
+        )
 
     def _record_drop(self, src: int, dst: int, message: Message) -> None:
-        self._c_drops.inc()
-        if self.tracer is not None:
-            self.tracer.emit(
-                "drop",
-                self.sim.now,
-                src=src,
-                dst=dst,
-                kind=message.kind,
-                size=message.size,
-            )
+        self.tracer.emit(
+            "drop",
+            self.sim.now,
+            src=src,
+            dst=dst,
+            kind=message.kind,
+            size=message.size,
+        )
 
     def link_utilization(self, now: float) -> tuple[int, int, float]:
         """``(busy_links, total_links, queued_bytes)`` at instant ``now``.
@@ -458,32 +421,3 @@ class Network:
                 busy_count += 1
                 queued += remaining * bandwidth
         return busy_count, len(self._busy), queued
-
-    def traffic_by_node(self) -> list[dict[str, int]]:
-        """Per-node traffic totals from the per-link counters.
-
-        Sums each directed link's ``bytes_sent``/``messages_sent`` into
-        its endpoints: ``*_out`` at the source, ``*_in`` at the
-        destination.  "In" counts bytes *booked toward* a node — sent,
-        not necessarily delivered (churn can drop them in flight).  One
-        lockstep ``zip`` over the four parallel edge arrays: position
-        *is* the edge id, so no per-edge index arithmetic survives.
-        """
-        per_node = [
-            {"bytes_out": 0, "bytes_in": 0, "messages_out": 0, "messages_in": 0}
-            for _ in range(self.topology.n_nodes)
-        ]
-        for src, dst, count, messages in zip(
-            self._edge_src, self._edge_dst, self._bytes, self._msgs
-        ):
-            out = per_node[src]
-            out["bytes_out"] += count
-            out["messages_out"] += messages
-            into = per_node[dst]
-            into["bytes_in"] += count
-            into["messages_in"] += messages
-        return per_node
-
-    def total_bytes_queued(self) -> int:
-        """Bytes ever booked onto links (sent, not necessarily delivered)."""
-        return sum(self._bytes)

@@ -1,4 +1,4 @@
-"""Observability: metric registry, structured traces, periodic samplers.
+"""Observability: structured traces, their summary, periodic samplers.
 
 The instrumentation layer for the simulation stack.  See
 ``docs/observability.md`` for usage; the short version::
@@ -8,12 +8,14 @@ The instrumentation layer for the simulation stack.  See
     config = ExperimentConfig(obs_dir="out")   # enables everything
     result, log = run_experiment(config)
     # out/<slug>.trace.jsonl  — schema-versioned event trace
-    # out/<slug>.metrics.json — metric registry snapshot
+    # out/<slug>.metrics.json — the trace's summary, folded as it was written
     # result.obs              — the same snapshot, in-process
 
+One record stream, one fold: every number in the snapshot is
+:class:`TraceSummary` (``repro trace summarize``'s aggregate) tapped
+onto the live tracer, so it equals ``summarize`` of the saved file.
 Disabled (the default) costs nothing measurable: hot paths hold either
-a live tracer or ``None`` and the null registry hands out no-op metric
-singletons.
+a live tracer or ``None`` behind one attribute check.
 """
 
 from .analyze import (
@@ -28,16 +30,6 @@ from .analyze import (
     summarize,
 )
 from .facade import NULL_OBS, Observability, config_slug
-from .registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricError,
-    MetricRegistry,
-    NULL_METRIC,
-    NULL_REGISTRY,
-    NullRegistry,
-)
 from .samplers import ForkSampler, LinkSampler, MempoolSampler, PeriodicSampler
 from .trace import (
     JsonlSink,
@@ -49,21 +41,13 @@ from .trace import (
 )
 
 __all__ = [
-    "Counter",
     "FAULT_EVENTS",
     "ForkSampler",
-    "Gauge",
-    "Histogram",
     "JsonlSink",
     "LinkSampler",
     "MemorySink",
     "MempoolSampler",
-    "MetricError",
-    "MetricRegistry",
-    "NULL_METRIC",
     "NULL_OBS",
-    "NULL_REGISTRY",
-    "NullRegistry",
     "Observability",
     "PeriodicSampler",
     "SCHEMA_VERSION",

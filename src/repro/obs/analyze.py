@@ -1,16 +1,17 @@
-"""Offline trace analysis: the engine behind ``repro trace``.
+"""Trace analysis: the engine behind ``repro trace`` and the live snapshot.
 
 Pure functions over saved JSONL traces — no simulator required — so a
 run captured once can be summarized, bucketed into a timeline, or
 ranked by per-node traffic long after (and far from) the machine that
-produced it.
+produced it.  The summary's fold, :meth:`TraceSummary.add`, is also what
+a running experiment taps onto its tracer: the metric snapshot a run
+reports and ``repro trace summarize`` of its file are one function.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter as TallyCounter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -44,15 +45,23 @@ def find_traces(path: str | Path) -> list[Path]:
 
 
 def iter_records(path: str | Path) -> Iterator[dict]:
-    """Parse one JSONL trace, validating the schema version per record."""
+    """Parse one JSONL trace, validating the schema version per record.
+
+    A run that was killed leaves its last line cut short — the sink
+    writes through a buffered file — so one unparsable line is dropped
+    if it is the file's last and has no newline; the records before it
+    are what explains the run.
+    """
     with Path(path).open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
+        for line_no, raw in enumerate(handle, start=1):
+            line = raw.strip()
             if not line:
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
+                if not raw.endswith("\n"):
+                    return
                 raise TraceError(
                     f"{path}:{line_no}: not valid JSON: {exc}"
                 ) from exc
@@ -73,7 +82,13 @@ def load_records(path: str | Path) -> list[dict]:
 
 @dataclass
 class TraceSummary:
-    """Aggregates of one trace file."""
+    """Aggregates of one record stream — a saved trace or a live run.
+
+    :meth:`add` has the :class:`~repro.obs.trace.Tracer` tap signature,
+    so the same fold runs over a file (:func:`summarize`) and, tapped
+    onto the run's tracer, over the records as they are emitted; every
+    field is current after each call.
+    """
 
     records: int = 0
     t_min: float = 0.0
@@ -103,6 +118,15 @@ class TraceSummary:
     prof_spans_closed: int = 0
     span_duration_sum: float = 0.0
     span_micros_sum: int = 0
+    # Indexed by node id.  Traffic is counted when *booked* onto a link
+    # (each ``send``): ``*_in`` is bytes sent toward a node, delivered
+    # or not — churn can still drop them in flight.
+    per_node: list[dict[str, int]] = field(default_factory=list)
+    blocks_by_node: list[int] = field(default_factory=list)
+
+    # Whether a record other than trace_start/trace_end has set the time
+    # span yet; unannotated, so not a dataclass field.
+    _spanned = False
 
     @property
     def queue_delay_mean(self) -> float:
@@ -126,77 +150,107 @@ class TraceSummary:
     def total_bytes(self) -> int:
         return sum(self.bytes_by_kind.values())
 
+    def to_dict(self) -> dict:
+        """The JSON form: every field plus the derived figures."""
+        out = asdict(self)
+        out["queue_delay_mean"] = self.queue_delay_mean
+        out["span_duration_mean"] = self.span_duration_mean
+        out["span_micros_mean"] = self.span_micros_mean
+        out["total_bytes"] = self.total_bytes
+        return out
+
+    def _grow(self, node: int) -> None:
+        """Extend the per-node tables to cover node id ``node``."""
+        for _ in range(len(self.per_node), node + 1):
+            self.per_node.append(
+                dict(bytes_out=0, bytes_in=0, messages_out=0, messages_in=0)
+            )
+            self.blocks_by_node.append(0)
+
+    def add(self, ev: str, t: float, fields: dict) -> None:
+        """Fold one record in (a saved record's v/ev/t keys are ignored)."""
+        self.records += 1
+        events = self.events
+        events[ev] = events.get(ev, 0) + 1
+        if ev != "trace_start" and ev != "trace_end":
+            if not self._spanned:
+                self._spanned = True
+                self.t_min = self.t_max = t
+            elif t < self.t_min:
+                self.t_min = t
+            elif t > self.t_max:
+                self.t_max = t
+        if ev == "send":
+            kind = fields.get("kind", "?")
+            size = fields.get("size", 0)
+            self.sends_by_kind[kind] = self.sends_by_kind.get(kind, 0) + 1
+            self.bytes_by_kind[kind] = self.bytes_by_kind.get(kind, 0) + size
+            delay = fields.get("qd", 0.0)
+            if delay > 0:
+                self.queue_delay_count += 1
+                self.queue_delay_sum += delay
+                self.queue_delay_max = max(self.queue_delay_max, delay)
+            src = fields.get("src", 0)
+            dst = fields.get("dst", 0)
+            rows = self.per_node
+            if src >= len(rows) or dst >= len(rows):
+                self._grow(max(src, dst))
+            row = rows[src]
+            row["bytes_out"] += size
+            row["messages_out"] += 1
+            row = rows[dst]
+            row["bytes_in"] += size
+            row["messages_in"] += 1
+        elif ev == "block_gen":
+            kind = fields.get("kind", "?")
+            self.blocks_by_kind[kind] = self.blocks_by_kind.get(kind, 0) + 1
+            miner = fields.get("miner", 0)
+            self._grow(miner)
+            self.blocks_by_node[miner] += 1
+        elif ev == "tip_change":
+            self.tip_changes += 1
+        elif ev == "epoch_start":
+            self.epochs_started += 1
+        elif ev == "epoch_end":
+            self.epochs_ended += 1
+        elif ev == "gossip_retry":
+            self.gossip_retries += 1
+        elif ev == "obj_reject":
+            self.rejects += 1
+        elif ev == "drop":
+            self.drops += 1
+        elif ev == "sample_links":
+            self.peak_queued_bytes = max(
+                self.peak_queued_bytes, fields.get("queued_bytes", 0.0)
+            )
+            self.peak_busy_fraction = max(
+                self.peak_busy_fraction, fields.get("frac", 0.0)
+            )
+        elif ev == "sample_mempool":
+            self.peak_mempool = max(self.peak_mempool, fields.get("max", 0))
+        elif ev == "sample_forks":
+            self.peak_tips = max(self.peak_tips, fields.get("tips", 0))
+        elif ev == "prof_span":
+            self.prof_spans += 1
+            if fields.get("closed", True):
+                self.prof_spans_closed += 1
+                self.span_duration_sum += t - fields.get("start", t)
+                self.span_micros_sum += fields.get("micros", 0)
+        elif ev == "trace_start":
+            self.meta = {
+                k: v for k, v in fields.items() if k not in ("v", "ev", "t")
+            }
+            # One row per node, even for one that never sends.
+            self._grow(self.meta.get("n_nodes", 0) - 1)
+        elif ev in FAULT_EVENTS:
+            self.faults[ev] = self.faults.get(ev, 0) + 1
+
 
 def summarize(records: Iterable[dict]) -> TraceSummary:
     """Fold a record stream into a :class:`TraceSummary`."""
     summary = TraceSummary()
-    events: TallyCounter = TallyCounter()
-    t_min = None
-    t_max = None
     for record in records:
-        ev = record["ev"]
-        events[ev] += 1
-        t = record.get("t", 0.0)
-        if ev not in ("trace_start", "trace_end"):
-            t_min = t if t_min is None else min(t_min, t)
-            t_max = t if t_max is None else max(t_max, t)
-        if ev == "trace_start":
-            summary.meta = {
-                k: v for k, v in record.items() if k not in ("v", "ev", "t")
-            }
-        elif ev == "send":
-            kind = record.get("kind", "?")
-            summary.sends_by_kind[kind] = summary.sends_by_kind.get(kind, 0) + 1
-            summary.bytes_by_kind[kind] = summary.bytes_by_kind.get(
-                kind, 0
-            ) + record.get("size", 0)
-            delay = record.get("qd", 0.0)
-            if delay > 0:
-                summary.queue_delay_count += 1
-                summary.queue_delay_sum += delay
-                summary.queue_delay_max = max(summary.queue_delay_max, delay)
-        elif ev == "block_gen":
-            kind = record.get("kind", "?")
-            summary.blocks_by_kind[kind] = (
-                summary.blocks_by_kind.get(kind, 0) + 1
-            )
-        elif ev == "tip_change":
-            summary.tip_changes += 1
-        elif ev == "epoch_start":
-            summary.epochs_started += 1
-        elif ev == "epoch_end":
-            summary.epochs_ended += 1
-        elif ev == "gossip_retry":
-            summary.gossip_retries += 1
-        elif ev == "obj_reject":
-            summary.rejects += 1
-        elif ev == "drop":
-            summary.drops += 1
-        elif ev == "sample_links":
-            summary.peak_queued_bytes = max(
-                summary.peak_queued_bytes, record.get("queued_bytes", 0.0)
-            )
-            summary.peak_busy_fraction = max(
-                summary.peak_busy_fraction, record.get("frac", 0.0)
-            )
-        elif ev == "sample_mempool":
-            summary.peak_mempool = max(
-                summary.peak_mempool, record.get("max", 0)
-            )
-        elif ev == "sample_forks":
-            summary.peak_tips = max(summary.peak_tips, record.get("tips", 0))
-        elif ev == "prof_span":
-            summary.prof_spans += 1
-            if record.get("closed", True):
-                summary.prof_spans_closed += 1
-                summary.span_duration_sum += t - record.get("start", t)
-                summary.span_micros_sum += record.get("micros", 0)
-        elif ev in FAULT_EVENTS:
-            summary.faults[ev] = summary.faults.get(ev, 0) + 1
-    summary.events = dict(sorted(events.items()))
-    summary.records = sum(events.values())
-    summary.t_min = t_min if t_min is not None else 0.0
-    summary.t_max = t_max if t_max is not None else 0.0
+        summary.add(record["ev"], record.get("t", 0.0), record)
     return summary
 
 
@@ -212,12 +266,13 @@ def format_summary(summary: TraceSummary, name: str = "") -> str:
     lines.append(
         f"time span:           {summary.t_min:.1f} .. {summary.t_max:.1f} s"
     )
+    if "trace_end" not in summary.events:
+        lines.append("truncated:           no trace_end record")
     if summary.events:
         lines.append("event types:")
-        total_records = summary.records or 1
-        for ev, count in summary.events.items():
+        for ev, count in sorted(summary.events.items()):
             lines.append(
-                f"  {ev + ':':<19}{count:>8}  {count / total_records:>6.1%}"
+                f"  {ev + ':':<19}{count:>8}  {count / summary.records:>6.1%}"
             )
     if summary.sends_by_kind:
         lines.append("traffic by kind:")
@@ -338,48 +393,20 @@ def format_timeline(
 # -- toptalkers --------------------------------------------------------------
 
 
-def format_toptalkers(records: Iterable[dict], top: int = 10) -> str:
-    """Rank nodes by bytes booked onto their outgoing links.
-
-    Node identifiers are interned through an
-    :class:`~repro.net.interning.ObjectIdTable` into dense array
-    indices, so per-node tallies are list-indexed integer adds instead
-    of hash probes — the same layout trick the gossip hot path uses,
-    applied to a trace with millions of ``send`` records.
-    """
-    from ..net.interning import ObjectIdTable
-
-    node_ids: ObjectIdTable = ObjectIdTable()
-    bytes_out: list[int] = []
-    msgs_out: list[int] = []
-    blocks_gen: list[int] = []
-    for record in records:
-        ev = record["ev"]
-        if ev == "send":
-            iid = node_ids.intern(record.get("src"))
-            if iid == len(bytes_out):
-                bytes_out.append(0)
-                msgs_out.append(0)
-                blocks_gen.append(0)
-            bytes_out[iid] += record.get("size", 0)
-            msgs_out[iid] += 1
-        elif ev == "block_gen":
-            iid = node_ids.intern(record.get("miner"))
-            if iid == len(bytes_out):
-                bytes_out.append(0)
-                msgs_out.append(0)
-                blocks_gen.append(0)
-            blocks_gen[iid] += 1
-    if not any(msgs_out):
-        return "(no traffic recorded)"
+def format_toptalkers(summary: TraceSummary, top: int = 10) -> str:
+    """Rank nodes by bytes booked onto their outgoing links."""
+    rows = summary.per_node
     ranked = sorted(
-        (iid for iid in range(len(bytes_out)) if msgs_out[iid]),
-        key=lambda iid: (-bytes_out[iid], node_ids.obj_id(iid)),
+        (node for node, row in enumerate(rows) if row["messages_out"]),
+        key=lambda node: (-rows[node]["bytes_out"], node),
     )[:top]
+    if not ranked:
+        return "(no traffic recorded)"
     lines = [f"{'node':>6}  {'bytes out':>14}  {'msgs out':>10}  {'blocks':>6}"]
-    for iid in ranked:
+    for node in ranked:
+        row = rows[node]
         lines.append(
-            f"{node_ids.obj_id(iid):>6}  {bytes_out[iid]:>14,}  "
-            f"{msgs_out[iid]:>10}  {blocks_gen[iid]:>6}"
+            f"{node:>6}  {row['bytes_out']:>14,}  "
+            f"{row['messages_out']:>10}  {summary.blocks_by_node[node]:>6}"
         )
     return "\n".join(lines)

@@ -1,14 +1,17 @@
-"""The Observability facade: one object wiring registry, tracer, samplers.
+"""The Observability facade: one object wiring tracer, summary, samplers.
 
 An :class:`Observability` instance is threaded through an experiment:
-the :class:`~repro.net.network.Network` reads its tracer and registry,
-protocol nodes pick the tracer up from the network, and the runner asks
-it to install periodic samplers and to produce the final snapshot.
+the :class:`~repro.net.network.Network` reads its tracer, protocol
+nodes pick the tracer up from the network, and the runner asks it to
+install periodic samplers and to produce the final snapshot.  Every
+number in that snapshot is folded from the record stream by the same
+:class:`~repro.obs.analyze.TraceSummary` that ``repro trace summarize``
+runs over the saved file, tapped onto the live tracer.
 
-The disabled state is the singleton :data:`NULL_OBS` — its registry is
-the null registry, its tracer is ``None``, and ``install``/``finalize``
-do nothing — so un-instrumented behaviour (and performance) is the
-default.  Because every experiment parameter lives in the picklable
+The disabled state is the singleton :data:`NULL_OBS` — its tracer is
+``None`` and ``install``/``finalize`` do nothing — so un-instrumented
+behaviour (and performance) is the default.  Because every experiment
+parameter lives in the picklable
 :class:`~repro.experiments.config.ExperimentConfig`, observability
 round-trips through process-pool sweep workers: each worker rebuilds
 its own ``Observability`` from the config and writes to a per-cell file
@@ -20,11 +23,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .registry import MetricRegistry, NULL_REGISTRY
+from .analyze import TraceSummary
 from .samplers import ForkSampler, LinkSampler, MempoolSampler
 from .trace import JsonlSink, Tracer
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 # Default number of sampling points across a run when no explicit
 # period is configured: enough to see dynamics, cheap to store.
@@ -46,20 +49,22 @@ def config_slug(config) -> str:
 
 
 class Observability:
-    """Wires a metric registry, a tracer, and samplers into one run."""
+    """Wires a tracer, the summary folding its records, and samplers."""
 
     enabled = True
 
     def __init__(
         self,
-        registry: MetricRegistry | None = None,
         tracer: Tracer | None = None,
         out_dir: str | Path | None = None,
         slug: str = "run",
         sample_period: float | None = None,
     ) -> None:
-        self.registry = registry if registry is not None else MetricRegistry()
-        self.tracer = tracer
+        # Enabled means a tracer exists: with no sink it writes nothing
+        # and the summary is all a run leaves behind.
+        self.tracer = tracer if tracer is not None else Tracer()
+        self.summary = TraceSummary()
+        self.tracer.taps += (self.summary.add,)
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self.slug = slug
         self.sample_period = sample_period
@@ -88,9 +93,13 @@ class Observability:
         )
 
     def tapped(self, tap) -> "Observability":
-        """This facade, its tracer showing ``tap`` each record first."""
-        sink = self.tracer.sink if self.tracer is not None else None
-        self.tracer = Tracer(sink, tap)
+        """This facade, its tracer showing ``tap`` each record first.
+
+        The tracer held until now is left as it was — same sink, same
+        summary — so what ``tap`` emits into it is folded and written
+        once, ahead of the record that prompted it.
+        """
+        self.tracer = Tracer(self.tracer.sink, tap, *self.tracer.taps)
         return self
 
     # -- file layout --------------------------------------------------------
@@ -123,67 +132,44 @@ class Observability:
         or drawing randomness, so an instrumented run stays
         bit-identical to a bare one.
         """
-        if self.tracer is not None:
-            self.tracer.emit("trace_start", sim.now, **(meta or {}))
+        tracer = self.tracer
+        tracer.emit("trace_start", sim.now, **(meta or {}))
         period = self.resolve_period(horizon)
         self.samplers = [
-            LinkSampler(
-                network,
-                tracer=self.tracer,
-                registry=self.registry,
-                period=period,
-                until=horizon,
-            ),
-            MempoolSampler(
-                nodes,
-                tracer=self.tracer,
-                registry=self.registry,
-                period=period,
-                until=horizon,
-            ),
-            ForkSampler(
-                nodes,
-                tracer=self.tracer,
-                registry=self.registry,
-                period=period,
-                until=horizon,
-            ),
+            LinkSampler(network, tracer, period=period, until=horizon),
+            MempoolSampler(nodes, tracer, period=period, until=horizon),
+            ForkSampler(nodes, tracer, period=period, until=horizon),
         ]
         for sampler in self.samplers:
             sampler.start(sim)
 
-    def finalize(
-        self, network=None, extra: dict | None = None, end_time: float = 0.0
-    ) -> dict:
+    def finalize(self, end_time: float = 0.0) -> dict:
         """Close the trace and return (and maybe write) the snapshot.
 
-        The snapshot carries the full metric registry, the per-node
-        traffic summary, and sampler counts; with an output directory
-        configured it is also written as ``<slug>.metrics.json``.
+        ``trace_end`` is emitted first, so the snapshot's ``metrics`` —
+        the summary in JSON form — is what ``summarize`` makes of the
+        finished file; with an output directory configured the snapshot
+        is also written as ``<slug>.metrics.json``.
         """
+        summary = self.summary
+        self.tracer.emit("trace_end", end_time, records=summary.records + 1)
+        self.tracer.close()
         snapshot: dict = {
             "snapshot_version": SNAPSHOT_VERSION,
             "slug": self.slug,
-            "metrics": self.registry.collect(),
+            "metrics": summary.to_dict(),
+            "traffic": {
+                "total_bytes_sent": summary.total_bytes,
+                "per_node": summary.per_node,
+            },
             "samples_taken": {
                 type(s).__name__: s.samples_taken for s in self.samplers
             },
         }
-        if network is not None:
-            snapshot["traffic"] = {
-                "total_bytes_sent": network.total_bytes_queued(),
-                "per_node": network.traffic_by_node(),
-            }
-        if extra:
-            snapshot.update(extra)
-        if self.tracer is not None:
-            snapshot["trace_records"] = self.tracer.records_written + 1
+        if self.tracer.sink is not None:
+            snapshot["trace_records"] = summary.records
             if self.trace_path is not None:
                 snapshot["trace_path"] = str(self.trace_path)
-            self.tracer.emit(
-                "trace_end", end_time, records=self.tracer.records_written + 1
-            )
-            self.tracer.close()
         if self.metrics_path is not None:
             self.metrics_path.parent.mkdir(parents=True, exist_ok=True)
             self.metrics_path.write_text(
@@ -197,7 +183,6 @@ class _NullObservability:
     """The disabled singleton: nothing recorded, nothing written."""
 
     enabled = False
-    registry = NULL_REGISTRY
     tracer = None
     out_dir = None
     slug = ""
@@ -216,7 +201,7 @@ class _NullObservability:
     def install(self, sim, network, nodes, horizon, meta=None) -> None:
         pass
 
-    def finalize(self, network=None, extra=None, end_time=0.0) -> None:
+    def finalize(self, end_time=0.0) -> None:
         return None
 
 

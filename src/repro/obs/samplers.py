@@ -5,8 +5,8 @@ adversarial regimes the related work probes need *how* it unfolded —
 link saturation climbing, mempools backing up, fork churn around leader
 changes.  Each sampler schedules itself on the :class:`Simulator` at a
 fixed period, reads state without mutating anything (and without
-touching the simulation RNG, preserving bit-identical results), emits
-one trace record, and updates gauges in the registry.
+touching the simulation RNG, preserving bit-identical results) and
+emits one trace record; the run's summary keeps the peaks.
 """
 
 from __future__ import annotations
@@ -59,51 +59,23 @@ class LinkSampler(PeriodicSampler):
     """
 
     def __init__(
-        self,
-        network,
-        tracer=None,
-        registry=None,
-        period: float = 1.0,
-        until: float | None = None,
+        self, network, tracer, period: float = 1.0, until: float | None = None
     ) -> None:
         super().__init__(period, until)
         self.network = network
         self.tracer = tracer
-        if registry is not None:
-            self._g_busy = registry.gauge(
-                "obs_link_busy_fraction",
-                "fraction of directed links mid-serialization at sample time",
-            )
-            self._g_queued = registry.gauge(
-                "obs_link_queued_bytes",
-                "bytes awaiting serialization across all links at sample time",
-            )
-            self._g_peak = registry.gauge(
-                "obs_link_queued_bytes_peak",
-                "largest queued-bytes sample seen during the run",
-            )
-        else:
-            self._g_busy = self._g_queued = self._g_peak = None
-        self._peak = 0.0
 
     def sample(self, now: float) -> None:
         busy, total, queued = self.network.link_utilization(now)
         fraction = busy / total if total else 0.0
-        if queued > self._peak:
-            self._peak = queued
-        if self._g_busy is not None:
-            self._g_busy.set(fraction)
-            self._g_queued.set(queued)
-            self._g_peak.set(self._peak)
-        if self.tracer is not None:
-            self.tracer.emit(
-                "sample_links",
-                now,
-                busy=busy,
-                links=total,
-                frac=round(fraction, 6),
-                queued_bytes=round(queued, 1),
-            )
+        self.tracer.emit(
+            "sample_links",
+            now,
+            busy=busy,
+            links=total,
+            frac=round(fraction, 6),
+            queued_bytes=round(queued, 1),
+        )
 
 
 class MempoolSampler(PeriodicSampler):
@@ -112,44 +84,27 @@ class MempoolSampler(PeriodicSampler):
     def __init__(
         self,
         nodes: Sequence,
-        tracer=None,
-        registry=None,
+        tracer,
         period: float = 1.0,
         until: float | None = None,
     ) -> None:
         super().__init__(period, until)
         self.nodes = nodes
         self.tracer = tracer
-        if registry is not None:
-            self._g_total = registry.gauge(
-                "obs_mempool_txs_total",
-                "pending transactions summed over all nodes at sample time",
-            )
-            self._g_max = registry.gauge(
-                "obs_mempool_txs_max",
-                "deepest single-node mempool at sample time",
-            )
-        else:
-            self._g_total = self._g_max = None
 
     def sample(self, now: float) -> None:
         # Not every protocol node keeps a mempool (GHOST nodes mine
         # synthetic payloads directly); treat those as empty.
         depths = [len(getattr(node, "mempool", ())) for node in self.nodes]
         total = sum(depths)
-        deepest = max(depths) if depths else 0
-        if self._g_total is not None:
-            self._g_total.set(total)
-            self._g_max.set(deepest)
-        if self.tracer is not None:
-            self.tracer.emit(
-                "sample_mempool",
-                now,
-                total=total,
-                min=min(depths) if depths else 0,
-                max=deepest,
-                mean=round(total / len(depths), 3) if depths else 0.0,
-            )
+        self.tracer.emit(
+            "sample_mempool",
+            now,
+            total=total,
+            min=min(depths) if depths else 0,
+            max=max(depths) if depths else 0,
+            mean=round(total / len(depths), 3) if depths else 0.0,
+        )
 
 
 class ForkSampler(PeriodicSampler):
@@ -162,33 +117,14 @@ class ForkSampler(PeriodicSampler):
     def __init__(
         self,
         nodes: Sequence,
-        tracer=None,
-        registry=None,
+        tracer,
         period: float = 1.0,
         until: float | None = None,
     ) -> None:
         super().__init__(period, until)
         self.nodes = nodes
         self.tracer = tracer
-        if registry is not None:
-            self._g_tips = registry.gauge(
-                "obs_distinct_tips",
-                "distinct main-chain tips across nodes at sample time",
-            )
-            self._g_peak = registry.gauge(
-                "obs_distinct_tips_peak",
-                "largest distinct-tip sample seen during the run",
-            )
-        else:
-            self._g_tips = self._g_peak = None
-        self._peak = 0
 
     def sample(self, now: float) -> None:
         tips = len({node.tip for node in self.nodes})
-        if tips > self._peak:
-            self._peak = tips
-        if self._g_tips is not None:
-            self._g_tips.set(tips)
-            self._g_peak.set(self._peak)
-        if self.tracer is not None:
-            self.tracer.emit("sample_forks", now, tips=tips)
+        self.tracer.emit("sample_forks", now, tips=tips)

@@ -114,25 +114,25 @@ class Tracer:
 
     Instrumented code holds either a ``Tracer`` or ``None``; hot paths
     guard with ``if tracer is not None`` so a disabled run pays one
-    attribute check and nothing else.  ``tap(ev, t, fields)``, when
-    given, sees every record before it is written — what it emits in
-    turn lands ahead of that record; with no ``sink`` the tap is all
-    there is and nothing is written.
+    attribute check and nothing else.  Each of ``taps``, called as
+    ``tap(ev, t, fields)`` in order, sees every record before it is
+    written — what a tap emits in turn lands ahead of that record; with
+    no ``sink`` the taps are all there is and nothing is written.
     """
 
-    __slots__ = ("sink", "tap")
+    __slots__ = ("sink", "taps")
 
-    def __init__(self, sink=None, tap=None) -> None:
+    def __init__(self, sink=None, *taps) -> None:
         self.sink = sink
-        self.tap = tap
+        self.taps = taps
 
     @property
     def records_written(self) -> int:
         return self.sink.records_written if self.sink is not None else 0
 
     def emit(self, ev: str, t: float, **fields) -> None:
-        if self.tap is not None:
-            self.tap(ev, t, fields)
+        for tap in self.taps:
+            tap(ev, t, fields)
         if self.sink is not None:
             record = {"v": SCHEMA_VERSION, "ev": ev, "t": t}
             record.update(fields)

@@ -84,7 +84,8 @@ class ProfilerRuntime:
         # Span tracking: leader id -> open EpochSpan.
         self._open_spans: dict[int, EpochSpan] = {}
         self.spans: list[EpochSpan] = []
-        self._span_sink = None  # the untapped tracer, for prof_span emission
+        # The run's tracer minus this profiler's tap: prof_span goes here.
+        self._span_sink = None
 
     # -- wiring --------------------------------------------------------------
 

@@ -1,9 +1,8 @@
 """Small statistics helpers shared across the library.
 
 Percentiles, least-squares fitting, and summary statistics used by the
-metrics, the pool model, and the experiment harness.  Kept dependency-
-free (no numpy) so the core library remains pure Python; the experiment
-code may still use numpy for bulk work where it matters.
+metrics, the pool model, and the experiment harness.  Dependency-free,
+like the rest of the package: the library is pure Python.
 """
 
 from __future__ import annotations

@@ -138,7 +138,7 @@ def test_parser_rejects_unknown_protocol():
 
 
 def test_run_with_trace_export(tmp_path, capsys):
-    trace = tmp_path / "t.json"
+    trace = tmp_path / "missing" / "dir" / "t.json"  # parents are created
     code = main(
         [
             "run",
@@ -242,8 +242,51 @@ def test_run_obs_json_includes_snapshot(tmp_path, capsys):
     )
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["obs"]["snapshot_version"] == 1
-    assert "net_messages_sent" in payload["obs"]["metrics"]
+    assert payload["obs"]["snapshot_version"] == 2
+    assert payload["obs"]["metrics"]["sends_by_kind"]["inv"] > 0
+
+
+def test_obs_pointing_at_a_file_is_rejected_before_the_run(
+    tmp_path, capsys, monkeypatch
+):
+    import repro.cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the run was started")
+
+    monkeypatch.setattr(repro.cli, "run_experiment", never)
+    target = tmp_path / "not-a-dir"
+    target.write_text("")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--nodes", "12", "--blocks", "6", "--obs", str(target)])
+    assert str(excinfo.value) == f"error: --obs {target}: not a directory"
+
+
+def test_trace_of_a_killed_run_still_summarizes(tmp_path, capsys):
+    obs_dir = tmp_path / "obs"
+    run = ["run", "--protocol", "bitcoin", "--nodes", "12", "--blocks", "6"]
+    assert main(run + ["--block-size", "3000", "--obs", str(obs_dir)]) == 0
+    (trace,) = obs_dir.glob("*.trace.jsonl")
+    whole = trace.read_text()
+    capsys.readouterr()
+
+    assert main(["trace", "summarize", str(trace)]) == 0
+    assert "truncated" not in capsys.readouterr().out
+
+    # Killed mid-write: the buffered sink leaves the last line cut short.
+    trace.write_text(whole[: len(whole) // 2].rsplit("\n", 1)[0] + '\n{"v":1,"ev":"se')
+    for command in ("summarize", "timeline", "toptalkers"):
+        assert main(["trace", command, str(trace)]) == 0
+    captured = capsys.readouterr()
+    assert "truncated:           no trace_end record" in captured.out
+    assert captured.err == ""
+
+    # The same damage anywhere but the end is not a torn write.
+    lines = whole.splitlines(keepends=True)
+    lines[50] = '{"v":1,"ev":"se\n'
+    trace.write_text("".join(lines))
+    assert main(["trace", "summarize", str(trace)]) == 1
+    assert f"error: {trace}:51: not valid JSON" in capsys.readouterr().err
 
 
 def test_trace_errors_on_missing_path(tmp_path, capsys):

@@ -90,13 +90,6 @@ def test_queue_delay():
     assert idle == pytest.approx(70.0)
 
 
-def test_statistics():
-    link = OneLink(0.0, 100)
-    link.transfer((0.0, 10), (0.0, 20))
-    assert link.link.bytes_sent == 30
-    assert link.link.messages_sent == 2
-
-
 def test_paper_bandwidth_figure():
     # 100 kbit/s: a 1 MB block takes ~80 s per hop — the core tension
     # the paper's Figure 7 measures.

@@ -95,7 +95,6 @@ def test_delivery_statistics():
     sim.run()
     assert net.messages_delivered == 2
     assert net.bytes_delivered == 30
-    assert net.total_bytes_queued() == 30
 
 
 def test_attach_validates_node_id():
@@ -109,13 +108,28 @@ def test_message_size_validation():
         Message("bad", None, -1)
 
 
+def _obs_network():
+    from repro.obs import Observability
+    from repro.obs.trace import MemorySink, Tracer
+
+    sim = Simulator(seed=0)
+    sink = MemorySink()
+    obs = Observability(tracer=Tracer(sink))
+    net = Network(
+        sim, complete_topology(3), constant_histogram(0.1), 1000.0, obs=obs
+    )
+    for i in range(3):
+        net.attach(i, Recorder(sim))
+    return sim, net, obs, sink
+
+
 def test_traffic_by_node_sums_link_counters():
-    sim, net, _ = _network(n=3)
+    sim, net, obs, _ = _obs_network()
     net.send(0, 1, Message("a", None, 100))
     net.send(0, 2, Message("b", None, 250))
     net.send(1, 0, Message("c", None, 40))
     sim.run()
-    traffic = net.traffic_by_node()
+    traffic = obs.summary.per_node
     assert traffic[0] == {
         "bytes_out": 350, "bytes_in": 40,
         "messages_out": 2, "messages_in": 1,
@@ -126,17 +140,17 @@ def test_traffic_by_node_sums_link_counters():
         "messages_out": 0, "messages_in": 1,
     }
     # Conservation: every byte out lands as a byte in somewhere.
-    assert sum(t["bytes_out"] for t in traffic) == net.total_bytes_queued()
-    assert sum(t["bytes_in"] for t in traffic) == net.total_bytes_queued()
+    assert sum(t["bytes_out"] for t in traffic) == obs.summary.total_bytes
+    assert sum(t["bytes_in"] for t in traffic) == obs.summary.total_bytes
 
 
 def test_traffic_by_node_counts_booked_not_delivered():
-    sim, net, sinks = _network()
+    sim, net, obs, sink = _obs_network()
     net.send(0, 1, Message("x", None, 500))
     net.set_offline(1)  # goes dark while the message is in flight
     sim.run()
-    assert sinks[1].received == []
-    assert net.traffic_by_node()[1]["bytes_in"] == 500
+    assert [r["ev"] for r in sink.records] == ["send", "drop"]
+    assert obs.summary.per_node[1]["bytes_in"] == 500
 
 
 def test_link_utilization_tracks_serialization():
@@ -157,28 +171,12 @@ def test_link_utilization_tracks_serialization():
     assert (busy, queued) == (0, 0.0)
 
 
-def _obs_network():
-    from repro.obs import Observability
-    from repro.obs.trace import MemorySink, Tracer
-
-    sim = Simulator(seed=0)
-    sink = MemorySink()
-    obs = Observability(tracer=Tracer(sink))
-    net = Network(
-        sim, complete_topology(3), constant_histogram(0.1), 1000.0, obs=obs
-    )
-    for i in range(3):
-        net.attach(i, Recorder(sim))
-    return sim, net, obs, sink
-
-
 def test_instrumented_send_updates_counters_and_trace():
     sim, net, obs, sink = _obs_network()
     net.send(0, 1, Message("inv", None, 61))
     sim.run()
-    metrics = obs.registry.collect()
-    assert metrics["net_messages_sent"]["values"] == {"kind=inv": 1.0}
-    assert metrics["net_bytes_sent"]["values"] == {"kind=inv": 61.0}
+    assert obs.summary.sends_by_kind == {"inv": 1}
+    assert obs.summary.bytes_by_kind == {"inv": 61}
     events = [r["ev"] for r in sink.records]
     assert events == ["send", "deliver"]
     assert sink.records[0]["src"] == 0
@@ -192,8 +190,7 @@ def test_instrumented_drops_are_recorded():
     net.block_link(0, 2)
     net.send(0, 2, Message("inv", None, 61))
     sim.run()
-    counter = obs.registry.counter("net_sends_dropped")
-    assert counter.value == 2
+    assert obs.summary.drops == 2
     assert [r["ev"] for r in sink.records] == ["drop", "drop"]
 
 

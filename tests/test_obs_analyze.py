@@ -1,8 +1,12 @@
 """Offline trace analysis: find, summarize, timeline, toptalkers."""
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.obs.analyze import (
+    TraceSummary,
     find_traces,
     format_summary,
     format_timeline,
@@ -61,6 +65,29 @@ def test_summarize_aggregates_everything():
     assert s.peak_busy_fraction == 0.3
     assert s.peak_mempool == 30
     assert s.peak_tips == 2
+    # Per-node rows, indexed by node id: booked toward a node counts as in.
+    assert s.per_node == [
+        {"bytes_out": 5061, "bytes_in": 7000, "messages_out": 2, "messages_in": 1},
+        {"bytes_out": 0, "bytes_in": 5061, "messages_out": 0, "messages_in": 2},
+        {"bytes_out": 7000, "bytes_in": 0, "messages_out": 1, "messages_in": 0},
+    ]
+    assert s.blocks_by_node == [2, 0, 0]
+
+
+def test_summary_is_current_after_every_record_and_json_safe():
+    s = TraceSummary()
+    for seen, record in enumerate(SAMPLE, start=1):
+        s.add(record["ev"], record["t"], record)
+        assert s.records == seen
+    assert (s.t_min, s.t_max) == (1.0, 9.0)
+    assert s == summarize(SAMPLE)
+    as_dict = s.to_dict()
+    assert json.loads(json.dumps(as_dict)) == as_dict
+    assert set(as_dict) == {f.name for f in dataclasses.fields(s)} | {
+        "queue_delay_mean", "span_duration_mean", "span_micros_mean",
+        "total_bytes",
+    }
+    assert as_dict["queue_delay_mean"] == pytest.approx(0.8)
 
 
 def test_format_summary_mentions_the_headlines():
@@ -100,7 +127,7 @@ def test_timeline_rejects_zero_buckets():
 
 
 def test_toptalkers_ranks_by_bytes_out():
-    text = format_toptalkers(SAMPLE, top=2)
+    text = format_toptalkers(summarize(SAMPLE), top=2)
     lines = text.splitlines()
     # Node 2 sent 7000 bytes, node 0 sent 5061: ranked in that order.
     assert lines[1].split()[0] == "2"
@@ -109,7 +136,9 @@ def test_toptalkers_ranks_by_bytes_out():
 
 
 def test_toptalkers_without_traffic():
-    assert format_toptalkers([_rec("trace_start", 0.0)]) == "(no traffic recorded)"
+    quiet = summarize([_rec("trace_start", 0.0, n_nodes=3)])
+    assert len(quiet.per_node) == 3  # a row per node, none with traffic
+    assert format_toptalkers(quiet) == "(no traffic recorded)"
 
 
 def test_find_traces_on_a_file_and_a_directory(tmp_path):

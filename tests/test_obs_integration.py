@@ -7,11 +7,14 @@ import pytest
 from repro.experiments import ExperimentConfig, Protocol, run_experiment
 from repro.experiments.parallel import run_many
 from repro.obs import (
+    NULL_OBS,
     Observability,
     config_slug,
     load_records,
+    summarize,
 )
 from repro.obs.trace import MemorySink, Tracer
+from repro.prof.runtime import ProfilerRuntime
 
 SMALL = ExperimentConfig(
     n_nodes=12,
@@ -62,18 +65,123 @@ def test_bitcoin_run_traces_blocks_and_tips():
 def test_snapshot_carries_metrics_traffic_and_samples():
     result, _, _ = _run_traced(SMALL.with_(protocol=Protocol.BITCOIN))
     snapshot = result.obs
-    assert snapshot["snapshot_version"] == 1
+    assert snapshot["snapshot_version"] == 2
     metrics = snapshot["metrics"]
-    assert "net_messages_sent" in metrics
-    assert "net_bytes_sent" in metrics
-    assert "node_blocks_generated" in metrics
-    assert metrics["net_queue_delay_seconds"]["type"] == "histogram"
+    assert set(metrics["sends_by_kind"]) == {"inv", "getdata", "object"}
+    assert metrics["blocks_by_kind"] == {"block": result.blocks_generated}
+    assert metrics["events"]["trace_end"] == 1
+    assert metrics["records"] == snapshot["trace_records"]
+    assert "trace_path" not in snapshot  # a sink, but no output directory
     assert all(n > 0 for n in snapshot["samples_taken"].values())
     traffic = snapshot["traffic"]
     per_node = traffic["per_node"]
     assert len(per_node) == SMALL.n_nodes
     assert sum(n["bytes_out"] for n in per_node) == traffic["total_bytes_sent"]
     assert sum(n["bytes_in"] for n in per_node) == traffic["total_bytes_sent"]
+    assert traffic["total_bytes_sent"] == metrics["total_bytes"]
+
+
+PIN_SCENARIO = {
+    "version": 1,
+    "name": "pin",
+    "faults": [
+        {"at": 20.0, "kind": "partition", "split": "halves"},
+        {"at": 50.0, "kind": "heal"},
+        {"at": 55.0, "kind": "loss", "rate": 0.05},
+    ],
+}
+
+
+def test_summary_reports_the_numbers_the_registry_and_link_counters_did():
+    """Literals from snapshot v1 (metric registry + per-link counters)
+    of the commit before the fold replaced them, as ints."""
+    config = SMALL.with_(protocol=Protocol.BITCOIN_NG, scenario=PIN_SCENARIO)
+    snapshot = _run_traced(config)[0].obs
+    metrics = snapshot["metrics"]
+    assert metrics["sends_by_kind"] == {"getdata": 416, "inv": 2866, "object": 393}
+    assert metrics["bytes_by_kind"] == {
+        "getdata": 25376, "inv": 174826, "object": 1383540,
+    }
+    assert metrics["drops"] == 202
+    assert metrics["blocks_by_kind"] == {"key": 4, "micro": 32}
+    assert metrics["tip_changes"] == 354
+    assert metrics["epochs_started"] == 4
+    keys = ("bytes_out", "bytes_in", "messages_out", "messages_in")
+    assert snapshot["traffic"] == {
+        "total_bytes_sent": 1583742,
+        "per_node": [
+            dict(zip(keys, row))
+            for row in (
+                (19011, 141370, 248, 274),
+                (18584, 141492, 241, 276),
+                (67000, 133321, 261, 271),
+                (18056, 141635, 296, 342),
+                (433687, 83086, 349, 275),
+                (32307, 143505, 275, 309),
+                (167974, 143871, 320, 315),
+                (28890, 142834, 281, 298),
+                (587526, 84450, 434, 299),
+                (27408, 145091, 322, 335),
+                (50236, 137182, 249, 269),
+                (133063, 145905, 399, 412),
+            )
+        ],
+    }
+
+
+LIVE_RUNS = [
+    pytest.param(protocol, extra, profiled, id=f"{protocol.value}-{label}")
+    for label, extra, profiled, protocols in (
+        ("plain", {}, False, tuple(Protocol)),
+        ("audit", {"check": True, "check_mode": "audit"}, False, tuple(Protocol)),
+        ("faults", {"scenario": PIN_SCENARIO, "check": True}, False, tuple(Protocol)),
+        ("profiled", {"check": True}, True, (Protocol.BITCOIN_NG,)),
+    )
+    for protocol in protocols
+]
+
+
+@pytest.mark.parametrize("protocol, extra, profiled", LIVE_RUNS)
+def test_live_snapshot_is_the_offline_summary(tmp_path, protocol, extra, profiled):
+    """One fold: what the run reports is what ``repro trace summarize``
+    makes of the file it wrote."""
+    config = SMALL.with_(protocol=protocol, obs_dir=str(tmp_path), **extra)
+    profiler = ProfilerRuntime() if profiled else None
+    result, _ = run_experiment(config, profiler=profiler)
+    slug = config_slug(config)
+    records = load_records(tmp_path / f"{slug}.trace.jsonl")
+    offline = summarize(records)
+    assert result.obs["metrics"] == offline.to_dict()
+    assert result.obs["traffic"]["per_node"] == offline.per_node
+    assert result.obs["trace_records"] == len(records) == offline.records
+    on_disk = json.loads((tmp_path / f"{slug}.metrics.json").read_text())
+    assert on_disk == result.obs
+    if profiled:
+        assert offline.prof_spans == len(profiler.spans) > 0
+    if "scenario" in extra:
+        assert offline.drops > 0 and offline.faults
+
+
+def test_sinkless_observability_folds_everything_and_writes_nothing():
+    obs = Observability()
+    result, _ = run_experiment(SMALL.with_(protocol=Protocol.BITCOIN_NG), obs=obs)
+    _, _, records = _run_traced(SMALL.with_(protocol=Protocol.BITCOIN_NG))
+    assert obs.tracer.records_written == 0
+    assert "trace_records" not in result.obs
+    assert "trace_path" not in result.obs
+    assert result.obs["metrics"] == summarize(records).to_dict()
+
+
+def test_null_obs_tapped_leaves_the_network_on_its_bare_path():
+    from repro.experiments.runner import build_network
+    from repro.net.simulator import Simulator
+
+    seen = []
+    tapped = NULL_OBS.tapped(lambda ev, t, fields: seen.append(ev))
+    network = build_network(SMALL, Simulator(seed=1), obs=tapped)
+    assert network._obs_on is False
+    assert network.tracer is tapped.tracer  # nodes still emit into the tap
+    assert NULL_OBS.tracer is None
 
 
 def test_obs_results_match_bare_results():

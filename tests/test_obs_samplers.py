@@ -1,4 +1,4 @@
-"""Periodic samplers: cadence, gauges, trace records, non-interference."""
+"""Periodic samplers: cadence, trace records, folded peaks, non-interference."""
 
 import pytest
 
@@ -6,7 +6,7 @@ from repro.net.latency import constant_histogram
 from repro.net.network import Message, Network
 from repro.net.simulator import Simulator
 from repro.net.topology import complete_topology
-from repro.obs.registry import MetricRegistry
+from repro.obs.analyze import TraceSummary
 from repro.obs.samplers import (
     ForkSampler,
     LinkSampler,
@@ -62,8 +62,8 @@ def test_samplers_never_touch_the_simulation_rng():
     state_before = sim.rng.getstate()
     nodes = [_FakeNode(3, b"a"), _FakeNode(5, b"b")]
     for sampler in (
-        MempoolSampler(nodes, period=1.0, until=4.0),
-        ForkSampler(nodes, period=1.0, until=4.0),
+        MempoolSampler(nodes, Tracer(), period=1.0, until=4.0),
+        ForkSampler(nodes, Tracer(), period=1.0, until=4.0),
     ):
         sampler.start(sim)
     sim.run()
@@ -75,10 +75,10 @@ def test_link_sampler_sees_a_busy_link():
     network = Network(
         sim, complete_topology(2), constant_histogram(0.1), bandwidth_bps=1000.0
     )
-    registry = MetricRegistry()
+    summary = TraceSummary()
     sink = MemorySink()
     sampler = LinkSampler(
-        network, tracer=Tracer(sink), registry=registry, period=1.0, until=3.0
+        network, Tracer(sink, summary.add), period=1.0, until=3.0
     )
     sampler.start(sim)
     # 8000 bytes at 1000 B/s serializes for 8 s: busy at every sample.
@@ -87,7 +87,8 @@ def test_link_sampler_sees_a_busy_link():
     assert sampler.samples_taken == 3
     busy_fractions = [r["frac"] for r in sink.records]
     assert all(f > 0 for f in busy_fractions)
-    assert registry.gauge("obs_link_queued_bytes_peak").value > 0
+    assert summary.peak_queued_bytes == sink.records[0]["queued_bytes"]
+    assert summary.peak_busy_fraction == 0.5
     record = sink.records[0]
     assert record["ev"] == "sample_links"
     assert record["links"] == 2  # one directed link each way
@@ -97,10 +98,10 @@ def test_link_sampler_sees_a_busy_link():
 def test_mempool_sampler_summarizes_depths():
     sim = Simulator()
     nodes = [_FakeNode(2, b"x"), _FakeNode(8, b"x"), _FakeNode(5, b"x")]
-    registry = MetricRegistry()
+    summary = TraceSummary()
     sink = MemorySink()
     sampler = MempoolSampler(
-        nodes, tracer=Tracer(sink), registry=registry, period=1.0, until=1.0
+        nodes, Tracer(sink, summary.add), period=1.0, until=1.0
     )
     sampler.start(sim)
     sim.run()
@@ -110,33 +111,21 @@ def test_mempool_sampler_summarizes_depths():
     assert record["min"] == 2
     assert record["max"] == 8
     assert record["mean"] == 5.0
-    assert registry.gauge("obs_mempool_txs_total").value == 15
-    assert registry.gauge("obs_mempool_txs_max").value == 8
+    assert summary.peak_mempool == 8
 
 
 def test_fork_sampler_counts_distinct_tips_and_peak():
     sim = Simulator()
     nodes = [_FakeNode(0, b"a"), _FakeNode(0, b"b"), _FakeNode(0, b"a")]
-    registry = MetricRegistry()
+    summary = TraceSummary()
     sink = MemorySink()
     sampler = ForkSampler(
-        nodes, tracer=Tracer(sink), registry=registry, period=1.0, until=2.0
+        nodes, Tracer(sink, summary.add), period=1.0, until=2.0
     )
     sampler.start(sim)
     # Converge to one tip between the first and second sample.
     sim.schedule(1.5, lambda: setattr(nodes[1], "tip", b"a"))
     sim.run()
     assert [r["tips"] for r in sink.records] == [2, 1]
-    assert registry.gauge("obs_distinct_tips").value == 1
-    assert registry.gauge("obs_distinct_tips_peak").value == 2
-
-
-def test_samplers_work_without_tracer_or_registry():
-    sim = Simulator()
-    nodes = [_FakeNode(1, b"a")]
-    for sampler in (
-        MempoolSampler(nodes, period=1.0, until=2.0),
-        ForkSampler(nodes, period=1.0, until=2.0),
-    ):
-        sampler.start(sim)
-    sim.run()  # silent sampling: no sink, no gauges, no crash
+    # The last sample is the last record; the fold keeps the peak.
+    assert summary.peak_tips == 2

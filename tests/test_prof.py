@@ -158,7 +158,8 @@ def test_span_lifecycle_via_tap_tracer():
 
     runtime = ProfilerRuntime()
     sink = MemorySink()
-    tap = runtime.wrap_observability(Observability(tracer=Tracer(sink))).tracer
+    obs = runtime.wrap_observability(Observability(tracer=Tracer(sink)))
+    tap = obs.tracer
     tap.emit("epoch_start", 5.0, leader=1, key_block="ab12")
     tap.emit("block_gen", 6.0, kind="micro", miner=1, hash="m1")
     tap.emit("block_gen", 7.0, kind="micro", miner=1, hash="m2")
@@ -190,6 +191,13 @@ def test_span_lifecycle_via_tap_tracer():
     }
     assert events.count("epoch_start") == 2
     assert tap.records_written == len(sink.records) == 8
+    # The summary folds what the file holds, in the file's order: the
+    # span once, ahead of its epoch_end.
+    assert obs.summary.records == 8
+    assert obs.summary.prof_spans == obs.summary.prof_spans_closed == 1
+    assert list(obs.summary.events) == [
+        "epoch_start", "block_gen", "prof_span", "epoch_end",
+    ]
 
     # The still-open epoch closes unclosed at profile build time.
     profile = runtime.build_profile({}, 0.0, 1.0, 0, end_time=12.0)
@@ -217,12 +225,10 @@ def test_reelected_leader_closes_stale_span():
 
 def test_null_obs_tapped_stays_disabled():
     from repro.obs.facade import NULL_OBS
-    from repro.obs.registry import NULL_REGISTRY
 
     seen = []
     tapped = NULL_OBS.tapped(lambda ev, t, fields: seen.append((ev, t, fields)))
     assert tapped.enabled is False
-    assert tapped.registry is NULL_REGISTRY
     tapped.tracer.emit("epoch_start", 2.0, leader=4)
     assert seen == [("epoch_start", 2.0, {"leader": 4})]
     assert tapped.tracer.records_written == 0
