@@ -175,13 +175,30 @@ class Microblock:
             return "entries root does not match payload"
         return None
 
+    @cached_property
+    def _signature_verdicts(self) -> dict[bytes, bool]:
+        """``leader_pubkey`` -> verdict of :meth:`verify_signature` under it."""
+        return {}
+
     def verify_signature(self, leader_pubkey: bytes) -> bool:
-        """Check the header signature under the epoch's public key."""
-        try:
-            pubkey = PublicKey.from_bytes(leader_pubkey)
-        except InvalidPoint:
-            return False
-        return pubkey.verify(self.header.signing_payload(), self.signature)
+        """Check the header signature under the epoch's public key.
+
+        Which key to check under is the caller's context (its view of
+        the latest key block); the verdict under a given key is not, so
+        it is worked out once per microblock object and key.
+        """
+        verdict = self._signature_verdicts.get(leader_pubkey)
+        if verdict is None:
+            try:
+                pubkey = PublicKey.from_bytes(leader_pubkey)
+            except InvalidPoint:
+                verdict = False
+            else:
+                verdict = pubkey.verify(
+                    self.header.signing_payload(), self.signature
+                )
+            self._signature_verdicts[leader_pubkey] = verdict
+        return verdict
 
     def __repr__(self) -> str:
         return (

@@ -5,10 +5,14 @@ implements the same curve from scratch so the library has no binary
 dependencies.  Signing is deterministic (RFC 6979 style, via HMAC-SHA256)
 so test vectors are stable and simulations are reproducible.
 
-Performance note: a sign or verify costs on the order of a millisecond in
-CPython, which mirrors the paper's observation that signature checking
-adds "several milliseconds per microblock".  Experiments may disable
-verification exactly as the paper's testbed did.
+Performance note: in CPython on the reference box a sign costs about
+1 ms and a verify 2.4--4 ms depending on the host's speed regime (most
+of it the double-and-add over the signer's key), which mirrors the
+paper's observation that signature checking adds "several milliseconds
+per microblock".  A run pays a verify once per signed object -- the
+verdict is memoised on the transaction or microblock, see
+docs/simulation.md -- and experiments may disable verification exactly
+as the paper's testbed did.
 """
 
 from __future__ import annotations
@@ -99,7 +103,7 @@ def _from_jacobian(point: _JacPoint) -> Point:
     x, y, z = point
     if z == 0:
         return INFINITY
-    z_inv = pow(z, P - 2, P)
+    z_inv = pow(z, -1, P)
     z_inv2 = z_inv * z_inv % P
     return Point(x * z_inv2 % P, y * z_inv2 * z_inv % P)
 
@@ -266,7 +270,7 @@ def sign(secret: int, msg_hash: bytes) -> tuple[int, int]:
         if r == 0:
             k = (k + 1) % N or 1
             continue
-        s = (z + r * secret) * pow(k, N - 2, N) % N
+        s = (z + r * secret) * pow(k, -1, N) % N
         if s == 0:
             k = (k + 1) % N or 1
             continue
@@ -285,7 +289,7 @@ def verify(public: Point, msg_hash: bytes, signature: tuple[int, int]) -> bool:
     if public.is_infinity() or not is_on_curve(public):
         return False
     z = int.from_bytes(msg_hash, "big")
-    s_inv = pow(s, N - 2, N)
+    s_inv = pow(s, -1, N)
     u1 = z * s_inv % N
     u2 = r * s_inv % N
     # Stay in Jacobian coordinates until the single final inversion.

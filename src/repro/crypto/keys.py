@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import ecdsa
 from .hashing import hash160, sha256d
@@ -80,9 +81,14 @@ class PublicKey:
     def from_bytes(cls, data: bytes) -> "PublicKey":
         return cls(ecdsa.point_from_bytes(data))
 
+    @cached_property
+    def pubkey_hash(self) -> bytes:
+        """``hash160`` of the compressed key: what an output pays to."""
+        return hash160(self.to_bytes())
+
     def address(self) -> str:
         """Return the base58check P2PKH-style address for this key."""
-        return base58check_encode(ADDRESS_VERSION, hash160(self.to_bytes()))
+        return base58check_encode(ADDRESS_VERSION, self.pubkey_hash)
 
     def verify(self, msg_hash: bytes, signature: bytes) -> bool:
         """Verify a 64-byte compact signature over a 32-byte hash."""
@@ -116,7 +122,17 @@ class PrivateKey:
         return cls(secret)
 
     def public_key(self) -> PublicKey:
+        """The matching public key; the EC multiplication is paid once
+        per key object, every later question is a lookup."""
+        return self._public_key
+
+    @cached_property
+    def _public_key(self) -> PublicKey:
         return PublicKey(ecdsa.point_mul(self.secret))
+
+    def __getstate__(self) -> dict[str, int]:
+        # The derived key is a memo, not state: a pickled key is its secret.
+        return {"secret": self.secret}
 
     def sign(self, msg_hash: bytes) -> bytes:
         """Sign a 32-byte hash, returning a 64-byte compact signature."""

@@ -17,7 +17,7 @@ import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from ..crypto.hashing import hash160, sha256d
+from ..crypto.hashing import sha256d
 from ..crypto.keys import PrivateKey, PublicKey
 from .errors import MalformedTransaction
 
@@ -157,7 +157,7 @@ class TxOutput:
     @classmethod
     def to_key(cls, value: int, pubkey: PublicKey) -> "TxOutput":
         """Convenience constructor paying a public key directly."""
-        return cls(value, hash160(pubkey.to_bytes()))
+        return cls(value, pubkey.pubkey_hash)
 
 
 @dataclass(frozen=True)
@@ -213,6 +213,19 @@ class Transaction:
     def txid(self) -> bytes:
         """Double-SHA256 of the serialized transaction."""
         return sha256d(self.serialize())
+
+    @cached_property
+    def signature_faults(self) -> dict[int, str | None]:
+        """Per judged input: why its key does not decode or its signature
+        does not verify, or ``None`` for a sound one.
+
+        That verdict depends on nothing but this frozen object, so
+        :func:`repro.ledger.validation.verify_input_signatures` fills
+        the slot the first time any receiver reaches the input and every
+        later receiver reads it.  An input no receiver has reached yet
+        has no entry.
+        """
+        return {}
 
     @property
     def size(self) -> int:

@@ -7,10 +7,17 @@ the state machine" (Section 4.2).  Both protocols share these rules.
 ``check_transaction`` is stateless (structure only); ``validate_spend``
 consults a UTXO set and verifies ownership signatures; ``compute_fee``
 returns the fee that Bitcoin-NG splits 40/60 between leaders.
+
+What a receiver's UTXO set decides (the coin exists, its owner hash
+matches the key named) is checked on every call.  Whether a named key
+decodes and its signature verifies is a property of the transaction
+object alone and is judged once per object (docs/simulation.md,
+"Per-object work").
 """
 
 from __future__ import annotations
 
+from ..crypto.ecdsa import InvalidPoint
 from ..crypto.hashing import hash160
 from ..crypto.keys import PublicKey
 from .errors import BadSignature, MalformedTransaction, ValueError_
@@ -39,20 +46,41 @@ def check_transaction(tx: Transaction) -> None:
         raise MalformedTransaction("duplicate inputs within transaction")
 
 
+def _signature_fault(tx: Transaction, index: int) -> str | None:
+    """Why input ``index``'s key does not decode or its signature does
+    not verify over ``tx.sighash(index)``, or ``None``.
+
+    Asks nothing of the receiver, so the answer holds for every one.
+    """
+    txin = tx.inputs[index]
+    try:
+        pubkey = PublicKey.from_bytes(txin.pubkey)
+    except InvalidPoint as exc:
+        return f"input {index} pubkey undecodable: {exc}"
+    if not pubkey.verify(tx.sighash(index), txin.signature):
+        return f"input {index} signature invalid"
+    return None
+
+
 def verify_input_signatures(tx: Transaction, utxo: UtxoSet) -> None:
-    """Verify every input's signature and key-hash ownership proof."""
+    """Verify every input's signature and key-hash ownership proof.
+
+    The coin lookup and the owner-hash match are this ``utxo``'s and run
+    on every call; the signature verdict is read off ``tx`` and worked
+    out only by the first receiver to reach the input.
+    """
+    faults = tx.signature_faults
     for index, txin in enumerate(tx.inputs):
         coin = utxo.get(txin.outpoint)
         if coin is None:
             raise BadSignature(f"input {index} references unknown coin")
         if hash160(txin.pubkey) != coin.output.pubkey_hash:
             raise BadSignature(f"input {index} pubkey does not match owner hash")
-        try:
-            pubkey = PublicKey.from_bytes(txin.pubkey)
-        except Exception as exc:
-            raise BadSignature(f"input {index} pubkey undecodable: {exc}") from exc
-        if not pubkey.verify(tx.sighash(index), txin.signature):
-            raise BadSignature(f"input {index} signature invalid")
+        if index not in faults:
+            faults[index] = _signature_fault(tx, index)
+        fault = faults[index]
+        if fault is not None:
+            raise BadSignature(fault)
 
 
 def validate_spend(

@@ -14,14 +14,16 @@ with similar quantiles exercises the same propagation code path.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import random
+from collections.abc import Sequence
 
 
 class LatencyHistogram:
     """An empirical latency distribution sampled per node pair."""
 
-    def __init__(self, bin_edges: list[float], counts: list[int]) -> None:
+    def __init__(self, bin_edges: Sequence[float], counts: Sequence[int]) -> None:
         if len(bin_edges) != len(counts) + 1:
             raise ValueError("need one more bin edge than count")
         if any(count < 0 for count in counts):
@@ -105,6 +107,32 @@ class LatencyHistogram:
         return acc / self._total
 
 
+@functools.lru_cache(maxsize=16)
+def _default_bins(
+    seed: int,
+    n_samples: int,
+    median_ms: float,
+    sigma: float,
+    floor_ms: float,
+    ceiling_ms: float,
+) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """``(bin_edges, counts)`` of :func:`default_histogram`, immutable.
+
+    A pure function of its six scalars that every run, sweep cell and
+    world used to redo (``n_samples`` ``gauss`` draws); the tuples are
+    the process's one cross-run memo, and nothing mutable is shared.
+    """
+    rng = random.Random(seed)
+    mu = math.log(median_ms)
+    samples = []
+    for _ in range(n_samples):
+        value = math.exp(rng.gauss(mu, sigma))
+        value = min(max(value, floor_ms), ceiling_ms)
+        samples.append(value / 1000.0)
+    histogram = LatencyHistogram.from_samples(samples)
+    return tuple(histogram.bin_edges), tuple(histogram.counts)
+
+
 def default_histogram(
     seed: int = 2015,
     n_samples: int = 5000,
@@ -117,15 +145,11 @@ def default_histogram(
 
     Log-normal with the given median and shape, clipped to a realistic
     [floor, ceiling] range.  Returned latencies are in **seconds**.
+    Each call returns its own histogram object.
     """
-    rng = random.Random(seed)
-    mu = math.log(median_ms)
-    samples = []
-    for _ in range(n_samples):
-        value = math.exp(rng.gauss(mu, sigma))
-        value = min(max(value, floor_ms), ceiling_ms)
-        samples.append(value / 1000.0)
-    return LatencyHistogram.from_samples(samples)
+    return LatencyHistogram(
+        *_default_bins(seed, n_samples, median_ms, sigma, floor_ms, ceiling_ms)
+    )
 
 
 def constant_histogram(latency_s: float) -> LatencyHistogram:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..crypto.hashing import hash160
 from ..crypto.keys import PrivateKey, PublicKey
 from ..ledger.transactions import (
     OutPoint,
@@ -83,7 +82,7 @@ class Wallet:
         return self._keys[index].public_key()
 
     def pubkey_hash(self, index: int = 0) -> bytes:
-        return hash160(self.public_key(index).to_bytes())
+        return self.public_key(index).pubkey_hash
 
     def address(self, index: int = 0) -> str:
         return self.public_key(index).address()

@@ -357,6 +357,54 @@ def test_tampered_copy_of_an_accepted_block_is_judged_afresh():
     check_microblock_structure(micro, max_bytes=1_000_000)
 
 
+@pytest.mark.parametrize("right_key_first", [True, False])
+def test_microblock_signature_is_judged_once_per_key_asked_under(
+    count_calls, right_key_first
+):
+    from repro.crypto import ecdsa
+    from repro.crypto.keys import PublicKey
+
+    micro = _micro(bytes(32), key=LEADER)
+    keys = [LEADER.public_key().to_bytes(), OTHER.public_key().to_bytes()]
+    expected = {keys[0]: True, keys[1]: False}
+    if not right_key_first:
+        keys.reverse()
+    verifies = count_calls(PublicKey, "verify")
+    decodes = count_calls(ecdsa, "point_from_bytes")
+    # Which key to ask under is each receiver's view of the chain; the
+    # answer under that key is the object's, whichever was asked first.
+    for _receiver in range(3):
+        for key in keys:
+            assert micro.verify_signature(key) is expected[key]
+    assert (len(verifies), len(decodes)) == (2, 2)
+    # No curve point at all: one decode, no verify, the same answer again.
+    assert [micro.verify_signature(b"\x00" * 33) for _ in range(3)] == [False] * 3
+    assert (len(verifies), len(decodes)) == (2, 3)
+
+
+def test_signature_verdict_belongs_to_the_microblock_object(count_calls):
+    import dataclasses
+    import pickle
+
+    from repro.crypto.keys import PublicKey
+
+    leader = LEADER.public_key().to_bytes()
+    micro = _micro(bytes(32))
+    twin = _micro(bytes(32))
+    before = (hash(micro), repr(micro), micro.hash)
+    assert micro.verify_signature(leader)
+    assert (hash(micro), repr(micro), micro.hash) == before
+    assert micro == twin and hash(micro) == hash(twin)
+    assert pickle.loads(pickle.dumps(micro)) == micro
+    verifies = count_calls(PublicKey, "verify")
+    # An equal object and a forged copy are each judged for themselves.
+    assert twin.verify_signature(leader)
+    forged = dataclasses.replace(micro, signature=_micro(bytes(32), key=OTHER).signature)
+    assert not forged.verify_signature(leader)
+    assert micro.verify_signature(leader)
+    assert len(verifies) == 2
+
+
 # The next two tests cover code the per-object verdicts did not touch.
 # They exist because `core/blocks.py` is an anchor module for mutation
 # analysis (docs/mutation.md, step 4), which makes every site in the

@@ -133,3 +133,18 @@ def test_jacobian_matches_affine_addition():
     for k in range(1, 20):
         total = point_add(total, G)
         assert point_mul(k) == total
+
+
+@pytest.mark.parametrize("modulus", [ecdsa.P, ecdsa.N], ids=["P", "N"])
+def test_modular_inverse_agrees_with_fermat(modulus):
+    # sign/verify/_from_jacobian invert with pow(x, -1, m); the Fermat
+    # form they replaced must give the same integers.
+    import random
+
+    rng = random.Random(2016)
+    values = [1, 2, modulus - 2, modulus - 1]
+    values += [rng.randrange(1, modulus) for _ in range(200)]
+    for x in values:
+        inverse = pow(x, -1, modulus)
+        assert inverse == pow(x, modulus - 2, modulus)
+        assert x * inverse % modulus == 1

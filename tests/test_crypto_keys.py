@@ -88,3 +88,43 @@ def test_leading_zero_preservation():
     encoded = base58check_encode(0, payload)
     _, decoded = base58check_decode(encoded)
     assert decoded == payload
+
+
+def test_public_key_is_derived_once_per_key_object(count_calls):
+    from repro.crypto import ecdsa
+
+    key = PrivateKey.from_seed("derive-once")
+    derivations = count_calls(ecdsa, "point_mul")
+    first = key.public_key()
+    assert key.public_key() is first and key.public_key() == first
+    assert len(derivations) == 1
+    # An equal key object is its own object: it derives for itself.
+    twin = PrivateKey.from_seed("derive-once")
+    assert twin.public_key() == first and twin.public_key() is not first
+    assert len(derivations) == 2
+
+
+def test_derived_key_memo_is_invisible_on_the_private_key():
+    import pickle
+
+    key, cold = PrivateKey.from_seed("memo"), PrivateKey.from_seed("memo")
+    before = (hash(key), repr(key), pickle.dumps(key))
+    public = key.public_key()
+    assert (hash(key), repr(key), pickle.dumps(key)) == before
+    assert key == cold and hash(key) == hash(cold) and repr(key) == repr(cold)
+    thawed = pickle.loads(pickle.dumps(key))
+    assert thawed == key and "_public_key" not in vars(thawed)
+    assert thawed.public_key() == public
+    assert thawed.sign(b"\x22" * 32) == key.sign(b"\x22" * 32)
+
+
+def test_pubkey_hash_is_hashed_once_and_is_what_the_address_encodes(count_calls):
+    from repro.crypto import keys as keys_mod
+    from repro.crypto.hashing import hash160
+
+    pub = PrivateKey.from_seed("hash-once").public_key()
+    hashed = count_calls(keys_mod, "hash160")
+    assert pub.pubkey_hash == hash160(pub.to_bytes())
+    assert pubkey_hash_from_address(pub.address()) == pub.pubkey_hash
+    assert len(hashed) == 1
+    assert PublicKey.from_bytes(pub.to_bytes()) == pub

@@ -141,3 +141,26 @@ def test_padding_increases_size():
 def test_size_matches_serialization():
     tx = _spend(padding=b"pad")
     assert tx.size == len(tx.serialize())
+
+
+def test_filled_signature_memo_is_invisible_outside_validation():
+    import pickle
+
+    from repro.ledger.utxo import UtxoSet
+    from repro.ledger.validation import verify_input_signatures
+
+    signed = _spend().sign_input(0, KEY)
+    cold = Transaction.deserialize(signed.serialize())
+    before = (hash(signed), repr(signed), signed.serialize(), signed.txid)
+    utxo = UtxoSet()
+    utxo.credit(TxOutput(60, PKH), signed.inputs[0].outpoint)
+    verify_input_signatures(signed, utxo)
+    assert signed.signature_faults == {0: None} and cold.signature_faults == {}
+    assert signed == cold and hash(signed) == hash(cold)
+    assert (hash(signed), repr(signed), signed.serialize(), signed.txid) == before
+    assert repr(signed) == repr(cold)
+    assert pickle.loads(pickle.dumps(signed)) == signed == cold
+
+
+def test_pay_to_key_output_uses_the_keys_hash():
+    assert TxOutput.to_key(7, KEY.public_key()) == TxOutput(7, PKH)

@@ -149,3 +149,29 @@ def test_multikey_coins_aggregate():
     tx = wallet.build_payment(utxo, [(MERCHANT, 600)], fee=0, height=1)
     assert len(tx.inputs) == 2
     validate_spend(tx, utxo, height=1)  # both keys signed correctly
+
+
+def test_wallet_derives_and_hashes_each_key_once(count_calls):
+    from repro.crypto import ecdsa
+    from repro.crypto import keys as keys_mod
+
+    derivations = count_calls(ecdsa, "point_mul")
+    hashed = count_calls(keys_mod, "hash160")
+    wallet, utxo = _funded_wallet()
+    wallet.derive_key()
+    assert (len(derivations), len(hashed)) == (1, 1)  # key 0, asked for once
+    pkh = wallet.pubkey_hash()
+    for _ in range(3):
+        assert wallet.pubkey_hash() == pkh and wallet.owns(pkh)
+        assert wallet.public_key() is wallet.public_key()
+        assert wallet.address() == wallet.public_key().address()
+        assert len(wallet.spendable_coins(utxo, height=1)) == 3
+        assert wallet.balance(utxo) == 1700
+    assert not wallet.owns(MERCHANT)
+    assert (len(derivations), len(hashed)) == (2, 2)  # one per key, ever
+    # Signing draws a nonce point; the signer's own key is a lookup.
+    tx = wallet.build_payment(utxo, [(MERCHANT, 1200)], fee=10, height=1)
+    assert len(tx.inputs) == 2 and len(derivations) == 2 + 2
+    assert len(hashed) == 2
+    # 1000 + 500 in; the 290 of dust change joins the fee.
+    assert validate_spend(tx, utxo, height=1) == 300
