@@ -644,51 +644,6 @@ def test_lint_speed():
     assert wall < 10.0, f"lint took {wall:.2f}s on src/ (budget: 10s)"
 
 
-def test_lint_semantic_index_speed(tmp_path):
-    """The semantic index build and the warm full lint fit the budget.
-
-    The NG6xx rules run on a project-wide index that is cached on disk
-    keyed by file content hashes.  Two walls matter: the cold build
-    (first lint after a clean checkout, every module extracted) and the
-    warm full lint (cache hot, the pre-commit steady state).  Both are
-    recorded so the trajectory shows when either regresses; the warm
-    lint shares the 10s pre-commit budget, the cold build gets its own
-    ceiling since it runs once per checkout.
-    """
-    from repro.lint import lint_paths
-
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    cache = tmp_path / "semantic-index.json"
-
-    start = time.perf_counter()
-    cold = lint_paths([src], semantic_cache=cache)
-    cold_wall = time.perf_counter() - start
-    assert cold.index_cache_hits == 0
-    assert cold.index_cache_misses == cold.files_scanned
-
-    start = time.perf_counter()
-    warm = lint_paths([src], semantic_cache=cache)
-    warm_wall = time.perf_counter() - start
-    assert warm.index_cache_misses == 0
-    assert warm.index_cache_hits == cold.index_cache_misses
-
-    update_bench(
-        BENCH_JSON,
-        "lint_semantic",
-        {
-            "modules_indexed": cold.index_cache_misses,
-            "cold_build_wall_seconds": round(cold_wall, 3),
-            "warm_lint_wall_seconds": round(warm_wall, 3),
-        },
-    )
-    assert cold_wall < 10.0, (
-        f"cold index build + lint took {cold_wall:.2f}s (budget: 10s)"
-    )
-    assert warm_wall < 10.0, (
-        f"warm full lint took {warm_wall:.2f}s (budget: 10s)"
-    )
-
-
 def test_mutate_speed(tmp_path):
     """A scoped mutation run fits CI and warm re-runs are near-free.
 
@@ -788,7 +743,6 @@ def test_bench_json_is_valid():
         "scenario_overhead",
         "profile",
         "lint",
-        "lint_semantic",
         "mutation",
         "code_size",
         "baseline",

@@ -135,6 +135,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     ``--check`` flag or not.  It accepts ``0``/empty (off), ``1``
     (incremental) or a mode name; anything else exits with the valid
     values rather than silently running a weaker check than asked for.
+    A flag value :class:`ExperimentConfig` rejects exits the same way.
     """
     try:
         mode = resolve_check_mode(
@@ -170,7 +171,10 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             fields["scenario"] = load_scenario(args.scenario)
         except ScenarioError as exc:
             raise SystemExit(f"error: {exc}")
-    return ExperimentConfig(**fields)
+    try:
+        return ExperimentConfig(**fields)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

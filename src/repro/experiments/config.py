@@ -151,6 +151,8 @@ class ExperimentConfig:
                 pass
         if self.n_nodes < 2:
             raise ValueError("need at least two nodes")
+        if self.n_nodes <= self.min_degree:
+            raise ValueError("min_degree must be below node count")
         if self.block_rate <= 0 or self.key_block_rate <= 0:
             raise ValueError("rates must be positive")
         if self.block_size_bytes <= 0 or self.tx_size <= 0:

@@ -92,15 +92,6 @@ def add_lint_parser(commands: argparse._SubParsersAction) -> None:
         action="store_true",
         help="append call-path explanations to NG6xx findings",
     )
-    parser.add_argument(
-        "--semantic-cache",
-        metavar="FILE",
-        default=None,
-        help=(
-            "on-disk semantic index cache (JSON); unchanged modules "
-            "are reused across runs instead of re-extracted"
-        ),
-    )
     parser.set_defaults(handler=cmd_lint)
 
 
@@ -242,12 +233,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
                 return 2
 
     try:
-        report = lint_paths(
-            args.paths,
-            baseline=baseline,
-            codes=codes,
-            semantic_cache=args.semantic_cache,
-        )
+        report = lint_paths(args.paths, baseline=baseline, codes=codes)
     except (FileNotFoundError, SyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

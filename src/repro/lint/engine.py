@@ -3,11 +3,10 @@
 One lint run has three stages:
 
 1. parse every scanned file once;
-2. build (or incrementally refresh) the **semantic index** — symbol
-   tables, class-resolution map, approximate call graph, and dataflow
-   summaries, cached on disk keyed by per-file content hashes (see
-   :mod:`repro.lint.semantic`).  The old project-wide set/tuple-dict
-   "harvests" now come off the index too, instead of a second AST pass;
+2. build the **semantic index** — symbol tables, class-resolution
+   map, approximate call graph, and dataflow summaries (see
+   :mod:`repro.lint.semantic`).  The project-wide set/tuple-dict
+   "harvests" come off the index too, instead of a second AST pass;
 3. run the per-module AST rules (one visitor instance per rule ×
    module) and the project-wide semantic rules (one :meth:`check` call
    per rule), then route everything through inline suppressions and
@@ -38,7 +37,7 @@ MODULE_DIRECTIVE_RE = re.compile(
 #: How many leading lines are searched for the module directive.
 DIRECTIVE_WINDOW = 5
 
-JSON_SCHEMA_VERSION = 1
+JSON_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -50,8 +49,6 @@ class LintReport:
     baselined: int  #: hits hidden by the baseline file
     stale_baseline: list[str]  #: baseline entries matching nothing
     files_scanned: int
-    index_cache_hits: int = 0  #: module summaries reused from disk
-    index_cache_misses: int = 0  #: module summaries re-extracted
 
     @property
     def clean(self) -> bool:
@@ -68,8 +65,6 @@ class LintReport:
                 "suppressed": self.suppressed,
                 "baselined": self.baselined,
                 "stale_baseline": self.stale_baseline,
-                "index_cache_hits": self.index_cache_hits,
-                "index_cache_misses": self.index_cache_misses,
             },
         }
 
@@ -133,18 +128,13 @@ def _parse(path: Path) -> _ParsedModule:
     )
 
 
-def build_semantic_index(
-    modules: Sequence[_ParsedModule],
-    *,
-    cache_path: Path | None = None,
-) -> SemanticIndex:
+def build_semantic_index(modules: Sequence[_ParsedModule]) -> SemanticIndex:
     """The project-wide index for one parsed module set."""
     return build_index(
         [
             (m.display_path, m.module, m.tree, m.lines, m.source)
             for m in modules
-        ],
-        cache_path=cache_path,
+        ]
     )
 
 
@@ -153,21 +143,15 @@ def lint_paths(
     *,
     baseline: dict[str, str] | None = None,
     codes: Sequence[str] | None = None,
-    semantic_cache: str | Path | None = None,
 ) -> LintReport:
     """Run every registered rule over ``paths`` and apply escape hatches.
 
     ``codes`` restricts the run to a subset of rule codes (used by the
-    fixture tests to exercise one rule at a time).  ``semantic_cache``
-    names the on-disk index cache; without it the index is rebuilt from
-    scratch each run (still one pass, just no cross-run reuse).
+    fixture tests to exercise one rule at a time).
     """
     files = collect_files(paths)
     modules = [_parse(path) for path in files]
-    index = build_semantic_index(
-        modules,
-        cache_path=Path(semantic_cache) if semantic_cache else None,
-    )
+    index = build_semantic_index(modules)
     set_attrs = index.set_identifiers()
     tuple_dict_attrs = index.tuple_dict_identifiers()
 
@@ -230,6 +214,4 @@ def lint_paths(
         baselined=len(hidden),
         stale_baseline=stale,
         files_scanned=len(files),
-        index_cache_hits=index.cache_hits,
-        index_cache_misses=index.cache_misses,
     )

@@ -14,13 +14,7 @@ from .extract import (
     harvest_tuple_dict_idents,
     rng_stream_tag,
 )
-from .index import (
-    INDEX_VERSION,
-    FunctionKey,
-    SemanticIndex,
-    build_index,
-    load_cache,
-)
+from .index import FunctionKey, SemanticIndex, build_index
 from .model import (
     ArgInfo,
     CallSite,
@@ -47,7 +41,6 @@ __all__ = [
     "FunctionKey",
     "FunctionSummary",
     "ImpureChecker",
-    "INDEX_VERSION",
     "MissingVersionBump",
     "ModuleSummary",
     "MUTATING_METHODS",
@@ -63,6 +56,5 @@ __all__ = [
     "extract_module",
     "harvest_set_idents",
     "harvest_tuple_dict_idents",
-    "load_cache",
     "rng_stream_tag",
 ]

@@ -1,4 +1,4 @@
-"""The project-wide semantic index: assembly, resolution, and caching.
+"""The project-wide semantic index: assembly and resolution.
 
 A :class:`SemanticIndex` is the union of every scanned module's
 :class:`~repro.lint.semantic.model.ModuleSummary` plus the cross-module
@@ -11,29 +11,21 @@ machinery the NG6xx rules need:
   functions are mutated, directly or transitively through resolved call
   edges, each with a witness chain for ``--why``.
 
-The index is cached on disk as one JSON document keyed by per-module
-content hashes: a lint run reuses every summary whose source hash is
-unchanged and re-extracts only edited modules, which is what keeps
-``repro lint`` inside its wall-clock budget on warm runs.  The JSON
-rendering is deterministic (sorted keys, stable per-module ordering) —
-a test pins it byte-identical across runs.
+The index is rebuilt from source on every lint run and never leaves
+the process: an on-disk copy cost more to read and rewrite than the
+extraction it saved (docs/simulation.md, cache ledger row 2).  Each
+summary still carries its source's content hash — ``repro.mutate`` keys
+its verdict cache and shadow trees on it.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from .extract import content_sha, extract_module
 from .model import ClassSummary, FunctionSummary, ModuleSummary, ParamRef
-
-#: Bump when summary extraction or the serialized shape changes: a
-#: version mismatch discards the whole cache rather than mixing schemas.
-#: v2 added per-class attribute literals; v3 dropped them again.
-INDEX_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -68,8 +60,6 @@ class SemanticIndex:
     """Project-wide symbol/call-graph/dataflow index for one lint run."""
 
     modules: dict[str, ModuleSummary] = field(default_factory=dict)
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     def __post_init__(self) -> None:
         self._by_module_name: dict[str, ModuleSummary] = {}
@@ -463,18 +453,6 @@ class SemanticIndex:
             current_key, current_param = witness.callee, witness.callee_param
         return chain
 
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self) -> str:
-        payload: dict[str, Any] = {
-            "version": INDEX_VERSION,
-            "modules": {
-                path: self.modules[path].to_dict()
-                for path in sorted(self.modules)
-            },
-        }
-        return json.dumps(payload, indent=1, sort_keys=True) + "\n"
-
 
 def _bind_call_args(
     call: Any, callee: FunctionSummary
@@ -495,69 +473,26 @@ def _bind_call_args(
     return bound
 
 
-# -- build + cache -----------------------------------------------------------
-
-
-def load_cache(path: Path) -> dict[str, ModuleSummary]:
-    """Cached module summaries by display path ({} on any mismatch)."""
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return {}
-    if not isinstance(data, dict) or data.get("version") != INDEX_VERSION:
-        return {}
-    cached: dict[str, ModuleSummary] = {}
-    try:
-        for key, entry in data.get("modules", {}).items():
-            cached[key] = ModuleSummary.from_dict(entry)
-    except (KeyError, TypeError, ValueError):
-        return {}
-    return cached
+# -- build ------------------------------------------------------------------
 
 
 def build_index(
     parsed: list[tuple[str, str, ast.Module, list[str], str]],
-    *,
-    cache_path: Path | None = None,
 ) -> SemanticIndex:
-    """Assemble the index for ``parsed`` modules, reusing cached summaries.
+    """Assemble the index for ``parsed`` modules.
 
     ``parsed`` entries are ``(display_path, module, tree, lines,
-    source)`` tuples.  With a ``cache_path``, summaries whose content
-    hash matches the cache are reused without re-extraction and the
-    refreshed cache is written back (best-effort — an unwritable cache
-    never fails the lint run).
+    source)`` tuples.
     """
-    cached: dict[str, ModuleSummary] = {}
-    if cache_path is not None and cache_path.exists():
-        cached = load_cache(cache_path)
-
-    modules: dict[str, ModuleSummary] = {}
-    hits = 0
-    misses = 0
-    for display_path, module, tree, lines, source in parsed:
-        sha = content_sha(source)
-        existing = cached.get(display_path)
-        if existing is not None and existing.sha == sha:
-            modules[display_path] = existing
-            hits += 1
-            continue
-        modules[display_path] = extract_module(
-            tree,
-            display_path=display_path,
-            module=module,
-            lines=lines,
-            sha=sha,
-        )
-        misses += 1
-
-    index = SemanticIndex(
-        modules=modules, cache_hits=hits, cache_misses=misses
+    return SemanticIndex(
+        modules={
+            display_path: extract_module(
+                tree,
+                display_path=display_path,
+                module=module,
+                lines=lines,
+                sha=content_sha(source),
+            )
+            for display_path, module, tree, lines, source in parsed
+        }
     )
-    if cache_path is not None:
-        try:
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
-            cache_path.write_text(index.to_json(), encoding="utf-8")
-        except OSError:
-            pass
-    return index

@@ -1,10 +1,12 @@
 """The semantic index data model: what one lint run knows about src/.
 
-Everything here is a value object with a deterministic ``to_dict`` /
-``from_dict`` round-trip: the index is cached on disk between lint runs
-(keyed by file content hashes) and the determinism tests pin the JSON
-rendering byte-identical across runs, so every container serializes in
-a fixed order — dicts sorted by key, tuples in AST extraction order.
+Everything here is a frozen value object compared with ``==``: the
+index is rebuilt from source on every lint run and never leaves the
+process, and the determinism tests pin two builds of the same sources
+equal.  ``repro.mutate``'s lint tier leans on that — it re-extracts the
+one mutated module and splices its summary into summaries extracted
+once per worker, which is sound only because extraction is a pure
+function of (path, source).
 
 The model is deliberately *approximate* in documented ways (see
 :mod:`repro.lint.semantic.extract`): taint tracks assignment roots, not
@@ -19,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-#: Bump-formula atoms/combinators, serialized as nested JSON lists:
-#: ``True``/``False`` leaves, ``["call", name]`` for "this self-call
-#: bumps iff the callee does", ``["and", ...]`` / ``["or", ...]``.
+#: Bump-formula atoms/combinators as nested tuples: ``True``/``False``
+#: leaves, ``("call", name)`` for "this self-call bumps iff the callee
+#: does", ``("and", ...)`` / ``("or", ...)``.
 Formula = Any
 
 
@@ -44,13 +46,6 @@ class ParamRef:
     def display(self) -> str:
         return ".".join((self.root, *self.chain))
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"root": self.root, "chain": list(self.chain)}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ParamRef":
-        return cls(root=data["root"], chain=tuple(data["chain"]))
-
 
 @dataclass(frozen=True)
 class WriteSite:
@@ -60,17 +55,6 @@ class WriteSite:
     lineno: int
     desc: str  #: the offending source line, stripped
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"target": self.target, "lineno": self.lineno, "desc": self.desc}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "WriteSite":
-        return cls(
-            target=data["target"],
-            lineno=int(data["lineno"]),
-            desc=data["desc"],
-        )
-
 
 @dataclass(frozen=True)
 class ArgInfo:
@@ -79,22 +63,6 @@ class ArgInfo:
     taint: ParamRef | None  #: the caller parameter it derives from
     display: str | None  #: dotted source text for Name/Attribute args
     rng_tag: str | None  #: RNG stream tag (``topo_rng`` → ``"topo"``)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "taint": self.taint.to_dict() if self.taint else None,
-            "display": self.display,
-            "rng_tag": self.rng_tag,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ArgInfo":
-        taint = data.get("taint")
-        return cls(
-            taint=ParamRef.from_dict(taint) if taint else None,
-            display=data.get("display"),
-            rng_tag=data.get("rng_tag"),
-        )
 
 
 @dataclass(frozen=True)
@@ -118,27 +86,6 @@ class CallSite:
     args: tuple[ArgInfo, ...] = ()
     keywords: tuple[tuple[str, ArgInfo], ...] = ()
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "lineno": self.lineno,
-            "kind": self.kind,
-            "target": list(self.target),
-            "args": [arg.to_dict() for arg in self.args],
-            "keywords": [[name, arg.to_dict()] for name, arg in self.keywords],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "CallSite":
-        return cls(
-            lineno=int(data["lineno"]),
-            kind=data["kind"],
-            target=tuple(data["target"]),
-            args=tuple(ArgInfo.from_dict(a) for a in data["args"]),
-            keywords=tuple(
-                (name, ArgInfo.from_dict(arg)) for name, arg in data["keywords"]
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class RngAssign:
@@ -149,25 +96,6 @@ class RngAssign:
     target_tag: str
     value: str
     value_tag: str
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "lineno": self.lineno,
-            "target": self.target,
-            "target_tag": self.target_tag,
-            "value": self.value,
-            "value_tag": self.value_tag,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "RngAssign":
-        return cls(
-            lineno=int(data["lineno"]),
-            target=data["target"],
-            target_tag=data["target_tag"],
-            value=data["value"],
-            value_tag=data["value_tag"],
-        )
 
 
 @dataclass(frozen=True)
@@ -200,62 +128,6 @@ class FunctionSummary:
             call.target[0] for call in self.calls if call.kind == "self"
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "lineno": self.lineno,
-            "params": list(self.params),
-            "is_method": self.is_method,
-            "has_vararg": self.has_vararg,
-            "has_kwarg": self.has_kwarg,
-            "decorators": list(self.decorators),
-            "self_writes": [w.to_dict() for w in self.self_writes],
-            "param_mutations": [w.to_dict() for w in self.param_mutations],
-            "returns_params": list(self.returns_params),
-            "bump_formula": formula_to_json(self.bump_formula),
-            "calls": [c.to_dict() for c in self.calls],
-            "rng_assign_mismatches": [
-                r.to_dict() for r in self.rng_assign_mismatches
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FunctionSummary":
-        return cls(
-            name=data["name"],
-            lineno=int(data["lineno"]),
-            params=tuple(data["params"]),
-            is_method=bool(data["is_method"]),
-            has_vararg=bool(data["has_vararg"]),
-            has_kwarg=bool(data["has_kwarg"]),
-            decorators=tuple(data["decorators"]),
-            self_writes=tuple(
-                WriteSite.from_dict(w) for w in data["self_writes"]
-            ),
-            param_mutations=tuple(
-                WriteSite.from_dict(w) for w in data["param_mutations"]
-            ),
-            returns_params=tuple(data["returns_params"]),
-            bump_formula=_formula_from_json(data["bump_formula"]),
-            calls=tuple(CallSite.from_dict(c) for c in data["calls"]),
-            rng_assign_mismatches=tuple(
-                RngAssign.from_dict(r) for r in data["rng_assign_mismatches"]
-            ),
-        )
-
-
-def _formula_from_json(value: Formula) -> Formula:
-    """Normalise a JSON-loaded formula back to tuples for hashing."""
-    if isinstance(value, list):
-        return tuple(_formula_from_json(part) for part in value)
-    return value
-
-
-def formula_to_json(value: Formula) -> Formula:
-    if isinstance(value, tuple):
-        return [formula_to_json(part) for part in value]
-    return value
-
 
 @dataclass(frozen=True)
 class ClassSummary:
@@ -278,36 +150,10 @@ class ClassSummary:
             "abstractmethod" in m.decorators for m in self.methods.values()
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "lineno": self.lineno,
-            "bases": list(self.bases),
-            "versioned": self.versioned,
-            "class_attrs": list(self.class_attrs),
-            "methods": {
-                name: fn.to_dict() for name, fn in sorted(self.methods.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ClassSummary":
-        return cls(
-            name=data["name"],
-            lineno=int(data["lineno"]),
-            bases=tuple(data["bases"]),
-            versioned=bool(data["versioned"]),
-            class_attrs=tuple(data["class_attrs"]),
-            methods={
-                name: FunctionSummary.from_dict(fn)
-                for name, fn in data["methods"].items()
-            },
-        )
-
 
 @dataclass(frozen=True)
 class ModuleSummary:
-    """One module's slice of the index (the unit of cache reuse)."""
+    """One module's slice of the index (the unit ``repro.mutate`` splices)."""
 
     display_path: str
     module: str  #: dotted module name (or fixture-directive override)
@@ -322,47 +168,3 @@ class ModuleSummary:
     set_idents: tuple[str, ...] = ()
     #: Feed for NG303: identifiers annotated ``dict[tuple[...], ...]``.
     tuple_dict_idents: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "display_path": self.display_path,
-            "module": self.module,
-            "sha": self.sha,
-            "import_modules": dict(sorted(self.import_modules.items())),
-            "import_names": {
-                local: list(target)
-                for local, target in sorted(self.import_names.items())
-            },
-            "functions": {
-                name: fn.to_dict()
-                for name, fn in sorted(self.functions.items())
-            },
-            "classes": {
-                name: c.to_dict() for name, c in sorted(self.classes.items())
-            },
-            "set_idents": list(self.set_idents),
-            "tuple_dict_idents": list(self.tuple_dict_idents),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            display_path=data["display_path"],
-            module=data["module"],
-            sha=data["sha"],
-            import_modules=dict(data["import_modules"]),
-            import_names={
-                local: (target[0], target[1])
-                for local, target in data["import_names"].items()
-            },
-            functions={
-                name: FunctionSummary.from_dict(fn)
-                for name, fn in data["functions"].items()
-            },
-            classes={
-                name: ClassSummary.from_dict(c)
-                for name, c in data["classes"].items()
-            },
-            set_idents=tuple(data["set_idents"]),
-            tuple_dict_idents=tuple(data["tuple_dict_idents"]),
-        )

@@ -39,7 +39,6 @@ class BlockIndex:
         self._infos: dict[bytes, BlockInfo] = {}
         self._heights: dict[bytes, int] = {}
         self._cum_work: dict[bytes, int] = {}
-        self._chain_cache: dict[bytes, tuple[bytes, ...]] = {}
 
     def __contains__(self, block_hash: bytes) -> bool:
         return block_hash in self._infos
@@ -76,29 +75,18 @@ class BlockIndex:
         return list(self._infos.values())
 
     def chain(self, tip: bytes) -> tuple[bytes, ...]:
-        """Ancestor chain ending at ``tip`` (inclusive), memoized.
+        """Ancestor chain ending at ``tip`` (inclusive).
 
         Only blocks present in the index appear; the recorded root of
         the execution is the first element.
         """
-        cached = self._chain_cache.get(tip)
-        if cached is not None:
-            return cached
         path: list[bytes] = []
         cursor: bytes | None = tip
         while cursor is not None and cursor in self._infos:
-            cached = self._chain_cache.get(cursor)
-            if cached is not None:
-                path.reverse()
-                full = cached + tuple(path)
-                self._chain_cache[tip] = full
-                return full
             path.append(cursor)
             cursor = self._infos[cursor].parent
         path.reverse()
-        full = tuple(path)
-        self._chain_cache[tip] = full
-        return full
+        return tuple(path)
 
     def is_ancestor(self, ancestor: bytes, descendant: bytes) -> bool:
         """True if ``ancestor`` lies on the chain ending at ``descendant``."""

@@ -4,9 +4,9 @@ Every mutant runs the same gauntlet, cheapest tier first, stopping at
 the first kill:
 
 1. **lint** — in-process.  The mutated module's summary is spliced into
-   the clean semantic index (everything else reused, exactly the
-   content-sha trick ``repro lint`` plays across runs) and the full
-   rule set re-runs.  The tree is pinned clean, so *any* unsuppressed
+   the clean semantic index (every other module's summary is the one
+   this worker extracted once, in memory) and the full rule set
+   re-runs.  The tree is pinned clean, so *any* unsuppressed
    finding kills the mutant.
 2. **sanitizer** / 3. **golden** — one subprocess probe
    (``python -m repro.mutate.probe``) against a mutated shadow tree

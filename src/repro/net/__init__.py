@@ -2,7 +2,6 @@
 
 from .events import Event
 from .gossip import GETDATA_SIZE, INV_SIZE, GossipNode, RelayMode, StoredObject
-from .interning import ObjectIdTable
 from .latency import LatencyHistogram, constant_histogram, default_histogram
 from .links import DEFAULT_BANDWIDTH_BPS, LinkView
 from .network import Message, Network
@@ -20,7 +19,6 @@ __all__ = [
     "LinkView",
     "Message",
     "Network",
-    "ObjectIdTable",
     "PartitionController",
     "RelayMode",
     "Simulator",

@@ -13,12 +13,11 @@ Two relay modes are provided for the ablation DESIGN.md calls out:
   higher bandwidth, as used by fast-relay networks [Corallo 2013].
 
 De-duplication state (`_store`, `_requested`, `_rejected`, …) is keyed
-by dense interned ints from the network's shared
-:class:`~repro.net.interning.ObjectIdTable`, not by the raw 32-byte
-ids: with every node in a 1000-node run asking "seen this hash?" per
-announcement, small-int set probes measurably beat hashing 32-byte
-keys.  Wire messages still carry raw ``bytes`` ids — interning is a
-receiver-side detail, invisible on the wire.
+by the 32-byte ids the wire carries.  ``bytes`` objects cache their
+hash and every message about an object carries the same id object, so
+a probe is one dict lookup; membership is by value, never identity —
+a forged or replayed message with an equal-but-distinct id dedupes the
+same way.
 """
 
 from __future__ import annotations
@@ -89,18 +88,15 @@ class GossipNode:
         # default: a 1 MB block takes ~80 s to serialize at the paper's
         # 100 kbit/s, and a premature timeout would duplicate traffic.
         self.request_timeout = request_timeout
-        # All relay bookkeeping is keyed by the run-wide interned id
-        # (dense int), never the raw bytes — see the module docstring.
-        self._ids = network.object_ids
-        self._store: dict[int, StoredObject] = {}
-        self._requested: set[int] = set()
-        self._rejected: set[int] = set()
+        self._store: dict[bytes, StoredObject] = {}
+        self._requested: set[bytes] = set()
+        self._rejected: set[bytes] = set()
         # While a getdata is outstanding, remember *other* peers that
         # announced the same object: if the request times out (the
         # response lost to churn or a partition), the next announcer is
         # asked instead of the id being stuck in _requested forever.
-        self._alt_sources: dict[int, list[int]] = {}
-        self._request_timers: dict[int, Event] = {}
+        self._alt_sources: dict[bytes, list[int]] = {}
+        self._request_timers: dict[bytes, Event] = {}
         # Adjacency never changes mid-run (churn is modelled as offline
         # sets, not edge removal), so the neighbor list is cached once
         # instead of looked up per relayed object.
@@ -141,17 +137,14 @@ class GossipNode:
     # -- public operations --------------------------------------------------
 
     def knows(self, obj_id: bytes) -> bool:
-        iid = self._ids.lookup(obj_id)
-        return iid is not None and iid in self._store
+        return obj_id in self._store
 
     def get_object(self, obj_id: bytes) -> StoredObject | None:
-        iid = self._ids.lookup(obj_id)
-        return None if iid is None else self._store.get(iid)
+        return self._store.get(obj_id)
 
     def has_requested(self, obj_id: bytes) -> bool:
         """Whether a getdata for ``obj_id`` is currently outstanding."""
-        iid = self._ids.lookup(obj_id)
-        return iid is not None and iid in self._requested
+        return obj_id in self._requested
 
     def request_tips(self) -> None:
         """Ask every neighbor for its best tip (rejoin resync).
@@ -190,10 +183,9 @@ class GossipNode:
         attempt is outstanding — the earlier response may have been
         lost to churn.
         """
-        iid = self._ids.intern(obj_id)
-        if iid in self._store:
+        if obj_id in self._store:
             return
-        self._request_from(peer, obj_id, iid)
+        self._request_from(peer, obj_id)
 
     def announce(self, obj_id: bytes, kind: str, data: Any, size: int) -> None:
         """Inject a locally created object and start relaying it.
@@ -202,14 +194,13 @@ class GossipNode:
         path: a locally generated object that fails validation is
         dropped, remembered as rejected, and never relayed.
         """
-        iid = self._ids.intern(obj_id)
-        if iid in self._store or iid in self._rejected:
+        if obj_id in self._store or obj_id in self._rejected:
             return
         stored = StoredObject(obj_id, kind, data, size)
-        self._store[iid] = stored
+        self._store[obj_id] = stored
         if self.deliver(stored, sender=None) is False:
-            self._store.pop(iid, None)
-            self._rejected.add(iid)
+            self._store.pop(obj_id, None)
+            self._rejected.add(obj_id)
             if self._tracer is not None:
                 self._tracer.emit(
                     "obj_reject",
@@ -264,57 +255,56 @@ class GossipNode:
             self.node_id, message, exclude=-1 if exclude is None else exclude
         )
 
-    def _request_from(self, peer: int, obj_id: bytes, iid: int) -> None:
+    def _request_from(self, peer: int, obj_id: bytes) -> None:
         """Send a getdata and arm the retry timer for it."""
-        self._requested.add(iid)
+        self._requested.add(obj_id)
         if self.request_timeout > 0:
-            old = self._request_timers.get(iid)
+            old = self._request_timers.get(obj_id)
             if old is not None:
                 old.cancel()
-            self._request_timers[iid] = self.sim.schedule(
-                self.request_timeout, self._on_request_timeout, iid
+            self._request_timers[obj_id] = self.sim.schedule(
+                self.request_timeout, self._on_request_timeout, obj_id
             )
         self.network.send(
             self.node_id, peer, Message("getdata", obj_id, GETDATA_SIZE)
         )
 
-    def _on_request_timeout(self, iid: int) -> None:
-        self._request_timers.pop(iid, None)
-        if iid in self._store or iid in self._rejected:
-            self._alt_sources.pop(iid, None)
+    def _on_request_timeout(self, obj_id: bytes) -> None:
+        self._request_timers.pop(obj_id, None)
+        if obj_id in self._store or obj_id in self._rejected:
+            self._alt_sources.pop(obj_id, None)
             return
         # The response was lost (churn, partition, or an offline peer):
         # clear the outstanding mark so future invs can retrigger, and
         # retry immediately from the next peer that announced it.
-        self._requested.discard(iid)
-        alternates = self._alt_sources.get(iid)
+        self._requested.discard(obj_id)
+        alternates = self._alt_sources.get(obj_id)
         if alternates:
             peer = alternates.pop(0)
             if not alternates:
-                del self._alt_sources[iid]
+                del self._alt_sources[obj_id]
             if self._tracer is not None:
                 self._tracer.emit(
                     "gossip_retry",
                     self.sim.now,
                     node=self.node_id,
-                    obj=short_hash(self._ids.obj_id(iid)),
+                    obj=short_hash(obj_id),
                     peer=peer,
                 )
-            self._request_from(peer, self._ids.obj_id(iid), iid)
+            self._request_from(peer, obj_id)
 
     def _on_inv(self, sender: int, payload: tuple[bytes, str]) -> None:
         obj_id, _kind = payload
-        iid = self._ids.intern(obj_id)
-        if iid in self._store or iid in self._rejected:
+        if obj_id in self._store or obj_id in self._rejected:
             return
-        if iid in self._requested:
+        if obj_id in self._requested:
             # Already being fetched; remember this announcer as a
             # fallback in case the outstanding request times out.
-            alternates = self._alt_sources.setdefault(iid, [])
+            alternates = self._alt_sources.setdefault(obj_id, [])
             if sender not in alternates:
                 alternates.append(sender)
             return
-        self._request_from(sender, obj_id, iid)
+        self._request_from(sender, obj_id)
 
     def _on_gettip(self, sender: int) -> None:
         """Answer a tip solicitation with an inv of our best object."""
@@ -339,15 +329,15 @@ class GossipNode:
         )
 
     def _on_object(self, sender: int, stored: StoredObject) -> None:
-        iid = self._ids.intern(stored.obj_id)
-        self._requested.discard(iid)
-        timer = self._request_timers.pop(iid, None)
+        obj_id = stored.obj_id
+        self._requested.discard(obj_id)
+        timer = self._request_timers.pop(obj_id, None)
         if timer is not None:
             timer.cancel()
-        self._alt_sources.pop(iid, None)
-        if iid in self._store:
+        self._alt_sources.pop(obj_id, None)
+        if obj_id in self._store:
             return
-        self._store[iid] = stored
+        self._store[obj_id] = stored
         delay = (
             self.verification_delay
             + self.verification_seconds_per_byte * stored.size
@@ -362,9 +352,8 @@ class GossipNode:
         if verdict is False:
             # Validation failed: forget it, never forward it, and
             # charge the peer that sent it.
-            iid = self._ids.intern(stored.obj_id)
-            self._store.pop(iid, None)
-            self._rejected.add(iid)
+            self._store.pop(stored.obj_id, None)
+            self._rejected.add(stored.obj_id)
             self.penalize(sender, self.invalid_object_penalty)
             if self._tracer is not None:
                 self._tracer.emit(

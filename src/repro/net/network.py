@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Any, Protocol
 
 from ..obs.facade import NULL_OBS
-from .interning import ObjectIdTable
 from .latency import LatencyHistogram
 from .links import DEFAULT_BANDWIDTH_BPS, SMALL_MESSAGE_CUTOFF, LinkView
 from .simulator import Simulator
@@ -90,9 +89,6 @@ class Network:
         self._loss_rng: random.Random | None = None
         self.messages_delivered = 0
         self.bytes_delivered = 0
-        # One shared object-id interning table per run: every gossip
-        # node attached to this network dedupes through it.
-        self.object_ids: ObjectIdTable[bytes] = ObjectIdTable()
 
         # -- struct-of-arrays link core ---------------------------------
         # The CSR flat position of neighbor ``dst`` in ``src``'s row is

@@ -71,7 +71,7 @@ class ProfilerRuntime:
         self._phases: dict[str, list] = {}
         # Underlying function object -> (phase | None, tag).
         self._by_func: dict[object, tuple[str | None, int]] = {}
-        # (message kind, object kind | None) -> interned phase string.
+        # (message kind, object kind | None) -> phase string, built once.
         self._deliver_phases: dict[tuple[str, str | None], str] = {}
         self._node_calls: list[int] = []
         self._node_seconds: list[float] = []

@@ -13,8 +13,9 @@ nondeterminism bug slips through anyway.
   forfeiture, tip monotonicity, and mempool/UTXO cross-consistency.
   Checkers subclass :class:`InvariantChecker` (``check_block`` /
   ``check_state`` / ``on_event`` / ``check_dirty`` plus a ``depends``
-  component set) and share a process-wide :class:`SignatureCache` so
-  each (leader, microblock) pair is verified exactly once.
+  component set); INV104 holds the process-wide :class:`SignatureCache`,
+  which carries (leader, microblock) verdicts across the executions of
+  one process — inside a run each ``Microblock`` memoises its own.
 * :mod:`.runtime` — :class:`SanitizerRuntime`, the event-boundary probe
   that sweeps node state through the checkers and captures state
   digests.  One sweep (dirty-set tracking), two modes: ``incremental``

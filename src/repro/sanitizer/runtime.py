@@ -12,13 +12,14 @@ checkers run once per newly adopted main-chain block (oldest first) and
 state checkers run through
 :meth:`~repro.sanitizer.checkers.InvariantChecker.check_dirty`, which
 gates on the components each checker declares in ``depends``.  INV104
-additionally memoizes signature verdicts in the process-wide
-:class:`~repro.sanitizer.checkers.SignatureCache`.
+additionally looks signature verdicts up in the process-wide
+:class:`~repro.sanitizer.checkers.SignatureCache`, which outlives the
+run (within one run each ``Microblock`` already memoises its verdict).
 
 **audit** mode runs the same sweeps *plus* a periodic from-scratch
 walk (every ``audit_stride`` sweeps and once at finalize) using fresh
-replica checkers that share no state with the live set (signature
-replicas carry a private cache, never the process-wide one): every
+replica checkers that share no state with the live set (the signature
+replica consults no ``SignatureCache`` at all): every
 node's whole main chain through every block hook, every state hook
 unconditionally.  It is the independent reference for the sweep: any
 audit finding the incremental path has not already reported is a
@@ -50,13 +51,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from ..clock import wall_clock
-from .checkers import (
-    InvariantChecker,
-    MicroblockSignature,
-    NodeDelta,
-    SignatureCache,
-    chain_of,
-)
+from .checkers import InvariantChecker, NodeDelta, chain_of
 from .digests import DigestSnapshot, NodeDigest, node_digest
 from .violations import ViolationRecord, make_violation
 
@@ -364,23 +359,20 @@ class SanitizerRuntime:
         and are skipped — the audit is a cross-check, not a guarantee of
         total coverage, and skipping is the conservative direction.
 
-        Signature replicas get a *private* per-runtime cache: it shares
-        nothing with the process-wide incremental cache (so a bug there
-        cannot leak into the audit) while keeping repeat audits from
-        re-verifying the same chain prefix every time — without it the
-        audit's cost would grow quadratically with run length.
+        The INV104 replica is built with ``cache=None``: it calls
+        ``block.verify_signature`` directly, so a wrong verdict in the
+        process-wide :class:`~repro.sanitizer.checkers.SignatureCache`
+        cannot leak into the audit.  Repeat audits of the same chain
+        prefix stay cheap because each ``Microblock`` memoises its own
+        verdict per key.
         """
         if self._audit_checkers is None:
-            audit_cache = SignatureCache()
             replicas: list[InvariantChecker] = []
             for checker in self.checkers:
                 try:
-                    replica = type(checker)()
+                    replicas.append(type(checker)())
                 except TypeError:
                     continue
-                if isinstance(replica, MicroblockSignature):
-                    replica.cache = audit_cache
-                replicas.append(replica)
             self._audit_checkers = replicas
         return self._audit_checkers
 

@@ -607,3 +607,27 @@ def test_jobs_zero_is_an_error_not_a_traceback(monkeypatch):
         main(["sweep", "frequency", "--nodes", "10", "--blocks", "3",
               "--jobs", "0"])
     assert str(excinfo.value.code) == "error: jobs must be >= 1, got 0"
+
+
+# -- so are run flags ExperimentConfig rejects ------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["run", "--nodes", "1"], "error: need at least two nodes"),
+        (["run", "--nodes", "4"],
+         "error: min_degree must be below node count"),
+        (["run", "--block-rate", "0"], "error: rates must be positive"),
+        (["sweep", "frequency", "--blocks", "0"],
+         "error: need at least one block"),
+    ],
+)
+def test_bad_run_flag_is_an_error_not_a_traceback(
+    monkeypatch, command, message
+):
+    monkeypatch.delenv("REPRO_CHECK", raising=False)
+    with pytest.raises(SystemExit) as excinfo:
+        main(command)
+    # SystemExit(str): the interpreter prints that one line and exits 1.
+    assert str(excinfo.value.code) == message

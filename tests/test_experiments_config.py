@@ -63,6 +63,17 @@ def test_validation():
         ExperimentConfig(target_blocks=0)
 
 
+def test_node_count_must_exceed_min_degree():
+    # Caught at construction, not mid-setup inside random_topology.
+    for n_nodes in (4, 5):
+        with pytest.raises(ValueError, match="min_degree must be below"):
+            ExperimentConfig(n_nodes=n_nodes)
+    with pytest.raises(ValueError, match="min_degree must be below"):
+        ExperimentConfig(n_nodes=10, min_degree=10)
+    assert ExperimentConfig(n_nodes=6).n_nodes == 6
+    assert ExperimentConfig(n_nodes=3, min_degree=2).min_degree == 2
+
+
 def test_to_dict_from_dict_round_trip():
     config = ExperimentConfig(
         protocol=Protocol.BITCOIN_NG,

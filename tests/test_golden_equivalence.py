@@ -1,7 +1,7 @@
 """Golden-equivalence pins for the array-core network layer.
 
 The struct-of-arrays rework of ``repro.net`` (CSR adjacency, per-edge-id
-link arrays, interned gossip ids, batched relay scheduling) must be a
+link arrays, batched relay scheduling) must be a
 pure representation change: same seeds → bit-identical simulations.
 These fingerprints were captured on the dict-of-objects core the repo
 seeded with, at three network sizes and for all three protocols; any

@@ -46,7 +46,11 @@ def test_missing_path_exits_two(capsys):
 def test_json_output_round_trips(capsys):
     assert main(["lint", str(FIXTURES), "--json"]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["version"] == JSON_SCHEMA_VERSION
+    assert payload["version"] == JSON_SCHEMA_VERSION == 2
+    assert sorted(payload["summary"]) == [
+        "baselined", "files_scanned", "findings", "stale_baseline",
+        "suppressed",
+    ]
     assert payload["summary"]["findings"] == len(payload["findings"])
     assert payload["summary"]["suppressed"] == len(RULES)
     assert sorted(f["code"] for f in payload["findings"]) == sorted(RULES)
@@ -102,20 +106,12 @@ def test_why_appends_call_path_to_semantic_findings(capsys):
     assert "because:" not in capsys.readouterr().out
 
 
-def test_semantic_cache_is_written_and_reused(tmp_path, capsys):
-    cache = tmp_path / "index.json"
-    src = tmp_path / "mod.py"
-    src.write_text("def f(x):\n    return x\n", encoding="utf-8")
-    assert main(["lint", str(src), "--semantic-cache", str(cache),
-                 "--json"]) == 0
-    first = json.loads(capsys.readouterr().out)
-    assert cache.is_file()
-    assert first["summary"]["index_cache_misses"] == 1
-    assert main(["lint", str(src), "--semantic-cache", str(cache),
-                 "--json"]) == 0
-    second = json.loads(capsys.readouterr().out)
-    assert second["summary"]["index_cache_hits"] == 1
-    assert second["summary"]["index_cache_misses"] == 0
+def test_semantic_cache_flag_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["lint", "src", "--semantic-cache", str(tmp_path / "x")])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --semantic-cache" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_bad_baseline_version_exits_two(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Observation log and block index plumbing."""
 
+import random
+
 import pytest
 
 from repro.metrics.collector import BlockIndex, BlockInfo, ObservationLog, TipHistory
@@ -43,6 +45,34 @@ def test_chain_memoization_shares_prefixes():
     index.add(_info(b"c", b"b"))
     index.add(_info(b"d", b"b"))  # sibling of c
     assert index.chain(b"c")[:2] == index.chain(b"d")[:2]
+
+
+def test_chain_is_the_parent_walk_on_a_random_tree():
+    rng = random.Random(19)
+    index = BlockIndex()
+    parents = {}
+    hashes = [b"root"]
+    index.add(_info(b"root", b"genesis"))
+    for i in range(200):
+        h = b"h%d" % i
+        parents[h] = rng.choice(hashes)
+        index.add(_info(h, parents[h]))
+        hashes.append(h)
+
+    def walk(tip):
+        path = [tip]
+        while path[-1] in parents:
+            path.append(parents[path[-1]])
+        return tuple(reversed(path))
+
+    for tip in rng.sample(hashes, 50):
+        assert index.chain(tip) == walk(tip)
+    # A block added after chain() was asked about its parent shows up.
+    tip = hashes[-1]
+    before = index.chain(tip)
+    index.add(_info(b"late", tip))
+    assert index.chain(b"late") == before + (b"late",)
+    assert index.chain(tip) == before
 
 
 def test_is_ancestor():

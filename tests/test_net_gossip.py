@@ -95,6 +95,47 @@ def test_duplicate_announce_ignored():
     assert len(nodes[0].delivered) == 1
 
 
+def test_equal_but_distinct_ids_dedupe_by_value():
+    """Dedupe is by the id's value, never identity: a replayed inv or
+    object carrying an equal ``bytes`` copy triggers nothing twice."""
+    from repro.net.network import Message
+
+    sim, net, nodes = _mesh(2)
+    obj_id = b"\x46" * 32
+    twin = bytes(bytearray(obj_id))
+    assert twin == obj_id and twin is not obj_id
+    getdatas = []
+    serve = nodes[0]._on_getdata
+
+    def counting_getdata(sender, wanted):
+        getdatas.append(wanted)
+        serve(sender, wanted)
+
+    nodes[0]._on_getdata = counting_getdata
+    nodes[0].announce(obj_id, "block", None, 100)  # first inv to node 1
+    net.send(0, 1, Message("inv", (twin, "block"), 61))  # while requested
+    sim.run()
+    assert len(getdatas) == 1
+    assert nodes[1].knows(twin) and nodes[1].get_object(twin).obj_id is obj_id
+    net.send(0, 1, Message("inv", (twin, "block"), 61))  # once stored
+    replay = StoredObject(twin, "block", None, 100)
+    net.send(0, 1, Message("object", replay, 100))
+    sim.run()
+    assert len(getdatas) == 1
+    assert len(nodes[1].delivered) == 1
+
+
+def test_probes_on_unseen_ids_leave_no_trace():
+    sim, net, nodes = _mesh(2)
+    node = nodes[0]
+    unseen = b"\x47" * 32
+    assert node.knows(unseen) is False
+    assert node.get_object(unseen) is None
+    assert node.has_requested(unseen) is False
+    assert not node._store and not node._requested and not node._rejected
+    assert not node._alt_sources and not node._request_timers
+
+
 def test_verification_delay_slows_relay():
     sim_fast, _, fast = _mesh(topo=ring_topology(6))
     fast[0].announce(b"\x07" * 32, "block", None, 1000)

@@ -31,7 +31,7 @@ from repro.core.genesis import make_ng_genesis
 from repro.core.params import NGParams
 from repro.core.remuneration import build_ng_coinbase, split_fee
 from repro.crypto.hashing import hash160
-from repro.crypto.keys import PrivateKey
+from repro.crypto.keys import PrivateKey, PublicKey
 from repro.experiments import (
     ExperimentConfig,
     resolve_check_mode,
@@ -471,8 +471,8 @@ def test_live_inv104_shares_the_cache_and_the_audit_replica_does_not():
         if isinstance(c, MicroblockSignature)
     ]
     assert len(runtime._audit_replicas()) == len(runtime.checkers)
-    assert isinstance(replicas[0].cache, SignatureCache)
-    assert replicas[0].cache is not shared_signature_cache()
+    # No SignatureCache of any kind: the replica asks the block itself.
+    assert replicas[0].cache is None
 
 
 # -- the audit ----------------------------------------------------------------
@@ -517,6 +517,52 @@ def test_audit_surfaces_what_the_incremental_path_missed():
     marker = runtime.violations[1]
     assert dict(marker.snapshot)["missed_code"] == "INV999"
     assert runtime.audits >= 1
+
+
+def _unjudged_micro_node(signer):
+    """key block by ALICE + one microblock the chain did not verify."""
+    chain = NGChain(GENESIS, PARAMS)
+    key1 = _key(GENESIS.hash, ALICE, 10.0)
+    chain.add_block(key1, 10.0)
+    micro = _micro(key1.hash, signer, 20.0)
+    chain.add_block(micro, 20.0, check_signature=False)
+    return _node(chain), micro
+
+
+def test_repeat_audits_verify_each_microblock_once(count_calls):
+    """The replica has no cache, yet N audits cost one ECDSA verify per
+    (microblock, leader key): the block memoises its own verdict."""
+    node, _ = _unjudged_micro_node(ALICE)
+    verifies = count_calls(PublicKey, "verify")
+    sim = _FakeSim()
+    runtime = SanitizerRuntime(
+        [MicroblockSignature(cache=SignatureCache())],
+        stride=1, mode="audit", audit_stride=1,
+    )
+    runtime.install(sim, [node])
+    for _ in range(4):
+        sim.probe()
+    runtime.finalize()
+    assert runtime.audits >= 5
+    assert runtime.violations == []
+    assert len(verifies) == 1
+
+
+def test_audit_reports_a_forgery_the_live_cache_vouched_for():
+    """A wrong verdict in the live checker's cache cannot reach the
+    audit: its replica consults no cache and reports the forgery."""
+    node, forged = _unjudged_micro_node(BOB)
+    lying = SignatureCache()
+    leader = ALICE.public_key().to_bytes()
+    lying._verdicts[(leader, forged.hash, forged.signature)] = True
+    sim = _FakeSim()
+    runtime = SanitizerRuntime(
+        [MicroblockSignature(cache=lying)],
+        stride=1, mode="audit", audit_stride=1,
+    )
+    runtime.install(sim, [node])
+    sim.probe()
+    assert [v.code for v in runtime.violations] == ["INV104", "SAN901"]
 
 
 def test_audit_is_silent_when_incremental_found_everything():
