@@ -91,6 +91,8 @@ class BlockTree:
         rng: random.Random | None = None,
     ) -> None:
         self._orphans: dict[bytes, list[tuple[Block, float]]] = {}
+        # Blocks dropped by :meth:`forget`; empty on an honest network.
+        self._refused: set[bytes] = set()
         self.tie_break = tie_break
         self.rng = rng or random.Random(0)
         self.genesis_hash = genesis.hash
@@ -190,11 +192,14 @@ class BlockTree:
         """
         if block.hash in self._records:
             return []
-        parent = self._records.get(block.header.prev_hash)
+        prev_hash = block.header.prev_hash
+        refused = self._refused
+        if refused and (block.hash in refused or prev_hash in refused):
+            refused.add(block.hash)
+            raise self.invalid("block is, or builds on, one that did not connect")
+        parent = self._records.get(prev_hash)
         if parent is None:
-            self._orphans.setdefault(block.header.prev_hash, []).append(
-                (block, arrival_time)
-            )
+            self._orphans.setdefault(prev_hash, []).append((block, arrival_time))
             return []
         reorgs = [self._connect(block, parent, arrival_time, context)]
         # Adopt any orphans waiting on this block, recursively.
@@ -270,6 +275,29 @@ class BlockTree:
         connected.reverse()
         self._tip = new_tip
         return Reorg(old_tip, new_tip, tuple(disconnected), tuple(connected))
+
+    def forget(self, block_hash: bytes, tip: bytes) -> set[bytes]:
+        """Drop a block that did not connect, and everything built on it.
+
+        A node learns that a block's spends do not connect only while
+        replaying a reorg onto its ledger, after the tree adopted the
+        block.  ``tip`` is where that ledger stands; the tree holds it
+        again — its choice before the dropped blocks came, and no worse
+        against what remains.  The dropped hashes are returned, and
+        remembered: a second copy, or a later child, is refused like
+        any invalid block.
+        """
+        parent = self._records[self._records[block_hash].parent_hash]
+        parent.children.remove(block_hash)
+        forgotten: set[bytes] = set()
+        pending = [block_hash]
+        while pending:
+            gone = pending.pop()
+            pending.extend(self._records.pop(gone).children)
+            forgotten.add(gone)
+        self._refused |= forgotten
+        self._tip = tip
+        return forgotten
 
     def orphan_count(self) -> int:
         return sum(len(waiting) for waiting in self._orphans.values())

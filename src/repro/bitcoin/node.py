@@ -14,6 +14,7 @@ in blocks:
 
 from __future__ import annotations
 
+import random
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,14 +31,7 @@ from ..net.gossip import GossipNode, RelayMode, StoredObject
 from ..obs.trace import short_hash
 from ..net.network import Network
 from ..net.simulator import Simulator
-from .blocks import (
-    Block,
-    InvalidBlock,
-    SyntheticPayload,
-    TxPayload,
-    build_block,
-    check_block,
-)
+from .blocks import Block, SyntheticPayload, TxPayload, build_block, check_block
 from .chain import BlockTree, Reorg, TieBreak
 
 # Default block subsidy (25 BTC, the 2015 value).
@@ -60,19 +54,22 @@ class BlockPolicy:
 
 
 class ChainNode(GossipNode):
-    """What every blockchain node here does around its block tree.
+    """What every blockchain node here does around its tree and ledger.
 
     Reporting a generated block and gossiping it, reporting an arrival,
     and everything that follows an insertion: orphan backfill, replaying
-    the resulting reorgs onto ledger state, reporting the tip change.
+    the resulting reorgs onto the UTXO set and mempool (with undo data,
+    so reorgs roll state back), refusing a block whose spends do not
+    connect, reporting the tip change; and admitting transactions.
     A protocol's node builds its blocks and supplies the hooks:
+    :attr:`KINDS` (the object kinds its blocks travel as),
     :meth:`_check_block` (validation that needs no chain context),
     :meth:`_add_to_tree` when its tree wants more than the arrival time,
-    and :meth:`_connect_block` / :meth:`_disconnect_block` when it keeps
-    a ledger.  The transaction entry points serve the nodes that do:
-    ``mempool`` and ``_spend_fee(tx, height)`` — validate a spend
-    against the node's UTXO set, return its fee — are theirs.
+    :meth:`_ledger_entries` (what a block does to the ledger) and
+    ``_spend_fee(tx, height)`` (validate a spend, return its fee).
     """
+
+    KINDS: tuple[str, ...]
 
     def __init__(
         self,
@@ -83,6 +80,9 @@ class ChainNode(GossipNode):
         log: ObservationLog | None,
         relay_mode: RelayMode,
         verification_seconds_per_byte: float,
+        require_pow: bool,
+        check_signatures: bool,
+        utxo: UtxoSet,
     ) -> None:
         super().__init__(
             node_id,
@@ -93,6 +93,11 @@ class ChainNode(GossipNode):
         )
         self.tree = tree
         self.log = log
+        self.require_pow = require_pow
+        self.check_signatures = check_signatures
+        self.utxo = utxo
+        self.mempool = Mempool()
+        self._undo: dict[bytes, list[UndoRecord]] = {}
         self.blocks_rejected = 0
         if log is not None:
             log.record_tip(node_id, tree.genesis_hash, sim.now)
@@ -130,7 +135,17 @@ class ChainNode(GossipNode):
             )
         self.announce(block.hash, kind, block, block.size)
 
-    # -- received blocks ---------------------------------------------------
+    # -- received objects --------------------------------------------------
+
+    def deliver(self, obj: StoredObject, sender: int | None):
+        kind = obj.kind
+        if kind in self.KINDS:
+            return self._receive(obj.data, kind, sender)
+        if kind == "tx":
+            if sender is not None:
+                self._accept_relayed_transaction(obj.data)
+            return None
+        return False  # unknown object kinds are not relayed
 
     def _receive(self, block, kind: str, sender: int | None):
         """Take in a block from ``sender`` (``None``: our own).
@@ -164,12 +179,31 @@ class ChainNode(GossipNode):
         ):
             # Orphan: backfill the gap from whoever sent this block.
             self.request_object(sender, parent_hash)
+        verdict = None
+        moved = False
         for reorg in reorgs:
             for block_hash in reorg.disconnected:
                 self._disconnect_block(block_hash)
-            for block_hash in reorg.connected:
-                self._connect_block(block_hash)
-        if reorgs:
+            try:
+                for block_hash in reorg.connected:
+                    self._connect_block(block_hash)
+            except tree.invalid:
+                # A block on the new branch does not connect: refused
+                # like any invalid block, only later — the tree had
+                # adopted it.  The ledger goes back on ``old_tip``; the
+                # tree drops the block with what was built on it (this
+                # insertion's remaining reorgs too) and holds that tip.
+                done = reorg.connected.index(block_hash)
+                for connected in reversed(reorg.connected[:done]):
+                    self._disconnect_block(connected)
+                for disconnected in reversed(reorg.disconnected):
+                    self._connect_block(disconnected)
+                self.blocks_rejected += 1
+                if block.hash in tree.forget(block_hash, reorg.old_tip):
+                    verdict = False
+                break
+            moved = True
+        if moved:
             if self.log is not None:
                 self.log.record_tip(self.node_id, tree.tip, self.sim.now)
             if self._tracer is not None:
@@ -180,7 +214,7 @@ class ChainNode(GossipNode):
                     tip=short_hash(tree.tip),
                     height=tree.tip_record.height,
                 )
-        return None
+        return verdict
 
     def _check_block(self, block) -> None:
         """Contextless validation; raise the tree's ``invalid`` to refuse."""
@@ -189,11 +223,59 @@ class ChainNode(GossipNode):
     def _add_to_tree(self, block) -> list[Reorg]:
         return self.tree.add_block(block, self.sim.now)
 
-    def _connect_block(self, block_hash: bytes) -> None:
-        """Apply a block that joined the main chain to ledger state."""
+    # -- ledger state ------------------------------------------------------
+
+    def _ledger_entries(self, block):
+        """What ``block`` does to the ledger: ``(coinbase or None,
+        transactions)``, or ``None`` when it carries no ledger entries."""
+        raise NotImplementedError
+
+    def _connect_block(self, block_hash: bytes) -> int:
+        """Apply a block that joined the main chain; return the fees paid.
+
+        Raises the tree's ``invalid``, with the UTXO set as it was, when
+        one of the block's spends does not connect.
+        """
+        record = self.tree.record(block_hash)
+        entries = self._ledger_entries(record.block)
+        if entries is None:
+            return 0
+        coinbase, transactions = entries
+        height = record.height
+        undo_records: list[UndoRecord] = []
+        if coinbase is not None:
+            undo_records.append(self.utxo.apply(coinbase, height))
+        fees = 0
+        for tx in transactions:
+            try:
+                fees += self._spend_fee(tx, height)
+            except LedgerError:
+                # Unwind the partial connect, then surface the failure.
+                for done in reversed(undo_records):
+                    self.utxo.undo(done)
+                raise self.tree.invalid(
+                    f"block {block_hash.hex()[:8]} contains an invalid spend"
+                )
+            undo_records.append(self.utxo.apply(tx, height))
+            self.mempool.evict_conflicts(tx)
+        self._undo[block_hash] = undo_records
+        return fees
 
     def _disconnect_block(self, block_hash: bytes) -> None:
-        """Unwind a block that left the main chain from ledger state."""
+        """Unwind a block that left the main chain."""
+        undo_records = self._undo.pop(block_hash, None)
+        if undo_records is None:
+            return
+        for undo in reversed(undo_records):
+            self.utxo.undo(undo)
+        record = self.tree.record(block_hash)
+        # Returned transactions compete for inclusion again.
+        for tx in self._ledger_entries(record.block)[1]:
+            try:
+                fee = compute_fee(tx, self.utxo, record.height)
+                self.mempool.add(tx, fee)
+            except LedgerError:
+                continue
 
     # -- transaction entry points -----------------------------------------
 
@@ -220,11 +302,14 @@ class ChainNode(GossipNode):
     def tip(self) -> bytes:
         return self.tree.tip
 
+    def balance_of(self, pubkey_hash: bytes) -> int:
+        return self.utxo.balance(pubkey_hash)
+
 
 class BitcoinNode(ChainNode):
     """A miner/relay node running the Bitcoin blockchain protocol."""
 
-    KIND = "block"
+    KINDS = ("block",)
 
     def __init__(
         self,
@@ -245,20 +330,24 @@ class BitcoinNode(ChainNode):
             node_id,
             sim,
             network,
-            BlockTree(genesis, tie_break=tie_break, rng=sim.rng),
+            self._build_tree(genesis, tie_break, sim.rng),
             log,
             relay_mode,
             verification_seconds_per_byte,
+            require_pow,
+            check_signatures,
+            UtxoSet(),
         )
         self.policy = policy or BlockPolicy()
-        self.require_pow = require_pow
-        self.check_signatures = check_signatures
         self.key = key or PrivateKey.from_seed(f"bitcoin-node-{node_id}")
-        self.utxo = UtxoSet()
-        self.mempool = Mempool()
-        self._undo: dict[bytes, list[UndoRecord]] = {}
         self._block_counter = 0
         self.blocks_mined = 0
+
+    def _build_tree(
+        self, genesis: Block, tie_break: TieBreak, rng: random.Random
+    ) -> BlockTree:
+        """The fork-choice rule this node runs (GHOST's node overrides)."""
+        return BlockTree(genesis, tie_break=tie_break, rng=rng)
 
     # -- mining ----------------------------------------------------------
 
@@ -295,7 +384,7 @@ class BitcoinNode(ChainNode):
             reward_pubkey_hash=self._payout_hash,
         )
         self.blocks_mined += 1
-        self._publish(block, self.KIND, block.header.work, block.n_tx)
+        self._publish(block, "block", block.header.work, block.n_tx)
         return block
 
     @cached_property
@@ -303,72 +392,23 @@ class BitcoinNode(ChainNode):
         """Derived on first use: one EC multiplication per mining node."""
         return hash160(self.key.public_key().to_bytes())
 
-    # -- gossip delivery ---------------------------------------------------
-
-    def deliver(self, obj: StoredObject, sender: int | None):
-        if obj.kind == "tx":
-            if sender is not None:
-                self._accept_relayed_transaction(obj.data)
-            return None
-        if obj.kind != self.KIND:
-            return False  # unknown object kinds are not relayed
-        return self._receive(obj.data, self.KIND, sender)
+    # -- what Bitcoin decides ------------------------------------------------
 
     def _check_block(self, block: Block) -> None:
         check_block(block, require_pow=self.require_pow)
 
-    # -- state management ----------------------------------------------------
+    def _ledger_entries(self, block: Block):
+        if isinstance(block.payload, TxPayload):
+            return block.coinbase, block.payload.transactions
+        return None  # synthetic payload: experiment mode tracks no state
 
     def _spend_fee(self, tx: Transaction, height: int) -> int:
         return validate_spend(
             tx, self.utxo, height, check_signatures=self.check_signatures
         )
 
-    def _connect_block(self, block_hash: bytes) -> None:
-        record = self.tree.record(block_hash)
-        block = record.block
-        if not isinstance(block.payload, TxPayload):
-            return
-        undo_records: list[UndoRecord] = []
-        height = record.height
-        undo_records.append(self.utxo.apply(block.coinbase, height))
-        for tx in block.payload.transactions:
-            try:
-                self._spend_fee(tx, height)
-            except LedgerError:
-                # Unwind the partial connect, then surface the failure.
-                for done in reversed(undo_records):
-                    self.utxo.undo(done)
-                raise InvalidBlock(
-                    f"block {block_hash.hex()[:8]} contains an invalid spend"
-                )
-            undo_records.append(self.utxo.apply(tx, height))
-            self.mempool.evict_conflicts(tx)
-        self._undo[block_hash] = undo_records
-
-    def _disconnect_block(self, block_hash: bytes) -> None:
-        undo_records = self._undo.pop(block_hash, None)
-        if undo_records is None:
-            return
-        record = self.tree.record(block_hash)
-        block = record.block
-        for undo in reversed(undo_records):
-            self.utxo.undo(undo)
-        if isinstance(block.payload, TxPayload):
-            # Returned transactions compete for inclusion again.
-            height = record.height
-            for tx in block.payload.transactions:
-                try:
-                    fee = compute_fee(tx, self.utxo, height)
-                    self.mempool.add(tx, fee)
-                except LedgerError:
-                    continue
-
     # -- introspection ------------------------------------------------------
 
     @property
     def height(self) -> int:
         return self.tree.height_of(self.tree.tip)
-
-    def balance_of(self, pubkey_hash: bytes) -> int:
-        return self.utxo.balance(pubkey_hash)

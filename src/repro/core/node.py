@@ -19,18 +19,15 @@ from ..bitcoin.chain import Reorg, TieBreak
 from ..bitcoin.node import ChainNode
 from ..crypto.hashing import hash160
 from ..crypto.keys import PrivateKey
-from ..ledger.errors import LedgerError
-from ..ledger.mempool import Mempool
 from ..ledger.transactions import Transaction
-from ..ledger.utxo import UndoRecord, UtxoSet
-from ..ledger.validation import compute_fee, validate_spend
+from ..ledger.utxo import UtxoSet
+from ..ledger.validation import validate_spend
 from ..metrics.collector import ObservationLog
-from ..net.gossip import RelayMode, StoredObject
+from ..net.gossip import RelayMode
 from ..obs.trace import short_hash
 from ..net.network import Network
 from ..net.simulator import Simulator
 from .blocks import (
-    InvalidNGBlock,
     KeyBlock,
     Microblock,
     build_key_block,
@@ -63,6 +60,8 @@ class MicroblockPolicy:
 
 class NGNode(ChainNode):
     """A Bitcoin-NG miner/relay node."""
+
+    KINDS = (KIND_KEY, KIND_MICRO)
 
     def __init__(
         self,
@@ -99,12 +98,13 @@ class NGNode(ChainNode):
             log,
             relay_mode,
             verification_seconds_per_byte,
+            require_pow,
+            check_signatures,
+            UtxoSet(coinbase_maturity=params.coinbase_maturity),
         )
         self.chain = chain  # the name NG code knows ``tree`` by
         self.params = params
         self.policy = policy or MicroblockPolicy()
-        self.require_pow = require_pow
-        self.check_signatures = check_signatures
         self.bits = bits
         # The rate the leader actually generates at; must respect the cap.
         self.microblock_interval = (
@@ -117,9 +117,6 @@ class NGNode(ChainNode):
                 "generation interval below the protocol minimum"
             )
         self.key = key or PrivateKey.from_seed(f"ng-node-{node_id}")
-        self.utxo = UtxoSet(coinbase_maturity=params.coinbase_maturity)
-        self.mempool = Mempool()
-        self._undo: dict[bytes, list[UndoRecord]] = {}
         self._fees_by_micro: dict[bytes, int] = {}
         self._micro_counter = 0
         self._leading_epoch: bytes | None = None  # our key block when leader
@@ -187,7 +184,7 @@ class NGNode(ChainNode):
         if isinstance(micro.payload, SyntheticPayload):
             return micro.n_tx * self.policy.synthetic_fee_per_tx
         # Real fees need UTXO context at connect height; the node records
-        # them as each microblock connects (see _connect_block).
+        # what each microblock paid as it connects (see _connect_block).
         return self._fees_by_micro.get(micro.hash, 0)
 
     # -- leadership -----------------------------------------------------------
@@ -292,16 +289,7 @@ class NGNode(ChainNode):
             except InvalidPoison:
                 continue
 
-    # -- delivery ---------------------------------------------------------------
-
-    def deliver(self, obj: StoredObject, sender: int | None):
-        if obj.kind == KIND_KEY or obj.kind == KIND_MICRO:
-            return self._receive(obj.data, obj.kind, sender)
-        if obj.kind == "tx":
-            if sender is not None:
-                self._accept_relayed_transaction(obj.data)
-            return None
-        return False  # unknown object kinds are not relayed
+    # -- what Bitcoin-NG decides ---------------------------------------------
 
     def _check_block(self, block: KeyBlock | Microblock) -> None:
         if isinstance(block, KeyBlock):
@@ -313,7 +301,12 @@ class NGNode(ChainNode):
         now = self.sim.now
         return self.chain.add_block(block, now, now, self.check_signatures)
 
-    # -- state management ----------------------------------------------------
+    def _ledger_entries(self, block: KeyBlock | Microblock):
+        if isinstance(block, KeyBlock):
+            return block.coinbase, ()
+        if isinstance(block.payload, TxPayload):
+            return None, block.payload.transactions
+        return None
 
     def _spend_fee(self, tx: Transaction, height: int) -> int:
         # Goes through this module's ``validate_spend`` binding, which is
@@ -322,47 +315,8 @@ class NGNode(ChainNode):
             tx, self.utxo, height, check_signatures=self.check_signatures
         )
 
-    def _connect_block(self, block_hash: bytes) -> None:
-        record = self.chain.record(block_hash)
-        block = record.block
-        height = record.height
-        undo_records: list[UndoRecord] = []
-        if isinstance(block, KeyBlock):
-            undo_records.append(self.utxo.apply(block.coinbase, height))
-        elif isinstance(block.payload, TxPayload):
-            fees = 0
-            for tx in block.payload.transactions:
-                try:
-                    fees += self._spend_fee(tx, height)
-                except LedgerError:
-                    for done in reversed(undo_records):
-                        self.utxo.undo(done)
-                    raise InvalidNGBlock(
-                        f"microblock {block_hash.hex()[:8]} has invalid spend"
-                    )
-                undo_records.append(self.utxo.apply(tx, height))
-                self.mempool.evict_conflicts(tx)
+    def _connect_block(self, block_hash: bytes) -> int:
+        fees = super()._connect_block(block_hash)
+        if fees:
             self._fees_by_micro[block_hash] = fees
-        if undo_records:
-            self._undo[block_hash] = undo_records
-
-    def _disconnect_block(self, block_hash: bytes) -> None:
-        undo_records = self._undo.pop(block_hash, None)
-        if undo_records is None:
-            return
-        record = self.chain.record(block_hash)
-        block = record.block
-        for undo in reversed(undo_records):
-            self.utxo.undo(undo)
-        if isinstance(block, Microblock) and isinstance(block.payload, TxPayload):
-            for tx in block.payload.transactions:
-                try:
-                    fee = compute_fee(tx, self.utxo, record.height)
-                    self.mempool.add(tx, fee)
-                except LedgerError:
-                    continue
-
-    # -- introspection ------------------------------------------------------
-
-    def balance_of(self, pubkey_hash: bytes) -> int:
-        return self.utxo.balance(pubkey_hash)
+        return fees

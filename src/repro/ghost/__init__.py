@@ -5,14 +5,14 @@ from .ambiguity import (
     build_appendix_a,
     no_view_matches_global,
 )
-from .chain import GhostRecord, GhostTree
+from .chain import GhostTree, HeaviestSubtree
 from .node import GhostNode
 
 __all__ = [
     "AppendixAScenario",
     "GhostNode",
-    "GhostRecord",
     "GhostTree",
+    "HeaviestSubtree",
     "build_appendix_a",
     "no_view_matches_global",
 ]

@@ -5,109 +5,100 @@ with GHOST, at a fork, a node chooses the side whose sub-tree contains
 more work (accumulated over all sub-tree blocks)" (Section 9,
 Sompolinsky & Zohar [45]).
 
-The tree maintains per-block *subtree work* incrementally: adding a
-block bumps every ancestor's subtree weight, and the main chain is read
-by greedily descending into the heaviest subtree from the genesis.
+The rule is written once, as a mix-in over any :class:`BlockTree`: it
+keeps per-block *subtree work* incrementally — adding a block bumps
+every ancestor's subtree weight — and reads the main chain by greedily
+descending into the heaviest subtree from the genesis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..bitcoin.blocks import Block, InvalidBlock
 from ..bitcoin.chain import BlockRecord, BlockTree, TieBreak
 
 
-@dataclass(kw_only=True)
-class GhostRecord(BlockRecord):
-    """A block plus GHOST-specific bookkeeping.
+class HeaviestSubtree:
+    """The GHOST chain selection rule, for a :class:`BlockTree` subclass.
 
-    GHOST chooses tips by ``subtree_work``, not by the inherited
-    ``cumulative_work`` (chain work along the path from genesis), which
-    stays so protocol-agnostic tooling (state digests, invariant
-    checkers) can read one weight field across every tree.
+    A block weighs what the tree underneath says it adds to its chain,
+    so the same lines are GHOST over Bitcoin's tree and GHOST over key
+    blocks on Bitcoin-NG's.  The records' ``cumulative_work`` (chain
+    work from genesis) stays what that tree made it, so protocol-agnostic
+    tooling reads one weight field across every tree.
     """
 
-    own_work: int
-    subtree_work: int
-
-
-class GhostTree(BlockTree):
-    """One node's view under the GHOST chain selection rule."""
-
-    _records: dict[bytes, GhostRecord]
-
-    # -- queries --------------------------------------------------------
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # Aggregate work in each block's subtree (incl. itself).
+        self._subtree: dict[bytes, int] = {self.genesis_hash: 0}
 
     def subtree_work(self, block_hash: bytes) -> int:
-        return self._records[block_hash].subtree_work
+        return self._subtree[block_hash]
 
-    def best_tip(self) -> bytes:
+    def _credit(self, record: BlockRecord, work: int) -> None:
+        """Add ``work`` to the subtree of ``record`` and of each ancestor."""
+        while True:
+            self._subtree[record.hash] += work
+            if record.hash == self.genesis_hash:
+                return
+            record = self._records[record.parent_hash]
+
+    def _record_for(self, block, parent: BlockRecord, arrival_time: float, context):
+        record = super()._record_for(block, parent, arrival_time, context)
+        # What the block adds to its chain: every block's work under
+        # Bitcoin, a key block's under NG, nothing for a microblock.
+        work = record.cumulative_work - parent.cumulative_work
+        self._subtree[block.hash] = work
+        if work:
+            self._credit(parent, work)
+        return record
+
+    def _choose_tip(self, candidate: BlockRecord) -> bytes:
         """Greedy heaviest-subtree descent from the genesis."""
+        subtree = self._subtree
         cursor = self._records[self.genesis_hash]
         while cursor.children:
-            best_children = []
+            best_children: list[bytes] = []
             best_weight = -1
-            for child_hash in cursor.children:
-                child = self._records[child_hash]
-                if child.subtree_work > best_weight:
-                    best_weight = child.subtree_work
+            for child in cursor.children:
+                weight = subtree[child]
+                if weight > best_weight:
+                    best_weight = weight
                     best_children = [child]
-                elif child.subtree_work == best_weight:
+                elif weight == best_weight:
                     best_children.append(child)
-            if len(best_children) == 1 or self.tie_break is TieBreak.FIRST_SEEN:
-                # FIRST_SEEN: children are in arrival order; keep the first.
-                cursor = best_children[0]
+            if len(best_children) > 1 and self.tie_break is TieBreak.RANDOM:
+                cursor = self._records[self.rng.choice(best_children)]
             else:
-                cursor = self.rng.choice(best_children)
+                # FIRST_SEEN: children are in arrival order; keep the first.
+                cursor = self._records[best_children[0]]
         return cursor.hash
 
-    # -- what GHOST decides ---------------------------------------------
+    def forget(self, block_hash: bytes, tip: bytes) -> set[bytes]:
+        """Take the dropped subtree's work back as well.
 
-    def _genesis_record(self, genesis: Block) -> GhostRecord:
-        return GhostRecord(
-            genesis,
-            height=0,
-            cumulative_work=0,
-            arrival_time=0.0,
-            own_work=0,
-            subtree_work=0,
-        )
-
-    def _record_for(
-        self, block: Block, parent: GhostRecord, arrival_time: float, context
-    ) -> GhostRecord:
-        work = block.header.work
-        # Credit the new work to every ancestor's subtree.
-        cursor = parent
-        while True:
-            cursor.subtree_work += work
-            if cursor.hash == self.genesis_hash:
-                break
-            cursor = self._records[cursor.parent_hash]
-        return GhostRecord(
-            block,
-            height=parent.height + 1,
-            cumulative_work=parent.cumulative_work + work,
-            arrival_time=arrival_time,
-            own_work=work,
-            subtree_work=work,
-        )
-
-    def _choose_tip(self, candidate: GhostRecord) -> bytes:
-        return self.best_tip()
+        It also counted for the held tip's ancestors against *their*
+        siblings, so the next insertion's descent may move the tip.
+        """
+        parent = self._records[self._records[block_hash].parent_hash]
+        self._credit(parent, -self._subtree[block_hash])
+        forgotten = super().forget(block_hash, tip)
+        for gone in forgotten:
+            del self._subtree[gone]
+        return forgotten
 
     def assert_consistent(self) -> None:
         """Subtree weights must equal the sum over descendants."""
+        total: dict[bytes, int] = {}
+        for record in sorted(self._records.values(), key=lambda r: -r.height):
+            total[record.hash] = sum(total[child] for child in record.children)
+            if record.hash != self.genesis_hash:
+                parent = self._records[record.parent_hash]
+                total[record.hash] += record.cumulative_work - parent.cumulative_work
+            if total[record.hash] != self._subtree[record.hash]:
+                raise self.invalid("subtree work out of sync")
+        if self._tip != self._choose_tip(self.tip_record):
+            raise self.invalid("tip diverges from GHOST descent")
 
-        def subtree_sum(block_hash: bytes) -> int:
-            record = self._records[block_hash]
-            return record.own_work + sum(
-                subtree_sum(child) for child in record.children
-            )
 
-        for block_hash, record in self._records.items():
-            if subtree_sum(block_hash) != record.subtree_work:
-                raise InvalidBlock("subtree work out of sync")
-        if self._tip != self.best_tip():
-            raise InvalidBlock("tip diverges from GHOST descent")
+class GhostTree(HeaviestSubtree, BlockTree):
+    """One node's view under the GHOST chain selection rule."""

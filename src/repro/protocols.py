@@ -20,7 +20,7 @@ from __future__ import annotations
 import abc
 import enum
 from collections.abc import Callable, Sequence
-from typing import TYPE_CHECKING, ClassVar, TypeVar
+from typing import TYPE_CHECKING, ClassVar
 
 from .bitcoin.blocks import make_genesis
 from .bitcoin.chain import TieBreak
@@ -136,17 +136,14 @@ class ProtocolAdapter(abc.ABC):
         node.request_tips()
 
 
-_BlockNode = TypeVar("_BlockNode", BitcoinNode, GhostNode)
-
-
 def _build_block_nodes(
-    make_node: Callable[..., _BlockNode],
+    make_node: Callable[..., BitcoinNode],
     config: ExperimentConfig,
     sim: Simulator,
     network: Network,
     log: ObservationLog,
     shares: list[float],
-) -> tuple[list[_BlockNode], MiningScheduler]:
+) -> tuple[list[BitcoinNode], MiningScheduler]:
     """Synthetic full-block nodes plus their block lottery.
 
     ``make_node`` takes a node's constructor arguments.  Each adapter
@@ -220,7 +217,7 @@ class GhostAdapter(ProtocolAdapter):
         network: Network,
         log: ObservationLog,
         shares: list[float],
-    ) -> tuple[list[GhostNode], MiningScheduler]:
+    ) -> tuple[list[BitcoinNode], MiningScheduler]:
         return _build_block_nodes(
             lambda *args, **kwargs: GhostNode(*args, **kwargs),
             config,

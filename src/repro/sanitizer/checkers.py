@@ -370,7 +370,7 @@ class MicroblockSignature(InvariantChecker):
         # ``cache=None`` verifies every call independently.
         # :func:`ng_checkers` passes the shared process-wide cache so
         # each unique (leader_pubkey, microblock, signature) triple is
-        # verified once; the audit gives its replica a private one.
+        # verified once; the audit's replica is built without one.
         self.cache = cache
 
     def _verify(self, block: object, leader_pubkey: bytes) -> bool:
@@ -746,7 +746,8 @@ def ng_checkers() -> list[InvariantChecker]:
 
     INV104 gets the shared process-wide :class:`SignatureCache`, so each
     unique signature pair is verified once per process.  (The audit
-    builds its own replicas with a private cache — see
+    builds its own replicas with no cache, so a wrong cached verdict
+    cannot reach it — see
     :meth:`~repro.sanitizer.runtime.SanitizerRuntime._audit_replicas`.)
     """
     return [

@@ -117,7 +117,9 @@ def utxo_root(utxo: object) -> str:
 def node_digest(node: object, node_id: int) -> NodeDigest:
     """Compute one node's digest from its live state.
 
-    Nodes without a ledger (GHOST's synthetic-payload nodes) digest as
+    Every in-tree node keeps a ledger (in experiments it stays empty
+    for Bitcoin and GHOST, whose synthetic blocks carry no ledger
+    entries).  A node from a registered adapter that has none digests as
     ``"-"`` for the mempool/UTXO fields — constant, so divergence can
     still only come from fields the node actually has.
     """

@@ -183,3 +183,34 @@ def test_consistency_invariant():
     _chain(tree, GENESIS.hash, ["a", "b", "c"])
     _chain(tree, GENESIS.hash, ["x", "y"])
     tree.assert_consistent()
+
+
+def test_forget_drops_the_block_and_everything_built_on_it():
+    from repro.bitcoin.blocks import InvalidBlock
+
+    tree = BlockTree(GENESIS)
+    kept = _chain(tree, GENESIS.hash, ["a"])
+    side = _chain(tree, GENESIS.hash, ["x", "y", "z"])
+    fork = _chain(tree, side[1].hash, ["y2"])
+    assert tree.tip == side[2].hash
+    forgotten = tree.forget(side[1].hash, kept[0].hash)
+    assert forgotten == {side[1].hash, side[2].hash, fork[0].hash}
+    assert tree.tip == kept[0].hash  # holds the tip it was handed
+    assert len(tree) == 3 and side[0].hash in tree
+    assert tree.record(side[0].hash).children == []
+    tree.assert_consistent()
+    # Remembered: a second copy is refused, not re-adopted ...
+    for again in (side[1], side[2]):
+        with pytest.raises(InvalidBlock, match="did not connect"):
+            tree.add_block(again, 1.0)
+    # ... and so is a block nobody has seen that builds on one of them,
+    # and then one that builds on that, instead of waiting as orphans.
+    child = _block(fork[0].hash, "child")
+    for unseen in (child, _block(child.hash, "grandchild")):
+        with pytest.raises(InvalidBlock, match="did not connect"):
+            tree.add_block(unseen, 1.0)
+    assert len(tree) == 3 and tree.orphan_count() == 0
+    # What was never dropped is untouched by the memory.
+    assert tree.add_block(side[0], 1.0) == []
+    regrown = _chain(tree, side[0].hash, ["y-again", "z-again"])
+    assert tree.tip == regrown[1].hash

@@ -3,7 +3,7 @@
 import pytest
 
 import repro.bitcoin.node as node_mod
-from repro.bitcoin.blocks import make_genesis
+from repro.bitcoin.blocks import TxPayload, build_block, make_genesis
 from repro.bitcoin.node import BitcoinNode, BlockPolicy
 from repro.crypto.hashing import hash160
 from repro.crypto.keys import PrivateKey
@@ -15,13 +15,17 @@ from repro.ledger.transactions import (
     TxInput,
     TxOutput,
 )
+from repro.ghost.node import GhostNode
 from repro.metrics.collector import ObservationLog
+from repro.net.gossip import StoredObject
 from repro.net.latency import constant_histogram
-from repro.net.network import Network
+from repro.net.network import Message, Network
 from repro.net.simulator import Simulator
 from repro.net.topology import complete_topology
+from repro.sanitizer.digests import utxo_root
 
 GENESIS = make_genesis()
+OWNER = PrivateKey.from_seed("coin-owner")
 
 
 def _cluster(n=3, policy=None, log=None):
@@ -193,24 +197,26 @@ def test_full_mode_fees_accrue_to_miner():
     assert mined.coinbase.outputs[0].value == nodes[0].policy.reward + fee
 
 
-def _node_with_a_spendable_coin():
-    """Two full-mode nodes that both hold one mature coin of ``owner``."""
+def _spend(outpoint, value):
+    return Transaction(
+        inputs=(TxInput(outpoint),), outputs=(TxOutput(value, bytes(20)),)
+    ).sign_input(0, OWNER)
+
+
+def _node_with_a_spendable_coin(node_type=BitcoinNode, n=2):
+    """Full-mode nodes that all hold one mature coin of ``OWNER``."""
     sim = Simulator(seed=0)
-    net = Network(sim, complete_topology(2), constant_histogram(0.01), 1e6)
+    net = Network(sim, complete_topology(n), constant_histogram(0.01), 1e6)
     policy = BlockPolicy(max_block_bytes=100_000, synthetic=False)
-    nodes = [BitcoinNode(i, sim, net, GENESIS, policy=policy) for i in range(2)]
-    owner = PrivateKey.from_seed("coin-owner")
+    nodes = [node_type(i, sim, net, GENESIS, policy=policy) for i in range(n)]
     outpoint = OutPoint(b"\xee" * 32, 0)
     for node in nodes:
         node.utxo.credit(
-            TxOutput(100, hash160(owner.public_key().to_bytes())),
+            TxOutput(100, hash160(OWNER.public_key().to_bytes())),
             outpoint,
             height=0,
         )
-    spend = Transaction(
-        inputs=(TxInput(outpoint),), outputs=(TxOutput(90, bytes(20)),)
-    ).sign_input(0, owner)
-    return sim, nodes, outpoint, spend
+    return sim, nodes, outpoint, _spend(outpoint, 90)
 
 
 def test_submitted_transaction_is_gossiped_into_peer_mempools():
@@ -252,6 +258,23 @@ def test_disconnecting_a_block_restores_coins_and_returns_its_transactions():
     assert spend.txid in node.mempool
 
 
+def test_connecting_a_block_reports_the_fees_its_transactions_paid():
+    # Bitcoin's node has no use for the figure; Bitcoin-NG's records it
+    # per microblock for the 40/60 split.
+    sim, nodes, _, spend = _node_with_a_spendable_coin()
+    node = nodes[0]
+    node.submit_transaction(spend)
+    mined = node.generate_block()
+    node._disconnect_block(mined.hash)
+    assert node._connect_block(mined.hash) == 10
+    # A synthetic block carries no ledger entries: nothing paid, nothing
+    # to undo.
+    _, _, (miner, *_rest) = _cluster()
+    synthetic = miner.generate_block()
+    assert miner._connect_block(synthetic.hash) == 0
+    assert synthetic.hash not in miner._undo
+
+
 def test_payout_identity_is_derived_once_per_mining_node(count_calls):
     from repro.crypto import ecdsa
 
@@ -264,3 +287,138 @@ def test_payout_identity_is_derived_once_per_mining_node(count_calls):
     blocks = [nodes[0].generate_block() for _ in range(3)]
     assert len(derivations) == 1  # not one per mined block
     assert {b.coinbase.outputs[0].pubkey_hash for b in blocks} == {expected}
+
+
+# -- one ledger under every protocol's node ----------------------------------
+
+
+def test_nodes_inherit_the_ledger_rather_than_copy_it():
+    """One connect/disconnect replay, one transaction path, one mining
+    routine: a node class that re-defines any of these has started to
+    drift (the tree's half of the seam is pinned in
+    test_properties_chains)."""
+    from repro.core.ghost_ng import GhostNGChain
+    from repro.core.node import NGNode
+    from repro.ghost.chain import GhostTree
+
+    shared = (
+        "deliver",  # the "tx" branch, and the dispatch on KINDS
+        "_receive",  # the reorg replay, and the refusal when it fails
+        "_disconnect_block",
+        "balance_of",
+        "submit_transaction",
+        "_accept_relayed_transaction",
+    )
+    for node_type in (BitcoinNode, GhostNode, NGNode):
+        for name in shared:
+            assert getattr(node_type, name) is getattr(node_mod.ChainNode, name), (
+                node_type.__name__,
+                name,
+            )
+    assert GhostNode._connect_block is node_mod.ChainNode._connect_block
+    assert GhostNode.generate_block is BitcoinNode.generate_block
+    assert GhostNode.__init__ is BitcoinNode.__init__
+    assert GhostTree._choose_tip is GhostNGChain._choose_tip
+
+
+# -- a block whose spends do not connect --------------------------------------
+
+
+def _object_message(block):
+    stored = StoredObject(block.hash, "block", block, block.size)
+    return Message("object", stored, block.size)
+
+
+def _tx_block(prev_hash, transactions, timestamp):
+    return build_block(
+        prev_hash=prev_hash,
+        payload=TxPayload(tuple(transactions)),
+        timestamp=timestamp,
+        bits=0x207FFFFF,
+        miner_id=9,
+        reward=25 * COIN,
+    )
+
+
+@pytest.fixture(params=[BitcoinNode, GhostNode], ids=["bitcoin", "ghost"])
+def node_type(request):
+    return request.param
+
+
+def test_block_spending_an_unknown_coin_is_refused_not_a_crash(node_type):
+    sim, nodes, _, _ = _node_with_a_spendable_coin(node_type, n=3)
+    good = nodes[0].generate_block()
+    sim.run()
+    node = nodes[1]
+    root_before = utxo_root(node.utxo)
+    phantom = _spend(OutPoint(b"\xdd" * 32, 0), 1)
+    bad = _tx_block(good.hash, [phantom], timestamp=1.0)
+    node.on_message(0, _object_message(bad))  # used to raise InvalidBlock
+    sim.run()
+    assert node.blocks_rejected == 1
+    assert bad.hash not in node.tree
+    assert node.tip == good.hash
+    assert utxo_root(node.utxo) == root_before
+    assert node.misbehavior == {0: node.invalid_object_penalty}
+    # Dropped, remembered as rejected, never relayed.
+    assert not node.knows(bad.hash)
+    assert not nodes[2].knows(bad.hash)
+    node.tree.assert_consistent()
+    # A second copy is refused by the tree itself, and so is a child.
+    assert node._receive(bad, "block", sender=2) is False
+    child = _tx_block(bad.hash, [], timestamp=2.0)
+    assert node._receive(child, "block", sender=2) is False
+    assert node.blocks_rejected == 3
+    assert node.tree.orphan_count() == 0
+
+
+def test_side_branch_with_a_double_spend_leaves_the_node_where_it_was(node_type):
+    sim, nodes, outpoint, pay = _node_with_a_spendable_coin(node_type)
+    node = nodes[0]
+    node.submit_transaction(pay)
+    kept = node.generate_block()
+    assert node.tip == kept.hash and pay.txid not in node.mempool
+    root_before = utxo_root(node.utxo)
+    # A two-block branch off the genesis: the first block is fine (it
+    # carries the same payment), the second spends the same coin again.
+    first = _tx_block(GENESIS.hash, [pay], timestamp=1.0)
+    second = _tx_block(first.hash, [_spend(outpoint, 80)], timestamp=2.0)
+    assert node._receive(first, "block", sender=1) is None  # a tie: not adopted
+    assert node.tip == kept.hash
+    assert node._receive(second, "block", sender=1) is False
+    assert node.blocks_rejected == 1
+    assert node.tip == kept.hash
+    assert utxo_root(node.utxo) == root_before
+    assert node.mempool.txids() == []
+    assert kept.hash in node._undo and first.hash not in node._undo
+    tree = node.tree
+    assert first.hash in tree and second.hash not in tree
+    assert tree.record(first.hash).children == []
+    tree.assert_consistent()
+    if hasattr(tree, "subtree_work"):
+        unit = first.header.work
+        assert tree.subtree_work(first.hash) == unit
+        assert tree.subtree_work(GENESIS.hash) == 2 * unit
+    # Life goes on: the next block on the old tip is adopted normally.
+    later = node.generate_block()
+    assert later.header.prev_hash == kept.hash
+    assert node.tip == later.hash
+    tree.assert_consistent()
+
+
+def test_refused_orphan_does_not_take_the_delivered_block_with_it(node_type):
+    """The block that fails to connect need not be the one delivered:
+    a valid parent that unlocks a bad orphan is kept and relayed."""
+    sim, nodes, _, _ = _node_with_a_spendable_coin(node_type)
+    node = nodes[0]
+    parent = _tx_block(GENESIS.hash, [], timestamp=1.0)
+    phantom = _spend(OutPoint(b"\xdd" * 32, 0), 1)
+    orphan = _tx_block(parent.hash, [phantom], timestamp=2.0)
+    node._receive(orphan, "block", sender=1)
+    assert node.tree.orphan_count() == 1
+    assert node._receive(parent, "block", sender=1) is None
+    assert node.tip == parent.hash
+    assert node.blocks_rejected == 1
+    assert orphan.hash not in node.tree
+    assert node.balance_of(bytes(20)) == 25 * COIN  # parent's coinbase connected
+    node.tree.assert_consistent()

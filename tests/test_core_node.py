@@ -19,9 +19,10 @@ from repro.ledger.transactions import (
 )
 from repro.net.gossip import StoredObject
 from repro.net.latency import constant_histogram
-from repro.net.network import Network
+from repro.net.network import Message, Network
 from repro.net.simulator import Simulator
 from repro.net.topology import complete_topology
+from repro.sanitizer.digests import utxo_root
 
 PARAMS = NGParams(key_block_interval=100.0, min_microblock_interval=10.0)
 GENESIS = make_ng_genesis()
@@ -398,3 +399,77 @@ def test_receivers_reject_one_faulty_block_object_for_the_cost_of_one_check(
         "entries root does not match payload",
     ] * 2
     assert len(hashed) == 1 and roots == [(bad_micro.payload,)]
+
+
+# -- a leader's microblock whose spends do not connect ------------------------
+
+
+def _object_message(micro):
+    stored = StoredObject(micro.hash, KIND_MICRO, micro, micro.size)
+    return Message("object", stored, micro.size)
+
+
+def _phantom_spend(owner):
+    return Transaction(
+        inputs=(TxInput(OutPoint(b"\xdd" * 32, 0)),),
+        outputs=(TxOutput(1, bytes(20)),),
+    ).sign_input(0, owner)
+
+
+def test_signed_microblock_spending_an_unknown_coin_is_refused_not_a_crash():
+    sim = Simulator(seed=0)
+    net = Network(sim, complete_topology(3), constant_histogram(0.05), 1e6)
+    policy = MicroblockPolicy(target_bytes=4760, synthetic=False)
+    nodes = [NGNode(i, sim, net, GENESIS, PARAMS, policy=policy) for i in range(3)]
+    leader, node = nodes[0], nodes[1]
+    key = leader.generate_key_block()
+    sim.run(until=1.0)
+    root_before = utxo_root(node.utxo)
+    # Validly signed by the epoch's leader, structurally sound — only
+    # the ledger can tell that the coin it spends does not exist.
+    owner = PrivateKey.from_seed("nobody")
+    bad = build_microblock(key.hash, 10.0, TxPayload((_phantom_spend(owner),)), leader.key)
+    node.on_message(0, _object_message(bad))  # used to raise InvalidNGBlock
+    sim.run(until=5.0)
+    assert node.blocks_rejected == 1
+    assert bad.hash not in node.chain
+    assert node.tip == key.hash and node.chain.tip_record.is_key
+    assert utxo_root(node.utxo) == root_before
+    assert bad.hash not in node._fees_by_micro
+    assert node.misbehavior == {0: node.invalid_object_penalty}
+    assert not node.knows(bad.hash) and not nodes[2].knows(bad.hash)
+    node.chain.assert_consistent()
+    # The honest node outlives the leader's bad microblock: the epoch's
+    # next (valid) microblock extends the key block as if nothing was sent.
+    good = build_microblock(
+        key.hash, 10.0, SyntheticPayload(n_tx=1, salt=b"ok"), leader.key
+    )
+    assert node._receive(good, KIND_MICRO, sender=0) is None
+    assert node.tip == good.hash
+
+
+def test_connect_records_what_a_microblock_paid_and_nothing_for_the_rest():
+    sim, _, nodes = _cluster()
+    node = nodes[0]
+    owner = PrivateKey.from_seed("fee-owner")
+    pkh = hash160(owner.public_key().to_bytes())
+    paying, free = OutPoint(b"\xee" * 32, 0), OutPoint(b"\xee" * 32, 1)
+    node.utxo.credit(TxOutput(100, pkh), paying, height=0)
+    node.utxo.credit(TxOutput(100, pkh), free, height=0)
+    key = node.generate_key_block()
+
+    def spend(outpoint, value):
+        return Transaction(
+            inputs=(TxInput(outpoint),), outputs=(TxOutput(value, bytes(20)),)
+        ).sign_input(0, owner)
+
+    m1 = build_microblock(key.hash, 10.0, TxPayload((spend(paying, 93),)), node.key)
+    m2 = build_microblock(m1.hash, 20.0, TxPayload((spend(free, 100),)), node.key)
+    m3 = build_microblock(m2.hash, 30.0, SyntheticPayload(n_tx=1, salt=b"s"), node.key)
+    for micro in (m1, m2, m3):
+        node._receive(micro, KIND_MICRO, sender=None)
+    assert node.tip == m3.hash
+    # Only a microblock that paid something is on record; every reader
+    # takes a missing entry as zero.
+    assert node._fees_by_micro == {m1.hash: 7}
+    assert node._epoch_fees_behind(m3.hash) == 7

@@ -1,12 +1,29 @@
-"""GHOST heaviest-subtree fork choice."""
+"""GHOST heaviest-subtree fork choice.
+
+The rule is one mix-in (``HeaviestSubtree``) under both ``GhostTree``
+and GHOST-NG's ``GhostNGChain``; this file is the companion of
+``ghost/chain.py``, so the cases that matter for the shared lines run
+here over both trees.
+"""
 
 import random
 
+import pytest
+
 from repro.bitcoin.blocks import SyntheticPayload, build_block, make_genesis
 from repro.bitcoin.chain import TieBreak
+from repro.core.blocks import build_key_block, build_microblock
+from repro.core.genesis import make_ng_genesis
+from repro.core.ghost_ng import GhostNGChain
+from repro.core.params import NGParams
+from repro.core.remuneration import build_ng_coinbase
+from repro.crypto.keys import PrivateKey
 from repro.ghost.chain import GhostTree
 
 GENESIS = make_genesis()
+NG_GENESIS = make_ng_genesis()
+NG_PARAMS = NGParams(key_block_interval=10.0, min_microblock_interval=1.0)
+LEADER = PrivateKey.from_seed("ghost-chain-leader")
 
 
 def _block(prev, salt):
@@ -95,13 +112,14 @@ def test_equal_subtrees_random_tie_break_goes_both_ways():
 
 
 def test_random_tie_break_draws_only_at_ties():
-    rng = random.Random(5)
-    tree = GhostTree(GENESIS, tie_break=TieBreak.RANDOM, rng=rng)
-    before = rng.getstate()
-    heavy = _grow(tree, GENESIS.hash, ["a", "b", "c"])
-    _grow(tree, heavy[0].hash, ["lighter"])
-    assert tree.tip == heavy[-1].hash
-    assert rng.getstate() == before
+    for kit in KITS:
+        rng = random.Random(5)
+        tree = kit.tree(TieBreak.RANDOM, rng)
+        before = rng.getstate()
+        heavy = kit.grow(tree, kit.genesis.hash, ["a", "b", "c"])
+        kit.grow(tree, heavy[0].hash, ["lighter"])
+        assert tree.tip == heavy[-1].hash
+        assert rng.getstate() == before
 
 
 def test_reorg_reported():
@@ -139,4 +157,169 @@ def test_consistency_invariant():
     _grow(tree, GENESIS.hash, ["a", "b"])
     x = _grow(tree, GENESIS.hash, ["x"])[0]
     _grow(tree, x.hash, ["x1"])
+    tree.assert_consistent()
+
+
+# -- the same rule over Bitcoin's tree and over Bitcoin-NG's ------------------
+
+
+class _GhostKit:
+    """Weighted blocks for a ``GhostTree``."""
+
+    genesis = GENESIS
+
+    def tree(self, tie_break=TieBreak.FIRST_SEEN, rng=None):
+        return GhostTree(GENESIS, tie_break=tie_break, rng=rng)
+
+    def block(self, prev, label, t=0.0):
+        return _block(prev, label)
+
+    def grow(self, tree, start, labels):
+        return _grow(tree, start, labels)
+
+
+class _GhostNGKit:
+    """Key blocks — the blocks that weigh — for a ``GhostNGChain``."""
+
+    genesis = NG_GENESIS
+
+    def tree(self, tie_break=TieBreak.FIRST_SEEN, rng=None):
+        return GhostNGChain(NG_GENESIS, NG_PARAMS, tie_break=tie_break, rng=rng)
+
+    def block(self, prev, label, t=10.0):
+        return build_key_block(
+            prev_hash=prev,
+            timestamp=t,
+            bits=0x207FFFFF,
+            leader_pubkey=LEADER.public_key().to_bytes(),
+            coinbase=build_ng_coinbase(
+                miner_id=sum(label.encode()),  # tells siblings apart
+                timestamp=t,
+                self_pubkey_hash=bytes(20),
+                prev_leader_pubkey_hash=None,
+                prev_epoch_fees=0,
+                params=NG_PARAMS,
+            ),
+        )
+
+    def grow(self, tree, start, labels):
+        blocks = []
+        for label in labels:
+            block = self.block(start, label)
+            tree.add_block(block, 10.0)
+            blocks.append(block)
+            start = block.hash
+        return blocks
+
+
+KITS = (_GhostKit(), _GhostNGKit())
+
+
+@pytest.fixture(params=KITS, ids=["ghost", "ghost-ng"])
+def kit(request):
+    return request.param
+
+
+def _micro(prev, t, salt):
+    return build_microblock(
+        prev_hash=prev,
+        timestamp=t,
+        payload=SyntheticPayload(n_tx=1, salt=salt),
+        leader_key=LEADER,
+    )
+
+
+def test_three_way_tie_is_broken_uniformly(kit):
+    # One draw among *all* tied children.  (GHOST-NG used to flip a coin
+    # per extra sibling, which hands the last of three probability 1/2.)
+    root = kit.block(kit.genesis.hash, "root")
+    children = [kit.block(root.hash, label) for label in ("c1", "c2", "c3")]
+    wins = {child.hash: 0 for child in children}
+    for seed in range(600):
+        tree = kit.tree(TieBreak.RANDOM, random.Random(seed))
+        for block in (root, *children):
+            tree.add_block(block, 10.0)
+        wins[tree.tip] += 1
+    assert all(150 <= count <= 250 for count in wins.values()), wins
+    first_seen = kit.tree(TieBreak.FIRST_SEEN)
+    for block in (root, *children):
+        first_seen.add_block(block, 10.0)
+    assert first_seen.tip == children[0].hash
+
+
+def test_forgetting_a_subtree_takes_its_weight_back(kit):
+    tree = kit.tree()
+    kept = kit.grow(tree, kit.genesis.hash, ["a"])
+    side = kit.grow(tree, kit.genesis.hash, ["x", "y", "z"])
+    unit = kept[0].header.work
+    assert tree.tip == side[2].hash
+    assert tree.subtree_work(kit.genesis.hash) == 4 * unit
+    tree.forget(side[1].hash, kept[0].hash)
+    assert tree.subtree_work(kit.genesis.hash) == 2 * unit
+    assert tree.subtree_work(side[0].hash) == unit
+    assert tree.subtree_work(kept[0].hash) == unit
+    for gone in side[1:]:
+        with pytest.raises(KeyError):
+            tree.subtree_work(gone.hash)
+    assert tree.tip == kept[0].hash
+    tree.assert_consistent()
+    # The descent runs on the weights that are left.
+    grown = kit.grow(tree, side[0].hash, ["y-again"])
+    assert tree.tip == grown[0].hash
+    tree.assert_consistent()
+
+
+def test_consistency_check_catches_a_stale_weight_or_tip(kit):
+    tree = kit.tree()
+    main = kit.grow(tree, kit.genesis.hash, ["a", "b"])
+    side = kit.grow(tree, kit.genesis.hash, ["x"])
+    tree.assert_consistent()
+    tree._subtree[main[0].hash] -= 1
+    with pytest.raises(tree.invalid, match="subtree work out of sync"):
+        tree.assert_consistent()
+    tree._subtree[main[0].hash] += 1
+    tree._tip = side[0].hash
+    with pytest.raises(tree.invalid, match="tip diverges"):
+        tree.assert_consistent()
+
+
+def test_ng_microblocks_credit_nothing_and_the_descent_follows_them():
+    ng = _GhostNGKit()
+    tree = ng.tree()
+    key = ng.grow(tree, NG_GENESIS.hash, ["k1"])[0]
+    m1 = _micro(key.hash, 11.0, b"1")
+    m2 = _micro(m1.hash, 12.0, b"2")
+    tree.add_block(m1, 11.0)
+    tree.add_block(m2, 12.0)
+    unit = key.header.work
+    assert tree.tip == m2.hash  # within a branch, out to its last microblock
+    assert tree.subtree_work(m1.hash) == tree.subtree_work(m2.hash) == 0
+    assert tree.subtree_work(key.hash) == tree.subtree_work(NG_GENESIS.hash) == unit
+    assert tree.subtree_key_work(key.hash) == unit  # the name NG code uses
+    # A key block mined on m1 (its miner had not seen m2) outweighs the
+    # weightless microblock beside it, and is credited through m1.
+    k2 = ng.block(m1.hash, "k2", t=13.0)
+    tree.add_block(k2, 13.0)
+    assert tree.tip == k2.hash
+    assert tree.subtree_work(m1.hash) == unit
+    assert tree.subtree_work(m2.hash) == 0
+    assert tree.subtree_work(key.hash) == 2 * unit
+    tree.assert_consistent()
+
+
+def test_ng_weight_counts_key_blocks_only():
+    # A long run of microblocks under one key block never outweighs a
+    # single competing key block's subtree: ties stay ties.
+    ng = _GhostNGKit()
+    tree = ng.tree(TieBreak.FIRST_SEEN)
+    first, second = (ng.block(NG_GENESIS.hash, label) for label in ("first", "second"))
+    tree.add_block(first, 10.0)
+    tree.add_block(second, 10.5)
+    prev = second.hash
+    for i in range(3):
+        micro = _micro(prev, 11.0 + i, bytes([i]))
+        tree.add_block(micro, 11.0 + i)
+        prev = micro.hash
+    assert tree.subtree_work(first.hash) == tree.subtree_work(second.hash)
+    assert tree.tip == first.hash  # first seen holds against microblocks
     tree.assert_consistent()

@@ -2,12 +2,18 @@
 
 from repro.bitcoin.blocks import make_genesis
 from repro.bitcoin.node import BlockPolicy
+from repro.crypto.hashing import hash160
+from repro.crypto.keys import PrivateKey
+from repro.experiments import ExperimentConfig, run_experiment
 from repro.ghost.node import GhostNode
+from repro.ledger.transactions import OutPoint, Transaction, TxInput, TxOutput
 from repro.metrics.collector import ObservationLog
 from repro.net.latency import constant_histogram
 from repro.net.network import Network
 from repro.net.simulator import Simulator
 from repro.net.topology import complete_topology
+from repro.protocols import get_adapter
+from repro.sanitizer.runtime import SanitizerRuntime
 
 GENESIS = make_genesis()
 
@@ -69,3 +75,81 @@ def test_observation_log():
     sim.run()
     assert block.hash in log.index
     assert log.index.info(block.hash).kind == "block"
+
+
+# -- library mode: a GHOST node keeps the ledger a Bitcoin node keeps ----------
+
+
+def test_full_validation_payment_survives_losing_the_subtree_race():
+    sim = Simulator(seed=0)
+    net = Network(sim, complete_topology(3), constant_histogram(0.05), 1e6)
+    policy = BlockPolicy(max_block_bytes=100_000, synthetic=False)
+    nodes = [GhostNode(i, sim, net, GENESIS, policy=policy) for i in range(3)]
+    owner = PrivateKey.from_seed("ghost-payer")
+    coin = OutPoint(b"\xee" * 32, 0)
+    for node in nodes:
+        node.utxo.credit(
+            TxOutput(100, hash160(owner.public_key().to_bytes())), coin, height=0
+        )
+    dest = bytes(range(20))
+    pay = Transaction(
+        inputs=(TxInput(coin),), outputs=(TxOutput(90, dest),)
+    ).sign_input(0, owner)
+
+    # Node 2, cut off, confirms the payment in a block of its own while
+    # the other two build a heavier subtree that does not carry it.
+    net.block_link(0, 2)
+    net.block_link(1, 2)
+    nodes[2].submit_transaction(pay)
+    lonely = nodes[2].generate_block()
+    nodes[0].generate_block()
+    sim.run()
+    majority_tip = nodes[1].generate_block()
+    sim.run()
+    assert lonely.n_tx == 1 and nodes[2].tip == lonely.hash
+    assert [node.balance_of(dest) for node in nodes] == [0, 0, 90]
+
+    net.unblock_link(0, 2)
+    net.unblock_link(1, 2)
+    nodes[2].request_tips()
+    sim.run()
+    assert {node.tip for node in nodes} == {majority_tip.hash}
+    assert lonely.hash in nodes[2].tree  # pruned, still weighed
+    assert [node.balance_of(dest) for node in nodes] == [0, 0, 0]
+    assert pay.txid in nodes[2].mempool  # back in line, not lost
+
+    confirmed = nodes[2].generate_block()
+    sim.run()
+    assert confirmed.n_tx == 1
+    assert {node.tip for node in nodes} == {confirmed.hash}
+    assert [node.balance_of(dest) for node in nodes] == [90, 90, 90]
+    assert all(len(node.mempool) == 0 for node in nodes)
+    for node in nodes:
+        node.tree.assert_consistent()
+
+
+def test_audited_ghost_run_is_clean_now_that_the_checkers_see_a_ledger():
+    sim, nodes = _cluster()
+    # INV103 / INV110 return early on a node without ``utxo`` /
+    # ``mempool``; a GHOST node has both now (empty in experiments).
+    assert all(len(node.utxo) == 0 and len(node.mempool) == 0 for node in nodes)
+    config = ExperimentConfig(
+        protocol="ghost",
+        n_nodes=20,
+        target_blocks=12,
+        block_rate=0.2,
+        block_size_bytes=8_000,
+        cooldown=10.0,
+        seed=5,
+    )
+    runtime = SanitizerRuntime(
+        get_adapter("ghost").invariant_checkers(),
+        stride=32,
+        mode="audit",
+        audit_stride=2,
+    )
+    result, _log = run_experiment(config, sanitizer=runtime)
+    runtime.finalize()
+    assert result.blocks_generated > 0
+    assert runtime.sweeps > 0 and runtime.audits > 0
+    assert runtime.violations == []
