@@ -206,4 +206,11 @@ def run_experiment(
         wall_simulate_seconds=wall_simulate,
         obs=snapshot,
     )
+    # Nodes ↔ network and simulator → queued events → nodes are the
+    # world's only reference cycles.  Cut, the world is freed as this
+    # frame returns; left, every finished run of a sweep waits dead for
+    # a full collection, which then takes 30–60 ms wherever the
+    # collector's counters say: a later cell's setup as readily as not.
+    network.detach_all()
+    sim.discard_pending()
     return result, log

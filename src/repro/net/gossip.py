@@ -92,9 +92,9 @@ class GossipNode:
         self._requested: set[bytes] = set()
         self._rejected: set[bytes] = set()
         # While a getdata is outstanding, remember *other* peers that
-        # announced the same object: if the request times out (the
-        # response lost to churn or a partition), the next announcer is
-        # asked instead of the id being stuck in _requested forever.
+        # announced the same object: a request that times out (response
+        # lost to churn or a partition) is retried from the next one, and
+        # relay skips them all — bitcoind's per-peer setInventoryKnown.
         self._alt_sources: dict[bytes, list[int]] = {}
         self._request_timers: dict[bytes, Event] = {}
         # Adjacency never changes mid-run (churn is modelled as offline
@@ -211,7 +211,7 @@ class GossipNode:
                     sender=-1,
                 )
             return
-        self._relay(stored, exclude=None)
+        self._relay(stored, ())
 
     # -- network plumbing ---------------------------------------------------
 
@@ -243,7 +243,7 @@ class GossipNode:
     def handle_protocol_message(self, sender: int, message: Message) -> None:
         """Hook for subclasses with extra message kinds; default drops."""
 
-    def _relay(self, stored: StoredObject, exclude: int | None) -> None:
+    def _relay(self, stored: StoredObject, exclude: tuple[int, ...]) -> None:
         # One immutable message shared by every neighbor send; the
         # network books the whole fan-out as a single batched
         # event-queue call instead of per-peer scheduling.
@@ -251,9 +251,7 @@ class GossipNode:
             message = Message("object", stored, stored.size)
         else:
             message = Message("inv", (stored.obj_id, stored.kind), INV_SIZE)
-        self.network.multicast(
-            self.node_id, message, exclude=-1 if exclude is None else exclude
-        )
+        self.network.multicast(self.node_id, message, exclude)
 
     def _request_from(self, peer: int, obj_id: bytes) -> None:
         """Send a getdata and arm the retry timer for it."""
@@ -334,8 +332,11 @@ class GossipNode:
         timer = self._request_timers.pop(obj_id, None)
         if timer is not None:
             timer.cancel()
-        self._alt_sources.pop(obj_id, None)
-        if obj_id in self._store:
+        if obj_id in self._store or obj_id in self._rejected:
+            self._alt_sources.pop(obj_id, None)
+            if obj_id in self._rejected:
+                # Known-bad: charge the pusher, never validate it again.
+                self.penalize(sender, self.invalid_object_penalty)
             return
         self._store[obj_id] = stored
         delay = (
@@ -349,6 +350,8 @@ class GossipNode:
 
     def _accept(self, stored: StoredObject, sender: int) -> None:
         verdict = self.deliver(stored, sender)
+        # Peers that announced it meanwhile hold it: never re-announced to.
+        announcers = self._alt_sources.pop(stored.obj_id, ())
         if verdict is False:
             # Validation failed: forget it, never forward it, and
             # charge the peer that sent it.
@@ -365,4 +368,4 @@ class GossipNode:
                     sender=sender,
                 )
             return
-        self._relay(stored, exclude=sender)
+        self._relay(stored, (sender, *announcers))

@@ -24,6 +24,7 @@ read-only :class:`~repro.net.links.LinkView`
 from __future__ import annotations
 
 import random
+from collections.abc import Collection
 from dataclasses import dataclass
 from typing import Any, Protocol
 
@@ -132,6 +133,16 @@ class Network:
         if not 0 <= node_id < self.topology.n_nodes:
             raise ValueError(f"unknown node id {node_id}")
         self._handlers[node_id] = handler
+
+    def detach_all(self) -> None:
+        """Forget every attached node; for a run that is over.
+
+        Nodes hold the network and the network holds them: with this
+        link cut (and :meth:`Simulator.discard_pending`) a finished
+        world is freed by reference count, not left for a full
+        garbage collection to find.
+        """
+        self._handlers = [None] * len(self._handlers)
 
     def neighbors(self, node_id: int) -> list[int]:
         return self._adjacency[node_id]
@@ -275,9 +286,12 @@ class Network:
             self._record_send(src, dst, message, queue_delay, arrival)
         self.sim.schedule_at(arrival, self._deliver, src, dst, message)
 
-    def multicast(self, src: int, message: Message, exclude: int = -1) -> None:
+    def multicast(
+        self, src: int, message: Message, exclude: Collection[int] = ()
+    ) -> None:
         """Send one shared ``message`` to every neighbor of ``src``
-        except ``exclude``.
+        not in ``exclude`` — for a gossip relay, the peer the body came
+        from and every peer that announced it first.
 
         Equivalent to calling :meth:`send` once per neighbor in sorted
         order — same per-peer drop checks, loss draws, link booking
@@ -308,7 +322,7 @@ class Network:
         book_args = args_list.append
         for eid in range(start, end):
             dst = indices[eid]
-            if dst == exclude:
+            if dst in exclude:
                 continue
             if src_offline or (offline and dst in offline):
                 if obs_on:

@@ -82,6 +82,15 @@ class Simulator:
         """Stop ``observer`` wrapping the loop (from the next :meth:`run`)."""
         self._observers.remove(observer)
 
+    def discard_pending(self) -> None:
+        """Drop every event still queued; for a run that is over.
+
+        A queued event holds its callback's receiver — a node, the
+        network — so this is one of the two links that keep a finished
+        world alive (:meth:`Network.detach_all` cuts the other).
+        """
+        self._heap.clear()
+
     def schedule(
         self, delay: float, callback: Callable[..., Any], *args: Any
     ) -> Event:

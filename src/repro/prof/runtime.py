@@ -107,12 +107,14 @@ class ProfilerRuntime:
 
         The pop remembers the entry it removed; the probe — running
         right after that entry's callback — attributes the callback to
-        it, times the inner probe (the sanitizer's, when one attached
-        first) as ``sanitize``, and extends the loop wall to its own
+        it and times the inner probe (the sanitizer's, when one attached
+        first) as ``sanitize``.  Both extend the loop wall to their own
         last clock read.  A pop never followed by a probe was a
         cancelled event's: its time stays unattributed inside the loop
         wall, so it lands — with the loop's own work and this
-        bookkeeping — in the ``dispatch`` residual.
+        bookkeeping — in the ``dispatch`` residual, also when it is one
+        of the cancelled request timers a drained queue ends on (20 k of
+        them after a 1000-node Bitcoin run: 1.5% of its simulate wall).
         """
         clock = wall_clock
         attribute = self._attribute
@@ -121,11 +123,13 @@ class ProfilerRuntime:
         mark = clock()
 
         def timed_pop(heap):
-            nonlocal entry, pop_seconds, popped_at
+            nonlocal entry, pop_seconds, popped_at, mark
             before = clock()
             entry = heappop(heap)
             popped_at = clock()
             pop_seconds = popped_at - before
+            self._loop_wall += popped_at - mark
+            mark = popped_at
             return entry
 
         def after_event() -> None:

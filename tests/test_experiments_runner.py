@@ -129,3 +129,33 @@ def test_back_to_back_runs_share_no_identity_or_verdict(count_calls):
     # Once per mining node and once per key block -- not once per node.
     assert len(spies["identities"]) < config.n_nodes
     assert len(spies["leader-key verdicts"]) <= first.blocks_generated
+
+
+@pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+def test_a_finished_run_leaves_no_world_for_the_collector(protocol, monkeypatch):
+    """Nodes <-> network and simulator -> queued events are cut when the
+    run ends, so the world dies by reference count — a sweep's cells do
+    not pile up dead until a full collection lands in one of them."""
+    import gc
+    import weakref
+
+    import repro.experiments.runner as runner_mod
+
+    worlds = []
+
+    def remembering(config, sim, obs=None):
+        network = build_network(config, sim, obs=obs)
+        worlds.append((weakref.ref(network), weakref.ref(sim)))
+        return network
+
+    monkeypatch.setattr(runner_mod, "build_network", remembering)
+    config = SMALL.with_(protocol=protocol, key_block_rate=0.02)
+    gc.collect()
+    gc.disable()  # reference counts alone must do it
+    try:
+        result, log = run_experiment(config)
+        [(network, sim)] = worlds
+        assert network() is None and sim() is None
+    finally:
+        gc.enable()
+    assert result.blocks_generated == len(log.index) > 0

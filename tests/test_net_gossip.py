@@ -6,7 +6,9 @@ from repro.net.gossip import GossipNode, RelayMode, StoredObject
 from repro.net.latency import constant_histogram
 from repro.net.network import Network
 from repro.net.simulator import Simulator
-from repro.net.topology import complete_topology, ring_topology
+from repro.net.topology import Topology, complete_topology, ring_topology
+from repro.obs.facade import Observability
+from repro.obs.trace import MemorySink, Tracer
 
 
 class CountingNode(GossipNode):
@@ -213,6 +215,25 @@ def test_vetoed_object_not_refetched_on_inv():
     assert len(nodes[1].delivered) == deliveries
 
 
+def test_known_bad_object_pushed_again_is_not_revalidated():
+    """A body whose id is already in ``_rejected`` never reaches
+    ``deliver`` again (in FLOOD mode every neighbour pushes it); each
+    pusher is still charged."""
+    sim = Simulator(seed=0)
+    net = Network(sim, complete_topology(2), constant_histogram(0.05), 1e6)
+    nodes = [VetoingNode(i, sim, net) for i in range(2)]
+    bad = StoredObject(b"\xbb" * 32, "block", None, 50)
+    from repro.net.network import Message
+
+    for _ in range(3):
+        net.send(0, 1, Message("object", bad, 50))
+        sim.run()
+    assert len(nodes[1].delivered) == 1
+    assert nodes[1].misbehavior == {0: 60}
+    assert not nodes[1].knows(bad.obj_id)
+    assert not nodes[1]._alt_sources and not nodes[1]._requested
+
+
 def test_misbehaving_peer_gets_banned():
     sim = Simulator(seed=0)
     net = Network(sim, complete_topology(2), constant_histogram(0.05), 1e6)
@@ -326,3 +347,148 @@ def test_timely_delivery_cancels_retry_timer():
     assert all(not node._alt_sources for node in nodes)
     # Exactly one delivery each despite timers having been armed.
     assert all(len(node.delivered) == 1 for node in nodes)
+
+
+# -- relay skips known announcers (bitcoind's setInventoryKnown) -------------
+
+
+def _traced_mesh(topology, node_class=CountingNode, **node_kwargs):
+    sim = Simulator(seed=0)
+    sink = MemorySink()
+    net = Network(
+        sim, topology, constant_histogram(0.05), bandwidth_bps=1e6,
+        obs=Observability(tracer=Tracer(sink)),
+    )
+    nodes = [
+        node_class(i, sim, net, **node_kwargs) for i in range(topology.n_nodes)
+    ]
+    return sim, net, nodes, sink.records
+
+
+def _inv_sends(records):
+    """``{src: [dst, ...]}`` over every inv put on a link."""
+    sends = {}
+    for record in records:
+        if record["ev"] == "send" and record["kind"] == "inv":
+            sends.setdefault(record["src"], []).append(record["dst"])
+    return sends
+
+
+def test_complete_mesh_relays_to_everyone_but_the_originator():
+    # Every node hears exactly one announcer (the originator) before the
+    # body lands, so each sends deg - 1 invs and the originator deg.
+    n = 6
+    sim, net, nodes, records = _traced_mesh(complete_topology(n))
+    nodes[0].announce(b"\x51" * 32, "block", None, 100)
+    sim.run()
+    sends = _inv_sends(records)
+    assert len(sends[0]) == n - 1
+    for node in range(1, n):
+        assert sorted(sends[node]) == [p for p in range(1, n) if p != node]
+    assert all(len(node.delivered) == 1 for node in nodes)
+    assert all(not node._alt_sources for node in nodes)
+
+
+def test_ring_node_that_heard_both_neighbors_announces_to_neither():
+    # The two wavefronts meet at node 4: it fetches from one neighbor,
+    # records the other as an announcer, and has nobody left to tell.
+    n = 8
+    sim, net, nodes, records = _traced_mesh(ring_topology(n))
+    nodes[0].announce(b"\x52" * 32, "block", None, 100)
+    sim.run()
+    sends = _inv_sends(records)
+    assert sorted(sends[0]) == [1, 7]
+    for node in (1, 2, 3):
+        assert sends[node] == [node + 1]
+    for node in (5, 6, 7):
+        assert sends[node] == [node - 1]
+    assert 4 not in sends
+    assert all(len(node.delivered) == 1 for node in nodes)
+    assert all(not node._alt_sources for node in nodes)
+
+
+def test_flood_relay_excludes_only_the_sender():
+    sim, net, nodes, records = _traced_mesh(
+        ring_topology(8), relay_mode=RelayMode.FLOOD
+    )
+    nodes[0].announce(b"\x53" * 32, "block", None, 100)
+    sim.run()
+    objects = [r for r in records if r["ev"] == "send" and r["kind"] == "object"]
+    # deg from the originator, deg - 1 from everyone else.
+    assert len(objects) == 2 + 7
+    assert all(len(node.delivered) == 1 for node in nodes)
+
+
+def _star(leaves):
+    topology = Topology(leaves + 1)
+    for leaf in range(1, leaves + 1):
+        topology.add_edge(0, leaf)
+    return topology
+
+
+def test_retry_source_is_skipped_and_the_other_neighbors_still_hear():
+    """Hub 0 hears X from leaves 1 and 2; its getdata to 1 is lost (1
+    goes offline), the timeout retries from 2, and the relay that
+    follows skips 2 but reaches leaves 3 and 4 (and tries 1 again)."""
+    sim, net, nodes, records = _traced_mesh(_star(4), request_timeout=5.0)
+    obj_id = b"\x54" * 32
+    nodes[1].announce(obj_id, "block", None, 100)
+    sim.schedule(0.01, lambda: nodes[2].announce(obj_id, "block", None, 100))
+    sim.schedule(0.055, lambda: net.set_offline(1))
+    sim.run()
+    assert [r["peer"] for r in records if r["ev"] == "gossip_retry"] == [2]
+    assert all(nodes[i].knows(obj_id) for i in (0, 3, 4))
+    assert nodes[0].delivered[0][1] == 2
+    hub_invs = [
+        r["dst"] for r in records
+        if r["ev"] in ("send", "drop") and r["kind"] == "inv" and r["src"] == 0
+    ]
+    assert sorted(hub_invs) == [1, 3, 4]
+    for node in nodes:
+        assert not node._requested and not node._alt_sources
+        assert not node._request_timers
+
+
+def test_vetoed_object_forgets_its_announcers():
+    """The reject path pops ``_alt_sources`` too: nothing leaks."""
+    sim, net, nodes, records = _traced_mesh(_star(3), node_class=VetoingNode)
+    bad_id = b"\xbb" * 32
+    from repro.net.network import Message
+
+    # Leaves 1 and 2 announce; the hub fetches from 1 and records 2.
+    nodes[1]._store[bad_id] = StoredObject(bad_id, "block", None, 50)
+    inv = Message("inv", (bad_id, "block"), 61)
+    net.send(1, 0, inv)
+    sim.schedule(0.01, net.send, 2, 0, inv)
+    sim.run(until=0.07)
+    assert nodes[0]._alt_sources == {bad_id: [2]}
+    sim.run()
+    assert nodes[0].misbehavior == {1: 20}
+    assert not nodes[0].knows(bad_id) and not nodes[0]._alt_sources
+    assert 0 not in _inv_sends(records)
+
+
+class TippedNode(CountingNode):
+    """Offers the last object it learned as its tip."""
+
+    def best_object_id(self):
+        return self.delivered[-1][0] if self.delivered else None
+
+
+def test_announcer_that_restarts_still_catches_up():
+    """Node 1 announces X, crashes, and misses Y: the filter only ever
+    skips invs for what it announced, so resync fetches the rest."""
+    sim, net, nodes, _ = _traced_mesh(complete_topology(4), TippedNode)
+    first, second = b"\x55" * 32, b"\x56" * 32
+    nodes[1].announce(first, "block", None, 100)
+    sim.run()
+    net.set_offline(1)
+    nodes[2].announce(second, "block", None, 100)
+    sim.run()
+    assert not nodes[1].knows(second)
+    net.set_online(1)
+    nodes[1].reset_relay_state()
+    nodes[1].request_tips()
+    sim.run()
+    assert nodes[1].knows(second)
+    assert all(not node._requested and not node._alt_sources for node in nodes)

@@ -103,6 +103,15 @@ def test_attach_validates_node_id():
         net.attach(99, Recorder(sim))
 
 
+def test_detach_all_drops_the_handlers_and_later_deliveries():
+    sim, net, sinks = _network()
+    net.send(0, 1, Message("ping", None, 10))
+    net.detach_all()
+    sim.run()  # the message arrives at nobody, like at an unattached id
+    assert all(not sink.received for sink in sinks)
+    assert net.messages_delivered == 0
+
+
 def test_message_size_validation():
     with pytest.raises(ValueError):
         Message("bad", None, -1)

@@ -99,6 +99,20 @@ def test_events_processed_accumulates_across_runs():
     assert sim.events_processed == 4
 
 
+def test_discard_pending_drops_what_is_queued_and_nothing_else():
+    sim = Simulator()
+    seen = []
+    sim.schedule(1.0, seen.append, "ran")
+    sim.schedule(5.0, seen.append, "never")
+    sim.run(until=2.0)
+    sim.discard_pending()
+    sim.run()
+    assert seen == ["ran"] and sim.events_processed == 1 and sim.now == 2.0
+    sim.schedule(1.0, seen.append, "after")  # still usable
+    sim.run()
+    assert seen == ["ran", "after"]
+
+
 def test_events_processed_counts_callbacks_that_raise():
     sim = Simulator()
 

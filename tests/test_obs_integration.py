@@ -93,37 +93,45 @@ PIN_SCENARIO = {
 
 
 def test_summary_reports_the_numbers_the_registry_and_link_counters_did():
-    """Literals from snapshot v1 (metric registry + per-link counters)
-    of the commit before the fold replaced them, as ints."""
+    """Literals of one lossy run, as ints: what the metric registry and
+    per-link counters of snapshot v1 reported is what the fold reports.
+
+    Re-drawn when relay stopped announcing to known announcers: the
+    fault RNG draws once per send, so with fewer invs sent the 5% loss
+    window drops *different* messages and the run after t=55 is another
+    sample of the same scenario (inv 2866 -> 2543, drops 202 -> 197,
+    micro 32 -> 42, tip changes 354 -> 369).  The same config without
+    the loss fault sends 2878 -> 1993 invs and is otherwise identical.
+    """
     config = SMALL.with_(protocol=Protocol.BITCOIN_NG, scenario=PIN_SCENARIO)
     snapshot = _run_traced(config)[0].obs
     metrics = snapshot["metrics"]
-    assert metrics["sends_by_kind"] == {"getdata": 416, "inv": 2866, "object": 393}
+    assert metrics["sends_by_kind"] == {"getdata": 520, "inv": 2543, "object": 502}
     assert metrics["bytes_by_kind"] == {
-        "getdata": 25376, "inv": 174826, "object": 1383540,
+        "getdata": 31720, "inv": 155123, "object": 1813436,
     }
-    assert metrics["drops"] == 202
-    assert metrics["blocks_by_kind"] == {"key": 4, "micro": 32}
-    assert metrics["tip_changes"] == 354
+    assert metrics["drops"] == 197
+    assert metrics["blocks_by_kind"] == {"key": 4, "micro": 42}
+    assert metrics["tip_changes"] == 369
     assert metrics["epochs_started"] == 4
     keys = ("bytes_out", "bytes_in", "messages_out", "messages_in")
     assert snapshot["traffic"] == {
-        "total_bytes_sent": 1583742,
+        "total_bytes_sent": 2000279,
         "per_node": [
             dict(zip(keys, row))
             for row in (
-                (19011, 141370, 248, 274),
-                (18584, 141492, 241, 276),
-                (67000, 133321, 261, 271),
-                (18056, 141635, 296, 342),
-                (433687, 83086, 349, 275),
-                (32307, 143505, 275, 309),
-                (167974, 143871, 320, 315),
-                (28890, 142834, 281, 298),
-                (587526, 84450, 434, 299),
-                (27408, 145091, 322, 335),
-                (50236, 137182, 249, 269),
-                (133063, 145905, 399, 412),
+                (25252, 175951, 223, 268),
+                (9699, 182762, 159, 316),
+                (57849, 174957, 173, 317),
+                (13725, 187154, 225, 388),
+                (759396, 72657, 472, 295),
+                (24785, 179102, 279, 256),
+                (129959, 174914, 335, 251),
+                (14558, 179184, 175, 321),
+                (627353, 129521, 514, 274),
+                (19926, 182823, 263, 317),
+                (114133, 178004, 278, 238),
+                (203644, 183250, 469, 324),
             )
         ],
     }

@@ -374,6 +374,31 @@ def test_profiler_accounting_on_the_dispatch_seam():
     )
 
 
+def test_loop_wall_covers_the_cancelled_pops_a_drained_queue_ends_on(monkeypatch):
+    """Request timers cancelled on receipt are what a drained queue ends
+    on; their pops follow the last probe and are loop wall all the same
+    (a clock that ticks once per read makes the wall countable)."""
+    import itertools
+
+    import repro.prof.runtime as runtime_mod
+    from repro.net.simulator import Simulator
+
+    ticks = itertools.count(1)
+    monkeypatch.setattr(runtime_mod, "wall_clock", lambda: float(next(ticks)))
+    sim = Simulator()
+    runtime = ProfilerRuntime()
+    runtime.install(sim, 0)
+    sim.schedule(1.0, lambda: None)
+    for delay in (2.0, 3.0, 4.0):
+        sim.schedule(delay, lambda: None).cancel()
+    sim.run()
+    profile = runtime.build_profile({}, 0.0, 1.0, sim.events_processed)
+    # Reads 1 (loop start) to 11 (the last cancelled pop's end).
+    assert profile.loop_wall_seconds == 10.0
+    assert profile.phases["heappop"].calls == 1
+    assert profile.attributed_seconds == pytest.approx(10.0)
+
+
 def test_profiler_times_a_sanitizer_attached_first():
     from repro.net.simulator import Simulator
     from repro.sanitizer import SanitizerRuntime
