@@ -620,7 +620,7 @@ def test_lint_speed():
     its wall time on the full tree is a perf surface like any other:
     the budget trips if a rule ever grows a quadratic pass.  The clean
     assertion doubles as the merged-tree invariant the CI lint job
-    enforces — zero findings, no frozen baseline debt.
+    enforces — zero findings.
     """
     from repro.lint import RULES, lint_paths
 

@@ -33,6 +33,7 @@ import sys
 from .experiments import (
     CHECK_MODES,
     ExperimentConfig,
+    NoBlocksMinedError,
     Protocol,
     format_propagation_table,
     format_sweep_table,
@@ -125,16 +126,20 @@ def add_run_arguments(
         )
 
 
-def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+def config_from_args(
+    args: argparse.Namespace, **overrides: object
+) -> ExperimentConfig:
     """The :class:`ExperimentConfig` a parsed command line describes.
 
     The inverse of :func:`add_run_arguments`: flags a subcommand did not
-    declare keep their config defaults.  This is also the single place
-    ``REPRO_CHECK`` is read (the CLI is a config entry point; see lint
-    rule NG202), so it reaches every subcommand that runs an experiment,
-    ``--check`` flag or not.  It accepts ``0``/empty (off), ``1``
-    (incremental) or a mode name; anything else exits with the valid
-    values rather than silently running a weaker check than asked for.
+    declare keep their config defaults, and ``overrides`` carries the
+    fields a subcommand sets from flags of its own.  This is also the
+    single place ``REPRO_CHECK`` is read (the CLI is a config entry
+    point; see lint rule NG202), so it reaches every subcommand that
+    runs an experiment, ``--check`` flag or not.  It accepts
+    ``0``/empty (off), ``1`` (incremental) or a mode name; anything else
+    exits with the valid values rather than silently running a weaker
+    check than asked for.
     A flag value :class:`ExperimentConfig` rejects exits the same way.
     """
     try:
@@ -172,7 +177,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         except ScenarioError as exc:
             raise SystemExit(f"error: {exc}")
     try:
-        return ExperimentConfig(**fields)
+        return ExperimentConfig(**fields, **overrides)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
 
@@ -357,7 +362,10 @@ def _cmd_propagation(args: argparse.Namespace) -> int:
 def _cmd_incentives(args: argparse.Namespace) -> int:
     from .core.incentives import critical_alpha, incentive_window
 
-    window = incentive_window(args.alpha)
+    try:
+        window = incentive_window(args.alpha)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
     print(f"attacker fraction alpha: {args.alpha}")
     print(f"lower bound on r:        {window.lower:.4f}")
     print(f"upper bound on r:        {window.upper:.4f}")
@@ -498,6 +506,9 @@ def main(argv: list[str] | None = None) -> int:
             raise SystemExit(f"error: {exc}")
     try:
         return args.handler(args)
+    except NoBlocksMinedError as exc:
+        # Every run-shaped subcommand ends up in run_experiment.
+        raise SystemExit(f"error: {exc}")
     except BrokenPipeError:
         # Piping long output (e.g. `repro trace ... | head`) closes
         # stdout early; exit quietly like any well-behaved filter.

@@ -31,7 +31,12 @@ from .reporting import (
     format_series,
     format_sweep_table,
 )
-from .runner import ExperimentResult, build_network, run_experiment
+from .runner import (
+    ExperimentResult,
+    NoBlocksMinedError,
+    build_network,
+    run_experiment,
+)
 from .sweeps import (
     FREQUENCY_POINTS,
     SIZE_POINTS,
@@ -56,6 +61,7 @@ __all__ = [
     "DifficultyTrace",
     "ExperimentConfig",
     "ExperimentResult",
+    "NoBlocksMinedError",
     "PowerDropReport",
     "PowerEvent",
     "PropagationPoint",

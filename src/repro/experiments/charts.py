@@ -85,9 +85,7 @@ def ascii_chart(
     return "\n".join(lines)
 
 
-def sweep_chart(
-    sweep: SweepResult, metric: str, width: int = 60, height: int = 14
-) -> str:
+def sweep_chart(sweep: SweepResult, metric: str) -> str:
     """One Figure 8 panel: both protocols' series for one metric."""
     series: dict[str, list[tuple[float, float]]] = {}
     for point in sweep.points:
@@ -97,8 +95,7 @@ def sweep_chart(
         pts.sort()
     return ascii_chart(
         series,
-        width=width,
-        height=height,
+        height=14,
         log_x=True,
         title=f"{metric} vs {sweep.x_label}",
     )

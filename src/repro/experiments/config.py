@@ -19,6 +19,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from ..bitcoin.blocks import ARTIFICIAL_TX_SIZE
+from ..metrics.throughput import OPERATIONAL_BITCOIN_TX_RATE
 from ..mining.power import PAPER_EXPONENT
 from ..net.gossip import RelayMode
 from ..net.links import DEFAULT_BANDWIDTH_BPS
@@ -118,8 +119,6 @@ class ExperimentConfig:
     # process-pool sweep workers: each worker rebuilds its own
     # instrumentation and writes files named by the cell's slug.
     obs_dir: str | None = None
-    # Sampler period in virtual seconds (None → ~100 points per run).
-    obs_sample_period: float | None = None
 
     # Checked mode (repro.sanitizer).  When True, the run installs the
     # protocol's invariant checkers (via the adapter registry) and
@@ -159,7 +158,7 @@ class ExperimentConfig:
             raise ValueError("sizes must be positive")
         if self.fee_per_tx < 0:
             raise ValueError("fee_per_tx must be non-negative")
-        if self.target_blocks < 1:
+        if self.target_blocks < 1 or self.target_key_blocks < 1:
             raise ValueError("need at least one block")
         if self.check_stride < 1:
             raise ValueError("check_stride must be at least 1")
@@ -230,9 +229,7 @@ class ExperimentConfig:
 
 
 def constant_throughput_block_size(
-    block_rate: float,
-    target_tx_rate: float = 3.5,
-    tx_size: int = ARTIFICIAL_TX_SIZE,
+    block_rate: float, tx_size: int = ARTIFICIAL_TX_SIZE
 ) -> int:
     """Block size holding payload throughput at the operational rate.
 
@@ -241,5 +238,5 @@ def constant_throughput_block_size(
     Bitcoin's operational system, that is, one 1MB block every 10
     minutes" — i.e. ~3.5 tx/s regardless of frequency.
     """
-    txs_per_block = max(1, round(target_tx_rate / block_rate))
+    txs_per_block = max(1, round(OPERATIONAL_BITCOIN_TX_RATE / block_rate))
     return txs_per_block * tx_size

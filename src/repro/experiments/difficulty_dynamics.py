@@ -19,6 +19,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+#: Bitcoin's retarget clamp: one adjustment moves difficulty at most 4×.
+RETARGET_CLAMP = 4.0
+
 
 @dataclass(frozen=True)
 class PowerEvent:
@@ -54,7 +57,6 @@ def simulate_difficulty_dynamics(
     window: int,
     duration: float,
     power_schedule: list[PowerEvent],
-    clamp: float = 4.0,
     seed: int = 0,
 ) -> DifficultyTrace:
     """Run the block-production / retargeting control loop.
@@ -100,7 +102,7 @@ def simulate_difficulty_dynamics(
             # ``difficulty`` is seconds-per-block: blocks arriving too
             # fast (observed < expected) must *raise* it.
             factor = expected / observed
-            factor = min(max(factor, 1.0 / clamp), clamp)
+            factor = min(max(factor, 1.0 / RETARGET_CLAMP), RETARGET_CLAMP)
             difficulty *= factor
             window_start_time = now
             blocks_in_window = 0
@@ -125,17 +127,15 @@ def run_power_drop(
     target_interval: float = 10.0,
     window: int = 20,
     drop_to: float = 0.25,
-    drop_at_windows: int = 10,
-    recover_windows: int = 30,
     seed: int = 0,
 ) -> PowerDropReport:
     """The canonical Section 5.2 scenario, summarized.
 
-    Mines steadily, drops power to ``drop_to`` after ``drop_at_windows``
-    retarget windows, and keeps going while difficulty adapts.
+    Mines steadily, drops power to ``drop_to`` after ten retarget
+    windows, and keeps going while difficulty adapts.
     """
-    drop_time = target_interval * window * drop_at_windows
-    duration = drop_time + target_interval * window * recover_windows / drop_to
+    drop_time = target_interval * window * 10
+    duration = drop_time + target_interval * window * 30 / drop_to
     trace = simulate_difficulty_dynamics(
         target_interval=target_interval,
         window=window,

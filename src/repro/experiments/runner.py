@@ -28,6 +28,7 @@ from ..metrics import (
     time_to_win,
     transaction_frequency,
 )
+from ..metrics.fairness import mined
 from ..mining.power import exponential_shares
 from ..net.latency import default_histogram
 from ..net.network import Network
@@ -39,10 +40,19 @@ from .config import ExperimentConfig, Protocol
 
 __all__ = [
     "ExperimentResult",
+    "NoBlocksMinedError",
     "build_network",
     "run_experiment",
     "Protocol",
 ]
+
+
+class NoBlocksMinedError(RuntimeError):
+    """The run ended with no key/PoW block on its main chain.
+
+    Mining is a Poisson process, so a short window can stay empty, and
+    the Section 6 metrics are ratios over main-chain blocks.
+    """
 
 
 @dataclass(frozen=True)
@@ -185,6 +195,16 @@ def run_experiment(
         sanitizer.finalize()
     log.finalize(horizon)
     snapshot = obs.finalize(end_time=horizon)
+    main_chain = log.main_chain()
+    if not mined(map(log.index.info, main_chain)):
+        is_ng = config.protocol is Protocol.BITCOIN_NG
+        rate = config.key_block_rate if is_ng else config.block_rate
+        raise NoBlocksMinedError(
+            f"no key/PoW block reached the main chain in "
+            f"{config.duration:g} s of simulated mining "
+            f"({config.duration * rate:g} expected); ask for more "
+            "blocks or try another seed"
+        )
     result = ExperimentResult(
         config=config,
         consensus_delay=consensus_delay(log),
@@ -194,7 +214,7 @@ def run_experiment(
         time_to_win=time_to_win(log),
         transaction_frequency=transaction_frequency(log),
         blocks_generated=len(log.index),
-        main_chain_length=len(log.main_chain()),
+        main_chain_length=len(main_chain),
         duration=log.duration,
         events_processed=sim.events_processed,
         messages_delivered=network.messages_delivered,

@@ -23,12 +23,7 @@ one registered visitor class in :mod:`repro.lint.rules`.
 """
 
 from .engine import LintReport, collect_files, lint_paths
-from .findings import (
-    Finding,
-    load_baseline,
-    split_by_baseline,
-    write_baseline,
-)
+from .findings import Finding
 from .rules import RULES, LintRule, Rule, all_rules, register
 from .semantic import SemanticIndex, SemanticRule, build_index
 
@@ -44,8 +39,5 @@ __all__ = [
     "build_index",
     "collect_files",
     "lint_paths",
-    "load_baseline",
     "register",
-    "split_by_baseline",
-    "write_baseline",
 ]

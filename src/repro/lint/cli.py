@@ -1,7 +1,7 @@
-"""The ``repro lint`` subcommand: text/JSON output, baseline, --explain.
+"""The ``repro lint`` subcommand: text/JSON output, --explain.
 
-Exit codes: 0 clean (or baseline written), 1 findings, 2 usage errors
-(unknown rule code, unreadable baseline).  Kept separate from
+Exit codes: 0 clean, 1 findings, 2 usage errors (unknown rule code,
+unreadable path).  Kept separate from
 :mod:`repro.cli` so the argparse wiring there stays one line per
 subcommand and the analyzer imports only when invoked.
 """
@@ -13,8 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .engine import LintReport, lint_paths
-from .findings import describe_stale_entry, load_baseline, write_baseline
+from .engine import JSON_SCHEMA_VERSION, LintReport, lint_paths
 from .rules import RULES
 
 #: Where the bad/good example fixtures live, relative to the repo root.
@@ -51,18 +50,7 @@ def add_lint_parser(commands: argparse._SubParsersAction) -> None:
     parser.add_argument(
         "--json",
         action="store_true",
-        help="machine-readable findings (schema v1)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="baseline file freezing known findings (JSON)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings into --baseline FILE and exit 0",
+        help=f"machine-readable findings (schema v{JSON_SCHEMA_VERSION})",
     )
     parser.add_argument(
         "--explain",
@@ -139,11 +127,11 @@ def _explain(code: str) -> int:
     return 0
 
 
-def _first_sentence(text: str, width: int = 68) -> str:
+def _first_sentence(text: str) -> str:
     """The leading sentence of a rationale, clipped for table display."""
     sentence = text.split(". ")[0].rstrip(".") + "."
-    if len(sentence) > width:
-        sentence = sentence[: width - 1].rstrip() + "…"
+    if len(sentence) > 68:
+        sentence = sentence[:67].rstrip() + "…"
     return sentence
 
 
@@ -179,33 +167,16 @@ def _resolve_codes(args: argparse.Namespace) -> list[str] | None:
     return sorted(set(RULES) - codes)
 
 
-def _print_text(
-    report: LintReport,
-    baseline_path: str | None,
-    *,
-    show_why: bool = False,
-) -> None:
+def _print_text(report: LintReport, *, show_why: bool = False) -> None:
     for finding in report.findings:
         print(finding.format(show_why=show_why))
     summary = (
         f"{len(report.findings)} finding(s) in "
         f"{report.files_scanned} file(s)"
     )
-    extras = []
     if report.suppressed:
-        extras.append(f"{report.suppressed} suppressed inline")
-    if report.baselined:
-        extras.append(f"{report.baselined} hidden by baseline")
-    if extras:
-        summary += f" ({', '.join(extras)})"
+        summary += f" ({report.suppressed} suppressed inline)"
     print(summary)
-    for fingerprint in report.stale_baseline:
-        path, code, _ = describe_stale_entry(fingerprint)
-        print(
-            f"warning: stale baseline entry {code} in {path} "
-            f"(fixed? remove it from {baseline_path}): {fingerprint}",
-            file=sys.stderr,
-        )
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -221,34 +192,14 @@ def cmd_lint(args: argparse.Namespace) -> int:
         print(f"error: {message}", file=sys.stderr)
         return 2
 
-    baseline: dict[str, str] | None = None
-    if args.baseline and not args.write_baseline:
-        baseline_file = Path(args.baseline)
-        if baseline_file.exists():
-            try:
-                baseline = load_baseline(baseline_file)
-            except (ValueError, json.JSONDecodeError) as exc:
-                print(f"error: bad baseline {args.baseline}: {exc}",
-                      file=sys.stderr)
-                return 2
-
     try:
-        report = lint_paths(args.paths, baseline=baseline, codes=codes)
+        report = lint_paths(args.paths, codes=codes)
     except (FileNotFoundError, SyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        if not args.baseline:
-            print("error: --write-baseline requires --baseline FILE",
-                  file=sys.stderr)
-            return 2
-        count = write_baseline(args.baseline, report.findings)
-        print(f"baseline written: {count} entry(ies) to {args.baseline}")
-        return 0
-
     if args.json:
         print(json.dumps(report.to_payload(), indent=2, sort_keys=True))
     else:
-        _print_text(report, args.baseline, show_why=args.why)
+        _print_text(report, show_why=args.why)
     return 0 if report.clean else 1

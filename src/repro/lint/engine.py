@@ -9,8 +9,7 @@ One lint run has three stages:
    "harvests" come off the index too, instead of a second AST pass;
 3. run the per-module AST rules (one visitor instance per rule ×
    module) and the project-wide semantic rules (one :meth:`check` call
-   per rule), then route everything through inline suppressions and
-   the optional baseline.
+   per rule), then drop what an inline suppression allows.
 
 Findings come out sorted by (path, line, code) so output is stable for
 tests and CI diffs.
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence, cast
 
-from .findings import Finding, is_suppressed, split_by_baseline
+from .findings import Finding, is_suppressed
 from .rules import ImportMap, ModuleContext, Rule, all_rules
 from .semantic.index import SemanticIndex, build_index
 from .semantic.rules import SemanticRule
@@ -37,7 +36,7 @@ MODULE_DIRECTIVE_RE = re.compile(
 #: How many leading lines are searched for the module directive.
 DIRECTIVE_WINDOW = 5
 
-JSON_SCHEMA_VERSION = 2
+JSON_SCHEMA_VERSION = 3
 
 
 @dataclass
@@ -46,8 +45,6 @@ class LintReport:
 
     findings: list[Finding]  #: surviving findings (fail the run)
     suppressed: int  #: hits silenced by inline ``# repro: allow[...]``
-    baselined: int  #: hits hidden by the baseline file
-    stale_baseline: list[str]  #: baseline entries matching nothing
     files_scanned: int
 
     @property
@@ -63,8 +60,6 @@ class LintReport:
                 "files_scanned": self.files_scanned,
                 "findings": len(self.findings),
                 "suppressed": self.suppressed,
-                "baselined": self.baselined,
-                "stale_baseline": self.stale_baseline,
             },
         }
 
@@ -141,10 +136,9 @@ def build_semantic_index(modules: Sequence[_ParsedModule]) -> SemanticIndex:
 def lint_paths(
     paths: Sequence[str | Path],
     *,
-    baseline: dict[str, str] | None = None,
     codes: Sequence[str] | None = None,
 ) -> LintReport:
-    """Run every registered rule over ``paths`` and apply escape hatches.
+    """Run every registered rule over ``paths``, minus inline suppressions.
 
     ``codes`` restricts the run to a subset of rule codes (used by the
     fixture tests to exercise one rule at a time).
@@ -207,11 +201,8 @@ def lint_paths(
                 raw.append(finding)
 
     raw.sort(key=lambda f: (f.path, f.line, f.code))
-    new, hidden, stale = split_by_baseline(raw, baseline or {})
     return LintReport(
-        findings=new,
+        findings=raw,
         suppressed=suppressed,
-        baselined=len(hidden),
-        stale_baseline=stale,
         files_scanned=len(files),
     )

@@ -1,33 +1,22 @@
-"""Finding model, inline suppressions, and the frozen-debt baseline.
+"""Finding model and inline suppressions.
 
 A :class:`Finding` is one rule hit: file, position, rule code, message,
 and the offending source line.  Findings are value objects that
-round-trip through JSON (``repro lint --json``) and are identified for
-baselining by a *fingerprint* that deliberately excludes the line
-number — code moving around a file must not resurrect frozen debt.
+round-trip through JSON (``repro lint --json``).
 
-Two escape hatches exist, in increasing scope:
-
-* an inline ``# repro: allow[CODE]`` comment on the offending line (or
-  the line directly above it) suppresses one finding at one site;
-* a committed baseline file (``repro lint --baseline FILE``) freezes a
-  set of known findings with a justification each, hiding them until
-  the underlying code changes — at which point they resurface.
+The one escape hatch is an inline ``# repro: allow[CODE]`` comment on
+the offending line (or the line directly above it), which suppresses
+one finding at one site.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import re
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 #: Inline suppression: ``# repro: allow[NG101]`` or ``allow[NG101,NG301]``.
 SUPPRESS_RE = re.compile(r"#\s*repro:\s*allow\[([A-Z0-9,\s]+)\]")
-
-BASELINE_VERSION = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,28 +32,6 @@ class Finding:
     #: Interprocedural call-path explanation (NG6xx); one step per line,
     #: rendered by ``repro lint --why``.
     why: tuple[str, ...] = ()
-    #: Optional semantic identity overriding the snippet for
-    #: fingerprinting.  Semantic (NG6xx) findings anchor on a ``def`` or
-    #: ``class`` line whose text changes under pure refactors (a renamed
-    #: parameter, a new annotation), and identical ``def`` lines collide
-    #: across classes — so those rules fingerprint on their line-free
-    #: message instead.
-    identity: str = ""
-
-    @property
-    def fingerprint(self) -> str:
-        """Line-number-free identity used by the baseline mechanism.
-
-        Hashing the snippet rather than recording the line means the
-        baseline survives unrelated edits above the finding, but any
-        change to the offending line itself resurfaces it.  Findings
-        carrying an explicit ``identity`` (the semantic rules) hash that
-        instead, so refactors that rewrite the anchor line — or shift
-        the ``why`` call path — cannot resurrect frozen debt.
-        """
-        basis = self.identity or self.snippet
-        digest = hashlib.sha256(basis.encode("utf-8")).hexdigest()[:12]
-        return f"{self.path}:{self.code}:{digest}"
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -75,8 +42,6 @@ class Finding:
             "message": self.message,
             "snippet": self.snippet,
             "why": list(self.why),
-            "identity": self.identity,
-            "fingerprint": self.fingerprint,
         }
 
     @classmethod
@@ -89,7 +54,6 @@ class Finding:
             message=data["message"],
             snippet=data["snippet"],
             why=tuple(data.get("why", ())),
-            identity=data.get("identity", ""),
         )
 
     def format(self, *, show_why: bool = False) -> str:
@@ -131,78 +95,3 @@ def suppressed_codes(lines: list[str], line: int) -> set[str]:
 
 def is_suppressed(finding: Finding, lines: list[str]) -> bool:
     return finding.code in suppressed_codes(lines, finding.line)
-
-
-# -- baseline ----------------------------------------------------------------
-
-
-def load_baseline(path: str | Path) -> dict[str, str]:
-    """Read a baseline file into ``{fingerprint: justification}``."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if data.get("version") != BASELINE_VERSION:
-        raise ValueError(
-            f"unsupported baseline version {data.get('version')!r} "
-            f"(expected {BASELINE_VERSION})"
-        )
-    entries = data.get("entries", {})
-    if not isinstance(entries, dict):
-        raise ValueError("baseline 'entries' must be an object")
-    return {str(k): str(v) for k, v in entries.items()}
-
-
-def write_baseline(
-    path: str | Path,
-    findings: Iterable[Finding],
-    justification: str = "frozen by repro lint --write-baseline; justify me",
-) -> int:
-    """Freeze ``findings`` into a baseline file; returns the entry count.
-
-    Every entry carries a justification string the team is expected to
-    edit — an unexplained baseline is just hidden debt.
-    """
-    entries = {f.fingerprint: justification for f in findings}
-    payload = {"version": BASELINE_VERSION, "entries": entries}
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return len(entries)
-
-
-def split_by_baseline(
-    findings: list[Finding], baseline: dict[str, str]
-) -> tuple[list[Finding], list[Finding], list[str]]:
-    """Partition findings against a baseline.
-
-    Returns ``(new, hidden, stale)``: findings not in the baseline,
-    findings the baseline hides, and baseline fingerprints that no
-    longer match anything (fixed debt whose entry should be deleted).
-    """
-    if not baseline:
-        return findings, [], []
-    new: list[Finding] = []
-    hidden: list[Finding] = []
-    seen: set[str] = set()
-    for finding in findings:
-        fingerprint = finding.fingerprint
-        if fingerprint in baseline:
-            hidden.append(finding)
-            seen.add(fingerprint)
-        else:
-            new.append(finding)
-    stale = sorted(set(baseline) - seen)
-    return new, hidden, stale
-
-
-def describe_stale_entry(fingerprint: str) -> tuple[str, str, str]:
-    """``(path, code, digest)`` parsed back out of a baseline fingerprint.
-
-    Fingerprints are ``{path}:{code}:{digest}``; the path may itself
-    contain colons only on exotic filesystems, so we split from the
-    right.  Malformed entries (hand-edited baselines) degrade to
-    placeholders rather than crashing the stale report.
-    """
-    parts = fingerprint.rsplit(":", 2)
-    if len(parts) == 3 and parts[1] and parts[2]:
-        return parts[0], parts[1], parts[2]
-    return fingerprint, "?", "?"

@@ -287,21 +287,18 @@ class SemanticIndex:
         return keys
 
     def reachable_functions(
-        self,
-        roots: Iterable[FunctionKey],
-        *,
-        instantiate_closure: bool = True,
+        self, roots: Iterable[FunctionKey]
     ) -> set[FunctionKey]:
         """Functions reachable from ``roots`` over resolved call edges.
 
         The static call graph cannot see simulator-dispatched calls
         (``build_nodes`` hands node objects to the event loop, which
-        invokes their methods by name at runtime), so with
-        ``instantiate_closure`` a call that instantiates a class marks
-        *every* method of that class (and its scanned ancestors)
-        reachable — the object escaped, anything on it may
-        run.  This is the reachability the mutation engine keys on:
-        over-approximate in the direction of more mutation sites.
+        invokes their methods by name at runtime), so a call that
+        instantiates a class marks *every* method of that class (and
+        its scanned ancestors) reachable — the object escaped, anything
+        on it may run.  This is the reachability the mutation engine
+        keys on: over-approximate in the direction of more mutation
+        sites.
         """
         work: list[FunctionKey] = list(roots)
         reached: set[FunctionKey] = set()
@@ -327,7 +324,7 @@ class SemanticIndex:
                     continue
                 callee_key, _callee_fn = resolved
                 work.append(callee_key)
-                if instantiate_closure and callee_key.function == "__init__":
+                if callee_key.function == "__init__":
                     # The class the call names, which may only inherit
                     # the ``__init__`` it resolved to.
                     named = self.resolve_class(summary, call.kind, call.target)
@@ -415,15 +412,14 @@ class SemanticIndex:
         self._mutated = mutated
         return mutated
 
-    def witness_chain(
-        self, key: FunctionKey, param: str, limit: int = 8
-    ) -> list[str]:
-        """Human-readable call path explaining a mutated parameter."""
+    def witness_chain(self, key: FunctionKey, param: str) -> list[str]:
+        """Human-readable call path (at most eight steps) explaining a
+        mutated parameter."""
         mutated = self.mutated_params()
         chain: list[str] = []
         seen: set[tuple[str, str | None, str, str]] = set()
         current_key, current_param = key, param
-        while len(chain) < limit:
+        while len(chain) < 8:
             witness = mutated.get(current_key, {}).get(current_param)
             if witness is None:
                 break

@@ -3,10 +3,10 @@
 Everything here is a frozen value object compared with ``==``: the
 index is rebuilt from source on every lint run and never leaves the
 process, and the determinism tests pin two builds of the same sources
-equal.  ``repro.mutate``'s lint tier leans on that — it re-extracts the
-one mutated module and splices its summary into summaries extracted
-once per worker, which is sound only because extraction is a pure
-function of (path, source).
+equal.  ``repro.mutate`` leans on that: it enumerates mutation sites
+from an index it builds itself and keys its baseline on the module
+shas, which is sound only because extraction is a pure function of
+(path, source).
 
 The model is deliberately *approximate* in documented ways (see
 :mod:`repro.lint.semantic.extract`): taint tracks assignment roots, not

@@ -96,12 +96,6 @@ class SemanticRule(LintRule):
     ) -> Finding:
         lines = sources.get(path, [])
         snippet = lines[lineno - 1].strip() if 1 <= lineno <= len(lines) else ""
-        # Semantic findings anchor on `def`/`class` lines that pure
-        # refactors rewrite (and that collide across classes), so they
-        # fingerprint on the message — which names the class, method,
-        # and parameter/stream, but never a line number.  Baselines
-        # then survive both anchor-line rewrites and `why` call-path
-        # line shifts.
         return Finding(
             path=path,
             line=lineno,
@@ -110,7 +104,6 @@ class SemanticRule(LintRule):
             message=message,
             snippet=snippet,
             why=why,
-            identity=message,
         )
 
 

@@ -16,18 +16,27 @@ main chain — the centralization pressure the paper warns about.
 
 from __future__ import annotations
 
-from .collector import ObservationLog
+from typing import Iterable
+
+from .collector import BlockInfo, ObservationLog
 
 # Block kinds that represent mining contributions.  Microblocks carry no
 # proof of work, so fairness (like weight) is over key blocks in NG.
 WEIGHT_KINDS = frozenset({"block", "key"})
 
 
+def mined(infos: Iterable[BlockInfo]) -> list[BlockInfo]:
+    """The blocks that are mining contributions (genesis has no miner)."""
+    return [
+        info for info in infos
+        if info.kind in WEIGHT_KINDS and info.miner >= 0
+    ]
+
+
 def _largest_miner_by_blocks(log: ObservationLog) -> int:
     counts: dict[int, int] = {}
-    for info in log.index.all_blocks():
-        if info.kind in WEIGHT_KINDS and info.miner >= 0:
-            counts[info.miner] = counts.get(info.miner, 0) + 1
+    for info in mined(log.index.all_blocks()):
+        counts[info.miner] = counts.get(info.miner, 0) + 1
     if not counts:
         raise ValueError("no mined blocks recorded")
     return max(counts, key=lambda miner: (counts[miner], -miner))
@@ -52,12 +61,7 @@ def fairness(
             )
         else:
             largest_miner = _largest_miner_by_blocks(log)
-    main = [
-        log.index.info(h)
-        for h in log.main_chain()
-        if log.index.info(h).kind in WEIGHT_KINDS
-        and log.index.info(h).miner >= 0
-    ]
+    main = mined(log.index.info(h) for h in log.main_chain())
     if not main:
         raise ValueError("empty main chain")
     main_not_largest = sum(1 for info in main if info.miner != largest_miner)
@@ -65,11 +69,7 @@ def fairness(
     if power_shares is not None:
         power_ratio = 1.0 - power_shares[largest_miner] / sum(power_shares)
     else:
-        generated = [
-            info
-            for info in log.index.all_blocks()
-            if info.kind in WEIGHT_KINDS and info.miner >= 0
-        ]
+        generated = mined(log.index.all_blocks())
         generated_not_largest = sum(
             1 for info in generated if info.miner != largest_miner
         )

@@ -3,10 +3,10 @@
 ``repro.mutate`` plants consensus-critical defects — the fee-split,
 signature, maturity, and fork-choice bugs Bitcoin-NG's security
 argument cares about — and measures which layer of the repo's checker
-stack (semantic lint, incremental sanitizer, golden fingerprints,
-tier-1 tests) actually catches each one.  See :mod:`repro.mutate.engine`
-for the pipeline and ``docs/mutation.md`` for the operator catalog and
-survivor policy.
+stack (incremental sanitizer, golden fingerprints, tier-1 tests)
+actually catches each one.  See :mod:`repro.mutate.engine` for the
+pipeline and ``docs/mutation.md`` for the operator catalog and survivor
+policy.
 """
 
 from .engine import (

@@ -19,6 +19,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .engine import (
     DEFAULT_CACHE,
@@ -41,9 +42,9 @@ def add_mutate_parser(commands: argparse._SubParsersAction) -> None:
         help="mutation-adequacy analysis of the checker stack",
         description=(
             "Plant consensus-critical defects (fee-split swaps, "
-            "signature drops, off-by-ones, version-bump deletions) and "
-            "measure which layer of the checker stack — lint, "
-            "sanitizer, golden fingerprints, or tier-1 tests — catches "
+            "signature drops, off-by-ones, negated guards) and "
+            "measure which layer of the checker stack — sanitizer, "
+            "golden fingerprints, or tier-1 tests — catches "
             "each one. See docs/mutation.md for the operator catalog "
             "and survivor policy."
         ),
@@ -89,6 +90,24 @@ def add_mutate_parser(commands: argparse._SubParsersAction) -> None:
     diff_parser.set_defaults(handler=cmd_mutate_run, changed_only=True)
 
 
+def _name_list(
+    kind: str, known: tuple[str, ...]
+) -> Callable[[str], list[str]]:
+    """argparse ``type=`` for a comma-separated subset of ``known``."""
+
+    def parse(text: str) -> list[str]:
+        names = [n.strip() for n in text.split(",") if n.strip()]
+        unknown = [n for n in names if n not in known]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"unknown {kind}(s): {', '.join(unknown)} "
+                f"(choose from {', '.join(known)})"
+            )
+        return names
+
+    return parse
+
+
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "files",
@@ -110,6 +129,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--operators",
         metavar="OP[,OP]",
+        type=_name_list("operator", tuple(sorted(OPERATORS_BY_NAME))),
         default=None,
         help=(
             "restrict to these operators (choose from "
@@ -146,6 +166,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tiers",
         metavar="TIER[,TIER]",
+        type=_name_list("tier", TIERS),
         default=None,
         help="run only these kill tiers (choose from " + ", ".join(TIERS) + ")",
     )
@@ -203,23 +224,10 @@ def cmd_mutate_run(args: argparse.Namespace) -> int:
 
     operators = None
     if args.operators:
-        names = [n.strip() for n in args.operators.split(",") if n.strip()]
-        unknown = [n for n in names if n not in OPERATORS_BY_NAME]
-        if unknown:
-            print(f"error: unknown operator(s): {', '.join(unknown)}",
-                  file=sys.stderr)
-            return 2
-        operators = tuple(OPERATORS_BY_NAME[n] for n in names)
-
+        operators = tuple(OPERATORS_BY_NAME[n] for n in args.operators)
     tiers = TIERS
     if args.tiers:
-        names = [n.strip() for n in args.tiers.split(",") if n.strip()]
-        unknown = [n for n in names if n not in TIERS]
-        if unknown:
-            print(f"error: unknown tier(s): {', '.join(unknown)}",
-                  file=sys.stderr)
-            return 2
-        tiers = tuple(t for t in TIERS if t in names)
+        tiers = tuple(t for t in TIERS if t in args.tiers)
 
     packages = TARGET_PACKAGES
     if args.package:

@@ -3,23 +3,18 @@
 Every mutant runs the same gauntlet, cheapest tier first, stopping at
 the first kill:
 
-1. **lint** — in-process.  The mutated module's summary is spliced into
-   the clean semantic index (every other module's summary is the one
-   this worker extracted once, in memory) and the full rule set
-   re-runs.  The tree is pinned clean, so *any* unsuppressed
-   finding kills the mutant.
-2. **sanitizer** / 3. **golden** — one subprocess probe
+1. **sanitizer** / 2. **golden** — one subprocess probe
    (``python -m repro.mutate.probe``) against a mutated shadow tree
    runs a short Bitcoin-NG simulation with the adapter's invariant
    checkers in incremental mode.  Violations kill at the sanitizer
    tier; a crash, hang, or digest-fingerprint divergence from the clean
    baseline kills at the golden tier.
-4. **tests** — the mutated file's companion tier-1 module
+3. **tests** — the mutated file's companion tier-1 module
    (``src/repro/core/chain.py`` → ``tests/test_core_chain.py``) under
    ``pytest -x``; a failure kills, and files with no companion skip the
    tier.
 
-Mutants that outlive all four tiers are *survivors*: each must either
+Mutants that outlive all three tiers are *survivors*: each must either
 grow a new rule/invariant that kills it or be catalogued with a
 rationale in ``docs/mutation.md`` (the allowlist the CI gate enforces).
 
@@ -39,16 +34,12 @@ import subprocess
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, cast
+from typing import Any, Callable, Iterable
 
 from ..clock import wall_clock
 from ..experiments.parallel import SweepExecutor
-from ..lint.engine import _parse, build_semantic_index
-from ..lint.findings import Finding, is_suppressed
-from ..lint.rules import ImportMap, ModuleContext, Rule, all_rules
-from ..lint.semantic.extract import content_sha, extract_module
+from ..lint.semantic.extract import content_sha
 from ..lint.semantic.index import SemanticIndex
-from ..lint.semantic.rules import SemanticRule
 from .operators import (
     CATALOG_VERSION,
     OPERATORS,
@@ -63,7 +54,15 @@ from .sites import TARGET_PACKAGES, build_site_index, enumerate_sites
 ENGINE_VERSION = 1
 
 #: Tier order is the kill pipeline order (sanitizer/golden share a probe).
-TIERS: tuple[str, ...] = ("lint", "sanitizer", "golden", "tests")
+TIERS: tuple[str, ...] = ("sanitizer", "golden", "tests")
+
+#: Wall-clock limits on the two subprocess tiers; a mutant that hangs
+#: past them is killed, not waited on.
+PROBE_TIMEOUT = 120.0
+PYTEST_TIMEOUT = 300.0
+
+#: The source tree, relative to the repo root a run is given.
+SRC_ROOT = "src"
 
 DEFAULT_CACHE = Path(".mutate-cache.json")
 DEFAULT_REPORT = Path(".mutate-report.json")
@@ -121,11 +120,8 @@ class MutantTask:
 
     mutant: Mutant
     repo_root: str
-    src_root: str  #: relative to repo_root, e.g. ``"src"``
     tree_sha: str  #: clean-tree content sha; keys the worker memo
     baseline_fingerprint: tuple[Any, ...]
-    probe_timeout: float = 120.0
-    pytest_timeout: float = 300.0
     tiers: tuple[str, ...] = TIERS
 
 
@@ -248,38 +244,23 @@ class ShadowTree:
 
 # -- worker state ------------------------------------------------------------
 
-#: Per-process memo: shadow tree, parsed clean modules, clean index.
+#: Per-process memo: the worker's shadow tree.
 #: Workers are forked/spawned per pool, so module globals are private.
 _WORKER: dict[str, Any] = {}
 
 
 def _worker_state(task: MutantTask) -> dict[str, Any]:
-    key = (task.repo_root, task.src_root, task.tree_sha)
+    key = (task.repo_root, task.tree_sha)
     if _WORKER.get("key") != key:
         repo_root = Path(task.repo_root)
         shadow_dir = (
             repo_root / ".mutate-shadow" / f"w{os.getpid()}"
         )
         shadow_dir.mkdir(parents=True, exist_ok=True)
-        modules = []
-        for path in sorted((repo_root / task.src_root).rglob("*.py")):
-            if "__pycache__" in path.parts:
-                continue
-            parsed = _parse(path)
-            # Display paths must be repo-relative so they line up with
-            # mutant paths and shadow-tree paths.
-            modules.append(
-                replace(
-                    parsed,
-                    display_path=path.relative_to(repo_root).as_posix(),
-                )
-            )
         _WORKER.clear()
         _WORKER.update(
             key=key,
-            shadow=ShadowTree(repo_root, task.src_root, shadow_dir),
-            modules=modules,
-            index=build_semantic_index(modules),
+            shadow=ShadowTree(repo_root, SRC_ROOT, shadow_dir),
         )
     return _WORKER
 
@@ -296,84 +277,6 @@ def _probe_env(shadow_src: Path) -> dict[str, str]:
 # -- tiers -------------------------------------------------------------------
 
 
-def _lint_tier(
-    task: MutantTask, mutated_source: str, state: dict[str, Any]
-) -> str | None:
-    """First unsuppressed finding on the spliced index, or ``None``.
-
-    Reuses every clean module summary and re-extracts only the mutated
-    one — the same incremental contract the on-disk index cache gives
-    ``repro lint``, applied in memory.
-    """
-    import ast as ast_mod
-
-    mutant = task.mutant
-    clean_index: SemanticIndex = state["index"]
-    parsed_by_path = {m.display_path: m for m in state["modules"]}
-    clean = parsed_by_path[mutant.path]
-
-    tree = ast_mod.parse(mutated_source)
-    lines = mutated_source.splitlines()
-    summary = extract_module(
-        tree,
-        display_path=mutant.path,
-        module=clean.module,
-        lines=lines,
-        sha=content_sha(mutated_source),
-    )
-    modules = dict(clean_index.modules)
-    modules[mutant.path] = summary
-    index = SemanticIndex(modules=modules)
-
-    ast_rules = [r for r in all_rules() if issubclass(r, Rule)]
-    semantic_rules = [
-        r for r in all_rules() if issubclass(r, SemanticRule)
-    ]
-
-    context = ModuleContext(
-        path=mutant.path,
-        module=clean.module,
-        lines=lines,
-        imports=ImportMap.of(tree),
-        set_attrs=index.set_identifiers(),
-        tuple_dict_attrs=index.tuple_dict_identifiers(),
-    )
-    findings: list[Finding] = []
-    for rule_cls in ast_rules:
-        if not rule_cls.applies_to(clean.module):
-            continue
-        rule = cast("type[Rule]", rule_cls)(context)
-        rule.visit(tree)
-        findings.extend(
-            f for f in rule.findings if not is_suppressed(f, lines)
-        )
-
-    lines_by_path = {
-        m.display_path: m.lines for m in state["modules"]
-    }
-    lines_by_path[mutant.path] = lines
-    module_by_path = {
-        m.display_path: m.module for m in state["modules"]
-    }
-    for semantic_cls in semantic_rules:
-        for finding in cast("type[SemanticRule]", semantic_cls)().check(
-            index, lines_by_path
-        ):
-            if not semantic_cls.applies_to(
-                module_by_path.get(finding.path, "")
-            ):
-                continue
-            if is_suppressed(finding, lines_by_path.get(finding.path, [])):
-                continue
-            findings.append(finding)
-
-    if not findings:
-        return None
-    findings.sort(key=lambda f: (f.path, f.line, f.code))
-    first = findings[0]
-    return f"{first.code} {first.message[:120]}"
-
-
 def _probe_tier(
     task: MutantTask, state: dict[str, Any]
 ) -> tuple[str, str] | None:
@@ -386,7 +289,7 @@ def _probe_tier(
             env=_probe_env(shadow.src_path),
             capture_output=True,
             text=True,
-            timeout=task.probe_timeout,
+            timeout=PROBE_TIMEOUT,
         )
     except subprocess.TimeoutExpired:
         return ("golden", "probe timeout (likely non-terminating mutant)")
@@ -415,7 +318,7 @@ def _probe_tier(
     return None
 
 
-def companion_test(display_path: str, tests_root: str = "tests") -> str:
+def companion_test(display_path: str) -> str:
     """``src/repro/<pkg>/<mod>.py`` → ``tests/test_<pkg>_<mod>.py``."""
     parts = Path(display_path).with_suffix("").parts
     if "repro" in parts:
@@ -423,7 +326,7 @@ def companion_test(display_path: str, tests_root: str = "tests") -> str:
         tail = parts[anchor + 1 :]
     else:
         tail = parts[-1:]
-    return f"{tests_root}/test_{'_'.join(tail)}.py"
+    return f"tests/test_{'_'.join(tail)}.py"
 
 
 def _tests_tier(task: MutantTask, state: dict[str, Any]) -> str | None:
@@ -447,7 +350,7 @@ def _tests_tier(task: MutantTask, state: dict[str, Any]) -> str | None:
             env=_probe_env(shadow.src_path),
             capture_output=True,
             text=True,
-            timeout=task.pytest_timeout,
+            timeout=PYTEST_TIMEOUT,
         )
     except subprocess.TimeoutExpired:
         return f"{test_file} timed out"
@@ -482,11 +385,6 @@ def _evaluate_mutant(task: MutantTask) -> MutantVerdict:
             detail=detail,
             seconds=wall_clock() - started,
         )
-
-    if "lint" in task.tiers:
-        detail = _lint_tier(task, mutated_source, state)
-        if detail is not None:
-            return verdict("killed", "lint", detail)
 
     needs_probe = "sanitizer" in task.tiers or "golden" in task.tiers
     shadow: ShadowTree = state["shadow"]
@@ -579,7 +477,7 @@ class VerdictCache:
                 json.dumps(payload, sort_keys=True), encoding="utf-8"
             )
         except OSError:
-            pass  # best-effort, like the lint index cache
+            pass  # best-effort: a lost cache only costs a cold run
 
 
 class BaselineError(RuntimeError):
@@ -592,23 +490,17 @@ class MutationEngine:
     def __init__(
         self,
         repo_root: Path | str = ".",
-        src_root: str = "src",
         *,
         cache_path: Path | None = DEFAULT_CACHE,
         jobs: int | None = None,
-        probe_timeout: float = 120.0,
-        pytest_timeout: float = 300.0,
         tiers: tuple[str, ...] = TIERS,
         operators: tuple[MutationOperator, ...] = OPERATORS,
     ) -> None:
         self.repo_root = Path(repo_root).resolve()
-        self.src_root = src_root
         self.cache = VerdictCache(
             self.repo_root / cache_path if cache_path else None
         )
         self.jobs = jobs
-        self.probe_timeout = probe_timeout
-        self.pytest_timeout = pytest_timeout
         self.tiers = tiers
         self.operators = operators
 
@@ -623,10 +515,10 @@ class MutationEngine:
         completed = subprocess.run(
             [sys.executable, "-m", "repro.mutate.probe"],
             cwd=self.repo_root,
-            env=_probe_env(self.repo_root / self.src_root),
+            env=_probe_env(self.repo_root / SRC_ROOT),
             capture_output=True,
             text=True,
-            timeout=self.probe_timeout,
+            timeout=PROBE_TIMEOUT,
         )
         try:
             payload = json.loads(completed.stdout)
@@ -657,7 +549,7 @@ class MutationEngine:
         max_mutants: int | None = None,
     ) -> tuple[SemanticIndex, list[Mutant], dict[str, str], int]:
         """(index, mutants, file shas, n_sites) for one run's scope."""
-        index = build_site_index(self.repo_root / self.src_root)
+        index = build_site_index(self.repo_root / SRC_ROOT)
         # Re-key display paths repo-relative so shadow paths line up.
         rel_modules = {}
         for display_path, summary in index.modules.items():
@@ -725,11 +617,8 @@ class MutationEngine:
             MutantTask(
                 mutant=mutant,
                 repo_root=str(self.repo_root),
-                src_root=self.src_root,
                 tree_sha=tree_sha,
                 baseline_fingerprint=baseline,
-                probe_timeout=self.probe_timeout,
-                pytest_timeout=self.pytest_timeout,
                 tiers=self.tiers,
             )
             for mutant in todo

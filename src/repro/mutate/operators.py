@@ -3,9 +3,9 @@
 Each operator walks a module's AST, restricted to the consensus-critical
 functions the site enumerator selected, and emits :class:`Mutant`
 records: surgical *text-span* patches (never ``ast.unparse``, which
-would strip the ``# repro: versioned`` markers and inline suppressions
-the lint tier keys on).  The catalog mirrors the exact mechanisms
-Bitcoin-NG's security argument rests on:
+would strip comments and reflow every line of the mutated file).  The
+catalog mirrors the exact mechanisms Bitcoin-NG's security argument
+rests on:
 
 =============  ==============================================================
 operator       paper mechanism it perturbs
@@ -15,8 +15,6 @@ cmp-flip       fork choice, coinbase maturity, validity boundaries
 frac-swap      fee-split / bound constants (0.4 → 0.6, Section 4.3 & 5)
 sig-drop       microblock / input signature verification (Section 4.2)
 cond-neg       validity guards (poison checks, leader checks)
-bump-del       ``.version`` bump discipline the incremental sanitizer trusts
-rng-swap       named RNG stream provenance (determinism discipline)
 int-shift      off-by-one on protocol constants in comparisons/returns
 =============  ==============================================================
 
@@ -33,18 +31,19 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from ..lint.semantic.extract import rng_stream_tag
-
 #: Bump when operator semantics change: stale cached verdicts for an
 #: older catalog must not be trusted.
-CATALOG_VERSION = 2
+CATALOG_VERSION = 3
 
 #: Call names whose verdict gates signature acceptance.
 _VERIFY_NAMES = frozenset(
     {"verify", "verify_signature", "verify_input_signatures"}
 )
 
-#: Statements the bump-delete operator removes.
+#: ``.version`` bumps are not mutated: the sanitizer compares versions
+#: for equality, so ``-=`` is an equivalent mutant, and a *dropped* bump
+#: is lint rule NG601's to catch (``tests/test_lint_semantic.py`` drops
+#: each one on the real ledger sources).
 _BUMP_TEXT = "self.version"
 
 
@@ -265,7 +264,7 @@ class ArithOpSwap(MutationOperator):
             ):
                 target = span.text(node.target)
                 if _BUMP_TEXT in target:
-                    continue  # bump-del owns `.version` statements
+                    continue
                 found = span.find_token(
                     span.end(node.target),
                     span.start(node.value),
@@ -428,84 +427,6 @@ class CondNegate(MutationOperator):
             )
 
 
-class BumpDelete(MutationOperator):
-    """Delete a ``self.version += 1`` bump (the NG601 hazard, planted)."""
-
-    name = "bump-del"
-    description = (
-        "remove a .version bump; the incremental sanitizer's dirty-set "
-        "tracker goes blind to the write (must die in the lint tier)"
-    )
-
-    def candidates(self, scope, span):
-        for node in _walk_scope(scope):
-            if not isinstance(node, ast.AugAssign):
-                continue
-            target = node.target
-            if not (
-                isinstance(target, ast.Attribute)
-                and target.attr == "version"
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
-                continue
-            original = span.text(node)
-            yield (
-                original,
-                "pass",
-                span.start(node),
-                span.end(node),
-                node.lineno,
-                f"`{original}` deleted",
-            )
-
-
-class RngStreamSwap(MutationOperator):
-    """Swap a named RNG stream for a sibling stream in the same module."""
-
-    name = "rng-swap"
-    description = (
-        "read from the wrong named RNG stream; one extra draw anywhere "
-        "reshuffles every downstream stream (must die via NG604 or the "
-        "golden fingerprint)"
-    )
-
-    def mutate(self, path, source, tree, qualnames):
-        # Streams available in this module, for cross-wiring.
-        streams: dict[str, str] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                tag = rng_stream_tag(node.id)
-                if tag is not None:
-                    streams.setdefault(tag, node.id)
-        self._streams = streams
-        return super().mutate(path, source, tree, qualnames)
-
-    def candidates(self, scope, span):
-        streams = getattr(self, "_streams", {})
-        if len(streams) < 2:
-            return
-        for node in _walk_scope(scope):
-            if not isinstance(node, ast.Name):
-                continue
-            tag = rng_stream_tag(node.id)
-            if tag is None:
-                continue
-            for other_tag in sorted(streams):
-                if other_tag == tag:
-                    continue
-                replacement = streams[other_tag]
-                yield (
-                    node.id,
-                    replacement,
-                    span.start(node),
-                    span.end(node),
-                    node.lineno,
-                    f"stream `{node.id}` → `{replacement}`",
-                )
-                break  # one sibling per site keeps the count bounded
-
-
 class IntShift(MutationOperator):
     """Off-by-one on integer constants at decision points."""
 
@@ -545,8 +466,6 @@ OPERATORS: tuple[MutationOperator, ...] = (
     FractionComplement(),
     SigVerifyDrop(),
     CondNegate(),
-    BumpDelete(),
-    RngStreamSwap(),
     IntShift(),
 )
 

@@ -70,7 +70,6 @@ class GossipNode:
         sim: Simulator,
         network: Network,
         relay_mode: RelayMode = RelayMode.INV,
-        verification_delay: float = 0.0,
         verification_seconds_per_byte: float = 0.0,
         request_timeout: float = 120.0,
     ) -> None:
@@ -78,10 +77,9 @@ class GossipNode:
         self.sim = sim
         self.network = network
         self.relay_mode = relay_mode
-        # Per-object processing cost before relaying (block verification);
-        # the paper notes large blocks "take longer to verify and propagate",
-        # so the delay has a fixed part and a size-proportional part.
-        self.verification_delay = verification_delay
+        # Per-object processing cost before relaying (block verification):
+        # the paper notes large blocks "take longer to verify and
+        # propagate", so the delay is proportional to size.
         self.verification_seconds_per_byte = verification_seconds_per_byte
         # How long to wait for a requested object before giving up on
         # that peer and retrying elsewhere (0 disables).  Generous by
@@ -339,10 +337,7 @@ class GossipNode:
                 self.penalize(sender, self.invalid_object_penalty)
             return
         self._store[obj_id] = stored
-        delay = (
-            self.verification_delay
-            + self.verification_seconds_per_byte * stored.size
-        )
+        delay = self.verification_seconds_per_byte * stored.size
         if delay > 0:
             self.sim.schedule(delay, self._accept, stored, sender)
         else:

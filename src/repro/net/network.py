@@ -161,9 +161,9 @@ class Network:
         else:
             self._offline.discard(node_id)
 
-    def set_online(self, node_id: int, online: bool = True) -> None:
+    def set_online(self, node_id: int) -> None:
         """Readable inverse of :meth:`set_offline` (node lifecycle API)."""
-        self.set_offline(node_id, offline=not online)
+        self.set_offline(node_id, offline=False)
 
     # -- fault injection ----------------------------------------------------
 

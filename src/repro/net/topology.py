@@ -22,6 +22,10 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
+#: How many random graphs :func:`random_topology` draws before giving up
+#: on a connected one.
+MAX_ATTEMPTS = 100
+
 
 @dataclass
 class Topology:
@@ -128,7 +132,6 @@ def random_topology(
     n_nodes: int,
     min_degree: int = 5,
     rng: random.Random | None = None,
-    max_attempts: int = 100,
 ) -> Topology:
     """Build the paper's random graph: each node picks >= ``min_degree`` peers.
 
@@ -141,7 +144,7 @@ def random_topology(
     if min_degree >= n_nodes:
         raise ValueError("min_degree must be below node count")
     rng = rng or random.Random(0)
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         topo = Topology(n_nodes)
         add_edge = topo.add_edge
         # ``others`` is the population minus the current node.  Rebuilt
@@ -160,7 +163,7 @@ def random_topology(
         if topo.is_connected():
             return topo
     raise RuntimeError(
-        f"failed to build a connected topology in {max_attempts} attempts"
+        f"failed to build a connected topology in {MAX_ATTEMPTS} attempts"
     )
 
 

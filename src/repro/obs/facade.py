@@ -29,9 +29,8 @@ from .trace import JsonlSink, Tracer
 
 SNAPSHOT_VERSION = 2
 
-# Default number of sampling points across a run when no explicit
-# period is configured: enough to see dynamics, cheap to store.
-DEFAULT_SAMPLE_POINTS = 100
+# Sampling points across a run: enough to see dynamics, cheap to store.
+SAMPLE_POINTS = 100
 
 
 def config_slug(config) -> str:
@@ -58,7 +57,6 @@ class Observability:
         tracer: Tracer | None = None,
         out_dir: str | Path | None = None,
         slug: str = "run",
-        sample_period: float | None = None,
     ) -> None:
         # Enabled means a tracer exists: with no sink it writes nothing
         # and the summary is all a run leaves behind.
@@ -67,7 +65,6 @@ class Observability:
         self.tracer.taps += (self.summary.add,)
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self.slug = slug
-        self.sample_period = sample_period
         self.samplers: list = []
 
     # -- construction -------------------------------------------------------
@@ -85,12 +82,7 @@ class Observability:
             return NULL_OBS
         slug = config_slug(config)
         sink = JsonlSink(Path(out_dir) / f"{slug}.trace.jsonl")
-        return cls(
-            tracer=Tracer(sink),
-            out_dir=out_dir,
-            slug=slug,
-            sample_period=getattr(config, "obs_sample_period", None),
-        )
+        return cls(tracer=Tracer(sink), out_dir=out_dir, slug=slug)
 
     def tapped(self, tap) -> "Observability":
         """This facade, its tracer showing ``tap`` each record first.
@@ -118,12 +110,6 @@ class Observability:
 
     # -- run lifecycle ------------------------------------------------------
 
-    def resolve_period(self, horizon: float) -> float:
-        """The sampling period: configured, or ~100 points per run."""
-        if self.sample_period is not None:
-            return self.sample_period
-        return max(horizon / DEFAULT_SAMPLE_POINTS, 1e-3)
-
     def install(self, sim, network, nodes, horizon: float, meta: dict | None = None) -> None:
         """Start samplers on ``sim`` and open the trace.
 
@@ -134,7 +120,7 @@ class Observability:
         """
         tracer = self.tracer
         tracer.emit("trace_start", sim.now, **(meta or {}))
-        period = self.resolve_period(horizon)
+        period = max(horizon / SAMPLE_POINTS, 1e-3)
         self.samplers = [
             LinkSampler(network, tracer, period=period, until=horizon),
             MempoolSampler(nodes, tracer, period=period, until=horizon),

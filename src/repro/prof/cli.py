@@ -23,7 +23,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     from . import profile_experiment, to_folded
     from .report import format_report
 
-    config = config_from_args(args).with_(check_stride=args.stride)
+    config = config_from_args(args, check_stride=args.stride)
     result, _log, profile = profile_experiment(config)
     out_dir = Path(args.out)
     slug = profile.meta.get("slug", "run")

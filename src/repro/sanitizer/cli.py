@@ -60,8 +60,10 @@ def _digest_run(args: argparse.Namespace) -> list:
     from ..experiments import run_experiment
     from .runtime import sanitizer_for
 
+    if args.stride < 1:
+        raise SystemExit("error: --stride must be at least 1")
     config = config_from_args(args)
-    runtime = sanitizer_for(config, digest_stride=max(1, args.stride))
+    runtime = sanitizer_for(config, digest_stride=args.stride)
     run_experiment(config, sanitizer=runtime)
     return runtime.digests
 

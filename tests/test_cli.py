@@ -621,6 +621,17 @@ def test_jobs_zero_is_an_error_not_a_traceback(monkeypatch):
         (["run", "--block-rate", "0"], "error: rates must be positive"),
         (["sweep", "frequency", "--blocks", "0"],
          "error: need at least one block"),
+        (["run", "--key-blocks", "0"], "error: need at least one block"),
+        (["prof", "run", "--out", "unused", "--stride", "0"],
+         "error: check_stride must be at least 1"),
+        (["check", "record", "--out", "unused", "--stride", "0"],
+         "error: --stride must be at least 1"),
+        (["check", "diverge", "--stride", "0"],
+         "error: --stride must be at least 1"),
+        (["incentives", "--alpha", "1.5"],
+         "error: attacker fraction must be in [0, 1), got 1.5"),
+        (["incentives", "--alpha", "-1"],
+         "error: attacker fraction must be in [0, 1), got -1.0"),
     ],
 )
 def test_bad_run_flag_is_an_error_not_a_traceback(
@@ -631,3 +642,30 @@ def test_bad_run_flag_is_an_error_not_a_traceback(
         main(command)
     # SystemExit(str): the interpreter prints that one line and exits 1.
     assert str(excinfo.value.code) == message
+
+
+# -- and a window in which nothing was mined --------------------------------------
+
+_NO_KEY_BLOCK = ["--nodes", "8", "--blocks", "3", "--key-blocks", "1"]
+
+
+@pytest.mark.parametrize("seed", ["0", "2"])
+@pytest.mark.parametrize(
+    "command",
+    [["run"], ["check", "record", "--out", "unused"],
+     ["prof", "run", "--out", "unused"]],
+    ids=" ".join,
+)
+def test_run_that_mines_no_weight_block_is_one_error_line(
+    monkeypatch, tmp_path, command, seed
+):
+    """P(no key block) is e^-1 at --key-blocks 1: a message, not
+    ``ValueError: empty main chain`` out of the fairness metric."""
+    monkeypatch.delenv("REPRO_CHECK", raising=False)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command, *_NO_KEY_BLOCK, "--seed", seed])
+    message = str(excinfo.value.code)
+    assert message.startswith("error: no key/PoW block reached the main chain")
+    assert " s of simulated mining (1 expected)" in message
+    assert not list(tmp_path.iterdir())

@@ -61,6 +61,8 @@ def test_validation():
         ExperimentConfig(block_size_bytes=0)
     with pytest.raises(ValueError):
         ExperimentConfig(target_blocks=0)
+    with pytest.raises(ValueError):
+        ExperimentConfig(target_key_blocks=0)
 
 
 def test_node_count_must_exceed_min_degree():

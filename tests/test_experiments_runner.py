@@ -3,7 +3,11 @@
 import pytest
 
 from repro.experiments.config import ExperimentConfig, Protocol
-from repro.experiments.runner import build_network, run_experiment
+from repro.experiments.runner import (
+    NoBlocksMinedError,
+    build_network,
+    run_experiment,
+)
 
 SMALL = ExperimentConfig(
     n_nodes=25,
@@ -79,6 +83,16 @@ def test_ghost_runs():
     result, log = run_experiment(SMALL.with_(protocol=Protocol.GHOST))
     assert result.blocks_generated > 10
     assert 0 < result.mining_power_utilization <= 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_window_without_a_key_block_raises_naming_the_window(seed):
+    config = SMALL.with_(
+        protocol=Protocol.BITCOIN_NG, n_nodes=8, seed=seed, target_blocks=3,
+        target_key_blocks=1, block_rate=0.1, key_block_rate=0.01,
+    )
+    with pytest.raises(NoBlocksMinedError, match=r"100 s .*\(1 expected\)"):
+        run_experiment(config)
 
 
 def test_network_matches_paper_shape():

@@ -1,13 +1,10 @@
-"""CLI-level analyzer tests: exit codes, JSON round-trip, baseline,
---explain.
+"""CLI-level analyzer tests: exit codes, JSON round-trip, --explain.
 
 Drives ``repro lint`` through :func:`repro.cli.main` exactly as a user
 or CI job would, asserting the contract the CI ``lint`` job and any
 pre-commit hook rely on: exit 0 on clean trees, exit 1 with findings,
-exit 2 on usage errors, machine-readable ``--json`` output that
-round-trips through :meth:`Finding.from_dict`, and a baseline that
-hides findings until the file is removed — at which point they
-resurface.
+exit 2 on usage errors, and machine-readable ``--json`` output that
+round-trips through :meth:`Finding.from_dict`.
 """
 
 import json
@@ -16,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.lint import RULES, Finding, load_baseline
+from repro.lint import RULES, Finding
 from repro.lint.engine import JSON_SCHEMA_VERSION
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
@@ -46,10 +43,9 @@ def test_missing_path_exits_two(capsys):
 def test_json_output_round_trips(capsys):
     assert main(["lint", str(FIXTURES), "--json"]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["version"] == JSON_SCHEMA_VERSION == 2
+    assert payload["version"] == JSON_SCHEMA_VERSION == 3
     assert sorted(payload["summary"]) == [
-        "baselined", "files_scanned", "findings", "stale_baseline",
-        "suppressed",
+        "files_scanned", "findings", "suppressed",
     ]
     assert payload["summary"]["findings"] == len(payload["findings"])
     assert payload["summary"]["suppressed"] == len(RULES)
@@ -58,40 +54,6 @@ def test_json_output_round_trips(capsys):
     for entry in payload["findings"]:
         finding = Finding.from_dict(entry)
         assert finding.to_dict() == entry
-        assert finding.fingerprint == entry["fingerprint"]
-
-
-def test_baseline_hides_then_resurfaces(tmp_path, capsys):
-    baseline = tmp_path / "lint-baseline.json"
-    # Freeze the current debt of the bad fixture...
-    assert main(["lint", str(BAD), "--baseline", str(baseline),
-                 "--write-baseline"]) == 0
-    entries = load_baseline(baseline)
-    assert len(entries) == 1
-    capsys.readouterr()
-    # ...the finding is now hidden and the run is green...
-    assert main(["lint", str(BAD), "--baseline", str(baseline)]) == 1 - 1
-    out = capsys.readouterr().out
-    assert "hidden by baseline" in out
-    # ...and removing the baseline resurfaces it.
-    baseline.unlink()
-    assert main(["lint", str(BAD), "--baseline", str(baseline)]) == 1
-
-
-def test_stale_baseline_entry_is_reported(tmp_path, capsys):
-    baseline = tmp_path / "lint-baseline.json"
-    baseline.write_text(json.dumps({
-        "version": 1,
-        "entries": {"gone.py:NG101:000000000000": "was fixed long ago"},
-    }), encoding="utf-8")
-    clean = tmp_path / "clean.py"
-    clean.write_text("x = 1\n", encoding="utf-8")
-    assert main(["lint", str(clean), "--baseline", str(baseline)]) == 0
-    err = capsys.readouterr().err
-    assert "stale baseline entry" in err
-    # The stale report names the rule code and file, not just the
-    # opaque fingerprint, so baseline cleanup is not guesswork.
-    assert "NG101 in gone.py" in err
 
 
 def test_why_appends_call_path_to_semantic_findings(capsys):
@@ -114,38 +76,15 @@ def test_semantic_cache_flag_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
-def test_bad_baseline_version_exits_two(tmp_path, capsys):
-    baseline = tmp_path / "lint-baseline.json"
-    baseline.write_text('{"version": 99, "entries": {}}', encoding="utf-8")
-    assert main(["lint", str(BAD), "--baseline", str(baseline)]) == 2
-    assert "bad baseline" in capsys.readouterr().err
-
-
-def test_write_baseline_requires_baseline_path(capsys):
-    assert main(["lint", str(BAD), "--write-baseline"]) == 2
-    assert "--write-baseline requires" in capsys.readouterr().err
-
-
-def test_baseline_survives_unrelated_edits_not_snippet_edits(tmp_path):
-    """The fingerprint ignores line numbers but not the snippet."""
-    source = tmp_path / "mod.py"
-    source.write_text(
-        "import random\n\nvalue = random.random()\n", encoding="utf-8"
-    )
-    baseline = tmp_path / "base.json"
-    assert main(["lint", str(source), "--baseline", str(baseline),
-                 "--write-baseline"]) == 0
-    # Unrelated lines above shift the finding: still hidden.
-    source.write_text(
-        "import random\n\nPAD = 1\nMORE = 2\n\nvalue = random.random()\n",
-        encoding="utf-8",
-    )
-    assert main(["lint", str(source), "--baseline", str(baseline)]) == 0
-    # Editing the offending line itself resurfaces the finding.
-    source.write_text(
-        "import random\n\nvalue = 2 * random.random()\n", encoding="utf-8"
-    )
-    assert main(["lint", str(source), "--baseline", str(baseline)]) == 1
+@pytest.mark.parametrize(
+    "flags", [["--baseline", "x.json"], ["--write-baseline"]]
+)
+def test_baseline_flags_are_usage_errors(flags, capsys):
+    # `# repro: allow[CODE]` is the one escape hatch.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["lint", str(BAD), *flags])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
 
 
 # -- rule selection (--select / --ignore / --list-rules) ---------------------

@@ -4,12 +4,16 @@ The fixture package under ``tests/semantic_fixtures/`` is the golden
 input: small modules exercising versioned classes, self-call bump
 coverage, cross-module call edges, and return-value taint.  The
 planted-bug tests then prove the NG6xx rules catch real violations:
-a `UtxoSet` copy with one `self.version += 1` deleted must trip NG601,
-and a checker that mutates a mempool through a helper must trip NG602.
+the real mempool and UTXO set with any one `self.version += 1` deleted
+must trip NG601, and a checker that mutates a mempool through a helper
+must trip NG602.
 """
 
 import ast
+import shutil
 from pathlib import Path
+
+import pytest
 
 from repro.lint import lint_paths
 from repro.lint.semantic import (
@@ -120,9 +124,8 @@ def test_index_json_is_byte_identical_across_builds():
     """Two builds of the same sources compare equal, summary by summary.
 
     The index never leaves the process (no JSON since the on-disk cache
-    went); what still leans on this is ``repro.mutate``'s lint tier,
-    which splices one re-extracted summary into summaries extracted
-    earlier and needs extraction to be a pure function of the source.
+    went); what still leans on this is ``repro.mutate``'s site
+    enumeration, which must name the same sites run after run.
     """
     first = _fixture_index()
     second = build_index(_parse_dir(FIXTURES))
@@ -146,12 +149,54 @@ def test_escape_via_self_call_is_flagged():
     assert any("self.rows" in step for step in caller.why)
 
 
-# The hand-rolled missing-bump plant (string-replacing a version bump
-# in a copy of utxo.py and asserting NG601) now lives in the mutation
-# pipeline: tests/test_mutate.py::
-# test_ported_planted_bump_del_dies_in_lint_tier drives the same
-# defect through the `bump-del` operator and the lint kill tier, over
-# every bump site in repro.ledger instead of just the first one.
+BUMP = "self.version += 1"
+
+#: (file, method whose bump is dropped, callers the write escapes through)
+BUMP_SITES = [
+    ("mempool.py", "Mempool.add", {"Mempool.seed"}),
+    ("mempool.py", "Mempool.remove", {"Mempool.evict_conflicts"}),
+    ("mempool.py", "Mempool.clear", set()),
+    ("utxo.py", "UtxoSet.apply", set()),
+    ("utxo.py", "UtxoSet.undo", set()),
+    ("utxo.py", "UtxoSet.credit", set()),
+]
+
+
+@pytest.fixture
+def ledger_copy(tmp_path):
+    """The real ``repro.ledger`` sources, under a path lint reads as such."""
+    copy = tmp_path / "repro" / "ledger"
+    shutil.copytree(
+        SRC / "repro" / "ledger", copy,
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    assert lint_paths([copy], codes=("NG601",)).findings == []
+    return copy
+
+
+@pytest.mark.parametrize(
+    "filename, method, callers", BUMP_SITES, ids=[s[1] for s in BUMP_SITES]
+)
+def test_dropped_version_bump_is_ng601(ledger_copy, filename, method, callers):
+    """Every bump the incremental sanitizer trusts is one NG601 guards.
+
+    Drops, in turn, each ``self.version += 1`` of the real mempool and
+    UTXO set: the method that lost it is flagged, and so is each method
+    whose write reaches it by a self-call — nothing else.
+    """
+    path = ledger_copy / filename
+    source = path.read_text(encoding="utf-8")
+    in_file = [site[1] for site in BUMP_SITES if site[0] == filename]
+    assert source.count(BUMP) == len(in_file)
+    pieces = source.split(BUMP)
+    nth = in_file.index(method)
+    path.write_text(
+        BUMP.join(pieces[: nth + 1]) + "pass" + BUMP.join(pieces[nth + 1 :]),
+        encoding="utf-8",
+    )
+    findings = lint_paths([ledger_copy], codes=("NG601",)).findings
+    assert {f.code for f in findings} == {"NG601"}
+    assert {f.message.split("`")[1] for f in findings} == {method} | callers
 
 
 def test_planted_mempool_mutating_checker(tmp_path):
@@ -192,49 +237,7 @@ def test_real_tree_has_no_semantic_findings():
     )
 
 
-# -- baselines & NG603 lifecycle hooks (regression coverage) ------------------
-
-
-def test_baseline_survives_hide_then_refactor(tmp_path):
-    """Semantic fingerprints must pin the *finding*, not its line numbers.
-
-    Scenario: a team baselines an NG601 finding, then refactors the
-    module — new helpers above the class shift every lineno, and the
-    offending method's def line moves.  The ``why`` call-path lines all
-    change, but the baseline entry must keep hiding the finding; only
-    actually fixing (or worsening) the bug may surface it.
-    """
-    source = (SRC / "repro" / "ledger" / "utxo.py").read_text(
-        encoding="utf-8"
-    )
-    planted = source.replace("self.version += 1", "pass", 1)
-    copy = tmp_path / "utxo_planted.py"
-    copy.write_text(planted, encoding="utf-8")
-    before = lint_paths([copy])
-    assert [f.code for f in before.findings] == ["NG601"]
-    baseline = {f.fingerprint: "known debt" for f in before.findings}
-    assert lint_paths([copy], baseline=baseline).findings == []
-
-    # Refactor: shift every line down and move the def lines around
-    # without touching behaviour.
-    shifted = (
-        '"""Planted copy, post-refactor."""\n'
-        "\n"
-        "PADDING_A = 1\n"
-        "PADDING_B = 2\n"
-        "\n\n" + planted
-    )
-    copy.write_text(shifted, encoding="utf-8")
-    after = lint_paths([copy])
-    assert [f.code for f in after.findings] == ["NG601"]
-    assert after.findings[0].line != before.findings[0].line
-    assert (
-        after.findings[0].fingerprint == before.findings[0].fingerprint
-    )
-    report = lint_paths([copy], baseline=baseline)
-    assert report.findings == []
-    assert report.baselined == 1
-    assert report.stale_baseline == []
+# -- NG603 lifecycle hooks (regression coverage) ------------------------------
 
 
 def test_ng603_flags_lifecycle_hook_missing_keyword(tmp_path):

@@ -1,12 +1,9 @@
 """Mutation subsystem tests: operators, sites, engine, cache, pipeline.
 
-The planted-bug ports at the bottom replace hand-rolled plant-and-check
-tests with assertions through the real kill pipeline: the deleted
-version bump that ``test_lint_semantic`` used to plant by string
-replacement is now the ``bump-del`` operator killed at the lint tier,
-and the overpaying fee split that ``test_sanitizer`` builds by hand is
-the ``frac-swap``/``arith-swap`` operators on ``core/remuneration.py``
-killed by the probe — one pipeline, one assertion style, per defect.
+The planted-bug port at the bottom replaces a hand-rolled
+plant-and-check test with assertions through the real kill pipeline:
+the overpaying fee split that ``test_sanitizer`` builds by hand is the
+``arith-swap`` operator on ``core/remuneration.py`` killed by the probe.
 """
 
 import shutil
@@ -22,6 +19,7 @@ from repro.mutate.engine import (
     companion_test,
 )
 from repro.mutate.operators import (
+    OPERATORS,
     OPERATORS_BY_NAME,
     generate_mutants,
 )
@@ -107,46 +105,6 @@ def test_sig_drop_forces_and_inverts_the_verdict():
     ]
 
 
-def test_bump_del_removes_version_bumps_only():
-    source, mutants = _mutants(
-        """
-        class Store:
-            def put(self, key):
-                self.items[key] = 1
-                self.version += 1
-                self.count += 1
-        """,
-        {"Store.put"},
-        "bump-del",
-    )
-    assert [m.original for m in mutants] == ["self.version += 1"]
-    assert "self.version" not in mutants[0].apply(source)
-    assert "self.count += 1" in mutants[0].apply(source)
-
-
-def test_rng_swap_needs_two_streams():
-    source, mutants = _mutants(
-        """
-        def draw(rng_mining, rng_latency):
-            return rng_mining.random() + rng_latency.random()
-        """,
-        {"draw"},
-        "rng-swap",
-    )
-    assert mutants, "two streams present: swaps must be generated"
-    assert all(m.original != m.replacement for m in mutants)
-
-    _, none = _mutants(
-        """
-        def draw(rng_mining):
-            return rng_mining.random()
-        """,
-        {"draw"},
-        "rng-swap",
-    )
-    assert none == []
-
-
 def test_int_shift_only_at_decision_points():
     source, mutants = _mutants(
         """
@@ -190,6 +148,18 @@ def test_every_generated_mutant_parses_and_applies():
     assert len(ids) == len(set(ids)), "mutant ids must be unique"
     for mutant in mutants:
         assert mutant.apply(source) != source
+
+
+def test_no_operator_without_a_mutant():
+    """An operator the real tree gives nothing to is dead weight."""
+    assert sorted(OPERATORS_BY_NAME) == [
+        "arith-swap", "cmp-flip", "cond-neg", "frac-swap", "int-shift",
+        "sig-drop",
+    ]
+    engine = MutationEngine(REPO, cache_path=None)
+    _index, mutants, _shas, _n_sites = engine.collect_mutants()
+    produced = {mutant.operator for mutant in mutants}
+    assert produced == {operator.name for operator in OPERATORS}
 
 
 # -- site enumeration --------------------------------------------------------
@@ -282,7 +252,7 @@ def _verdict(mutant_id, operator, status, tier, path="src/repro/core/x.py"):
 def test_kill_matrix_and_scores():
     run = MutationRun(
         verdicts=[
-            _verdict("a", "cmp-flip", "killed", "lint"),
+            _verdict("a", "cmp-flip", "killed", "sanitizer"),
             _verdict("b", "cmp-flip", "killed", "tests"),
             _verdict("c", "cmp-flip", "survived", ""),
             _verdict("d", "sig-drop", "killed", "golden",
@@ -290,7 +260,7 @@ def test_kill_matrix_and_scores():
         ]
     )
     matrix = kill_matrix(run)
-    assert matrix["cmp-flip"]["lint"] == 1
+    assert matrix["cmp-flip"]["sanitizer"] == 1
     assert matrix["cmp-flip"]["tests"] == 1
     assert matrix["cmp-flip"]["survived"] == 1
     assert matrix["sig-drop"]["golden"] == 1
@@ -301,7 +271,7 @@ def test_kill_matrix_and_scores():
     assert run.score == pytest.approx(3 / 4)
     section = bench_section(run)
     assert section["n_mutants"] == 4
-    assert section["kills_by_tier"]["lint"] == 1
+    assert section["kills_by_tier"]["sanitizer"] == 1
 
 
 def test_gate_requires_survivors_to_be_catalogued(tmp_path):
@@ -334,29 +304,6 @@ def mini_repo(tmp_path_factory):
     shutil.copytree(SRC, root / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     return root
-
-
-def test_ported_planted_bump_del_dies_in_lint_tier(mini_repo):
-    """The NG601 plant, through the real pipeline.
-
-    ``test_lint_semantic`` used to delete a ``self.version += 1`` by
-    string replacement and assert NG601 by hand; here the ``bump-del``
-    operator plants the same defect in every versioned method and the
-    lint tier must kill every one — no probe, no pytest, pure static.
-    """
-    engine = MutationEngine(
-        mini_repo,
-        cache_path=None,
-        tiers=("lint",),
-        operators=(OPERATORS_BY_NAME["bump-del"],),
-    )
-    run = engine.run(("repro.ledger",))
-    bump_dels = [v for v in run.verdicts if v.operator == "bump-del"]
-    assert len(bump_dels) >= 3  # apply/undo/credit at minimum
-    for verdict in bump_dels:
-        assert verdict.status == "killed"
-        assert verdict.tier == "lint"
-        assert verdict.detail.startswith("NG601")
 
 
 def test_ported_fee_split_mutants_die_dynamically(mini_repo):
@@ -396,14 +343,16 @@ def test_verdict_cache_makes_reruns_warm(mini_repo):
     cache = mini_repo / "cache.json"
     kwargs = dict(
         cache_path=Path("cache.json"),
-        tiers=("lint",),
-        operators=(OPERATORS_BY_NAME["bump-del"],),
+        tiers=("sanitizer", "golden"),
+        operators=(OPERATORS_BY_NAME["frac-swap"],),
     )
-    cold = MutationEngine(mini_repo, **kwargs).run(("repro.ledger",))
+    scope = dict(only_files=["src/repro/core/params.py"])
+    cold = MutationEngine(mini_repo, **kwargs).run(("repro.core",), **scope)
+    assert cold.verdicts
     assert cold.cache_misses == len(cold.verdicts)
     assert cache.exists()
 
-    warm = MutationEngine(mini_repo, **kwargs).run(("repro.ledger",))
+    warm = MutationEngine(mini_repo, **kwargs).run(("repro.core",), **scope)
     assert warm.cache_hits == len(warm.verdicts)
     assert warm.cache_misses == 0
     assert [v.to_dict() for v in warm.verdicts] == [

@@ -265,16 +265,6 @@ def test_pooled_obs_results_equal_serial_obs_results(tmp_path):
     ]
 
 
-def test_sample_period_override():
-    sink = MemorySink()
-    obs = Observability(tracer=Tracer(sink), sample_period=1000.0)
-    run_experiment(SMALL.with_(protocol=Protocol.BITCOIN), obs=obs)
-    links = [r for r in sink.records if r["ev"] == "sample_links"]
-    # Horizon is 95 s at these parameters: a 1000 s period never fires.
-    assert links == []
-    assert obs.resolve_period(50.0) == 1000.0
-
-
 def test_slug_distinguishes_sweep_axes():
     slugs = {
         config_slug(SMALL.with_(protocol=Protocol.BITCOIN)),
