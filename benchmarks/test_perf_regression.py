@@ -593,7 +593,6 @@ def test_profiler_attribution():
                 "events_processed": big.events_processed,
                 "wall_simulate_seconds": round(big.wall_simulate_seconds, 3),
                 "coverage": round(big.coverage, 4),
-                "epoch_spans": len(big.spans),
                 "phases": _phase_breakdown(big),
             },
             "checked_40": {

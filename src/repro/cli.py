@@ -20,7 +20,6 @@ Examples::
     python -m repro check record --out run.digests.jsonl
     python -m repro prof run --protocol bitcoin-ng --nodes 1000 --out prof/
     python -m repro prof report prof/bitcoin-ng-f0.2-b8000-seed0.prof.json
-    python -m repro prof diff before.prof.json after.prof.json
     python -m repro sweep frequency --nodes 60 --progress
 """
 
@@ -44,6 +43,24 @@ from .experiments import (
     run_experiment,
     size_sweep,
 )
+
+
+def positive_int(text: str) -> int:
+    """argparse ``type=`` for a row or bucket count: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def reject_wrong_kind(flag: str, path: str | None, *, directory: bool) -> None:
+    """Exit before anything runs if an output ``path`` exists as the
+    wrong kind, rather than in ``mkdir`` / ``open`` after the run."""
+    if path and os.path.exists(path) and os.path.isdir(path) != directory:
+        raise SystemExit(
+            f"error: {flag} {path}: "
+            + ("not a directory" if directory else "is a directory")
+        )
 
 
 def add_run_arguments(
@@ -149,9 +166,7 @@ def config_from_args(
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     obs_dir = getattr(args, "obs", None)
-    if obs_dir and os.path.exists(obs_dir) and not os.path.isdir(obs_dir):
-        # Caught here, not by the trace sink's mkdir once the run is built.
-        raise SystemExit(f"error: --obs {obs_dir}: not a directory")
+    reject_wrong_kind("--obs", obs_dir, directory=True)
     fields: dict = {
         "n_nodes": args.nodes,
         "seed": args.seed,
@@ -463,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
         "path", help="a .trace.jsonl file or a directory of them"
     )
     timeline_parser.add_argument(
-        "--buckets", type=int, default=20, help="number of time buckets"
+        "--buckets", type=positive_int, default=20, help="number of time buckets"
     )
     talkers_parser = trace_commands.add_parser(
         "toptalkers", help="rank nodes by bytes sent"
@@ -472,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
         "path", help="a .trace.jsonl file or a directory of them"
     )
     talkers_parser.add_argument(
-        "--top", type=int, default=10, help="how many nodes to list"
+        "--top", type=positive_int, default=10, help="how many nodes to list"
     )
     for sub in (summarize_parser, timeline_parser, talkers_parser):
         sub.set_defaults(handler=_cmd_trace)

@@ -131,10 +131,10 @@ def run_experiment(
     (digest recording does this), or leave it to be built from the
     protocol adapter's checker set when ``config.check`` is on.
     ``profiler`` (a :class:`~repro.prof.runtime.ProfilerRuntime`)
-    attaches to the simulator's dispatch loop after the sanitizer, taps
-    the trace stream for epoch spans, and — combined with
-    ``config.check`` — times each invariant checker; it observes wall
-    time only, so a profiled run is bit-identical to a bare one.  Setup
+    attaches to the simulator's dispatch loop after the sanitizer and —
+    combined with ``config.check`` — times each invariant checker; it
+    observes wall time only, so a profiled run is bit-identical to a
+    bare one and writes the same trace.  Setup
     (topology, links, nodes) and simulation are timed separately so
     event-rate figures cover only the simulate phase.
     """
@@ -143,8 +143,6 @@ def run_experiment(
     sim = Simulator(seed=config.seed)
     if obs is None:
         obs = Observability.from_config(config)
-    if profiler is not None:
-        obs = profiler.wrap_observability(obs)
     if sanitizer is None and config.check:
         from ..sanitizer.runtime import sanitizer_for
 

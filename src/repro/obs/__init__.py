@@ -12,8 +12,8 @@ The instrumentation layer for the simulation stack.  See
     # result.obs              — the same snapshot, in-process
 
 One record stream, one fold: every number in the snapshot is
-:class:`TraceSummary` (``repro trace summarize``'s aggregate) tapped
-onto the live tracer, so it equals ``summarize`` of the saved file.
+:class:`TraceSummary` (``repro trace summarize``'s aggregate) as the
+live tracer's tap, so it equals ``summarize`` of the saved file.
 Disabled (the default) costs nothing measurable: hot paths hold either
 a live tracer or ``None`` behind one attribute check.
 """

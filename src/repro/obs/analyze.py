@@ -85,8 +85,8 @@ class TraceSummary:
     """Aggregates of one record stream — a saved trace or a live run.
 
     :meth:`add` has the :class:`~repro.obs.trace.Tracer` tap signature,
-    so the same fold runs over a file (:func:`summarize`) and, tapped
-    onto the run's tracer, over the records as they are emitted; every
+    so the same fold runs over a file (:func:`summarize`) and, as the
+    run's tracer's tap, over the records as they are emitted; every
     field is current after each call.
     """
 
@@ -112,10 +112,12 @@ class TraceSummary:
     peak_tips: int = 0
     faults: dict[str, int] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
-    # Epoch spans from the profiler (``prof_span`` records), when the
-    # trace was captured under ``repro prof`` / a ProfilerRuntime tap.
-    prof_spans: int = 0
-    prof_spans_closed: int = 0
+    # NG leader epochs (paper §4) as spans: each ``epoch_start`` opens
+    # one, the leader's ``epoch_end`` or re-election closes it, and its
+    # own microblocks count toward it.  Sums cover closed spans; the
+    # rest were still open at the end of the trace.
+    epoch_spans: int = 0
+    epoch_spans_closed: int = 0
     span_duration_sum: float = 0.0
     span_micros_sum: int = 0
     # Indexed by node id.  Traffic is counted when *booked* onto a link
@@ -128,6 +130,11 @@ class TraceSummary:
     # span yet; unannotated, so not a dataclass field.
     _spanned = False
 
+    def __post_init__(self) -> None:
+        # Leader id -> [start, microblocks] of its open epoch span; not
+        # a dataclass field either.
+        self._open_spans = {}
+
     @property
     def queue_delay_mean(self) -> float:
         if not self.queue_delay_count:
@@ -136,15 +143,15 @@ class TraceSummary:
 
     @property
     def span_duration_mean(self) -> float:
-        if not self.prof_spans_closed:
+        if not self.epoch_spans_closed:
             return 0.0
-        return self.span_duration_sum / self.prof_spans_closed
+        return self.span_duration_sum / self.epoch_spans_closed
 
     @property
     def span_micros_mean(self) -> float:
-        if not self.prof_spans_closed:
+        if not self.epoch_spans_closed:
             return 0.0
-        return self.span_micros_sum / self.prof_spans_closed
+        return self.span_micros_sum / self.epoch_spans_closed
 
     @property
     def total_bytes(self) -> int:
@@ -166,6 +173,11 @@ class TraceSummary:
                 dict(bytes_out=0, bytes_in=0, messages_out=0, messages_in=0)
             )
             self.blocks_by_node.append(0)
+
+    def _close_span(self, span: list, end: float) -> None:
+        self.epoch_spans_closed += 1
+        self.span_duration_sum += end - span[0]
+        self.span_micros_sum += span[1]
 
     def add(self, ev: str, t: float, fields: dict) -> None:
         """Fold one record in (a saved record's v/ev/t keys are ignored)."""
@@ -207,12 +219,27 @@ class TraceSummary:
             miner = fields.get("miner", 0)
             self._grow(miner)
             self.blocks_by_node[miner] += 1
+            if kind == "micro":
+                span = self._open_spans.get(miner)
+                if span is not None:
+                    span[1] += 1
         elif ev == "tip_change":
             self.tip_changes += 1
         elif ev == "epoch_start":
             self.epochs_started += 1
+            self.epoch_spans += 1
+            leader = fields.get("leader", -1)
+            stale = self._open_spans.get(leader)
+            if stale is not None:
+                # Re-elected without observing its loss (a fork resolved
+                # back): the earlier span closes where the new one opens.
+                self._close_span(stale, t)
+            self._open_spans[leader] = [t, 0]
         elif ev == "epoch_end":
             self.epochs_ended += 1
+            span = self._open_spans.pop(fields.get("leader", -1), None)
+            if span is not None:
+                self._close_span(span, t)
         elif ev == "gossip_retry":
             self.gossip_retries += 1
         elif ev == "obj_reject":
@@ -230,12 +257,6 @@ class TraceSummary:
             self.peak_mempool = max(self.peak_mempool, fields.get("max", 0))
         elif ev == "sample_forks":
             self.peak_tips = max(self.peak_tips, fields.get("tips", 0))
-        elif ev == "prof_span":
-            self.prof_spans += 1
-            if fields.get("closed", True):
-                self.prof_spans_closed += 1
-                self.span_duration_sum += t - fields.get("start", t)
-                self.span_micros_sum += fields.get("micros", 0)
         elif ev == "trace_start":
             self.meta = {
                 k: v for k, v in fields.items() if k not in ("v", "ev", "t")
@@ -300,11 +321,11 @@ def format_summary(summary: TraceSummary, name: str = "") -> str:
             f"leader epochs:       {summary.epochs_started} started, "
             f"{summary.epochs_ended} ended"
         )
-    if summary.prof_spans:
-        open_spans = summary.prof_spans - summary.prof_spans_closed
+    if summary.epoch_spans:
+        open_spans = summary.epoch_spans - summary.epoch_spans_closed
         suffix = f", {open_spans} open at run end" if open_spans else ""
         lines.append(
-            f"epoch spans:         {summary.prof_spans} profiled, "
+            f"epoch spans:         {summary.epoch_spans}, "
             f"mean {summary.span_duration_mean:.1f} s, "
             f"mean {summary.span_micros_mean:.1f} microblocks{suffix}"
         )

@@ -6,7 +6,7 @@ nodes pick the tracer up from the network, and the runner asks it to
 install periodic samplers and to produce the final snapshot.  Every
 number in that snapshot is folded from the record stream by the same
 :class:`~repro.obs.analyze.TraceSummary` that ``repro trace summarize``
-runs over the saved file, tapped onto the live tracer.
+runs over the saved file, set as the live tracer's tap.
 
 The disabled state is the singleton :data:`NULL_OBS` — its tracer is
 ``None`` and ``install``/``finalize`` do nothing — so un-instrumented
@@ -27,7 +27,7 @@ from .analyze import TraceSummary
 from .samplers import ForkSampler, LinkSampler, MempoolSampler
 from .trace import JsonlSink, Tracer
 
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 # Sampling points across a run: enough to see dynamics, cheap to store.
 SAMPLE_POINTS = 100
@@ -62,7 +62,7 @@ class Observability:
         # and the summary is all a run leaves behind.
         self.tracer = tracer if tracer is not None else Tracer()
         self.summary = TraceSummary()
-        self.tracer.taps += (self.summary.add,)
+        self.tracer.tap = self.summary.add
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self.slug = slug
         self.samplers: list = []
@@ -83,16 +83,6 @@ class Observability:
         slug = config_slug(config)
         sink = JsonlSink(Path(out_dir) / f"{slug}.trace.jsonl")
         return cls(tracer=Tracer(sink), out_dir=out_dir, slug=slug)
-
-    def tapped(self, tap) -> "Observability":
-        """This facade, its tracer showing ``tap`` each record first.
-
-        The tracer held until now is left as it was — same sink, same
-        summary — so what ``tap`` emits into it is folded and written
-        once, ahead of the record that prompted it.
-        """
-        self.tracer = Tracer(self.tracer.sink, tap, *self.tracer.taps)
-        return self
 
     # -- file layout --------------------------------------------------------
 
@@ -173,16 +163,6 @@ class _NullObservability:
     out_dir = None
     slug = ""
     samplers: list = []
-
-    def tapped(self, tap) -> "_NullObservability":
-        """A still-disabled facade whose sink-less tracer feeds ``tap``.
-
-        Nodes guard on ``tracer is not None`` alone, so they emit into
-        it; the network keys on ``enabled`` and stays on its bare path.
-        """
-        clone = _NullObservability()
-        clone.tracer = Tracer(None, tap)
-        return clone
 
     def install(self, sim, network, nodes, horizon, meta=None) -> None:
         pass

@@ -37,13 +37,15 @@ Record vocabulary (schema version 1):
                          message, snapshot) — checked (``--check``) runs only
 ``state_digest``         a sanitizer digest snapshot was captured (index =
                          events processed, nodes covered)
-``prof_span``            a profiled NG leader epoch closed (leader, key_block,
-                         start, micros, closed) — profiled runs only
 ``trace_end``            final counters, closes the file
 =======================  ===================================================
 
 The schema is append-only: new record types or fields may appear within
-a version; removals or meaning changes bump ``SCHEMA_VERSION``.
+a version; removals or meaning changes bump ``SCHEMA_VERSION``.  Older
+traces of profiled runs also hold the profiler's epoch-span records,
+which are no longer written (``docs/observability.md``); they were
+optional and a reader only counts them as an event type, so the
+version stayed 1.
 """
 
 from __future__ import annotations
@@ -114,25 +116,24 @@ class Tracer:
 
     Instrumented code holds either a ``Tracer`` or ``None``; hot paths
     guard with ``if tracer is not None`` so a disabled run pays one
-    attribute check and nothing else.  Each of ``taps``, called as
-    ``tap(ev, t, fields)`` in order, sees every record before it is
-    written — what a tap emits in turn lands ahead of that record; with
-    no ``sink`` the taps are all there is and nothing is written.
+    attribute check and nothing else.  ``tap``, called as
+    ``tap(ev, t, fields)``, sees every record — an ``Observability``
+    sets it to its summary's fold; with no ``sink`` nothing is written.
     """
 
-    __slots__ = ("sink", "taps")
+    __slots__ = ("sink", "tap")
 
-    def __init__(self, sink=None, *taps) -> None:
+    def __init__(self, sink=None, tap=None) -> None:
         self.sink = sink
-        self.taps = taps
+        self.tap = tap
 
     @property
     def records_written(self) -> int:
         return self.sink.records_written if self.sink is not None else 0
 
     def emit(self, ev: str, t: float, **fields) -> None:
-        for tap in self.taps:
-            tap(ev, t, fields)
+        if self.tap is not None:
+            self.tap(ev, t, fields)
         if self.sink is not None:
             record = {"v": SCHEMA_VERSION, "ev": ev, "t": t}
             record.update(fields)

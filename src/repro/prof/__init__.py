@@ -1,4 +1,4 @@
-"""Deterministic hot-path profiling: phase attribution and epoch spans.
+"""Deterministic hot-path profiling: one run's wall-time attribution.
 
 The measurement layer for performance work on the simulation stack.
 See ``docs/profiling.md`` for usage; the short version::
@@ -13,7 +13,6 @@ Or from the shell::
 
     python -m repro prof run --protocol bitcoin-ng --nodes 1000 --out prof/
     python -m repro prof report prof/<slug>.prof.json
-    python -m repro prof diff before.prof.json after.prof.json
 
 Profiling never perturbs results: profiled runs are bit-identical to
 bare runs (``tests/test_determinism.py``), and an unprofiled run has no
@@ -26,26 +25,16 @@ from .profile import (
     PHASE_HEAPPOP,
     PHASE_SANITIZE,
     PROFILE_VERSION,
-    EpochSpan,
     PhaseStat,
     Profile,
     ProfileError,
     load_profile,
     to_folded,
 )
-from .report import (
-    DEFAULT_MIN_DELTA,
-    DEFAULT_THRESHOLD,
-    compare_profiles,
-    format_diff,
-    format_report,
-)
+from .report import format_report
 from .runtime import ProfilerRuntime
 
 __all__ = [
-    "DEFAULT_MIN_DELTA",
-    "DEFAULT_THRESHOLD",
-    "EpochSpan",
     "PHASE_DISPATCH",
     "PHASE_HEAPPOP",
     "PHASE_SANITIZE",
@@ -54,8 +43,6 @@ __all__ = [
     "Profile",
     "ProfileError",
     "ProfilerRuntime",
-    "compare_profiles",
-    "format_diff",
     "format_report",
     "load_profile",
     "profile_experiment",
@@ -63,20 +50,18 @@ __all__ = [
 ]
 
 
-def profile_experiment(config, profiler: ProfilerRuntime | None = None):
+def profile_experiment(config):
     """Run one profiled experiment: ``(result, log, profile)``.
 
     The convenience entry point the CLI, benchmarks, and tests share.
-    ``profiler`` may be injected pre-built (to wire extra taps); by
-    default a fresh :class:`ProfilerRuntime` is used.  The experiment
-    itself is bit-identical to an unprofiled ``run_experiment(config)``.
+    The experiment itself is bit-identical to an unprofiled
+    ``run_experiment(config)``.
     """
     from ..experiments.runner import run_experiment
     from ..obs.facade import config_slug
     from ..protocols import protocol_name
 
-    if profiler is None:
-        profiler = ProfilerRuntime()
+    profiler = ProfilerRuntime()
     result, log = run_experiment(config, profiler=profiler)
     meta = {
         "slug": config_slug(config),
@@ -93,6 +78,5 @@ def profile_experiment(config, profiler: ProfilerRuntime | None = None):
         wall_setup=result.wall_setup_seconds,
         wall_simulate=result.wall_simulate_seconds,
         events=result.events_processed,
-        end_time=config.duration + config.cooldown,
     )
     return result, log, profile

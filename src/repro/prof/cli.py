@@ -1,14 +1,15 @@
-"""The ``repro prof`` subcommands: profile, report, compare.
+"""The ``repro prof`` subcommands: profile and report.
 
 ``repro prof run`` profiles one experiment and writes two artifacts
 into ``--out``: ``<slug>.prof.json`` (the schema-versioned profile) and
 ``<slug>.folded`` (folded stacks for flamegraph renderers), then prints
 the attribution report.  ``repro prof report`` re-renders a saved
-profile; ``repro prof diff`` compares two and flags phase-level
-regressions (exit 1 when any phase got both ``--threshold`` relatively
-and ``--min-delta`` seconds absolutely slower).
+profile.  Whether a change moved a phase is answered by the benchmark's
+repeated runs (``bench/run.py --trace 1`` ledgers and ``--compare``),
+not by comparing two profiles.
 
-Exit codes: 0 ok, 1 regression flagged (diff only), 2 usage/input error.
+Exit codes: 0 ok, 1 invariant violations (``run --check``), 2
+usage/input error.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from pathlib import Path
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from ..cli import config_from_args
+    from ..cli import config_from_args, reject_wrong_kind
     from . import profile_experiment, to_folded
     from .report import format_report
 
+    reject_wrong_kind("--out", args.out, directory=True)
     config = config_from_args(args, check_stride=args.stride)
     result, _log, profile = profile_experiment(config)
     out_dir = Path(args.out)
@@ -56,36 +58,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_diff(args: argparse.Namespace) -> int:
-    from .profile import ProfileError, load_profile
-    from .report import compare_profiles, format_diff
-
-    try:
-        profile_a = load_profile(args.file_a)
-        profile_b = load_profile(args.file_b)
-    except ProfileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(
-        format_diff(
-            profile_a,
-            profile_b,
-            label_a=args.file_a,
-            label_b=args.file_b,
-            threshold=args.threshold,
-            min_delta=args.min_delta,
-        )
-    )
-    rows = compare_profiles(
-        profile_a, profile_b, threshold=args.threshold, min_delta=args.min_delta
-    )
-    return 1 if any(row["regression"] for row in rows) else 0
-
-
 def add_prof_parser(commands: argparse._SubParsersAction) -> None:
     """Register the ``prof`` command group on the main CLI."""
-    from ..cli import add_run_arguments
-    from .report import DEFAULT_MIN_DELTA, DEFAULT_THRESHOLD
+    from ..cli import add_run_arguments, positive_int
 
     prof_parser = commands.add_parser(
         "prof",
@@ -121,7 +96,7 @@ def add_prof_parser(commands: argparse._SubParsersAction) -> None:
         help="directory for <slug>.prof.json and <slug>.folded",
     )
     run_parser.add_argument(
-        "--top", type=int, default=20, help="rows per report table"
+        "--top", type=positive_int, default=20, help="rows per report table"
     )
     run_parser.set_defaults(handler=cmd_run)
 
@@ -130,25 +105,6 @@ def add_prof_parser(commands: argparse._SubParsersAction) -> None:
     )
     report_parser.add_argument("file", help="a .prof.json file")
     report_parser.add_argument(
-        "--top", type=int, default=20, help="rows per report table"
+        "--top", type=positive_int, default=20, help="rows per report table"
     )
     report_parser.set_defaults(handler=cmd_report)
-
-    diff_parser = prof_commands.add_parser(
-        "diff", help="compare two profiles and flag phase regressions"
-    )
-    diff_parser.add_argument("file_a", help="baseline .prof.json")
-    diff_parser.add_argument("file_b", help="candidate .prof.json")
-    diff_parser.add_argument(
-        "--threshold",
-        type=float,
-        default=DEFAULT_THRESHOLD,
-        help="relative slowdown that flags a phase (default 0.25 = +25%%)",
-    )
-    diff_parser.add_argument(
-        "--min-delta",
-        type=float,
-        default=DEFAULT_MIN_DELTA,
-        help="absolute slowdown floor in seconds (default 0.010)",
-    )
-    diff_parser.set_defaults(handler=cmd_diff)

@@ -1,16 +1,19 @@
 """The profile artifact: schema-versioned attribution of one run's wall time.
 
 A :class:`Profile` is what ``repro prof run`` writes and what ``repro
-prof report``/``diff`` read back: where the wall-clock seconds of one
+prof report`` reads back: where the wall-clock seconds of one
 experiment went, bucketed into named *phases* (heap pop, per-handler
 dispatch, sanitizer sweeps, the profiled loop's own residual), plus
-per-node totals, per-INV1xx-checker costs, and the run's NG epoch
-spans.  Everything is wall-clock *accounting* — virtual time, RNG
-state, and event order are untouched, so a profiled run is bit-identical
-to a bare one (pinned in ``tests/test_determinism.py``).
+per-node totals and per-INV1xx-checker costs.  Everything is wall-clock
+*accounting* — virtual time, RNG state, and event order are untouched,
+so a profiled run is bit-identical to a bare one (pinned in
+``tests/test_determinism.py``).
 
 The JSON layout is append-only within a schema version: new fields may
-appear, removals or meaning changes bump ``PROFILE_VERSION``.  The
+appear, removals or meaning changes bump ``PROFILE_VERSION``.  Files
+written before this tree carry a ``spans`` list (NG leader epochs, now
+folded from the trace by ``repro trace summarize``); the reader ignores
+it and older readers default it to empty, so the version stayed 1.  The
 folded-stack export (:func:`to_folded`) is one ``frame;frame count``
 line per phase with integer microsecond counts — the input format of
 standard flamegraph renderers (flamegraph.pl, inferno, speedscope).
@@ -56,47 +59,6 @@ class PhaseStat:
 
 
 @dataclass
-class EpochSpan:
-    """One NG leader epoch: key block -> microblock stream -> handover.
-
-    ``closed`` is False for epochs still open when the run ended (the
-    last leader never observes its own loss of leadership).
-    """
-
-    leader: int
-    key_block: str
-    start: float
-    end: float
-    micros: int = 0
-    closed: bool = True
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-    def to_dict(self) -> dict:
-        return {
-            "leader": self.leader,
-            "key_block": self.key_block,
-            "start": round(self.start, 9),
-            "end": round(self.end, 9),
-            "micros": self.micros,
-            "closed": self.closed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EpochSpan":
-        return cls(
-            leader=int(data["leader"]),
-            key_block=str(data.get("key_block", "")),
-            start=float(data["start"]),
-            end=float(data["end"]),
-            micros=int(data.get("micros", 0)),
-            closed=bool(data.get("closed", True)),
-        )
-
-
-@dataclass
 class Profile:
     """One run's complete wall-time attribution."""
 
@@ -109,7 +71,6 @@ class Profile:
     checkers: dict[str, PhaseStat] = field(default_factory=dict)
     # Per-node handler cost, indexed by node id: [calls, seconds].
     nodes: list[list] = field(default_factory=list)
-    spans: list[EpochSpan] = field(default_factory=list)
 
     # -- derived -------------------------------------------------------------
 
@@ -176,7 +137,6 @@ class Profile:
                 [int(calls), round(float(seconds), 9)]
                 for calls, seconds in self.nodes
             ],
-            "spans": [span.to_dict() for span in self.spans],
         }
 
     @classmethod
@@ -205,7 +165,6 @@ class Profile:
                 [int(calls), float(seconds)]
                 for calls, seconds in data.get("nodes", [])
             ],
-            spans=[EpochSpan.from_dict(s) for s in data.get("spans", [])],
         )
 
     def save(self, path: str | Path) -> Path:

@@ -1,21 +1,16 @@
-"""Rendering profiles: the attribution table and the regression diff.
+"""Rendering profiles: the attribution table.
 
-Pure functions from :class:`~repro.prof.profile.Profile` objects to
-text, so saved ``.prof.json`` files can be reported and compared long
-after (and far from) the run that produced them.  Output formats are
-pinned by golden tests in ``tests/test_prof.py`` — change them there
-first.
+A pure function from a :class:`~repro.prof.profile.Profile` to text, so
+a saved ``.prof.json`` can be reported long after (and far from) the
+run that produced it.  Whether a change moved a phase is a question for
+the benchmark's repeated, alternating runs (``bench/run.py --compare``),
+not for two single profiles.  The format is pinned by golden tests in
+``tests/test_prof.py`` — change it there first.
 """
 
 from __future__ import annotations
 
 from .profile import PHASE_SANITIZE, Profile
-
-# A diff flags a phase when it got BOTH this much relatively slower and
-# this much absolutely slower — the absolute floor keeps microsecond
-# phases from screaming on timer noise.
-DEFAULT_THRESHOLD = 0.25
-DEFAULT_MIN_DELTA = 0.010
 
 
 def _pct(seconds: float, total: float) -> str:
@@ -25,7 +20,7 @@ def _pct(seconds: float, total: float) -> str:
 
 
 def format_report(profile: Profile, top: int = 20) -> str:
-    """The attribution table: top phases, checkers, nodes, epoch stats."""
+    """The attribution table: top phases, checkers, nodes."""
     lines: list[str] = []
     name = profile.meta.get("slug", "run")
     lines.append(f"== profile: {name} ==")
@@ -99,101 +94,4 @@ def format_report(profile: Profile, top: int = 20) -> str:
                 f"{'node ' + str(node):<32}{seconds:>9.3f}  "
                 f"{_pct(seconds, total)}  {calls:>10,}"
             )
-    if profile.spans:
-        closed = [span for span in profile.spans if span.closed]
-        open_count = len(profile.spans) - len(closed)
-        mean_duration = (
-            sum(span.duration for span in closed) / len(closed)
-            if closed
-            else 0.0
-        )
-        mean_micros = (
-            sum(span.micros for span in closed) / len(closed)
-            if closed
-            else 0.0
-        )
-        lines.append("")
-        suffix = f" ({open_count} open at run end)" if open_count else ""
-        lines.append(
-            f"epochs:              {len(profile.spans)} spans, "
-            f"mean {mean_duration:.1f} s, "
-            f"mean {mean_micros:.1f} microblocks{suffix}"
-        )
-    return "\n".join(lines)
-
-
-def compare_profiles(
-    a: Profile,
-    b: Profile,
-    threshold: float = DEFAULT_THRESHOLD,
-    min_delta: float = DEFAULT_MIN_DELTA,
-) -> list[dict]:
-    """Per-phase comparison rows, sorted by regression size.
-
-    Each row: ``{"phase", "a", "b", "delta", "ratio", "regression"}``.
-    A phase regresses when it is both ``threshold`` relatively and
-    ``min_delta`` seconds absolutely slower in ``b``.
-    """
-    names = set(a.phases) | set(b.phases)
-    rows = []
-    for name in names:
-        sec_a = a.phases[name].seconds if name in a.phases else 0.0
-        sec_b = b.phases[name].seconds if name in b.phases else 0.0
-        delta = sec_b - sec_a
-        ratio = sec_b / sec_a if sec_a > 0 else float("inf")
-        rows.append(
-            {
-                "phase": name,
-                "a": sec_a,
-                "b": sec_b,
-                "delta": delta,
-                "ratio": ratio,
-                "regression": delta >= min_delta
-                and sec_b > sec_a * (1.0 + threshold),
-            }
-        )
-    rows.sort(key=lambda row: (-row["delta"], row["phase"]))
-    return rows
-
-
-def format_diff(
-    a: Profile,
-    b: Profile,
-    label_a: str = "A",
-    label_b: str = "B",
-    threshold: float = DEFAULT_THRESHOLD,
-    min_delta: float = DEFAULT_MIN_DELTA,
-) -> str:
-    """The phase-level diff table, regressions flagged with ``***``."""
-    rows = compare_profiles(a, b, threshold=threshold, min_delta=min_delta)
-    lines = ["== profile diff =="]
-    lines.append(
-        f"A: {label_a}  "
-        f"(simulate {a.wall_simulate_seconds:.3f} s, "
-        f"{a.events_processed:,} events)"
-    )
-    lines.append(
-        f"B: {label_b}  "
-        f"(simulate {b.wall_simulate_seconds:.3f} s, "
-        f"{b.events_processed:,} events)"
-    )
-    lines.append("")
-    lines.append(
-        f"{'phase':<32}{'A sec':>9}  {'B sec':>9}  {'delta':>9}  {'ratio':>7}"
-    )
-    for row in rows:
-        ratio = (
-            f"{row['ratio']:.2f}x" if row["ratio"] != float("inf") else "new"
-        )
-        flag = "  ***" if row["regression"] else ""
-        lines.append(
-            f"{row['phase']:<32}{row['a']:>9.3f}  {row['b']:>9.3f}  "
-            f"{row['delta']:>+9.3f}  {ratio:>7}{flag}"
-        )
-    flagged = sum(1 for row in rows if row["regression"])
-    lines.append("")
-    lines.append(
-        f"flagged {flagged} regression{'s' if flagged != 1 else ''} "
-        f"(>= +{threshold:.0%} and >= +{min_delta:.3f} s)"
-    )
     return "\n".join(lines)

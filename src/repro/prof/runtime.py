@@ -1,11 +1,11 @@
-"""The profiler runtime: hot-loop phase attribution and epoch spans.
+"""The profiler runtime: hot-loop phase attribution.
 
 :class:`ProfilerRuntime` attaches to the simulator's one observer seam
 (:meth:`repro.net.simulator.Simulator.attach`) and wraps the two things
 the dispatch loop calls per event — the heap pop and the after-event
-probe — in wall-clock reads.  Callback classification, per-phase and
-per-node accumulation and NG epoch span tracking all happen here; an
-unprofiled run executes none of it.
+probe — in wall-clock reads.  Callback classification and per-phase and
+per-node accumulation happen here; an unprofiled run executes none of
+it.
 
 Design constraints, in priority order:
 
@@ -24,12 +24,9 @@ Design constraints, in priority order:
   callbacks (custom adapters, tests) degrade to an ``other:`` phase
   rather than breaking.
 
-Epoch spans ride the existing trace stream: the run's tracer is given
-:meth:`ProfilerRuntime.observe_trace` as its tap (a sink-less tracer
-for un-instrumented runs), which folds ``epoch_start``/``epoch_end``/
-``block_gen`` records into key-block → microblock-stream → handover
-spans.  Closed spans are re-emitted as schema-v1 ``prof_span`` records
-when a real trace sink is attached.
+The profiler never touches the trace: a profiled run's ``--obs`` trace
+is byte-identical to the unprofiled run's, and NG leader epochs are
+folded from that trace by :class:`repro.obs.analyze.TraceSummary`.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ from .profile import (
     PHASE_DISPATCH,
     PHASE_HEAPPOP,
     PHASE_SANITIZE,
-    EpochSpan,
     PhaseStat,
     Profile,
 )
@@ -81,11 +77,6 @@ class ProfilerRuntime:
         self._probe_seconds = 0.0
         self._checkers: dict[str, list] = {}
         self._loop_wall = 0.0
-        # Span tracking: leader id -> open EpochSpan.
-        self._open_spans: dict[int, EpochSpan] = {}
-        self.spans: list[EpochSpan] = []
-        # The run's tracer minus this profiler's tap: prof_span goes here.
-        self._span_sink = None
 
     # -- wiring --------------------------------------------------------------
 
@@ -94,11 +85,6 @@ class ProfilerRuntime:
         self._node_calls = [0] * n_nodes
         self._node_seconds = [0.0] * n_nodes
         sim.attach(self)
-
-    def wrap_observability(self, obs):
-        """Tap the span tracker into a run's observability facade."""
-        self._span_sink = obs.tracer
-        return obs.tapped(self.observe_trace)
 
     # -- the dispatch seam (called at the top of each Simulator.run) ---------
 
@@ -204,49 +190,6 @@ class ProfilerRuntime:
         stat[0] += 1
         stat[1] += seconds
 
-    # -- epoch spans (the tracer tap) ----------------------------------------
-
-    def observe_trace(self, ev: str, t: float, fields: dict) -> None:
-        if ev == "epoch_start":
-            leader = fields.get("leader", -1)
-            stale = self._open_spans.pop(leader, None)
-            if stale is not None:
-                # The leader regained leadership without observing loss
-                # (e.g. a fork resolved back); close the earlier span at
-                # the new epoch's start.
-                self._close_span(stale, t, closed=True)
-            self._open_spans[leader] = EpochSpan(
-                leader=leader,
-                key_block=str(fields.get("key_block", "")),
-                start=t,
-                end=t,
-            )
-        elif ev == "epoch_end":
-            span = self._open_spans.pop(fields.get("leader", -1), None)
-            if span is not None:
-                self._close_span(span, t, closed=True)
-        elif ev == "block_gen" and fields.get("kind") == "micro":
-            span = self._open_spans.get(fields.get("miner", -1))
-            if span is not None:
-                span.micros += 1
-
-    def _close_span(
-        self, span: EpochSpan, end: float, closed: bool, emit: bool = True
-    ) -> None:
-        span.end = end
-        span.closed = closed
-        self.spans.append(span)
-        if emit and self._span_sink is not None:
-            self._span_sink.emit(
-                "prof_span",
-                end,
-                leader=span.leader,
-                key_block=span.key_block,
-                start=round(span.start, 6),
-                micros=span.micros,
-                closed=closed,
-            )
-
     # -- assembly ------------------------------------------------------------
 
     def build_profile(
@@ -259,21 +202,14 @@ class ProfilerRuntime:
     ) -> Profile:
         """Fold everything accumulated into a :class:`Profile`.
 
-        Open epoch spans (the run ended mid-epoch) are closed at
-        ``end_time`` with ``closed=False`` — into the profile only, not
-        the trace: the run's tracer is already sealed with
-        ``trace_end`` by the time the profile is assembled, and an emit
-        here would lazily reopen (and truncate) the finished trace
-        file.  The ``dispatch`` phase
-        absorbs the loop's residual wall time — heap scanning,
-        cancelled-event pops, and the profiler's own bookkeeping — so
-        the phase table always sums to the measured loop wall.
+        The ``dispatch`` phase absorbs the loop's residual wall time —
+        heap scanning, cancelled-event pops, and the profiler's own
+        bookkeeping — so the phase table always sums to the measured
+        loop wall.  ``end_time`` is unused: it closed the open epoch
+        spans the profile no longer carries, and stays only because
+        ``bench/workloads.py`` passes it (``bench/`` changes only with
+        the benchmark).
         """
-        for leader in sorted(self._open_spans):
-            span = self._open_spans.pop(leader)
-            self._close_span(
-                span, max(end_time, span.start), closed=False, emit=False
-            )
         phases = {
             name: PhaseStat(calls=stat[0], seconds=stat[1])
             for name, stat in self._phases.items()
@@ -304,5 +240,4 @@ class ProfilerRuntime:
                 [calls, seconds]
                 for calls, seconds in zip(self._node_calls, self._node_seconds)
             ],
-            spans=list(self.spans),
         )

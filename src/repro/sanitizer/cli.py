@@ -107,8 +107,10 @@ def cmd_diverge(args: argparse.Namespace) -> int:
 
 
 def cmd_record(args: argparse.Namespace) -> int:
+    from ..cli import reject_wrong_kind
     from .digests import save_stream
 
+    reject_wrong_kind("--out", args.out, directory=False)
     snapshots = _digest_run(args)
     save_stream(
         args.out,

@@ -141,11 +141,14 @@ def save_stream(
     snapshots: Sequence[DigestSnapshot],
     meta: dict | None = None,
 ) -> None:
-    """Write a digest stream as JSONL: one header line, one per snapshot."""
+    """Write a digest stream as JSONL: one header line, one per snapshot,
+    creating missing parent directories."""
     header = {"v": STREAM_VERSION, "kind": "digest_stream"}
     if meta:
         header.update(meta)
-    with open(path, "w", encoding="utf-8") as handle:
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    with target.open("w", encoding="utf-8") as handle:
         handle.write(json.dumps(header, sort_keys=True) + "\n")
         for snapshot in snapshots:
             handle.write(json.dumps(snapshot.to_dict(), sort_keys=True) + "\n")

@@ -242,7 +242,7 @@ def test_run_obs_json_includes_snapshot(tmp_path, capsys):
     )
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["obs"]["snapshot_version"] == 2
+    assert payload["obs"]["snapshot_version"] == 3
     assert payload["obs"]["metrics"]["sends_by_kind"]["inv"] > 0
 
 
@@ -260,6 +260,37 @@ def test_obs_pointing_at_a_file_is_rejected_before_the_run(
     with pytest.raises(SystemExit) as excinfo:
         main(["run", "--nodes", "12", "--blocks", "6", "--obs", str(target)])
     assert str(excinfo.value) == f"error: --obs {target}: not a directory"
+
+
+@pytest.mark.parametrize(
+    "command, directory, message",
+    [
+        (["prof", "run"], False, "not a directory"),
+        (["check", "record"], True, "is a directory"),
+    ],
+    ids=["prof run --out FILE", "check record --out DIR"],
+)
+def test_out_of_the_wrong_kind_is_rejected_before_the_run(
+    tmp_path, monkeypatch, command, directory, message
+):
+    from repro.net.simulator import Simulator
+
+    def never(*args, **kwargs):
+        raise AssertionError("the run was started")
+
+    monkeypatch.setattr(Simulator, "run", never)
+    target = tmp_path / "out"
+    if directory:
+        target.mkdir()
+    else:
+        target.write_text("kept")
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command, "--nodes", "12", "--blocks", "6", "--out", str(target)])
+    assert str(excinfo.value) == f"error: --out {target}: {message}"
+    assert list(tmp_path.iterdir()) == [target]
+    assert (
+        not list(target.iterdir()) if directory else target.read_text() == "kept"
+    )
 
 
 def test_trace_of_a_killed_run_still_summarizes(tmp_path, capsys):
@@ -642,6 +673,26 @@ def test_bad_run_flag_is_an_error_not_a_traceback(
         main(command)
     # SystemExit(str): the interpreter prints that one line and exits 1.
     assert str(excinfo.value.code) == message
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["trace", "timeline", "x", "--buckets", "0"],
+        ["trace", "timeline", "x", "--buckets", "-3"],
+        ["trace", "toptalkers", "x", "--top", "0"],
+        ["trace", "toptalkers", "x", "--top", "-1"],
+        ["prof", "run", "--top", "-2"],
+        ["prof", "report", "x", "--top", "-2"],
+    ],
+    ids=" ".join,
+)
+def test_row_or_bucket_count_below_one_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(command)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {command[-2]}: must be at least 1, got {command[-1]}" in err
 
 
 # -- and a window in which nothing was mined --------------------------------------

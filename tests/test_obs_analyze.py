@@ -104,7 +104,36 @@ def test_summarize_empty_stream():
     s = summarize([])
     assert s.records == 0
     assert s.t_min == 0.0 and s.t_max == 0.0
-    format_summary(s)  # renders without crashing
+    assert "epoch spans:" not in format_summary(s)
+
+
+def test_epoch_spans_fold_key_block_to_handover():
+    """A leader epoch (paper §4) runs from its key block through the
+    leader's own microblocks to the next leader's key block."""
+    s = summarize([
+        _rec("trace_start", 0.0, n_nodes=4),
+        _rec("epoch_start", 5.0, leader=1, key_block="ab12"),
+        _rec("block_gen", 6.0, hash="m1", kind="micro", miner=1),
+        _rec("block_gen", 7.0, hash="m2", kind="micro", miner=1),
+        _rec("block_gen", 7.5, hash="m3", kind="micro", miner=3),  # not leading
+        _rec("block_gen", 8.0, hash="cd34", kind="key", miner=2),
+        _rec("epoch_end", 8.5, leader=1, key_block="ab12"),
+        _rec("epoch_start", 8.5, leader=2, key_block="cd34"),
+        _rec("block_gen", 9.0, hash="m4", kind="micro", miner=2),
+        # Re-elected without observing its loss: the stale span closes
+        # where the new one opens.
+        _rec("epoch_start", 11.0, leader=2, key_block="ef56"),
+        _rec("epoch_start", 12.0, leader=3, key_block="0a0b"),
+        _rec("trace_end", 20.0, records=12),
+    ])
+    assert (s.epoch_spans, s.epoch_spans_closed) == (4, 2)
+    assert s.span_duration_sum == pytest.approx(3.5 + 2.5)
+    assert s.span_micros_sum == 2 + 1
+    # ef56 and 0a0b never closed: reported open, outside the means.
+    assert (
+        "epoch spans:         4, mean 3.0 s, mean 1.5 microblocks, "
+        "2 open at run end"
+    ) in format_summary(s).splitlines()
 
 
 def test_timeline_buckets_activity():

@@ -65,7 +65,7 @@ def test_bitcoin_run_traces_blocks_and_tips():
 def test_snapshot_carries_metrics_traffic_and_samples():
     result, _, _ = _run_traced(SMALL.with_(protocol=Protocol.BITCOIN))
     snapshot = result.obs
-    assert snapshot["snapshot_version"] == 2
+    assert snapshot["snapshot_version"] == 3
     metrics = snapshot["metrics"]
     assert set(metrics["sends_by_kind"]) == {"inv", "getdata", "object"}
     assert metrics["blocks_by_kind"] == {"block": result.blocks_generated}
@@ -164,8 +164,13 @@ def test_live_snapshot_is_the_offline_summary(tmp_path, protocol, extra, profile
     assert result.obs["trace_records"] == len(records) == offline.records
     on_disk = json.loads((tmp_path / f"{slug}.metrics.json").read_text())
     assert on_disk == result.obs
-    if profiled:
-        assert offline.prof_spans == len(profiler.spans) > 0
+    if protocol is Protocol.BITCOIN_NG:
+        # Every NG trace carries its leader epochs, profiled or not.
+        metrics = result.obs["metrics"]
+        assert metrics["epoch_spans"] == metrics["epochs_started"] > 0
+        assert 0 < metrics["epoch_spans_closed"] <= metrics["epoch_spans"]
+        assert metrics["span_duration_sum"] > 0
+        assert 0 < metrics["span_micros_sum"] <= metrics["blocks_by_kind"]["micro"]
     if "scenario" in extra:
         assert offline.drops > 0 and offline.faults
 
@@ -180,16 +185,43 @@ def test_sinkless_observability_folds_everything_and_writes_nothing():
     assert result.obs["metrics"] == summarize(records).to_dict()
 
 
-def test_null_obs_tapped_leaves_the_network_on_its_bare_path():
-    from repro.experiments.runner import build_network
-    from repro.net.simulator import Simulator
+@pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+def test_profiled_obs_trace_is_the_unprofiled_trace(tmp_path, protocol):
+    """The profiler times a run and writes nothing into its trace."""
+    config = SMALL.with_(protocol=protocol)
+    traces = []
+    for profiler in (None, ProfilerRuntime()):
+        out = tmp_path / str(len(traces))
+        run_experiment(config.with_(obs_dir=str(out)), profiler=profiler)
+        traces.append((out / f"{config_slug(config)}.trace.jsonl").read_bytes())
+    assert traces[0] == traces[1]
 
-    seen = []
-    tapped = NULL_OBS.tapped(lambda ev, t, fields: seen.append(ev))
-    network = build_network(SMALL, Simulator(seed=1), obs=tapped)
-    assert network._obs_on is False
-    assert network.tracer is tapped.tracer  # nodes still emit into the tap
-    assert NULL_OBS.tracer is None
+
+@pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+def test_profiled_run_without_obs_keeps_every_tracer_off(monkeypatch, protocol):
+    """What ``prof run`` times is what ``repro run`` runs: no tracer
+    anywhere, so every node's emit guard stays false."""
+    from repro.experiments import runner
+    from repro.protocols import get_adapter
+
+    adapter_class = type(get_adapter(protocol))
+    build_network, build_nodes = runner.build_network, adapter_class.build_nodes
+    built = {}
+
+    def spy_network(*args, **kwargs):
+        built["network"] = build_network(*args, **kwargs)
+        return built["network"]
+
+    def spy_nodes(self, *args):
+        built["nodes"], scheduler = build_nodes(self, *args)
+        return built["nodes"], scheduler
+
+    monkeypatch.setattr(runner, "build_network", spy_network)
+    monkeypatch.setattr(adapter_class, "build_nodes", spy_nodes)
+    run_experiment(SMALL.with_(protocol=protocol), profiler=ProfilerRuntime())
+    assert built["network"].obs is NULL_OBS
+    assert built["network"].tracer is None
+    assert built["nodes"] and all(node._tracer is None for node in built["nodes"])
 
 
 def test_obs_results_match_bare_results():

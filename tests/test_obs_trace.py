@@ -26,23 +26,6 @@ def test_emit_stamps_version_event_and_time():
     assert tracer.records_written == 1
 
 
-def test_tap_sees_each_record_before_it_is_written():
-    sink = MemorySink()
-    untapped = Tracer(sink)
-
-    def tap(ev, t, fields):
-        if ev == "epoch_end":  # what the tap emits lands ahead of the record
-            untapped.emit("prof_span", t, leader=fields["leader"])
-
-    tracer = Tracer(sink, tap)
-    tracer.emit("epoch_start", 1.0, leader=7)
-    tracer.emit("epoch_end", 4.0, leader=7)
-    assert [record["ev"] for record in sink.records] == [
-        "epoch_start", "prof_span", "epoch_end",
-    ]
-    assert tracer.records_written == untapped.records_written == 3
-
-
 def test_sinkless_tracer_feeds_the_tap_and_writes_nothing():
     seen = []
     tracer = Tracer(None, lambda ev, t, fields: seen.append((ev, t, fields)))

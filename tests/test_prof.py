@@ -1,10 +1,9 @@
-"""The deterministic profiler: schema, spans, reports, diffs, CLI.
+"""The deterministic profiler: schema, reports, CLI.
 
 Determinism of profiled runs (bit-identical to bare runs) is pinned in
 ``tests/test_determinism.py``; this module covers the artifacts — the
-``.prof.json`` schema round-trip, folded-stack export, epoch span
-tracking, and the golden report/diff formats the ``repro prof`` family
-renders.
+``.prof.json`` schema round-trip, folded-stack export, and the golden
+report format the ``repro prof`` family renders.
 """
 
 import json
@@ -14,7 +13,6 @@ import pytest
 from repro.cli import main
 from repro.prof import (
     PROFILE_VERSION,
-    EpochSpan,
     PhaseStat,
     Profile,
     ProfileError,
@@ -23,7 +21,7 @@ from repro.prof import (
     profile_experiment,
     to_folded,
 )
-from repro.prof.report import compare_profiles, format_diff, format_report
+from repro.prof.report import format_report
 
 
 def _sample_profile() -> Profile:
@@ -46,17 +44,6 @@ def _sample_profile() -> Profile:
             "INV101": PhaseStat(calls=150, seconds=0.02),
         },
         nodes=[[100, 0.01], [9_000, 1.4], [0, 0.0]],
-        spans=[
-            EpochSpan(leader=1, key_block="ab12", start=5.0, end=25.0, micros=40),
-            EpochSpan(
-                leader=2,
-                key_block="cd34",
-                start=25.0,
-                end=30.0,
-                micros=8,
-                closed=False,
-            ),
-        ],
     )
 
 
@@ -75,9 +62,6 @@ def test_profile_round_trip(tmp_path):
         assert loaded.phases[name].seconds == pytest.approx(stat.seconds)
     assert loaded.checkers.keys() == profile.checkers.keys()
     assert loaded.nodes == [[100, 0.01], [9_000, 1.4], [0, 0.0]]
-    assert [s.to_dict() for s in loaded.spans] == [
-        s.to_dict() for s in profile.spans
-    ]
     assert loaded.attributed_seconds == pytest.approx(
         profile.attributed_seconds
     )
@@ -89,6 +73,13 @@ def test_profile_json_is_schema_versioned(tmp_path):
     assert data["profile_version"] == PROFILE_VERSION
     assert data["coverage"] == pytest.approx(0.95)
     assert data["attributed_seconds"] == pytest.approx(1.9)
+    assert "spans" not in data
+    # A file written while profiles still carried epoch spans loads
+    # unchanged: the key is ignored, so the version stayed 1.
+    data["spans"] = [{"leader": 1, "key_block": "ab12", "start": 5.0,
+                      "end": 25.0, "micros": 40, "closed": True}]
+    path.write_text(json.dumps(data))
+    assert load_profile(path).phases.keys() == _sample_profile().phases.keys()
 
 
 def test_load_rejects_unknown_version(tmp_path):
@@ -149,95 +140,6 @@ def test_folded_skips_zero_phases():
     assert to_folded(profile) == ""
 
 
-# -- epoch span tracking ----------------------------------------------------
-
-
-def test_span_lifecycle_via_tap_tracer():
-    from repro.obs import Observability
-    from repro.obs.trace import MemorySink, Tracer
-
-    runtime = ProfilerRuntime()
-    sink = MemorySink()
-    obs = runtime.wrap_observability(Observability(tracer=Tracer(sink)))
-    tap = obs.tracer
-    tap.emit("epoch_start", 5.0, leader=1, key_block="ab12")
-    tap.emit("block_gen", 6.0, kind="micro", miner=1, hash="m1")
-    tap.emit("block_gen", 7.0, kind="micro", miner=1, hash="m2")
-    tap.emit("block_gen", 7.5, kind="micro", miner=9, hash="m3")  # not leader
-    tap.emit("block_gen", 8.0, kind="key", miner=2, hash="cd34")
-    tap.emit("epoch_end", 8.5, leader=1, key_block="ab12")
-    tap.emit("epoch_start", 8.5, leader=2, key_block="cd34")
-
-    assert len(runtime.spans) == 1
-    span = runtime.spans[0]
-    assert (span.leader, span.key_block, span.micros) == (1, "ab12", 2)
-    assert span.start == 5.0 and span.end == 8.5 and span.closed
-
-    # Closing emitted a prof_span record into the sink — ahead of the
-    # epoch_end that closed it, since the tap runs before the write; the
-    # originals are all there too (a tap sees records, it does not filter).
-    events = [record["ev"] for record in sink.records]
-    assert events.count("prof_span") == 1
-    assert events.index("prof_span") == events.index("epoch_end") - 1
-    assert sink.records[events.index("prof_span")] == {
-        "v": 1,
-        "ev": "prof_span",
-        "t": 8.5,
-        "leader": 1,
-        "key_block": "ab12",
-        "start": 5.0,
-        "micros": 2,
-        "closed": True,
-    }
-    assert events.count("epoch_start") == 2
-    assert tap.records_written == len(sink.records) == 8
-    # The summary folds what the file holds, in the file's order: the
-    # span once, ahead of its epoch_end.
-    assert obs.summary.records == 8
-    assert obs.summary.prof_spans == obs.summary.prof_spans_closed == 1
-    assert list(obs.summary.events) == [
-        "epoch_start", "block_gen", "prof_span", "epoch_end",
-    ]
-
-    # The still-open epoch closes unclosed at profile build time.
-    profile = runtime.build_profile({}, 0.0, 1.0, 0, end_time=12.0)
-    assert len(profile.spans) == 2
-    assert profile.spans[1].leader == 2
-    assert profile.spans[1].end == 12.0
-    assert not profile.spans[1].closed
-
-
-def test_reelected_leader_closes_stale_span():
-    from repro.obs.trace import Tracer
-
-    runtime = ProfilerRuntime()
-    tap = Tracer(None, runtime.observe_trace)
-    tap.emit("epoch_start", 1.0, leader=3, key_block="aa")
-    tap.emit("epoch_start", 4.0, leader=3, key_block="bb")
-    assert len(runtime.spans) == 1
-    assert runtime.spans[0].key_block == "aa"
-    assert runtime.spans[0].end == 4.0
-    assert runtime.spans[0].closed
-    # No sink: the tap is all there is, and nothing was written anywhere.
-    assert tap.records_written == 0
-    tap.close()
-
-
-def test_null_obs_tapped_stays_disabled():
-    from repro.obs.facade import NULL_OBS
-
-    seen = []
-    tapped = NULL_OBS.tapped(lambda ev, t, fields: seen.append((ev, t, fields)))
-    assert tapped.enabled is False
-    tapped.tracer.emit("epoch_start", 2.0, leader=4)
-    assert seen == [("epoch_start", 2.0, {"leader": 4})]
-    assert tapped.tracer.records_written == 0
-    assert tapped.finalize() is None
-    # The singleton itself is untouched.
-    assert tapped is not NULL_OBS
-    assert NULL_OBS.tracer is None
-
-
 def test_dispatch_phase_absorbs_loop_residual():
     runtime = ProfilerRuntime()
     runtime._loop_wall = 1.0
@@ -250,7 +152,7 @@ def test_dispatch_phase_absorbs_loop_residual():
     assert "sanitize" not in profile.phases  # no probe ran
 
 
-# -- report and diff golden output ------------------------------------------
+# -- report golden output ---------------------------------------------------
 
 
 def test_report_golden():
@@ -265,48 +167,12 @@ def test_report_golden():
     assert "INV104                              0.150    7.5%         150" in report
     assert "(sweep machinery)                   0.030    1.5%" in report
     assert "node 1                              1.400   70.0%       9,000" in report
-    assert (
-        "epochs:              2 spans, mean 20.0 s, "
-        "mean 40.0 microblocks (1 open at run end)" in report
-    )
 
 
 def test_report_truncates_phase_table():
     profile = _sample_profile()
     report = format_report(profile, top=2)
     assert "(3 more phases totalling 0.400 s)" in report
-
-
-def test_diff_flags_regressions():
-    base = _sample_profile()
-    cand = _sample_profile()
-    cand.phases["deliver:inv:micro"] = PhaseStat(calls=6_000, seconds=1.8)
-    cand.phases["other:new_handler"] = PhaseStat(calls=5, seconds=0.5)
-    rows = compare_profiles(base, cand)
-    by_phase = {row["phase"]: row for row in rows}
-    assert by_phase["deliver:inv:micro"]["regression"]
-    assert by_phase["deliver:inv:micro"]["delta"] == pytest.approx(0.6)
-    assert by_phase["other:new_handler"]["regression"]
-    assert by_phase["other:new_handler"]["ratio"] == float("inf")
-    assert not by_phase["heappop"]["regression"]
-
-    text = format_diff(base, cand, label_a="base", label_b="cand")
-    assert "== profile diff ==" in text
-    assert "A: base" in text
-    assert "deliver:inv:micro                   1.200      1.800     +0.600    1.50x  ***" in text
-    assert "other:new_handler                   0.000      0.500     +0.500      new  ***" in text
-    assert "flagged 2 regressions (>= +25% and >= +0.010 s)" in text
-
-
-def test_diff_absolute_floor_mutes_noise():
-    base = _sample_profile()
-    cand = _sample_profile()
-    # 2x relative, but only 2 ms absolute: under the 10 ms floor.
-    base.phases["gossip:timeout"] = PhaseStat(calls=10, seconds=0.002)
-    cand.phases["gossip:timeout"] = PhaseStat(calls=10, seconds=0.004)
-    rows = compare_profiles(base, cand)
-    row = next(r for r in rows if r["phase"] == "gossip:timeout")
-    assert not row["regression"]
 
 
 # -- profiled experiment end to end -----------------------------------------
@@ -340,7 +206,6 @@ def test_profile_experiment_attributes_phases():
     assert 0.5 < profile.coverage <= 1.0
     assert any(name.startswith("deliver:") for name in profile.phases)
     assert "mining:block" in profile.phases
-    assert profile.spans, "an NG run must produce epoch spans"
     # Per-node attribution covers the handler work.
     assert sum(calls for calls, _ in profile.nodes) > 0
 
@@ -479,30 +344,10 @@ def test_profiled_sweep_is_the_unprofiled_sweep(mode, count_calls):
         wall_setup=result.wall_setup_seconds,
         wall_simulate=result.wall_simulate_seconds,
         events=result.events_processed,
-        end_time=config.duration + config.cooldown,
     )
     assert {
         code: stat.calls for code, stat in profile.checkers.items()
     } == calls
-
-
-def test_prof_span_records_land_in_trace(tmp_path):
-    from repro.obs import Observability
-    from repro.obs.trace import MemorySink, Tracer
-
-    sink = MemorySink()
-    obs = Observability(tracer=Tracer(sink))
-    runtime = ProfilerRuntime()
-    from repro.experiments import run_experiment
-
-    run_experiment(_small_config(), obs=obs, profiler=runtime)
-    spans = [r for r in sink.records if r["ev"] == "prof_span"]
-    closed = [s for s in runtime.spans if s.closed]
-    assert len(spans) == len(closed) > 0
-    for record, span in zip(spans, closed):
-        assert record["leader"] == span.leader
-        assert record["micros"] == span.micros
-        assert record["closed"] is True
 
 
 # -- CLI --------------------------------------------------------------------
@@ -547,13 +392,12 @@ def test_cli_prof_report_and_diff(tmp_path, capsys):
     assert main(["prof", "report", path_a]) == 0
     assert "== profile:" in capsys.readouterr().out
 
-    code = main(["prof", "diff", path_a, path_b])
-    out = capsys.readouterr().out
-    assert "== profile diff ==" in out
-    assert code in (0, 1)  # seeds differ; regression flag is data-dependent
-
-    # Identical profiles never flag.
-    assert main(["prof", "diff", path_a, path_a]) == 0
+    # Two single profiles cannot say whether a phase moved (that is
+    # bench/run.py --compare's question), so there is no diff command.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["prof", "diff", path_a, path_b])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'diff'" in capsys.readouterr().err
 
 
 def test_cli_prof_report_bad_file(tmp_path, capsys):
@@ -570,5 +414,5 @@ def test_trace_summarize_counts_prof_spans(tmp_path, capsys):
     trace_file = next(out.glob("*.jsonl*"))
     assert main(["trace", "summarize", str(trace_file)]) == 0
     summary = capsys.readouterr().out
-    assert "prof_span" in summary
+    assert "prof_span" not in summary
     assert "epoch spans:" in summary

@@ -411,7 +411,7 @@ def _snap(index, *tips):
 
 def test_stream_round_trips_through_jsonl(tmp_path):
     snapshots = [_snap(64, "aaa", "bbb"), _snap(128, "ccc", "ddd")]
-    path = tmp_path / "stream.jsonl"
+    path = tmp_path / "missing" / "dir" / "stream.jsonl"  # parents made
     save_stream(path, snapshots, meta={"seed": 7})
     assert load_stream(path) == snapshots
 
