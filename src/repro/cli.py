@@ -16,8 +16,6 @@ Examples::
     python -m repro lint --explain NG301
     python -m repro run --protocol bitcoin-ng --check
     python -m repro sweep frequency --check=audit
-    python -m repro check diverge --protocol bitcoin-ng --nodes 30 --check
-    python -m repro check record --out run.digests.jsonl
     python -m repro prof run --protocol bitcoin-ng --nodes 1000 --out prof/
     python -m repro prof report prof/bitcoin-ng-f0.2-b8000-seed0.prof.json
     python -m repro sweep frequency --nodes 60 --progress
@@ -53,14 +51,11 @@ def positive_int(text: str) -> int:
     return value
 
 
-def reject_wrong_kind(flag: str, path: str | None, *, directory: bool) -> None:
-    """Exit before anything runs if an output ``path`` exists as the
-    wrong kind, rather than in ``mkdir`` / ``open`` after the run."""
-    if path and os.path.exists(path) and os.path.isdir(path) != directory:
-        raise SystemExit(
-            f"error: {flag} {path}: "
-            + ("not a directory" if directory else "is a directory")
-        )
+def reject_non_directory(flag: str, path: str | None) -> None:
+    """Exit before anything runs if an output directory ``path`` exists
+    as a file, rather than in ``mkdir`` after the run."""
+    if path and os.path.exists(path) and not os.path.isdir(path):
+        raise SystemExit(f"error: {flag} {path}: not a directory")
 
 
 def add_run_arguments(
@@ -166,7 +161,7 @@ def config_from_args(
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     obs_dir = getattr(args, "obs", None)
-    reject_wrong_kind("--obs", obs_dir, directory=True)
+    reject_non_directory("--obs", obs_dir)
     fields: dict = {
         "n_nodes": args.nodes,
         "seed": args.seed,
@@ -296,12 +291,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 flush=True,
             )
 
-    if args.axis == "frequency":
-        sweep = frequency_sweep(
-            base, seeds=seeds, jobs=args.jobs, progress=progress
-        )
-    else:
-        sweep = size_sweep(base, seeds=seeds, jobs=args.jobs, progress=progress)
+    run_sweep = frequency_sweep if args.axis == "frequency" else size_sweep
+    try:
+        sweep = run_sweep(base, seeds=seeds, jobs=args.jobs, progress=progress)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
     print(format_sweep_table(sweep))
     if args.obs:
         cells = sum(1 for p in sweep.points for r in p.results if r.obs)
@@ -495,10 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     from .lint.cli import add_lint_parser
 
     add_lint_parser(commands)
-
-    from .sanitizer.cli import add_check_parser
-
-    add_check_parser(commands)
 
     from .prof.cli import add_prof_parser
 

@@ -82,6 +82,13 @@ def _run_grid(
     return sweep
 
 
+def _distinct(seeds: tuple[int, ...]) -> None:
+    """Reject a repeated seed: its cell would run twice, count twice in
+    the cell's mean, and overwrite its twin's trace files."""
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"seeds must be distinct, got {list(seeds)}")
+
+
 def frequency_sweep(
     base: ExperimentConfig | None = None,
     frequencies: tuple[float, ...] = FREQUENCY_POINTS,
@@ -97,6 +104,7 @@ def frequency_sweep(
     across ``jobs`` worker processes (default: ``REPRO_JOBS`` or the
     CPU count); results are identical to a serial run.
     """
+    _distinct(seeds)
     base = base or ExperimentConfig()
     sweep = SweepResult(name="figure-8a", x_label="block frequency [1/sec]")
     cells = []
@@ -127,6 +135,7 @@ def size_sweep(
     progress=None,
 ) -> SweepResult:
     """Figure 8b: vary block / microblock size at high, fixed frequency."""
+    _distinct(seeds)
     base = base or ExperimentConfig()
     sweep = SweepResult(name="figure-8b", x_label="block size [byte]")
     cells = []

@@ -21,7 +21,6 @@ try/except that still reports JSON.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 import traceback
@@ -31,6 +30,7 @@ def run_probe() -> dict:
     """Execute the probe simulation; JSON-ready verdict payload."""
     from repro.experiments import ExperimentConfig, run_experiment
     from repro.protocols import Protocol, get_adapter
+    from repro.sanitizer.digests import state_fingerprint
     from repro.sanitizer.runtime import SanitizerRuntime
 
     config = ExperimentConfig(
@@ -54,18 +54,10 @@ def run_probe() -> dict:
         cooldown=15.0,
     )
     adapter = get_adapter(config.protocol)
-    runtime = SanitizerRuntime(
-        adapter.invariant_checkers(),
-        stride=16,
-        digest_stride=10**9,
-    )
+    runtime = SanitizerRuntime(adapter.invariant_checkers(), stride=16)
     result, _log = run_experiment(config, sanitizer=runtime)
     runtime.finalize()
-    snapshot = runtime.digests[-1]
-    state = hashlib.sha256()
-    for digest in snapshot.digests:
-        state.update(digest.format().encode())
-    tips = sorted({digest.tip for digest in snapshot.digests})
+    tips, state = state_fingerprint(runtime.nodes)
     return {
         "ok": True,
         "violations": [
@@ -78,7 +70,7 @@ def run_probe() -> dict:
             result.blocks_generated,
             result.main_chain_length,
             tips,
-            state.hexdigest()[:16],
+            state,
         ],
     }
 

@@ -35,8 +35,6 @@ Record vocabulary (schema version 1):
 ``msg_loss``             the probabilistic send-loss rate changed
 ``invariant_violation``  a sanitizer checker fired (code, name, node,
                          message, snapshot) — checked (``--check``) runs only
-``state_digest``         a sanitizer digest snapshot was captured (index =
-                         events processed, nodes covered)
 ``trace_end``            final counters, closes the file
 =======================  ===================================================
 
@@ -45,7 +43,9 @@ a version; removals or meaning changes bump ``SCHEMA_VERSION``.  Older
 traces of profiled runs also hold the profiler's epoch-span records,
 which are no longer written (``docs/observability.md``); they were
 optional and a reader only counts them as an event type, so the
-version stayed 1.
+version stayed 1.  Older traces may likewise hold ``state_digest``
+records (a sanitizer digest capture, written only when a digest stride
+was set); none is written now and ``SCHEMA_VERSION`` stays 1.
 """
 
 from __future__ import annotations

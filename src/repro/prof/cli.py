@@ -20,11 +20,11 @@ from pathlib import Path
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from ..cli import config_from_args, reject_wrong_kind
+    from ..cli import config_from_args, reject_non_directory
     from . import profile_experiment, to_folded
     from .report import format_report
 
-    reject_wrong_kind("--out", args.out, directory=True)
+    reject_non_directory("--out", args.out)
     config = config_from_args(args, check_stride=args.stride)
     result, _log, profile = profile_experiment(config)
     out_dir = Path(args.out)

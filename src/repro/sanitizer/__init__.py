@@ -1,11 +1,10 @@
-"""repro.sanitizer: runtime protocol-invariant checking + race detection.
+"""repro.sanitizer: runtime protocol-invariant checking + state digests.
 
 The dynamic half of the correctness-tooling stack.  :mod:`repro.lint`
 proves determinism/layering properties *statically*; this package
 validates the paper's protocol invariants against *live* simulation
-state (checked mode, ``--check``) and bisects two same-seed executions
-to the first divergent event (``repro check diverge``) when a
-nondeterminism bug slips through anyway.
+state (checked mode, ``--check``) and fingerprints a finished run's
+node state, which the golden-equivalence pins compare bit for bit.
 
 * :mod:`.checkers` — the invariant catalog (INV1xx codes): value
   conservation, the 40/60 fee split, coinbase maturity, microblock
@@ -17,20 +16,16 @@ nondeterminism bug slips through anyway.
   which carries (leader, microblock) verdicts across the executions of
   one process — inside a run each ``Microblock`` memoises its own.
 * :mod:`.runtime` — :class:`SanitizerRuntime`, the event-boundary probe
-  that sweeps node state through the checkers and captures state
-  digests.  One sweep (dirty-set tracking), two modes: ``incremental``
-  (the default) and ``audit`` (the same sweeps plus a periodic
-  from-scratch walk with independent replica checkers, asserting the
-  sweep missed nothing).  Zero cost when disabled; bit-identical when
-  enabled.
+  that sweeps node state through the checkers.  One sweep (dirty-set
+  tracking), two modes: ``incremental`` (the default) and ``audit``
+  (the same sweeps plus a periodic from-scratch walk with independent
+  replica checkers, asserting the sweep missed nothing).  Zero cost
+  when disabled; bit-identical when enabled.
 * :mod:`.digests` — canonical per-node state digests (tip hash, chain
-  weight, mempool fingerprint, UTXO root) and their JSONL stream format.
-* :mod:`.bisect` — binary search over two digest streams for the first
-  divergent event.
-* :mod:`.cli` — the ``repro check`` subcommands.
+  weight, mempool fingerprint, UTXO root) and :func:`state_fingerprint`,
+  their one-hash fold over every node at the end of a run.
 """
 
-from .bisect import Divergence, find_divergence
 from .checkers import (
     InvariantChecker,
     NodeDelta,
@@ -40,7 +35,7 @@ from .checkers import (
     ng_checkers,
     shared_signature_cache,
 )
-from .digests import DigestSnapshot, NodeDigest, node_digest
+from .digests import NodeDigest, node_digest, state_fingerprint
 from .runtime import (
     RUNTIME_MODES,
     AuditDivergence,
@@ -51,8 +46,6 @@ from .violations import InvariantViolation, ViolationRecord
 
 __all__ = [
     "AuditDivergence",
-    "Divergence",
-    "DigestSnapshot",
     "InvariantChecker",
     "InvariantViolation",
     "NodeDelta",
@@ -62,10 +55,10 @@ __all__ = [
     "SignatureCache",
     "ViolationRecord",
     "chain_checkers",
-    "find_divergence",
     "ghost_checkers",
     "ng_checkers",
     "node_digest",
     "sanitizer_for",
     "shared_signature_cache",
+    "state_fingerprint",
 ]

@@ -1,30 +1,26 @@
-"""Canonical per-node state digests for divergence detection.
+"""Canonical per-node state digests for determinism checks.
 
 A :class:`NodeDigest` compresses everything that makes two same-seed
 runs "the same node state" — main-chain tip, chain weight, height, a
 mempool fingerprint, and a UTXO root — into a few short hex strings.
-A :class:`DigestSnapshot` is one capture of every node's digest at a
-known event index, and a stream of snapshots (JSONL, schema v1) is what
-``repro check diverge`` bisects.
+:func:`state_fingerprint` folds every node's digest into one short hash,
+the end-of-run fingerprint the golden-equivalence pins and the mutation
+probe compare.
 
-Digest computation is read-only and draws no randomness, so capturing
+Digest computation is read-only and draws no randomness, so taking
 digests never perturbs a run.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from hashlib import sha256
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..obs.trace import short_hash
 from .checkers import chain_of
 
-#: Stream format version; bump on any incompatible field change.
-STREAM_VERSION = 1
 #: Hex characters kept from each sha256 fingerprint.
 DIGEST_HEX = 12
 
@@ -40,57 +36,10 @@ class NodeDigest:
     mempool: str  #: sha256 over sorted pool txids, 12 hex chars
     utxo: str  #: sha256 over the sorted coin map, 12 hex chars
 
-    def to_dict(self) -> dict:
-        return {
-            "node": self.node,
-            "tip": self.tip,
-            "weight": self.weight,
-            "height": self.height,
-            "mempool": self.mempool,
-            "utxo": self.utxo,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NodeDigest":
-        return cls(
-            node=int(data["node"]),
-            tip=str(data["tip"]),
-            weight=int(data["weight"]),
-            height=int(data["height"]),
-            mempool=str(data["mempool"]),
-            utxo=str(data["utxo"]),
-        )
-
     def format(self) -> str:
         return (
             f"tip={self.tip} weight={self.weight} height={self.height} "
             f"mempool={self.mempool} utxo={self.utxo}"
-        )
-
-
-@dataclass(frozen=True)
-class DigestSnapshot:
-    """Every node's digest at one point in a run."""
-
-    index: int  #: simulator events processed when captured
-    time: float  #: virtual time when captured
-    digests: tuple[NodeDigest, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "time": self.time,
-            "digests": [digest.to_dict() for digest in self.digests],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DigestSnapshot":
-        return cls(
-            index=int(data["index"]),
-            time=float(data["time"]),
-            digests=tuple(
-                NodeDigest.from_dict(entry) for entry in data["digests"]
-            ),
         )
 
 
@@ -136,35 +85,17 @@ def node_digest(node: object, node_id: int) -> NodeDigest:
     )
 
 
-def save_stream(
-    path: str | Path,
-    snapshots: Sequence[DigestSnapshot],
-    meta: dict | None = None,
-) -> None:
-    """Write a digest stream as JSONL: one header line, one per snapshot,
-    creating missing parent directories."""
-    header = {"v": STREAM_VERSION, "kind": "digest_stream"}
-    if meta:
-        header.update(meta)
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", encoding="utf-8") as handle:
-        handle.write(json.dumps(header, sort_keys=True) + "\n")
-        for snapshot in snapshots:
-            handle.write(json.dumps(snapshot.to_dict(), sort_keys=True) + "\n")
+def state_fingerprint(nodes: Iterable[object]) -> tuple[list[str], str]:
+    """(sorted distinct tips, 16-hex sha256 over every node's digest).
 
-
-def load_stream(path: str | Path) -> list[DigestSnapshot]:
-    """Read a digest stream; raises ValueError on the wrong format."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines: Iterable[str] = [line for line in handle if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty digest stream")
-    header = json.loads(lines[0])
-    if header.get("kind") != "digest_stream":
-        raise ValueError(f"{path}: not a digest stream")
-    if header.get("v") != STREAM_VERSION:
-        raise ValueError(
-            f"{path}: unsupported digest stream version {header.get('v')}"
-        )
-    return [DigestSnapshot.from_dict(json.loads(line)) for line in lines[1:]]
+    Nodes are hashed in the order given, each under its ``node_id``
+    (falling back to its position), as one :meth:`NodeDigest.format`
+    line per node.
+    """
+    state = sha256()
+    tips = set()
+    for index, node in enumerate(nodes):
+        digest = node_digest(node, getattr(node, "node_id", index))
+        state.update(digest.format().encode())
+        tips.add(digest.tip)
+    return sorted(tips), state.hexdigest()[:16]

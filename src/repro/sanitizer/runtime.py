@@ -33,11 +33,9 @@ Violations are collected (deduplicated per ``(code, node)`` so one
 broken invariant does not flood the report) and, when a tracer is
 attached, emitted as schema-v1 ``invariant_violation`` trace events.
 
-With ``digest_stride > 0`` the runtime also captures a
-:class:`~repro.sanitizer.digests.DigestSnapshot` of every node on that
-stride — the raw material for ``repro check diverge``.  Digests are
-cached per node keyed on the same change indicators, so an unchanged
-node never re-hashes its UTXO set.
+The nodes the runtime was installed with stay readable as ``nodes``
+after :meth:`SanitizerRuntime.finalize`, which is how callers take an
+end-of-run :func:`~repro.sanitizer.digests.state_fingerprint`.
 
 Everything here is read-only with respect to simulation state: no
 events scheduled, no RNG draws, no node mutation.  That is the whole
@@ -52,7 +50,6 @@ from typing import Iterable, Sequence
 
 from ..clock import wall_clock
 from .checkers import InvariantChecker, NodeDelta, chain_of
-from .digests import DigestSnapshot, NodeDigest, node_digest
 from .violations import ViolationRecord, make_violation
 
 #: Check modes the runtime understands (``audit`` = incremental sweeps
@@ -125,7 +122,7 @@ class _TimedChecker:
 
 
 class SanitizerRuntime:
-    """Runs invariant checkers and digest captures during a simulation."""
+    """Runs invariant checkers during a simulation."""
 
     def __init__(
         self,
@@ -135,7 +132,6 @@ class SanitizerRuntime:
         mode: str = "incremental",
         audit_stride: int | None = None,
         tracer: object | None = None,
-        digest_stride: int = 0,
         profiler: object | None = None,
     ) -> None:
         if mode not in RUNTIME_MODES:
@@ -146,28 +142,23 @@ class SanitizerRuntime:
         self.stride = max(1, int(stride))
         self.mode = mode
         self.tracer = tracer
-        self.digest_stride = max(0, int(digest_stride))
         if audit_stride is None:
             audit_stride = DEFAULT_AUDIT_STRIDE if mode == "audit" else 0
         self.audit_stride = max(0, int(audit_stride))
         self.violations: list[ViolationRecord] = []
-        self.digests: list[DigestSnapshot] = []
         self.sweeps = 0
         self.audits = 0
         self.events_seen = 0
         self._sim: object | None = None
-        self._nodes: Sequence[object] = ()
+        self.nodes: Sequence[object] = ()
         self._node_ids: list[int] = []
         self._seen_blocks: list[set[bytes]] = []
         self._reported: set[tuple[str, int]] = set()
         self._sweep_countdown = self.stride
-        self._digest_countdown = self.digest_stride
         self._audit_countdown = self.audit_stride
         # Dirty tracking: last observed (tip hash, mempool version,
         # UTXO version, poison count) per node; None = never swept.
         self._node_state: list[tuple | None] = []
-        # Digest cache: (change-indicator key, NodeDigest) per node.
-        self._digest_cache: list[tuple[tuple, NodeDigest] | None] = []
         # Fresh uncached replicas for the periodic audit, built lazily.
         self._audit_checkers: list[InvariantChecker] | None = None
         self._audit_marker = AuditDivergence()
@@ -210,25 +201,22 @@ class SanitizerRuntime:
     def install(self, sim: object, nodes: Sequence[object]) -> None:
         """Attach to a simulator and the nodes to sweep."""
         self._sim = sim
-        self._nodes = list(nodes)
+        self.nodes = list(nodes)
         self._node_ids = [
             getattr(node, "node_id", index)
-            for index, node in enumerate(self._nodes)
+            for index, node in enumerate(self.nodes)
         ]
-        self._seen_blocks = [set() for _ in self._nodes]
-        self._node_state = [None for _ in self._nodes]
-        self._digest_cache = [None for _ in self._nodes]
+        self._seen_blocks = [set() for _ in self.nodes]
+        self._node_state = [None for _ in self.nodes]
         sim.attach(self)  # type: ignore[attr-defined]
 
     def finalize(self) -> None:
-        """Final sweep (+ audit) + digest, then detach from the simulator."""
+        """Final sweep (+ audit), then detach from the simulator."""
         if self._sim is None:
             return
         self._sweep()
         if self.checkers and self.audit_stride > 0:
             self._audit()
-        if self.digest_stride > 0:
-            self._capture_digest()
         self._sim.detach(self)  # type: ignore[attr-defined]
         self._sim = None
 
@@ -255,11 +243,6 @@ class SanitizerRuntime:
         if self._sweep_countdown <= 0:
             self._sweep_countdown = self.stride
             self._sweep()
-        if self.digest_stride > 0:
-            self._digest_countdown -= 1
-            if self._digest_countdown <= 0:
-                self._digest_countdown = self.digest_stride
-                self._capture_digest()
 
     # -- sweeping -------------------------------------------------------
 
@@ -326,7 +309,7 @@ class SanitizerRuntime:
     def _sweep_incremental(self) -> None:
         now = self._sim.now  # type: ignore[attr-defined]
         self.sweeps += 1
-        for index, node in enumerate(self._nodes):
+        for index, node in enumerate(self.nodes):
             node_id = self._node_ids[index]
             chain = chain_of(node)
             fresh, delta = self._observe(index, node, chain)
@@ -390,7 +373,7 @@ class SanitizerRuntime:
         self.audits += 1
         replicas = self._audit_replicas()
         findings: list[ViolationRecord] = []
-        for index, node in enumerate(self._nodes):
+        for index, node in enumerate(self.nodes):
             node_id = self._node_ids[index]
             chain = chain_of(node)
             cursor = chain.tip_record  # type: ignore[attr-defined]
@@ -432,87 +415,29 @@ class SanitizerRuntime:
                 "invariant_violation", violation.time, **violation.to_dict()
             )
 
-    # -- digests --------------------------------------------------------
-
-    def _node_digest_cached(self, index: int, node: object) -> NodeDigest:
-        """Per-node digest, recomputed only when change indicators moved.
-
-        Hashing a node's UTXO set and mempool is the expensive part of a
-        digest capture; the same version counters the dirty tracker uses
-        tell us when the previous digest is still exact.  Nodes whose
-        ledger objects carry no version counter are recomputed every
-        time (correct, just slower).
-        """
-        chain = chain_of(node)
-        tip = chain.tip_record  # type: ignore[attr-defined]
-        mempool = getattr(node, "mempool", None)
-        utxo = getattr(node, "utxo", None)
-        key = (
-            tip.hash if tip is not None else None,
-            _ABSENT if mempool is None else getattr(mempool, "version", None),
-            _ABSENT if utxo is None else getattr(utxo, "version", None),
-        )
-        cached = self._digest_cache[index]
-        if (
-            cached is not None
-            and key[1] is not None
-            and key[2] is not None
-            and cached[0] == key
-        ):
-            return cached[1]
-        digest = node_digest(node, self._node_ids[index])
-        self._digest_cache[index] = (key, digest)
-        return digest
-
-    def _capture_digest(self) -> None:
-        if self._sim is None:
-            return
-        snapshot = DigestSnapshot(
-            index=self.events_seen,
-            time=self._sim.now,  # type: ignore[attr-defined]
-            digests=tuple(
-                self._node_digest_cached(index, node)
-                for index, node in enumerate(self._nodes)
-            ),
-        )
-        self.digests.append(snapshot)
-        if self.tracer is not None:
-            self.tracer.emit(  # type: ignore[attr-defined]
-                "state_digest",
-                snapshot.time,
-                index=snapshot.index,
-                nodes=len(snapshot.digests),
-            )
-
 
 def sanitizer_for(
     config,
     *,
     tracer: object | None = None,
     profiler: object | None = None,
-    digest_stride: int = 0,
 ) -> SanitizerRuntime | None:
-    """The runtime ``config`` asks for, or ``None``.
+    """The runtime ``config`` asks for, or ``None`` for an unchecked one.
 
     A checked config (``config.check``) gets its protocol adapter's
-    checkers in ``config.check_mode`` on ``config.check_stride``;
-    ``digest_stride > 0`` alone gets a checker-less runtime that only
-    captures digests.  Sweep workers rebuild the same runtime from the
-    same config, which is how a pool cell is checked like a serial run.
+    checkers in ``config.check_mode`` on ``config.check_stride``.  Sweep
+    workers rebuild the same runtime from the same config, which is how
+    a pool cell is checked like a serial run.
     """
-    if not config.check and digest_stride <= 0:
+    if not config.check:
         return None
-    checkers: Iterable[InvariantChecker] = ()
-    if config.check:
-        from ..protocols import get_adapter
+    from ..protocols import get_adapter
 
-        checkers = get_adapter(config.protocol).invariant_checkers()
     return SanitizerRuntime(
-        checkers,
+        get_adapter(config.protocol).invariant_checkers(),
         stride=config.check_stride,
         mode=config.check_mode,
         tracer=tracer,
-        digest_stride=digest_stride,
         profiler=profiler,
     )
 

@@ -29,7 +29,6 @@ LEDGERED = [
     "net/latency.py",  # row 8
     "sanitizer/__init__.py",  # re-exports row 5's names
     "sanitizer/checkers.py",  # row 5
-    "sanitizer/runtime.py",  # rows 6 and 7
 ]
 
 

@@ -73,11 +73,18 @@ def test_check_flag_parses_bare_and_with_mode():
     for command in (
         ["run"],
         ["sweep", "frequency"],
-        ["check", "diverge"],
         ["prof", "run", "--out", "unused"],
     ):
         with pytest.raises(SystemExit):
             parser.parse_args([*command, "--check", "full"])
+
+
+@pytest.mark.parametrize("command", ["diverge", "record"])
+def test_retired_check_subcommands_are_usage_errors(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["check", command])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'check'" in capsys.readouterr().err
 
 
 _TINY_RUN = [
@@ -263,15 +270,10 @@ def test_obs_pointing_at_a_file_is_rejected_before_the_run(
 
 
 @pytest.mark.parametrize(
-    "command, directory, message",
-    [
-        (["prof", "run"], False, "not a directory"),
-        (["check", "record"], True, "is a directory"),
-    ],
-    ids=["prof run --out FILE", "check record --out DIR"],
+    "command", [["prof", "run"]], ids=["prof run --out FILE"]
 )
 def test_out_of_the_wrong_kind_is_rejected_before_the_run(
-    tmp_path, monkeypatch, command, directory, message
+    tmp_path, monkeypatch, command
 ):
     from repro.net.simulator import Simulator
 
@@ -280,17 +282,12 @@ def test_out_of_the_wrong_kind_is_rejected_before_the_run(
 
     monkeypatch.setattr(Simulator, "run", never)
     target = tmp_path / "out"
-    if directory:
-        target.mkdir()
-    else:
-        target.write_text("kept")
+    target.write_text("kept")
     with pytest.raises(SystemExit) as excinfo:
         main([*command, "--nodes", "12", "--blocks", "6", "--out", str(target)])
-    assert str(excinfo.value) == f"error: --out {target}: {message}"
+    assert str(excinfo.value) == f"error: --out {target}: not a directory"
     assert list(tmp_path.iterdir()) == [target]
-    assert (
-        not list(target.iterdir()) if directory else target.read_text() == "kept"
-    )
+    assert target.read_text() == "kept"
 
 
 def test_trace_of_a_killed_run_still_summarizes(tmp_path, capsys):
@@ -469,14 +466,6 @@ _RUN_SURFACES = {
         (100, 60),
     ),
     ("propagation",): (set(), (100, 60)),
-    ("check", "record", "--out", "x"): (
-        _PROTOCOL_FLAGS | {"check", "check_command", "out", "stride"},
-        (30, 20, 0.2, 8_000, 0.02),
-    ),
-    ("check", "diverge"): (
-        _PROTOCOL_FLAGS | {"check", "check_command", "files", "stride"},
-        (30, 20, 0.2, 8_000, 0.02),
-    ),
     ("prof", "run"): (
         _PROTOCOL_FLAGS
         | {"check", "obs", "prof_command", "out", "top", "stride"},
@@ -526,8 +515,6 @@ def test_config_from_args_is_the_inverse_of_the_flag_block():
 @pytest.mark.parametrize(
     "command",
     [
-        ["check", "record", "--out", "unused"],
-        ["check", "diverge"],
         ["prof", "run", "--out", "unused"],
         ["propagation"],
         ["sweep", "frequency"],
@@ -544,9 +531,7 @@ def test_repro_check_env_reaches_every_experiment_subcommand(
     assert "incremental, audit" in str(excinfo.value.code)
 
 
-def test_repro_check_env_checks_check_record_and_prof_run(
-    monkeypatch, tmp_path, capsys
-):
+def test_repro_check_env_checks_prof_run(monkeypatch, tmp_path, capsys):
     import json
 
     from repro.sanitizer import SanitizerRuntime
@@ -561,11 +546,9 @@ def test_repro_check_env_checks_check_record_and_prof_run(
     monkeypatch.setattr(SanitizerRuntime, "__init__", spy)
     monkeypatch.setenv("REPRO_CHECK", "audit")
     tiny = ["--nodes", "8", "--blocks", "4", "--key-blocks", "2"]
-    out = tmp_path / "run.digests.jsonl"
-    assert main(["check", "record", "--out", str(out), *tiny]) == 0
     assert main(["prof", "run", "--out", str(tmp_path), *tiny]) == 0
-    assert [mode for mode, _ in modes] == ["audit", "audit"]
-    assert all(n_checkers > 0 for _, n_checkers in modes)
+    [(mode, n_checkers)] = modes
+    assert mode == "audit" and n_checkers > 0
     [profile] = tmp_path.glob("*.prof.json")
     assert json.loads(profile.read_text())["meta"]["check"] is True
     capsys.readouterr()
@@ -655,10 +638,11 @@ def test_jobs_zero_is_an_error_not_a_traceback(monkeypatch):
         (["run", "--key-blocks", "0"], "error: need at least one block"),
         (["prof", "run", "--out", "unused", "--stride", "0"],
          "error: check_stride must be at least 1"),
-        (["check", "record", "--out", "unused", "--stride", "0"],
-         "error: --stride must be at least 1"),
-        (["check", "diverge", "--stride", "0"],
-         "error: --stride must be at least 1"),
+        (["sweep", "size", "--nodes", "6", "--blocks", "2",
+          "--seeds", "0", "0"],
+         "error: seeds must be distinct, got [0, 0]"),
+        (["sweep", "frequency", "--seeds", "3", "1", "3"],
+         "error: seeds must be distinct, got [3, 1, 3]"),
         (["incentives", "--alpha", "1.5"],
          "error: attacker fraction must be in [0, 1), got 1.5"),
         (["incentives", "--alpha", "-1"],
@@ -703,8 +687,7 @@ _NO_KEY_BLOCK = ["--nodes", "8", "--blocks", "3", "--key-blocks", "1"]
 @pytest.mark.parametrize("seed", ["0", "2"])
 @pytest.mark.parametrize(
     "command",
-    [["run"], ["check", "record", "--out", "unused"],
-     ["prof", "run", "--out", "unused"]],
+    [["run"], ["prof", "run", "--out", "unused"]],
     ids=" ".join,
 )
 def test_run_that_mines_no_weight_block_is_one_error_line(

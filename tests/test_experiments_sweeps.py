@@ -50,6 +50,18 @@ def test_size_sweep_structure():
     assert [p.x for p in sweep.points] == [2000.0, 20_000.0]
 
 
+@pytest.mark.parametrize("sweep", [frequency_sweep, size_sweep])
+def test_repeated_seed_is_rejected_before_any_run(sweep, monkeypatch):
+    # A twin cell would count twice in its mean and overwrite its
+    # sibling's trace files.
+    def never(*args, **kwargs):
+        raise AssertionError("a cell was run")
+
+    monkeypatch.setattr("repro.experiments.sweeps.run_many", never)
+    with pytest.raises(ValueError, match=r"seeds must be distinct, got \[0, 2, 0\]"):
+        sweep(TINY, seeds=(0, 2, 0))
+
+
 def test_sweep_table_formatting(tiny_frequency_sweep):
     table = format_sweep_table(tiny_frequency_sweep)
     assert "bitcoin-ng" in table

@@ -13,7 +13,6 @@ full-scale run builds a connected topology, completes, and sweeps clean
 under the sanitizer's invariant checkers.
 """
 
-import hashlib
 import random
 
 import pytest
@@ -21,6 +20,7 @@ import pytest
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.net.topology import random_topology
 from repro.protocols import Protocol
+from repro.sanitizer.digests import node_digest, state_fingerprint
 from repro.sanitizer.runtime import SanitizerRuntime
 
 
@@ -37,23 +37,19 @@ def _fingerprint(protocol: Protocol, n_nodes: int):
         block_size_bytes=8_000,
         cooldown=15.0,
     )
-    # Digest-only sanitizer probe: captures one final per-node state
-    # snapshot without running invariant sweeps (bit-identical to bare).
-    runtime = SanitizerRuntime((), digest_stride=10**9)
+    # Checker-less sanitizer: runs no sweeps (bit-identical to bare) and
+    # hands back the nodes, whose final state is fingerprinted.
+    runtime = SanitizerRuntime(())
     result, _log = run_experiment(config, sanitizer=runtime)
     runtime.finalize()
-    snapshot = runtime.digests[-1]
-    state = hashlib.sha256()
-    for digest in snapshot.digests:
-        state.update(digest.format().encode())
-    tips = sorted({digest.tip for digest in snapshot.digests})
+    tips, state = state_fingerprint(runtime.nodes)
     return (
         result.events_processed,
         result.messages_delivered,
         result.blocks_generated,
         result.main_chain_length,
         tips,
-        state.hexdigest()[:16],
+        state,
     )
 
 
@@ -132,10 +128,13 @@ def test_thousand_node_run_completes_clean_under_check():
     # full main-chain height.  (Tip *unanimity* is not asserted — this
     # short run ends mid-fork, a 520/480 split on an equal-weight
     # key-block fork that only the next key block would resolve.)
-    runtime = SanitizerRuntime((), digest_stride=10**9)
+    runtime = SanitizerRuntime(())
     rerun, _ = run_experiment(config.with_(check=False), sanitizer=runtime)
     runtime.finalize()
-    heights = {digest.height for digest in runtime.digests[-1].digests}
+    heights = {
+        node_digest(node, index).height
+        for index, node in enumerate(runtime.nodes)
+    }
     assert heights == {result.main_chain_length}
     # Checked and bare runs are bit-identical (checkers only read).
     assert rerun.events_processed == result.events_processed

@@ -1,15 +1,13 @@
-"""The sanitizer: invariant checkers, digest streams, and the bisector.
+"""The sanitizer: invariant checkers and end-of-run state fingerprints.
 
 Three layers of coverage:
 
 * hand-built violating states — each broken invariant trips exactly its
   own INV code and nothing else;
 * the runtime — stride sweeps, per-``(code, node)`` dedupe, trace
-  emission, digest capture, and clean end-to-end checked runs for all
-  three protocols;
-* divergence bisection — unit cases cross-checked against a linear
-  scan, plus deliberately injected nondeterminism that the bisector
-  must pinpoint to the first divergent event and node.
+  emission, and clean end-to-end checked runs for all three protocols;
+* state fingerprints — two same-seed runs fingerprint equal, and
+  deliberately injected nondeterminism changes the fingerprint.
 """
 
 from types import SimpleNamespace
@@ -37,15 +35,12 @@ from repro.ledger.transactions import (
 from repro.ledger.utxo import UtxoSet
 from repro.mining.scheduler import MiningScheduler
 from repro.sanitizer import (
-    DigestSnapshot,
-    NodeDigest,
     SanitizerRuntime,
-    find_divergence,
     ng_checkers,
     node_digest,
+    state_fingerprint,
 )
 from repro.sanitizer.checkers import TipMonotonicity
-from repro.sanitizer.digests import load_stream, save_stream
 
 PARAMS = NGParams(key_block_interval=100.0, min_microblock_interval=10.0)
 GENESIS = make_ng_genesis()
@@ -346,20 +341,6 @@ def test_runtime_dedupes_and_emits_trace_events():
     assert sim.observers == []  # detached
 
 
-def test_runtime_captures_digests_on_stride_and_finalize():
-    sim = _FakeSim()
-    chain = _epoch_chain()
-    runtime = SanitizerRuntime((), stride=1, digest_stride=2)
-    runtime.install(sim, [_node(chain)])
-    for _ in range(5):
-        sim.probe()
-    runtime.finalize()
-    assert [snapshot.index for snapshot in runtime.digests] == [2, 4, 5]
-    digest = runtime.digests[-1].digests[0]
-    assert digest.weight == chain.tip_record.cumulative_work
-    assert digest.height == 3
-
-
 def test_node_digest_fingerprints_ledger_state():
     node = _node(_epoch_chain())
     before = node_digest(node, 0)
@@ -392,113 +373,23 @@ def test_checked_run_is_clean(protocol):
     assert result.violations == ()
 
 
-# -- digest streams -----------------------------------------------------------
-
-
-def _digest(node, tip, weight=1):
-    return NodeDigest(
-        node=node, tip=tip, weight=weight, height=1, mempool="-", utxo="-"
-    )
-
-
-def _snap(index, *tips):
-    return DigestSnapshot(
-        index=index,
-        time=float(index),
-        digests=tuple(_digest(i, tip) for i, tip in enumerate(tips)),
-    )
-
-
-def test_stream_round_trips_through_jsonl(tmp_path):
-    snapshots = [_snap(64, "aaa", "bbb"), _snap(128, "ccc", "ddd")]
-    path = tmp_path / "missing" / "dir" / "stream.jsonl"  # parents made
-    save_stream(path, snapshots, meta={"seed": 7})
-    assert load_stream(path) == snapshots
-
-
-def test_stream_rejects_foreign_and_empty_files(tmp_path):
-    empty = tmp_path / "empty.jsonl"
-    empty.write_text("")
-    with pytest.raises(ValueError, match="empty"):
-        load_stream(empty)
-    foreign = tmp_path / "foreign.jsonl"
-    foreign.write_text('{"kind": "trace"}\n')
-    with pytest.raises(ValueError, match="not a digest stream"):
-        load_stream(foreign)
-    future = tmp_path / "future.jsonl"
-    future.write_text('{"kind": "digest_stream", "v": 99}\n')
-    with pytest.raises(ValueError, match="version"):
-        load_stream(future)
-
-
-# -- the bisector -------------------------------------------------------------
-
-
-def test_identical_streams_have_no_divergence():
-    stream = [_snap(i * 64, "aaa", "bbb") for i in range(6)]
-    assert find_divergence(stream, list(stream)) is None
-
-
-def test_length_mismatch_after_identical_prefix():
-    stream = [_snap(i * 64, "aaa") for i in range(4)]
-    divergence = find_divergence(stream, stream + [_snap(256, "aaa")])
-    assert divergence is not None
-    assert divergence.index == 4
-    assert divergence.node == -1
-    assert "different lengths" in divergence.format()
-
-
-def test_mid_stream_divergence_names_snapshot_and_node():
-    a = [_snap(i * 64, "aaa", "bbb") for i in range(6)]
-    b = list(a)
-    b[3] = DigestSnapshot(
-        index=b[3].index,
-        time=b[3].time,
-        digests=(b[3].digests[0], _digest(1, "XXX")),
-    )
-    divergence = find_divergence(a, b)
-    assert divergence is not None
-    assert divergence.index == 3
-    assert divergence.event_index == 3 * 64
-    assert divergence.node == 1
-    assert divergence.a.tip == "bbb"
-    assert divergence.b.tip == "XXX"
-    assert "node 1" in divergence.format()
-
-
-def test_bisection_matches_linear_scan_for_every_split_point():
-    length = 9
-    for first_bad in range(length):
-        a = [_snap(i * 64, "aaa", "bbb") for i in range(length)]
-        b = [
-            _snap(i * 64, "aaa", "bbb" if i < first_bad else "zzz")
-            for i in range(length)
-        ]
-        linear = next(i for i in range(length) if a[i] != b[i])
-        divergence = find_divergence(a, b)
-        assert divergence is not None
-        assert divergence.index == linear == first_bad
-        assert divergence.node == 1
-
-
 # -- injected nondeterminism, end to end --------------------------------------
 
 
-def _digest_stream(config, stride=16):
-    runtime = SanitizerRuntime((), digest_stride=stride)
+def _final_fingerprint(config):
+    runtime = SanitizerRuntime(())
     run_experiment(config, sanitizer=runtime)
-    return runtime.digests
+    runtime.finalize()
+    return state_fingerprint(runtime.nodes)
 
 
-def test_injected_nondeterminism_is_bisected_to_event_and_node(monkeypatch):
+def test_injected_nondeterminism_changes_the_state_fingerprint(monkeypatch):
     config = ExperimentConfig(protocol="bitcoin-ng", **CHECKED)
-    clean = _digest_stream(config)
-    assert len(clean) > 3
-    assert find_divergence(clean, _digest_stream(config)) is None
+    clean = _final_fingerprint(config)
+    assert clean == _final_fingerprint(config)
 
     # Inject a race: from the third block on, a different miner wins.
-    # Event timing is untouched, so the bisector must localize the
-    # divergence through state digests, not timestamps.
+    # Event timing is untouched, so only the node state can tell.
     original = MiningScheduler._pick_winner
     wins = {"count": 0}
 
@@ -510,17 +401,4 @@ def test_injected_nondeterminism_is_bisected_to_event_and_node(monkeypatch):
         return winner
 
     monkeypatch.setattr(MiningScheduler, "_pick_winner", racy)
-    tampered = _digest_stream(config)
-
-    divergence = find_divergence(clean, tampered)
-    assert divergence is not None
-    linear = next(
-        i
-        for i in range(min(len(clean), len(tampered)))
-        if clean[i] != tampered[i]
-    )
-    assert divergence.index == linear
-    assert divergence.node >= 0
-    assert divergence.event_index == clean[linear].index
-    assert divergence.a is not None and divergence.b is not None
-    assert divergence.a != divergence.b
+    assert _final_fingerprint(config) != clean

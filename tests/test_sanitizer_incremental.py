@@ -619,9 +619,6 @@ def test_utxo_mutators_bump_version():
 
 def test_sanitizer_for_unchecked_builds_no_sanitizer():
     assert sanitizer_for(ExperimentConfig(protocol="bitcoin-ng")) is None
-    # Digest capture alone gets a checker-less runtime.
-    runtime = sanitizer_for(ExperimentConfig(), digest_stride=8)
-    assert runtime.checkers == [] and runtime.digest_stride == 8
 
 
 def test_sanitizer_for_builds_runtime_in_requested_mode():
