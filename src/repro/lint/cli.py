@@ -1,7 +1,7 @@
 """The ``repro lint`` subcommand: text/JSON output, --explain.
 
 Exit codes: 0 clean, 1 findings, 2 usage errors (unknown rule code,
-unreadable path).  Kept separate from
+unreadable path, a run that would check nothing).  Kept separate from
 :mod:`repro.cli` so the argparse wiring there stays one line per
 subcommand and the analyzer imports only when invoked.
 """
@@ -25,7 +25,6 @@ FAMILIES = {
     "NG2": "clock/env",
     "NG3": "ordering",
     "NG4": "layering",
-    "NG5": "arithmetic",
     "NG6": "semantic",
 }
 
@@ -78,7 +77,7 @@ def add_lint_parser(commands: argparse._SubParsersAction) -> None:
     parser.add_argument(
         "--why",
         action="store_true",
-        help="append call-path explanations to NG6xx findings",
+        help="append call-path explanations to NG601 findings",
     )
     parser.set_defaults(handler=cmd_lint)
 
@@ -102,13 +101,16 @@ def _find_fixture(code: str, suffix: str) -> str | None:
     return None
 
 
+def _usage_error(message: object) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _explain(code: str) -> int:
     rule = RULES.get(code)
     if rule is None:
         known = ", ".join(sorted(RULES))
-        print(f"error: unknown rule code {code!r} (known: {known})",
-              file=sys.stderr)
-        return 2
+        return _usage_error(f"unknown rule code {code!r} (known: {known})")
     bad = _find_fixture(code, "bad") or rule.bad_example
     good = _find_fixture(code, "good") or rule.good_example
     print(f"{rule.code} ({rule.name})")
@@ -150,8 +152,9 @@ def _list_rules() -> int:
 def _resolve_codes(args: argparse.Namespace) -> list[str] | None:
     """The rule subset --select/--ignore ask for (None = every rule).
 
-    Raises KeyError on unknown codes, same as the engine, so both
-    flags share one exit-2 path in :func:`cmd_lint`.
+    Raises KeyError on unknown codes, same as the engine, and
+    ValueError on a selection that leaves no rule, so every selection
+    mistake shares one exit-2 path in :func:`cmd_lint`.
     """
     if args.select and args.ignore:
         raise ValueError("--select and --ignore are mutually exclusive")
@@ -162,9 +165,11 @@ def _resolve_codes(args: argparse.Namespace) -> list[str] | None:
     unknown = codes - set(RULES)
     if unknown:
         raise KeyError(f"unknown rule codes: {sorted(unknown)}")
-    if args.select:
-        return sorted(codes)
-    return sorted(set(RULES) - codes)
+    selected = sorted(codes if args.select else set(RULES) - codes)
+    if not selected:
+        raise ValueError(f"{'--select' if args.select else '--ignore'} "
+                         f"{raw!r} leaves no rule to run")
+    return selected
 
 
 def _print_text(report: LintReport, *, show_why: bool = False) -> None:
@@ -188,15 +193,15 @@ def cmd_lint(args: argparse.Namespace) -> int:
     try:
         codes = _resolve_codes(args)
     except (KeyError, ValueError) as exc:
-        message = exc.args[0] if exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
-        return 2
+        return _usage_error(exc.args[0])
 
     try:
         report = lint_paths(args.paths, codes=codes)
     except (FileNotFoundError, SyntaxError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
+    if not report.files_scanned:
+        # A run that checks nothing must not read as a clean tree.
+        return _usage_error(f"no .py files in {' '.join(args.paths)}")
 
     if args.json:
         print(json.dumps(report.to_payload(), indent=2, sort_keys=True))

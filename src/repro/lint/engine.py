@@ -110,7 +110,14 @@ def _module_name(path: Path, lines: list[str]) -> str:
 
 
 def _parse(path: Path) -> _ParsedModule:
-    source = path.read_text(encoding="utf-8")
+    try:
+        source = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # Python itself refuses an undecodable source file with a
+        # SyntaxError; report it the same way, naming the file.
+        raise SyntaxError(
+            f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
+        ) from None
     lines = source.splitlines()
     tree = ast.parse(source, filename=str(path))
     return _ParsedModule(

@@ -13,8 +13,8 @@ Rule families
 
 * **NG1xx — RNG discipline.**  All randomness must flow through seeded
   ``random.Random`` streams threaded to the code that draws; the
-  process-global generator, unseeded streams, numpy's global RNG, and
-  OS entropy all break replayability.
+  process-global generator, unseeded streams, and OS entropy all break
+  replayability.
 * **NG2xx — wall-clock & environment leaks.**  Virtual time is the only
   clock inside a simulation; wall-clock reads live in ``repro.clock``
   and environment variables are read only at config entry points.
@@ -22,13 +22,12 @@ Rule families
   while scheduling events, sending messages, or drawing randomness
   makes event order depend on hash layout.
 * **NG4xx — protocol-layer boundaries.**  Consensus layers must not
-  import the experiment harness above them, and protocol construction
-  must go through the :mod:`repro.protocols` registry.
-* **NG5xx — monetary & consensus arithmetic.**  Satoshi amounts are
-  integers end to end: a ``COIN``-derived value meeting ``/`` or a
-  float literal grows sub-satoshi remainders that break value
-  conservation, and ``==``/``!=`` against float literals inside a
-  consensus layer turns rounding error into a validation verdict.
+  import the experiment harness above them.
+
+The NG6xx family (:mod:`repro.lint.semantic.rules`) completes the
+catalog.  ``docs/static-analysis.md`` → "Retired rules" lists the rules
+that never fired on any committed tree and whose property a runtime
+test pins, and which were therefore removed.
 """
 
 from __future__ import annotations
@@ -78,10 +77,6 @@ WALL_CLOCK_TIME_FNS = frozenset(
 DATETIME_NOW_FNS = frozenset({"now", "utcnow", "today"})
 OS_ENTROPY = frozenset({"urandom", "getrandom"})
 UUID_ENTROPY = frozenset({"uuid1", "uuid4"})
-#: Concrete adapter names that must only be reached via the registry.
-ADAPTER_INTERNALS = frozenset(
-    {"BitcoinAdapter", "GhostAdapter", "BitcoinNGAdapter", "_ADAPTERS"}
-)
 #: Layers that may never import the harness above them.
 PROTOCOL_LAYERS = ("repro.core", "repro.bitcoin", "repro.ghost")
 HARNESS_LAYERS = ("repro.experiments", "repro.cli")
@@ -291,63 +286,6 @@ class UnseededRandom(Rule):
                 node,
                 "`random.Random()` constructed without a seed expression "
                 "— self-seeds from OS entropy and breaks replay",
-            )
-        self.generic_visit(node)
-
-
-@register
-class NumpyGlobalRandom(Rule):
-    code = "NG103"
-    name = "numpy-global-random"
-    rationale = (
-        "`numpy.random` module-level state is process-global and is not "
-        "threaded through the experiment seed; worse, some numpy "
-        "releases consume it internally. Simulation randomness uses "
-        "seeded `random.Random` streams; numeric code that genuinely "
-        "needs numpy sampling must build a `numpy.random.Generator` "
-        "from the experiment seed inside `repro.crypto` or accept one "
-        "as an argument."
-    )
-    bad_example = (
-        "import numpy as np\n"
-        "\n"
-        "def noise() -> float:\n"
-        "    return float(np.random.random())\n"
-    )
-    good_example = (
-        "import random\n"
-        "\n"
-        "def noise(rng: random.Random) -> float:\n"
-        "    return rng.random()\n"
-    )
-
-    def _is_numpy_random(self, node: ast.expr) -> bool:
-        module = self.context.imports.module_of(node)
-        if module is not None:
-            return module == "numpy.random" or module.startswith("numpy.random.")
-        if isinstance(node, ast.Name):
-            return self.context.imports.names.get(node.id) == ("numpy", "random")
-        return False
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        # Flag the `<numpy>.random` attribute itself (any use: a call,
-        # a seed poke, an alias assignment) but not deeper recursion
-        # noise — one finding per access chain.
-        if self._is_numpy_random(node):
-            self.report(
-                node,
-                "use of numpy's process-global `numpy.random` state — "
-                "thread a seeded stream instead",
-            )
-            return
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if isinstance(node.func, ast.Name) and self._is_numpy_random(node.func):
-            self.report(
-                node,
-                "call into numpy's process-global RNG — thread a seeded "
-                "stream instead",
             )
         self.generic_visit(node)
 
@@ -755,7 +693,7 @@ class TupleKeyedDictIteration(Rule):
 # -- NG4xx: protocol-layer boundaries ----------------------------------------
 
 
-def _resolve_relative(module: str, node: ast.ImportFrom) -> str:
+def resolve_import_from(module: str, node: ast.ImportFrom) -> str:
     """The absolute dotted module an ``ImportFrom`` refers to."""
     if node.level == 0:
         return node.module or ""
@@ -820,183 +758,5 @@ class LayerBoundaryImport(Rule):
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         if self._in_protocol_layer():
             self._check_target(
-                node, _resolve_relative(self.context.module, node)
+                node, resolve_import_from(self.context.module, node)
             )
-
-
-@register
-class AdapterRegistryBypass(Rule):
-    code = "NG402"
-    name = "adapter-registry-bypass"
-    rationale = (
-        "Protocol construction goes through the `repro.protocols` "
-        "registry (`get_adapter(name)`), which is what lets scenarios, "
-        "the runner, and external plugins treat every protocol "
-        "uniformly. Importing a concrete adapter class (or reaching "
-        "into `_ADAPTERS`) hard-wires one protocol and bypasses "
-        "registration validation — exactly the coupling the registry "
-        "removed from the runner."
-    )
-    bad_example = (
-        "from repro.protocols import BitcoinNGAdapter\n"
-        "\n"
-        "def build(config, sim, network, log, shares):\n"
-        "    return BitcoinNGAdapter().build_nodes(config, sim, network, log, shares)\n"
-    )
-    good_example = (
-        "from repro.protocols import get_adapter\n"
-        "\n"
-        "def build(config, sim, network, log, shares):\n"
-        '    return get_adapter("bitcoin-ng").build_nodes(config, sim, network, log, shares)\n'
-    )
-    allowed_modules = ("repro.protocols",)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        target = _resolve_relative(self.context.module, node)
-        if target == "repro.protocols" or target == "protocols":
-            for alias in node.names:
-                if alias.name in ADAPTER_INTERNALS:
-                    self.report(
-                        node,
-                        f"`{alias.name}` imported directly from the "
-                        "adapter registry — resolve protocols via "
-                        "get_adapter(name)",
-                    )
-        self.generic_visit(node)
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if node.attr == "_ADAPTERS":
-            module = self.context.imports.module_of(node.value)
-            if module is not None and module.endswith("protocols"):
-                self.report(
-                    node,
-                    "direct access to the private adapter table "
-                    "`_ADAPTERS` — use get_adapter()/register_adapter()",
-                )
-        self.generic_visit(node)
-
-
-# -- NG5xx: monetary & consensus arithmetic ----------------------------------
-
-
-def _mentions_coin(node: ast.expr) -> bool:
-    """Whether the expression references the satoshi base unit COIN."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and sub.id == "COIN":
-            return True
-        if isinstance(sub, ast.Attribute) and sub.attr == "COIN":
-            return True
-    return False
-
-
-def _has_float_literal(node: ast.expr) -> bool:
-    """Whether the expression contains a float constant anywhere."""
-    return any(
-        isinstance(sub, ast.Constant) and type(sub.value) is float
-        for sub in ast.walk(node)
-    )
-
-
-@register
-class FloatSatoshiArithmetic(Rule):
-    code = "NG501"
-    name = "float-satoshi-arithmetic"
-    rationale = (
-        "Monetary amounts are integer satoshis end to end; the moment a "
-        "COIN-derived value meets `/` or a float literal, sub-satoshi "
-        "remainders appear and value conservation (a coinbase must mint "
-        "exactly reward + fees) fails on rounding, not on fraud. Fee "
-        "shares are computed in integer arithmetic — `split_fee()` "
-        "floors one side's cut and hands the remainder to the other, so "
-        "the parts always sum to the whole."
-    )
-    bad_example = (
-        "from repro.ledger.transactions import COIN\n"
-        "\n"
-        "def leader_cut(fee_btc: float) -> int:\n"
-        "    return int(fee_btc * COIN * 0.4)\n"
-    )
-    good_example = (
-        "from repro.ledger.transactions import COIN\n"
-        "\n"
-        "DUST_LIMIT = COIN // 1000\n"
-        "\n"
-        "def leader_cut(fee: int) -> int:\n"
-        "    return fee * 40 // 100\n"
-    )
-    allowed_modules = ("repro.core.params", "repro.stats")
-
-    def visit_BinOp(self, node: ast.BinOp) -> None:
-        left_coin = _mentions_coin(node.left)
-        right_coin = _mentions_coin(node.right)
-        if left_coin or right_coin:
-            if isinstance(node.op, ast.Div):
-                self.report(
-                    node,
-                    "true division on a COIN-derived amount yields a "
-                    "float — satoshi math uses `//` (or split_fee for "
-                    "shares)",
-                )
-                return
-            other = node.right if left_coin else node.left
-            if _has_float_literal(other):
-                self.report(
-                    node,
-                    "float literal mixed into COIN-derived satoshi "
-                    "arithmetic — keep amounts in integer satoshis",
-                )
-                return
-        self.generic_visit(node)
-
-
-@register
-class FloatEqualityConsensus(Rule):
-    code = "NG502"
-    name = "float-equality-consensus"
-    rationale = (
-        "`==`/`!=` against a float literal inside a consensus layer "
-        "turns accumulated rounding error into a validation verdict: "
-        "two platforms (or one refactor that reassociates an "
-        "expression) disagree about a block's validity. Consensus "
-        "comparisons use inequalities with an explicit epsilon — as the "
-        "microblock-interval check does — or move to an integer domain."
-    )
-    bad_example = (
-        "# repro-lint: module=repro.core.timecheck\n"
-        "\n"
-        "def interval_elapsed(gap: float) -> bool:\n"
-        "    return gap == 10.0\n"
-    )
-    good_example = (
-        "# repro-lint: module=repro.core.timecheck\n"
-        "\n"
-        "TIME_EPSILON = 1e-9\n"
-        "\n"
-        "def interval_elapsed(gap: float, interval: float) -> bool:\n"
-        "    return gap >= interval - TIME_EPSILON\n"
-    )
-
-    @classmethod
-    def applies_to(cls, module: str) -> bool:
-        # Inverted policy: this rule applies *only* inside the consensus
-        # layers — harness, metrics, and analysis code compare floats
-        # legitimately (assertions, plotting thresholds, test bounds).
-        return any(
-            module == layer or module.startswith(layer + ".")
-            for layer in PROTOCOL_LAYERS
-        )
-
-    def visit_Compare(self, node: ast.Compare) -> None:
-        operands = [node.left, *node.comparators]
-        for index, op in enumerate(node.ops):
-            if isinstance(op, (ast.Eq, ast.NotEq)) and (
-                _has_float_literal(operands[index])
-                or _has_float_literal(operands[index + 1])
-            ):
-                self.report(
-                    node,
-                    "float equality in a consensus path — compare with "
-                    "an epsilon bound or move to an integer domain",
-                )
-                return
-        self.generic_visit(node)

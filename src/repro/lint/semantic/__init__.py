@@ -1,8 +1,8 @@
-"""Project-wide semantic index and the NG6xx interprocedural rules.
+"""Project-wide semantic index and the NG601 interprocedural rule.
 
-Importing this package registers NG601–NG604 in the shared rule
-registry (:data:`repro.lint.rules.RULES`); :mod:`repro.lint` does so on
-package import, which is why ``repro lint`` always sees them.
+Importing this package registers NG601 in the shared rule registry
+(:data:`repro.lint.rules.RULES`); :mod:`repro.lint` does so on package
+import, which is why ``repro lint`` always sees it.
 """
 
 from .extract import (
@@ -12,41 +12,25 @@ from .extract import (
     extract_module,
     harvest_set_idents,
     harvest_tuple_dict_idents,
-    rng_stream_tag,
 )
 from .index import FunctionKey, SemanticIndex, build_index
 from .model import (
-    ArgInfo,
     CallSite,
     ClassSummary,
     FunctionSummary,
     ModuleSummary,
-    ParamRef,
-    RngAssign,
     WriteSite,
 )
-from .rules import (
-    AdapterSurfaceConformance,
-    ImpureChecker,
-    MissingVersionBump,
-    RngStreamProvenance,
-    SemanticRule,
-)
+from .rules import MissingVersionBump, SemanticRule
 
 __all__ = [
-    "AdapterSurfaceConformance",
-    "ArgInfo",
     "CallSite",
     "ClassSummary",
     "FunctionKey",
     "FunctionSummary",
-    "ImpureChecker",
     "MissingVersionBump",
     "ModuleSummary",
     "MUTATING_METHODS",
-    "ParamRef",
-    "RngAssign",
-    "RngStreamProvenance",
     "SemanticIndex",
     "SemanticRule",
     "VERSIONED_MARKER",
@@ -56,5 +40,4 @@ __all__ = [
     "extract_module",
     "harvest_set_idents",
     "harvest_tuple_dict_idents",
-    "rng_stream_tag",
 ]

@@ -2,14 +2,12 @@
 
 A :class:`SemanticIndex` is the union of every scanned module's
 :class:`~repro.lint.semantic.model.ModuleSummary` plus the cross-module
-machinery the NG6xx rules need:
+machinery NG601 and ``repro.mutate``'s site enumeration need:
 
 * dotted-module lookup and a scanned-base-chain walk (an approximate
   MRO: DFS over resolved base names, restricted to scanned classes);
-* call-site resolution into ``(module, class | None, function)`` owners;
-* a project-wide *param-mutation fixpoint*: which parameters of which
-  functions are mutated, directly or transitively through resolved call
-  edges, each with a witness chain for ``--why``.
+* call-site resolution into ``(module, class | None, function)`` owners,
+  and reachability over the resolved call edges.
 
 The index is rebuilt from source on every lint run and never leaves
 the process: an on-disk copy cost more to read and rewrite than the
@@ -22,10 +20,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Iterable
 
 from .extract import content_sha, extract_module
-from .model import ClassSummary, FunctionSummary, ModuleSummary, ParamRef
+from .model import ClassSummary, FunctionSummary, ModuleSummary
 
 
 @dataclass(frozen=True)
@@ -35,24 +33,6 @@ class FunctionKey:
     display_path: str
     class_name: str | None
     function: str
-
-    def pretty(self) -> str:
-        if self.class_name:
-            return f"{self.class_name}.{self.function}"
-        return self.function
-
-
-@dataclass(frozen=True)
-class MutationWitness:
-    """Why a parameter counts as mutated: a direct write or a call edge."""
-
-    kind: str  #: ``"direct"`` or ``"via"``
-    display_path: str
-    lineno: int
-    desc: str  #: source line (direct) or callee description (via)
-    #: For ``via``: the callee's (key, param) the mutation flows from.
-    callee: FunctionKey | None = None
-    callee_param: str | None = None
 
 
 @dataclass
@@ -66,7 +46,6 @@ class SemanticIndex:
         for path in sorted(self.modules):
             summary = self.modules[path]
             self._by_module_name.setdefault(summary.module, summary)
-        self._mutated: dict[FunctionKey, dict[str, MutationWitness]] | None = None
 
     # -- lookup --------------------------------------------------------------
 
@@ -83,19 +62,6 @@ class SemanticIndex:
         if cls is None:
             return None
         return cls.methods.get(key.function)
-
-    def iter_functions(
-        self,
-    ) -> Iterator[tuple[ModuleSummary, ClassSummary | None, FunctionSummary]]:
-        """Every function and method, in deterministic order."""
-        for path in sorted(self.modules):
-            summary = self.modules[path]
-            for name in sorted(summary.functions):
-                yield summary, None, summary.functions[name]
-            for class_name in sorted(summary.classes):
-                cls = summary.classes[class_name]
-                for method_name in sorted(cls.methods):
-                    yield summary, cls, cls.methods[method_name]
 
     # -- class hierarchy -----------------------------------------------------
 
@@ -227,7 +193,7 @@ class SemanticIndex:
                 return target_mod, target_mod.classes[target[1]]
         return None
 
-    # -- public queries (consumed by repro.mutate and external tooling) ------
+    # -- site-enumeration queries (consumed by repro.mutate) ----------------
 
     def classes_extending(
         self, targets: frozenset[str]
@@ -345,128 +311,6 @@ class SemanticIndex:
         for summary in self.modules.values():
             names.update(summary.tuple_dict_idents)
         return frozenset(names)
-
-    # -- param-mutation fixpoint ---------------------------------------------
-
-    def mutated_params(self) -> dict[FunctionKey, dict[str, MutationWitness]]:
-        """Which parameters each function mutates, transitively.
-
-        Seeds are each function's direct ``param_mutations``; edges are
-        resolved call sites whose argument taint roots in a caller
-        parameter.  Propagation iterates to a fixpoint (monotone, so it
-        terminates); each entry keeps the *first* witness found, which
-        the deterministic iteration order makes stable.
-        """
-        if self._mutated is not None:
-            return self._mutated
-        mutated: dict[FunctionKey, dict[str, MutationWitness]] = {}
-        for summary, cls, fn in self.iter_functions():
-            key = FunctionKey(
-                summary.display_path, cls.name if cls else None, fn.name
-            )
-            for write in fn.param_mutations:
-                mutated.setdefault(key, {}).setdefault(
-                    write.target,
-                    MutationWitness(
-                        "direct", summary.display_path, write.lineno,
-                        write.desc,
-                    ),
-                )
-
-        # (caller, caller_param) ← (callee, callee_param) edges.
-        edges: list[tuple[FunctionKey, str, FunctionKey, str, int]] = []
-        for summary, cls, fn in self.iter_functions():
-            caller = FunctionKey(
-                summary.display_path, cls.name if cls else None, fn.name
-            )
-            for call in fn.calls:
-                resolved = self.resolve_call(summary, cls, call.kind,
-                                             call.target)
-                if resolved is None:
-                    continue
-                callee_key, callee_fn = resolved
-                for taint, param in _bind_call_args(call, callee_fn):
-                    if taint.root == "self" or taint.root not in fn.params:
-                        continue
-                    edges.append(
-                        (caller, taint.root, callee_key, param, call.lineno)
-                    )
-
-        changed = True
-        while changed:
-            changed = False
-            for caller, caller_param, callee, callee_param, lineno in edges:
-                if callee_param not in mutated.get(callee, {}):
-                    continue
-                slot = mutated.setdefault(caller, {})
-                if caller_param not in slot:
-                    slot[caller_param] = MutationWitness(
-                        "via",
-                        caller.display_path,
-                        lineno,
-                        f"{callee.pretty()}(… {callee_param} …)",
-                        callee=callee,
-                        callee_param=callee_param,
-                    )
-                    changed = True
-        self._mutated = mutated
-        return mutated
-
-    def witness_chain(self, key: FunctionKey, param: str) -> list[str]:
-        """Human-readable call path (at most eight steps) explaining a
-        mutated parameter."""
-        mutated = self.mutated_params()
-        chain: list[str] = []
-        seen: set[tuple[str, str | None, str, str]] = set()
-        current_key, current_param = key, param
-        while len(chain) < 8:
-            witness = mutated.get(current_key, {}).get(current_param)
-            if witness is None:
-                break
-            ident = (
-                current_key.display_path,
-                current_key.class_name,
-                current_key.function,
-                current_param,
-            )
-            if ident in seen:
-                break
-            seen.add(ident)
-            if witness.kind == "direct":
-                chain.append(
-                    f"{witness.display_path}:{witness.lineno}: "
-                    f"`{current_key.pretty()}` writes `{current_param}`: "
-                    f"{witness.desc}"
-                )
-                break
-            assert witness.callee is not None
-            assert witness.callee_param is not None
-            chain.append(
-                f"{witness.display_path}:{witness.lineno}: "
-                f"`{current_key.pretty()}` passes `{current_param}` to "
-                f"`{witness.callee.pretty()}` as `{witness.callee_param}`"
-            )
-            current_key, current_param = witness.callee, witness.callee_param
-        return chain
-
-
-def _bind_call_args(
-    call: Any, callee: FunctionSummary
-) -> list[tuple[ParamRef, str]]:
-    """(argument taint, callee parameter) pairs for one resolved call."""
-    params = list(callee.params)
-    if callee.is_method and params and params[0] == "self":
-        params = params[1:]
-    bound: list[tuple[ParamRef, str]] = []
-    for index, arg in enumerate(call.args):
-        if arg.taint is None:
-            continue
-        if index < len(params):
-            bound.append((arg.taint, params[index]))
-    for name, arg in call.keywords:
-        if arg.taint is not None and name in params:
-            bound.append((arg.taint, name))
-    return bound
 
 
 # -- build ------------------------------------------------------------------

@@ -9,11 +9,11 @@ shas, which is sound only because extraction is a pure function of
 (path, source).
 
 The model is deliberately *approximate* in documented ways (see
-:mod:`repro.lint.semantic.extract`): taint tracks assignment roots, not
-aliases through containers; call resolution covers self-calls, local
-names, and imports, not duck-typed receivers.  The NG6xx rules built on
-top are tuned so those approximations under-report rather than spray
-false positives.
+:mod:`repro.lint.semantic.extract`): taint tracks ``self``-rooted
+assignment, not aliases through containers; call resolution covers
+self-calls, local names, and imports, not duck-typed receivers.  NG601
+is tuned so those approximations under-report rather than spray false
+positives.
 """
 
 from __future__ import annotations
@@ -28,41 +28,12 @@ Formula = Any
 
 
 @dataclass(frozen=True)
-class ParamRef:
-    """A value derived from a function parameter: root + attribute path.
-
-    ``self._entries`` inside a method is ``ParamRef("self",
-    ("_entries",))``; ``node.mempool`` inside a checker hook is
-    ``ParamRef("node", ("mempool",))``.  The root is what mutation and
-    call-edge propagation key on.
-    """
-
-    root: str
-    chain: tuple[str, ...] = ()
-
-    def extend(self, attr: str) -> "ParamRef":
-        return ParamRef(self.root, self.chain + (attr,))
-
-    def display(self) -> str:
-        return ".".join((self.root, *self.chain))
-
-
-@dataclass(frozen=True)
 class WriteSite:
-    """One state write: which attribute/parameter, where, and the line."""
+    """One state write: which ``self`` attribute, where, and the line."""
 
-    target: str  #: self-attribute name or parameter root written through
+    target: str  #: the ``self`` attribute written through
     lineno: int
     desc: str  #: the offending source line, stripped
-
-
-@dataclass(frozen=True)
-class ArgInfo:
-    """One call argument as the dataflow analyses see it."""
-
-    taint: ParamRef | None  #: the caller parameter it derives from
-    display: str | None  #: dotted source text for Name/Attribute args
-    rng_tag: str | None  #: RNG stream tag (``topo_rng`` → ``"topo"``)
 
 
 @dataclass(frozen=True)
@@ -83,24 +54,11 @@ class CallSite:
     lineno: int
     kind: str
     target: tuple[str, ...]
-    args: tuple[ArgInfo, ...] = ()
-    keywords: tuple[tuple[str, ArgInfo], ...] = ()
-
-
-@dataclass(frozen=True)
-class RngAssign:
-    """A tagged-RNG assignment whose source stream differs from its target."""
-
-    lineno: int
-    target: str
-    target_tag: str
-    value: str
-    value_tag: str
 
 
 @dataclass(frozen=True)
 class FunctionSummary:
-    """Everything the NG6xx rules need to know about one function."""
+    """Everything NG601 and the site walk need to know about one function."""
 
     name: str
     lineno: int
@@ -108,20 +66,11 @@ class FunctionSummary:
     #: including ``self`` for methods.
     params: tuple[str, ...]
     is_method: bool = False
-    has_vararg: bool = False
-    has_kwarg: bool = False
-    #: Trailing decorator names (``abc.abstractmethod`` → ``"abstractmethod"``).
-    decorators: tuple[str, ...] = ()
     #: Writes through ``self`` (excluding ``.version`` bumps).
     self_writes: tuple[WriteSite, ...] = ()
-    #: Writes through non-self parameters (the purity rule's seeds).
-    param_mutations: tuple[WriteSite, ...] = ()
-    #: Parameters whose (possibly attribute-derived) value is returned.
-    returns_params: tuple[str, ...] = ()
     #: Whether every path bumps ``self.version`` (see extract module).
     bump_formula: Formula = False
     calls: tuple[CallSite, ...] = ()
-    rng_assign_mismatches: tuple[RngAssign, ...] = ()
 
     def self_call_names(self) -> tuple[str, ...]:
         return tuple(
@@ -131,7 +80,7 @@ class FunctionSummary:
 
 @dataclass(frozen=True)
 class ClassSummary:
-    """A class: resolved bases, markers, attributes, and methods."""
+    """A class: resolved bases, the versioned marker, and methods."""
 
     name: str
     lineno: int
@@ -140,15 +89,7 @@ class ClassSummary:
     bases: tuple[str, ...] = ()
     #: ``# repro: versioned`` marker on (or above) the class line.
     versioned: bool = False
-    #: Class-level attributes assigned a value (bare annotations excluded).
-    class_attrs: tuple[str, ...] = ()
     methods: dict[str, FunctionSummary] = field(default_factory=dict)
-
-    @property
-    def has_abstract_methods(self) -> bool:
-        return any(
-            "abstractmethod" in m.decorators for m in self.methods.values()
-        )
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,12 @@ from pathlib import Path
 
 from ..lint.engine import _parse, build_semantic_index, collect_files
 from ..lint.semantic.index import FunctionKey, SemanticIndex
-from ..lint.semantic.rules import ADAPTER_BASES, VERSIONED_CLASS_NAMES
+from ..lint.semantic.rules import VERSIONED_CLASS_NAMES
+
+#: The adapter contract whose subclasses' methods are the roots.
+ADAPTER_BASES = frozenset(
+    {"repro.protocols.ProtocolAdapter", "ProtocolAdapter"}
+)
 
 #: Packages whose functions may carry consensus-critical mutants.
 TARGET_PACKAGES: tuple[str, ...] = (

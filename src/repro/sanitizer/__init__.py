@@ -11,9 +11,8 @@ node state, which the golden-equivalence pins compare bit for bit.
   signature/rate/size rules, key-block-only chain weight, poison
   forfeiture, tip monotonicity, and mempool/UTXO cross-consistency.
   Checkers subclass :class:`InvariantChecker` (``check_block`` /
-  ``check_state`` / ``on_event`` / ``check_dirty`` plus a ``depends``
-  component set); INV104 holds the process-wide :class:`SignatureCache`,
-  which carries (leader, microblock) verdicts across the executions of
+  ``check_state`` plus a ``depends`` component set); INV104 holds the
+  process-wide :class:`SignatureCache`, which carries (leader, microblock) verdicts across the executions of
   one process — inside a run each ``Microblock`` memoises its own.
 * :mod:`.runtime` — :class:`SanitizerRuntime`, the event-boundary probe
   that sweeps node state through the checkers.  One sweep (dirty-set

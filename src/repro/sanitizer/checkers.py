@@ -1,18 +1,16 @@
 """The invariant catalog: what the paper promises, checked against state.
 
 Each checker subclasses :class:`InvariantChecker`: a code (``INV1xx``),
-a name, and four hooks.  :meth:`InvariantChecker.check_block` runs once
+a name, and two hooks.  :meth:`InvariantChecker.check_block` runs once
 per block the sweeping node newly adopted onto its main chain (oldest
 first); :meth:`InvariantChecker.check_state` runs against the node's
-current mempool/UTXO/chain state; :meth:`InvariantChecker.on_event`
-observes a :class:`NodeDelta` describing what changed since the last
-sweep; and :meth:`InvariantChecker.check_dirty` runs the state check
-only when the delta touches the components the checker declares in
-:attr:`InvariantChecker.depends` (the default delegates to
-``check_state``).  The audit's replicas call ``check_block`` and
-``check_state`` unconditionally.  Checkers only *read* node state — they
-never schedule events, draw randomness, or mutate anything, which is
-what keeps checked runs bit-identical to unchecked runs.
+current mempool/UTXO/chain state, and the sweep calls it only when the
+node's :class:`NodeDelta` touches a component the checker declares in
+:attr:`InvariantChecker.depends`.  The audit's replicas call both hooks
+unconditionally.  Checkers only *read* node state — they never schedule
+events, draw randomness, or mutate anything, which is what keeps checked
+runs bit-identical to unchecked runs (``tests/test_determinism.py``
+compares the final state fingerprints of both).
 
 INV104 (microblock-leader-sig) is the one checker whose work is
 expensive enough to dominate checked runs: a pure-Python ECDSA verify
@@ -72,18 +70,14 @@ class NodeDelta:
 
     Built by the runtime's dirty-set tracker from cheap observations —
     the chain tip hash, the mempool/UTXO mutation counters, and the
-    published-poison count — plus the main-chain records the node newly
-    adopted (oldest first).  ``check_dirty`` uses it to skip state
-    checks whose inputs cannot have changed.
+    published-poison count.  The sweep uses it to skip state checks
+    whose inputs cannot have changed.
     """
 
     chain: bool = False
     mempool: bool = False
     utxo: bool = False
     poisons: bool = False
-    #: Newly adopted main-chain records, oldest first (the same records
-    #: ``check_block`` is called with during this sweep).
-    fresh_blocks: tuple = ()
 
     def touches(self, components: Iterable[str]) -> bool:
         """True if any of ``components`` is dirty in this delta."""
@@ -91,14 +85,6 @@ class NodeDelta:
             if getattr(self, component, False):
                 return True
         return False
-
-    @property
-    def dirty_components(self) -> frozenset[str]:
-        return frozenset(
-            component
-            for component in COMPONENTS
-            if getattr(self, component)
-        )
 
 
 class SignatureCache:
@@ -207,23 +193,20 @@ def _epoch_fees_behind(node: object, chain: object, parent_hash: bytes) -> int:
 
 
 class InvariantChecker:
-    """One protocol invariant: a code, a description, and four hooks.
+    """One protocol invariant: a code, a description, and two hooks.
 
-    ``check_block``/``check_state`` say what to verify; ``on_event``/
-    ``check_dirty`` are fed by the runtime's dirty-set tracker and say
-    when.  The defaults are sound for a checker that overrides only the
-    first pair: ``check_dirty`` delegates to ``check_state`` whenever
-    the delta touches :attr:`depends`, and ``on_event`` is a no-op
-    observation hook for checkers that maintain cross-sweep state.
+    ``check_block``/``check_state`` say what to verify; :attr:`depends`
+    says when the sweep needs to re-run the state hook.
     """
 
     code: ClassVar[str] = "INV000"
     name: ClassVar[str] = "unnamed"
     description: ClassVar[str] = ""
-    #: Which node-state components the *state* hook reads.  The
-    #: default ``check_dirty`` only runs it when the sweep's delta
-    #: touches one of these; block-scoped checkers declare the empty
-    #: set because their state hook checks nothing.
+    #: Which node-state components the *state* hook reads.  The sweep
+    #: only runs it when the node's delta touches one of these — sound
+    #: whenever they name every component the hook reads; block-scoped
+    #: checkers declare the empty set because their state hook checks
+    #: nothing.
     depends: ClassVar[frozenset[str]] = COMPONENTS
 
     def check_block(
@@ -235,31 +218,8 @@ class InvariantChecker:
     def check_state(
         self, node: object, node_id: int, now: float
     ) -> list[ViolationRecord]:
-        """Called against the node's live state: by ``check_dirty`` when
+        """Called against the node's live state: by the sweep when
         :attr:`depends` is dirty, and unconditionally by every audit."""
-        return []
-
-    def on_event(
-        self, node: object, node_id: int, delta: NodeDelta, now: float
-    ) -> None:
-        """Observe a node's delta before this sweep's checks run.
-
-        Called once per dirty node per sweep (never by the audit),
-        before ``check_block``/``check_dirty``.  For checkers that track
-        cross-sweep state; must not mutate node state.
-        """
-
-    def check_dirty(
-        self, node: object, node_id: int, delta: NodeDelta, now: float
-    ) -> list[ViolationRecord]:
-        """The state check, gated on what actually changed.
-
-        The default runs ``check_state`` when ``delta`` touches
-        :attr:`depends` and skips it otherwise — sound whenever
-        ``depends`` names every component the state check reads.
-        """
-        if delta.touches(self.depends):
-            return self.check_state(node, node_id, now)
         return []
 
 
@@ -267,7 +227,7 @@ class InvariantChecker:
 #
 # All of these verify properties of individual (immutable) blocks via
 # ``check_block``; their state hook checks nothing, so ``depends`` is
-# empty and the runtime never calls their ``check_dirty``.
+# empty and the sweep never calls it.
 
 
 class ValueConservation(InvariantChecker):

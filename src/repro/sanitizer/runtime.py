@@ -9,9 +9,9 @@ indicators — main-chain tip hash, the mempool and UTXO mutation
 counters, the published-poison count — and skips nodes whose state
 provably did not change since the last sweep.  For dirty nodes, block
 checkers run once per newly adopted main-chain block (oldest first) and
-state checkers run through
-:meth:`~repro.sanitizer.checkers.InvariantChecker.check_dirty`, which
-gates on the components each checker declares in ``depends``.  INV104
+each state checker's
+:meth:`~repro.sanitizer.checkers.InvariantChecker.check_state` runs when
+the node's delta touches a component it declares in ``depends``.  INV104
 additionally looks signature verdicts up in the process-wide
 :class:`~repro.sanitizer.checkers.SignatureCache`, which outlives the
 run (within one run each ``Microblock`` already memoises its verdict).
@@ -88,7 +88,7 @@ class AuditDivergence(InvariantChecker):
 
 
 class _TimedChecker:
-    """A checker whose block/dirty hook calls are timed for a profiler.
+    """A checker whose block/state hook calls are timed for a profiler.
 
     Same call, same return value — bracketed by two
     :func:`~repro.clock.wall_clock` reads whose difference goes to
@@ -100,8 +100,9 @@ class _TimedChecker:
 
     def __init__(self, checker: InvariantChecker, profiler: object) -> None:
         self.code = checker.code
+        self.depends = checker.depends
         self._check_block = checker.check_block
-        self._check_dirty = checker.check_dirty
+        self._check_state = checker.check_state
         self._record = profiler.record_checker  # type: ignore[attr-defined]
 
     def check_block(
@@ -112,11 +113,11 @@ class _TimedChecker:
         self._record(self.code, wall_clock() - started)
         return violations
 
-    def check_dirty(
-        self, node: object, node_id: int, delta: NodeDelta, now: float
+    def check_state(
+        self, node: object, node_id: int, now: float
     ) -> list[ViolationRecord]:
         started = wall_clock()
-        violations = self._check_dirty(node, node_id, delta, now)
+        violations = self._check_state(node, node_id, now)
         self._record(self.code, wall_clock() - started)
         return violations
 
@@ -164,23 +165,16 @@ class SanitizerRuntime:
         self._audit_marker = AuditDivergence()
         base = InvariantChecker
         # Partitions for the sweep: skip hook calls that are base-class
-        # no-ops.  An overridden ``check_state`` behind the default
-        # ``check_dirty`` is reached through the base delegation.
+        # no-ops.
         self._block_checkers: list[InvariantChecker | _TimedChecker] = [
             checker
             for checker in self.checkers
             if type(checker).check_block is not base.check_block
         ]
-        self._event_checkers = [
+        self._state_checkers: list[InvariantChecker | _TimedChecker] = [
             checker
             for checker in self.checkers
-            if type(checker).on_event is not base.on_event
-        ]
-        self._dirty_checkers: list[InvariantChecker | _TimedChecker] = [
-            checker
-            for checker in self.checkers
-            if type(checker).check_dirty is not base.check_dirty
-            or type(checker).check_state is not base.check_state
+            if type(checker).check_state is not base.check_state
         ]
         if profiler is not None:
             # A repro.prof ProfilerRuntime: attribute wall time per
@@ -191,9 +185,9 @@ class SanitizerRuntime:
                 _TimedChecker(checker, profiler)
                 for checker in self._block_checkers
             ]
-            self._dirty_checkers = [
+            self._state_checkers = [
                 _TimedChecker(checker, profiler)
-                for checker in self._dirty_checkers
+                for checker in self._state_checkers
             ]
 
     # -- lifecycle ------------------------------------------------------
@@ -290,7 +284,6 @@ class SanitizerRuntime:
                 mempool=mempool is not None,
                 utxo=utxo is not None,
                 poisons=bool(poisons),
-                fresh_blocks=tuple(fresh),
             )
         chain_dirty = bool(fresh) or state[0] != last[0]
         mempool_dirty = _component_dirty(state[1], last[1])
@@ -303,7 +296,6 @@ class SanitizerRuntime:
             mempool=mempool_dirty,
             utxo=utxo_dirty,
             poisons=poisons_dirty,
-            fresh_blocks=tuple(fresh),
         )
 
     def _sweep_incremental(self) -> None:
@@ -316,8 +308,6 @@ class SanitizerRuntime:
             if delta is None:
                 continue
             seen = self._seen_blocks[index]
-            for checker in self._event_checkers:
-                checker.on_event(node, node_id, delta, now)
             for record in reversed(fresh):
                 seen.add(record.hash)
                 for checker in self._block_checkers:
@@ -325,11 +315,10 @@ class SanitizerRuntime:
                         node, node_id, record, now
                     ):
                         self._record(violation)
-            for checker in self._dirty_checkers:
-                for violation in checker.check_dirty(
-                    node, node_id, delta, now
-                ):
-                    self._record(violation)
+            for checker in self._state_checkers:
+                if delta.touches(checker.depends):
+                    for violation in checker.check_state(node, node_id, now):
+                        self._record(violation)
 
     # -- the audit ------------------------------------------------------
 

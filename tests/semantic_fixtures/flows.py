@@ -1,4 +1,4 @@
-"""Golden fixture: a cross-module call edge for the mutation fixpoint."""
+"""Golden fixture: a cross-module call edge for call resolution."""
 
 from helpers import mutate_store
 

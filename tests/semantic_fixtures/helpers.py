@@ -1,15 +1,5 @@
-"""Golden fixture: dataflow helpers for the call-graph/taint tests."""
+"""Golden fixture: the callee of a cross-module call edge."""
 
 
 def mutate_store(store) -> None:
     store.items.update({"x": 1})
-
-
-def chain_of(node):
-    return node.chain
-
-
-def last_block(node):
-    chain = chain_of(node)
-    chain.append(None)
-    return chain

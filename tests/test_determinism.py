@@ -14,6 +14,13 @@ from repro.experiments import (
     run_experiment,
 )
 from repro.experiments.parallel import SweepExecutor
+from repro.ledger.transactions import OutPoint, TxOutput
+from repro.protocols import get_adapter
+from repro.sanitizer import (
+    InvariantChecker,
+    SanitizerRuntime,
+    state_fingerprint,
+)
 
 CONFIG = ExperimentConfig(
     n_nodes=20,
@@ -85,26 +92,60 @@ def test_instrumented_run_bit_identical_to_bare_run():
 # -- sanitizer --------------------------------------------------------------
 
 
+def _run_with_checkers(config, checkers):
+    """``run_experiment`` under ``checkers``, plus the final node state.
+
+    No checkers is the bare run: a checker-less sanitizer sweeps
+    nothing and only hands back the nodes to fingerprint.
+    """
+    runtime = SanitizerRuntime(checkers, stride=16)
+    result, log = run_experiment(config, sanitizer=runtime)
+    return result, log, state_fingerprint(runtime.nodes)
+
+
 def test_checked_run_bit_identical_to_bare_run():
     """``--check`` must observe, never perturb.
 
-    Invariant sweeps and digest captures only read node state — no
-    events scheduled, no RNG draws — so a checked run reproduces the
-    bare run exactly, including ``events_processed`` (unlike samplers,
-    the sanitizer probe piggybacks on existing events).
+    Invariant sweeps only read node state — no events scheduled, no RNG
+    draws, no writes — so a checked run reproduces the bare run exactly:
+    the log, ``events_processed`` (unlike samplers, the sanitizer probe
+    piggybacks on existing events) and every node's final chain, mempool
+    and UTXO state.
     """
     for protocol in (Protocol.BITCOIN, Protocol.BITCOIN_NG, Protocol.GHOST):
         config = CONFIG.with_(protocol=protocol)
-        bare_result, bare_log = run_experiment(config)
-        checked_result, checked_log = run_experiment(
-            config.with_(check=True, check_stride=16)
+        bare_result, bare_log, bare_state = _run_with_checkers(config, ())
+        checked_result, checked_log, checked_state = _run_with_checkers(
+            config, get_adapter(protocol).invariant_checkers()
         )
         assert _fingerprint(checked_log) == _fingerprint(bare_log)
         assert checked_result.as_row() == bare_result.as_row()
         assert (
             checked_result.events_processed == bare_result.events_processed
         )
+        assert checked_state == bare_state
         assert len(checked_result.violations) == 0
+
+
+def test_checker_that_writes_node_state_breaks_the_state_pin():
+    """The pin above sees a checker that writes: one coin credited
+    through ``node.utxo`` moves the final state fingerprint off bare."""
+
+    class CoinMinter(InvariantChecker):
+        code = "INV997"
+        depends = frozenset({"chain"})
+
+        def check_state(self, node, node_id, now):
+            outpoint = OutPoint(b"\x97" * 32, node_id)
+            if outpoint not in node.utxo:
+                node.utxo.credit(TxOutput(1, b"\x00" * 20), outpoint)
+            return []
+
+    config = CONFIG.with_(protocol=Protocol.BITCOIN_NG)
+    _, _, bare_state = _run_with_checkers(config, ())
+    result, _, state = _run_with_checkers(config, [CoinMinter()])
+    assert result.violations == ()
+    assert state != bare_state
 
 
 # -- profiler ---------------------------------------------------------------

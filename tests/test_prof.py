@@ -314,7 +314,7 @@ def test_profiled_sweep_is_the_unprofiled_sweep(mode, count_calls):
         spies = {
             checker.code: (
                 count_calls(checker, "check_block"),
-                count_calls(checker, "check_dirty"),
+                count_calls(checker, "check_state"),
             )
             for checker in checkers
         }
@@ -325,8 +325,8 @@ def test_profiled_sweep_is_the_unprofiled_sweep(mode, count_calls):
             config, sanitizer=runtime, profiler=profiler
         )
         calls = {
-            code: len(blocks) + len(dirties)
-            for code, (blocks, dirties) in spies.items()
+            code: len(blocks) + len(states)
+            for code, (blocks, states) in spies.items()
         }
         return result, runtime, calls
 

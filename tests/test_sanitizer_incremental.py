@@ -725,10 +725,9 @@ def test_api_facade_exports_resolve():
     assert api.SanitizerRuntime is SanitizerRuntime
 
 
-def test_node_delta_touches_and_dirty_components():
+def test_node_delta_touches():
     delta = NodeDelta(chain=True, utxo=True)
     assert delta.touches({"chain"})
     assert delta.touches({"utxo", "mempool"})
     assert not delta.touches({"mempool", "poisons"})
     assert not delta.touches(frozenset())
-    assert delta.dirty_components == frozenset({"chain", "utxo"})
