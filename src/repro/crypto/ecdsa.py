@@ -6,13 +6,13 @@ dependencies.  Signing is deterministic (RFC 6979 style, via HMAC-SHA256)
 so test vectors are stable and simulations are reproducible.
 
 Performance note: in CPython on the reference box a sign costs about
-1 ms and a verify 2.4--4 ms depending on the host's speed regime (most
-of it the double-and-add over the signer's key), which mirrors the
-paper's observation that signature checking adds "several milliseconds
-per microblock".  A run pays a verify once per signed object -- the
-verdict is memoised on the transaction or microblock, see
-docs/simulation.md -- and experiments may disable verification exactly
-as the paper's testbed did.
+0.3--0.4 ms (k·G: ~64 mixed additions from a fixed-base table) and a
+verify 1.0--1.3 ms (u1·G + u2·Q: GLV split, wNAF, one shared loop of
+~129 doublings), depending on the host's speed regime.  The paper puts
+the same check at "several milliseconds per microblock".  A run pays a
+verify once per signed object -- the verdict is memoised on the
+transaction or microblock, see docs/simulation.md -- and experiments may
+disable verification exactly as the paper's testbed did.
 """
 
 from __future__ import annotations
@@ -86,17 +86,13 @@ def point_add(p1: Point, p2: Point) -> Point:
 # cost of scalar multiplication in CPython.  Jacobian projective
 # coordinates defer the inversion to a single final step, making
 # sign/verify roughly an order of magnitude faster.  (x, y, z) represents
-# the affine point (x/z², y/z³).
+# the affine point (x/z², y/z³).  Every addition adds a table point kept
+# affine (z = 1), which saves five of the sixteen products of a general
+# Jacobian addition.
 
 _JacPoint = tuple[int, int, int]
+_Affine = tuple[int, int]
 _JAC_INFINITY: _JacPoint = (0, 1, 0)
-
-
-def _to_jacobian(point: Point) -> _JacPoint:
-    if point.is_infinity():
-        return _JAC_INFINITY
-    assert point.x is not None and point.y is not None
-    return (point.x, point.y, 1)
 
 
 def _from_jacobian(point: _JacPoint) -> Point:
@@ -121,55 +117,78 @@ def _jac_double(point: _JacPoint) -> _JacPoint:
     return (nx, ny, nz)
 
 
-def _jac_add(p1: _JacPoint, p2: _JacPoint) -> _JacPoint:
-    if p1[2] == 0:
-        return p2
-    if p2[2] == 0:
-        return p1
+def _jac_add_affine(p1: _JacPoint, p2: _Affine) -> _JacPoint:
+    """Mixed addition: Jacobian ``p1`` plus affine ``p2`` (z₂ = 1)."""
     x1, y1, z1 = p1
-    x2, y2, z2 = p2
+    x2, y2 = p2
+    if z1 == 0:
+        return (x2, y2, 1)
     z1z1 = z1 * z1 % P
-    z2z2 = z2 * z2 % P
-    u1 = x1 * z2z2 % P
-    u2 = x2 * z1z1 % P
-    s1 = y1 * z2 * z2z2 % P
-    s2 = y2 * z1 * z1z1 % P
-    if u1 == u2:
-        if s1 != s2:
+    h = (x2 * z1z1 - x1) % P
+    r = (y2 * z1 * z1z1 - y1) % P
+    if h == 0:
+        if r:
             return _JAC_INFINITY
         return _jac_double(p1)
-    h = (u2 - u1) % P
-    i = 4 * h * h % P
-    j = h * i % P
-    r = 2 * (s2 - s1) % P
-    v = u1 * i % P
-    nx = (r * r - j - 2 * v) % P
-    ny = (r * (v - nx) - 2 * s1 * j) % P
-    nz = 2 * h * z1 * z2 % P
-    return (nx, ny, nz)
+    hh = h * h % P
+    hhh = h * hh % P
+    v = x1 * hh % P
+    nx = (r * r - hhh - 2 * v) % P
+    ny = (r * (v - nx) - y1 * hhh) % P
+    return (nx, ny, z1 * h % P)
 
 
-# Fixed-base acceleration for the generator: a 4-bit windowed table
-# ``_G_TABLE[w][d] = d * 16^w * G`` lets k·G run with ~64 additions and
-# no doublings.  Built lazily on first use (costs ~1k point ops once).
+def _to_affine(points: list[_JacPoint]) -> list[_Affine]:
+    """Normalise finite Jacobian points with one inversion (Montgomery's
+    trick: invert the product of every z, then peel each inverse off)."""
+    prefix = []
+    product = 1
+    for _, _, z in points:
+        prefix.append(product)
+        product = product * z % P
+    inverse = pow(product, -1, P)
+    affine: list[_Affine] = [(0, 0)] * len(points)
+    for index in range(len(points) - 1, -1, -1):
+        x, y, z = points[index]
+        z_inv = inverse * prefix[index] % P
+        inverse = inverse * z % P
+        z_inv2 = z_inv * z_inv % P
+        affine[index] = (x * z_inv2 % P, y * z_inv2 * z_inv % P)
+    return affine
+
+
+# Fixed-base acceleration for the generator (k·G in sign and key
+# derivation): a 4-bit windowed table ``_G_TABLE[w][d] = d * 16^w * G``
+# lets k·G run with ~64 mixed additions and no doublings.  Built lazily
+# on first use (≈1k point operations and one inversion, once).
 _G_WINDOW_BITS = 4
 _G_WINDOWS = 64  # 256 / 4
-_G_TABLE: list[list[_JacPoint]] | None = None
+_G_TABLE: list[list[_Affine]] | None = None
 
 
-def _build_g_table() -> list[list[_JacPoint]]:
-    table: list[list[_JacPoint]] = []
-    base = _to_jacobian(G)
+def _build_g_table() -> list[list[_Affine]]:
+    # Each row is d·base for d = 1…15 by mixed additions of the affine
+    # base.  The next base, 16·base, comes out Jacobian (bx, by, bz); the
+    # next row runs on the curve where it is the affine (bx, by), as in
+    # _odd_multiples, so ``scale`` collects every row's bz and the whole
+    # table is normalised with one inversion at the end.
+    row_width = (1 << _G_WINDOW_BITS) - 1
+    jacobian: list[_JacPoint] = []
+    base: _Affine = (GX, GY)
+    scale = 1
     for _ in range(_G_WINDOWS):
-        row = [_JAC_INFINITY]
-        current = _JAC_INFINITY
-        for _ in range((1 << _G_WINDOW_BITS) - 1):
-            current = _jac_add(current, base)
-            row.append(current)
-        table.append(row)
-        for _ in range(_G_WINDOW_BITS):
-            base = _jac_double(base)
-    return table
+        row = [(base[0], base[1], 1)]
+        for _ in range(row_width - 1):
+            row.append(_jac_add_affine(row[-1], base))
+        jacobian.extend((x, y, z * scale % P) for x, y, z in row)
+        bx, by, bz = _jac_double(row[7])  # 2 · (8·base)
+        base = (bx, by)
+        scale = scale * bz % P
+    affine = _to_affine(jacobian)
+    return [
+        [(0, 0)] + affine[start : start + row_width]
+        for start in range(0, len(affine), row_width)
+    ]
 
 
 def _mul_g(k: int) -> _JacPoint:
@@ -181,20 +200,132 @@ def _mul_g(k: int) -> _JacPoint:
     while k:
         digit = k & 0xF
         if digit:
-            result = _jac_add(result, _G_TABLE[window][digit])
+            result = _jac_add_affine(result, _G_TABLE[window][digit])
         k >>= 4
         window += 1
     return result
 
 
-def _mul_generic(k: int, point: Point) -> _JacPoint:
-    result = _JAC_INFINITY
-    addend = _to_jacobian(point)
+# -- Variable base: GLV + wNAF + Shamir's trick ------------------------
+#
+# secp256k1 has an efficient endomorphism (Hankerson–Menezes–Vanstone,
+# *Guide to Elliptic Curve Cryptography*, ch. 3): λ·(x, y) = (β·x, y),
+# with β a cube root of unity mod P and λ one mod N.  Any k splits into
+# k₁ + k₂·λ (mod N) with |k₁|, |k₂| ≈ 2¹²⁸, so u1·G + u2·Q becomes four
+# half-length scalars over G, λG, Q and λQ.  Each is recoded in width-w
+# NAF (odd digits |d| < 2^(w−1), at most one nonzero in any w in a row)
+# and the four chains share one loop of ≈129 doublings.
+
+BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+# A short basis of the lattice {(a, b) : a + b·λ ≡ 0 (mod N)}; b2 = a1.
+_A1 = 0x3086D221A7D46BCDE86C90E49284EB15
+_B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
+_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
+_B2 = _A1
+
+# Window widths: Q's table is built per verify, so it stays small
+# (8 odd multiples); G's is built once, so it is wide (64).
+_Q_WINDOW = 5
+_G_WNAF_WINDOW = 8
+_G_ODD_TABLES: tuple[list[_Affine], list[_Affine]] | None = None
+
+
+def _glv_split(k: int) -> tuple[int, int]:
+    """``(k1, k2)`` with ``k ≡ k1 + k2·λ (mod N)``, both ≈128 bits, for
+    ``0 <= k < N``.  Either half may be negative."""
+    c1 = (_B2 * k + N // 2) // N
+    c2 = (-_B1 * k + N // 2) // N
+    return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
+
+
+def _wnaf(k: int, width: int) -> list[int]:
+    """Width-``width`` NAF digits of ``k`` (any sign), least significant
+    first: ``k == sum(d << i for i, d in enumerate(digits))``."""
+    digits: list[int] = []
+    full = 1 << width
+    half = full >> 1
     while k:
-        if k & 1:
-            result = _jac_add(result, addend)
-        addend = _jac_double(addend)
-        k >>= 1
+        zeros = (k & -k).bit_length() - 1  # run of zero digits
+        digits.extend([0] * zeros)
+        k >>= zeros
+        digit = k & (full - 1)  # k is odd: the digit is k mods 2^width
+        if digit >= half:
+            digit -= full
+        digits.append(digit)
+        k = (k - digit) >> 1
+    return digits
+
+
+def _odd_multiples(x: int, y: int, count: int) -> list[_Affine]:
+    """``[1·R, 3·R, …, (2·count − 1)·R]`` for R = (x, y), affine, for
+    one inversion in all.
+
+    The step 2R = (dx, dy, dz) is only Jacobian, so the chain runs on the
+    isomorphic curve y² = x³ + 7·dz⁶, where (x, y) ↦ (dz²·x, dz³·y) makes
+    2R the affine (dx, dy); the addition law does not read b.  A point
+    (X, Y, Z) found there is (X, Y, Z·dz) on secp256k1.
+    """
+    dx, dy, dz = _jac_double((x, y, 1))
+    dz2 = dz * dz % P
+    current = (x * dz2 % P, y * dz2 * dz % P, 1)
+    chain = [current]
+    for _ in range(count - 1):
+        current = _jac_add_affine(current, (dx, dy))
+        chain.append(current)
+    return _to_affine([(cx, cy, cz * dz % P) for cx, cy, cz in chain])
+
+
+def _signed_table(odd: list[_Affine]) -> list[_Affine]:
+    """Index a wNAF digit straight into the table: ``table[d]`` is d·R
+    for every odd |d| < 2·len(odd), the negative digits landing at the
+    back through Python's negative indexes."""
+    table: list[_Affine] = [(0, 0)] * (4 * len(odd))
+    for index, (x, y) in enumerate(odd):
+        table[2 * index + 1] = (x, y)
+        table[-2 * index - 1] = (x, P - y)
+    return table
+
+
+def _endomorphism(odd: list[_Affine]) -> list[_Affine]:
+    """λ·R for each R: one multiplication per point."""
+    return [(BETA * x % P, y) for x, y in odd]
+
+
+def _g_odd_tables() -> tuple[list[_Affine], list[_Affine]]:
+    global _G_ODD_TABLES
+    if _G_ODD_TABLES is None:
+        odd = _odd_multiples(GX, GY, 1 << (_G_WNAF_WINDOW - 2))
+        _G_ODD_TABLES = (_signed_table(odd), _signed_table(_endomorphism(odd)))
+    return _G_ODD_TABLES
+
+
+def _mul_shamir(u1: int, u2: int, point: Point) -> _JacPoint:
+    """``u1·G + u2·point`` for ``0 <= u1, u2 < N`` in one wNAF loop."""
+    chains: list[tuple[list[int], list[_Affine]]] = []
+    if u2:
+        assert point.x is not None and point.y is not None
+        odd = _odd_multiples(point.x, point.y, 1 << (_Q_WINDOW - 2))
+        k1, k2 = _glv_split(u2)
+        chains.append((_wnaf(k1, _Q_WINDOW), _signed_table(odd)))
+        chains.append((_wnaf(k2, _Q_WINDOW), _signed_table(_endomorphism(odd))))
+    if u1:
+        g_table, lambda_g_table = _g_odd_tables()
+        k1, k2 = _glv_split(u1)
+        chains.append((_wnaf(k1, _G_WNAF_WINDOW), g_table))
+        chains.append((_wnaf(k2, _G_WNAF_WINDOW), lambda_g_table))
+    # Per bit position: the table points to add after that doubling.
+    length = max(len(digits) for digits, _ in chains)
+    steps: list[list[_Affine]] = [[] for _ in range(length)]
+    for digits, table in chains:
+        for position, digit in enumerate(digits):
+            if digit:
+                steps[position].append(table[digit])
+    result = _JAC_INFINITY
+    for adds in reversed(steps):
+        result = _jac_double(result)
+        for addend in adds:
+            result = _jac_add_affine(result, addend)
     return result
 
 
@@ -205,7 +336,7 @@ def point_mul(k: int, point: Point = G) -> Point:
     k = k % N
     if point == G:
         return _from_jacobian(_mul_g(k))
-    return _from_jacobian(_mul_generic(k, point))
+    return _from_jacobian(_mul_shamir(0, k, point))
 
 
 def point_to_bytes(point: Point) -> bytes:
@@ -280,11 +411,17 @@ def sign(secret: int, msg_hash: bytes) -> tuple[int, int]:
 
 
 def verify(public: Point, msg_hash: bytes, signature: tuple[int, int]) -> bool:
-    """Return True iff ``signature`` is valid for ``msg_hash`` under ``public``."""
+    """Return True iff ``signature`` is valid for ``msg_hash`` under ``public``.
+
+    A high-S signature (s > N/2) is refused, as Bitcoin's LOW_S rule
+    (BIP 146) does: otherwise anyone relaying a transaction could flip
+    ``s`` to ``N - s`` and, since the txid covers the signature, re-issue
+    the same payment under a new txid.
+    """
     if len(msg_hash) != 32:
         raise ValueError("message hash must be 32 bytes")
     r, s = signature
-    if not (1 <= r < N and 1 <= s < N):
+    if not (1 <= r < N and 1 <= s <= N // 2):
         return False
     if public.is_infinity() or not is_on_curve(public):
         return False
@@ -293,8 +430,7 @@ def verify(public: Point, msg_hash: bytes, signature: tuple[int, int]) -> bool:
     u1 = z * s_inv % N
     u2 = r * s_inv % N
     # Stay in Jacobian coordinates until the single final inversion.
-    jac = _jac_add(_mul_g(u1), _mul_generic(u2, public))
-    point = _from_jacobian(jac)
+    point = _from_jacobian(_mul_shamir(u1, u2, public))
     if point.is_infinity():
         return False
     assert point.x is not None

@@ -185,12 +185,18 @@ class Transaction:
         """Coinbase transactions mint coins and therefore have no inputs."""
         return not self.inputs
 
-    def serialize(self) -> bytes:
+    @cached_property
+    def wire(self) -> bytes:
+        """The serialized transaction, built once per frozen object;
+        :meth:`serialize`, :attr:`size` and :attr:`txid` all read it."""
         parts = [struct.pack("<HH", len(self.inputs), len(self.outputs))]
         parts.extend(txin.serialize() for txin in self.inputs)
         parts.extend(txout.serialize() for txout in self.outputs)
         parts.append(_encode_long_bytes(self.padding))
         return b"".join(parts)
+
+    def serialize(self) -> bytes:
+        return self.wire
 
     @classmethod
     def deserialize(cls, data: bytes) -> "Transaction":
@@ -212,7 +218,7 @@ class Transaction:
     @cached_property
     def txid(self) -> bytes:
         """Double-SHA256 of the serialized transaction."""
-        return sha256d(self.serialize())
+        return sha256d(self.wire)
 
     @cached_property
     def signature_faults(self) -> dict[int, str | None]:
@@ -230,7 +236,7 @@ class Transaction:
     @property
     def size(self) -> int:
         """On-wire size in bytes."""
-        return len(self.serialize())
+        return len(self.wire)
 
     def sighash(self, input_index: int) -> bytes:
         """Hash committed to by the signature on ``input_index``.

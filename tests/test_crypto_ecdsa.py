@@ -1,12 +1,21 @@
 """secp256k1 ECDSA: curve arithmetic, signing, verification."""
 
+import random
+import subprocess
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto import ecdsa
 from repro.crypto.ecdsa import (
+    BETA,
     G,
     INFINITY,
+    LAMBDA,
     N,
+    P,
     InvalidPoint,
     Point,
     is_on_curve,
@@ -19,6 +28,8 @@ from repro.crypto.ecdsa import (
     signature_to_bytes,
     verify,
 )
+
+NEG_G = Point(G.x, P - G.y)
 
 
 def test_generator_on_curve():
@@ -148,3 +159,235 @@ def test_modular_inverse_agrees_with_fermat(modulus):
         inverse = pow(x, -1, modulus)
         assert inverse == pow(x, modulus - 2, modulus)
         assert x * inverse % modulus == 1
+
+
+def test_verify_refuses_a_malleated_high_s_copy():
+    secret = 0xDEADBEEF
+    msg = b"\x12" * 32
+    r, s = sign(secret, msg)
+    public = point_mul(secret)
+    assert verify(public, msg, (r, s))
+    # (r, N - s) satisfies the ECDSA equation too; LOW_S refuses it.
+    assert not verify(public, msg, (r, N - s))
+
+
+# -- GLV constants, scalar splitting and wNAF recoding -----------------
+
+SCALARS = [0, 1, 2, LAMBDA, N - 1]
+SCALARS += [random.Random(2016).randrange(N) for _ in range(200)]
+
+
+def test_glv_constants():
+    assert LAMBDA != 1 and pow(LAMBDA, 3, N) == 1
+    assert BETA != 1 and pow(BETA, 3, P) == 1
+    assert point_mul(LAMBDA) == Point(BETA * G.x % P, G.y)
+
+
+def test_glv_split_recombines_into_two_short_halves():
+    for k in SCALARS:
+        k1, k2 = ecdsa._glv_split(k)
+        assert (k1 + k2 * LAMBDA - k) % N == 0
+        assert abs(k1) < 2**129 and abs(k2) < 2**129
+
+
+@pytest.mark.parametrize("width", [5, 8])
+def test_wnaf_digits(width):
+    halves = [half for k in SCALARS for half in ecdsa._glv_split(k)]
+    assert any(h < 0 for h in halves)
+    for k in SCALARS + halves:
+        digits = ecdsa._wnaf(k, width)
+        assert sum(digit << i for i, digit in enumerate(digits)) == k
+        for digit in digits:
+            assert digit == 0 or (digit % 2 == 1 and abs(digit) < 2 ** (width - 1))
+        for start in range(len(digits)):
+            assert sum(1 for digit in digits[start : start + width] if digit) <= 1
+
+
+# -- Every entry of every affine table ----------------------------------
+
+
+def test_generator_wnaf_tables():
+    g_table, lambda_g_table = ecdsa._g_odd_tables()
+    for digit in range(-127, 128, 2):
+        assert Point(*g_table[digit]) == point_mul(digit % N)
+        assert Point(*lambda_g_table[digit]) == point_mul(digit * LAMBDA % N)
+
+
+@pytest.mark.parametrize("secret", [1, 2, 0xC0FFEE, N - 1])
+def test_per_verify_key_tables(secret):
+    public = point_mul(secret)
+    odd = ecdsa._odd_multiples(public.x, public.y, 8)
+    table = ecdsa._signed_table(odd)
+    lambda_table = ecdsa._signed_table(ecdsa._endomorphism(odd))
+    for digit in range(-15, 16, 2):
+        assert Point(*table[digit]) == point_mul(digit * secret % N)
+        assert Point(*lambda_table[digit]) == point_mul(digit * LAMBDA * secret % N)
+
+
+def test_fixed_base_comb_table():
+    point_mul(1)  # builds the table on first use
+    table = ecdsa._G_TABLE
+    assert len(table) == 64
+    for window, row in enumerate(table):
+        for digit in range(1, 16):
+            # m·G through the variable-base path, not through this table.
+            multiple = digit * 16**window
+            assert Point(*row[digit]) == point_mul(N - multiple, NEG_G)
+
+
+def test_tables_are_not_built_at_import():
+    probe = (
+        "from repro.crypto import ecdsa; "
+        "assert ecdsa._G_TABLE is None and ecdsa._G_ODD_TABLES is None"
+    )
+    subprocess.run([sys.executable, "-c", probe], check=True)
+
+
+# -- Test-only oracle: the binary ladder GLV + wNAF replaced ------------
+#
+# Plain double-and-add over the general Jacobian group law, with the two
+# halves of a verify joined by the affine ``point_add``.  It shares no
+# code with the paths under test.
+
+
+def _ladder_double(point):
+    x, y, z = point
+    if z == 0 or y == 0:
+        return (0, 1, 0)
+    ysq = y * y % P
+    s = 4 * x * ysq % P
+    m = 3 * x * x % P
+    nx = (m * m - 2 * s) % P
+    ny = (m * (s - nx) - 8 * ysq * ysq) % P
+    return (nx, ny, 2 * y * z % P)
+
+
+def _ladder_add(p1, p2):
+    if p1[2] == 0:
+        return p2
+    if p2[2] == 0:
+        return p1
+    x1, y1, z1 = p1
+    x2, y2, z2 = p2
+    z1z1 = z1 * z1 % P
+    z2z2 = z2 * z2 % P
+    u1 = x1 * z2z2 % P
+    u2 = x2 * z1z1 % P
+    s1 = y1 * z2 * z2z2 % P
+    s2 = y2 * z1 * z1z1 % P
+    if u1 == u2:
+        return (0, 1, 0) if s1 != s2 else _ladder_double(p1)
+    h = (u2 - u1) % P
+    i = 4 * h * h % P
+    j = h * i % P
+    r = 2 * (s2 - s1) % P
+    v = u1 * i % P
+    nx = (r * r - j - 2 * v) % P
+    ny = (r * (v - nx) - 2 * s1 * j) % P
+    return (nx, ny, 2 * h * z1 * z2 % P)
+
+
+def ladder_mul(k, point):
+    result, addend = (0, 1, 0), (point.x, point.y, 1)
+    while k:
+        if k & 1:
+            result = _ladder_add(result, addend)
+        addend = _ladder_double(addend)
+        k >>= 1
+    x, y, z = result
+    if z == 0:
+        return INFINITY
+    z_inv = pow(z, -1, P)
+    return Point(x * z_inv**2 % P, y * z_inv**3 % P)
+
+
+def oracle_verify(public, msg_hash, signature):
+    """The verify this module had before LOW_S and GLV."""
+    r, s = signature
+    if not (1 <= r < N and 1 <= s < N):
+        return False
+    if public.is_infinity() or not is_on_curve(public):
+        return False
+    z = int.from_bytes(msg_hash, "big")
+    s_inv = pow(s, -1, N)
+    point = point_add(
+        ladder_mul(z * s_inv % N, G), ladder_mul(r * s_inv % N, public)
+    )
+    return not point.is_infinity() and point.x % N == r
+
+
+def _agrees(public, msg_hash, signature):
+    expected = signature[1] <= N // 2 and oracle_verify(public, msg_hash, signature)
+    assert verify(public, msg_hash, signature) == expected
+    return expected
+
+
+def _tampered(secret, msg_hash, tamper):
+    r, s = sign(secret, msg_hash)
+    public = point_mul(secret)
+    if tamper == "high-s":
+        return public, msg_hash, (r, N - s)
+    if tamper == "r":
+        return public, msg_hash, (r % (N - 1) + 1, s)
+    if tamper == "s":
+        return public, msg_hash, (r, s % (N - 1) + 1)
+    if tamper == "message":
+        return public, bytes(b ^ 1 for b in msg_hash), (r, s)
+    if tamper == "key":
+        return point_mul(secret % (N - 1) + 1), msg_hash, (r, s)
+    return public, msg_hash, (r, s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=N - 1),
+    st.binary(min_size=32, max_size=32),
+    st.sampled_from(["none", "high-s", "r", "s", "message", "key"]),
+)
+def test_verify_equals_the_ladder_oracle(secret, msg_hash, tamper):
+    valid = _agrees(*_tampered(secret, msg_hash, tamper))
+    assert valid == (tamper == "none")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2 * N),
+    st.integers(min_value=2, max_value=N - 1),
+)
+def test_point_mul_equals_the_ladder_oracle(k, secret):
+    public = point_mul(secret)  # never G: secret 1 is excluded
+    assert point_mul(k, public) == ladder_mul(k % N, public)
+
+
+@pytest.mark.parametrize(
+    "secret, msg_hash",
+    [
+        (1, b"\x21" * 32),
+        (N - 1, b"\x22" * 32),  # public key -G
+        (0xC0FFEE, bytes(32)),  # u1 = 0: the G chain is empty
+        (0xC0FFEE, b"\xff" * 32),  # a hash >= N
+    ],
+    ids=["secret-1", "secret-N-1", "zero-hash", "hash-above-N"],
+)
+def test_verify_edge_cases_equal_the_oracle(secret, msg_hash):
+    public = point_mul(secret)
+    assert _agrees(public, msg_hash, sign(secret, msg_hash))
+    for tamper in ("high-s", "r"):
+        assert not _agrees(*_tampered(secret, msg_hash, tamper))
+    for signature in ((1, N - 1), (1, 1), (N - 1, 1)):
+        _agrees(public, msg_hash, signature)
+
+
+def test_point_mul_with_a_negative_glv_half_equals_the_oracle():
+    rng = random.Random(29)
+    negative = {}
+    while len(negative) < 2:
+        k = rng.randrange(N)
+        k1, k2 = ecdsa._glv_split(k)
+        if k1 < 0:
+            negative.setdefault("k1", k)
+        if k2 < 0:
+            negative.setdefault("k2", k)
+    for public in (point_mul(0xC0FFEE), NEG_G):
+        for k in negative.values():
+            assert point_mul(k, public) == ladder_mul(k, public)

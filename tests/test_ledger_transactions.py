@@ -162,5 +162,23 @@ def test_filled_signature_memo_is_invisible_outside_validation():
     assert pickle.loads(pickle.dumps(signed)) == signed == cold
 
 
+def test_wire_memo_is_the_fresh_serialization():
+    import pickle
+
+    signed = _spend(padding=b"memo").sign_input(0, KEY)
+    # Read every derived view first, so each one comes from the memo.
+    memo = (signed.wire, signed.serialize(), signed.size, signed.txid)
+    fresh = Transaction(signed.inputs, signed.outputs, signed.padding)
+    assert "wire" not in fresh.__dict__
+    assert memo == (fresh.serialize(), fresh.wire, len(fresh.wire), fresh.txid)
+    assert signed.serialize() is signed.wire  # built once, not re-joined
+    for copy in (
+        Transaction.deserialize(signed.serialize()),
+        pickle.loads(pickle.dumps(signed)),
+    ):
+        assert copy == signed
+        assert (copy.serialize(), copy.size, copy.txid) == memo[1:]
+
+
 def test_pay_to_key_output_uses_the_keys_hash():
     assert TxOutput.to_key(7, KEY.public_key()) == TxOutput(7, PKH)

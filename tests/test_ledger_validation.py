@@ -86,6 +86,23 @@ def test_tampered_outputs_invalidate_signature():
         validate_spend(tampered, _utxo(), height=1)
 
 
+def test_high_s_copy_of_a_valid_spend_rejected():
+    # Flipping s to N - s keeps the ECDSA equation true and changes the
+    # txid (it covers the signature): a relay could re-issue the payment
+    # under a new id.  The LOW_S rule refuses the copy.
+    tx = _spend(90)
+    r, s = ecdsa.signature_from_bytes(tx.inputs[0].signature)
+    flipped = dataclasses.replace(
+        tx.inputs[0],
+        signature=ecdsa.signature_to_bytes((r, ecdsa.N - s)),
+    )
+    malleated = Transaction((flipped,), tx.outputs, tx.padding)
+    assert malleated.txid != tx.txid
+    assert validate_spend(tx, _utxo(), height=1) == 10
+    with pytest.raises(BadSignature):
+        validate_spend(malleated, _utxo(), height=1)
+
+
 def test_coinbase_cannot_be_validated_as_spend():
     from repro.ledger.transactions import make_coinbase
 
