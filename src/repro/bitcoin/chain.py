@@ -35,7 +35,7 @@ class TieBreak(enum.Enum):
     RANDOM = "random"  # the paper's (and [21]'s) recommendation
 
 
-@dataclass
+@dataclass(slots=True)
 class BlockRecord:
     """A block plus its position in the tree.
 
@@ -58,7 +58,7 @@ class BlockRecord:
         return self.block.header.prev_hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reorg:
     """A tip change: blocks leaving and entering the main chain.
 

@@ -28,7 +28,7 @@ from .params import NGParams
 NGBlock = KeyBlock | Microblock
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class NGRecord(BlockRecord):
     """One block's position in the NG block tree.
 

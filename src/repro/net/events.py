@@ -1,4 +1,4 @@
-"""The scheduled-event handle of the deterministic event loop.
+"""The cancellation handle of the deterministic event loop.
 
 Events fire in (time, sequence) order; the sequence number makes
 simultaneous events deterministic, so a seeded simulation always replays
@@ -6,37 +6,45 @@ identically — a property every experiment and test in this repository
 relies on.
 
 The :class:`~repro.net.simulator.Simulator`'s heap stores plain
-``(time, sequence, event)`` tuples rather than rich comparable objects:
-``heapq`` then compares floats and ints in C instead of calling a
-generated dataclass ``__lt__`` per sift step, which is the single
-hottest comparison site in a million-event run.  The :class:`Event`
-handle the ``schedule*`` methods return carries the callback and
-supports cancellation.
+``(time, sequence, callback, args, handle)`` tuples rather than rich
+comparable objects: ``heapq`` then compares floats and ints in C
+instead of calling a generated dataclass ``__lt__`` per sift step,
+which is the single hottest comparison site in a million-event run.
+The pair ``(time, sequence)`` is unique, so a comparison never reaches
+the callback.  ``handle`` is an :class:`Event` only for entries booked
+through :meth:`~repro.net.simulator.Simulator.schedule` — the one call
+whose return value anyone cancels (gossip request timers, the mining
+scheduler) — and ``None`` for every message delivery.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .simulator import Simulator
 
 
 class Event:
-    """A scheduled callback handle; never compared, only carried."""
+    """A cancel flag for one heap entry; never compared, only carried."""
 
-    __slots__ = ("time", "sequence", "callback", "args", "cancelled")
+    __slots__ = ("cancelled", "_sim")
 
-    def __init__(
-        self,
-        time: float,
-        sequence: int,
-        callback: Callable[..., Any],
-        args: tuple[Any, ...] = (),
-    ) -> None:
-        self.time = time
-        self.sequence = sequence
-        self.callback = callback
-        self.args = args
+    def __init__(self, sim: Simulator) -> None:
         self.cancelled = False
+        # The simulator whose heap holds the entry; None once the entry
+        # has fired, been cancelled or been discarded.
+        self._sim: Simulator | None = sim
 
     def cancel(self) -> None:
-        """Mark the event so the dispatch loop drops it instead of firing it."""
+        """Drop the event instead of firing it.
+
+        Only the first cancel of an entry still in the heap is counted
+        by the simulator, so cancelling twice, or after the event fired,
+        changes nothing.
+        """
         self.cancelled = True
+        sim = self._sim
+        if sim is not None:
+            self._sim = None
+            sim._count_cancelled()

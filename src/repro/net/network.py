@@ -241,7 +241,12 @@ class Network:
     def send(self, src: int, dst: int, message: Message) -> None:
         """Queue ``message`` on the src→dst link; silently dropped if
         either endpoint is offline or the link is blocked (the sender
-        cannot know)."""
+        cannot know).  Raises ``ValueError`` for a non-adjacent pair
+        before any drop check, so a bad send never draws from the
+        fault RNG."""
+        eid = self._eid.get((src, dst))
+        if eid is None:
+            raise ValueError(f"nodes {src} and {dst} are not adjacent")
         offline = self._offline
         if offline and (src in offline or dst in offline):
             if self._obs_on:
@@ -262,9 +267,6 @@ class Network:
                 if self._obs_on:
                     self._record_drop(src, dst, message)
                 return
-        eid = self._eid.get((src, dst))
-        if eid is None:
-            raise ValueError(f"nodes {src} and {dst} are not adjacent")
         now = self.sim.now
         size = message.size
         serialization = size / self._bw[eid]

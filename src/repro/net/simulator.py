@@ -12,14 +12,22 @@ determinism.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from typing import Any, Callable, Protocol
 
 from .events import Event
 
-HeapEntry = tuple[float, int, Event]
+# (time, sequence, callback, args, handle); see repro.net.events.
+HeapEntry = tuple[float, int, Callable[..., Any], tuple[Any, ...], Event | None]
 HeapPop = Callable[[list[HeapEntry]], HeapEntry]
 Probe = Callable[[], None]
+
+# Cancelled entries stay in the heap until popped, unless there are more
+# than this many and they are more than half of it: then the heap is
+# rebuilt without them.  asyncio's BaseEventLoop uses the same rule
+# (_MIN_CANCELLED_TIMER_HANDLES_FRACTION = 0.5).
+MIN_CANCELLED_TO_COMPACT = 64
 
 
 class DispatchObserver(Protocol):
@@ -35,12 +43,15 @@ class DispatchObserver(Protocol):
     ) -> tuple[HeapPop, Probe | None]:
         """The pair :meth:`Simulator.run` should call instead of the given one.
 
-        ``heappop`` removes the next heap entry (the loop calls it once
-        per live event and once per cancelled one); ``probe`` — ``None``
-        when nobody before this observer wants one — runs after every
-        dispatched event's callback.  The returned pop must return what
-        the given pop returns and the returned probe must call the given
-        probe, so observers stack in attach order.
+        ``heappop`` removes the next heap entry, a ``(time, sequence,
+        callback, args, handle)`` tuple; the loop calls it once per live
+        event and once per cancelled entry that reaches the heap top
+        (cancelled entries the simulator compacts away are never
+        popped).  ``probe`` — ``None`` when nobody before this observer
+        wants one — runs after every dispatched event's callback.  The
+        returned pop must return what the given pop returns and the
+        returned probe must call the given probe, so observers stack in
+        attach order.
         """
         ...
 
@@ -49,8 +60,9 @@ class Simulator:
     """Discrete-event simulation core."""
 
     def __init__(self, seed: int = 0) -> None:
-        # Min-heap of (time, sequence, Event); see repro.net.events.
         self._heap: list[HeapEntry] = []
+        # Entries in the heap whose handle is cancelled.
+        self._cancelled = 0
         self._sequence = 0
         self._now = 0.0
         self.rng = random.Random(seed)
@@ -69,8 +81,10 @@ class Simulator:
     def attach(self, observer: DispatchObserver) -> None:
         """Let ``observer`` wrap the dispatch loop of every later :meth:`run`.
 
-        Observers must be pure: scheduling events, drawing from ``rng``
-        or mutating node state from a pop or a probe breaks the
+        The pop it wraps takes and returns ``(time, sequence, callback,
+        args, handle)`` entries; ``callback(*args)`` is what the entry
+        runs.  Observers must be pure: scheduling events, drawing from
+        ``rng`` or mutating node state from a pop or a probe breaks the
         guarantee that observed runs are bit-identical to bare runs,
         ``events_processed`` included.  With none attached the loop
         pays one ``None`` check per event (bounded in
@@ -89,51 +103,59 @@ class Simulator:
         network — so this is one of the two links that keep a finished
         world alive (:meth:`Network.detach_all` cuts the other).
         """
+        for entry in self._heap:
+            handle = entry[4]
+            if handle is not None:
+                handle._sim = None
         self._heap.clear()
+        self._cancelled = 0
 
     def schedule(
         self, delay: float, callback: Callable[..., Any], *args: Any
     ) -> Event:
         """Run ``callback(*args)`` after ``delay`` seconds of virtual time.
 
-        Passing the arguments here (rather than closing over them in a
-        lambda) avoids one closure allocation per scheduled message on
-        the simulator's hottest path.
+        Returns the handle that cancels it.  Passing the arguments here
+        (rather than closing over them in a lambda) avoids one closure
+        allocation per scheduled event.
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        time = self._now + delay
         sequence = self._sequence
         self._sequence = sequence + 1
-        event = Event(time, sequence, callback, args)
-        heapq.heappush(self._heap, (time, sequence, event))
-        return event
+        handle = Event(self)
+        heapq.heappush(
+            self._heap, (self._now + delay, sequence, callback, args, handle)
+        )
+        return handle
 
     def schedule_at(
         self, time: float, callback: Callable[..., Any], *args: Any
-    ) -> Event:
-        """Run ``callback(*args)`` at absolute virtual ``time`` (>= now)."""
+    ) -> None:
+        """Run ``callback(*args)`` at absolute virtual ``time`` (>= now).
+
+        Not cancellable: no caller cancels a message delivery, so none
+        pays for a handle.
+        """
         if time < self._now:
             raise ValueError(f"cannot schedule in the past ({time} < {self._now})")
         sequence = self._sequence
         self._sequence = sequence + 1
-        event = Event(time, sequence, callback, args)
-        heapq.heappush(self._heap, (time, sequence, event))
-        return event
+        heapq.heappush(self._heap, (time, sequence, callback, args, None))
 
     def schedule_batch(
         self,
         times: list[float],
         callback: Callable[..., Any],
         args_list: list[tuple[Any, ...]],
-    ) -> list[Event]:
+    ) -> None:
         """Schedule one ``callback(*args)`` per ``(time, args)`` pair.
 
         Equivalent to calling :meth:`schedule_at` once per entry (same
         sequence-number order, so dispatch order is unchanged), but the
         heap/sequence lookups are hoisted out of the loop — the relay
         fan-out in :class:`~repro.net.network.Network` books a whole
-        neighborhood this way.  Returns the events in list order.
+        neighborhood this way.
         """
         if times and min(times) < self._now:
             raise ValueError(
@@ -142,53 +164,81 @@ class Simulator:
         heap = self._heap
         heappush = heapq.heappush
         sequence = self._sequence
-        slab = []
-        append = slab.append
         for time, args in zip(times, args_list):
-            event = Event(time, sequence, callback, args)
-            heappush(heap, (time, sequence, event))
+            heappush(heap, (time, sequence, callback, args, None))
             sequence += 1
-            append(event)
         self._sequence = sequence
-        return slab
+
+    def _count_cancelled(self) -> None:
+        """One more heap entry was cancelled (called by :meth:`Event.cancel`).
+
+        When the cancelled entries pass :data:`MIN_CANCELLED_TO_COMPACT`
+        and half the heap, the heap is rebuilt in place without them.
+        Pop order is by the unique ``(time, sequence)`` key, so this
+        moves no event; it keeps every push and pop shallow and frees
+        the dead entries' callbacks and arguments early.
+        """
+        cancelled = self._cancelled + 1
+        heap = self._heap
+        if cancelled > MIN_CANCELLED_TO_COMPACT and 2 * cancelled > len(heap):
+            heap[:] = [
+                entry
+                for entry in heap
+                if entry[4] is None or not entry[4].cancelled
+            ]
+            heapq.heapify(heap)
+            cancelled = 0
+        self._cancelled = cancelled
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Process events in order until the queue empties.
 
-        ``until`` bounds virtual time (events beyond it stay queued);
+        ``until`` bounds virtual time: events beyond it stay queued, and
+        the clock ends at ``until`` whether the queue ran dry or not.
         ``max_events`` bounds work, guarding against runaway feedback
-        loops in experimental protocol code.
+        loops in experimental protocol code; a run it stops leaves the
+        clock at the last event it processed.
 
         Callbacks scheduling new events push onto the same heap list,
-        so holding the reference across iterations is safe.
+        and compaction rebuilds that list in place, so holding the
+        reference across iterations is safe.
         """
+        if until is not None and until < self._now:
+            raise ValueError(f"cannot run until the past ({until} < {self._now})")
         heap = self._heap
         heappop: HeapPop = heapq.heappop
         probe: Probe | None = None
         for observer in self._observers:
             heappop, probe = observer.wrap_dispatch(heappop, probe)
+        horizon = math.inf if until is None else until
+        budget = -1 if max_events is None else max_events
         processed = 0
         try:
-            while heap and (max_events is None or processed < max_events):
-                time, _seq, event = heap[0]
-                if event.cancelled:
+            while heap:
+                time, _seq, callback, args, handle = heap[0]
+                if handle is not None and handle.cancelled:
                     heappop(heap)
+                    self._cancelled -= 1
                     continue
-                if until is not None and time > until:
-                    self._now = until
+                if time > horizon:
+                    break
+                if processed == budget:
                     return
                 heappop(heap)
+                if handle is not None:
+                    handle._sim = None
                 self._now = time
-                args = event.args
                 if args:
-                    event.callback(*args)
+                    callback(*args)
                 else:
-                    event.callback()
+                    callback()
                 processed += 1
                 if probe is not None:
                     probe()
         finally:
             self._events_processed += processed
+        if until is not None:
+            self._now = until
 
     def exponential(self, rate: float) -> float:
         """Sample an exponential interval with the given rate (1/mean)."""

@@ -91,16 +91,20 @@ class ProfilerRuntime:
     def wrap_dispatch(self, heappop, probe):
         """A timed pop and an after-event probe around the given pair.
 
-        The pop remembers the entry it removed; the probe — running
-        right after that entry's callback — attributes the callback to
-        it and times the inner probe (the sanitizer's, when one attached
-        first) as ``sanitize``.  Both extend the loop wall to their own
-        last clock read.  A pop never followed by a probe was a
-        cancelled event's: its time stays unattributed inside the loop
-        wall, so it lands — with the loop's own work and this
-        bookkeeping — in the ``dispatch`` residual, also when it is one
-        of the cancelled request timers a drained queue ends on (20 k of
-        them after a 1000-node Bitcoin run: 1.5% of its simulate wall).
+        The pop remembers the ``(time, sequence, callback, args,
+        handle)`` entry it removed; the probe — running right after that
+        entry's callback — attributes the callback to it and times the
+        inner probe (the sanitizer's, when one attached first) as
+        ``sanitize``.  Both extend the loop wall to their own last clock
+        read.  A pop never followed by a probe was a cancelled entry's:
+        its time stays unattributed inside the loop wall, so it lands —
+        with the loop's own work and this bookkeeping — in the
+        ``dispatch`` residual, also when it is one of the cancelled
+        request timers a drained queue ends on.  Since the simulator
+        compacts cancelled entries out of the heap there are few: 11
+        after a 1000-node Bitcoin run (``btc_scale_1000``'s config,
+        seed 11), where 19,981 were popped before, 1.1–1.2% of its
+        simulate wall.
         """
         clock = wall_clock
         attribute = self._attribute
@@ -120,7 +124,7 @@ class ProfilerRuntime:
 
         def after_event() -> None:
             nonlocal mark
-            attribute(entry[2], pop_seconds, clock() - popped_at)
+            attribute(entry, pop_seconds, clock() - popped_at)
             now = clock()
             if probe is not None:
                 before = now
@@ -134,12 +138,12 @@ class ProfilerRuntime:
         return timed_pop, after_event
 
     def _attribute(
-        self, event, pop_seconds: float, callback_seconds: float
+        self, entry, pop_seconds: float, callback_seconds: float
     ) -> None:
-        """Attribute one dispatched event's pop and callback cost."""
+        """Attribute one dispatched heap entry's pop and callback cost."""
         self._pop_calls += 1
         self._pop_seconds += pop_seconds
-        callback = event.callback
+        callback = entry[2]
         func = getattr(callback, "__func__", callback)
         classified = self._by_func.get(func)
         if classified is None:
@@ -151,7 +155,7 @@ class ProfilerRuntime:
         phase, tag = classified
         node = -1
         if tag == _TAG_DELIVER:
-            args = event.args
+            args = entry[3]
             message = args[2]
             kind = message.kind
             if kind == "object":

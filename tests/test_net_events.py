@@ -1,8 +1,12 @@
 """Event ordering and cancellation in the simulator's event heap."""
 
-import pytest
+import math
 
-from repro.net.simulator import Simulator
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.net.simulator import MIN_CANCELLED_TO_COMPACT, Simulator
 
 
 def test_fires_in_time_order():
@@ -64,3 +68,186 @@ def test_negative_time_rejected():
         sim.schedule_batch([1.0, -1.0], lambda: None, [(), ()])
     sim.run()
     assert sim.events_processed == 0  # the rejected batch booked nothing
+
+
+# -- the event core against a naive reference ---------------------------------
+
+
+def _live(sim):
+    return sum(
+        1 for entry in sim._heap if entry[4] is None or not entry[4].cancelled
+    )
+
+
+def _assert_heap_bounded(sim):
+    """Cancelled entries never outnumber both the floor and the live ones."""
+    live = _live(sim)
+    assert len(sim._heap) <= live + max(MIN_CANCELLED_TO_COMPACT, live)
+
+
+class _Reference:
+    """The event core as a dict scanned for its minimum on every step:
+    no heap, no handles, no compaction."""
+
+    def __init__(self):
+        self.pending = {}  # sequence -> (time, sequence, label, lo, hi)
+        self.handle_seq = []
+        self.sequence = 0
+        self.now = 0.0
+        self.processed = 0
+        self.fired = []
+
+    def push(self, time, label, lo, hi, cancellable):
+        self.pending[self.sequence] = (time, self.sequence, label, lo, hi)
+        if cancellable:
+            self.handle_seq.append(self.sequence)
+        self.sequence += 1
+
+    def cancel(self, index):
+        self.pending.pop(self.handle_seq[index], None)
+
+    def run(self, until, max_events):
+        horizon = math.inf if until is None else until
+        processed = 0
+        while self.pending:
+            time, sequence, label, lo, hi = min(self.pending.values())
+            if time > horizon:
+                break
+            if processed == max_events:
+                return
+            del self.pending[sequence]
+            self.now = time
+            self.fired.append((label, time))
+            for index in range(lo, min(hi, len(self.handle_seq))):
+                self.cancel(index)
+            self.processed += 1
+            processed += 1
+        if until is not None:
+            self.now = until
+
+
+_DELAYS = st.integers(min_value=0, max_value=6).map(lambda n: n / 2)
+_ACTIONS = st.tuples(st.integers(0, 300), st.integers(0, 300)) | st.just((0, 0))
+_OPS = st.one_of(
+    st.tuples(st.just("schedule"), _DELAYS, _ACTIONS),
+    st.tuples(st.just("schedule_at"), _DELAYS, _ACTIONS),
+    st.tuples(st.just("batch"), st.lists(_DELAYS, max_size=8), _ACTIONS),
+    st.tuples(st.just("timers"), st.integers(1, 150), _DELAYS),
+    st.tuples(st.just("cancel"), st.integers(0, 300), st.integers(0, 300)),
+    st.tuples(
+        st.just("run"),
+        st.none() | _DELAYS,
+        st.none() | st.integers(0, 40),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_OPS, max_size=25))
+def test_event_core_matches_sorted_list_reference(program):
+    """Random schedule / schedule_at / schedule_batch / cancel programs —
+    double cancels, cancels after firing, cancels from inside callbacks
+    (compaction mid-loop) — fire what the reference fires, in its order,
+    with its clock and its event count."""
+    sim = Simulator()
+    ref = _Reference()
+    handles = []
+    fired = []
+    labels = iter(range(10**9))
+
+    def cancel(index):
+        handles[index].cancel()
+        _assert_heap_bounded(sim)
+
+    def fire(label, lo, hi):
+        fired.append((label, sim.now))
+        for index in range(lo, min(hi, len(handles))):
+            cancel(index)
+
+    def run(until, max_events):
+        sim.run(until=until, max_events=max_events)
+        ref.run(until, max_events)
+        assert (fired, sim.events_processed, sim.now) == (
+            ref.fired,
+            ref.processed,
+            ref.now,
+        )
+
+    for op in program:
+        kind = op[0]
+        if kind == "schedule":
+            label = next(labels)
+            handles.append(sim.schedule(op[1], fire, label, *op[2]))
+            ref.push(ref.now + op[1], label, *op[2], cancellable=True)
+        elif kind == "schedule_at":
+            label = next(labels)
+            assert sim.schedule_at(sim.now + op[1], fire, label, *op[2]) is None
+            ref.push(ref.now + op[1], label, *op[2], cancellable=False)
+        elif kind == "batch":
+            batch = [(ref.now + delay, next(labels)) for delay in op[1]]
+            assert sim.schedule_batch(
+                [time for time, _ in batch],
+                fire,
+                [(label, *op[2]) for _, label in batch],
+            ) is None
+            for time, label in batch:
+                ref.push(time, label, *op[2], cancellable=False)
+        elif kind == "timers":
+            for index in range(op[1]):
+                label = next(labels)
+                delay = op[2] + index / 64
+                handles.append(sim.schedule(delay, fire, label, 0, 0))
+                ref.push(ref.now + delay, label, 0, 0, cancellable=True)
+        elif kind == "cancel":
+            for index in range(op[1], min(op[2], len(handles))):
+                cancel(index)
+                ref.cancel(index)
+        else:
+            until = None if op[1] is None else sim.now + op[1]
+            run(until, op[2])
+    run(None, None)
+    assert sim._heap == [] and sim._cancelled == 0
+
+
+def test_cancel_inside_a_callback_compacts_mid_loop():
+    sim = Simulator()
+    fired = []
+    timers = [sim.schedule(10.0 + i, fired.append, i) for i in range(200)]
+
+    def cancel_most():
+        for timer in timers[:150]:
+            timer.cancel()
+        fired.append("cancelled")
+
+    sim.schedule(1.0, cancel_most)
+    sim.schedule_at(10.5, fired.append, "message")
+    sim.run(until=5.0)
+    # The 101st cancel is more than 64 and more than half of the 201
+    # entries, so the heap was rebuilt with the other 100; the 49
+    # cancels after it are under the floor and stay.
+    assert (len(sim._heap), _live(sim), sim._cancelled) == (100, 51, 49)
+    sim.run()
+    assert fired == ["cancelled", "message", *range(150, 200)]
+    assert sim.events_processed == 52
+
+
+def test_double_cancel_and_cancel_after_firing_count_nothing():
+    sim = Simulator()
+    fired = []
+    early = sim.schedule(1.0, fired.append, "early")
+    late = sim.schedule(2.0, fired.append, "late")
+    sim.run(until=1.5)
+    early.cancel()  # already fired
+    late.cancel()
+    late.cancel()  # twice
+    assert sim._cancelled == 1
+    sim.run()
+    assert fired == ["early"] and sim._cancelled == 0 and sim.now == 1.5
+
+
+def test_discard_pending_detaches_handles():
+    sim = Simulator()
+    timer = sim.schedule(1.0, lambda: None)
+    sim.discard_pending()
+    timer.cancel()
+    assert sim._cancelled == 0

@@ -52,6 +52,35 @@ def test_send_requires_adjacency():
         net.send(0, 2, Message("x", None, 1))
 
 
+@pytest.mark.parametrize("cut", ["dst offline", "src offline", "link blocked"])
+def test_non_adjacent_send_raises_even_when_it_would_be_dropped(cut):
+    sim, net, sinks = _network(topo=ring_topology(4))
+    if cut == "dst offline":
+        net.set_offline(2)
+    elif cut == "src offline":
+        net.set_offline(0)
+    else:
+        net.block_link(0, 2)
+    with pytest.raises(ValueError, match="not adjacent"):
+        net.send(0, 2, Message("x", None, 1))
+    sim.run()
+    assert sinks[2].received == []
+
+
+def test_lossy_non_adjacent_send_raises_without_a_loss_draw():
+    import random
+
+    sim, net, _ = _network(topo=ring_topology(4))
+    loss_rng = random.Random(5)
+    net.set_loss(0.5, loss_rng)
+    state = loss_rng.getstate()
+    with pytest.raises(ValueError, match="not adjacent"):
+        net.send(0, 2, Message("x", None, 1))
+    assert loss_rng.getstate() == state
+    net.send(0, 1, Message("y", None, 1))  # an adjacent send draws once
+    assert loss_rng.getstate() != state
+
+
 def test_offline_node_drops_messages():
     sim, net, sinks = _network()
     net.set_offline(1)

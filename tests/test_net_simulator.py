@@ -27,6 +27,42 @@ def test_run_until_stops_clock():
     assert fired == [1]
 
 
+@pytest.mark.parametrize(
+    "pending", ["live beyond", "drained", "cancelled beyond", "empty"]
+)
+def test_run_until_always_ends_at_until(pending):
+    """Whatever is left in the queue — a live event, nothing, or only a
+    cancelled one — the clock ends at ``until``."""
+    sim = Simulator()
+    if pending != "empty":
+        sim.schedule(2.0, lambda: None)
+    if pending == "live beyond":
+        sim.schedule(7.0, lambda: None)
+    elif pending == "cancelled beyond":
+        sim.schedule(7.0, lambda: None).cancel()
+    sim.run(until=5.0)
+    assert sim.now == 5.0
+    assert sim.events_processed == (0 if pending == "empty" else 1)
+
+
+def test_max_events_stop_leaves_clock_at_last_event():
+    sim = Simulator()
+    for delay in (1.0, 2.0, 3.0):
+        sim.schedule(delay, lambda: None)
+    sim.run(until=5.0, max_events=2)
+    assert (sim.now, sim.events_processed) == (2.0, 2)
+    sim.run(until=5.0)
+    assert (sim.now, sim.events_processed) == (5.0, 3)
+
+
+def test_run_until_the_past_rejected():
+    sim = Simulator()
+    sim.run(until=3.0)
+    with pytest.raises(ValueError):
+        sim.run(until=2.0)
+    assert sim.now == 3.0
+
+
 def test_events_scheduled_during_run():
     sim = Simulator()
     seen = []
