@@ -192,6 +192,9 @@ class TraceSummary:
                 self.t_min = t
             elif t > self.t_max:
                 self.t_max = t
+            if ev == "deliver":
+                # Counted and spanned; nothing else is folded from it.
+                return
         if ev == "send":
             kind = fields.get("kind", "?")
             size = fields.get("size", 0)

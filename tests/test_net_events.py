@@ -156,8 +156,17 @@ def test_event_core_matches_sorted_list_reference(program):
     labels = iter(range(10**9))
 
     def cancel(index):
+        # Cancelling a pending entry restores the bound.  Firing live
+        # entries can leave the cancelled ones above half the heap until
+        # then, as in asyncio, so a no-op cancel (double, after firing,
+        # after discard_pending) is checked to count and compact nothing.
+        pending = handles[index]._sim is not None
+        before = (len(sim._heap), sim._cancelled)
         handles[index].cancel()
-        _assert_heap_bounded(sim)
+        if pending:
+            _assert_heap_bounded(sim)
+        else:
+            assert (len(sim._heap), sim._cancelled) == before
 
     def fire(label, lo, hi):
         fired.append((label, sim.now))

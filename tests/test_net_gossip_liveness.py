@@ -12,13 +12,18 @@ node still receives every object.
 
 import pytest
 
+from repro.core.genesis import make_ng_genesis
+from repro.core.node import NGNode
+from repro.core.params import NGParams
 from repro.experiments import ExperimentConfig, Protocol, run_experiment
 from repro.experiments.runner import build_network
 from repro.metrics import ObservationLog
 from repro.mining.power import exponential_shares
 from repro.net.gossip import GossipNode
+from repro.net.latency import constant_histogram
 from repro.net.network import Network
 from repro.net.simulator import Simulator
+from repro.net.topology import Topology
 from repro.protocols import get_adapter
 from repro.sanitizer.runtime import sanitizer_for
 from repro.scenarios import ScenarioEngine
@@ -105,6 +110,43 @@ def test_crash_partition_heal_loss_converges_with_nothing_outstanding(protocol):
         assert not node._requested
         assert not node._alt_sources
         assert not node._request_timers
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="a getdata for an object the peer lacks is dropped silently, "
+    "so the far node waits out the 120 s request timer",
+)
+def test_key_block_that_overtakes_its_parent_microblock_connects_two_hops_out():
+    """Line 0 - 1 - 2.  Leader 0 streams a 50 kB microblock and, a
+    second later, mines a key block on it.  The small key block
+    overtakes the bulk transfer, so node 1 holds it as an orphan and
+    relays it anyway.  Node 2 asks node 1 for the missing microblock,
+    which node 1 does not have yet: the getdata is dropped, the
+    microblock stays in node 2's ``_requested``, and node 1's later inv
+    of it is parked as an alternate source until the timer fires, after
+    the horizon.
+    """
+    sim = Simulator(seed=0)
+    topology = Topology(3)
+    topology.add_edge(0, 1)
+    topology.add_edge(1, 2)
+    network = Network(sim, topology, constant_histogram(0.1))
+    params = NGParams(key_block_interval=100.0, min_microblock_interval=10.0)
+    genesis = make_ng_genesis()
+    leader, middle, far = (
+        NGNode(i, sim, network, genesis, params, check_signatures=False)
+        for i in range(3)
+    )
+    leader.generate_key_block()  # its first microblock is due at t = 10
+    mined = []
+    sim.schedule_at(11.0, lambda: mined.append(leader.generate_key_block()))
+    sim.run(until=60.0)
+    [key] = mined
+    assert key.hash in middle.tree
+    assert far.tree.orphan_count() == 0
+    assert key.hash in far.tree
 
 
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS, ids=lambda p: p.value)

@@ -1,9 +1,16 @@
 """The tracer and its sinks: schema-versioned JSONL records."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.experiments import ExperimentConfig, Protocol, run_experiment
+from repro.obs import Observability
+from repro.obs import trace as trace_module
 from repro.obs.analyze import iter_records, load_records
 from repro.obs.trace import (
     SCHEMA_VERSION,
@@ -61,6 +68,123 @@ def test_jsonl_sink_writes_compact_lines(tmp_path):
     line = path.read_text().strip()
     assert " " not in line  # compact separators, one object per line
     assert sink.records_written == 1
+
+
+SEND_KEYS = ("v", "ev", "t", "src", "dst", "kind", "size", "qd", "arr")
+ROUND_TRIP_SEND = {
+    "v": 1, "ev": "send", "t": 1.0, "src": 0, "dst": 1, "kind": "inv", "size": 61,
+}
+ODD_INTS = st.one_of(
+    st.booleans(), st.integers(2**64, 2**80), st.integers(-(2**70), -1)
+)
+ODD_FLOATS = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 5e-324]),
+    st.floats(),
+    st.integers(0, 10),
+)
+ODD_KINDS = st.one_of(
+    st.sampled_from(['q"uote', "back\\slash", "naïve", "\x7f", "tab\t", "\U0001f600"]),
+    st.text(max_size=6),
+)
+# What the network emits, and what else each field could hold.
+FIELDS = {
+    "v": (st.just(1), ODD_INTS),
+    "t": (st.floats(0.0, 1e4), ODD_FLOATS),
+    "src": (st.integers(0, 999), ODD_INTS),
+    "dst": (st.integers(0, 999), ODD_INTS),
+    "kind": (st.sampled_from(["inv", "getdata", "object", "gettip"]), ODD_KINDS),
+    "size": (st.integers(0, 10**6), ODD_INTS),
+    "qd": (st.floats(0.0, 100.0), ODD_FLOATS),
+    "arr": (st.floats(0.0, 1e4), ODD_FLOATS),
+}
+
+
+@st.composite
+def hot_records(draw):
+    """``send``/``deliver`` records as the network emits them, most bent
+    one way a template can get wrong: one odd value, or a missing, extra
+    or moved key."""
+    ev = draw(st.sampled_from(["send", "deliver", "drop"]))
+    keys = list(SEND_KEYS if ev == "send" else SEND_KEYS[:7])
+    values = {key: draw(FIELDS[key][0]) for key in keys if key != "ev"}
+    values["ev"] = ev
+    bend = draw(st.sampled_from(["none", "value", "value", "missing", "extra", "moved"]))
+    if bend == "value":
+        key = draw(st.sampled_from(sorted(values.keys() - {"ev"})))
+        values[key] = draw(FIELDS[key][1])
+    elif bend == "missing":
+        keys.remove(draw(st.sampled_from(keys)))
+    elif bend == "extra":
+        keys.insert(draw(st.integers(0, len(keys))), "x")
+        values["x"] = draw(st.integers(0, 9))
+    elif bend == "moved":
+        keys = draw(st.permutations(keys))
+    return {key: values[key] for key in keys}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(hot_records(), min_size=1, max_size=8))
+@example([ROUND_TRIP_SEND])
+def test_sink_lines_are_json_dumps_lines(records):
+    with tempfile.TemporaryDirectory() as scratch:
+        sink = JsonlSink(Path(scratch) / "t.trace.jsonl")
+        for record in records:
+            sink.write(record)
+        sink.close()
+        written = sink.path.read_text(encoding="utf-8")
+    assert written == "".join(
+        json.dumps(record, separators=(",", ":")) + "\n" for record in records
+    )
+
+
+def test_every_single_odd_value_writes_json_dumps_bytes(tmp_path):
+    """The template's boundary, field by field: each odd value in turn
+    in an otherwise ordinary ``send`` and ``deliver``."""
+    odd = {
+        int: [True, False, 2**64 + 1, -(2**70)],
+        float: [float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 5e-324, 3],
+        str: ['q"uote', "back\\slash", "naïve", "\x7f", "tab\t", "\U0001f600"],
+    }
+    send = {**ROUND_TRIP_SEND, "t": 0.25, "qd": 0.5, "arr": 2.75}
+    deliver = {**ROUND_TRIP_SEND, "ev": "deliver"}
+    records = [send, deliver]
+    for base in (send, deliver):
+        for key, value in base.items():
+            if key != "ev":
+                records += [{**base, key: bent} for bent in odd[type(value)]]
+    sink = JsonlSink(tmp_path / "t.trace.jsonl")
+    for record in records:
+        sink.write(record)
+    sink.close()
+    lines = sink.path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(lines) == len(records) == 74
+    for record, line in zip(records, lines):
+        assert line == json.dumps(record, separators=(",", ":")) + "\n"
+
+
+def test_network_sends_and_deliveries_take_the_template(monkeypatch, tmp_path):
+    """What the network emits fits the template; everything else is
+    encoded.  A float time turned int, say, would send every line
+    back through the encoder without changing a byte."""
+    encoded = []
+    encode = trace_module._encode
+
+    def spying_encode(record):
+        encoded.append(record["ev"])
+        return encode(record)
+
+    monkeypatch.setattr(trace_module, "_encode", spying_encode)
+    config = ExperimentConfig(
+        protocol=Protocol.BITCOIN_NG, n_nodes=10, target_blocks=6,
+        target_key_blocks=2, block_rate=0.2, key_block_rate=0.05,
+        block_size_bytes=4000, cooldown=10.0, seed=3,
+    )
+    sink = JsonlSink(tmp_path / "t.trace.jsonl")
+    run_experiment(config, obs=Observability(tracer=Tracer(sink)))
+    events = {r["ev"] for r in load_records(sink.path)}
+    assert {"send", "deliver"} <= events
+    assert "block_gen" in encoded
+    assert "send" not in encoded and "deliver" not in encoded
 
 
 def test_iter_records_rejects_unknown_schema_version(tmp_path):

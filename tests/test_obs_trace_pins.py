@@ -1,0 +1,82 @@
+"""The bytes of a trace are pinned: a faster writer must write the same file.
+
+Small Bitcoin, Bitcoin-NG and GHOST runs under a scenario that fires all
+seven fault kinds (a crash with restart, a degrade and restore, a
+partition and heal, a lossy window) write every record type a run can
+produce outside checked mode: ``send``, ``deliver``, ``drop``,
+``gossip_retry``, ``block_*``, ``tip_change``, ``epoch_*`` (NG),
+``sample_*`` and the fault records.  Each file's sha256 is compared to
+a committed value.  A pin moves only when what is simulated or what a
+record holds changes on purpose, and then it is re-pinned with the
+reason stated.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from repro.experiments import ExperimentConfig, Protocol, run_experiment
+from repro.obs import config_slug
+
+BASE = ExperimentConfig(n_nodes=20, block_size_bytes=8000, cooldown=300.0, seed=9)
+SHAPES = {
+    Protocol.BITCOIN: dict(target_blocks=12, block_rate=0.1),
+    Protocol.GHOST: dict(target_blocks=12, block_rate=0.1),
+    Protocol.BITCOIN_NG: dict(
+        target_blocks=30, target_key_blocks=4, block_rate=0.4, key_block_rate=0.025
+    ),
+}
+PINS = {
+    Protocol.BITCOIN: (
+        "560cb37c3040e91f738f762c2e1407628c74a93868468e48c0e995fde4173782",
+        575420,
+    ),
+    Protocol.BITCOIN_NG: (
+        "2f3afbe7a8ef2eb9a8badaeaed619306bf2083ec58dfbacb53daea79b8fcafc0",
+        5587469,
+    ),
+    Protocol.GHOST: (
+        "4cd5c169087d2d0042467cbaa8e07a531e3f3f092b1712f79d6c2b00bec7e7ed",
+        593721,
+    ),
+}
+FAULTS = {
+    "node_crash", "node_restart", "link_degrade", "link_restore",
+    "partition", "heal", "msg_loss",
+}
+
+
+def _schedule(duration: float) -> dict:
+    return {
+        "version": 1,
+        "name": "every-fault",
+        "faults": [
+            {"at": 0.15 * duration, "kind": "crash", "node": 3,
+             "down_for": 0.30 * duration},
+            {"at": 0.2 * duration, "kind": "degrade", "latency_mult": 2.0,
+             "bandwidth_mult": 0.5},
+            {"at": 0.3 * duration, "kind": "restore"},
+            {"at": 0.375 * duration, "kind": "partition", "split": "halves"},
+            {"at": 0.65 * duration, "kind": "heal"},
+            {"at": 0.75 * duration, "kind": "loss", "rate": 0.05},
+            {"at": 0.95 * duration, "kind": "loss", "rate": 0.0},
+        ],
+    }
+
+
+@pytest.mark.parametrize("protocol", tuple(Protocol), ids=lambda p: p.value)
+def test_trace_bytes_are_pinned(tmp_path, protocol):
+    config = BASE.with_(protocol=protocol, **SHAPES[protocol])
+    config = config.with_(scenario=_schedule(config.duration), obs_dir=str(tmp_path))
+    run_experiment(config)
+    data = (tmp_path / f"{config_slug(config)}.trace.jsonl").read_bytes()
+    events = {json.loads(line)["ev"] for line in data.splitlines()}
+    assert {"send", "deliver", "drop", "block_gen", "block_arrival",
+            "tip_change", "sample_links", "sample_mempool",
+            "sample_forks"} | FAULTS <= events
+    if protocol is not Protocol.GHOST:
+        assert "gossip_retry" in events
+    if protocol is Protocol.BITCOIN_NG:
+        assert {"epoch_start", "epoch_end"} <= events
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == PINS[protocol]
