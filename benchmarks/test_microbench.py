@@ -111,8 +111,8 @@ def test_block_tree_insert_100(benchmark):
 
     def insert_all():
         tree = BlockTree(genesis)
-        for t, block in enumerate(blocks):
-            tree.add_block(block, float(t))
+        for block in blocks:
+            tree.add_block(block)
         return len(tree)
 
     assert benchmark(insert_all) == 101

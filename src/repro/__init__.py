@@ -35,15 +35,12 @@ Package map
     crashes, restarts, partitions, link degradation, and message loss.
 ``repro.attacks``
     Security studies: selfish mining, microblock-fork double spends and
-    poison response, eclipse attacks, censorship, fee-strategy
-    simulations.
-``repro.wallet`` / ``repro.query``
+    poison response, censorship, fee-strategy simulations.
+``repro.wallet``
     User-side machinery: deterministic key chains, coin selection,
-    payment building, §4.3 confirmation tracking, chain queries.
+    payment building.
 ``repro.analysis`` / ``repro.stats``
     Closed-form fork/growth models and shared statistics helpers.
-``repro.store`` / ``repro.wire`` / ``repro.encoding``
-    Byte-exact block codecs and a crash-recovering block store.
 ``repro.cli``
     The ``python -m repro`` command line.
 ``repro.api``
@@ -79,10 +76,7 @@ __all__ = [
     "mining",
     "net",
     "protocols",
-    "query",
     "scenarios",
     "stats",
-    "store",
     "wallet",
-    "wire",
 ]

@@ -2,8 +2,12 @@
 
 One import surface for everything a script, notebook, or downstream
 package should need.  Internal module layout may shift between
-releases; the names re-exported here will not.  ``examples/`` imports
-exclusively from this module.
+releases; the names re-exported here will not.  Three of the seven
+``examples/`` start here (``quickstart``, ``frequency_tradeoff``,
+``power_variation``, the last also reaching into ``repro.metrics``,
+``repro.mining`` and ``repro.net``); the other four build their worlds
+from the packages they study (``repro.core``, ``repro.attacks``,
+``repro.ghost``, ``repro.net``, ``repro.wallet`` and the substrates).
 
 Groups
 ------

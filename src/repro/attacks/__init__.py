@@ -5,10 +5,8 @@ from .censorship import (
     expected_censorship_wait_blocks,
     expected_censorship_wait_time,
     power_drop_comparison,
-    simulate_censorship_wait,
 )
 from .doublespend import DoubleSpendReport, run_doublespend_scenario
-from .eclipse import EclipseReport, run_eclipse_scenario
 from .fee_strategies import (
     ForkCompetitionOutcome,
     StrategyOutcome,
@@ -28,7 +26,6 @@ from .selfish import (
 
 __all__ = [
     "DoubleSpendReport",
-    "EclipseReport",
     "ForkCompetitionOutcome",
     "PowerDropOutcome",
     "SelfishOutcome",
@@ -41,9 +38,7 @@ __all__ = [
     "profitable_window",
     "revenue_curve",
     "run_doublespend_scenario",
-    "run_eclipse_scenario",
     "selfish_threshold",
-    "simulate_censorship_wait",
     "simulate_extension_strategy",
     "simulate_inclusion_strategy",
     "simulate_selfish_mining",

@@ -5,15 +5,14 @@ transaction placed in the first block generated by an honest miner.  At
 least 3/4 of the blocks are generated by honest miners, therefore the
 user will have to wait for 4/3 blocks on average, or 13.33 minutes."
 
-This module provides the closed form and a Monte-Carlo that reproduces
-it, plus the mining-power-drop variant: after a power drop, key blocks
-slow down (stretching censorship exposure) but Bitcoin-NG microblocks
-keep serializing transactions at the same rate.
+This module provides the closed form, plus the mining-power-drop
+variant: after a power drop, key blocks slow down (stretching
+censorship exposure) but Bitcoin-NG microblocks keep serializing
+transactions at the same rate.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 
@@ -31,31 +30,6 @@ def expected_censorship_wait_time(
     if block_interval <= 0:
         raise ValueError("block interval must be positive")
     return expected_censorship_wait_blocks(byzantine_fraction) * block_interval
-
-
-def simulate_censorship_wait(
-    byzantine_fraction: float,
-    block_interval: float,
-    n_trials: int = 50_000,
-    seed: int = 0,
-) -> float:
-    """Monte-Carlo mean wait until an honest leader's block.
-
-    Each block is Byzantine with probability f (proportional leader
-    selection) and block intervals are exponential.
-    """
-    if not 0 <= byzantine_fraction < 1:
-        raise ValueError("byzantine fraction must be in [0, 1)")
-    rng = random.Random(seed)
-    total = 0.0
-    for _ in range(n_trials):
-        wait = 0.0
-        while True:
-            wait += rng.expovariate(1.0 / block_interval)
-            if rng.random() >= byzantine_fraction:
-                break
-        total += wait
-    return total / n_trials
 
 
 @dataclass(frozen=True)
@@ -88,74 +62,3 @@ def power_drop_comparison(
         ng_tx_rate_factor=1.0,
     )
 
-
-def simulate_censoring_leaders(
-    byzantine_fraction: float,
-    n_nodes: int = 40,
-    key_block_interval: float = 50.0,
-    microblock_interval: float = 10.0,
-    duration_keys: int = 40,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Live protocol run with censoring leaders; returns throughputs.
-
-    The first ``byzantine_fraction`` of nodes (by index, power-weighted
-    like everyone else) "perform a DoS attack by placing no transactions
-    in microblocks".  Returns (honest_tx_rate, censored_tx_rate): the
-    main-chain transaction throughput without and with the attack.
-    Expected ratio ≈ 1 − f: censors lead a proportional share of epochs,
-    and "transaction processing continues at the same rate" otherwise.
-    """
-    from ..core.genesis import make_ng_genesis
-    from ..core.node import MicroblockPolicy, NGNode
-    from ..core.params import NGParams
-    from ..metrics import ObservationLog, transaction_frequency
-    from ..mining.scheduler import MiningScheduler
-    from ..net.latency import default_histogram
-    from ..net.network import Network
-    from ..net.simulator import Simulator
-    from ..net.topology import random_topology
-
-    if not 0 <= byzantine_fraction < 1:
-        raise ValueError("byzantine fraction must be in [0, 1)")
-
-    def run(censoring: bool) -> float:
-        sim = Simulator(seed=seed)
-        topology = random_topology(n_nodes, rng=random.Random(seed + 1))
-        network = Network(sim, topology, default_histogram(), 1e6)
-        log = ObservationLog(n_nodes)
-        params = NGParams(
-            key_block_interval=key_block_interval,
-            min_microblock_interval=microblock_interval,
-        )
-        genesis = make_ng_genesis()
-        n_censors = int(round(byzantine_fraction * n_nodes)) if censoring else 0
-        nodes = []
-        for i in range(n_nodes):
-            empty = i < n_censors
-            policy = MicroblockPolicy(
-                target_bytes=0 if empty else 20_000,
-            )
-            nodes.append(
-                NGNode(
-                    i, sim, network, genesis, params, log=log,
-                    policy=policy, check_signatures=False,
-                )
-            )
-        # Uniform power so the censor share equals the node share.
-        shares = [1.0] * n_nodes
-        scheduler = MiningScheduler(
-            sim,
-            shares,
-            block_rate=1.0 / key_block_interval,
-            on_block=lambda w: nodes[w].generate_key_block(),
-        )
-        scheduler.start()
-        horizon = duration_keys * key_block_interval
-        sim.run(until=horizon)
-        scheduler.stop()
-        sim.run(until=horizon + 30.0)
-        log.finalize(horizon + 30.0)
-        return transaction_frequency(log)
-
-    return run(censoring=False), run(censoring=True)

@@ -87,13 +87,13 @@ def run_doublespend_scenario(
             params=params,
         ),
     )
-    chain.add_block(key1, arrival_time=10.0)
+    chain.add_block(key1, local_time=10.0)
 
     # 2. Equivocation: two signed microblocks on the same parent.
     micro_a = build_microblock(key1.hash, 20.0, payload(b"branch-a"), cheater_key)
     micro_b = build_microblock(key1.hash, 20.0, payload(b"branch-b"), cheater_key)
-    chain.add_block(micro_a, arrival_time=20.0)
-    chain.add_block(micro_b, arrival_time=20.5)  # the fork arrives late
+    chain.add_block(micro_a, local_time=20.0)
+    chain.add_block(micro_b, local_time=20.5)  # the fork arrives late
     proofs = chain.equivocations()
     equivocation_detected = len(proofs) > 0
 
@@ -112,7 +112,7 @@ def run_doublespend_scenario(
             params=params,
         ),
     )
-    chain.add_block(key2, arrival_time=110.0)
+    chain.add_block(key2, local_time=110.0)
 
     # 4. The new leader places the poison.
     registry = PoisonRegistry()

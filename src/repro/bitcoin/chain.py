@@ -46,7 +46,6 @@ class BlockRecord:
     block: Block
     height: int
     cumulative_work: int
-    arrival_time: float
     children: list[bytes] = field(default_factory=list)
 
     @property
@@ -90,7 +89,7 @@ class BlockTree:
         tie_break: TieBreak = TieBreak.FIRST_SEEN,
         rng: random.Random | None = None,
     ) -> None:
-        self._orphans: dict[bytes, list[tuple[Block, float]]] = {}
+        self._orphans: dict[bytes, list[Block]] = {}
         # Blocks dropped by :meth:`forget`; empty on an honest network.
         self._refused: set[bytes] = set()
         self.tie_break = tie_break
@@ -175,16 +174,16 @@ class BlockTree:
 
     # -- mutation -------------------------------------------------------
 
-    def add_block(self, block: Block, arrival_time: float) -> list[Reorg]:
+    def add_block(self, block: Block) -> list[Reorg]:
         """Insert a block (and any orphans it unlocks); return tip changes.
 
         Unknown-parent blocks are buffered and connected when the parent
         arrives, so out-of-order gossip delivery is handled here rather
         than by every caller.
         """
-        return self._insert(block, arrival_time, None)
+        return self._insert(block, None)
 
-    def _insert(self, block, arrival_time: float, context) -> list[Reorg]:
+    def _insert(self, block, context) -> list[Reorg]:
         """``add_block`` proper; ``context`` goes to ``_record_for`` as is.
 
         A refusal of ``block`` itself propagates to the caller; a
@@ -199,29 +198,24 @@ class BlockTree:
             raise self.invalid("block is, or builds on, one that did not connect")
         parent = self._records.get(prev_hash)
         if parent is None:
-            self._orphans.setdefault(prev_hash, []).append((block, arrival_time))
+            self._orphans.setdefault(prev_hash, []).append(block)
             return []
-        reorgs = [self._connect(block, parent, arrival_time, context)]
+        reorgs = [self._connect(block, parent, context)]
         # Adopt any orphans waiting on this block, recursively.
         pending = [block.hash]
         while pending:
             parent_hash = pending.pop()
-            for orphan, orphan_time in self._orphans.pop(parent_hash, []):
+            for orphan in self._orphans.pop(parent_hash, []):
                 try:
-                    reorg = self._connect(
-                        orphan,
-                        self._records[parent_hash],
-                        max(orphan_time, arrival_time),
-                        context,
-                    )
+                    reorg = self._connect(orphan, self._records[parent_hash], context)
                 except self.invalid:
                     continue
                 reorgs.append(reorg)
                 pending.append(orphan.hash)
         return [r for r in reorgs if r is not None]
 
-    def _connect(self, block, parent, arrival_time: float, context) -> Reorg | None:
-        record = self._record_for(block, parent, arrival_time, context)
+    def _connect(self, block, parent, context) -> Reorg | None:
+        record = self._record_for(block, parent, context)
         self._records[block.hash] = record
         parent.children.append(block.hash)
         new_tip = self._choose_tip(record)
@@ -232,11 +226,9 @@ class BlockTree:
     # -- what a protocol decides ----------------------------------------
 
     def _genesis_record(self, genesis: Block) -> BlockRecord:
-        return BlockRecord(genesis, height=0, cumulative_work=0, arrival_time=0.0)
+        return BlockRecord(genesis, height=0, cumulative_work=0)
 
-    def _record_for(
-        self, block: Block, parent: BlockRecord, arrival_time: float, context
-    ) -> BlockRecord:
+    def _record_for(self, block: Block, parent: BlockRecord, context) -> BlockRecord:
         """The record ``block`` gets under ``parent``, not yet linked in.
 
         Raise :attr:`invalid` to refuse the block.
@@ -245,7 +237,6 @@ class BlockTree:
             block,
             height=parent.height + 1,
             cumulative_work=parent.cumulative_work + block.header.work,
-            arrival_time=arrival_time,
         )
 
     def _choose_tip(self, candidate: BlockRecord) -> bytes:

@@ -221,7 +221,7 @@ class ChainNode(GossipNode):
         raise NotImplementedError
 
     def _add_to_tree(self, block) -> list[Reorg]:
-        return self.tree.add_block(block, self.sim.now)
+        return self.tree.add_block(block)
 
     # -- ledger state ------------------------------------------------------
 

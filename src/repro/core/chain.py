@@ -133,17 +133,14 @@ class NGChain(BlockTree):
     def add_block(
         self,
         block: NGBlock,
-        arrival_time: float,
-        local_time: float | None = None,
+        local_time: float,
         check_signature: bool = True,
     ) -> list[Reorg]:
         """Insert a key block or microblock; returns resulting tip moves.
 
         Invalid microblocks raise; unknown-parent blocks are buffered.
         """
-        if local_time is None:
-            local_time = arrival_time
-        return self._insert(block, arrival_time, (local_time, check_signature))
+        return self._insert(block, (local_time, check_signature))
 
     # -- what Bitcoin-NG decides ----------------------------------------
 
@@ -155,14 +152,12 @@ class NGChain(BlockTree):
             key_height=0,
             cumulative_work=0,
             leader_pubkey=genesis.header.leader_pubkey,
-            arrival_time=0.0,
         )
 
     def _record_for(
         self,
         block: NGBlock,
         parent: NGRecord,
-        arrival_time: float,
         context: tuple[float, bool],
     ) -> NGRecord:
         if isinstance(block, KeyBlock):
@@ -173,7 +168,6 @@ class NGChain(BlockTree):
                 key_height=parent.key_height + 1,
                 cumulative_work=parent.cumulative_work + block.header.work,
                 leader_pubkey=block.header.leader_pubkey,
-                arrival_time=arrival_time,
             )
         assert isinstance(block, Microblock)
         self.validate_microblock(block, *context)
@@ -185,7 +179,6 @@ class NGChain(BlockTree):
             key_height=parent.key_height,
             cumulative_work=parent.cumulative_work,
             leader_pubkey=parent.leader_pubkey,
-            arrival_time=arrival_time,
         )
 
     def _detect_equivocation(self, parent: NGRecord, new_micro: Microblock) -> None:

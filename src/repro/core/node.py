@@ -298,8 +298,7 @@ class NGNode(ChainNode):
             check_microblock_structure(block, self.params.max_microblock_bytes)
 
     def _add_to_tree(self, block: KeyBlock | Microblock) -> list[Reorg]:
-        now = self.sim.now
-        return self.chain.add_block(block, now, now, self.check_signatures)
+        return self.chain.add_block(block, self.sim.now, self.check_signatures)
 
     def _ledger_entries(self, block: KeyBlock | Microblock):
         if isinstance(block, KeyBlock):

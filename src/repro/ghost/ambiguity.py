@@ -79,7 +79,7 @@ def build_appendix_a() -> AppendixAScenario:
     def tree_with(labels: list[str]) -> GhostTree:
         tree = GhostTree(genesis, tie_break=TieBreak.FIRST_SEEN)
         for label in labels:
-            tree.add_block(blocks[label], arrival_time=0.0)
+            tree.add_block(blocks[label])
         return tree
 
     common = ["1", "2", "3", "4", "2'"]

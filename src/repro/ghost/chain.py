@@ -42,8 +42,8 @@ class HeaviestSubtree:
                 return
             record = self._records[record.parent_hash]
 
-    def _record_for(self, block, parent: BlockRecord, arrival_time: float, context):
-        record = super()._record_for(block, parent, arrival_time, context)
+    def _record_for(self, block, parent: BlockRecord, context):
+        record = super()._record_for(block, parent, context)
         # What the block adds to its chain: every block's work under
         # Bitcoin, a key block's under NG, nothing for a microblock.
         work = record.cumulative_work - parent.cumulative_work

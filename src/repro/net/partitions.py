@@ -1,6 +1,6 @@
 """Network partitions: split the topology into isolated groups and heal.
 
-Used by robustness tests and the eclipse-attack study: a partition cuts
+Used by the scenario engine's ``partition`` fault: a partition cuts
 every edge crossing group boundaries, each side keeps mining its own
 chain, and healing lets the heaviest-chain rule merge history — the
 scenario behind the paper's coinbase-maturity rule ("to avoid
@@ -47,24 +47,6 @@ class PartitionController:
                 self.network.block_link(a, b)
                 self._cut_links.append((a, b))
                 cut += 1
-        return cut
-
-    def isolate(self, victim: int, except_peers: set[int] | None = None) -> int:
-        """Cut all of ``victim``'s links except to ``except_peers``.
-
-        The eclipse-attack primitive: the victim can only talk to the
-        attacker's nodes.
-        """
-        if self.active:
-            raise RuntimeError("a partition is already active; heal() first")
-        keep = except_peers or set()
-        cut = 0
-        for peer in self.network.neighbors(victim):
-            if peer in keep:
-                continue
-            self.network.block_link(victim, peer)
-            self._cut_links.append((victim, peer))
-            cut += 1
         return cut
 
     def heal(self) -> None:

@@ -1,6 +1,5 @@
-"""Wallet subsystem: keys, coin selection, payments, confirmations."""
+"""Wallet subsystem: keys, coin selection, payments."""
 
-from .confirmation import ConfirmationPolicy, ConfirmationTracker, TxStatus
 from .wallet import (
     DUST_THRESHOLD,
     InsufficientFunds,
@@ -11,11 +10,8 @@ from .wallet import (
 
 __all__ = [
     "DUST_THRESHOLD",
-    "ConfirmationPolicy",
-    "ConfirmationTracker",
     "InsufficientFunds",
     "SpendableCoin",
-    "TxStatus",
     "Wallet",
     "WalletError",
 ]

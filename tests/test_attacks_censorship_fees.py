@@ -6,7 +6,6 @@ from repro.attacks.censorship import (
     expected_censorship_wait_blocks,
     expected_censorship_wait_time,
     power_drop_comparison,
-    simulate_censorship_wait,
 )
 from repro.attacks.fee_strategies import (
     fork_fee_competition,
@@ -22,11 +21,6 @@ def test_paper_censorship_number():
     # minutes."
     assert expected_censorship_wait_blocks(0.25) == pytest.approx(4 / 3)
     assert expected_censorship_wait_time(0.25, 600) == pytest.approx(800.0)
-
-
-def test_monte_carlo_matches_closed_form():
-    empirical = simulate_censorship_wait(0.25, 600, n_trials=60_000)
-    assert empirical == pytest.approx(800.0, rel=0.03)
 
 
 def test_honest_network_waits_one_block():
@@ -97,25 +91,3 @@ def test_fork_fee_competition_appendix_b():
     with pytest.raises(ValueError):
         fork_fee_competition((100,), attacker_bribe=-1)
 
-
-def test_live_censoring_leaders_reduce_throughput_proportionally():
-    from repro.attacks.censorship import simulate_censoring_leaders
-
-    honest, censored = simulate_censoring_leaders(
-        0.25, n_nodes=30, duration_keys=60, seed=1
-    )
-    assert honest > 0
-    ratio = censored / honest
-    # "The impact of such behaviors is therefore similar to that in
-    # Bitcoin": throughput loss proportional to the censors' share.
-    assert 0.55 <= ratio <= 0.95
-    assert censored < honest
-
-
-def test_live_censoring_validation():
-    from repro.attacks.censorship import simulate_censoring_leaders
-
-    import pytest as _pytest
-
-    with _pytest.raises(ValueError):
-        simulate_censoring_leaders(1.0, n_nodes=10, duration_keys=5)

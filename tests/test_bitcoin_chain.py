@@ -21,12 +21,12 @@ def _block(prev_hash, salt, bits=0x207FFFFF):
     )
 
 
-def _chain(tree, start, labels, bits=0x207FFFFF, t=0.0):
+def _chain(tree, start, labels, bits=0x207FFFFF):
     blocks = []
     prev = start
     for label in labels:
         block = _block(prev, label, bits)
-        tree.add_block(block, t)
+        tree.add_block(block)
         blocks.append(block)
         prev = block.hash
     return blocks
@@ -67,7 +67,7 @@ def test_reorg_paths_correct():
     reorgs = []
     for label in ["x", "y", "z"]:
         block = _block(prev, label)
-        reorgs.extend(tree.add_block(block, 0.0))
+        reorgs.extend(tree.add_block(block))
         new_blocks.append(block)
         prev = block.hash
     final = reorgs[-1]
@@ -79,7 +79,7 @@ def test_reorg_paths_correct():
 def test_extension_reorg_flag():
     tree = BlockTree(GENESIS)
     block = _block(GENESIS.hash, "a")
-    (reorg,) = tree.add_block(block, 0.0)
+    (reorg,) = tree.add_block(block)
     assert reorg.is_extension
     assert reorg.connected == (block.hash,)
 
@@ -88,8 +88,8 @@ def test_first_seen_tie_break_keeps_current():
     tree = BlockTree(GENESIS, tie_break=TieBreak.FIRST_SEEN)
     first = _block(GENESIS.hash, "first")
     second = _block(GENESIS.hash, "second")
-    tree.add_block(first, 0.0)
-    tree.add_block(second, 1.0)
+    tree.add_block(first)
+    tree.add_block(second)
     assert tree.tip == first.hash
 
 
@@ -101,8 +101,8 @@ def test_random_tie_break_switches_sometimes():
         )
         first = _block(GENESIS.hash, "first")
         second = _block(GENESIS.hash, "second")
-        tree.add_block(first, 0.0)
-        tree.add_block(second, 1.0)
+        tree.add_block(first)
+        tree.add_block(second)
         outcomes.add(tree.tip)
     assert len(outcomes) == 2  # both branches win somewhere
 
@@ -111,10 +111,10 @@ def test_orphan_buffered_until_parent():
     tree = BlockTree(GENESIS)
     parent = _block(GENESIS.hash, "p")
     child = _block(parent.hash, "c")
-    tree.add_block(child, 0.0)
+    tree.add_block(child)
     assert child.hash not in tree
     assert tree.orphan_count() == 1
-    tree.add_block(parent, 1.0)
+    tree.add_block(parent)
     assert child.hash in tree
     assert tree.tip == child.hash
     assert tree.orphan_count() == 0
@@ -125,17 +125,17 @@ def test_orphan_chain_unwinds_recursively():
     a = _block(GENESIS.hash, "a")
     b = _block(a.hash, "b")
     c = _block(b.hash, "c")
-    tree.add_block(c, 0.0)
-    tree.add_block(b, 0.0)
-    tree.add_block(a, 0.0)
+    tree.add_block(c)
+    tree.add_block(b)
+    tree.add_block(a)
     assert tree.tip == c.hash
 
 
 def test_duplicate_block_ignored():
     tree = BlockTree(GENESIS)
     block = _block(GENESIS.hash, "a")
-    assert tree.add_block(block, 0.0)
-    assert tree.add_block(block, 1.0) == []
+    assert tree.add_block(block)
+    assert tree.add_block(block) == []
 
 
 def test_is_in_main_chain():
@@ -202,15 +202,15 @@ def test_forget_drops_the_block_and_everything_built_on_it():
     # Remembered: a second copy is refused, not re-adopted ...
     for again in (side[1], side[2]):
         with pytest.raises(InvalidBlock, match="did not connect"):
-            tree.add_block(again, 1.0)
+            tree.add_block(again)
     # ... and so is a block nobody has seen that builds on one of them,
     # and then one that builds on that, instead of waiting as orphans.
     child = _block(fork[0].hash, "child")
     for unseen in (child, _block(child.hash, "grandchild")):
         with pytest.raises(InvalidBlock, match="did not connect"):
-            tree.add_block(unseen, 1.0)
+            tree.add_block(unseen)
     assert len(tree) == 3 and tree.orphan_count() == 0
     # What was never dropped is untouched by the memory.
-    assert tree.add_block(side[0], 1.0) == []
+    assert tree.add_block(side[0]) == []
     regrown = _chain(tree, side[0].hash, ["y-again", "z-again"])
     assert tree.tip == regrown[1].hash

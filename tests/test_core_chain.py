@@ -106,7 +106,7 @@ def test_microblock_future_timestamp_rejected():
     chain.add_block(key1, 10.0)
     future = _micro(key1.hash, ALICE, 500.0)
     with pytest.raises(InvalidNGBlock):
-        chain.add_block(future, arrival_time=20.0, local_time=20.0)
+        chain.add_block(future, 20.0)
 
 
 def test_new_key_block_prunes_unseen_microblocks():

@@ -42,7 +42,7 @@ def _grow(tree, start, labels):
     prev = start
     for label in labels:
         block = _block(prev, label)
-        tree.add_block(block, 0.0)
+        tree.add_block(block)
         blocks.append(block)
         prev = block.hash
     return blocks
@@ -71,7 +71,7 @@ def test_ghost_prefers_heavy_subtree_over_long_chain():
     fork_root = _grow(tree, GENESIS.hash, ["x"])[0]
     # Three siblings under x: subtree(x) = 4 > subtree(a) = 3.
     for salt in ("x1", "x2", "x3"):
-        tree.add_block(_block(fork_root.hash, salt), 0.0)
+        tree.add_block(_block(fork_root.hash, salt))
     assert tree.main_chain()[1] == fork_root.hash
     # Bitcoin would have chosen the longer chain.
     from repro.bitcoin.chain import BlockTree
@@ -80,12 +80,12 @@ def test_ghost_prefers_heavy_subtree_over_long_chain():
     prev = GENESIS.hash
     for label in ["a", "b", "c"]:
         block = _block(prev, label)
-        bitcoin.add_block(block, 0.0)
+        bitcoin.add_block(block)
         prev = block.hash
     x = _block(GENESIS.hash, "x")
-    bitcoin.add_block(x, 0.0)
+    bitcoin.add_block(x)
     for salt in ("x1", "x2", "x3"):
-        bitcoin.add_block(_block(x.hash, salt), 0.0)
+        bitcoin.add_block(_block(x.hash, salt))
     assert bitcoin.main_chain()[1] == _block(GENESIS.hash, "a").hash
 
 
@@ -93,8 +93,8 @@ def test_equal_subtrees_first_seen():
     tree = GhostTree(GENESIS, tie_break=TieBreak.FIRST_SEEN)
     first = _block(GENESIS.hash, "first")
     second = _block(GENESIS.hash, "second")
-    tree.add_block(first, 0.0)
-    tree.add_block(second, 1.0)
+    tree.add_block(first)
+    tree.add_block(second)
     assert tree.tip == first.hash
 
 
@@ -104,9 +104,9 @@ def test_equal_subtrees_random_tie_break_goes_both_ways():
         tree = GhostTree(
             GENESIS, tie_break=TieBreak.RANDOM, rng=random.Random(seed)
         )
-        tree.add_block(_block(GENESIS.hash, "first"), 0.0)
+        tree.add_block(_block(GENESIS.hash, "first"))
         second = _block(GENESIS.hash, "second")
-        tree.add_block(second, 1.0)
+        tree.add_block(second)
         second_won.add(tree.tip == second.hash)
     assert second_won == {True, False}
 
@@ -125,11 +125,11 @@ def test_random_tie_break_draws_only_at_ties():
 def test_reorg_reported():
     tree = GhostTree(GENESIS)
     a = _block(GENESIS.hash, "a")
-    tree.add_block(a, 0.0)
+    tree.add_block(a)
     x = _block(GENESIS.hash, "x")
-    tree.add_block(x, 0.0)
+    tree.add_block(x)
     x1 = _block(x.hash, "x1")
-    reorgs = tree.add_block(x1, 0.0)
+    reorgs = tree.add_block(x1)
     assert len(reorgs) == 1
     assert reorgs[0].disconnected == (a.hash,)
     assert reorgs[0].connected == (x.hash, x1.hash)
@@ -139,17 +139,17 @@ def test_orphans_buffered():
     tree = GhostTree(GENESIS)
     parent = _block(GENESIS.hash, "p")
     child = _block(parent.hash, "c")
-    tree.add_block(child, 0.0)
+    tree.add_block(child)
     assert child.hash not in tree
-    tree.add_block(parent, 0.0)
+    tree.add_block(parent)
     assert tree.tip == child.hash
 
 
 def test_duplicate_ignored():
     tree = GhostTree(GENESIS)
     block = _block(GENESIS.hash, "a")
-    tree.add_block(block, 0.0)
-    assert tree.add_block(block, 0.0) == []
+    tree.add_block(block)
+    assert tree.add_block(block) == []
 
 
 def test_consistency_invariant():
@@ -173,6 +173,9 @@ class _GhostKit:
 
     def block(self, prev, label, t=0.0):
         return _block(prev, label)
+
+    def add(self, tree, block):
+        return tree.add_block(block)
 
     def grow(self, tree, start, labels):
         return _grow(tree, start, labels)
@@ -202,11 +205,14 @@ class _GhostNGKit:
             ),
         )
 
+    def add(self, tree, block):
+        return tree.add_block(block, 10.0)
+
     def grow(self, tree, start, labels):
         blocks = []
         for label in labels:
             block = self.block(start, label)
-            tree.add_block(block, 10.0)
+            self.add(tree, block)
             blocks.append(block)
             start = block.hash
         return blocks
@@ -238,12 +244,12 @@ def test_three_way_tie_is_broken_uniformly(kit):
     for seed in range(600):
         tree = kit.tree(TieBreak.RANDOM, random.Random(seed))
         for block in (root, *children):
-            tree.add_block(block, 10.0)
+            kit.add(tree, block)
         wins[tree.tip] += 1
     assert all(150 <= count <= 250 for count in wins.values()), wins
     first_seen = kit.tree(TieBreak.FIRST_SEEN)
     for block in (root, *children):
-        first_seen.add_block(block, 10.0)
+        kit.add(first_seen, block)
     assert first_seen.tip == children[0].hash
 
 

@@ -1,9 +1,8 @@
-"""Wallet + node + confirmation tracker: the full user story, live.
+"""Wallet + node: the full user story, live.
 
 A merchant runs a wallet against its own NG node, a customer pays, the
-merchant's confirmation tracker moves the payment from TENTATIVE to
-CONFIRMED per the §4.3 policy — all over the simulated network with
-full validation.
+leader's next microblock serializes the payment and the merchant's node
+credits it — all over the simulated network with full validation.
 """
 
 import pytest
@@ -16,12 +15,7 @@ from repro.net.latency import constant_histogram
 from repro.net.network import Network
 from repro.net.simulator import Simulator
 from repro.net.topology import complete_topology
-from repro.wallet import (
-    ConfirmationPolicy,
-    ConfirmationTracker,
-    TxStatus,
-    Wallet,
-)
+from repro.wallet import Wallet
 
 PARAMS = NGParams(
     key_block_interval=60.0, min_microblock_interval=10.0, coinbase_maturity=1
@@ -55,10 +49,6 @@ def world():
 def test_payment_lifecycle(world):
     sim, nodes, customer, merchant = world
     merchant_node = nodes[2]
-    tracker = ConfirmationTracker(
-        merchant_node.chain,
-        ConfirmationPolicy(propagation_time=5.0, key_block_depth=1),
-    )
 
     # Epoch starts; customer builds the payment with its wallet and
     # submits it anywhere.
@@ -72,29 +62,15 @@ def test_payment_lifecycle(world):
     nodes[1].submit_transaction(payment)
 
     # The leader's next microblock serializes it; the merchant node
-    # sees it arrive and registers it with the tracker.
+    # sees it arrive.
     sim.run(until=11.0)
-    containing = merchant_node.chain.tip
     record = merchant_node.chain.tip_record
     assert not record.is_key
     assert payment.txid in [
         tx.txid for tx in record.block.payload.transactions  # type: ignore[union-attr]
     ]
-    tracker.observe(payment.txid, containing, seen_at=sim.now)
-
-    # Inside the propagation window: tentative.
-    assert tracker.status(payment.txid, now=sim.now) is TxStatus.TENTATIVE
-    # Funds are visible but the merchant does not ship yet.
+    # Funds are visible at the merchant's node.
     assert merchant_node.balance_of(merchant.pubkey_hash()) == 12 * COIN
-
-    # After the §4.3 wait, confirmed.
-    sim.run(until=sim.now + 6.0)
-    assert tracker.status(payment.txid, now=sim.now) is TxStatus.CONFIRMED
-
-    # And after the next key block, confirmed by burial too.
-    nodes[1].generate_key_block()
-    sim.run(until=sim.now + 2.0)
-    assert tracker.status(payment.txid, now=sim.now) is TxStatus.CONFIRMED
 
 
 def test_merchant_wallet_can_respend(world):

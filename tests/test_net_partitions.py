@@ -64,15 +64,6 @@ def test_split_creates_diverging_chains_and_heal_merges():
     assert nodes[2].tip == b2.hash
 
 
-def test_isolate_cuts_all_but_excepted():
-    sim, net, nodes = _cluster(5)
-    partition = PartitionController(net)
-    cut = partition.isolate(4, except_peers={0})
-    assert cut == 3
-    assert net.link_blocked(4, 1)
-    assert not net.link_blocked(4, 0)
-
-
 def test_double_split_rejected():
     sim, net, nodes = _cluster(4)
     partition = PartitionController(net)
