@@ -27,10 +27,9 @@ Protocol adapters
     :func:`get_adapter` / :func:`registered_protocols`) — implement and
     register an adapter to plug a new protocol into every experiment.
 Sanitizer
-    :class:`SanitizerRuntime` and the per-protocol checker factories
-    (:func:`ng_checkers`, :func:`chain_checkers`, :func:`ghost_checkers`;
-    no arguments — the runtime's ``mode`` is ``"incremental"`` or
-    ``"audit"``).
+    :class:`SanitizerRuntime` and the Bitcoin-NG checker factory
+    (:func:`ng_checkers`, no arguments — the runtime's ``mode`` is
+    ``"incremental"`` or ``"audit"``).
 Profiler
     :class:`ProfilerRuntime` and :func:`profile_experiment`.
 
@@ -72,8 +71,6 @@ from .protocols import (
 )
 from .sanitizer import (
     SanitizerRuntime,
-    chain_checkers,
-    ghost_checkers,
     ng_checkers,
 )
 
@@ -88,13 +85,11 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "build_network",
-    "chain_checkers",
     "constant_throughput_block_size",
     "format_series",
     "format_sweep_table",
     "frequency_sweep",
     "get_adapter",
-    "ghost_checkers",
     "ng_checkers",
     "profile_experiment",
     "register_adapter",

@@ -20,7 +20,7 @@ from .transactions import OutPoint, Transaction
 DEFAULT_MAX_ENTRIES = 1_000_000
 
 
-class Mempool:  # repro: versioned
+class Mempool:
     """Pending-transaction store with spend-conflict tracking."""
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
@@ -28,10 +28,6 @@ class Mempool:  # repro: versioned
         self._fees: dict[bytes, int] = {}
         self._spends: dict[OutPoint, bytes] = {}
         self.max_entries = max_entries
-        # Monotonic mutation counter: bumped by every successful state
-        # change.  The sanitizer's dirty-set tracker compares it between
-        # sweeps to skip pools that did not change (repro.sanitizer).
-        self.version = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -42,23 +38,9 @@ class Mempool:  # repro: versioned
     def get(self, txid: bytes) -> Transaction | None:
         return self._entries.get(txid)
 
-    # -- read-only views (sanitizer cross-checks, state digests) ---------
-
-    def transactions(self) -> list[Transaction]:
-        """Pool entries in insertion order (a copy)."""
-        return list(self._entries.values())
-
     def txids(self) -> list[bytes]:
-        """Pool transaction ids in insertion order (a copy)."""
+        """Pool transaction ids in insertion order (a copy; state digests)."""
         return list(self._entries)
-
-    def spend_index(self) -> dict[OutPoint, bytes]:
-        """Copy of the outpoint → spending-txid conflict map."""
-        return dict(self._spends)
-
-    def fee_index(self) -> dict[bytes, int]:
-        """Copy of the txid → fee map."""
-        return dict(self._fees)
 
     def add(self, tx: Transaction, fee: int = 0) -> None:
         """Insert a transaction; rejects duplicates and in-pool conflicts."""
@@ -77,7 +59,6 @@ class Mempool:  # repro: versioned
         self._fees[tx.txid] = fee
         for txin in tx.inputs:
             self._spends[txin.outpoint] = tx.txid
-        self.version += 1
 
     def remove(self, txid: bytes) -> Transaction | None:
         """Remove and return a transaction (None if absent)."""
@@ -88,7 +69,6 @@ class Mempool:  # repro: versioned
         for txin in tx.inputs:
             if self._spends.get(txin.outpoint) == txid:
                 del self._spends[txin.outpoint]
-        self.version += 1
         return tx
 
     def evict_conflicts(self, tx: Transaction) -> list[Transaction]:
@@ -141,4 +121,3 @@ class Mempool:  # repro: versioned
         self._entries.clear()
         self._fees.clear()
         self._spends.clear()
-        self.version += 1

@@ -38,7 +38,7 @@ class UndoRecord:
     created: list[OutPoint] = field(default_factory=list)
 
 
-class UtxoSet:  # repro: versioned
+class UtxoSet:
     """Mutable set of unspent transaction outputs.
 
     Not thread-safe; each simulated node owns its own instance.
@@ -47,10 +47,6 @@ class UtxoSet:  # repro: versioned
     def __init__(self, coinbase_maturity: int = DEFAULT_COINBASE_MATURITY) -> None:
         self._coins: dict[OutPoint, Coin] = {}
         self.coinbase_maturity = coinbase_maturity
-        # Monotonic mutation counter: bumped by every apply/undo/credit.
-        # The sanitizer's dirty-set tracker compares it between sweeps
-        # to skip UTXO sets that did not change (repro.sanitizer).
-        self.version = 0
 
     def __len__(self) -> int:
         return len(self._coins)
@@ -126,7 +122,6 @@ class UtxoSet:  # repro: versioned
             outpoint = OutPoint(tx.txid, index)
             self._coins[outpoint] = Coin(output, height, tx.is_coinbase)
             undo.created.append(outpoint)
-        self.version += 1
         return undo
 
     def undo(self, record: UndoRecord) -> None:
@@ -135,7 +130,6 @@ class UtxoSet:  # repro: versioned
             self._coins.pop(outpoint, None)
         for outpoint, coin in record.spent:
             self._coins[outpoint] = coin
-        self.version += 1
 
     def credit(self, output: TxOutput, outpoint: OutPoint, height: int = 0) -> None:
         """Insert a coin directly — used to seed genesis allocations."""
@@ -144,7 +138,6 @@ class UtxoSet:  # repro: versioned
         if output.value > MAX_MONEY:
             raise ValueError_("genesis credit exceeds MAX_MONEY")
         self._coins[outpoint] = Coin(output, height, is_coinbase=False)
-        self.version += 1
 
     def snapshot(self) -> dict[OutPoint, Coin]:
         """Shallow copy of the coin map, for assertions in tests."""

@@ -25,7 +25,6 @@ FAMILIES = {
     "NG2": "clock/env",
     "NG3": "ordering",
     "NG4": "layering",
-    "NG6": "semantic",
 }
 
 
@@ -73,11 +72,6 @@ def add_lint_parser(commands: argparse._SubParsersAction) -> None:
         "--list-rules",
         action="store_true",
         help="print the rule table (code, family, rationale) and exit",
-    )
-    parser.add_argument(
-        "--why",
-        action="store_true",
-        help="append call-path explanations to NG601 findings",
     )
     parser.set_defaults(handler=cmd_lint)
 
@@ -172,9 +166,9 @@ def _resolve_codes(args: argparse.Namespace) -> list[str] | None:
     return selected
 
 
-def _print_text(report: LintReport, *, show_why: bool = False) -> None:
+def _print_text(report: LintReport) -> None:
     for finding in report.findings:
-        print(finding.format(show_why=show_why))
+        print(finding.format())
     summary = (
         f"{len(report.findings)} finding(s) in "
         f"{report.files_scanned} file(s)"
@@ -206,5 +200,5 @@ def cmd_lint(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(report.to_payload(), indent=2, sort_keys=True))
     else:
-        _print_text(report, show_why=args.why)
+        _print_text(report)
     return 0 if report.clean else 1

@@ -1,15 +1,14 @@
-"""The analyzer driver: collect files, build the index, run both rule halves.
+"""The analyzer driver: collect files, build the index, run the rules.
 
 One lint run has three stages:
 
 1. parse every scanned file once;
 2. build the **semantic index** — symbol tables, class-resolution
-   map, approximate call graph, and dataflow summaries (see
-   :mod:`repro.lint.semantic`).  The project-wide set/tuple-dict
-   "harvests" come off the index too, instead of a second AST pass;
+   map and approximate call graph (see :mod:`repro.lint.semantic`).
+   The project-wide set/tuple-dict "harvests" come off the index,
+   instead of a second AST pass;
 3. run the per-module AST rules (one visitor instance per rule ×
-   module) and the project-wide semantic rules (one :meth:`check` call
-   per rule), then drop what an inline suppression allows.
+   module), then drop what an inline suppression allows.
 
 Findings come out sorted by (path, line, code) so output is stable for
 tests and CI diffs.
@@ -21,12 +20,11 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence, cast
+from typing import Any, Sequence
 
 from .findings import Finding, is_suppressed
 from .rules import ImportMap, ModuleContext, Rule, all_rules
 from .semantic.index import SemanticIndex, build_index
-from .semantic.rules import SemanticRule
 
 #: Fixture files (and only fixtures) may claim a module identity so
 #: layer/allowlist rules can be exercised outside the real tree.
@@ -36,7 +34,7 @@ MODULE_DIRECTIVE_RE = re.compile(
 #: How many leading lines are searched for the module directive.
 DIRECTIVE_WINDOW = 5
 
-JSON_SCHEMA_VERSION = 3
+JSON_SCHEMA_VERSION = 4
 
 
 @dataclass
@@ -133,10 +131,7 @@ def _parse(path: Path) -> _ParsedModule:
 def build_semantic_index(modules: Sequence[_ParsedModule]) -> SemanticIndex:
     """The project-wide index for one parsed module set."""
     return build_index(
-        [
-            (m.display_path, m.module, m.tree, m.lines, m.source)
-            for m in modules
-        ]
+        [(m.display_path, m.module, m.tree, m.source) for m in modules]
     )
 
 
@@ -162,17 +157,6 @@ def lint_paths(
         if unknown:
             raise KeyError(f"unknown rule codes: {sorted(unknown)}")
         selected = [rule for rule in selected if rule.code in set(codes)]
-    ast_rules = [
-        cast("type[Rule]", rule) for rule in selected
-        if issubclass(rule, Rule)
-    ]
-    semantic_rules = [
-        cast("type[SemanticRule]", rule) for rule in selected
-        if issubclass(rule, SemanticRule)
-    ]
-
-    lines_by_path = {m.display_path: m.lines for m in modules}
-    module_by_path = {m.display_path: m.module for m in modules}
 
     raw: list[Finding] = []
     suppressed = 0
@@ -185,7 +169,7 @@ def lint_paths(
             set_attrs=set_attrs,
             tuple_dict_attrs=tuple_dict_attrs,
         )
-        for rule_cls in ast_rules:
+        for rule_cls in selected:
             if not rule_cls.applies_to(parsed.module):
                 continue
             rule: Rule = rule_cls(context)
@@ -195,17 +179,6 @@ def lint_paths(
                     suppressed += 1
                 else:
                     raw.append(finding)
-
-    for semantic_cls in semantic_rules:
-        semantic_rule = semantic_cls()
-        for finding in semantic_rule.check(index, lines_by_path):
-            module = module_by_path.get(finding.path, "")
-            if not semantic_cls.applies_to(module):
-                continue
-            if is_suppressed(finding, lines_by_path.get(finding.path, [])):
-                suppressed += 1
-            else:
-                raw.append(finding)
 
     raw.sort(key=lambda f: (f.path, f.line, f.code))
     return LintReport(

@@ -29,9 +29,6 @@ class Finding:
     code: str  #: rule code, e.g. ``"NG101"``
     message: str  #: human explanation of this specific hit
     snippet: str  #: the offending source line, stripped
-    #: Interprocedural call-path explanation (NG6xx); one step per line,
-    #: rendered by ``repro lint --why``.
-    why: tuple[str, ...] = ()
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -41,7 +38,6 @@ class Finding:
             "code": self.code,
             "message": self.message,
             "snippet": self.snippet,
-            "why": list(self.why),
         }
 
     @classmethod
@@ -53,26 +49,14 @@ class Finding:
             code=data["code"],
             message=data["message"],
             snippet=data["snippet"],
-            why=tuple(data.get("why", ())),
         )
 
-    def format(self, *, show_why: bool = False) -> str:
-        """The two-line text rendering used by the CLI.
-
-        With ``show_why``, NG6xx findings append their call-path
-        explanation, one indented ``because:``/``then:`` step per line.
-        """
-        text = (
+    def format(self) -> str:
+        """The two-line text rendering used by the CLI."""
+        return (
             f"{self.path}:{self.line}:{self.col + 1}: "
             f"{self.code} {self.message}\n    {self.snippet}"
         )
-        if show_why and self.why:
-            steps = [
-                f"    {'because' if index == 0 else 'then'}: {step}"
-                for index, step in enumerate(self.why)
-            ]
-            text = "\n".join([text, *steps])
-        return text
 
 
 def suppressed_codes(lines: list[str], line: int) -> set[str]:

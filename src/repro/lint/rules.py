@@ -24,10 +24,10 @@ Rule families
 * **NG4xx — protocol-layer boundaries.**  Consensus layers must not
   import the experiment harness above them.
 
-The NG6xx family (:mod:`repro.lint.semantic.rules`) completes the
-catalog.  ``docs/static-analysis.md`` → "Retired rules" lists the rules
-that never fired on any committed tree and whose property a runtime
-test pins, and which were therefore removed.
+``docs/static-analysis.md`` → "Retired rules" lists the rules that were
+removed because a runtime test pins their property: seven that never
+fired on any committed tree, and the version-bump rule, whose counters
+went with the sanitizer state they tracked.
 """
 
 from __future__ import annotations
@@ -131,14 +131,12 @@ class ModuleContext:
     tuple_dict_attrs: frozenset[str] = frozenset()
 
 
-class LintRule:
-    """Shared metadata surface of every rule, AST-local or semantic.
+class Rule(ast.NodeVisitor):
+    """One per-module determinism rule: a code, a rationale, a visitor.
 
     The registry, the CLI's ``--explain``/``--list-rules``, and the
-    fixture tests only need this: a code, a name, a rationale, and a
-    byte-pinned bad/good example pair.  :class:`Rule` adds the per-
-    module AST visitor half; :class:`repro.lint.semantic.rules
-    .SemanticRule` adds the project-wide index half.
+    fixture tests read the metadata: a code, a name, a rationale, and a
+    byte-pinned bad/good example pair.
     """
 
     code: ClassVar[str]
@@ -155,10 +153,6 @@ class LintRule:
             module == allowed or module.startswith(allowed + ".")
             for allowed in cls.allowed_modules
         )
-
-
-class Rule(LintRule, ast.NodeVisitor):
-    """One per-module determinism rule: a code, a rationale, a visitor."""
 
     def __init__(self, context: ModuleContext) -> None:
         self.context = context

@@ -1,40 +1,26 @@
-"""Project-wide semantic index and the NG601 interprocedural rule.
+"""Project-wide semantic index: symbol tables and the call graph.
 
-Importing this package registers NG601 in the shared rule registry
-(:data:`repro.lint.rules.RULES`); :mod:`repro.lint` does so on package
-import, which is why ``repro lint`` always sees it.
+``repro lint`` builds it once per run for the project-wide set /
+tuple-dict harvests NG301 and NG303 read, and ``repro.mutate`` walks its
+call graph to enumerate mutation sites.
 """
 
 from .extract import (
-    MUTATING_METHODS,
-    VERSIONED_MARKER,
     content_sha,
     extract_module,
     harvest_set_idents,
     harvest_tuple_dict_idents,
 )
 from .index import FunctionKey, SemanticIndex, build_index
-from .model import (
-    CallSite,
-    ClassSummary,
-    FunctionSummary,
-    ModuleSummary,
-    WriteSite,
-)
-from .rules import MissingVersionBump, SemanticRule
+from .model import CallSite, ClassSummary, FunctionSummary, ModuleSummary
 
 __all__ = [
     "CallSite",
     "ClassSummary",
     "FunctionKey",
     "FunctionSummary",
-    "MissingVersionBump",
     "ModuleSummary",
-    "MUTATING_METHODS",
     "SemanticIndex",
-    "SemanticRule",
-    "VERSIONED_MARKER",
-    "WriteSite",
     "build_index",
     "content_sha",
     "extract_module",

@@ -2,7 +2,7 @@
 
 A :class:`SemanticIndex` is the union of every scanned module's
 :class:`~repro.lint.semantic.model.ModuleSummary` plus the cross-module
-machinery NG601 and ``repro.mutate``'s site enumeration need:
+machinery ``repro.mutate``'s site enumeration needs:
 
 * dotted-module lookup and a scanned-base-chain walk (an approximate
   MRO: DFS over resolved base names, restricted to scanned classes);
@@ -213,24 +213,6 @@ class SemanticIndex:
                     found.append((summary, cls))
         return found
 
-    def versioned_classes(
-        self, extra_names: frozenset[str] = frozenset()
-    ) -> list[tuple[ModuleSummary, ClassSummary]]:
-        """Classes under the NG601 version-bump contract.
-
-        A class qualifies via the ``# repro: versioned`` marker or by
-        appearing in ``extra_names`` (the rule's built-in
-        ``Mempool``/``UtxoSet`` set).  Deterministic order.
-        """
-        found: list[tuple[ModuleSummary, ClassSummary]] = []
-        for path in sorted(self.modules):
-            summary = self.modules[path]
-            for class_name in sorted(summary.classes):
-                cls = summary.classes[class_name]
-                if cls.versioned or cls.name in extra_names:
-                    found.append((summary, cls))
-        return found
-
     def class_surface(
         self, summary: ModuleSummary, cls: ClassSummary
     ) -> list[FunctionKey]:
@@ -317,12 +299,12 @@ class SemanticIndex:
 
 
 def build_index(
-    parsed: list[tuple[str, str, ast.Module, list[str], str]],
+    parsed: list[tuple[str, str, ast.Module, str]],
 ) -> SemanticIndex:
     """Assemble the index for ``parsed`` modules.
 
-    ``parsed`` entries are ``(display_path, module, tree, lines,
-    source)`` tuples.
+    ``parsed`` entries are ``(display_path, module, tree, source)``
+    tuples.
     """
     return SemanticIndex(
         modules={
@@ -330,9 +312,8 @@ def build_index(
                 tree,
                 display_path=display_path,
                 module=module,
-                lines=lines,
                 sha=content_sha(source),
             )
-            for display_path, module, tree, lines, source in parsed
+            for display_path, module, tree, source in parsed
         }
     )

@@ -8,32 +8,14 @@ from an index it builds itself and keys its baseline on the module
 shas, which is sound only because extraction is a pure function of
 (path, source).
 
-The model is deliberately *approximate* in documented ways (see
-:mod:`repro.lint.semantic.extract`): taint tracks ``self``-rooted
-assignment, not aliases through containers; call resolution covers
-self-calls, local names, and imports, not duck-typed receivers.  NG601
-is tuned so those approximations under-report rather than spray false
-positives.
+The model is deliberately *approximate* (see
+:mod:`repro.lint.semantic.extract`): call resolution covers self-calls,
+local names, and imports, not duck-typed receivers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
-
-#: Bump-formula atoms/combinators as nested tuples: ``True``/``False``
-#: leaves, ``("call", name)`` for "this self-call bumps iff the callee
-#: does", ``("and", ...)`` / ``("or", ...)``.
-Formula = Any
-
-
-@dataclass(frozen=True)
-class WriteSite:
-    """One state write: which ``self`` attribute, where, and the line."""
-
-    target: str  #: the ``self`` attribute written through
-    lineno: int
-    desc: str  #: the offending source line, stripped
 
 
 @dataclass(frozen=True)
@@ -58,7 +40,7 @@ class CallSite:
 
 @dataclass(frozen=True)
 class FunctionSummary:
-    """Everything NG601 and the site walk need to know about one function."""
+    """Everything the site walk needs to know about one function."""
 
     name: str
     lineno: int
@@ -66,29 +48,18 @@ class FunctionSummary:
     #: including ``self`` for methods.
     params: tuple[str, ...]
     is_method: bool = False
-    #: Writes through ``self`` (excluding ``.version`` bumps).
-    self_writes: tuple[WriteSite, ...] = ()
-    #: Whether every path bumps ``self.version`` (see extract module).
-    bump_formula: Formula = False
     calls: tuple[CallSite, ...] = ()
-
-    def self_call_names(self) -> tuple[str, ...]:
-        return tuple(
-            call.target[0] for call in self.calls if call.kind == "self"
-        )
 
 
 @dataclass(frozen=True)
 class ClassSummary:
-    """A class: resolved bases, the versioned marker, and methods."""
+    """A class: resolved bases and methods."""
 
     name: str
     lineno: int
     #: Base expressions resolved to dotted names where possible
     #: (``"repro.protocols.ProtocolAdapter"``), bare names otherwise.
     bases: tuple[str, ...] = ()
-    #: ``# repro: versioned`` marker on (or above) the class line.
-    versioned: bool = False
     methods: dict[str, FunctionSummary] = field(default_factory=dict)
 
 

@@ -22,7 +22,7 @@ from .throughput import (
     goodput_bytes,
     transaction_frequency,
 )
-from .utilization import mining_power_utilization, wasted_work_fraction
+from .utilization import mining_power_utilization
 
 __all__ = [
     "OPERATIONAL_BITCOIN_TX_RATE",
@@ -45,6 +45,5 @@ __all__ = [
     "time_to_prune",
     "time_to_win",
     "transaction_frequency",
-    "wasted_work_fraction",
     "win_samples",
 ]

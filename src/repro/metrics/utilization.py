@@ -23,8 +23,3 @@ def mining_power_utilization(log: ObservationLog) -> float:
         raise ValueError("no proof-of-work blocks recorded")
     main_work = sum(log.index.info(h).work for h in log.main_chain())
     return main_work / total_work
-
-
-def wasted_work_fraction(log: ObservationLog) -> float:
-    """The complement — work on pruned branches."""
-    return 1.0 - mining_power_utilization(log)

@@ -8,7 +8,9 @@ the first kill:
    runs a short Bitcoin-NG simulation with the adapter's invariant
    checkers in incremental mode.  Violations kill at the sanitizer
    tier; a crash, hang, or digest-fingerprint divergence from the clean
-   baseline kills at the golden tier.
+   baseline kills at the golden tier.  A tier left out of ``tiers``
+   scores nothing, so ``--tiers golden,tests`` measures what the later
+   tiers kill without the sanitizer.
 3. **tests** — the mutated file's companion tier-1 module
    (``src/repro/core/chain.py`` → ``tests/test_core_chain.py``) under
    ``pytest -x``; a failure kills, and files with no companion skip the
@@ -34,7 +36,7 @@ import subprocess
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from ..clock import wall_clock
 from ..experiments.parallel import SweepExecutor
@@ -280,7 +282,22 @@ def _probe_env(shadow_src: Path) -> dict[str, str]:
 def _probe_tier(
     task: MutantTask, state: dict[str, Any]
 ) -> tuple[str, str] | None:
-    """Sanitizer/golden verdict from one probe run, or ``None``."""
+    """Sanitizer/golden verdict from one probe run, or ``None``.
+
+    Only a tier in ``task.tiers`` scores: without ``golden`` a crash or
+    a moved fingerprint kills nothing, and without ``sanitizer``
+    violations are ignored.
+    """
+    for tier, detail in _probe_kills(task, state):
+        if tier in task.tiers:
+            return tier, detail
+    return None
+
+
+def _probe_kills(
+    task: MutantTask, state: dict[str, Any]
+) -> Iterator[tuple[str, str]]:
+    """Every (tier, detail) kill one probe run supports, in tier order."""
     shadow: ShadowTree = state["shadow"]
     try:
         completed = subprocess.run(
@@ -292,19 +309,22 @@ def _probe_tier(
             timeout=PROBE_TIMEOUT,
         )
     except subprocess.TimeoutExpired:
-        return ("golden", "probe timeout (likely non-terminating mutant)")
+        yield ("golden", "probe timeout (likely non-terminating mutant)")
+        return
     try:
         payload = json.loads(completed.stdout)
     except json.JSONDecodeError:
         tail = (completed.stderr or completed.stdout).strip()[-160:]
-        return ("golden", f"probe crashed: {tail or 'no output'}")
+        yield ("golden", f"probe crashed: {tail or 'no output'}")
+        return
     if not payload.get("ok", False):
         error = str(payload.get("error", "")).strip().splitlines()
-        return ("golden", f"probe raised: {error[-1] if error else '?'}")
+        yield ("golden", f"probe raised: {error[-1] if error else '?'}")
+        return
     violations = payload.get("violations", [])
     if violations:
         codes = sorted({v["code"] for v in violations})
-        return ("sanitizer", f"invariant violation: {', '.join(codes)}")
+        yield ("sanitizer", f"invariant violation: {', '.join(codes)}")
     fingerprint = tuple(
         tuple(part) if isinstance(part, list) else part
         for part in payload.get("fingerprint", [])
@@ -314,8 +334,7 @@ def _probe_tier(
         for part in task.baseline_fingerprint
     )
     if fingerprint != baseline:
-        return ("golden", "state fingerprint diverged from clean baseline")
-    return None
+        yield ("golden", "state fingerprint diverged from clean baseline")
 
 
 def companion_test(display_path: str) -> str:
@@ -416,11 +435,15 @@ def _tree_sha(index: SemanticIndex) -> str:
     return digest.hexdigest()[:16]
 
 
-def _config_sig() -> str:
+def _config_sig(tiers: tuple[str, ...]) -> str:
+    """What a cached verdict depends on beyond the file and mutant:
+    engine, catalog, probe source, and the tiers that scored it (a
+    survivor of ``--tiers golden,tests`` may die at the sanitizer)."""
     probe_src = (Path(__file__).parent / "probe.py").read_bytes()
     basis = (
         f"engine={ENGINE_VERSION}:catalog={CATALOG_VERSION}:"
-        f"probe={hashlib.sha256(probe_src).hexdigest()[:12]}"
+        f"probe={hashlib.sha256(probe_src).hexdigest()[:12]}:"
+        f"tiers={','.join(tiers)}"
     )
     return hashlib.sha256(basis.encode()).hexdigest()[:12]
 
@@ -428,9 +451,9 @@ def _config_sig() -> str:
 class VerdictCache:
     """Content-addressed verdict store on ``(file sha, mutant id)``."""
 
-    def __init__(self, path: Path | None):
+    def __init__(self, path: Path | None, tiers: tuple[str, ...]):
         self.path = path
-        self.sig = _config_sig()
+        self.sig = _config_sig(tiers)
         self.baselines: dict[str, list[Any]] = {}
         self.verdicts: dict[str, dict[str, Any]] = {}
         self.hits = 0
@@ -498,7 +521,7 @@ class MutationEngine:
     ) -> None:
         self.repo_root = Path(repo_root).resolve()
         self.cache = VerdictCache(
-            self.repo_root / cache_path if cache_path else None
+            self.repo_root / cache_path if cache_path else None, tiers
         )
         self.jobs = jobs
         self.tiers = tiers

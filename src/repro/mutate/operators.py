@@ -40,12 +40,6 @@ _VERIFY_NAMES = frozenset(
     {"verify", "verify_signature", "verify_input_signatures"}
 )
 
-#: ``.version`` bumps are not mutated: the sanitizer compares versions
-#: for equality, so ``-=`` is an equivalent mutant, and a *dropped* bump
-#: is lint rule NG601's to catch (``tests/test_lint_semantic.py`` drops
-#: each one on the real ledger sources).
-_BUMP_TEXT = "self.version"
-
 
 @dataclass(frozen=True)
 class Mutant:
@@ -263,8 +257,6 @@ class ArithOpSwap(MutationOperator):
                 node.op, (ast.Add, ast.Sub)
             ):
                 target = span.text(node.target)
-                if _BUMP_TEXT in target:
-                    continue
                 found = span.find_token(
                     span.end(node.target),
                     span.start(node.value),

@@ -11,10 +11,11 @@ asks it instead of re-deriving anything:
    walks resolved call edges from the roots — with the instantiate
    closure, so node/chain/mempool objects built inside ``build_nodes``
    and then dispatched *by the simulator at runtime* still count.
-3. **Versioned-class surfaces.**  Any method on a ``# repro:
-   versioned`` class (or the built-in ``Mempool``/``UtxoSet`` set) is
-   eligible even when the static walk misses it: the incremental
-   sanitizer's correctness leans on those classes directly.
+3. **Ledger-container surfaces.**  Every method of the classes named
+   in :data:`LEDGER_CLASSES` (``Mempool``, ``UtxoSet``) is eligible
+   even when the static walk misses it: nodes reach their mempool
+   through an attribute the call graph cannot type, and without this
+   step its whole surface falls out of the net.
 4. **Anchor modules.**  ``core/incentives.py``, ``core/remuneration.py``
    and ``ledger/validation.py`` are the paper's economic/validity core;
    they are eligible wholesale (including module-level constants, the
@@ -39,12 +40,14 @@ from pathlib import Path
 
 from ..lint.engine import _parse, build_semantic_index, collect_files
 from ..lint.semantic.index import FunctionKey, SemanticIndex
-from ..lint.semantic.rules import VERSIONED_CLASS_NAMES
 
 #: The adapter contract whose subclasses' methods are the roots.
 ADAPTER_BASES = frozenset(
     {"repro.protocols.ProtocolAdapter", "ProtocolAdapter"}
 )
+
+#: Ledger containers whose whole surface is eligible (step 3).
+LEDGER_CLASSES = frozenset({"Mempool", "UtxoSet"})
 
 #: Packages whose functions may carry consensus-critical mutants.
 TARGET_PACKAGES: tuple[str, ...] = (
@@ -140,9 +143,12 @@ def enumerate_sites(
     ):
         admit(key, "adapter-reachable")
 
-    for summary, cls in index.versioned_classes(VERSIONED_CLASS_NAMES):
-        for key in index.class_surface(summary, cls):
-            admit(key, "versioned-class")
+    for display_path in sorted(index.modules):
+        summary = index.modules[display_path]
+        for name in sorted(LEDGER_CLASSES & summary.classes.keys()):
+            cls = summary.classes[name]
+            for key in index.class_surface(summary, cls):
+                admit(key, "ledger-class")
 
     for display_path in sorted(index.modules):
         if not display_path.endswith(ANCHOR_SUFFIXES):

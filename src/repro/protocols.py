@@ -94,16 +94,15 @@ class ProtocolAdapter(abc.ABC):
     def invariant_checkers(self) -> list[InvariantChecker]:
         """Fresh checker instances for ``--check`` runs of this protocol.
 
-        The default is the protocol-agnostic subset (chain weight, tip
-        monotonicity, mempool/UTXO consistency, coinbase maturity);
-        adapters whose protocols carry richer invariants override this
-        (Bitcoin-NG adds the fee-split, microblock, and poison rules).
+        The default is tip monotonicity, the one protocol-agnostic
+        check; adapters whose protocols carry richer invariants override
+        this (Bitcoin-NG adds the fee-split and leader-signature rules).
         Checkers subclass
         :class:`~repro.sanitizer.checkers.InvariantChecker`.
         """
-        from .sanitizer.checkers import chain_checkers
+        from .sanitizer.checkers import TipMonotonicity
 
-        return chain_checkers()
+        return [TipMonotonicity()]
 
     def on_crash(
         self, node: GossipNode, *, sim: Simulator, network: Network
@@ -229,11 +228,10 @@ class GhostAdapter(ProtocolAdapter):
 
     def invariant_checkers(self) -> list[InvariantChecker]:
         # Heaviest-subtree fork choice may adopt a tip whose *chain*
-        # work is lower than the old tip's, so the tip-monotonicity
-        # checker from the default subset does not apply.
-        from .sanitizer.checkers import ghost_checkers
-
-        return ghost_checkers()
+        # work is lower than the old tip's, so the default tip-
+        # monotonicity checker does not apply and a checked GHOST run
+        # checks nothing.
+        return []
 
 
 class BitcoinNGAdapter(ProtocolAdapter):

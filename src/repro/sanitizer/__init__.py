@@ -7,18 +7,17 @@ state (checked mode, ``--check``) and fingerprints a finished run's
 node state, which the golden-equivalence pins compare bit for bit.
 
 * :mod:`.checkers` — the invariant catalog (INV1xx codes): value
-  conservation, the 40/60 fee split, coinbase maturity, microblock
-  signature/rate/size rules, key-block-only chain weight, poison
-  forfeiture, tip monotonicity, and mempool/UTXO cross-consistency.
-  Checkers subclass :class:`InvariantChecker` (``check_block`` /
-  ``check_state`` plus a ``depends`` component set); INV104 holds the
-  process-wide :class:`SignatureCache`, which carries (leader, microblock) verdicts across the executions of
-  one process — inside a run each ``Microblock`` memoises its own.
+  conservation, the 40/60 fee split, microblock leader signatures and
+  tip monotonicity.  Checkers subclass :class:`InvariantChecker`
+  (``check_block`` / ``check_state``); INV104 holds the process-wide
+  :class:`SignatureCache`, which carries (leader, microblock) verdicts
+  across the executions of one process — inside a run each
+  ``Microblock`` memoises its own.
 * :mod:`.runtime` — :class:`SanitizerRuntime`, the event-boundary probe
-  that sweeps node state through the checkers.  One sweep (dirty-set
-  tracking), two modes: ``incremental`` (the default) and ``audit``
-  (the same sweeps plus a periodic from-scratch walk with independent
-  replica checkers, asserting the sweep missed nothing).  Zero cost
+  that sweeps node state through the checkers.  One sweep (a node is
+  swept when its tip moved), two modes: ``incremental`` (the default)
+  and ``audit`` (the same sweeps plus a periodic from-scratch walk with
+  independent replica checkers, asserting the sweep missed nothing).  Zero cost
   when disabled; bit-identical when enabled.
 * :mod:`.digests` — canonical per-node state digests (tip hash, chain
   weight, mempool fingerprint, UTXO root) and :func:`state_fingerprint`,
@@ -27,10 +26,7 @@ node state, which the golden-equivalence pins compare bit for bit.
 
 from .checkers import (
     InvariantChecker,
-    NodeDelta,
     SignatureCache,
-    chain_checkers,
-    ghost_checkers,
     ng_checkers,
     shared_signature_cache,
 )
@@ -47,14 +43,11 @@ __all__ = [
     "AuditDivergence",
     "InvariantChecker",
     "InvariantViolation",
-    "NodeDelta",
     "NodeDigest",
     "RUNTIME_MODES",
     "SanitizerRuntime",
     "SignatureCache",
     "ViolationRecord",
-    "chain_checkers",
-    "ghost_checkers",
     "ng_checkers",
     "node_digest",
     "sanitizer_for",

@@ -4,17 +4,15 @@
 (:meth:`~repro.net.simulator.Simulator.attach`; it leaves the heap pop
 alone and asks for the after-event probe) and, every
 ``stride`` processed events, sweeps each node.  There is one sweep
-strategy: a dirty-set tracker snapshots each node's cheap change
-indicators — main-chain tip hash, the mempool and UTXO mutation
-counters, the published-poison count — and skips nodes whose state
-provably did not change since the last sweep.  For dirty nodes, block
-checkers run once per newly adopted main-chain block (oldest first) and
-each state checker's
-:meth:`~repro.sanitizer.checkers.InvariantChecker.check_state` runs when
-the node's delta touches a component it declares in ``depends``.  INV104
-additionally looks signature verdicts up in the process-wide
-:class:`~repro.sanitizer.checkers.SignatureCache`, which outlives the
-run (within one run each ``Microblock`` already memoises its verdict).
+strategy: a node is dirty iff its main-chain tip moved since the last
+sweep, and clean nodes are skipped.  For dirty nodes, block checkers
+run once per newly adopted main-chain block (oldest first) and every
+state checker's
+:meth:`~repro.sanitizer.checkers.InvariantChecker.check_state` runs
+once.  INV104 additionally looks signature verdicts up in the
+process-wide :class:`~repro.sanitizer.checkers.SignatureCache`, which
+outlives the run (within one run each ``Microblock`` already memoises
+its verdict).
 
 **audit** mode runs the same sweeps *plus* a periodic from-scratch
 walk (every ``audit_stride`` sweeps and once at finalize) using fresh
@@ -49,7 +47,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from ..clock import wall_clock
-from .checkers import InvariantChecker, NodeDelta, chain_of
+from .checkers import InvariantChecker, chain_of
 from .violations import ViolationRecord, make_violation
 
 #: Check modes the runtime understands (``audit`` = incremental sweeps
@@ -62,11 +60,6 @@ RUNTIME_MODES = ("incremental", "audit")
 #: this is one audit per ~64k simulator events, plus the unconditional
 #: audit at finalize.
 DEFAULT_AUDIT_STRIDE = 1024
-
-#: Sentinel for "this node has no such component" in dirty tracking —
-#: distinct from ``None``, which means "present but untracked" and is
-#: treated as always-dirty.
-_ABSENT = -1
 
 
 class AuditDivergence(InvariantChecker):
@@ -84,7 +77,6 @@ class AuditDivergence(InvariantChecker):
         "The periodic full-sweep audit found a violation the "
         "incremental path had not reported."
     )
-    depends = frozenset()
 
 
 class _TimedChecker:
@@ -100,7 +92,6 @@ class _TimedChecker:
 
     def __init__(self, checker: InvariantChecker, profiler: object) -> None:
         self.code = checker.code
-        self.depends = checker.depends
         self._check_block = checker.check_block
         self._check_state = checker.check_state
         self._record = profiler.record_checker  # type: ignore[attr-defined]
@@ -157,9 +148,9 @@ class SanitizerRuntime:
         self._reported: set[tuple[str, int]] = set()
         self._sweep_countdown = self.stride
         self._audit_countdown = self.audit_stride
-        # Dirty tracking: last observed (tip hash, mempool version,
-        # UTXO version, poison count) per node; None = never swept.
-        self._node_state: list[tuple | None] = []
+        # Dirty tracking: the tip hash each node had at its last
+        # sweep; None = never swept.
+        self._last_tip: list[bytes | None] = []
         # Fresh uncached replicas for the periodic audit, built lazily.
         self._audit_checkers: list[InvariantChecker] | None = None
         self._audit_marker = AuditDivergence()
@@ -201,7 +192,7 @@ class SanitizerRuntime:
             for index, node in enumerate(self.nodes)
         ]
         self._seen_blocks = [set() for _ in self.nodes]
-        self._node_state = [None for _ in self.nodes]
+        self._last_tip = [None for _ in self.nodes]
         sim.attach(self)  # type: ignore[attr-defined]
 
     def finalize(self) -> None:
@@ -250,64 +241,22 @@ class SanitizerRuntime:
                 self._audit_countdown = self.audit_stride
                 self._audit()
 
-    def _observe(
-        self, index: int, node: object, chain: object
-    ) -> tuple[list, NodeDelta | None]:
-        """One node's dirty-set bookkeeping for this sweep.
-
-        Returns the newly adopted main-chain records (tip-first) and the
-        node's :class:`NodeDelta` — or ``None`` for the delta when the
-        node provably did not change, in which case the caller skips it.
-        """
-        seen = self._seen_blocks[index]
-        tip = chain.tip_record  # type: ignore[attr-defined]
-        cursor = tip
-        fresh = []
-        while cursor is not None and cursor.hash not in seen:
-            fresh.append(cursor)
-            cursor = chain.get(cursor.parent_hash)  # type: ignore[attr-defined]
-        mempool = getattr(node, "mempool", None)
-        utxo = getattr(node, "utxo", None)
-        poisons = getattr(node, "poisons_published", None)
-        state = (
-            tip.hash if tip is not None else None,
-            _ABSENT if mempool is None else getattr(mempool, "version", None),
-            _ABSENT if utxo is None else getattr(utxo, "version", None),
-            len(poisons) if poisons is not None else _ABSENT,
-        )
-        last = self._node_state[index]
-        self._node_state[index] = state
-        if last is None:
-            # First sweep: everything present is dirty.
-            return fresh, NodeDelta(
-                chain=True,
-                mempool=mempool is not None,
-                utxo=utxo is not None,
-                poisons=bool(poisons),
-            )
-        chain_dirty = bool(fresh) or state[0] != last[0]
-        mempool_dirty = _component_dirty(state[1], last[1])
-        utxo_dirty = _component_dirty(state[2], last[2])
-        poisons_dirty = _component_dirty(state[3], last[3])
-        if not (chain_dirty or mempool_dirty or utxo_dirty or poisons_dirty):
-            return fresh, None
-        return fresh, NodeDelta(
-            chain=chain_dirty,
-            mempool=mempool_dirty,
-            utxo=utxo_dirty,
-            poisons=poisons_dirty,
-        )
-
     def _sweep_incremental(self) -> None:
         now = self._sim.now  # type: ignore[attr-defined]
         self.sweeps += 1
         for index, node in enumerate(self.nodes):
-            node_id = self._node_ids[index]
             chain = chain_of(node)
-            fresh, delta = self._observe(index, node, chain)
-            if delta is None:
+            tip = chain.tip_record  # type: ignore[attr-defined]
+            if tip.hash == self._last_tip[index]:
                 continue
+            self._last_tip[index] = tip.hash
+            node_id = self._node_ids[index]
             seen = self._seen_blocks[index]
+            fresh = []
+            cursor = tip
+            while cursor is not None and cursor.hash not in seen:
+                fresh.append(cursor)
+                cursor = chain.get(cursor.parent_hash)  # type: ignore[attr-defined]
             for record in reversed(fresh):
                 seen.add(record.hash)
                 for checker in self._block_checkers:
@@ -316,9 +265,8 @@ class SanitizerRuntime:
                     ):
                         self._record(violation)
             for checker in self._state_checkers:
-                if delta.touches(checker.depends):
-                    for violation in checker.check_state(node, node_id, now):
-                        self._record(violation)
+                for violation in checker.check_state(node, node_id, now):
+                    self._record(violation)
 
     # -- the audit ------------------------------------------------------
 
@@ -326,10 +274,7 @@ class SanitizerRuntime:
         """Fresh checker instances for the from-scratch audit.
 
         Built once and reused across audits (stateful checkers like
-        tip-monotonicity then track across audit points too).  Checkers
-        whose constructors need arguments cannot be replicated blindly
-        and are skipped — the audit is a cross-check, not a guarantee of
-        total coverage, and skipping is the conservative direction.
+        tip-monotonicity then track across audit points too).
 
         The INV104 replica is built with ``cache=None``: it calls
         ``block.verify_signature`` directly, so a wrong verdict in the
@@ -339,13 +284,9 @@ class SanitizerRuntime:
         verdict per key.
         """
         if self._audit_checkers is None:
-            replicas: list[InvariantChecker] = []
-            for checker in self.checkers:
-                try:
-                    replicas.append(type(checker)())
-                except TypeError:
-                    continue
-            self._audit_checkers = replicas
+            self._audit_checkers = [
+                type(checker)() for checker in self.checkers
+            ]
         return self._audit_checkers
 
     def _audit(self) -> None:
@@ -429,17 +370,3 @@ def sanitizer_for(
         tracer=tracer,
         profiler=profiler,
     )
-
-
-def _component_dirty(current: object, last: object) -> bool:
-    """Dirty verdict for one change indicator.
-
-    ``_ABSENT`` (no such component) is never dirty; ``None`` (component
-    present but untracked — a foreign mempool type without a ``version``
-    counter) is *always* dirty, the conservative direction.
-    """
-    if current == _ABSENT and last == _ABSENT:
-        return False
-    if current is None or last is None:
-        return True
-    return current != last

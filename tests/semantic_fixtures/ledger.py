@@ -1,21 +1,17 @@
-"""Golden fixture: a versioned container exercising the bump analysis.
+"""Golden fixture: a container class with a self-call.
 
-`Store.put` bumps directly; `put_many` bumps *through* the self-call
-(its bump formula is `("call", "put")`); `drop` has a guard clause
-whose early return must not poison the formula.  All three are clean
-under NG601 — the symbol-table and call-graph golden tests pin their
-extracted summaries instead.
+`Store.put_many` reaches `put` through a self-call; `drop` returns
+early past a guard clause.  The symbol-table golden test pins their
+extracted summaries.
 """
 
 
-class Store:  # repro: versioned
+class Store:
     def __init__(self) -> None:
         self.items: dict[str, int] = {}
-        self.version = 0
 
     def put(self, key: str, value: int) -> None:
         self.items[key] = value
-        self.version += 1
 
     def put_many(self, pairs) -> None:
         for key, value in pairs:
@@ -25,4 +21,3 @@ class Store:  # repro: versioned
         if key not in self.items:
             return
         del self.items[key]
-        self.version += 1

@@ -16,8 +16,8 @@ ROOT = Path(__file__).parent.parent
 SRC = ROOT / "src" / "repro"
 LEDGER_DOC = ROOT / "docs" / "simulation.md"
 
-#: ``class`` is anchored at column 0, so the ``class FeeCache`` example
-#: strings inside ``lint/semantic/rules.py`` do not count.
+#: ``class`` is anchored at column 0, so a ``class FooCache`` inside an
+#: indented example string does not count.
 CACHE_MARK = re.compile(
     r"^class \w*Cache\b|lru_cache|functools\.cache\b|\w_cache\b",
     re.MULTILINE,

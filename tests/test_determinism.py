@@ -133,7 +133,6 @@ def test_checker_that_writes_node_state_breaks_the_state_pin():
 
     class CoinMinter(InvariantChecker):
         code = "INV997"
-        depends = frozenset({"chain"})
 
         def check_state(self, node, node_id, now):
             outpoint = OutPoint(b"\x97" * 32, node_id)

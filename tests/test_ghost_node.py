@@ -4,7 +4,6 @@ from repro.bitcoin.blocks import make_genesis
 from repro.bitcoin.node import BlockPolicy
 from repro.crypto.hashing import hash160
 from repro.crypto.keys import PrivateKey
-from repro.experiments import ExperimentConfig, run_experiment
 from repro.ghost.node import GhostNode
 from repro.ledger.transactions import OutPoint, Transaction, TxInput, TxOutput
 from repro.metrics.collector import ObservationLog
@@ -12,8 +11,6 @@ from repro.net.latency import constant_histogram
 from repro.net.network import Network
 from repro.net.simulator import Simulator
 from repro.net.topology import complete_topology
-from repro.protocols import get_adapter
-from repro.sanitizer.runtime import SanitizerRuntime
 
 GENESIS = make_genesis()
 
@@ -126,30 +123,3 @@ def test_full_validation_payment_survives_losing_the_subtree_race():
     assert all(len(node.mempool) == 0 for node in nodes)
     for node in nodes:
         node.tree.assert_consistent()
-
-
-def test_audited_ghost_run_is_clean_now_that_the_checkers_see_a_ledger():
-    sim, nodes = _cluster()
-    # INV103 / INV110 return early on a node without ``utxo`` /
-    # ``mempool``; a GHOST node has both now (empty in experiments).
-    assert all(len(node.utxo) == 0 and len(node.mempool) == 0 for node in nodes)
-    config = ExperimentConfig(
-        protocol="ghost",
-        n_nodes=20,
-        target_blocks=12,
-        block_rate=0.2,
-        block_size_bytes=8_000,
-        cooldown=10.0,
-        seed=5,
-    )
-    runtime = SanitizerRuntime(
-        get_adapter("ghost").invariant_checkers(),
-        stride=32,
-        mode="audit",
-        audit_stride=2,
-    )
-    result, _log = run_experiment(config, sanitizer=runtime)
-    runtime.finalize()
-    assert result.blocks_generated > 0
-    assert runtime.sweeps > 0 and runtime.audits > 0
-    assert runtime.violations == []

@@ -1,6 +1,8 @@
 """Mempool policy: conflicts, selection, eviction, seeding."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ledger.errors import MempoolError
 from repro.ledger.mempool import Mempool
@@ -121,3 +123,123 @@ def test_clear():
     pool.clear()
     assert len(pool) == 0
     pool.add(_tx(1))  # outpoint index also cleared
+
+
+# -- the pool against a naive model -------------------------------------------
+
+#: A six-outpoint universe, so random transactions conflict often.
+OUTPOINTS = [OutPoint(bytes([k]) * 32, 0) for k in range(6)]
+
+_txs = st.builds(
+    lambda inputs, n_outputs, pad: Transaction(
+        inputs=tuple(TxInput(op) for op in inputs),
+        outputs=tuple(TxOutput(1, DEST) for _ in range(n_outputs)),
+        padding=bytes(pad),
+    ),
+    st.lists(st.sampled_from(OUTPOINTS), min_size=1, max_size=3, unique=True),
+    st.integers(1, 2),
+    st.integers(0, 40),
+)
+
+
+class _ModelPool:
+    """The pool as a list of ``(tx, fee)`` in insertion order."""
+
+    def __init__(self, max_entries):
+        self.entries = []
+        self.max_entries = max_entries
+
+    def spender(self, outpoint):
+        for tx, _fee in self.entries:
+            if any(txin.outpoint == outpoint for txin in tx.inputs):
+                return tx
+        return None
+
+    def add(self, tx, fee):
+        refused = (
+            any(entry.txid == tx.txid for entry, _ in self.entries)
+            or len(self.entries) >= self.max_entries
+            or any(self.spender(txin.outpoint) for txin in tx.inputs)
+        )
+        if not refused:
+            self.entries.append((tx, fee))
+        return not refused
+
+    def remove(self, txid):
+        for index, (tx, _fee) in enumerate(self.entries):
+            if tx.txid == txid:
+                del self.entries[index]
+                return tx
+        return None
+
+    def evict_conflicts(self, tx):
+        evicted = []
+        for txin in tx.inputs:
+            rival = self.spender(txin.outpoint)
+            if rival is not None and rival.txid != tx.txid:
+                evicted.append(self.remove(rival.txid))
+        self.remove(tx.txid)
+        return evicted
+
+    def select(self, max_bytes, by_fee_rate):
+        ordered = list(self.entries)
+        if by_fee_rate:
+            ordered.sort(key=lambda e: e[1] / max(e[0].size, 1), reverse=True)
+        selected, used = [], 0
+        for tx, _fee in ordered:
+            if used + tx.size <= max_bytes:
+                selected.append(tx)
+                used += tx.size
+        return selected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(2, 8), st.data())
+def test_pool_matches_naive_model(max_entries, data):
+    """A conflicting spend is refused iff a pool entry spends that
+    outpoint, and ``select`` returns exactly the model's entries in the
+    model's fee-rate order, under random add/remove/evict/seed/clear."""
+    pool, model = Mempool(max_entries=max_entries), _ModelPool(max_entries)
+    for _ in range(data.draw(st.integers(1, 25))):
+        op = data.draw(st.sampled_from(
+            ["add", "add", "add", "remove", "evict", "seed", "clear"]
+        ))
+        if op == "add":
+            tx, fee = data.draw(_txs), data.draw(st.integers(0, 500))
+            if model.add(tx, fee):
+                pool.add(tx, fee)
+            else:
+                with pytest.raises(MempoolError):
+                    pool.add(tx, fee)
+        elif op == "remove":
+            known = [tx.txid for tx, _ in model.entries]
+            txid = data.draw(st.sampled_from(known + [b"\xee" * 32]))
+            assert pool.remove(txid) == model.remove(txid)
+        elif op == "evict":
+            confirmed = data.draw(_txs)
+            assert pool.evict_conflicts(confirmed) == model.evict_conflicts(
+                confirmed
+            )
+        elif op == "seed":
+            batch = data.draw(st.lists(_txs, max_size=3))
+            accepted = 0
+            for tx in batch:
+                if not model.add(tx, 0):
+                    break
+                accepted += 1
+            if accepted == len(batch):
+                pool.seed(batch)
+            else:
+                with pytest.raises(MempoolError):
+                    pool.seed(batch)
+        else:
+            pool.clear()
+            model.entries.clear()
+        assert pool.txids() == [tx.txid for tx, _ in model.entries]
+        # The last budget is met exactly by the first two entries.
+        exact = sum(tx.size for tx, _ in model.entries[:2])
+        for by_fee_rate in (True, False):
+            for budget in (10**9, 400, exact):
+                assert pool.select(budget, by_fee_rate) == model.select(
+                    budget, by_fee_rate
+                )

@@ -60,7 +60,7 @@ def test_non_utf8_source_exits_two_naming_the_file(tmp_path, capsys):
 def test_json_output_round_trips(capsys):
     assert main(["lint", str(FIXTURES), "--json"]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["version"] == JSON_SCHEMA_VERSION == 3
+    assert payload["version"] == JSON_SCHEMA_VERSION == 4
     assert sorted(payload["summary"]) == [
         "files_scanned", "findings", "suppressed",
     ]
@@ -71,18 +71,6 @@ def test_json_output_round_trips(capsys):
     for entry in payload["findings"]:
         finding = Finding.from_dict(entry)
         assert finding.to_dict() == entry
-
-
-def test_why_appends_call_path_to_semantic_findings(capsys):
-    bad = FIXTURES / "NG601_bad.py"
-    assert main(["lint", str(bad), "--why"]) == 1
-    out = capsys.readouterr().out
-    assert "NG601" in out
-    assert "because:" in out
-    assert "self.fees[txid] = fee" in out
-    # Without --why the call path stays out of the rendering.
-    assert main(["lint", str(bad)]) == 1
-    assert "because:" not in capsys.readouterr().out
 
 
 def test_semantic_cache_flag_is_a_usage_error(tmp_path, capsys):
@@ -162,7 +150,7 @@ def test_list_rules_prints_full_table(capsys):
         assert code in out
         assert rule.name in out
     # Every family label appears.
-    for family in ("rng", "clock/env", "ordering", "layering", "semantic"):
+    for family in ("rng", "clock/env", "ordering", "layering"):
         assert family in out
 
 
@@ -183,3 +171,17 @@ def test_explain_prints_rationale_and_examples(code, capsys):
 def test_explain_unknown_code_exits_two(capsys):
     assert main(["lint", "--explain", "NG999"]) == 2
     assert "unknown rule code" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--select", "--explain"])
+def test_retired_ng601_is_a_usage_error(flag, capsys):
+    # NG601 went with the version counters it refereed.
+    assert main(["lint", str(BAD), flag, "NG601"]) == 2
+    assert "unknown rule code" in capsys.readouterr().err
+
+
+def test_why_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["lint", str(BAD), "--why"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --why" in capsys.readouterr().err

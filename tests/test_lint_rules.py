@@ -21,12 +21,12 @@ FIXTURES = Path(__file__).parent / "lint_fixtures"
 ALL_CODES = sorted(RULES)
 
 
-def test_rules_span_five_families():
+def test_rules_span_four_families():
     families = {code[:3] for code in ALL_CODES}
-    assert families == {"NG1", "NG2", "NG3", "NG4", "NG6"}
+    assert families == {"NG1", "NG2", "NG3", "NG4"}
     assert ALL_CODES == [
         "NG101", "NG102", "NG104", "NG201", "NG202",
-        "NG301", "NG302", "NG303", "NG401", "NG601",
+        "NG301", "NG302", "NG303", "NG401",
     ]
 
 

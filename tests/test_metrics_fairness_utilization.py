@@ -9,10 +9,7 @@ from repro.metrics.throughput import (
     goodput_bytes,
     transaction_frequency,
 )
-from repro.metrics.utilization import (
-    mining_power_utilization,
-    wasted_work_fraction,
-)
+from repro.metrics.utilization import mining_power_utilization
 
 
 def _info(h, parent, miner, kind="block", work=1, n_tx=0, size=100, t=0.0):
@@ -89,7 +86,6 @@ def test_utilization_counts_main_work_only():
     pruned = [_info(b"x", b"g", 2, work=2)]
     log = _log_with_chain(main, pruned)
     assert mining_power_utilization(log) == pytest.approx(4 / 6)
-    assert wasted_work_fraction(log) == pytest.approx(2 / 6)
 
 
 def test_utilization_ignores_microblock_forks():

@@ -6,16 +6,21 @@ the overpaying fee split that ``test_sanitizer`` builds by hand is the
 ``arith-swap`` operator on ``core/remuneration.py`` killed by the probe.
 """
 
+import json
 import shutil
+import subprocess
 import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.mutate.engine import (
+    MutantTask,
     MutationEngine,
     MutantVerdict,
     ShadowTree,
+    _probe_tier,
     companion_test,
 )
 from repro.mutate.operators import (
@@ -165,14 +170,14 @@ def test_no_operator_without_a_mutant():
 # -- site enumeration --------------------------------------------------------
 
 
-def test_sites_cover_adapter_reachable_versioned_and_anchor():
+def test_sites_cover_adapter_reachable_ledger_and_anchor():
     index = build_site_index(SRC)
     sites = enumerate_sites(index)
     by_suffix = {
         Path(p).name: (p, sites.reasons[p]) for p in sites.files
     }
     assert "adapter-reachable" in by_suffix["chain.py"][1]
-    assert "versioned-class" in by_suffix["utxo.py"][1]
+    assert "ledger-class" in by_suffix["utxo.py"][1]
     assert "anchor-module" in by_suffix["incentives.py"][1]
     incentives_path = by_suffix["incentives.py"][0]
     assert "<module>" in sites.files[incentives_path]
@@ -292,6 +297,58 @@ def test_gate_requires_survivors_to_be_catalogued(tmp_path):
     )
     ok, message = gate(run, parse_allowlist(doc))
     assert ok
+
+
+# -- tier selection ----------------------------------------------------------
+
+CLEAN = [1, 2, 3]
+VIOLATION = [{"code": "INV102", "name": "fee-split", "message": "m"}]
+
+#: (tiers, probe stdout, expected verdict): a tier left out scores
+#: nothing, even when the probe saw what that tier kills on.
+PROBE_CASES = [
+    (("golden", "tests"), {"ok": True, "violations": VIOLATION,
+                           "fingerprint": CLEAN}, None),
+    (("golden", "tests"), {"ok": True, "violations": VIOLATION,
+                           "fingerprint": [9, 9, 9]}, "golden"),
+    (("sanitizer",), {"ok": True, "violations": [],
+                      "fingerprint": [9, 9, 9]}, None),
+    (("sanitizer",), "not json", None),
+]
+
+
+@pytest.mark.parametrize(
+    "tiers, stdout, expected", PROBE_CASES,
+    ids=[f"{'+'.join(t)}-{e}-{i}" for i, (t, _, e) in enumerate(PROBE_CASES)],
+)
+def test_probe_scores_only_selected_tiers(monkeypatch, tiers, stdout,
+                                          expected):
+    text = stdout if isinstance(stdout, str) else json.dumps(stdout)
+    monkeypatch.setattr(
+        subprocess, "run",
+        lambda *a, **k: subprocess.CompletedProcess(a, 0, text, ""),
+    )
+    _, (mutant,) = _mutants("def f(a, b):\n    return a + b\n", {"f"},
+                            "arith-swap")
+    task = MutantTask(mutant=mutant, repo_root=".", tree_sha="t",
+                      baseline_fingerprint=tuple(CLEAN), tiers=tiers)
+    state = {"shadow": SimpleNamespace(src_path=Path("src"))}
+    hit = _probe_tier(task, state)
+    assert (hit[0] if hit else None) == expected
+
+
+def test_cache_signature_covers_the_tier_set(tmp_path):
+    """A survivor of a subset run is never served warm to a fuller one."""
+    subset = ("golden", "tests")
+    engine = MutationEngine(tmp_path, cache_path=Path("c.json"),
+                            tiers=subset)
+    engine.cache.store("f" * 64, _verdict("m", "cmp-flip", "survived", ""))
+    engine.cache.save()
+
+    full = MutationEngine(tmp_path, cache_path=Path("c.json"))
+    assert full.cache.lookup("f" * 64, "m") is None
+    same = MutationEngine(tmp_path, cache_path=Path("c.json"), tiers=subset)
+    assert same.cache.lookup("f" * 64, "m").status == "survived"
 
 
 # -- the pipeline on a hermetic repo copy ------------------------------------

@@ -3,8 +3,9 @@
 Four layers of coverage:
 
 * every hand-built violating state from ``tests/test_sanitizer.py`` is
-  caught by the runtime's sweep (dirty-set tracking + the shared
-  signature cache), including INV109's cross-sweep rollback;
+  caught by the runtime's sweep (a node is swept when its tip moved,
+  through the shared signature cache), including INV109's cross-sweep
+  rollback;
 * the :class:`~repro.sanitizer.checkers.SignatureCache` — exactly-once
   verification, negative-verdict caching, and the reorg story: a
   microblock re-judged under a different epoch leader is a different
@@ -49,7 +50,6 @@ from repro.ledger.utxo import UtxoSet
 from repro.protocols import get_adapter
 from repro.sanitizer import (
     InvariantChecker,
-    NodeDelta,
     SanitizerRuntime,
     SignatureCache,
     ng_checkers,
@@ -193,18 +193,6 @@ def _fixture_overpaying_fee_split():
     return _node(_epoch_chain(coinbase)), "INV102"
 
 
-def _fixture_premature_coinbase_spend():
-    node = _node(NGChain(GENESIS, PARAMS))
-    coinbase = make_coinbase([(PKH, 5_000)], tag=b"fresh")
-    node.utxo.apply(coinbase, height=0)
-    spend = Transaction(
-        inputs=(TxInput(OutPoint(coinbase.txid, 0)),),
-        outputs=(TxOutput(4_000, PKH),),
-    )
-    node.mempool.add(spend, fee=1_000)
-    return node, "INV103"
-
-
 def _fixture_forged_microblock():
     chain = NGChain(GENESIS, PARAMS)
     key1 = _key(GENESIS.hash, ALICE, 10.0)
@@ -213,70 +201,10 @@ def _fixture_forged_microblock():
     return _node(chain), "INV104"
 
 
-def _fixture_fast_microblocks():
-    loose = NGParams(key_block_interval=100.0, min_microblock_interval=0.5)
-    chain = NGChain(GENESIS, loose)
-    key1 = _key(GENESIS.hash, ALICE, 10.0)
-    chain.add_block(key1, 10.0)
-    chain.add_block(_micro(key1.hash, ALICE, 11.0), 11.0)
-    return _node(chain), "INV105"
-
-
-def _fixture_oversized_microblock():
-    chain = NGChain(GENESIS, PARAMS)
-    key1 = _key(GENESIS.hash, ALICE, 10.0)
-    chain.add_block(key1, 10.0)
-    micro = _micro(key1.hash, ALICE, 20.0)
-    chain.add_block(micro, 20.0)
-    strict = NGParams(
-        key_block_interval=100.0,
-        min_microblock_interval=10.0,
-        max_microblock_bytes=micro.size - 1,
-    )
-    return _node(chain, params=strict), "INV106"
-
-
-def _fixture_corrupted_chain_weight():
-    chain = _epoch_chain()
-    chain.tip_record.cumulative_work += 5
-    return _node(chain), "INV107"
-
-
-def _fixture_bogus_poison_proof():
-    node = _node(_epoch_chain())
-    node.poisons_published = [
-        SimpleNamespace(
-            proof=SimpleNamespace(
-                pruned_micro=SimpleNamespace(hash=b"\x07" * 32),
-                verify=lambda: False,
-            )
-        )
-    ]
-    return node, "INV108"
-
-
-def _fixture_missing_fee_record():
-    node = _node(_epoch_chain())
-    node.utxo.credit(TxOutput(9_000, PKH), OutPoint(b"\x01" * 32, 0))
-    spend = Transaction(
-        inputs=(TxInput(OutPoint(b"\x01" * 32, 0)),),
-        outputs=(TxOutput(8_000, PKH),),
-    )
-    node.mempool.add(spend, fee=1_000)
-    del node.mempool._fees[spend.txid]
-    return node, "INV110"
-
-
 FIXTURES = [
     _fixture_inflating_coinbase,
     _fixture_overpaying_fee_split,
-    _fixture_premature_coinbase_spend,
     _fixture_forged_microblock,
-    _fixture_fast_microblocks,
-    _fixture_oversized_microblock,
-    _fixture_corrupted_chain_weight,
-    _fixture_bogus_poison_proof,
-    _fixture_missing_fee_record,
 ]
 
 
@@ -323,7 +251,6 @@ def test_incremental_skips_provably_clean_nodes():
 
     class Counting(InvariantChecker):
         code = "INV998"
-        depends = frozenset({"mempool"})
 
         def check_state(self, node, node_id, now):
             calls.append(node_id)
@@ -336,28 +263,23 @@ def test_incremental_skips_provably_clean_nodes():
     sim.probe()  # first sweep: everything dirty
     assert calls == [0]
     sim.probe()
-    sim.probe()  # nothing changed: provably clean, state check skipped
+    sim.probe()  # tip did not move: clean, state check skipped
     assert calls == [0]
-    node.mempool.add(
-        Transaction(
-            inputs=(TxInput(OutPoint(b"\x03" * 32, 0)),),
-            outputs=(TxOutput(1_000, PKH),),
-        ),
-        fee=100,
+    node.chain.add_block(
+        _key(node.chain.tip, ALICE, 130.0, miner=3), 130.0
     )
-    sim.probe()  # mempool version bumped -> dirty -> re-checked
+    sim.probe()  # tip moved -> dirty -> re-checked
     assert calls == [0, 0]
 
 
 def test_audit_stride_one_rechecks_every_sweep():
     """The audit replica is the never-skipping reference: with
     ``audit_stride=1`` it re-runs the state check on every sweep, while
-    the live checker runs only when its ``depends`` is dirty."""
+    the live checker runs only when the node's tip moved."""
     calls = []
 
     class Counting(InvariantChecker):
         code = "INV998"
-        depends = frozenset({"mempool"})
 
         def check_state(self, node, node_id, now):
             calls.append(self)
@@ -479,17 +401,16 @@ def test_live_inv104_shares_the_cache_and_the_audit_replica_does_not():
 
 
 class _Buggy(InvariantChecker):
-    """Deliberately wrong ``depends``: reads the mempool but declares
-    ``poisons``, so the incremental path skips it on mempool changes."""
+    """Breaks the sweep's contract: reads the mempool, whose changes
+    leave the tip alone, so the incremental path never re-checks it."""
 
     code = "INV999"
     name = "buggy"
-    depends = frozenset({"poisons"})
 
     def check_state(self, node, node_id, now):
         from repro.sanitizer.violations import make_violation
 
-        if list(node.mempool.transactions()):
+        if len(node.mempool):
             return [make_violation(self, node_id, now, "pool not empty")]
         return []
 
@@ -510,7 +431,7 @@ def test_audit_surfaces_what_the_incremental_path_missed():
         ),
         fee=100,
     )
-    sim.probe()  # mempool dirty, but depends={"poisons"}: skipped...
+    sim.probe()  # pool changed, tip did not: skipped...
     # ...and the same sweep's audit catches it from scratch.
     codes = [v.code for v in runtime.violations]
     assert codes == ["INV999", "SAN901"]
@@ -579,39 +500,6 @@ def test_incremental_mode_never_audits():
         sim.probe()
     runtime.finalize()
     assert runtime.audits == 0
-
-
-# -- version counters ---------------------------------------------------------
-
-
-def test_mempool_mutators_bump_version():
-    pool = Mempool()
-    assert pool.version == 0
-    tx = Transaction(
-        inputs=(TxInput(OutPoint(b"\x05" * 32, 0)),),
-        outputs=(TxOutput(1_000, PKH),),
-    )
-    pool.add(tx, fee=100)
-    after_add = pool.version
-    assert after_add > 0
-    pool.remove(tx.txid)
-    assert pool.version > after_add
-    pool.clear()
-    assert pool.version > after_add + 1
-
-
-def test_utxo_mutators_bump_version():
-    utxo = UtxoSet()
-    assert utxo.version == 0
-    coinbase = make_coinbase([(PKH, 5_000)], tag=b"v")
-    undo = utxo.apply(coinbase, height=0)
-    after_apply = utxo.version
-    assert after_apply > 0
-    utxo.undo(undo)
-    after_undo = utxo.version
-    assert after_undo > after_apply
-    utxo.credit(TxOutput(1_000, PKH), OutPoint(b"\x06" * 32, 0))
-    assert utxo.version > after_undo
 
 
 # -- sanitizer_for: the runtime a config asks for -----------------------------
@@ -724,10 +612,3 @@ def test_api_facade_exports_resolve():
     assert api.run_experiment is run_experiment
     assert api.SanitizerRuntime is SanitizerRuntime
 
-
-def test_node_delta_touches():
-    delta = NodeDelta(chain=True, utxo=True)
-    assert delta.touches({"chain"})
-    assert delta.touches({"utxo", "mempool"})
-    assert not delta.touches({"mempool", "poisons"})
-    assert not delta.touches(frozenset())
