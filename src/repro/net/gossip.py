@@ -23,7 +23,7 @@ same way.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from ..obs.trace import short_hash
@@ -48,12 +48,24 @@ class RelayMode(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class StoredObject:
-    """An object held in a node's relay store."""
+    """An object held in a node's relay store.
+
+    Every node that learns the object holds this same instance, so its
+    ``inv`` announcement is built once here and shared by every relay
+    and tip answer.  Its payload is ``(obj_id, kind)``, not the object:
+    a message on the object would be a reference cycle.
+    """
 
     obj_id: bytes
     kind: str
     data: Any
     size: int
+    inv: Message = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "inv", Message("inv", (self.obj_id, self.kind), INV_SIZE)
+        )
 
 
 class GossipNode:
@@ -248,7 +260,7 @@ class GossipNode:
         if self.relay_mode is RelayMode.FLOOD:
             message = Message("object", stored, stored.size)
         else:
-            message = Message("inv", (stored.obj_id, stored.kind), INV_SIZE)
+            message = stored.inv
         self.network.multicast(self.node_id, message, exclude)
 
     def _request_from(self, peer: int, obj_id: bytes) -> None:
@@ -310,11 +322,7 @@ class GossipNode:
         stored = self.get_object(obj_id)
         if stored is None:
             return  # tip not relayable (genesis): nothing useful to offer
-        self.network.send(
-            self.node_id,
-            sender,
-            Message("inv", (obj_id, stored.kind), INV_SIZE),
-        )
+        self.network.send(self.node_id, sender, stored.inv)
 
     def _on_getdata(self, sender: int, obj_id: bytes) -> None:
         stored = self.get_object(obj_id)

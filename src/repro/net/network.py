@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Collection
-from dataclasses import dataclass
 from typing import Any, Protocol
 
 from ..obs.facade import NULL_OBS
@@ -35,17 +34,23 @@ from .simulator import Simulator
 from .topology import Topology
 
 
-@dataclass(frozen=True, slots=True)
 class Message:
-    """A protocol message: a kind tag, opaque payload, and wire size."""
+    """A protocol message: a kind tag, opaque payload, and wire size.
 
-    kind: str
-    payload: Any
-    size: int
+    One message is shared by every peer it is sent to, so nothing
+    writes to it after construction.  A plain slotted class, not a
+    frozen dataclass: a relay builds tens of thousands of these, and the
+    frozen ``__init__`` costs three to four times as much.
+    """
 
-    def __post_init__(self) -> None:
-        if self.size < 0:
+    __slots__ = ("kind", "payload", "size")
+
+    def __init__(self, kind: str, payload: Any, size: int) -> None:
+        if size < 0:
             raise ValueError("message size cannot be negative")
+        self.kind = kind
+        self.payload = payload
+        self.size = size
 
 
 class MessageHandler(Protocol):
@@ -285,7 +290,17 @@ class Network:
             self._busy[eid] = busy
             arrival = busy + self._lat[eid]
         if self._obs_on:
-            self._record_send(src, dst, message, queue_delay, arrival)
+            # An interleaved message's zero delay skips the round: the
+            # sink writes a zero qd without a repr either.
+            self.tracer.send(
+                now,
+                src,
+                dst,
+                message.kind,
+                size,
+                round(queue_delay, 6) if queue_delay else 0.0,
+                round(arrival, 6),
+            )
         self.sim.schedule_at(arrival, self._deliver, src, dst, message)
 
     def multicast(
@@ -311,7 +326,9 @@ class Network:
         blocked = self._blocked
         loss_rate = self._loss_rate
         obs_on = self._obs_on
+        tracer = self.tracer
         now = self.sim.now
+        kind = message.kind
         size = message.size
         lat = self._lat
         bw = self._bw
@@ -353,7 +370,15 @@ class Network:
                 busy_arr[eid] = busy
                 arrival = busy + lat[eid]
             if obs_on:
-                self._record_send(src, dst, message, queue_delay, arrival)
+                tracer.send(
+                    now,
+                    src,
+                    dst,
+                    kind,
+                    size,
+                    round(queue_delay, 6) if queue_delay else 0.0,
+                    round(arrival, 6),
+                )
             book(arrival)
             book_args((src, dst, message))
         if times:
@@ -375,36 +400,10 @@ class Network:
         self.messages_delivered += 1
         self.bytes_delivered += message.size
         if self._obs_on:
-            self.tracer.emit(
-                "deliver",
-                self.sim.now,
-                src=src,
-                dst=dst,
-                kind=message.kind,
-                size=message.size,
-            )
+            self.tracer.deliver(self.sim.now, src, dst, message.kind, message.size)
         handler.on_message(src, message)
 
     # -- observability ------------------------------------------------------
-
-    def _record_send(
-        self,
-        src: int,
-        dst: int,
-        message: Message,
-        queue_delay: float,
-        arrival: float,
-    ) -> None:
-        self.tracer.emit(
-            "send",
-            self.sim.now,
-            src=src,
-            dst=dst,
-            kind=message.kind,
-            size=message.size,
-            qd=round(queue_delay, 6),
-            arr=round(arrival, 6),
-        )
 
     def _record_drop(self, src: int, dst: int, message: Message) -> None:
         self.tracer.emit(

@@ -3,9 +3,9 @@
 Pure functions over saved JSONL traces — no simulator required — so a
 run captured once can be summarized, bucketed into a timeline, or
 ranked by per-node traffic long after (and far from) the machine that
-produced it.  The summary's fold, :meth:`TraceSummary.add`, is also what
-a running experiment taps onto its tracer: the metric snapshot a run
-reports and ``repro trace summarize`` of its file are one function.
+produced it.  The summary's fold is also what a running experiment taps
+onto its tracer (the summary object is the tap): the metric snapshot a
+run reports and ``repro trace summarize`` of its file are one fold.
 """
 
 from __future__ import annotations
@@ -84,10 +84,13 @@ def load_records(path: str | Path) -> list[dict]:
 class TraceSummary:
     """Aggregates of one record stream — a saved trace or a live run.
 
-    :meth:`add` has the :class:`~repro.obs.trace.Tracer` tap signature,
-    so the same fold runs over a file (:func:`summarize`) and, as the
-    run's tracer's tap, over the records as they are emitted; every
-    field is current after each call.
+    The summary is the :class:`~repro.obs.trace.Tracer`'s tap: the run's
+    tracer hands it every record as it is emitted, ``send`` and
+    ``deliver`` through the positional :meth:`add_send` and
+    :meth:`add_deliver` and the rest through :meth:`add`, and
+    :func:`summarize` runs the same fold over a file (:meth:`add` routes
+    a saved ``send`` or ``deliver`` to those two methods).  Every field
+    is current after each call.
     """
 
     records: int = 0
@@ -179,44 +182,69 @@ class TraceSummary:
         self.span_duration_sum += end - span[0]
         self.span_micros_sum += span[1]
 
+    def _span(self, t: float) -> None:
+        """Widen the time span to ``t``."""
+        if not self._spanned:
+            self._spanned = True
+            self.t_min = self.t_max = t
+        elif t < self.t_min:
+            self.t_min = t
+        elif t > self.t_max:
+            self.t_max = t
+
+    def add_send(
+        self, t: float, src: int, dst: int, kind: str, size: int, qd: float
+    ) -> None:
+        """Fold one ``send`` record in — the tracer's typed entry point."""
+        self.records += 1
+        events = self.events
+        events["send"] = events.get("send", 0) + 1
+        self._span(t)
+        self.sends_by_kind[kind] = self.sends_by_kind.get(kind, 0) + 1
+        self.bytes_by_kind[kind] = self.bytes_by_kind.get(kind, 0) + size
+        if qd > 0:
+            self.queue_delay_count += 1
+            self.queue_delay_sum += qd
+            self.queue_delay_max = max(self.queue_delay_max, qd)
+        rows = self.per_node
+        if src >= len(rows) or dst >= len(rows):
+            self._grow(max(src, dst))
+        row = rows[src]
+        row["bytes_out"] += size
+        row["messages_out"] += 1
+        row = rows[dst]
+        row["bytes_in"] += size
+        row["messages_in"] += 1
+
+    def add_deliver(self, t: float) -> None:
+        """Fold one ``deliver`` record in: counted and spanned, nothing
+        else is folded from it."""
+        self.records += 1
+        events = self.events
+        events["deliver"] = events.get("deliver", 0) + 1
+        self._span(t)
+
     def add(self, ev: str, t: float, fields: dict) -> None:
         """Fold one record in (a saved record's v/ev/t keys are ignored)."""
+        if ev == "send":
+            self.add_send(
+                t,
+                fields.get("src", 0),
+                fields.get("dst", 0),
+                fields.get("kind", "?"),
+                fields.get("size", 0),
+                fields.get("qd", 0.0),
+            )
+            return
+        if ev == "deliver":
+            self.add_deliver(t)
+            return
         self.records += 1
         events = self.events
         events[ev] = events.get(ev, 0) + 1
         if ev != "trace_start" and ev != "trace_end":
-            if not self._spanned:
-                self._spanned = True
-                self.t_min = self.t_max = t
-            elif t < self.t_min:
-                self.t_min = t
-            elif t > self.t_max:
-                self.t_max = t
-            if ev == "deliver":
-                # Counted and spanned; nothing else is folded from it.
-                return
-        if ev == "send":
-            kind = fields.get("kind", "?")
-            size = fields.get("size", 0)
-            self.sends_by_kind[kind] = self.sends_by_kind.get(kind, 0) + 1
-            self.bytes_by_kind[kind] = self.bytes_by_kind.get(kind, 0) + size
-            delay = fields.get("qd", 0.0)
-            if delay > 0:
-                self.queue_delay_count += 1
-                self.queue_delay_sum += delay
-                self.queue_delay_max = max(self.queue_delay_max, delay)
-            src = fields.get("src", 0)
-            dst = fields.get("dst", 0)
-            rows = self.per_node
-            if src >= len(rows) or dst >= len(rows):
-                self._grow(max(src, dst))
-            row = rows[src]
-            row["bytes_out"] += size
-            row["messages_out"] += 1
-            row = rows[dst]
-            row["bytes_in"] += size
-            row["messages_in"] += 1
-        elif ev == "block_gen":
+            self._span(t)
+        if ev == "block_gen":
             kind = fields.get("kind", "?")
             self.blocks_by_kind[kind] = self.blocks_by_kind.get(kind, 0) + 1
             miner = fields.get("miner", 0)

@@ -6,7 +6,7 @@ nodes pick the tracer up from the network, and the runner asks it to
 install periodic samplers and to produce the final snapshot.  Every
 number in that snapshot is folded from the record stream by the same
 :class:`~repro.obs.analyze.TraceSummary` that ``repro trace summarize``
-runs over the saved file, set as the live tracer's tap.
+runs over the saved file; the summary object is the live tracer's tap.
 
 The disabled state is the singleton :data:`NULL_OBS` — its tracer is
 ``None`` and ``install``/``finalize`` do nothing — so un-instrumented
@@ -62,7 +62,7 @@ class Observability:
         # and the summary is all a run leaves behind.
         self.tracer = tracer if tracer is not None else Tracer()
         self.summary = TraceSummary()
-        self.tracer.tap = self.summary.add
+        self.tracer.tap = self.summary
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self.slug = slug
         self.samplers: list = []

@@ -1,11 +1,23 @@
 """Structured event traces: schema-versioned JSONL records.
 
 A :class:`Tracer` turns instrumented call sites into one flat JSON
-object per line in a pluggable :class:`TraceSink`.  Every record carries
-the schema version (``v``), the event name (``ev``), and the virtual
-timestamp (``t``); the remaining fields are event-specific.  Block
-hashes appear as 12-hex-char prefixes — unambiguous within a run and a
-quarter the bytes of the full digest.
+object per line in a pluggable sink.  Every record carries the schema
+version (``v``), the event name (``ev``), and the virtual timestamp
+(``t``); the remaining fields are event-specific.  Block hashes appear
+as 12-hex-char prefixes — unambiguous within a run and a quarter the
+bytes of the full digest.
+
+``send`` and ``deliver`` are most of a trace, so they have typed entry
+points: the network calls :meth:`Tracer.send` and
+:meth:`Tracer.deliver` with positional values, the tap folds them
+through ``add_send`` / ``add_deliver``, and a sink writes them through
+its own ``send`` / ``deliver`` (:class:`JsonlSink` from a line
+template).  Every other record goes through :meth:`Tracer.emit`, the
+tap's ``add`` and the sink's ``write``.  A sink is anything with
+``write(record)``, ``send(t, src, dst, kind, size, qd, arr)``,
+``deliver(t, src, dst, kind, size)``, ``close()`` and
+``records_written``; either way the bytes are ``json.dumps``'s of the
+one record.
 
 Record vocabulary (schema version 1):
 
@@ -52,88 +64,117 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
+from math import copysign
 from pathlib import Path
 from typing import IO
 
 SCHEMA_VERSION = 1
 
-# One encoder for every record: ``json.dumps`` with keyword arguments
-# builds a new one per call.  A record is built fresh from plain values
-# and never contains itself, so the circular check has nothing to find;
-# the bytes are ``json.dumps``'s.
+# One encoder for every record the templates below do not write:
+# ``json.dumps`` with keyword arguments builds a new one per call.  A
+# record is built fresh from plain values and never contains itself, so
+# the circular check has nothing to find; the bytes are ``json.dumps``'s.
 _encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
-_SEND_KEYS = ("v", "ev", "t", "src", "dst", "kind", "size", "qd", "arr")
-_DELIVER_KEYS = _SEND_KEYS[:7]
 _INF = float("inf")
+# The fixed heads of the two templated records.
+_SEND_HEAD = f'{{"v":{SCHEMA_VERSION},"ev":"send","t":'
+_DELIVER_HEAD = f'{{"v":{SCHEMA_VERSION},"ev":"deliver","t":'
 
 
 class TraceError(Exception):
     """Raised when a trace cannot be written or understood."""
 
 
-def trace_line(record: dict) -> str:
-    """``json.dumps(record, separators=(",", ":")) + "\\n"``, cheaper.
+class JsonlSink:
+    """Appends records to a ``.jsonl`` file, one compact object per line.
 
-    ``send`` and ``deliver`` are most of a trace's lines, so they come
-    from a template: ints and finite floats are written with ``repr``
-    and the ``kind`` string with ``json``'s own quoting function, which
-    is what the encoder does with them.  A record whose keys, key order
-    or value types differ from what :class:`~repro.net.network.Network`
-    emits — a ``bool`` where an int goes, a NaN or infinite float — goes
+    :meth:`send` and :meth:`deliver` are most of a trace's lines, so they
+    come from a template: ints and finite floats are written with
+    ``repr`` and ``kind`` with ``json``'s own quoting function, which is
+    what the encoder does with them.  A value whose type differs from
+    what :class:`~repro.net.network.Network` passes — a ``bool`` where an
+    int goes, a NaN or infinite float, an int time — sends that line
     through the encoder instead.
     """
-    keys = tuple(record)
-    tail = None
-    if keys == _SEND_KEYS:
-        v, ev, t, src, dst, kind, size, qd, arr = record.values()
-        if (
-            ev == "send"
-            and type(qd) is float
-            and type(arr) is float
-            and -_INF < qd < _INF
-            and -_INF < arr < _INF
-        ):
-            tail = f',"qd":{qd!r},"arr":{arr!r}}}\n'
-    elif keys == _DELIVER_KEYS:
-        v, ev, t, src, dst, kind, size = record.values()
-        if ev == "deliver":
-            tail = "}\n"
-    if (
-        tail is not None
-        and type(v) is int
-        and type(src) is int
-        and type(dst) is int
-        and type(size) is int
-        and type(kind) is str
-        and type(t) is float
-        and -_INF < t < _INF
-    ):
-        return (
-            f'{{"v":{v},"ev":"{ev}","t":{t!r},"src":{src},"dst":{dst},'
-            f'"kind":{_quote(kind)},"size":{size}{tail}'
-        )
-    return _encode(record) + "\n"
-
-
-class JsonlSink:
-    """Appends records to a ``.jsonl`` file, one compact object per line."""
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._file: IO[str] | None = None
         self._closed = False
         self.records_written = 0
+        # The last send/deliver time and its text (None: not a finite
+        # float).  Every record of one event shares ``sim.now``, one
+        # float object, so its ``repr`` is taken once per instant; an
+        # equal but distinct object (``5`` and ``5.0``, ``0.0`` and
+        # ``-0.0``) is formatted afresh.
+        self._t: object = None
+        self._t_text: str | None = None
+
+    def _open(self) -> IO[str]:
+        if self._closed:
+            # Lazily reopening in "w" mode would truncate a finished
+            # trace; a write after trace_end is always a caller bug.
+            raise TraceError(f"write to closed trace {self.path}")
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._file = self.path.open("w", encoding="utf-8")
+        return self._file
+
+    def _stamp(self, t) -> str | None:
+        self._t = t
+        self._t_text = repr(t) if type(t) is float and -_INF < t < _INF else None
+        return self._t_text
 
     def write(self, record: dict) -> None:
-        if self._file is None:
-            if self._closed:
-                # Lazily reopening in "w" mode would truncate a finished
-                # trace; a write after trace_end is always a caller bug.
-                raise TraceError(f"write to closed trace {self.path}")
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._file = self.path.open("w", encoding="utf-8")
-        self._file.write(trace_line(record))
+        (self._file or self._open()).write(_encode(record) + "\n")
+        self.records_written += 1
+
+    def send(self, t, src, dst, kind, size, qd, arr) -> None:
+        t_text = self._t_text if t is self._t else self._stamp(t)
+        if (
+            t_text is not None
+            and type(src) is int
+            and type(dst) is int
+            and type(size) is int
+            and type(kind) is str
+            and type(qd) is float
+            and type(arr) is float
+            and -_INF < qd < _INF
+            and -_INF < arr < _INF
+        ):
+            # An interleaved message never queues: its qd is 0.0.
+            qd_text = "0.0" if qd == 0.0 and copysign(1.0, qd) > 0 else repr(qd)
+            line = (
+                f'{_SEND_HEAD}{t_text},"src":{src},"dst":{dst},'
+                f'"kind":{_quote(kind)},"size":{size},"qd":{qd_text},"arr":{arr!r}}}\n'
+            )
+        else:
+            line = _encode({
+                "v": SCHEMA_VERSION, "ev": "send", "t": t, "src": src,
+                "dst": dst, "kind": kind, "size": size, "qd": qd, "arr": arr,
+            }) + "\n"
+        (self._file or self._open()).write(line)
+        self.records_written += 1
+
+    def deliver(self, t, src, dst, kind, size) -> None:
+        t_text = self._t_text if t is self._t else self._stamp(t)
+        if (
+            t_text is not None
+            and type(src) is int
+            and type(dst) is int
+            and type(size) is int
+            and type(kind) is str
+        ):
+            line = (
+                f'{_DELIVER_HEAD}{t_text},"src":{src},"dst":{dst},'
+                f'"kind":{_quote(kind)},"size":{size}}}\n'
+            )
+        else:
+            line = _encode({
+                "v": SCHEMA_VERSION, "ev": "deliver", "t": t, "src": src,
+                "dst": dst, "kind": kind, "size": size,
+            }) + "\n"
+        (self._file or self._open()).write(line)
         self.records_written += 1
 
     def close(self) -> None:
@@ -156,6 +197,18 @@ class MemorySink:
     def write(self, record: dict) -> None:
         self.records.append(record)
 
+    def send(self, t, src, dst, kind, size, qd, arr) -> None:
+        self.records.append({
+            "v": SCHEMA_VERSION, "ev": "send", "t": t, "src": src, "dst": dst,
+            "kind": kind, "size": size, "qd": qd, "arr": arr,
+        })
+
+    def deliver(self, t, src, dst, kind, size) -> None:
+        self.records.append({
+            "v": SCHEMA_VERSION, "ev": "deliver", "t": t, "src": src,
+            "dst": dst, "kind": kind, "size": size,
+        })
+
     def close(self) -> None:
         pass
 
@@ -170,9 +223,13 @@ class Tracer:
 
     Instrumented code holds either a ``Tracer`` or ``None``; hot paths
     guard with ``if tracer is not None`` so a disabled run pays one
-    attribute check and nothing else.  ``tap``, called as
-    ``tap(ev, t, fields)``, sees every record — an ``Observability``
-    sets it to its summary's fold; with no ``sink`` nothing is written.
+    attribute check and nothing else.  ``tap`` sees every record before
+    the sink does: :meth:`emit` hands it ``tap.add(ev, t, fields)``,
+    :meth:`send` and :meth:`deliver` the positional
+    ``tap.add_send(t, src, dst, kind, size, qd)`` and
+    ``tap.add_deliver(t)``.  An ``Observability`` sets it to its
+    :class:`~repro.obs.analyze.TraceSummary`; with no ``sink`` nothing
+    is written.
     """
 
     __slots__ = ("sink", "tap")
@@ -187,9 +244,24 @@ class Tracer:
 
     def emit(self, ev: str, t: float, **fields) -> None:
         if self.tap is not None:
-            self.tap(ev, t, fields)
+            self.tap.add(ev, t, fields)
         if self.sink is not None:
             self.sink.write({"v": SCHEMA_VERSION, "ev": ev, "t": t, **fields})
+
+    def send(self, t, src, dst, kind, size, qd, arr) -> None:
+        """A message booked onto a link: ``qd`` is its queueing delay,
+        ``arr`` its arrival time."""
+        if self.tap is not None:
+            self.tap.add_send(t, src, dst, kind, size, qd)
+        if self.sink is not None:
+            self.sink.send(t, src, dst, kind, size, qd, arr)
+
+    def deliver(self, t, src, dst, kind, size) -> None:
+        """A message handed to its destination's handler."""
+        if self.tap is not None:
+            self.tap.add_deliver(t)
+        if self.sink is not None:
+            self.sink.deliver(t, src, dst, kind, size)
 
     def close(self) -> None:
         if self.sink is not None:

@@ -78,7 +78,7 @@ def test_link_sampler_sees_a_busy_link():
     summary = TraceSummary()
     sink = MemorySink()
     sampler = LinkSampler(
-        network, Tracer(sink, summary.add), period=1.0, until=3.0
+        network, Tracer(sink, summary), period=1.0, until=3.0
     )
     sampler.start(sim)
     # 8000 bytes at 1000 B/s serializes for 8 s: busy at every sample.
@@ -101,7 +101,7 @@ def test_mempool_sampler_summarizes_depths():
     summary = TraceSummary()
     sink = MemorySink()
     sampler = MempoolSampler(
-        nodes, Tracer(sink, summary.add), period=1.0, until=1.0
+        nodes, Tracer(sink, summary), period=1.0, until=1.0
     )
     sampler.start(sim)
     sim.run()
@@ -120,7 +120,7 @@ def test_fork_sampler_counts_distinct_tips_and_peak():
     summary = TraceSummary()
     sink = MemorySink()
     sampler = ForkSampler(
-        nodes, Tracer(sink, summary.add), period=1.0, until=2.0
+        nodes, Tracer(sink, summary), period=1.0, until=2.0
     )
     sampler.start(sim)
     # Converge to one tip between the first and second sample.

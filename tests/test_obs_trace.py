@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.experiments import ExperimentConfig, Protocol, run_experiment
 from repro.obs import Observability
 from repro.obs import trace as trace_module
-from repro.obs.analyze import iter_records, load_records
+from repro.obs.analyze import TraceSummary, iter_records, load_records
 from repro.obs.trace import (
     SCHEMA_VERSION,
     JsonlSink,
@@ -33,13 +33,49 @@ def test_emit_stamps_version_event_and_time():
     assert tracer.records_written == 1
 
 
+class _RecordingTap:
+    """A tap that keeps what it is handed, in the shape it is handed."""
+
+    def __init__(self):
+        self.seen = []
+
+    def add(self, ev, t, fields):
+        self.seen.append((ev, t, fields))
+
+    def add_send(self, *values):
+        self.seen.append(("send", *values))
+
+    def add_deliver(self, t):
+        self.seen.append(("deliver", t))
+
+
 def test_sinkless_tracer_feeds_the_tap_and_writes_nothing():
-    seen = []
-    tracer = Tracer(None, lambda ev, t, fields: seen.append((ev, t, fields)))
+    tap = _RecordingTap()
+    tracer = Tracer(None, tap)
     tracer.emit("block_gen", 2.0, miner=1)
-    assert seen == [("block_gen", 2.0, {"miner": 1})]
+    tracer.send(2.0, 0, 1, "inv", 61, 0.0, 2.5)
+    tracer.deliver(2.5, 0, 1, "inv", 61)
+    assert tap.seen == [
+        ("block_gen", 2.0, {"miner": 1}),
+        ("send", 2.0, 0, 1, "inv", 61, 0.0),
+        ("deliver", 2.5),
+    ]
     assert tracer.records_written == 0
     tracer.close()
+
+
+def test_memory_sink_keeps_sends_and_deliveries_as_records():
+    sink = MemorySink()
+    tracer = Tracer(sink)
+    tracer.send(2.0, 0, 1, "inv", 61, 0.25, 2.5)
+    tracer.deliver(2.5, 0, 1, "inv", 61)
+    assert sink.records == [
+        {"v": SCHEMA_VERSION, "ev": "send", "t": 2.0, "src": 0, "dst": 1,
+         "kind": "inv", "size": 61, "qd": 0.25, "arr": 2.5},
+        {"v": SCHEMA_VERSION, "ev": "deliver", "t": 2.5, "src": 0, "dst": 1,
+         "kind": "inv", "size": 61},
+    ]
+    assert tracer.records_written == 2
 
 
 def test_short_hash_is_twelve_hex_chars():
@@ -70,10 +106,8 @@ def test_jsonl_sink_writes_compact_lines(tmp_path):
     assert sink.records_written == 1
 
 
-SEND_KEYS = ("v", "ev", "t", "src", "dst", "kind", "size", "qd", "arr")
-ROUND_TRIP_SEND = {
-    "v": 1, "ev": "send", "t": 1.0, "src": 0, "dst": 1, "kind": "inv", "size": 61,
-}
+SEND_FIELDS = ("t", "src", "dst", "kind", "size", "qd", "arr")
+DELIVER_FIELDS = SEND_FIELDS[:5]
 ODD_INTS = st.one_of(
     st.booleans(), st.integers(2**64, 2**80), st.integers(-(2**70), -1)
 )
@@ -86,55 +120,65 @@ ODD_KINDS = st.one_of(
     st.sampled_from(['q"uote', "back\\slash", "naïve", "\x7f", "tab\t", "\U0001f600"]),
     st.text(max_size=6),
 )
-# What the network emits, and what else each field could hold.
+# What the network passes, and what else each field could hold.
 FIELDS = {
-    "v": (st.just(1), ODD_INTS),
     "t": (st.floats(0.0, 1e4), ODD_FLOATS),
     "src": (st.integers(0, 999), ODD_INTS),
     "dst": (st.integers(0, 999), ODD_INTS),
     "kind": (st.sampled_from(["inv", "getdata", "object", "gettip"]), ODD_KINDS),
     "size": (st.integers(0, 10**6), ODD_INTS),
-    "qd": (st.floats(0.0, 100.0), ODD_FLOATS),
+    "qd": (st.one_of(st.just(0.0), st.floats(0.0, 100.0)), ODD_FLOATS),
     "arr": (st.floats(0.0, 1e4), ODD_FLOATS),
 }
 
 
+def _write(sink, ev, values):
+    """Hand one record to ``sink`` the way the tracer does; return the
+    record ``json.dumps`` is to agree with."""
+    names = SEND_FIELDS if ev == "send" else DELIVER_FIELDS
+    record = {"v": SCHEMA_VERSION, "ev": ev, **dict(zip(names, values))}
+    if ev == "send":
+        sink.send(*values)
+    elif ev == "deliver":
+        sink.deliver(*values)
+    else:
+        sink.write(record)
+    return record
+
+
 @st.composite
-def hot_records(draw):
-    """``send``/``deliver`` records as the network emits them, most bent
-    one way a template can get wrong: one odd value, or a missing, extra
-    or moved key."""
-    ev = draw(st.sampled_from(["send", "deliver", "drop"]))
-    keys = list(SEND_KEYS if ev == "send" else SEND_KEYS[:7])
-    values = {key: draw(FIELDS[key][0]) for key in keys if key != "ev"}
-    values["ev"] = ev
-    bend = draw(st.sampled_from(["none", "value", "value", "missing", "extra", "moved"]))
-    if bend == "value":
-        key = draw(st.sampled_from(sorted(values.keys() - {"ev"})))
-        values[key] = draw(FIELDS[key][1])
-    elif bend == "missing":
-        keys.remove(draw(st.sampled_from(keys)))
-    elif bend == "extra":
-        keys.insert(draw(st.integers(0, len(keys))), "x")
-        values["x"] = draw(st.integers(0, 9))
-    elif bend == "moved":
-        keys = draw(st.permutations(keys))
-    return {key: values[key] for key in keys}
+def hot_calls(draw):
+    """``send``/``deliver`` calls as the network makes them (and a
+    ``drop`` written as a dict between them), most with one value bent
+    the way a template can get wrong; a call often reuses the previous
+    call's time object, as the records of one event do."""
+    calls = []
+    for _ in range(draw(st.integers(1, 8))):
+        ev = draw(st.sampled_from(["send", "deliver", "drop"]))
+        names = SEND_FIELDS if ev == "send" else DELIVER_FIELDS
+        values = [draw(FIELDS[name][0]) for name in names]
+        if draw(st.booleans()):
+            index = draw(st.integers(0, len(names) - 1))
+            values[index] = draw(FIELDS[names[index]][1])
+        if calls and draw(st.booleans()):
+            values[0] = calls[-1][1][0]
+        calls.append((ev, values))
+    return calls
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(hot_records(), min_size=1, max_size=8))
-@example([ROUND_TRIP_SEND])
-def test_sink_lines_are_json_dumps_lines(records):
+@given(hot_calls())
+@example([("send", [1.0, 0, 1, "inv", 61, 0.0, 1.5])])
+def test_sink_lines_are_json_dumps_lines(calls):
     with tempfile.TemporaryDirectory() as scratch:
         sink = JsonlSink(Path(scratch) / "t.trace.jsonl")
-        for record in records:
-            sink.write(record)
+        records = [_write(sink, ev, values) for ev, values in calls]
         sink.close()
         written = sink.path.read_text(encoding="utf-8")
     assert written == "".join(
         json.dumps(record, separators=(",", ":")) + "\n" for record in records
     )
+    assert sink.records_written == len(records)
 
 
 def test_every_single_odd_value_writes_json_dumps_bytes(tmp_path):
@@ -145,21 +189,42 @@ def test_every_single_odd_value_writes_json_dumps_bytes(tmp_path):
         float: [float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 5e-324, 3],
         str: ['q"uote', "back\\slash", "naïve", "\x7f", "tab\t", "\U0001f600"],
     }
-    send = {**ROUND_TRIP_SEND, "t": 0.25, "qd": 0.5, "arr": 2.75}
-    deliver = {**ROUND_TRIP_SEND, "ev": "deliver"}
-    records = [send, deliver]
-    for base in (send, deliver):
-        for key, value in base.items():
-            if key != "ev":
-                records += [{**base, key: bent} for bent in odd[type(value)]]
+    send = [0.25, 0, 1, "inv", 61, 0.5, 2.75]
+    deliver = send[:5]
+    calls = [("send", send), ("deliver", deliver)]
+    for ev, base in calls[:]:
+        for index, value in enumerate(base):
+            for bent in odd[type(value)]:
+                calls.append((ev, base[:index] + [bent] + base[index + 1:]))
     sink = JsonlSink(tmp_path / "t.trace.jsonl")
-    for record in records:
-        sink.write(record)
+    records = [_write(sink, ev, values) for ev, values in calls]
     sink.close()
     lines = sink.path.read_text(encoding="utf-8").splitlines(keepends=True)
-    assert len(lines) == len(records) == 74
+    assert len(lines) == len(records) == 66
     for record, line in zip(records, lines):
         assert line == json.dumps(record, separators=(",", ":")) + "\n"
+
+
+def test_time_text_follows_the_float_object_not_its_value(tmp_path):
+    """The text of ``t`` is reused only for the very same object: an
+    equal int, or a zero of the other sign, is written as itself."""
+    times = [5, 5.0, 5.0, 5, 0.0, -0.0, 0.0]
+    sink = JsonlSink(tmp_path / "t.trace.jsonl")
+    shared = 7.5
+    for t in times:
+        sink.deliver(t, 0, 1, "inv", 61)
+    sink.send(shared, 0, 1, "inv", 61, 0.0, 8.0)
+    sink.send(shared, 0, 2, "inv", 61, -0.0, 8.5)
+    sink.deliver(shared, 2, 0, "inv", 61)
+    sink.close()
+    written = [json.loads(line) for line in sink.path.read_text().splitlines()]
+    stamps = [line.split(",")[2] for line in sink.path.read_text().splitlines()]
+    assert stamps == [
+        '"t":5', '"t":5.0', '"t":5.0', '"t":5', '"t":0.0', '"t":-0.0',
+        '"t":0.0', '"t":7.5', '"t":7.5', '"t":7.5',
+    ]
+    assert [r["qd"] for r in written if r["ev"] == "send"] == [0.0, -0.0]
+    assert '"qd":-0.0' in sink.path.read_text()
 
 
 def test_network_sends_and_deliveries_take_the_template(monkeypatch, tmp_path):
@@ -185,6 +250,36 @@ def test_network_sends_and_deliveries_take_the_template(monkeypatch, tmp_path):
     assert {"send", "deliver"} <= events
     assert "block_gen" in encoded
     assert "send" not in encoded and "deliver" not in encoded
+
+
+def test_typed_fold_equals_the_record_fold():
+    """``add_send`` / ``add_deliver`` over a run's sends and deliveries
+    leave the summary ``add(ev, t, record)`` makes of the same records."""
+    sink = MemorySink()
+    config = ExperimentConfig(
+        protocol=Protocol.BITCOIN_NG, n_nodes=10, target_blocks=6,
+        target_key_blocks=2, block_rate=1.0, key_block_rate=0.05,
+        block_size_bytes=40000, cooldown=10.0, seed=3,
+    )
+    run_experiment(config, obs=Observability(tracer=Tracer(sink)))
+    records = sink.records
+    assert any(r["ev"] == "send" and r["qd"] > 0 for r in records)
+    typed, keyed = TraceSummary(), TraceSummary()
+    for record in records:
+        ev, t = record["ev"], record["t"]
+        keyed.add(ev, t, record)
+        if ev == "send":
+            typed.add_send(
+                t, record["src"], record["dst"], record["kind"],
+                record["size"], record["qd"],
+            )
+        elif ev == "deliver":
+            typed.add_deliver(t)
+        else:
+            typed.add(ev, t, record)
+    assert typed.to_dict() == keyed.to_dict()
+    assert typed.to_dict()["events"]["send"] > 0
+    assert typed.queue_delay_count > 0
 
 
 def test_iter_records_rejects_unknown_schema_version(tmp_path):
