@@ -1,21 +1,13 @@
-"""Analytical models: fork rates, chain growth, throughput bounds."""
+"""Analytical models: fork rates and the utilization they leave."""
 
 from .forks import (
     bitcoin_fork_probability,
-    chain_growth_bounds,
-    effective_throughput,
     expected_mining_power_utilization,
-    expected_pruned_microblocks_per_key_block,
-    ng_keyblock_fork_probability,
     ng_microblock_prune_probability,
 )
 
 __all__ = [
     "bitcoin_fork_probability",
-    "chain_growth_bounds",
-    "effective_throughput",
     "expected_mining_power_utilization",
-    "expected_pruned_microblocks_per_key_block",
-    "ng_keyblock_fork_probability",
     "ng_microblock_prune_probability",
 ]

@@ -66,61 +66,3 @@ def ng_microblock_prune_probability(
     )
     return 1.0 - math.exp(-propagation_delay / key_block_interval)
 
-
-def ng_keyblock_fork_probability(
-    key_block_interval: float, propagation_delay: float
-) -> float:
-    """P(competing key blocks) — Figure 3's rare-but-long forks.
-
-    Same form as Bitcoin's fork probability but at the key-block
-    interval, and key blocks are small so their effective propagation
-    delay is the latency floor, not the bandwidth-bound block time.
-    """
-    return bitcoin_fork_probability(key_block_interval, propagation_delay)
-
-
-def expected_pruned_microblocks_per_key_block(
-    microblock_interval: float, propagation_delay: float
-) -> float:
-    """How many trailing microblocks a leader switch prunes on average.
-
-    The new key block misses microblocks issued during its propagation:
-    ``T_prop / T_micro`` of them in expectation.
-    """
-    _check_positive(
-        microblock_interval=microblock_interval,
-        propagation_delay=propagation_delay,
-    )
-    return propagation_delay / microblock_interval
-
-
-def chain_growth_bounds(
-    block_rate: float, propagation_delay: float
-) -> tuple[float, float]:
-    """(lower, upper) bounds on main-chain growth, after [46].
-
-    Sompolinsky & Zohar: with total block rate λ and network diameter
-    delay D, the main chain grows at least λ/(1 + λD) and at most λ
-    blocks per second.  The lower bound is tight when every fork wastes
-    a full propagation window.
-    """
-    _check_positive(block_rate=block_rate, propagation_delay=propagation_delay)
-    lower = block_rate / (1.0 + block_rate * propagation_delay)
-    return lower, block_rate
-
-
-def effective_throughput(
-    block_interval: float,
-    block_size: int,
-    tx_size: int,
-    propagation_delay: float,
-) -> float:
-    """Main-chain transactions per second, fork losses included."""
-    _check_positive(block_interval=block_interval)
-    if block_size <= 0 or tx_size <= 0:
-        raise ValueError("sizes must be positive")
-    txs_per_block = block_size // tx_size
-    keep = expected_mining_power_utilization(
-        block_interval, propagation_delay
-    )
-    return keep * txs_per_block / block_interval

@@ -22,10 +22,10 @@ Instrumentation
     a checked, traced, fault-injected run, and travel to sweep workers
     with it — ``config.with_(check=True, obs_dir="out/")``.
 Protocol adapters
-    :class:`ProtocolAdapter` plus the registry
-    (:func:`register_adapter` / :func:`unregister_adapter` /
-    :func:`get_adapter` / :func:`registered_protocols`) — implement and
-    register an adapter to plug a new protocol into every experiment.
+    :class:`ProtocolAdapter` and :func:`get_adapter`, which maps each
+    :class:`Protocol` member to its adapter.  The set is closed: a new
+    protocol is a :class:`Protocol` member plus an adapter class in
+    :mod:`repro.protocols`.
 Sanitizer
     :class:`SanitizerRuntime` and the Bitcoin-NG checker factory
     (:func:`ng_checkers`, no arguments — the runtime's ``mode`` is
@@ -62,13 +62,7 @@ from .experiments import (
     size_sweep,
 )
 from .prof import ProfilerRuntime, profile_experiment
-from .protocols import (
-    ProtocolAdapter,
-    get_adapter,
-    register_adapter,
-    registered_protocols,
-    unregister_adapter,
-)
+from .protocols import ProtocolAdapter, get_adapter
 from .sanitizer import (
     SanitizerRuntime,
     ng_checkers,
@@ -92,11 +86,8 @@ __all__ = [
     "get_adapter",
     "ng_checkers",
     "profile_experiment",
-    "register_adapter",
-    "registered_protocols",
     "run_experiment",
     "run_power_drop",
     "simulate_difficulty_dynamics",
     "size_sweep",
-    "unregister_adapter",
 ]

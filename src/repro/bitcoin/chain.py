@@ -71,11 +71,6 @@ class Reorg:
     disconnected: tuple[bytes, ...]
     connected: tuple[bytes, ...]
 
-    @property
-    def is_extension(self) -> bool:
-        """True when the tip simply advanced without unwinding."""
-        return not self.disconnected
-
 
 class BlockTree:
     """One node's view of all blocks it knows, with fork choice."""
@@ -124,9 +119,6 @@ class BlockTree:
 
     def height_of(self, block_hash: bytes) -> int:
         return self._records[block_hash].height
-
-    def work_of(self, block_hash: bytes) -> int:
-        return self._records[block_hash].cumulative_work
 
     def main_chain(self, tip: bytes | None = None) -> list[bytes]:
         """Hashes from genesis to ``tip`` (default: current tip)."""

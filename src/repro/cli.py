@@ -281,9 +281,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             rate = result.events_processed / max(
                 result.wall_simulate_seconds, 1e-9
             )
-            protocol = getattr(cell.protocol, "value", str(cell.protocol))
             print(
-                f"[{index + 1}/{total}] {protocol} "
+                f"[{index + 1}/{total}] {cell.protocol.value} "
                 f"rate={cell.block_rate:g} size={cell.block_size_bytes} "
                 f"seed={cell.seed}: {result.events_processed:,} events, "
                 f"{rate:,.0f} ev/s",

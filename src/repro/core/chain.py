@@ -83,10 +83,6 @@ class NGChain(BlockTree):
 
     # -- queries --------------------------------------------------------
 
-    def current_leader_pubkey(self) -> bytes:
-        """The epoch key in force at the tip."""
-        return self._records[self._tip].leader_pubkey
-
     def latest_key_block(self, start: bytes | None = None) -> NGRecord:
         """The most recent key block at or above ``start`` (default tip)."""
         cursor = self._records[start if start is not None else self._tip]

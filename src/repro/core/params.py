@@ -65,13 +65,6 @@ class NGParams:
         """Key blocks per second."""
         return 1.0 / self.key_block_interval
 
-    @property
-    def microblock_rate(self) -> float:
-        """Maximum microblocks per second."""
-        if self.min_microblock_interval == 0:
-            raise ValueError("no rate cap when the minimum interval is zero")
-        return 1.0 / self.min_microblock_interval
-
 
 # The configuration the paper's frequency experiments start from.
 PAPER_EVALUATION_PARAMS = NGParams(

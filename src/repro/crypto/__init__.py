@@ -6,25 +6,15 @@ for the secp256k1 implementation and :mod:`repro.crypto.pow` for target
 arithmetic.
 """
 
-from .hashing import DIGEST_SIZE, hash160, hash_to_int, sha256, sha256d, tagged_hash
-from .keys import (
-    BadAddress,
-    PrivateKey,
-    PublicKey,
-    address_from_pubkey_hash,
-    base58check_decode,
-    base58check_encode,
-    pubkey_hash_from_address,
-)
+from .hashing import DIGEST_SIZE, hash160, sha256, sha256d, tagged_hash
+from .keys import PrivateKey, PublicKey
 from .merkle import EMPTY_ROOT, merkle_proof, merkle_root, verify_proof
 from .pow import (
     GENESIS_TARGET,
     MAX_TARGET,
     InvalidTarget,
     compact_from_target,
-    difficulty_from_target,
     meets_target,
-    scale_target,
     target_from_compact,
     work_from_target,
 )
@@ -34,22 +24,14 @@ __all__ = [
     "EMPTY_ROOT",
     "GENESIS_TARGET",
     "MAX_TARGET",
-    "BadAddress",
     "InvalidTarget",
     "PrivateKey",
     "PublicKey",
-    "address_from_pubkey_hash",
-    "base58check_decode",
-    "base58check_encode",
     "compact_from_target",
-    "difficulty_from_target",
     "hash160",
-    "hash_to_int",
     "merkle_proof",
     "merkle_root",
     "meets_target",
-    "pubkey_hash_from_address",
-    "scale_target",
     "sha256",
     "sha256d",
     "tagged_hash",

@@ -54,10 +54,3 @@ def tagged_hash(tag: str, data: bytes) -> bytes:
     tag_digest = sha256(tag.encode("utf-8"))
     return sha256(tag_digest + tag_digest + data)
 
-
-def hash_to_int(digest: bytes) -> int:
-    """Interpret a digest as a big-endian unsigned integer.
-
-    Proof-of-work compares this integer against the target.
-    """
-    return int.from_bytes(digest, "big")

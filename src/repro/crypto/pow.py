@@ -68,23 +68,3 @@ def compact_from_target(target: int) -> int:
         mantissa >>= 8
         size += 1
     return (size << 24) | mantissa
-
-
-def difficulty_from_target(target: int, reference: int = GENESIS_TARGET) -> float:
-    """Express a target as a difficulty relative to ``reference``."""
-    check_target(target)
-    return reference / target
-
-
-def scale_target(target: int, factor: float, clamp: float = 4.0) -> int:
-    """Scale a target by ``factor``, clamping per Bitcoin's retarget rule.
-
-    Bitcoin bounds each adjustment to a factor of 4 in either direction to
-    stop difficulty oscillation attacks; ``clamp`` exposes that bound.
-    """
-    check_target(target)
-    if factor <= 0:
-        raise ValueError("scale factor must be positive")
-    factor = min(max(factor, 1.0 / clamp), clamp)
-    scaled = int(target * factor)
-    return max(1, min(scaled, MAX_TARGET))

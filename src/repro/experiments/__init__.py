@@ -26,7 +26,6 @@ from .propagation import (
 from .parallel import JOBS_ENV_VAR, SweepExecutor, resolve_jobs, run_many
 from .reporting import (
     METRIC_COLUMNS,
-    crossover_summary,
     format_propagation_table,
     format_series,
     format_sweep_table,
@@ -43,7 +42,6 @@ from .sweeps import (
     SweepPoint,
     SweepResult,
     frequency_sweep,
-    log_spaced,
     size_sweep,
 )
 
@@ -75,13 +73,11 @@ __all__ = [
     "build_network",
     "sweep_chart",
     "constant_throughput_block_size",
-    "crossover_summary",
     "format_propagation_table",
     "format_series",
     "format_sweep_table",
     "frequency_sweep",
     "linear_fit",
-    "log_spaced",
     "propagation_samples",
     "propagation_study",
     "run_experiment",

@@ -24,8 +24,8 @@ from ..mining.power import PAPER_EXPONENT
 from ..net.gossip import RelayMode
 from ..net.links import DEFAULT_BANDWIDTH_BPS
 
-# Re-exported for backward compatibility: the enum moved to
-# repro.protocols with the adapter registry it now belongs to.
+# Re-exported: the enum lives in repro.protocols with the adapters it
+# keys, and bench/ workloads import it from here.
 from ..protocols import Protocol
 
 __all__ = [
@@ -71,7 +71,7 @@ def resolve_check_mode(
 class ExperimentConfig:
     """One experiment's full parameterization."""
 
-    protocol: Protocol | str = Protocol.BITCOIN
+    protocol: Protocol = Protocol.BITCOIN
     # Testbed shape (the paper used 1000 nodes; the default here is
     # sized for laptop benchmarks — raise it for fidelity runs).
     n_nodes: int = 100
@@ -121,7 +121,7 @@ class ExperimentConfig:
     obs_dir: str | None = None
 
     # Checked mode (repro.sanitizer).  When True, the run installs the
-    # protocol's invariant checkers (via the adapter registry) and
+    # protocol's invariant checkers (via its adapter) and
     # sweeps node state every ``check_stride`` simulator events.
     # Checked runs are bit-identical to unchecked runs — checkers only
     # read state — and violations land on ``ExperimentResult.violations``.
@@ -141,13 +141,9 @@ class ExperimentConfig:
     scenario: dict | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.protocol, str):
-            # Accept the wire name for the built-ins; unknown strings
-            # pass through for externally registered protocol adapters.
-            try:
-                object.__setattr__(self, "protocol", Protocol(self.protocol))
-            except ValueError:
-                pass
+        # A member, or its wire name ("bitcoin-ng"), becomes the member;
+        # anything else is a ValueError naming the three.
+        object.__setattr__(self, "protocol", Protocol(self.protocol))
         if self.n_nodes < 2:
             raise ValueError("need at least two nodes")
         if self.n_nodes <= self.min_degree:
@@ -202,11 +198,7 @@ class ExperimentConfig:
         ``ExperimentConfig.from_dict(config.to_dict()) == config``.
         """
         data = dataclasses.asdict(self)
-        data["protocol"] = (
-            self.protocol.value
-            if isinstance(self.protocol, Protocol)
-            else self.protocol
-        )
+        data["protocol"] = self.protocol.value
         data["relay_mode"] = self.relay_mode.value
         return data
 

@@ -7,11 +7,12 @@ potentially orders of magnitude longer."
 
 This module simulates the full control loop: blocks arrive with
 exponential intervals at a rate set by (current power / difficulty),
-and an :class:`~repro.mining.difficulty.EpochRetargeter` adjusts the
-difficulty every window.  Power drops/surges are injected on a
-schedule, producing the stall-and-recover block-interval time series
-the paper describes — and against which Bitcoin-NG's constant-rate
-microblock serialization is contrasted.
+and every ``window`` blocks Bitcoin's epoch rule rescales the
+difficulty to the observed window, clamped to :data:`RETARGET_CLAMP`.
+Power drops/surges are injected on a schedule, producing the
+stall-and-recover block-interval time series the paper describes — and
+against which Bitcoin-NG's constant-rate microblock serialization is
+contrasted.
 """
 
 from __future__ import annotations
@@ -38,11 +39,6 @@ class DifficultyTrace:
     block_times: list[float] = field(default_factory=list)
     difficulties: list[float] = field(default_factory=list)  # per block
     powers: list[float] = field(default_factory=list)  # per block
-
-    def intervals(self) -> list[float]:
-        return [
-            b - a for a, b in zip(self.block_times, self.block_times[1:])
-        ]
 
     def mean_interval(self, start: float, end: float) -> float:
         """Mean inter-block time among blocks in [start, end)."""

@@ -7,7 +7,6 @@ the paper shape by shape.
 
 from __future__ import annotations
 
-from .config import Protocol
 from .propagation import PropagationPoint
 from .sweeps import SweepResult
 
@@ -67,16 +66,3 @@ def format_propagation_table(points: list[PropagationPoint]) -> str:
         )
     return "\n".join(lines)
 
-
-def crossover_summary(sweep: SweepResult, metric: str, lower_is_better: bool = True) -> str:
-    """Who wins at each x — the "shape" comparison the repro targets."""
-    bitcoin = {p.x: p.mean(metric) for p in sweep.series(Protocol.BITCOIN)}
-    ng = {p.x: p.mean(metric) for p in sweep.series(Protocol.BITCOIN_NG)}
-    lines = []
-    for x in sorted(set(bitcoin) & set(ng)):
-        if lower_is_better:
-            winner = "bitcoin-ng" if ng[x] <= bitcoin[x] else "bitcoin"
-        else:
-            winner = "bitcoin-ng" if ng[x] >= bitcoin[x] else "bitcoin"
-        lines.append(f"{metric} @ x={x:g}: {winner}")
-    return "\n".join(lines)

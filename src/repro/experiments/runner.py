@@ -7,8 +7,9 @@ pre-seeded (payloads are the artificial identical transactions), a run
 of 50–100 blocks, and the six Section 6 metrics computed afterwards.
 
 The runner is protocol-agnostic: node construction and lifecycle hooks
-live behind the :class:`~repro.protocols.ProtocolAdapter` registry, so
-adding a protocol means registering an adapter — not editing this file.
+live behind :func:`~repro.protocols.get_adapter`, so adding a protocol
+means a :class:`~repro.protocols.Protocol` member and an adapter class
+in :mod:`repro.protocols` — not editing this file.
 Fault injection (:mod:`repro.scenarios`) rides on ``config.scenario``
 and is wired here when present; a bare run never touches the engine.
 """
@@ -35,7 +36,7 @@ from ..net.network import Network
 from ..net.simulator import Simulator
 from ..net.topology import random_topology
 from ..obs.facade import Observability
-from ..protocols import get_adapter, protocol_name
+from ..protocols import get_adapter
 from .config import ExperimentConfig, Protocol
 
 __all__ = [
@@ -153,7 +154,7 @@ def run_experiment(
     nodes, scheduler = adapter.build_nodes(config, sim, network, log, shares)
     horizon = config.duration + config.cooldown
     meta = {
-        "protocol": protocol_name(config.protocol),
+        "protocol": config.protocol.value,
         "n_nodes": config.n_nodes,
         "seed": config.seed,
         "block_rate": config.block_rate,

@@ -15,7 +15,6 @@ Bitcoin-NG's microblock frequency to 1/10sec and key block frequency to
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .config import ExperimentConfig, Protocol, constant_throughput_block_size
@@ -40,10 +39,6 @@ class SweepPoint:
     def mean(self, metric: str) -> float:
         values = [getattr(r, metric) for r in self.results]
         return sum(values) / len(values)
-
-    def extremes(self, metric: str) -> tuple[float, float]:
-        values = [getattr(r, metric) for r in self.results]
-        return min(values), max(values)
 
 
 @dataclass
@@ -154,10 +149,3 @@ def size_sweep(
             cells.append((float(size), protocol, configs))
     return _run_grid(sweep, cells, jobs, progress=progress)
 
-
-def log_spaced(low: float, high: float, count: int) -> list[float]:
-    """Log-spaced sweep values, matching the figures' log x-axes."""
-    if low <= 0 or high <= low or count < 2:
-        raise ValueError("need 0 < low < high and count >= 2")
-    step = (math.log(high) - math.log(low)) / (count - 1)
-    return [math.exp(math.log(low) + i * step) for i in range(count)]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from ..crypto.hashing import sha256d
-from ..crypto.keys import PrivateKey, PublicKey
+from ..crypto.keys import PrivateKey
 from .errors import MalformedTransaction
 
 # Smallest indivisible unit; 1 coin = 10^8 units, as in Bitcoin.
@@ -153,11 +153,6 @@ class TxOutput:
         value = reader.take_u64()
         pubkey_hash = reader.take(20)
         return cls(value, pubkey_hash)
-
-    @classmethod
-    def to_key(cls, value: int, pubkey: PublicKey) -> "TxOutput":
-        """Convenience constructor paying a public key directly."""
-        return cls(value, pubkey.pubkey_hash)
 
 
 @dataclass(frozen=True)

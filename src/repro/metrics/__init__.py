@@ -2,13 +2,7 @@
 
 from .collector import BlockIndex, BlockInfo, ObservationLog, TipHistory
 from .consensus_delay import consensus_delay, point_consensus_delay
-from .export import (
-    TraceFormatError,
-    load_trace,
-    log_from_dict,
-    log_to_dict,
-    save_trace,
-)
+from .export import log_to_dict, save_trace
 from .fairness import fairness
 from .prune import (
     prune_samples,
@@ -19,7 +13,6 @@ from .prune import (
 from .throughput import (
     OPERATIONAL_BITCOIN_TX_RATE,
     block_rate,
-    goodput_bytes,
     transaction_frequency,
 )
 from .utilization import mining_power_utilization
@@ -30,15 +23,11 @@ __all__ = [
     "BlockInfo",
     "ObservationLog",
     "TipHistory",
-    "TraceFormatError",
     "block_rate",
-    "load_trace",
-    "log_from_dict",
     "log_to_dict",
     "save_trace",
     "consensus_delay",
     "fairness",
-    "goodput_bytes",
     "mining_power_utilization",
     "point_consensus_delay",
     "prune_samples",

@@ -37,7 +37,6 @@ class BlockIndex:
 
     def __init__(self) -> None:
         self._infos: dict[bytes, BlockInfo] = {}
-        self._heights: dict[bytes, int] = {}
         self._cum_work: dict[bytes, int] = {}
 
     def __contains__(self, block_hash: bytes) -> bool:
@@ -50,12 +49,10 @@ class BlockIndex:
         if info.hash in self._infos:
             raise ValueError("duplicate block generation recorded")
         self._infos[info.hash] = info
-        if info.parent in self._heights:
-            self._heights[info.hash] = self._heights[info.parent] + 1
+        if info.parent in self._cum_work:
             self._cum_work[info.hash] = self._cum_work[info.parent] + info.work
         else:
             # A root (genesis or the first block recorded).
-            self._heights[info.hash] = 0
             self._cum_work[info.hash] = info.work
 
     def info(self, block_hash: bytes) -> BlockInfo:
@@ -63,9 +60,6 @@ class BlockIndex:
 
     def get(self, block_hash: bytes) -> BlockInfo | None:
         return self._infos.get(block_hash)
-
-    def height(self, block_hash: bytes) -> int:
-        return self._heights[block_hash]
 
     def cumulative_work(self, block_hash: bytes) -> int:
         """Work up to a block; 0 for unrecorded roots (the genesis)."""
@@ -87,18 +81,6 @@ class BlockIndex:
             cursor = self._infos[cursor].parent
         path.reverse()
         return tuple(path)
-
-    def is_ancestor(self, ancestor: bytes, descendant: bytes) -> bool:
-        """True if ``ancestor`` lies on the chain ending at ``descendant``."""
-        if ancestor == descendant:
-            return True
-        target_height = self._heights.get(ancestor)
-        if target_height is None:
-            return False
-        cursor = descendant
-        while cursor in self._infos and self._heights[cursor] > target_height:
-            cursor = self._infos[cursor].parent
-        return cursor == ancestor
 
 
 @dataclass

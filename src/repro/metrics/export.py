@@ -1,10 +1,10 @@
-"""Observation-log export/import: persist executions for later analysis.
+"""Observation-log export: persist executions for later analysis.
 
 An :class:`~repro.metrics.collector.ObservationLog` captures everything
-the metrics need; exporting it as JSON lets experiments be archived,
-diffed across code versions, or analyzed with external tooling without
-re-running the simulation.  Hashes are hex-encoded; the format is
-versioned for forward compatibility.
+the metrics need; exporting it as JSON (``repro run --save-trace``)
+lets experiments be archived or analyzed with external tooling.
+Hashes are hex-encoded and the format is versioned.  Nothing in the
+package reads a saved log back.
 """
 
 from __future__ import annotations
@@ -12,13 +12,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .collector import BlockInfo, ObservationLog
+from .collector import ObservationLog
 
 FORMAT_VERSION = 1
-
-
-class TraceFormatError(Exception):
-    """Raised when an imported trace cannot be understood."""
 
 
 def log_to_dict(log: ObservationLog) -> dict:
@@ -55,50 +51,9 @@ def log_to_dict(log: ObservationLog) -> dict:
     }
 
 
-def log_from_dict(data: dict) -> ObservationLog:
-    """Rebuild an observation log exported by :func:`log_to_dict`."""
-    version = data.get("version")
-    if version != FORMAT_VERSION:
-        raise TraceFormatError(f"unsupported trace version {version!r}")
-    try:
-        log = ObservationLog(int(data["n_nodes"]))
-        log.start_time = float(data["start_time"])
-        for entry in data["blocks"]:
-            log.index.add(
-                BlockInfo(
-                    hash=bytes.fromhex(entry["hash"]),
-                    parent=bytes.fromhex(entry["parent"]),
-                    miner=int(entry["miner"]),
-                    gen_time=float(entry["gen_time"]),
-                    work=int(entry["work"]),
-                    kind=str(entry["kind"]),
-                    n_tx=int(entry["n_tx"]),
-                    size=int(entry["size"]),
-                )
-            )
-        for node, node_arrivals in enumerate(data["arrivals"]):
-            for hex_hash, time in node_arrivals.items():
-                log.record_arrival(node, bytes.fromhex(hex_hash), float(time))
-        for node, history in enumerate(data["tips"]):
-            for time, hex_hash in zip(history["times"], history["tips"]):
-                log.record_tip(node, bytes.fromhex(hex_hash), float(time))
-        log.finalize(float(data["end_time"]))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise TraceFormatError(f"malformed trace: {exc}") from exc
-    return log
-
-
 def save_trace(log: ObservationLog, path: str | Path) -> None:
     """Write a finalized log as JSON, creating missing parent directories."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(json.dumps(log_to_dict(log)), encoding="utf-8")
 
-
-def load_trace(path: str | Path) -> ObservationLog:
-    """Read a log written by :func:`save_trace`."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise TraceFormatError(f"not valid JSON: {exc}") from exc
-    return log_from_dict(data)

@@ -1,4 +1,4 @@
-"""Throughput metrics: transaction frequency and goodput.
+"""Throughput metrics: transaction frequency and block rate.
 
 The paper plots "Transaction Frequency" — transactions serialized into
 the main chain per second — against the operational Bitcoin rate of
@@ -19,14 +19,6 @@ def transaction_frequency(log: ObservationLog) -> float:
         raise ValueError("empty observation window")
     total_tx = sum(log.index.info(h).n_tx for h in log.main_chain())
     return total_tx / log.duration
-
-
-def goodput_bytes(log: ObservationLog) -> float:
-    """Main-chain payload bytes per second."""
-    if log.duration <= 0:
-        raise ValueError("empty observation window")
-    total = sum(log.index.info(h).size for h in log.main_chain())
-    return total / log.duration
 
 
 def block_rate(log: ObservationLog, kind: str | None = None) -> float:

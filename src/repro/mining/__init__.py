@@ -1,10 +1,6 @@
 """Mining substrate: power distributions, pool data, scheduler, difficulty."""
 
 from .difficulty import (
-    BITCOIN_BLOCK_SPACING,
-    BITCOIN_RETARGET_WINDOW,
-    EpochRetargeter,
-    PerBlockRetargeter,
     expected_block_interval,
     recovery_blocks,
 )
@@ -20,30 +16,20 @@ from .power import (
     PAPER_EXPONENT,
     exponential_shares,
     fit_exponential,
-    largest_share,
-    single_large_miner,
-    uniform_shares,
 )
 from .scheduler import MiningScheduler
 
 __all__ = [
-    "BITCOIN_BLOCK_SPACING",
-    "BITCOIN_RETARGET_WINDOW",
     "BLOCKS_PER_WEEK",
     "PAPER_EXPONENT",
     "UNIDENTIFIED_FRACTION",
-    "EpochRetargeter",
     "MiningScheduler",
-    "PerBlockRetargeter",
     "WeeklyShares",
     "expected_block_interval",
     "exponential_shares",
     "fit_exponential",
     "fit_rank_medians",
     "generate_year",
-    "largest_share",
     "rank_statistics",
     "recovery_blocks",
-    "single_large_miner",
-    "uniform_shares",
 ]

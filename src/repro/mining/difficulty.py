@@ -1,76 +1,15 @@
-"""Difficulty retargeting and mining-power-variation dynamics.
+"""Mining-power-variation dynamics under difficulty retargeting.
 
 Section 5.2 ("Resilience to Mining Power Variation") compares adjustment
 schedules — Bitcoin every 2016 blocks, Litecoin every 2016 (faster
 blocks), Ethereum every block — and argues all are sensitive to sudden
 mining power drops, while Bitcoin-NG keeps serializing transactions in
-microblocks regardless.  This module implements the retargeting
-algorithms and a small analytical model of recovery time after a power
-drop, used by the resilience benchmarks.
+microblocks regardless.  This module holds a small analytical model of
+the stall and the recovery time after a power drop, used by the
+resilience benchmarks.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-from ..crypto.pow import check_target, scale_target
-
-# Bitcoin's retarget window and spacing.
-BITCOIN_RETARGET_WINDOW = 2016
-BITCOIN_BLOCK_SPACING = 600.0
-
-
-@dataclass
-class EpochRetargeter:
-    """Bitcoin/Litecoin-style retargeting every ``window`` blocks.
-
-    Adjusts the target so the last window would have taken
-    ``window * spacing`` seconds, clamped to 4x per adjustment.
-    """
-
-    spacing: float = BITCOIN_BLOCK_SPACING
-    window: int = BITCOIN_RETARGET_WINDOW
-    clamp: float = 4.0
-
-    def __post_init__(self) -> None:
-        if self.spacing <= 0 or self.window < 1:
-            raise ValueError("spacing and window must be positive")
-
-    def retarget(self, target: int, window_duration: float) -> int:
-        """New target given the observed duration of the last window."""
-        check_target(target)
-        if window_duration <= 0:
-            raise ValueError("window duration must be positive")
-        expected = self.spacing * self.window
-        return scale_target(target, window_duration / expected, self.clamp)
-
-    def should_retarget(self, height: int) -> bool:
-        """True at heights where an adjustment happens (Bitcoin rule)."""
-        return height > 0 and height % self.window == 0
-
-
-@dataclass
-class PerBlockRetargeter:
-    """Ethereum-style smooth per-block adjustment.
-
-    Nudges the target by ``step`` (default 1/2048, Ethereum's Homestead
-    constant) toward the desired spacing based on the last interval.
-    """
-
-    spacing: float = 12.0
-    step: float = 1.0 / 2048.0
-
-    def retarget(self, target: int, last_interval: float) -> int:
-        check_target(target)
-        if last_interval <= 0:
-            raise ValueError("interval must be positive")
-        if last_interval < self.spacing:
-            factor = 1.0 - self.step
-        else:
-            factor = 1.0 + self.step * min(
-                (last_interval / self.spacing), 99.0
-            )
-        return scale_target(target, factor, clamp=2.0)
 
 
 def expected_block_interval(

@@ -30,23 +30,6 @@ def exponential_shares(n_miners: int, exponent: float = PAPER_EXPONENT) -> list[
     return [value / total for value in raw]
 
 
-def uniform_shares(n_miners: int) -> list[float]:
-    """Equal power for every miner — the idealized decentralized case."""
-    if n_miners < 1:
-        raise ValueError("need at least one miner")
-    return [1.0 / n_miners] * n_miners
-
-
-def single_large_miner(n_miners: int, large_share: float) -> list[float]:
-    """One miner with ``large_share``, the rest equal — attack scenarios."""
-    if not 0 < large_share < 1:
-        raise ValueError("large_share must be in (0, 1)")
-    if n_miners < 2:
-        raise ValueError("need at least two miners")
-    rest = (1.0 - large_share) / (n_miners - 1)
-    return [large_share] + [rest] * (n_miners - 1)
-
-
 def fit_exponential(shares_by_rank: list[float]) -> tuple[float, float]:
     """Least-squares fit of log(share) against rank.
 
@@ -73,9 +56,3 @@ def fit_exponential(shares_by_rank: list[float]) -> tuple[float, float]:
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return slope, r_squared
 
-
-def largest_share(shares: list[float]) -> float:
-    """The largest miner's fraction — the fairness denominator input."""
-    if not shares:
-        raise ValueError("empty share list")
-    return max(shares)

@@ -40,9 +40,8 @@ def config_slug(config) -> str:
     Figure 8 grids vary, so every cell of a sweep lands in its own pair
     of files under a shared ``--obs`` directory.
     """
-    protocol = getattr(config.protocol, "value", str(config.protocol))
     return (
-        f"{protocol}-f{config.block_rate:g}"
+        f"{config.protocol.value}-f{config.block_rate:g}"
         f"-b{config.block_size_bytes}-seed{config.seed}"
     )
 

@@ -59,13 +59,12 @@ def profile_experiment(config):
     """
     from ..experiments.runner import run_experiment
     from ..obs.facade import config_slug
-    from ..protocols import protocol_name
 
     profiler = ProfilerRuntime()
     result, log = run_experiment(config, profiler=profiler)
     meta = {
         "slug": config_slug(config),
-        "protocol": protocol_name(config.protocol),
+        "protocol": config.protocol.value,
         "n_nodes": config.n_nodes,
         "seed": config.seed,
         "block_rate": config.block_rate,

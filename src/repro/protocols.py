@@ -1,18 +1,17 @@
-"""The protocol-adapter registry: one uniform surface per protocol.
+"""The protocol adapters: one uniform surface per protocol.
 
-Every consensus protocol the harness can run — Bitcoin, GHOST,
-Bitcoin-NG, or anything registered later — is described by a
-:class:`ProtocolAdapter`: how to build its nodes and mining scheduler
-for an experiment, and how its nodes react to lifecycle faults (crash,
-restart, resync).  The experiment runner and the fault-injection
-scenario engine both work exclusively through this interface, so adding
-a protocol requires registering an adapter — never editing the runner.
+Every consensus protocol the harness can run — Bitcoin, GHOST and
+Bitcoin-NG — is described by a :class:`ProtocolAdapter`: how to build
+its nodes and mining scheduler for an experiment, and how its nodes
+react to lifecycle faults (crash, restart, resync).  The experiment
+runner and the fault-injection scenario engine both work exclusively
+through this interface, via :func:`get_adapter`.
 
-The :class:`Protocol` enum of the three built-in protocols lives here
-(re-exported from :mod:`repro.experiments.config` for compatibility);
-the registry itself is keyed by protocol *name*, so external protocols
-can register under new names and be run by setting
-``ExperimentConfig(protocol="<name>")``.
+The set is closed: :data:`_ADAPTERS` maps each :class:`Protocol` member
+to its adapter, and ``ExperimentConfig.protocol`` accepts only a member
+or its wire name.  Adding a protocol means a new :class:`Protocol`
+member plus an adapter class here — never editing the runner.  The enum
+is re-exported from :mod:`repro.experiments.config`.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import abc
 import enum
 from collections.abc import Callable, Sequence
-from typing import TYPE_CHECKING, ClassVar
+from typing import TYPE_CHECKING, NoReturn
 
 from .bitcoin.blocks import make_genesis
 from .bitcoin.chain import TieBreak
@@ -50,10 +49,12 @@ class Protocol(enum.Enum):
     BITCOIN_NG = "bitcoin-ng"
     GHOST = "ghost"
 
-
-def protocol_name(protocol: Protocol | str) -> str:
-    """The registry key for a protocol: its enum value or the string."""
-    return protocol.value if isinstance(protocol, Protocol) else str(protocol)
+    @classmethod
+    def _missing_(cls, value: object) -> NoReturn:
+        raise ValueError(
+            f"unknown protocol {value!r}; choose from "
+            f"{', '.join(p.value for p in cls)}"
+        )
 
 
 class ProtocolAdapter(abc.ABC):
@@ -69,9 +70,6 @@ class ProtocolAdapter(abc.ABC):
     Subclasses override only what their protocol needs (Bitcoin-NG
     drops leadership on crash, for example).
     """
-
-    #: Registry key; also what ``ExperimentConfig.protocol`` resolves to.
-    name: ClassVar[str]
 
     @abc.abstractmethod
     def build_nodes(
@@ -182,8 +180,6 @@ def _build_block_nodes(
 class BitcoinAdapter(ProtocolAdapter):
     """Heaviest-chain Bitcoin with synthetic full blocks."""
 
-    name = Protocol.BITCOIN.value
-
     def build_nodes(
         self,
         config: ExperimentConfig,
@@ -206,8 +202,6 @@ class BitcoinAdapter(ProtocolAdapter):
 
 class GhostAdapter(ProtocolAdapter):
     """Bitcoin block format under the GHOST heaviest-subtree rule."""
-
-    name = Protocol.GHOST.value
 
     def build_nodes(
         self,
@@ -236,8 +230,6 @@ class GhostAdapter(ProtocolAdapter):
 
 class BitcoinNGAdapter(ProtocolAdapter):
     """Bitcoin-NG: key-block leader election plus microblock streams."""
-
-    name = Protocol.BITCOIN_NG.value
 
     def build_nodes(
         self,
@@ -322,43 +314,13 @@ class BitcoinNGAdapter(ProtocolAdapter):
 
 # -- registry ----------------------------------------------------------------
 
-_ADAPTERS: dict[str, ProtocolAdapter] = {}
-
-
-def register_adapter(
-    adapter: ProtocolAdapter, *, replace: bool = False
-) -> ProtocolAdapter:
-    """Make ``adapter`` runnable by name through the experiment runner."""
-    name = adapter.name
-    if not name or not isinstance(name, str):
-        raise ValueError("adapter must define a non-empty string `name`")
-    if not replace and name in _ADAPTERS:
-        raise ValueError(f"adapter {name!r} is already registered")
-    _ADAPTERS[name] = adapter
-    return adapter
-
-
-def unregister_adapter(name: str) -> None:
-    """Remove a registered adapter (tests and plugin teardown)."""
-    _ADAPTERS.pop(name, None)
+_ADAPTERS: dict[Protocol, ProtocolAdapter] = {
+    Protocol.BITCOIN: BitcoinAdapter(),
+    Protocol.GHOST: GhostAdapter(),
+    Protocol.BITCOIN_NG: BitcoinNGAdapter(),
+}
 
 
 def get_adapter(protocol: Protocol | str) -> ProtocolAdapter:
-    """The adapter for ``protocol`` (enum member or registered name)."""
-    name = protocol_name(protocol)
-    adapter = _ADAPTERS.get(name)
-    if adapter is None:
-        known = ", ".join(sorted(_ADAPTERS)) or "none"
-        raise KeyError(
-            f"no protocol adapter registered for {name!r} (registered: {known})"
-        )
-    return adapter
-
-
-def registered_protocols() -> tuple[str, ...]:
-    return tuple(sorted(_ADAPTERS))
-
-
-register_adapter(BitcoinAdapter())
-register_adapter(GhostAdapter())
-register_adapter(BitcoinNGAdapter())
+    """The adapter for ``protocol`` (enum member or its wire name)."""
+    return _ADAPTERS[Protocol(protocol)]

@@ -37,12 +37,11 @@ from .runtime import (
     SanitizerRuntime,
     sanitizer_for,
 )
-from .violations import InvariantViolation, ViolationRecord
+from .violations import ViolationRecord
 
 __all__ = [
     "AuditDivergence",
     "InvariantChecker",
-    "InvariantViolation",
     "NodeDigest",
     "RUNTIME_MODES",
     "SanitizerRuntime",

@@ -5,12 +5,9 @@ invariant (code + name), on which node, at what virtual time, with a
 small JSON-friendly snapshot of the offending state.  Records are
 frozen dataclasses of primitives so they pickle through process-pool
 sweep workers on :class:`~repro.experiments.runner.ExperimentResult`
-and serialize losslessly into schema-v1 trace events.
-
-:class:`InvariantViolation` wraps one record as an exception for
-callers that want checked mode to be fail-fast (strict checking in
-tests); the runtime itself collects records instead of raising so a
-single sweep reports every violated invariant, not just the first.
+and serialize losslessly into schema-v1 trace events.  The runtime
+collects records instead of raising, so a single sweep reports every
+violated invariant, not just the first.
 """
 
 from __future__ import annotations
@@ -47,14 +44,6 @@ class ViolationRecord:
             f"{self.code} ({self.name}) node={self.node} "
             f"t={self.time:.3f}: {self.message}{suffix}"
         )
-
-
-class InvariantViolation(Exception):
-    """A protocol invariant failed during a checked simulation."""
-
-    def __init__(self, record: ViolationRecord) -> None:
-        super().__init__(record.format())
-        self.record = record
 
 
 def make_violation(

@@ -44,9 +44,6 @@ class LinearFit:
     intercept: float
     r_squared: float
 
-    def predict(self, x: float) -> float:
-        return self.slope * x + self.intercept
-
 
 def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
     """Ordinary least squares on (xs, ys)."""
@@ -67,13 +64,6 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
     ss_tot = sum((y - mean_y) ** 2 for y in ys)
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return LinearFit(slope, intercept, r_squared)
-
-
-def log_linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
-    """Fit log(y) = slope·x + intercept — exponential decay/growth."""
-    if any(y <= 0 for y in ys):
-        raise ValueError("log fit needs positive y values")
-    return linear_fit(xs, [math.log(y) for y in ys])
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 The paper's user model (Section 3): "Each user commands addresses, and
 sends Bitcoins by forming a transaction from her address to another's
-address".  This wallet derives addresses deterministically from a seed,
+address".  This wallet derives keys deterministically from a seed,
 tracks spendable coins against a node's UTXO set, and builds signed
 payments with greedy coin selection and automatic change.
 """
@@ -46,8 +46,8 @@ class SpendableCoin:
 class Wallet:
     """Deterministic key chain plus payment construction.
 
-    Addresses are derived as ``seed/<index>``; address 0 is the default
-    receiving address.  The wallet holds no state about the chain —
+    Keys are derived as ``seed/<index>``; key 0 is the default receiving
+    key.  The wallet holds no state about the chain —
     callers pass the UTXO set (a node's view) to query and spend.
     """
 
@@ -64,16 +64,11 @@ class Wallet:
     def _derive(self, index: int) -> PrivateKey:
         return PrivateKey.from_seed(f"{self._seed}/{index}")
 
-    # -- keys and addresses ----------------------------------------------
+    # -- keys --------------------------------------------------------------
 
     @property
     def n_keys(self) -> int:
         return len(self._keys)
-
-    def derive_key(self) -> int:
-        """Add one more address; returns its index."""
-        self._keys.append(self._derive(len(self._keys)))
-        return len(self._keys) - 1
 
     def key(self, index: int = 0) -> PrivateKey:
         return self._keys[index]
@@ -83,14 +78,6 @@ class Wallet:
 
     def pubkey_hash(self, index: int = 0) -> bytes:
         return self.public_key(index).pubkey_hash
-
-    def address(self, index: int = 0) -> str:
-        return self.public_key(index).address()
-
-    def owns(self, pubkey_hash: bytes) -> bool:
-        return any(
-            self.pubkey_hash(i) == pubkey_hash for i in range(self.n_keys)
-        )
 
     # -- coins -------------------------------------------------------------
 

@@ -4,11 +4,7 @@ import pytest
 
 from repro.analysis import (
     bitcoin_fork_probability,
-    chain_growth_bounds,
-    effective_throughput,
     expected_mining_power_utilization,
-    expected_pruned_microblocks_per_key_block,
-    ng_keyblock_fork_probability,
     ng_microblock_prune_probability,
 )
 
@@ -42,53 +38,11 @@ def test_ng_prune_probability_independent_of_micro_rate():
     assert p < 0.03
 
 
-def test_ng_keyblock_fork_rarer_than_bitcoin_at_same_load():
-    # NG's key blocks are rare and small; Bitcoin's blocks at the same
-    # *payload* rate are frequent and large.
-    ng = ng_keyblock_fork_probability(100, 0.3)
-    bitcoin = bitcoin_fork_probability(10, 3.0)
-    assert ng < bitcoin
-
-
-def test_expected_pruned_microblocks():
-    assert expected_pruned_microblocks_per_key_block(10, 2) == pytest.approx(0.2)
-
-
-def test_chain_growth_bounds_ordering():
-    lower, upper = chain_growth_bounds(0.1, 5.0)
-    assert 0 < lower < upper == 0.1
-    # Zero-delay limit: bounds collapse.
-    lower2, upper2 = chain_growth_bounds(0.1, 1e-12)
-    assert lower2 == pytest.approx(upper2)
-
-
-def test_effective_throughput_tradeoff():
-    # Bigger blocks at the same interval help until forks eat the gain —
-    # with size-proportional propagation, throughput saturates.
-    def tp(size):
-        return effective_throughput(
-            block_interval=10,
-            block_size=size,
-            tx_size=476,
-            propagation_delay=size / 12_500,  # 100 kbit/s serialization
-        )
-
-    assert tp(20_000) > tp(5_000)  # growth region
-    # Marginal gain shrinks as forks grow.
-    gain_small = tp(10_000) - tp(5_000)
-    gain_large = tp(80_000) - tp(75_000)
-    assert gain_large < gain_small
-
-
 def test_validation():
     with pytest.raises(ValueError):
         bitcoin_fork_probability(0, 1)
     with pytest.raises(ValueError):
         ng_microblock_prune_probability(100, 0)
-    with pytest.raises(ValueError):
-        chain_growth_bounds(-1, 1)
-    with pytest.raises(ValueError):
-        effective_throughput(10, 0, 476, 1)
 
 
 # -- cross-validation against the simulator ---------------------------------
@@ -136,6 +90,8 @@ def test_simulated_growth_within_bounds():
     result, log = run_experiment(config)
     samples = propagation_samples(log)
     delay = percentile(samples, 0.9)
-    lower, upper = chain_growth_bounds(0.2, delay)
+    # Sompolinsky & Zohar: with block rate λ and delay D the main chain
+    # grows at least λ/(1 + λD) and at most λ blocks per second.
+    lower, upper = 0.2 / (1.0 + 0.2 * delay), 0.2
     growth = result.main_chain_length / result.duration
     assert lower * 0.9 <= growth <= upper * 1.05

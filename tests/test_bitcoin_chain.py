@@ -73,14 +73,14 @@ def test_reorg_paths_correct():
     final = reorgs[-1]
     assert final.disconnected == (old[1].hash, old[0].hash)  # tip first
     assert final.connected == tuple(b.hash for b in new_blocks)
-    assert not final.is_extension
+    assert final.disconnected
 
 
 def test_extension_reorg_flag():
     tree = BlockTree(GENESIS)
     block = _block(GENESIS.hash, "a")
     (reorg,) = tree.add_block(block)
-    assert reorg.is_extension
+    assert not reorg.disconnected
     assert reorg.connected == (block.hash,)
 
 
@@ -174,7 +174,7 @@ def test_leaves():
 def test_cumulative_work_accrues():
     tree = BlockTree(GENESIS)
     blocks = _chain(tree, GENESIS.hash, ["a", "b"])
-    work = tree.work_of(blocks[1].hash)
+    work = tree.record(blocks[1].hash).cumulative_work
     assert work == 2 * blocks[0].header.work
 
 

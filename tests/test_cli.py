@@ -145,6 +145,8 @@ def test_parser_rejects_unknown_protocol():
 
 
 def test_run_with_trace_export(tmp_path, capsys):
+    import json
+
     trace = tmp_path / "missing" / "dir" / "t.json"  # parents are created
     code = main(
         [
@@ -155,14 +157,17 @@ def test_run_with_trace_export(tmp_path, capsys):
             "--block-rate", "0.1",
             "--block-size", "3000",
             "--save-trace", str(trace),
+            "--json",
         ]
     )
     assert code == 0
-    assert trace.exists()
-    from repro.metrics import load_trace
-
-    log = load_trace(trace)
-    assert log.n_nodes == 12
+    payload = json.loads(capsys.readouterr().out)
+    saved = json.loads(trace.read_text(encoding="utf-8"))
+    assert saved["version"] == 1
+    assert saved["n_nodes"] == 12
+    assert len(saved["blocks"]) == payload["blocks_generated"] > 0
+    assert len(saved["arrivals"]) == 12
+    assert all(isinstance(arrivals, dict) for arrivals in saved["arrivals"])
 
 
 def test_run_json_output(capsys):
@@ -561,7 +566,7 @@ def test_checked_propagation_reports_violations_and_exits_nonzero(
     monkeypatch, capsys
 ):
     from repro.experiments import propagation_study
-    from repro.protocols import BitcoinAdapter, get_adapter, register_adapter
+    from repro.protocols import BitcoinAdapter
     from repro.sanitizer import InvariantChecker
     from repro.sanitizer.violations import make_violation
 
@@ -571,10 +576,6 @@ def test_checked_propagation_reports_violations_and_exits_nonzero(
 
         def check_state(self, node, node_id, now):
             return [make_violation(self, node_id, now, "planted")]
-
-    class Noisy(BitcoinAdapter):
-        def invariant_checkers(self):
-            return [AlwaysFires()]
 
     # Two sizes instead of Figure 7's five: the test is about the count.
     monkeypatch.setattr(
@@ -586,13 +587,11 @@ def test_checked_propagation_reports_violations_and_exits_nonzero(
     assert main(tiny) == 0
     assert "invariant violations" not in capsys.readouterr().out
 
-    original = get_adapter("bitcoin")
-    register_adapter(Noisy(), replace=True)
-    try:
-        monkeypatch.setenv("REPRO_CHECK", "1")
-        assert main(tiny) == 1
-    finally:
-        register_adapter(original, replace=True)
+    monkeypatch.setattr(
+        BitcoinAdapter, "invariant_checkers", lambda self: [AlwaysFires()]
+    )
+    monkeypatch.setenv("REPRO_CHECK", "1")
+    assert main(tiny) == 1
     # One finding per (code, node), in each of the two runs.
     assert (
         "invariant violations across all sizes: 12" in capsys.readouterr().out

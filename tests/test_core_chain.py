@@ -56,7 +56,7 @@ def test_key_block_becomes_tip_and_leader():
     key1 = _key(GENESIS.hash, ALICE, 10.0)
     chain.add_block(key1, 10.0)
     assert chain.tip == key1.hash
-    assert chain.current_leader_pubkey() == ALICE.public_key().to_bytes()
+    assert chain.tip_record.leader_pubkey == ALICE.public_key().to_bytes()
     assert chain.tip_record.key_height == 1
 
 
@@ -148,7 +148,7 @@ def test_epoch_leader_tracked_through_microblocks():
     chain.add_block(m1, 10.0)
     key2 = _key(m1.hash, BOB, 50.0, miner=2)
     chain.add_block(key2, 50.0)
-    assert chain.current_leader_pubkey() == BOB.public_key().to_bytes()
+    assert chain.tip_record.leader_pubkey == BOB.public_key().to_bytes()
     # A microblock on the new epoch must be signed by Bob.
     m2 = _micro(key2.hash, BOB, 60.0)
     chain.add_block(m2, 60.0)

@@ -55,7 +55,7 @@ def test_key_block_propagates_and_elects_leader():
     assert nodes[0].is_leader()
     for node in nodes:
         assert node.tip == key.hash
-        assert node.chain.current_leader_pubkey() == nodes[0].pubkey_bytes
+        assert node.chain.tip_record.leader_pubkey == nodes[0].pubkey_bytes
 
 
 def test_leader_generates_microblocks_at_interval():

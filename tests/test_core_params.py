@@ -20,13 +20,6 @@ def test_evaluation_params_match_section_8():
 def test_derived_rates():
     params = NGParams(key_block_interval=50.0, min_microblock_interval=5.0)
     assert params.key_block_rate == pytest.approx(0.02)
-    assert params.microblock_rate == pytest.approx(0.2)
-
-
-def test_microblock_rate_undefined_without_cap():
-    params = NGParams(min_microblock_interval=0.0)
-    with pytest.raises(ValueError):
-        _ = params.microblock_rate
 
 
 def test_validation():
@@ -52,9 +45,11 @@ def test_frozen():
 
 def test_boundary_parameter_values_are_legal():
     # Each guard excludes its boundary's bad side only: sub-second key
-    # block intervals, a 1-byte microblock cap, and maturity 0 (spend
-    # coinbases immediately) are all meaningful configurations.
+    # block intervals, no microblock rate cap, a 1-byte microblock cap,
+    # and maturity 0 (spend coinbases immediately) are all meaningful
+    # configurations.
     assert NGParams(key_block_interval=0.5).key_block_interval == 0.5
+    assert NGParams(min_microblock_interval=0.0).min_microblock_interval == 0
     assert NGParams(max_microblock_bytes=1).max_microblock_bytes == 1
     assert NGParams(coinbase_maturity=0).coinbase_maturity == 0
 

@@ -5,7 +5,6 @@ import hashlib
 from repro.crypto.hashing import (
     DIGEST_SIZE,
     hash160,
-    hash_to_int,
     sha256,
     sha256d,
     tagged_hash,
@@ -41,15 +40,6 @@ def test_tagged_hash_domain_separation():
 
 def test_tagged_hash_deterministic():
     assert tagged_hash("x", b"y") == tagged_hash("x", b"y")
-
-
-def test_hash_to_int_big_endian():
-    assert hash_to_int(b"\x00" * 31 + b"\x01") == 1
-    assert hash_to_int(b"\x01" + b"\x00" * 31) == 1 << 248
-
-
-def test_hash_to_int_max():
-    assert hash_to_int(b"\xff" * 32) == 2**256 - 1
 
 
 def test_hash160_distinct_inputs():

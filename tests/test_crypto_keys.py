@@ -1,16 +1,8 @@
-"""Key pairs, base58check, and addresses."""
+"""Key pairs."""
 
 import pytest
 
-from repro.crypto.keys import (
-    BadAddress,
-    PrivateKey,
-    PublicKey,
-    address_from_pubkey_hash,
-    base58check_decode,
-    base58check_encode,
-    pubkey_hash_from_address,
-)
+from repro.crypto.keys import PrivateKey, PublicKey
 
 
 def test_seeded_keys_deterministic():
@@ -47,49 +39,6 @@ def test_pubkey_bytes_roundtrip():
     assert len(pub.to_bytes()) == 33
 
 
-def test_base58check_roundtrip():
-    payload = bytes(range(20))
-    encoded = base58check_encode(0, payload)
-    version, decoded = base58check_decode(encoded)
-    assert version == 0
-    assert decoded == payload
-
-
-def test_base58check_detects_corruption():
-    encoded = base58check_encode(0, bytes(20))
-    corrupted = ("2" if encoded[-1] != "2" else "3") + encoded[1:]
-    with pytest.raises(BadAddress):
-        base58check_decode(corrupted)
-
-
-def test_base58check_rejects_bad_characters():
-    with pytest.raises(BadAddress):
-        base58check_decode("0OIl")  # characters excluded from base58
-
-
-def test_address_roundtrip():
-    pkh = bytes(range(100, 120))
-    address = address_from_pubkey_hash(pkh)
-    assert pubkey_hash_from_address(address) == pkh
-
-
-def test_address_version_zero_starts_with_1():
-    address = PrivateKey.from_seed("addr").public_key().address()
-    assert address.startswith("1")
-
-
-def test_address_from_bad_hash_length():
-    with pytest.raises(BadAddress):
-        address_from_pubkey_hash(bytes(19))
-
-
-def test_leading_zero_preservation():
-    payload = b"\x00\x00" + bytes(18)
-    encoded = base58check_encode(0, payload)
-    _, decoded = base58check_decode(encoded)
-    assert decoded == payload
-
-
 def test_public_key_is_derived_once_per_key_object(count_calls):
     from repro.crypto import ecdsa
 
@@ -118,13 +67,13 @@ def test_derived_key_memo_is_invisible_on_the_private_key():
     assert thawed.sign(b"\x22" * 32) == key.sign(b"\x22" * 32)
 
 
-def test_pubkey_hash_is_hashed_once_and_is_what_the_address_encodes(count_calls):
+def test_pubkey_hash_is_hashed_once(count_calls):
     from repro.crypto import keys as keys_mod
     from repro.crypto.hashing import hash160
 
     pub = PrivateKey.from_seed("hash-once").public_key()
     hashed = count_calls(keys_mod, "hash160")
     assert pub.pubkey_hash == hash160(pub.to_bytes())
-    assert pubkey_hash_from_address(pub.address()) == pub.pubkey_hash
+    assert pub.pubkey_hash is pub.pubkey_hash
     assert len(hashed) == 1
     assert PublicKey.from_bytes(pub.to_bytes()) == pub

@@ -7,9 +7,7 @@ from repro.crypto.pow import (
     MAX_TARGET,
     InvalidTarget,
     compact_from_target,
-    difficulty_from_target,
     meets_target,
-    scale_target,
     target_from_compact,
     work_from_target,
 )
@@ -55,29 +53,6 @@ def test_compact_rejects_negative_and_zero():
         target_from_compact(0x03800000)  # sign bit set
     with pytest.raises(InvalidTarget):
         target_from_compact(0x03000000)  # zero mantissa
-
-
-def test_difficulty_relative_to_genesis():
-    assert difficulty_from_target(GENESIS_TARGET) == pytest.approx(1.0)
-    assert difficulty_from_target(GENESIS_TARGET // 2) == pytest.approx(2.0)
-
-
-def test_scale_target_clamps():
-    target = GENESIS_TARGET
-    assert scale_target(target, 100.0) == target * 4  # clamped up
-    assert scale_target(target, 0.001) == target // 4  # clamped down
-
-
-def test_scale_target_within_clamp():
-    target = 1 << 200
-    assert scale_target(target, 2.0) == target * 2
-
-
-def test_scale_target_bounds():
-    assert scale_target(MAX_TARGET, 4.0) == MAX_TARGET  # never exceeds max
-    assert scale_target(1, 0.25) == 1  # never hits zero
-    with pytest.raises(ValueError):
-        scale_target(1000, 0.0)
 
 
 def test_target_range_validation():

@@ -112,6 +112,19 @@ def test_from_dict_rejects_unknown_keys():
         ExperimentConfig.from_dict({"n_nodes": 10, "block_sizee": 100})
 
 
+def test_unknown_protocol_fails_at_construction():
+    # A typo fails where the config is built, naming the three protocols,
+    # not later as a missing adapter inside run_experiment.
+    for bad in ("bitcion", "Bitcoin", None, 3):
+        with pytest.raises(ValueError, match="bitcoin, bitcoin-ng, ghost"):
+            ExperimentConfig.from_dict({"protocol": bad, "n_nodes": 10})
+    with pytest.raises(ValueError, match="'bitcion'"):
+        ExperimentConfig(protocol="bitcion")
+    for protocol in Protocol:
+        config = ExperimentConfig.from_dict({"protocol": protocol.value})
+        assert config.protocol is protocol
+
+
 def test_scenario_normalized_on_construction():
     config = ExperimentConfig(
         scenario={

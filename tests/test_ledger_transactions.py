@@ -178,7 +178,3 @@ def test_wire_memo_is_the_fresh_serialization():
     ):
         assert copy == signed
         assert (copy.serialize(), copy.size, copy.txid) == memo[1:]
-
-
-def test_pay_to_key_output_uses_the_keys_hash():
-    assert TxOutput.to_key(7, KEY.public_key()) == TxOutput(7, PKH)

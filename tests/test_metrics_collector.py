@@ -11,12 +11,11 @@ def _info(h, parent, miner=0, t=0.0, work=1, kind="block", n_tx=0, size=100):
     return BlockInfo(h, parent, miner, t, work, kind, n_tx, size)
 
 
-def test_index_heights_and_work():
+def test_index_cumulative_work():
     index = BlockIndex()
     index.add(_info(b"a", b"genesis", work=2))
     index.add(_info(b"b", b"a", work=2))
-    assert index.height(b"a") == 0
-    assert index.height(b"b") == 1
+    assert index.cumulative_work(b"a") == 2  # the recorded root
     assert index.cumulative_work(b"b") == 4
     assert index.cumulative_work(b"missing") == 0
 
@@ -73,17 +72,6 @@ def test_chain_is_the_parent_walk_on_a_random_tree():
     index.add(_info(b"late", tip))
     assert index.chain(b"late") == before + (b"late",)
     assert index.chain(tip) == before
-
-
-def test_is_ancestor():
-    index = BlockIndex()
-    index.add(_info(b"a", b"g"))
-    index.add(_info(b"b", b"a"))
-    index.add(_info(b"x", b"a"))
-    assert index.is_ancestor(b"a", b"b")
-    assert index.is_ancestor(b"b", b"b")
-    assert not index.is_ancestor(b"b", b"x")
-    assert not index.is_ancestor(b"unknown", b"b")
 
 
 def test_tip_history_queries():

@@ -6,7 +6,6 @@ from repro.metrics.collector import BlockInfo, ObservationLog
 from repro.metrics.fairness import fairness
 from repro.metrics.throughput import (
     block_rate,
-    goodput_bytes,
     transaction_frequency,
 )
 from repro.metrics.utilization import mining_power_utilization
@@ -116,11 +115,10 @@ def test_transaction_frequency_excludes_pruned():
     assert transaction_frequency(log) == pytest.approx(1.0)
 
 
-def test_goodput_and_block_rate():
+def test_block_rate():
     main = [_info(b"a", b"g", 0, size=500), _info(b"b", b"a", 0, size=500)]
     pruned = [_info(b"m", b"a", 0, kind="micro", size=100)]
     log = _log_with_chain(main, pruned)
-    assert goodput_bytes(log) == pytest.approx(100.0)
     assert block_rate(log) == pytest.approx(0.3)
     assert block_rate(log, kind="micro") == pytest.approx(0.1)
 

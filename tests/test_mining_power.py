@@ -8,9 +8,6 @@ from repro.mining.power import (
     PAPER_EXPONENT,
     exponential_shares,
     fit_exponential,
-    largest_share,
-    single_large_miner,
-    uniform_shares,
 )
 
 
@@ -37,18 +34,6 @@ def test_consecutive_ratio_matches_exponent():
         assert b / a == pytest.approx(math.exp(-0.3))
 
 
-def test_uniform_shares():
-    shares = uniform_shares(4)
-    assert shares == [0.25] * 4
-
-
-def test_single_large_miner():
-    shares = single_large_miner(5, 0.4)
-    assert shares[0] == pytest.approx(0.4)
-    assert sum(shares) == pytest.approx(1.0)
-    assert all(s == pytest.approx(0.15) for s in shares[1:])
-
-
 def test_fit_recovers_exponent_exactly():
     shares = exponential_shares(20, -0.27)
     exponent, r_squared = fit_exponential(shares)
@@ -63,22 +48,10 @@ def test_fit_on_noisy_data():
     assert r_squared > 0.99
 
 
-def test_largest_share():
-    assert largest_share([0.1, 0.5, 0.4]) == 0.5
-
-
 def test_validation():
     with pytest.raises(ValueError):
         exponential_shares(0)
     with pytest.raises(ValueError):
-        uniform_shares(0)
-    with pytest.raises(ValueError):
-        single_large_miner(1, 0.5)
-    with pytest.raises(ValueError):
-        single_large_miner(5, 1.5)
-    with pytest.raises(ValueError):
         fit_exponential([0.5])
     with pytest.raises(ValueError):
         fit_exponential([0.5, 0.0])
-    with pytest.raises(ValueError):
-        largest_share([])

@@ -1,4 +1,5 @@
-"""Every module in ``src/repro`` has a reader outside the tests.
+"""Every module and every public name in ``src/repro`` has a reader
+outside the tests.
 
 The use audit that keeps an option only while a caller outside its own
 unit test sets it, applied to whole files: a module stays while a
@@ -8,11 +9,17 @@ example or a kept ``src/`` module imports it.  ``docs/simulation.md``
 holds the table to the tree.  A re-export is not a use, so the importer
 is never the module's own package ``__init__.py``; a ``src/`` importer
 must itself lead, importer by importer, to a file outside ``src/``.
+
+The same rule applied to names: every public function, class and
+method needs a use outside ``tests/``, counted by identifier to a
+fixpoint, or a row in ``docs/simulation.md`` ("Names kept for tests")
+that says why a test-only name stays and names a test that reads it.
 """
 
 import ast
 import functools
 import re
+from collections import defaultdict
 from pathlib import Path
 
 import repro
@@ -27,6 +34,13 @@ AUDIT_DOC = ROOT / "docs" / "simulation.md"
 READER_ROOTS = ("src/", "bench/", "benchmarks/", "examples/", ".github/")
 
 ROW = re.compile(r"^\| `(repro[\w.]*)` \| `([^`]+)` \|", re.MULTILINE)
+KEPT_ROW = re.compile(
+    r"^\| `(repro\.[\w.]+)` \| (\w+) \| `(tests/\w+\.py)::(\w+)` \|", re.MULTILINE
+)
+KEPT_KINDS = ("oracle", "probe", "fixture")
+#: A string constant read as identifiers: ``"install"``, ``"a.b:c"``.
+IDENTIFIER_STRING = re.compile(r"[A-Za-z_][\w.:]*")
+WORD = re.compile(r"[A-Za-z_]\w*")
 RUN_AS_MAIN = re.compile(r"(?:python3? -m |\"-m\", \")(repro[\w.]*)")
 
 
@@ -145,3 +159,164 @@ def test_src_importers_lead_out_of_src():
 def test_the_package_lists_only_what_exists():
     for name in repro.__all__:
         assert module_path(f"repro.{name}").exists(), name
+
+
+# -- names -------------------------------------------------------------------
+
+
+def kept_table() -> dict[str, tuple[str, str, str]]:
+    """Qualified name -> (kind, test file, test function)."""
+    doc = AUDIT_DOC.read_text(encoding="utf-8")
+    start = doc.index("## Names kept for tests")
+    end = doc.find("\n## ", start + 1)
+    section = doc[start:end if end >= 0 else len(doc)]
+    return {name: rest for name, *rest in KEPT_ROW.findall(section)}
+
+
+class _Uses(ast.NodeVisitor):
+    """Collect one file's definitions and the identifiers it uses.
+
+    Each use is filed under the top-level function, class or method it
+    sits in (``None`` for module-level code and files outside
+    ``src/repro``), so a definition's uses count only once it is used.
+    """
+
+    def __init__(self, path: Path, definitions: list, inside: dict, roots: set):
+        self.module = (
+            module_name(path) if path.is_relative_to(SRC / "repro") else None
+        )
+        self.reexports = path.name == "__init__.py" or self.module == "repro.api"
+        self.definitions = definitions
+        self.inside = inside
+        self.roots = roots
+        self.scope: str | None = None
+
+    def use(self, name: str) -> None:
+        if self.scope is None:
+            self.roots.add(name)
+        elif self.scope != name:
+            self.inside[self.scope].add(name)
+
+    def visit_Name(self, node: ast.Name) -> None:
+        self.use(node.id)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        self.use(node.attr)
+        self.visit(node.value)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        # A plain import is used where the name is; only a rename hides it.
+        if not self.reexports:
+            for alias in node.names:
+                if alias.asname:
+                    self.use(alias.name)
+
+    def visit_Constant(self, node: ast.Constant) -> None:
+        if isinstance(node.value, str) and IDENTIFIER_STRING.fullmatch(node.value):
+            for part in re.split(r"[.:]", node.value):
+                if part:
+                    self.use(part)
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        if not any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            self.generic_visit(node)
+
+    def _define(self, node, qualname: str, exempt: bool, body: list) -> None:
+        for decorator in node.decorator_list:
+            self.visit(decorator)
+        self.definitions.append((node.name, f"{self.module}.{qualname}", exempt))
+        outer, self.scope = self.scope, node.name
+        for child in body:
+            self.visit(child)
+        self.scope = outer
+
+    def visit_FunctionDef(
+        self, node: ast.FunctionDef, owner: str = "", exempt: bool = False
+    ) -> None:
+        if self.module is None or self.scope is not None:
+            self.generic_visit(node)
+            return
+        body = [node.args, *node.body, *filter(None, [node.returns])]
+        self._define(node, owner + node.name, exempt, body)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        if self.module is None or self.scope is not None:
+            self.generic_visit(node)
+            return
+        # Dunders and ``visit_*`` are called by dispatch, so they live
+        # and die with their class: their bodies count as the class's.
+        methods = [
+            item
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not item.name.startswith(("__", "visit_"))
+        ]
+        body = [*node.bases, *node.keywords]
+        body += [item for item in node.body if item not in methods]
+        registered = any(getattr(d, "id", None) == "register" for d in node.decorator_list)
+        self._define(node, node.name, registered, body)
+        for method in methods:
+            self.visit_FunctionDef(method, f"{node.name}.", registered)
+
+
+def _reader_files() -> list[Path]:
+    files = []
+    for root in READER_ROOTS:
+        files += sorted((ROOT / root).rglob("*.py"))
+    files += sorted(p for p in (ROOT / ".github").rglob("*") if p.suffix in (".yml", ".yaml"))
+    return files
+
+
+@functools.cache
+def unread_names() -> frozenset[str]:
+    """Qualified public names nothing outside ``tests/`` reaches."""
+    definitions: list[tuple[str, str, bool]] = []
+    inside: dict[str, set[str]] = defaultdict(set)
+    roots: set[str] = set()
+    for path in _reader_files():
+        if path.suffix == ".py":
+            collector = _Uses(path, definitions, inside, roots)
+            collector.visit(_parse(path))
+        else:
+            roots.update(WORD.findall(path.read_text(encoding="utf-8")))
+    roots |= {name for name, _, exempt in definitions if exempt}
+    live: set[str] = set()
+    frontier = list(roots)
+    while frontier:
+        name = frontier.pop()
+        if name not in live:
+            live.add(name)
+            frontier.extend(inside.get(name, ()))
+    return frozenset(
+        qualname
+        for name, qualname, _ in definitions
+        if name not in live and not name.startswith("_")
+    )
+
+
+def test_every_public_name_is_read_outside_the_tests_or_kept():
+    unread, kept = unread_names(), set(kept_table())
+    assert unread == kept, (
+        f"read only by tests, without a kept row: {sorted(unread - kept)}; "
+        f"kept rows with a reader outside tests/ or no definition: "
+        f"{sorted(kept - unread)}"
+    )
+
+
+def test_each_kept_name_has_a_kind_and_a_test_that_reads_it():
+    for name, (kind, test_file, test_name) in kept_table().items():
+        assert kind in KEPT_KINDS, (name, kind)
+        tests = {
+            node.name: node
+            for node in _parse(ROOT / test_file).body
+            if isinstance(node, ast.FunctionDef)
+        }
+        assert test_name in tests, f"{name}: no {test_file}::{test_name}"
+        bare = name.rpartition(".")[2]
+        read = {
+            getattr(node, "id", None) or getattr(node, "attr", None)
+            for node in ast.walk(tests[test_name])
+        }
+        assert bare in read, f"{test_file}::{test_name} does not read {bare}"

@@ -148,9 +148,9 @@ def test_bitcoin_main_chain_is_heaviest_path(seed, n_blocks):
     tree = BlockTree(GENESIS)
     for block in blocks:
         tree.add_block(block)
-    tip_work = tree.work_of(tree.tip)
+    tip_work = tree.record(tree.tip).cumulative_work
     for block in blocks:
-        assert tree.work_of(block.hash) <= tip_work
+        assert tree.record(block.hash).cumulative_work <= tip_work
 
 
 @settings(max_examples=30, deadline=None)

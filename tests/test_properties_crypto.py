@@ -5,11 +5,7 @@ from hypothesis import strategies as st
 
 from repro.crypto import ecdsa
 from repro.crypto.hashing import sha256d, tagged_hash
-from repro.crypto.keys import (
-    PrivateKey,
-    base58check_decode,
-    base58check_encode,
-)
+from repro.crypto.keys import PrivateKey
 from repro.crypto.merkle import merkle_proof, merkle_root, verify_proof
 from repro.crypto.pow import (
     MAX_TARGET,
@@ -28,14 +24,6 @@ def test_sha256d_deterministic_and_sized(data):
 @given(st.text(min_size=1, max_size=20), st.binary(max_size=100))
 def test_tagged_hash_never_collides_with_plain(tag, data):
     assert tagged_hash(tag, data) != sha256d(data)
-
-
-@given(st.binary(min_size=0, max_size=40))
-def test_base58check_roundtrip(payload):
-    encoded = base58check_encode(0, payload)
-    version, decoded = base58check_decode(encoded)
-    assert version == 0
-    assert decoded == payload
 
 
 @given(st.lists(st.binary(min_size=32, max_size=32), min_size=1, max_size=24))

@@ -1,8 +1,8 @@
-"""The protocol-adapter registry: the runner's only protocol surface."""
+"""The protocol adapters: the runner's only protocol surface."""
 
 import pytest
 
-from repro.experiments import ExperimentConfig, Protocol, run_experiment
+from repro.experiments import ExperimentConfig, Protocol
 from repro.metrics import ObservationLog
 from repro.mining.power import exponential_shares
 from repro.net.simulator import Simulator
@@ -13,10 +13,6 @@ from repro.protocols import (
     GhostAdapter,
     ProtocolAdapter,
     get_adapter,
-    protocol_name,
-    register_adapter,
-    registered_protocols,
-    unregister_adapter,
 )
 
 CONFIG = ExperimentConfig(
@@ -29,43 +25,19 @@ CONFIG = ExperimentConfig(
 )
 
 
-def test_builtins_registered_under_enum_values():
-    assert set(registered_protocols()) >= {p.value for p in Protocol}
+def test_every_protocol_member_has_an_adapter():
+    for protocol in Protocol:
+        assert isinstance(get_adapter(protocol), ProtocolAdapter)
+        # Enum member and its wire name resolve identically.
+        assert get_adapter(protocol.value) is get_adapter(protocol)
     assert isinstance(get_adapter(Protocol.BITCOIN), BitcoinAdapter)
     assert isinstance(get_adapter(Protocol.BITCOIN_NG), BitcoinNGAdapter)
     assert isinstance(get_adapter(Protocol.GHOST), GhostAdapter)
-    # Enum member and its string name resolve identically.
-    assert get_adapter("ghost") is get_adapter(Protocol.GHOST)
-
-
-def test_protocol_name_normalizes():
-    assert protocol_name(Protocol.BITCOIN_NG) == "bitcoin-ng"
-    assert protocol_name("custom") == "custom"
 
 
 def test_unknown_protocol_lists_registered():
-    with pytest.raises(KeyError, match="bitcoin"):
+    with pytest.raises(ValueError, match="no-such-protocol.*bitcoin, bitcoin-ng, ghost"):
         get_adapter("no-such-protocol")
-
-
-def test_duplicate_registration_rejected_unless_replace():
-    adapter = BitcoinAdapter()
-    with pytest.raises(ValueError):
-        register_adapter(adapter)
-    original = get_adapter("bitcoin")
-    try:
-        register_adapter(adapter, replace=True)
-        assert get_adapter("bitcoin") is adapter
-    finally:
-        register_adapter(original, replace=True)
-
-
-def test_adapter_requires_a_name():
-    class Nameless(BitcoinAdapter):
-        name = ""
-
-    with pytest.raises(ValueError):
-        register_adapter(Nameless())
 
 
 def test_build_nodes_matches_runner_construction():
@@ -106,38 +78,6 @@ def test_ng_adapter_tracks_the_leader():
     assert adapter.current_leader(nodes) == 3
 
 
-def test_custom_adapter_runs_through_the_runner_by_string_name():
-    # The whole point of the registry: a protocol the runner has never
-    # heard of runs end to end once registered, selected by string.
-    class SlowBitcoinAdapter(BitcoinAdapter):
-        name = "bitcoin-slow"
-        build_calls = 0
-
-        def build_nodes(self, config, sim, network, log, shares):
-            type(self).build_calls += 1
-            return super().build_nodes(config, sim, network, log, shares)
-
-    register_adapter(SlowBitcoinAdapter())
-    try:
-        config = CONFIG.with_(protocol="bitcoin-slow")
-        assert config.protocol == "bitcoin-slow"  # not a Protocol member
-        result, log = run_experiment(config)
-        assert SlowBitcoinAdapter.build_calls == 1
-        assert result.blocks_generated > 0
-        assert result.config.protocol == "bitcoin-slow"
-    finally:
-        unregister_adapter("bitcoin-slow")
-    with pytest.raises(KeyError):
-        get_adapter("bitcoin-slow")
-
-
-def test_custom_adapter_config_round_trips():
-    config = ExperimentConfig(protocol="my-protocol")
-    data = config.to_dict()
-    assert data["protocol"] == "my-protocol"
-    assert ExperimentConfig.from_dict(data) == config
-
-
 def test_known_string_protocol_becomes_enum_member():
     config = ExperimentConfig(protocol="bitcoin-ng")
     assert config.protocol is Protocol.BITCOIN_NG
@@ -155,8 +95,6 @@ def test_default_lifecycle_hooks_resync(monkeypatch):
             self.calls.append("tips")
 
     class MinimalAdapter(ProtocolAdapter):
-        name = "minimal"
-
         def build_nodes(self, config, sim, network, log, shares):
             raise NotImplementedError
 
@@ -194,4 +132,3 @@ def test_ng_identities_are_derived_on_first_use_not_per_node_built(count_calls):
     assert block.header.leader_pubkey == nodes[417].pubkey_bytes == expected
     nodes[417].generate_key_block()
     assert len(derivations) == 1  # cached, not re-derived per key block
-

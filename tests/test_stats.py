@@ -5,7 +5,6 @@ import pytest
 from repro.stats import (
     LinearFit,
     linear_fit,
-    log_linear_fit,
     percentile,
     summarize,
 )
@@ -41,7 +40,6 @@ def test_linear_fit_exact():
     assert fit.slope == pytest.approx(2.0)
     assert fit.intercept == pytest.approx(1.0)
     assert fit.r_squared == pytest.approx(1.0)
-    assert fit.predict(10) == pytest.approx(21.0)
 
 
 def test_linear_fit_noisy_r_squared_below_one():
@@ -56,21 +54,6 @@ def test_linear_fit_validation():
         linear_fit([1, 2], [1])
     with pytest.raises(ValueError):
         linear_fit([1, 1], [1, 2])
-
-
-def test_log_linear_fit_recovers_exponential():
-    import math
-
-    xs = list(range(1, 11))
-    ys = [math.exp(-0.27 * x) for x in xs]
-    fit = log_linear_fit(xs, ys)
-    assert fit.slope == pytest.approx(-0.27)
-    assert fit.r_squared == pytest.approx(1.0)
-
-
-def test_log_linear_fit_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        log_linear_fit([1, 2], [1.0, 0.0])
 
 
 def test_summarize():

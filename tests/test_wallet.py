@@ -30,17 +30,8 @@ def _funded_wallet(values=(1000, 500, 200), maturity=0):
 def test_deterministic_keys():
     a = Wallet("seed-x")
     b = Wallet("seed-x")
-    assert a.address() == b.address()
-    assert a.address() != Wallet("seed-y").address()
-
-
-def test_derive_additional_addresses():
-    wallet = Wallet("multi")
-    index = wallet.derive_key()
-    assert index == 1
-    assert wallet.address(0) != wallet.address(1)
-    assert wallet.owns(wallet.pubkey_hash(1))
-    assert not wallet.owns(bytes(20))
+    assert a.pubkey_hash() == b.pubkey_hash()
+    assert a.pubkey_hash() != Wallet("seed-y").pubkey_hash()
 
 
 def test_balance():
@@ -158,20 +149,17 @@ def test_wallet_derives_and_hashes_each_key_once(count_calls):
     derivations = count_calls(ecdsa, "point_mul")
     hashed = count_calls(keys_mod, "hash160")
     wallet, utxo = _funded_wallet()
-    wallet.derive_key()
     assert (len(derivations), len(hashed)) == (1, 1)  # key 0, asked for once
     pkh = wallet.pubkey_hash()
     for _ in range(3):
-        assert wallet.pubkey_hash() == pkh and wallet.owns(pkh)
+        assert wallet.pubkey_hash() == pkh
         assert wallet.public_key() is wallet.public_key()
-        assert wallet.address() == wallet.public_key().address()
         assert len(wallet.spendable_coins(utxo, height=1)) == 3
         assert wallet.balance(utxo) == 1700
-    assert not wallet.owns(MERCHANT)
-    assert (len(derivations), len(hashed)) == (2, 2)  # one per key, ever
+    assert (len(derivations), len(hashed)) == (1, 1)  # one per key, ever
     # Signing draws a nonce point; the signer's own key is a lookup.
     tx = wallet.build_payment(utxo, [(MERCHANT, 1200)], fee=10, height=1)
-    assert len(tx.inputs) == 2 and len(derivations) == 2 + 2
-    assert len(hashed) == 2
+    assert len(tx.inputs) == 2 and len(derivations) == 1 + 2
+    assert len(hashed) == 1
     # 1000 + 500 in; the 290 of dust change joins the fee.
     assert validate_spend(tx, utxo, height=1) == 300
