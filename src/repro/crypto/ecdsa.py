@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+from typing import Iterator
 
 # secp256k1 domain parameters (SEC 2).
 P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
@@ -364,8 +365,12 @@ def point_from_bytes(data: bytes) -> Point:
     return Point(x, y)
 
 
-def _rfc6979_nonce(secret: int, msg_hash: bytes) -> int:
-    """Derive a deterministic nonce k from the key and message hash."""
+def _rfc6979_nonces(secret: int, msg_hash: bytes) -> Iterator[int]:
+    """Deterministic nonce candidates k from the key and message hash.
+
+    RFC 6979 §3.2, step h: each candidate in [1, N) is offered in turn,
+    and a signer that cannot use one (r or s would be 0) draws the next.
+    """
     key_bytes = secret.to_bytes(32, "big")
     v = b"\x01" * 32
     k = b"\x00" * 32
@@ -377,7 +382,7 @@ def _rfc6979_nonce(secret: int, msg_hash: bytes) -> int:
         v = hmac.new(k, v, hashlib.sha256).digest()
         candidate = int.from_bytes(v, "big")
         if 1 <= candidate < N:
-            return candidate
+            yield candidate
         k = hmac.new(k, v + b"\x00", hashlib.sha256).digest()
         v = hmac.new(k, v, hashlib.sha256).digest()
 
@@ -393,21 +398,15 @@ def sign(secret: int, msg_hash: bytes) -> tuple[int, int]:
     if len(msg_hash) != 32:
         raise ValueError("message hash must be 32 bytes")
     z = int.from_bytes(msg_hash, "big")
-    k = _rfc6979_nonce(secret, msg_hash)
+    nonces = _rfc6979_nonces(secret, msg_hash)
     while True:
+        k = next(nonces)
         point = point_mul(k)
         assert point.x is not None
         r = point.x % N
-        if r == 0:
-            k = (k + 1) % N or 1
-            continue
         s = (z + r * secret) * pow(k, -1, N) % N
-        if s == 0:
-            k = (k + 1) % N or 1
-            continue
-        if s > N // 2:
-            s = N - s
-        return r, s
+        if r and s:
+            return r, min(s, N - s)
 
 
 def verify(public: Point, msg_hash: bytes, signature: tuple[int, int]) -> bool:

@@ -46,10 +46,9 @@ def target_from_compact(bits: int) -> int:
     mantissa = bits & 0x007FFFFF
     if bits & 0x00800000:
         raise InvalidTarget("negative compact target")
-    if exponent <= 3:
-        target = mantissa >> (8 * (3 - exponent))
-    else:
-        target = mantissa << (8 * (exponent - 3))
+    # mantissa · 256^(exponent − 3), floored: Bitcoin's right shift for
+    # exponent < 3 and left shift above it, as one expression.
+    target = (mantissa << (8 * exponent)) >> 24
     if target == 0:
         raise InvalidTarget("zero compact target")
     check_target(target)
@@ -60,10 +59,8 @@ def compact_from_target(target: int) -> int:
     """Encode a target in compact 'nBits' form (lossy, like Bitcoin)."""
     check_target(target)
     size = (target.bit_length() + 7) // 8
-    if size <= 3:
-        mantissa = target << (8 * (3 - size))
-    else:
-        mantissa = target >> (8 * (size - 3))
+    # The three most significant bytes: target · 256^(3 − size), floored.
+    mantissa = (target << 24) >> (8 * size)
     if mantissa & 0x00800000:
         mantissa >>= 8
         size += 1

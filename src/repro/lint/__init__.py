@@ -25,16 +25,13 @@ one registered visitor class in :mod:`repro.lint.rules`.
 from .engine import LintReport, collect_files, lint_paths
 from .findings import Finding
 from .rules import RULES, Rule, all_rules, register
-from .semantic import SemanticIndex, build_index
 
 __all__ = [
     "Finding",
     "LintReport",
     "RULES",
     "Rule",
-    "SemanticIndex",
     "all_rules",
-    "build_index",
     "collect_files",
     "lint_paths",
     "register",

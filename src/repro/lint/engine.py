@@ -1,12 +1,11 @@
-"""The analyzer driver: collect files, build the index, run the rules.
+"""The analyzer driver: collect files, harvest identifiers, run the rules.
 
 One lint run has three stages:
 
 1. parse every scanned file once;
-2. build the **semantic index** — symbol tables, class-resolution
-   map and approximate call graph (see :mod:`repro.lint.semantic`).
-   The project-wide set/tuple-dict "harvests" come off the index,
-   instead of a second AST pass;
+2. harvest, per module, the identifiers it types or builds as a set
+   (NG301) or annotates as a tuple-keyed dict (NG303), and union them
+   project-wide — a name declared in one module is iterated in another;
 3. run the per-module AST rules (one visitor instance per rule ×
    module), then drop what an inline suppression allows.
 
@@ -24,7 +23,6 @@ from typing import Any, Sequence
 
 from .findings import Finding, is_suppressed
 from .rules import ImportMap, ModuleContext, Rule, all_rules
-from .semantic.index import SemanticIndex, build_index
 
 #: Fixture files (and only fixtures) may claim a module identity so
 #: layer/allowlist rules can be exercised outside the real tree.
@@ -64,12 +62,10 @@ class LintReport:
 
 @dataclass
 class _ParsedModule:
-    path: Path
     display_path: str
     module: str
     tree: ast.Module
     lines: list[str] = field(default_factory=list)
-    source: str = ""
 
 
 def collect_files(paths: Sequence[str | Path]) -> list[Path]:
@@ -119,20 +115,101 @@ def _parse(path: Path) -> _ParsedModule:
     lines = source.splitlines()
     tree = ast.parse(source, filename=str(path))
     return _ParsedModule(
-        path=path,
         display_path=path.as_posix(),
         module=_module_name(path, lines),
         tree=tree,
         lines=lines,
-        source=source,
     )
 
 
-def build_semantic_index(modules: Sequence[_ParsedModule]) -> SemanticIndex:
-    """The project-wide index for one parsed module set."""
-    return build_index(
-        [(m.display_path, m.module, m.tree, m.source) for m in modules]
-    )
+def _annotation_is_setlike(annotation: ast.expr | None) -> bool:
+    if annotation is None:
+        return False
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Name) and node.id in (
+            "set",
+            "frozenset",
+            "Set",
+            "FrozenSet",
+        ):
+            return True
+    return False
+
+
+def _annotation_is_tuple_keyed_dict(annotation: ast.expr | None) -> bool:
+    if annotation is None:
+        return False
+    for node in ast.walk(annotation):
+        if (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("dict", "Dict")
+            and isinstance(node.slice, ast.Tuple)
+            and node.slice.elts
+        ):
+            key = node.slice.elts[0]
+            for part in ast.walk(key):
+                if isinstance(part, ast.Name) and part.id in ("tuple", "Tuple"):
+                    return True
+    return False
+
+
+def _target_identifier(target: ast.expr) -> str | None:
+    if isinstance(target, ast.Name):
+        return target.id
+    if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name):
+        return target.attr
+    return None
+
+
+def harvest_set_idents(tree: ast.Module) -> tuple[str, ...]:
+    """Identifiers this module declares or builds as set/frozenset.
+
+    Over-approximates on purpose (a name counts if the module types it
+    as a set anywhere): the consumer rule (NG301) only fires when the
+    loop body is effectful, and a stray hit is one ``sorted()`` or
+    inline suppression away — cheap compared to a silent ordering
+    heisenbug.  :func:`lint_paths` unions these per-module tuples
+    project-wide.
+    """
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AnnAssign):
+            if _annotation_is_setlike(node.annotation):
+                identifier = _target_identifier(node.target)
+                if identifier:
+                    names.add(identifier)
+        elif isinstance(node, ast.arg):
+            if _annotation_is_setlike(node.annotation):
+                names.add(node.arg)
+        elif isinstance(node, ast.Assign):
+            value = node.value
+            is_set_value = isinstance(value, ast.Set) or (
+                isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Name)
+                and value.func.id in ("set", "frozenset")
+            )
+            if is_set_value:
+                for target in node.targets:
+                    identifier = _target_identifier(target)
+                    if identifier:
+                        names.add(identifier)
+    return tuple(sorted(names))
+
+
+def harvest_tuple_dict_idents(tree: ast.Module) -> tuple[str, ...]:
+    """Identifiers this module annotates as ``dict[tuple[...], ...]``."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AnnAssign):
+            if _annotation_is_tuple_keyed_dict(node.annotation):
+                identifier = _target_identifier(node.target)
+                if identifier:
+                    names.add(identifier)
+        elif isinstance(node, ast.arg):
+            if _annotation_is_tuple_keyed_dict(node.annotation):
+                names.add(node.arg)
+    return tuple(sorted(names))
 
 
 def lint_paths(
@@ -147,9 +224,12 @@ def lint_paths(
     """
     files = collect_files(paths)
     modules = [_parse(path) for path in files]
-    index = build_semantic_index(modules)
-    set_attrs = index.set_identifiers()
-    tuple_dict_attrs = index.tuple_dict_identifiers()
+    set_attrs = frozenset(
+        name for m in modules for name in harvest_set_idents(m.tree)
+    )
+    tuple_dict_attrs = frozenset(
+        name for m in modules for name in harvest_tuple_dict_idents(m.tree)
+    )
 
     selected = all_rules()
     if codes is not None:

@@ -44,5 +44,5 @@ def recovery_blocks(window: int, clamp: float, power_fraction_remaining: float) 
         raise ValueError("clamp must exceed 1")
     epochs = math.ceil(
         math.log(1.0 / power_fraction_remaining) / math.log(clamp)
-    ) if power_fraction_remaining < 1 else 0
+    )
     return epochs * window

@@ -11,6 +11,7 @@ against it.
 from __future__ import annotations
 
 import math
+import statistics
 
 # The paper's fitted exponent for pool size by rank.
 PAPER_EXPONENT = -0.27
@@ -40,19 +41,10 @@ def fit_exponential(shares_by_rank: list[float]) -> tuple[float, float]:
         raise ValueError("need at least two ranks to fit")
     if any(share <= 0 for share in shares_by_rank):
         raise ValueError("shares must be positive to fit in log space")
-    ranks = list(range(1, len(shares_by_rank) + 1))
+    ranks = range(1, len(shares_by_rank) + 1)
     logs = [math.log(share) for share in shares_by_rank]
-    n = len(ranks)
-    mean_x = sum(ranks) / n
-    mean_y = sum(logs) / n
-    ss_xy = sum((x - mean_x) * (y - mean_y) for x, y in zip(ranks, logs))
-    ss_xx = sum((x - mean_x) ** 2 for x in ranks)
-    slope = ss_xy / ss_xx
-    intercept = mean_y - slope * mean_x
-    ss_res = sum(
-        (y - (intercept + slope * x)) ** 2 for x, y in zip(ranks, logs)
-    )
-    ss_tot = sum((y - mean_y) ** 2 for y in logs)
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return slope, r_squared
-
+    slope = statistics.linear_regression(ranks, logs).slope
+    if len(set(logs)) == 1:
+        return slope, 1.0  # equal shares: the flat line fits exactly
+    # For a least-squares line, R² is the squared Pearson correlation.
+    return slope, statistics.correlation(ranks, logs) ** 2

@@ -26,7 +26,7 @@ from .report import (
     parse_allowlist,
     render_report,
 )
-from .sites import SiteMap, build_site_index, enumerate_sites
+from .sites import SiteMap, enumerate_sites
 
 __all__ = [
     "MutantTask",
@@ -45,6 +45,5 @@ __all__ = [
     "parse_allowlist",
     "render_report",
     "SiteMap",
-    "build_site_index",
     "enumerate_sites",
 ]

@@ -40,8 +40,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 from ..clock import wall_clock
 from ..experiments.parallel import SweepExecutor
-from ..lint.semantic.extract import content_sha
-from ..lint.semantic.index import SemanticIndex
+from ..lint.engine import collect_files
 from .operators import (
     CATALOG_VERSION,
     OPERATORS,
@@ -50,7 +49,7 @@ from .operators import (
     MutationOperator,
     generate_mutants,
 )
-from .sites import TARGET_PACKAGES, build_site_index, enumerate_sites
+from .sites import TARGET_PACKAGES, enumerate_sites
 
 #: Bump when verdict semantics change; invalidates every cached verdict.
 ENGINE_VERSION = 1
@@ -60,8 +59,8 @@ TIERS: tuple[str, ...] = ("sanitizer", "golden", "tests")
 
 #: Wall-clock limits on the two subprocess tiers; a mutant that hangs
 #: past them is killed, not waited on.
-PROBE_TIMEOUT = 120.0
-PYTEST_TIMEOUT = 300.0
+PROBE_TIMEOUT = 30.0
+PYTEST_TIMEOUT = 60.0
 
 #: The source tree, relative to the repo root a run is given.
 SRC_ROOT = "src"
@@ -427,11 +426,17 @@ def _evaluate_mutant(task: MutantTask) -> MutantVerdict:
 # -- the engine --------------------------------------------------------------
 
 
-def _tree_sha(index: SemanticIndex) -> str:
+def content_sha(source: str) -> str:
+    return hashlib.sha256(source.encode("utf-8")).hexdigest()
+
+
+def _tree_sha(src: Path) -> str:
+    """One sha over every ``(path, file sha)`` pair of the source tree:
+    the clean baseline depends on every module, not only the sites."""
     digest = hashlib.sha256()
-    for path in sorted(index.modules):
-        digest.update(path.encode())
-        digest.update(index.modules[path].sha.encode())
+    for path in collect_files([src]):
+        digest.update(path.relative_to(src).as_posix().encode())
+        digest.update(content_sha(path.read_text(encoding="utf-8")).encode())
     return digest.hexdigest()[:16]
 
 
@@ -527,9 +532,8 @@ class MutationEngine:
         self.tiers = tiers
         self.operators = operators
 
-    def baseline_fingerprint(self, index: SemanticIndex) -> tuple[Any, ...]:
+    def baseline_fingerprint(self, tree_sha: str) -> tuple[Any, ...]:
         """The clean tree's probe fingerprint (cached by tree sha)."""
-        tree_sha = _tree_sha(index)
         cached = self.cache.baselines.get(tree_sha)
         if cached is not None:
             return tuple(
@@ -570,20 +574,14 @@ class MutationEngine:
         *,
         only_files: Iterable[str] | None = None,
         max_mutants: int | None = None,
-    ) -> tuple[SemanticIndex, list[Mutant], dict[str, str], int]:
-        """(index, mutants, file shas, n_sites) for one run's scope."""
-        index = build_site_index(self.repo_root / SRC_ROOT)
-        # Re-key display paths repo-relative so shadow paths line up.
-        rel_modules = {}
-        for display_path, summary in index.modules.items():
-            rel = Path(display_path)
-            if rel.is_absolute():
-                rel = rel.relative_to(self.repo_root)
-            rel_modules[rel.as_posix()] = replace(
-                summary, display_path=rel.as_posix()
-            )
-        index = SemanticIndex(modules=rel_modules)
-        sites = enumerate_sites(index, packages)
+    ) -> tuple[list[Mutant], dict[str, str], int]:
+        """(mutants, file shas, n_sites) for one run's scope."""
+        sites = enumerate_sites(self.repo_root / SRC_ROOT, packages)
+        # Display paths are repo-relative, so shadow paths line up.
+        site_files = {
+            Path(path).relative_to(self.repo_root).as_posix(): names
+            for path, names in sites.files.items()
+        }
 
         wanted = None
         if only_files is not None:
@@ -591,7 +589,7 @@ class MutationEngine:
 
         mutants: list[Mutant] = []
         file_shas: dict[str, str] = {}
-        for display_path in sorted(sites.files):
+        for display_path in sorted(site_files):
             if wanted is not None and display_path not in wanted:
                 continue
             source = (self.repo_root / display_path).read_text(
@@ -602,13 +600,13 @@ class MutationEngine:
                 generate_mutants(
                     display_path,
                     source,
-                    set(sites.files[display_path]),
+                    set(site_files[display_path]),
                     self.operators,
                 )
             )
         if max_mutants is not None:
             mutants = mutants[:max_mutants]
-        return index, mutants, file_shas, sites.n_sites
+        return mutants, file_shas, sites.n_sites
 
     def run(
         self,
@@ -619,10 +617,11 @@ class MutationEngine:
         progress: Callable[[int, int, MutantVerdict], None] | None = None,
     ) -> MutationRun:
         started = wall_clock()
-        index, mutants, file_shas, n_sites = self.collect_mutants(
+        mutants, file_shas, n_sites = self.collect_mutants(
             packages, only_files=only_files, max_mutants=max_mutants
         )
-        baseline = self.baseline_fingerprint(index)
+        tree_sha = _tree_sha(self.repo_root / SRC_ROOT)
+        baseline = self.baseline_fingerprint(tree_sha)
 
         cached: dict[str, MutantVerdict] = {}
         todo: list[Mutant] = []
@@ -635,7 +634,6 @@ class MutationEngine:
             else:
                 todo.append(mutant)
 
-        tree_sha = _tree_sha(index)
         tasks = [
             MutantTask(
                 mutant=mutant,

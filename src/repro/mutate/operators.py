@@ -1,9 +1,10 @@
 """NG-aware AST mutation operators.
 
 Each operator walks a module's AST, restricted to the consensus-critical
-functions the site enumerator selected, and emits :class:`Mutant`
-records: surgical *text-span* patches (never ``ast.unparse``, which
-would strip comments and reflow every line of the mutated file).  The
+functions the site enumerator selected (:func:`definition_names` says
+which definitions those can be), and emits :class:`Mutant` records:
+surgical *text-span* patches (never ``ast.unparse``, which would strip
+comments and reflow every line of the mutated file).  The
 catalog mirrors the exact mechanisms Bitcoin-NG's security argument
 rests on:
 
@@ -127,6 +128,25 @@ class _FunctionScope:
     statements: list[ast.stmt] = field(default_factory=list)
 
 
+def _definitions(
+    tree: ast.Module,
+) -> Iterator[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]]:
+    """``(qualname, node)`` for every top-level def and method of a
+    top-level class, in AST order: the definitions that are sites."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}", item
+
+
+def definition_names(tree: ast.Module) -> list[str]:
+    """Qualnames of every definition in a module that is a site."""
+    return [qualname for qualname, _node in _definitions(tree)]
+
+
 def _eligible_scopes(
     tree: ast.Module, qualnames: set[str]
 ) -> Iterator[_FunctionScope]:
@@ -150,16 +170,9 @@ def _eligible_scopes(
                     if isinstance(stmt, (ast.Assign, ast.AnnAssign))
                 )
         yield _FunctionScope("<module>", tree, statements)
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if node.name in qualnames:
-                yield _FunctionScope(node.name, node, list(node.body))
-        elif isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    qualname = f"{node.name}.{item.name}"
-                    if qualname in qualnames:
-                        yield _FunctionScope(qualname, item, list(item.body))
+    for qualname, node in _definitions(tree):
+        if qualname in qualnames:
+            yield _FunctionScope(qualname, node, list(node.body))
 
 
 def _walk_scope(scope: _FunctionScope) -> Iterator[ast.AST]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import abc
 import enum
+import functools
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, NoReturn
 
@@ -143,11 +144,8 @@ def _build_block_nodes(
 ) -> tuple[list[BitcoinNode], MiningScheduler]:
     """Synthetic full-block nodes plus their block lottery.
 
-    ``make_node`` takes a node's constructor arguments.  Each adapter
-    passes a lambda that spells the constructor call out, rather than
-    the class, because the semantic index (the NG6xx lint rules, the
-    mutation engine's site enumeration) follows the instantiations it
-    can see from ``build_nodes``.
+    ``make_node`` is the node class (or a partial of it): it takes a
+    node's constructor arguments.
     """
     genesis = make_genesis()
     policy = BlockPolicy(
@@ -189,9 +187,7 @@ class BitcoinAdapter(ProtocolAdapter):
         shares: list[float],
     ) -> tuple[list[BitcoinNode], MiningScheduler]:
         return _build_block_nodes(
-            lambda *args, **kwargs: BitcoinNode(
-                *args, tie_break=TieBreak.RANDOM, **kwargs
-            ),
+            functools.partial(BitcoinNode, tie_break=TieBreak.RANDOM),
             config,
             sim,
             network,
@@ -212,7 +208,7 @@ class GhostAdapter(ProtocolAdapter):
         shares: list[float],
     ) -> tuple[list[BitcoinNode], MiningScheduler]:
         return _build_block_nodes(
-            lambda *args, **kwargs: GhostNode(*args, **kwargs),
+            GhostNode,
             config,
             sim,
             network,

@@ -172,6 +172,19 @@ def test_equivocation_detected():
     assert chain.tip == m_a.hash
 
 
+def test_fraud_proof_stands_only_on_the_leaders_signature():
+    """The §4.5 poison punishes a leader only for what it really signed:
+    a pruned microblock signed by any other key proves nothing."""
+    from repro.core.chain import FraudProof
+
+    key1 = _key(GENESIS.hash, ALICE, 0.0)
+    leader = ALICE.public_key().to_bytes()
+    genuine = FraudProof(leader, _micro(key1.hash, ALICE, 10.0), b"\x00" * 32)
+    forged = FraudProof(leader, _micro(key1.hash, BOB, 10.0), b"\x00" * 32)
+    assert genuine.verify() is True
+    assert forged.verify() is False
+
+
 def test_orphan_microblock_adopted_with_parent():
     chain = _chain()
     key1 = _key(GENESIS.hash, ALICE, 0.0)

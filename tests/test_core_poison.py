@@ -138,9 +138,12 @@ def test_registry_revocations_shape():
 
 
 def test_poison_size_is_small():
+    from repro.core.blocks import MICRO_HEADER_SIZE
+
     chain, proofs = _scenario()
     poison = PoisonEntry(proof=proofs[0], reporter_miner=2)
-    assert poison.size < 200
+    # The entry carries a whole pruned header plus bookkeeping, no more.
+    assert MICRO_HEADER_SIZE < poison.size < 200
 
 
 def test_poison_at_the_exact_maturity_boundary_accepted():

@@ -138,6 +138,15 @@ def test_header_sync_errors(scenario):
     assert not client.add_header(k1.header, GENESIS.hash)  # duplicate
 
 
+def test_equal_work_fork_keeps_the_first_header(scenario):
+    # Most work wins; on a tie the header seen first stays best.
+    client, k1, _micro, k2, _txs = scenario
+    rival = _key(k1.hash, LEADER, 111.0, miner=3)
+    assert rival.header.work == k2.header.work
+    assert not client.add_header(rival.header, k1.hash)
+    assert client.best_hash == k2.hash
+
+
 def test_header_chain_growth_is_key_rate_only(scenario):
     # The SPV selling point: 2 key headers for a whole epoch of
     # microblocks.

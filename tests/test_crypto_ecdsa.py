@@ -34,6 +34,9 @@ NEG_G = Point(G.x, P - G.y)
 
 def test_generator_on_curve():
     assert is_on_curve(G)
+    assert is_on_curve(INFINITY)
+    assert not is_on_curve(Point(G.x, G.y + 1))
+    assert not verify(Point(G.x, G.y + 1), b"\x01" * 32, (1, 1))
 
 
 def test_infinity_is_identity():
@@ -82,6 +85,8 @@ def test_point_from_bytes_rejects_garbage():
     # checks handled internally; an off-curve x must be rejected.
     with pytest.raises(InvalidPoint):
         point_from_bytes(b"\x02" + (5).to_bytes(32, "big"))
+    with pytest.raises(InvalidPoint, match="out of field range"):
+        point_from_bytes(b"\x02" + P.to_bytes(32, "big"))
 
 
 def test_sign_verify_roundtrip():
@@ -190,6 +195,18 @@ def test_glv_split_recombines_into_two_short_halves():
         assert abs(k1) < 2**129 and abs(k2) < 2**129
 
 
+def test_glv_split_rounds_to_the_nearest_lattice_point():
+    # Babai round-off: subtract round(b2·k/N)·v1 + round(−b1·k/N)·v2 from
+    # (k, 0), with v1 = (a1, b1) and v2 = (a2, b2).
+    from fractions import Fraction
+
+    a1, b1, a2, b2 = ecdsa._A1, ecdsa._B1, ecdsa._A2, ecdsa._B2
+    for k in SCALARS:
+        c1 = round(Fraction(b2 * k, N))
+        c2 = round(Fraction(-b1 * k, N))
+        assert ecdsa._glv_split(k) == (k - c1 * a1 - c2 * a2, -c1 * b1 - c2 * b2)
+
+
 @pytest.mark.parametrize("width", [5, 8])
 def test_wnaf_digits(width):
     halves = [half for k in SCALARS for half in ecdsa._glv_split(k)]
@@ -208,6 +225,8 @@ def test_wnaf_digits(width):
 
 def test_generator_wnaf_tables():
     g_table, lambda_g_table = ecdsa._g_odd_tables()
+    # 64 odd multiples, each digit sign at its own index.
+    assert len(g_table) == len(lambda_g_table) == 2**ecdsa._G_WNAF_WINDOW
     for digit in range(-127, 128, 2):
         assert Point(*g_table[digit]) == point_mul(digit % N)
         assert Point(*lambda_g_table[digit]) == point_mul(digit * LAMBDA % N)
@@ -217,6 +236,7 @@ def test_generator_wnaf_tables():
 def test_per_verify_key_tables(secret):
     public = point_mul(secret)
     odd = ecdsa._odd_multiples(public.x, public.y, 8)
+    assert len(odd) == 8
     table = ecdsa._signed_table(odd)
     lambda_table = ecdsa._signed_table(ecdsa._endomorphism(odd))
     for digit in range(-15, 16, 2):
@@ -224,10 +244,20 @@ def test_per_verify_key_tables(secret):
         assert Point(*lambda_table[digit]) == point_mul(digit * LAMBDA * secret % N)
 
 
+def test_verify_builds_one_small_key_table(count_calls):
+    # Q's table is built per verify, so it stays at 8 odd multiples.
+    ecdsa._g_odd_tables()  # G's tables are built once, outside the count
+    public = point_mul(0xC0FFEE)
+    built = count_calls(ecdsa, "_odd_multiples")
+    assert verify(public, b"\x31" * 32, sign(0xC0FFEE, b"\x31" * 32))
+    assert built == [(public.x, public.y, 8)]
+
+
 def test_fixed_base_comb_table():
     point_mul(1)  # builds the table on first use
     table = ecdsa._G_TABLE
     assert len(table) == 64
+    assert all(len(row) == 16 for row in table)  # digit 0 … 15
     for window, row in enumerate(table):
         for digit in range(1, 16):
             # m·G through the variable-base path, not through this table.
@@ -391,3 +421,57 @@ def test_point_mul_with_a_negative_glv_half_equals_the_oracle():
     for public in (point_mul(0xC0FFEE), NEG_G):
         for k in negative.values():
             assert point_mul(k, public) == ladder_mul(k, public)
+
+
+# -- Boundaries no random input reaches ---------------------------------
+#
+# Each case below is built on purpose: hashing or sampling would hit it
+# with probability about 2^-256.
+
+
+def test_verify_accepts_the_smallest_s():
+    # z = k - r·d makes s = k⁻¹(z + r·d) = 1 for the nonce k.
+    secret, k = 0xC0FFEE, 0xBEEF
+    r = point_mul(k).x % N
+    msg_hash = ((k - r * secret) % N).to_bytes(32, "big")
+    assert _agrees(point_mul(secret), msg_hash, (r, 1))
+
+
+def test_verify_accepts_the_smallest_r():
+    # R = (1, √8) is on the curve, so r = 1 is valid under the public key
+    # Q = r⁻¹(s·R − z·G) for any s and z.
+    y = pow(8, (P + 1) // 4, P)
+    R = Point(1, y)
+    assert is_on_curve(R)
+    s, z = 5, 7
+    public = point_add(point_mul(s, R), point_mul(N - z))
+    assert _agrees(public, z.to_bytes(32, "big"), (1, s))
+
+
+def test_nonce_candidates_outside_one_to_n_are_skipped(monkeypatch):
+    """RFC 6979 §3.2 h.3: a candidate outside [1, N) is dropped and K, V
+    are re-keyed before the next draw."""
+    candidates = [0, N, 1]
+    # Four HMACs set K and V up; each draw is one HMAC, each re-key two.
+    digests = [b"\x11" * 32] * 4
+    for value in candidates:
+        digests += [value.to_bytes(32, "big"), b"\x22" * 32, b"\x33" * 32]
+    stream = iter(digests)
+
+    class ScriptedMac:
+        def __init__(self, key, msg, digestmod):
+            self._digest = next(stream)
+
+        def digest(self):
+            return self._digest
+
+    monkeypatch.setattr(ecdsa.hmac, "new", ScriptedMac)
+    assert next(ecdsa._rfc6979_nonces(5, bytes(32))) == 1
+
+
+def test_point_with_y_one_doubles_correctly():
+    # x³ = 1 − 7 has a root mod P (P ≡ 7 mod 9: the root is a^((P+2)/9)).
+    x = pow(-6 % P, (P + 2) // 9, P)
+    T = Point(x, 1)
+    assert is_on_curve(T)
+    assert ecdsa._from_jacobian(ecdsa._jac_double((x, 1, 1))) == ladder_mul(2, T)

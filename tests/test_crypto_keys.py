@@ -8,6 +8,15 @@ from repro.crypto.keys import PrivateKey, PublicKey
 def test_seeded_keys_deterministic():
     assert PrivateKey.from_seed("a").secret == PrivateKey.from_seed("a").secret
     assert PrivateKey.from_seed("a").secret != PrivateKey.from_seed("b").secret
+    # Every simulated leader key comes from from_seed: a change to the
+    # derivation moves every block hash, so its output is pinned.
+    key = PrivateKey.from_seed("alice")
+    assert key.secret == int(
+        "26bdae9236d3d3e183720609e699145e783c74919e639bce40de49fc16a6b8f2", 16
+    )
+    assert key.public_key().to_bytes().hex() == (
+        "032777dc308d8b185e259645dad56597b19aced2e1cacf8c278a326844afb6653c"
+    )
 
 
 def test_seed_accepts_bytes_and_str():
@@ -29,8 +38,14 @@ def test_verify_tolerates_malformed_signature():
 
 
 def test_private_key_range_check():
+    from repro.crypto import ecdsa
+
     with pytest.raises(ValueError):
         PrivateKey(0)
+    with pytest.raises(ValueError):
+        PrivateKey(ecdsa.N)
+    assert PrivateKey(1).public_key().point == ecdsa.G
+    assert PrivateKey(ecdsa.N - 1).public_key().point.x == ecdsa.G.x
 
 
 def test_pubkey_bytes_roundtrip():

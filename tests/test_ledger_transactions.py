@@ -95,6 +95,11 @@ def test_total_outputs_capped():
             inputs=(),
             outputs=(TxOutput(MAX_MONEY, PKH), TxOutput(1, PKH)),
         )
+    # Exactly MAX_MONEY in total is legal.
+    half = MAX_MONEY // 2
+    Transaction(
+        inputs=(), outputs=(TxOutput(half, PKH), TxOutput(MAX_MONEY - half, PKH))
+    )
 
 
 def test_outpoint_validation():

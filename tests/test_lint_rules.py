@@ -14,8 +14,11 @@ from pathlib import Path
 import pytest
 
 from repro.lint import RULES, lint_paths
-from repro.lint.engine import infer_module
-from repro.lint.semantic import harvest_set_idents, harvest_tuple_dict_idents
+from repro.lint.engine import (
+    harvest_set_idents,
+    harvest_tuple_dict_idents,
+    infer_module,
+)
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 ALL_CODES = sorted(RULES)

@@ -28,3 +28,12 @@ def test_validation():
         expected_block_interval(1, 0)
     with pytest.raises(ValueError):
         recovery_blocks(2016, 1.0, 0.5)
+    # Full power is the top of the legal range; more than all of it is not.
+    assert expected_block_interval(2.0, 1.0) == pytest.approx(0.5)
+    with pytest.raises(ValueError):
+        expected_block_interval(1, 1.5)
+    with pytest.raises(ValueError):
+        recovery_blocks(2016, 4.0, 1.5)
+    # Any clamp above 1 is legal, however close to 1.
+    assert recovery_blocks(10, 2.0, 0.25) == 20
+    assert recovery_blocks(10, 1.5, 0.5) == 20

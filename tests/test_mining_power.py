@@ -13,7 +13,9 @@ from repro.mining.power import (
 
 def test_exponential_shares_normalized():
     shares = exponential_shares(20)
+    assert len(shares) == 20
     assert sum(shares) == pytest.approx(1.0)
+    assert exponential_shares(1) == [1.0]
 
 
 def test_exponential_shares_descending():
@@ -53,5 +55,19 @@ def test_validation():
         exponential_shares(0)
     with pytest.raises(ValueError):
         fit_exponential([0.5])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive"):
         fit_exponential([0.5, 0.0])
+
+
+def test_fit_matches_a_hand_worked_regression():
+    # log-shares (0, -2, -1) at ranks (1, 2, 3): deviations (1, -1, 0)
+    # against (-1, 0, 1), so sxy = -1, sxx = syy = 2: slope -1/2, r = -1/2.
+    exponent, r_squared = fit_exponential([1.0, math.exp(-2), math.exp(-1)])
+    assert exponent == pytest.approx(-0.5)
+    assert r_squared == pytest.approx(0.25)
+
+
+def test_fit_edge_inputs():
+    # Two ranks always fit exactly; equal shares fit a flat line.
+    assert fit_exponential([0.6, 0.4])[1] == pytest.approx(1.0)
+    assert fit_exponential([0.25] * 4) == (0.0, 1.0)

@@ -6,6 +6,7 @@ the overpaying fee split that ``test_sanitizer`` builds by hand is the
 ``arith-swap`` operator on ``core/remuneration.py`` killed by the probe.
 """
 
+import ast
 import json
 import shutil
 import subprocess
@@ -36,7 +37,11 @@ from repro.mutate.report import (
     module_scores,
     parse_allowlist,
 )
-from repro.mutate.sites import build_site_index, enumerate_sites
+from repro.mutate.sites import (
+    ANCHOR_SUFFIXES,
+    TARGET_PACKAGES,
+    enumerate_sites,
+)
 
 REPO = Path(__file__).parent.parent
 SRC = REPO / "src"
@@ -144,8 +149,7 @@ def test_mutant_ids_are_line_free():
 def test_every_generated_mutant_parses_and_applies():
     path = "src/repro/ledger/utxo.py"
     source = (REPO / path).read_text(encoding="utf-8")
-    index = build_site_index(SRC)
-    sites = enumerate_sites(index)
+    sites = enumerate_sites(SRC)
     key = next(p for p in sites.files if p.endswith("ledger/utxo.py"))
     mutants = generate_mutants(path, source, set(sites.files[key]))
     assert mutants
@@ -162,7 +166,7 @@ def test_no_operator_without_a_mutant():
         "sig-drop",
     ]
     engine = MutationEngine(REPO, cache_path=None)
-    _index, mutants, _shas, _n_sites = engine.collect_mutants()
+    mutants, _shas, _n_sites = engine.collect_mutants()
     produced = {mutant.operator for mutant in mutants}
     assert produced == {operator.name for operator in OPERATORS}
 
@@ -170,38 +174,46 @@ def test_no_operator_without_a_mutant():
 # -- site enumeration --------------------------------------------------------
 
 
-def test_sites_cover_adapter_reachable_ledger_and_anchor():
-    index = build_site_index(SRC)
-    sites = enumerate_sites(index)
-    by_suffix = {
-        Path(p).name: (p, sites.reasons[p]) for p in sites.files
-    }
-    assert "adapter-reachable" in by_suffix["chain.py"][1]
-    assert "ledger-class" in by_suffix["utxo.py"][1]
-    assert "anchor-module" in by_suffix["incentives.py"][1]
-    incentives_path = by_suffix["incentives.py"][0]
-    assert "<module>" in sites.files[incentives_path]
-    assert sites.n_roots > 0
-    assert sites.n_sites >= 100
-    # Everything admitted lives in the consensus packages.
-    for path in sites.files:
-        assert any(
-            seg in path
-            for seg in (
-                "/core/",
-                "/ledger/",
-                "/crypto/",
-                "/mining/",
-                "/bitcoin/chain.py",
-                "/bitcoin/node.py",
-                "/ghost/",
-            )
-        ), path
+def test_sites_are_every_definition_in_the_target_packages():
+    """One rule: every top-level def and every method of a top-level
+    class under TARGET_PACKAGES, plus the anchors' ``<module>``."""
+    expected: dict[str, list[str]] = {}
+    for package in TARGET_PACKAGES:
+        base = SRC.joinpath(*package.split("."))
+        files = sorted(base.rglob("*.py")) if base.is_dir() else [
+            base.with_suffix(".py")
+        ]
+        for path in files:
+            names = set()
+            for node in ast.parse(path.read_text(encoding="utf-8")).body:
+                if isinstance(node, ast.FunctionDef):
+                    names.add(node.name)
+                elif isinstance(node, ast.ClassDef):
+                    names.update(
+                        f"{node.name}.{item.name}"
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                    )
+            if path.as_posix().endswith(ANCHOR_SUFFIXES):
+                names.add("<module>")
+            if names:
+                expected[path.as_posix()] = sorted(names)
+    sites = enumerate_sites(SRC)
+    assert sites.files == expected
+    assert sites.n_sites == sum(map(len, expected.values()))
+    # What the old call-graph walk could not see is in the net now.
+    for suffix, qualname in (
+        ("crypto/ecdsa.py", "verify"),
+        ("core/chain.py", "FraudProof.verify"),
+        ("ledger/transactions.py", "Transaction.sighash"),
+        ("core/incentives.py", "<module>"),
+    ):
+        path = next(p for p in sites.files if p.endswith(suffix))
+        assert qualname in sites.files[path], (suffix, qualname)
 
 
 def test_sites_respect_package_filter():
-    index = build_site_index(SRC)
-    ledger_only = enumerate_sites(index, ("repro.ledger",))
+    ledger_only = enumerate_sites(SRC, ("repro.ledger",))
     assert ledger_only.files
     assert all("/ledger/" in p for p in ledger_only.files)
 
