@@ -6,13 +6,14 @@ dependencies.  Signing is deterministic (RFC 6979 style, via HMAC-SHA256)
 so test vectors are stable and simulations are reproducible.
 
 Performance note: in CPython on the reference box a sign costs about
-0.3--0.4 ms (k·G: ~64 mixed additions from a fixed-base table) and a
-verify 1.0--1.3 ms (u1·G + u2·Q: GLV split, wNAF, one shared loop of
-~129 doublings), depending on the host's speed regime.  The paper puts
-the same check at "several milliseconds per microblock".  A run pays a
-verify once per signed object -- the verdict is memoised on the
-transaction or microblock, see docs/simulation.md -- and experiments may
-disable verification exactly as the paper's testbed did.
+0.2--0.25 ms (k·G: GLV split, at most 34 mixed additions from a
+fixed-base table, no doubling) and a verify 1.0--1.3 ms (u1·G + u2·Q:
+GLV split, wNAF, one shared loop of ~129 doublings), depending on the
+host's speed regime.  The paper puts the same check at "several
+milliseconds per microblock".  A run pays a verify once per signed
+object -- the verdict is memoised on the transaction or microblock, see
+docs/simulation.md -- and experiments may disable verification exactly
+as the paper's testbed did.
 """
 
 from __future__ import annotations
@@ -159,37 +160,31 @@ def _to_affine(points: list[_JacPoint]) -> list[_Affine]:
 
 
 # Fixed-base acceleration for the generator (k·G in sign and key
-# derivation): a 4-bit windowed table ``_G_TABLE[w][d] = d * 16^w * G``
-# lets k·G run with ~64 mixed additions and no doublings.  Built lazily
-# on first use (≈1k point operations and one inversion, once).
-_G_WINDOW_BITS = 4
-_G_WINDOWS = 64  # 256 / 4
+# derivation).  k splits into k₁ + k₂·λ (GLV, below), each half of at
+# most 128 bits, and each half is recoded in signed base-256 digits
+# −127…128.  ``_G_TABLE[w][d] = d·256^w·G`` for d = 1…128 over 17 rows
+# (the 17th takes a top carry); λ·(x, y) = (β·x, y), so the λG half
+# reads the same table, and a negative digit flips y.  So k·G is at most
+# 34 mixed additions and no doublings.  Built lazily on first use
+# (≈2.2k additions and one inversion per row, once).
+_G_ROWS = 17
 _G_TABLE: list[list[_Affine]] | None = None
 
 
 def _build_g_table() -> list[list[_Affine]]:
-    # Each row is d·base for d = 1…15 by mixed additions of the affine
-    # base.  The next base, 16·base, comes out Jacobian (bx, by, bz); the
-    # next row runs on the curve where it is the affine (bx, by), as in
-    # _odd_multiples, so ``scale`` collects every row's bz and the whole
-    # table is normalised with one inversion at the end.
-    row_width = (1 << _G_WINDOW_BITS) - 1
-    jacobian: list[_JacPoint] = []
-    base: _Affine = (GX, GY)
-    scale = 1
-    for _ in range(_G_WINDOWS):
+    # Each row is d·base for d = 1…128 by mixed additions of the affine
+    # base, then 256·base = 2·(128·base) for the next row; one inversion
+    # makes all 129 affine.
+    table: list[list[_Affine]] = []
+    base = (GX, GY)
+    for _ in range(_G_ROWS):
         row = [(base[0], base[1], 1)]
-        for _ in range(row_width - 1):
+        for _ in range(127):
             row.append(_jac_add_affine(row[-1], base))
-        jacobian.extend((x, y, z * scale % P) for x, y, z in row)
-        bx, by, bz = _jac_double(row[7])  # 2 · (8·base)
-        base = (bx, by)
-        scale = scale * bz % P
-    affine = _to_affine(jacobian)
-    return [
-        [(0, 0)] + affine[start : start + row_width]
-        for start in range(0, len(affine), row_width)
-    ]
+        row.append(_jac_double(row[-1]))
+        *multiples, base = _to_affine(row)
+        table.append([(0, 0)] + multiples)
+    return table
 
 
 def _mul_g(k: int) -> _JacPoint:
@@ -197,13 +192,20 @@ def _mul_g(k: int) -> _JacPoint:
     if _G_TABLE is None:
         _G_TABLE = _build_g_table()
     result = _JAC_INFINITY
-    window = 0
-    while k:
-        digit = k & 0xF
-        if digit:
-            result = _jac_add_affine(result, _G_TABLE[window][digit])
-        k >>= 4
-        window += 1
+    for half, beta in zip(_glv_split(k), (1, BETA)):
+        for row in _G_TABLE:
+            # The digit ≡ half (mod 256) in −127…128; what it leaves
+            # behind is an exact multiple of 256 (a carry when negative).
+            digit = ((half + 127) & 0xFF) - 127
+            half = (half - digit) >> 8
+            if digit > 0:
+                x, y = row[digit]
+            elif digit < 0:
+                x, y = row[-digit]
+                y = P - y
+            else:
+                continue
+            result = _jac_add_affine(result, (beta * x % P, y))
     return result
 
 

@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import ecdsa
@@ -253,16 +253,80 @@ def test_verify_builds_one_small_key_table(count_calls):
     assert built == [(public.x, public.y, 8)]
 
 
-def test_fixed_base_comb_table():
+def test_operation_counts(count_calls):
+    # Point operations, not wall time, so the host's speed cancels: a
+    # binary double-and-add verify makes ≈256 doublings, a 4-bit comb
+    # k·G ≈61 additions.
+    ecdsa._g_odd_tables()  # the generator tables are built once, outside
+    point_mul(1)
+    public = point_mul(0xC0FFEE)
+    doubles = count_calls(ecdsa, "_jac_double")
+    adds = count_calls(ecdsa, "_jac_add_affine")
+    for index in range(20):
+        msg_hash = bytes([0x31 + index]) * 32
+        signature = sign(0xC0FFEE, msg_hash)
+        doubles.clear()
+        adds.clear()
+        assert verify(public, msg_hash, signature)
+        assert len(doubles) <= 130 and len(adds) <= 85
+    for k in SCALARS + KG_BOUNDARIES:
+        doubles.clear()
+        adds.clear()
+        ecdsa._mul_g(k)
+        assert not doubles and len(adds) <= 34
+
+
+@pytest.mark.parametrize(
+    "secret, msg_hash, expected",
+    [
+        (
+            1,
+            b"\x41" * 32,
+            "65ba79dec96e83448e3e6e2cea32d0765cf4d218293dd68477e23584119771"
+            "761ced565e2678fcf9614b6397339df00f552ab02551b9f8e9bb00f082bc8da41d",
+        ),
+        (
+            0xC0FFEE,
+            b"\x42" * 32,
+            "21cbb7a0b5aa440586290c34863e161e0a48e27a9c75f9ebe607bf4f26195e"
+            "4637b3d59fecd40cee336c0f62c8d053d6f78bcd555948d3b0468285bb5560dfca",
+        ),
+        (
+            N - 1,
+            bytes(32),
+            "919026f3e239ea52cf530eb6d345dc2b56ef0928f1e9ad20d8f360284dc650"
+            "4814395e7137e2204f15b69239010f3c34fbb3c858a29b0d106b1fa65bc0047263",
+        ),
+        (
+            0xDEADBEEF,
+            bytes(range(32)),
+            "9e7acfc572789e63495428cd5a274e21b383e5930f0b9697d0f4f1ea6072a7"
+            "1910e86a681e1d9712c653ef4bf73b8058bce58fe225f09fdee22ef13f496c08eb",
+        ),
+    ],
+    ids=["secret-1", "coffee", "secret-N-1", "deadbeef"],
+)
+def test_sign_output_is_pinned(secret, msg_hash, expected):
+    # r = x(k·G) for the RFC 6979 nonce k: how k·G is computed must not
+    # move a byte of any signature.
+    assert signature_to_bytes(sign(secret, msg_hash)).hex() == expected
+
+
+def test_generator_table():
     point_mul(1)  # builds the table on first use
     table = ecdsa._G_TABLE
-    assert len(table) == 64
-    assert all(len(row) == 16 for row in table)  # digit 0 … 15
+    assert len(table) == 17
+    assert all(len(row) == 129 for row in table)  # digit 0 … 128
     for window, row in enumerate(table):
-        for digit in range(1, 16):
-            # m·G through the variable-base path, not through this table.
-            multiple = digit * 16**window
-            assert Point(*row[digit]) == point_mul(N - multiple, NEG_G)
+        # Everything through the variable-base path, not this table: the
+        # row's base 256^w·G as −(N − 256^w)·G, then each d·base as the
+        # negation of d·(−base), a short scalar.
+        base = point_mul(N - 256**window, NEG_G)
+        assert Point(*row[1]) == base
+        neg_base = Point(base.x, P - base.y)
+        for digit in range(1, 129):
+            x, y = row[digit]
+            assert Point(x, P - y) == point_mul(digit, neg_base)
 
 
 def test_tables_are_not_built_at_import():
@@ -379,6 +443,74 @@ def test_verify_equals_the_ladder_oracle(secret, msg_hash, tamper):
     assert valid == (tamper == "none")
 
 
+def _signed_digits(half):
+    """``half``'s 17 signed base-256 digits −127…128, least significant
+    first, the way k·G reads them (written apart from ``_mul_g``)."""
+    digits = []
+    for _ in range(17):
+        digit = half % 256
+        if digit > 128:
+            digit -= 256
+        digits.append(digit)
+        half = (half - digit) // 256
+    assert half == 0
+    return digits
+
+
+# Scalars at the edges of k·G's recoding and table: a digit of exactly
+# 128 (the largest entry) and a residue of 129 (the smallest that turns
+# negative and carries), in the first window of either half and in a
+# middle one; −128 as a whole half; a zero digit below a nonzero one; a carry
+# into the 17th row of either half; every sign pair of the two halves;
+# and the ends of the range.
+KG_BOUNDARIES = [
+    128,
+    129,
+    128 << 64,
+    129 << 64,
+    128 * LAMBDA % N,
+    129 * LAMBDA % N,
+    N - 128,
+    256,
+    # Drawn from random.Random(38) until each property held (checked
+    # below): k1, then k2, carries into row 16; k1, k2 both positive;
+    # positive and negative; negative and positive; both negative.
+    0x2596CA18075DB052FDFCCDE6BD5B76FA4DE01DA33F8006E19151A20ABA848A08,
+    0x6E3397FDDB07BCF6C4420AF84B3D38D32BA0F1041F6436BCC1642CEA35F594BA,
+    0x5DCC39D710F48BB91A004483B96BA5CBC12776E46DD451B26BCEFAB3A3B48C4B,
+    0xDD08A63EAFAC4819E8DBD4D68950A404B8F6768A5FD926B0616187F902FD987C,
+    0x1A3A2ECA79BC971E25627009064ABB418124660C9D5A8BD9FE3FCCD4F59C2586,
+    0x4ECFD2BDBA023FF29F40AA425458B675B5C973C54457B53053FA573E58358C1C,
+    1,
+    N - 1,
+    LAMBDA,
+    2**128,
+]
+
+
+def test_kg_boundaries_reach_each_edge():
+    halves = [ecdsa._glv_split(k) for k in KG_BOUNDARIES]
+    k1_digits = [_signed_digits(k1) for k1, _ in halves]
+    k2_digits = [_signed_digits(k2) for _, k2 in halves]
+    for digits in (k1_digits, k2_digits):
+        assert any(row[0] == 128 for row in digits)
+        assert any(row[0] == -127 and row[1] == 1 for row in digits)
+        assert any(row[16] for row in digits)
+    assert any(row[8] == 128 for row in k1_digits)
+    assert any(row[8] == -127 and row[9] == 1 for row in k1_digits)
+    assert any(row[:2] == [128, -1] for row in k1_digits)  # the half −128
+    assert any(row[0] == 0 and row[1] for row in k1_digits)
+    signs = {(k1 > 0, k2 > 0) for k1, k2 in halves if k1 and k2}
+    assert len(signs) == 4
+
+
+def _with_kg_boundaries(test):
+    for k in KG_BOUNDARIES:
+        test = example(k=k, secret=2)(test)
+    return test
+
+
+@_with_kg_boundaries
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2 * N),
@@ -387,6 +519,7 @@ def test_verify_equals_the_ladder_oracle(secret, msg_hash, tamper):
 def test_point_mul_equals_the_ladder_oracle(k, secret):
     public = point_mul(secret)  # never G: secret 1 is excluded
     assert point_mul(k, public) == ladder_mul(k % N, public)
+    assert point_mul(k) == ladder_mul(k % N, G)
 
 
 @pytest.mark.parametrize(
