@@ -185,10 +185,17 @@ def run_experiment(
         profiler.install(sim, config.n_nodes)
     wall_setup = wall_clock() - setup_started
     simulate_started = wall_clock()
-    scheduler.start()
-    sim.run(until=config.duration)
-    scheduler.stop()
-    sim.run(until=horizon)
+    try:
+        scheduler.start()
+        sim.run(until=config.duration)
+        scheduler.stop()
+        sim.run(until=horizon)
+    except BaseException:
+        # The trace keeps every record emitted before the raise and gets
+        # no trace_end: a reader sees a truncated run, not a short one.
+        if obs.tracer is not None:
+            obs.tracer.close()
+        raise
     wall_simulate = wall_clock() - simulate_started
     if sanitizer is not None:
         sanitizer.finalize()

@@ -290,16 +290,9 @@ class Network:
             self._busy[eid] = busy
             arrival = busy + self._lat[eid]
         if self._obs_on:
-            # An interleaved message's zero delay skips the round: the
-            # sink writes a zero qd without a repr either.
+            # Unrounded: the sink writes round(·, 6) in one conversion.
             self.tracer.send(
-                now,
-                src,
-                dst,
-                message.kind,
-                size,
-                round(queue_delay, 6) if queue_delay else 0.0,
-                round(arrival, 6),
+                now, src, dst, message.kind, size, queue_delay, arrival
             )
         self.sim.schedule_at(arrival, self._deliver, src, dst, message)
 
@@ -370,15 +363,7 @@ class Network:
                 busy_arr[eid] = busy
                 arrival = busy + lat[eid]
             if obs_on:
-                tracer.send(
-                    now,
-                    src,
-                    dst,
-                    kind,
-                    size,
-                    round(queue_delay, 6) if queue_delay else 0.0,
-                    round(arrival, 6),
-                )
+                tracer.send(now, src, dst, kind, size, queue_delay, arrival)
             book(arrival)
             book_args((src, dst, message))
         if times:

@@ -5,7 +5,10 @@ run captured once can be summarized, bucketed into a timeline, or
 ranked by per-node traffic long after (and far from) the machine that
 produced it.  The summary's fold is also what a running experiment taps
 onto its tracer (the summary object is the tap): the metric snapshot a
-run reports and ``repro trace summarize`` of its file are one fold.
+run reports and ``repro trace summarize`` of its file are one fold.  The
+tracer hands the tap its rows a chunk at a time, in emission order,
+before the sink writes the same chunk, so the two never disagree about
+order.
 """
 
 from __future__ import annotations
@@ -85,12 +88,13 @@ class TraceSummary:
     """Aggregates of one record stream — a saved trace or a live run.
 
     The summary is the :class:`~repro.obs.trace.Tracer`'s tap: the run's
-    tracer hands it every record as it is emitted, ``send`` and
-    ``deliver`` through the positional :meth:`add_send` and
-    :meth:`add_deliver` and the rest through :meth:`add`, and
-    :func:`summarize` runs the same fold over a file (:meth:`add` routes
-    a saved ``send`` or ``deliver`` to those two methods).  Every field
-    is current after each call.
+    tracer hands it its records as rows, a chunk at a time and at
+    ``flush`` and ``close``, through :meth:`fold`, which takes any row
+    that is not a ``send`` or ``deliver`` to :meth:`add`.
+    :func:`summarize` runs the same fold over a file (:meth:`add` makes
+    a saved ``send`` or ``deliver`` a row for :meth:`fold`).  Every
+    field is current after each call; a live summary lags the run by
+    the rows its tracer has not flushed.
     """
 
     records: int = 0
@@ -192,52 +196,83 @@ class TraceSummary:
         elif t > self.t_max:
             self.t_max = t
 
-    def add_send(
-        self, t: float, src: int, dst: int, kind: str, size: int, qd: float
-    ) -> None:
-        """Fold one ``send`` record in — the tracer's typed entry point."""
-        self.records += 1
-        events = self.events
-        events["send"] = events.get("send", 0) + 1
-        self._span(t)
-        self.sends_by_kind[kind] = self.sends_by_kind.get(kind, 0) + 1
-        self.bytes_by_kind[kind] = self.bytes_by_kind.get(kind, 0) + size
-        if qd > 0:
-            self.queue_delay_count += 1
-            self.queue_delay_sum += qd
-            self.queue_delay_max = max(self.queue_delay_max, qd)
-        rows = self.per_node
-        if src >= len(rows) or dst >= len(rows):
-            self._grow(max(src, dst))
-        row = rows[src]
-        row["bytes_out"] += size
-        row["messages_out"] += 1
-        row = rows[dst]
-        row["bytes_in"] += size
-        row["messages_in"] += 1
+    def fold(self, rows: list[tuple]) -> None:
+        """Fold a chunk of :class:`~repro.obs.trace.Tracer` rows in, in
+        order: a ``send`` row ``(t, src, dst, kind, size, qd, arr)``, a
+        ``deliver`` row ``(t, src, dst, kind, size)`` — counted and
+        spanned, nothing else is folded from it — or any other record
+        as ``(ev, t, fields)``, which goes to :meth:`add`.
 
-    def add_deliver(self, t: float) -> None:
-        """Fold one ``deliver`` record in: counted and spanned, nothing
-        else is folded from it."""
-        self.records += 1
+        ``qd`` is rounded as the trace records it before it is tested,
+        so a delay the file holds as ``0.0`` is not counted.
+        """
         events = self.events
-        events["deliver"] = events.get("deliver", 0) + 1
-        self._span(t)
+        sends_by_kind = self.sends_by_kind
+        bytes_by_kind = self.bytes_by_kind
+        per_node = self.per_node
+        sends = delivers = 0
+        # The span is kept in locals, and handed back around each call
+        # to add(), which widens it too.
+        spanned, t_min, t_max = self._spanned, self.t_min, self.t_max
+        for row in rows:
+            width = len(row)
+            if width == 3:
+                self._spanned, self.t_min, self.t_max = spanned, t_min, t_max
+                self.add(*row)
+                spanned, t_min, t_max = self._spanned, self.t_min, self.t_max
+                continue
+            t = row[0]
+            if not spanned:
+                spanned = True
+                t_min = t_max = t
+            elif t < t_min:
+                t_min = t
+            elif t > t_max:
+                t_max = t
+            if width == 5:
+                if not delivers:
+                    events.setdefault("deliver", 0)
+                delivers += 1
+                continue
+            _, src, dst, kind, size, qd, _ = row
+            if not sends:
+                events.setdefault("send", 0)
+            sends += 1
+            sends_by_kind[kind] = sends_by_kind.get(kind, 0) + 1
+            bytes_by_kind[kind] = bytes_by_kind.get(kind, 0) + size
+            if qd > 0:
+                qd = round(qd, 6)
+                if qd > 0:
+                    self.queue_delay_count += 1
+                    self.queue_delay_sum += qd
+                    if qd > self.queue_delay_max:
+                        self.queue_delay_max = qd
+            if src >= len(per_node) or dst >= len(per_node):
+                self._grow(max(src, dst))
+            node = per_node[src]
+            node["bytes_out"] += size
+            node["messages_out"] += 1
+            node = per_node[dst]
+            node["bytes_in"] += size
+            node["messages_in"] += 1
+        self._spanned, self.t_min, self.t_max = spanned, t_min, t_max
+        self.records += sends + delivers
+        if sends:
+            events["send"] += sends
+        if delivers:
+            events["deliver"] += delivers
 
     def add(self, ev: str, t: float, fields: dict) -> None:
         """Fold one record in (a saved record's v/ev/t keys are ignored)."""
         if ev == "send":
-            self.add_send(
-                t,
-                fields.get("src", 0),
-                fields.get("dst", 0),
-                fields.get("kind", "?"),
-                fields.get("size", 0),
-                fields.get("qd", 0.0),
-            )
+            get = fields.get
+            self.fold([(
+                t, get("src", 0), get("dst", 0), get("kind", "?"),
+                get("size", 0), get("qd", 0.0), get("arr", 0.0),
+            )])
             return
         if ev == "deliver":
-            self.add_deliver(t)
+            self.fold([(t, 0, 0, "?", 0)])
             return
         self.records += 1
         events = self.events

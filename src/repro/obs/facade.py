@@ -127,6 +127,7 @@ class Observability:
         is also written as ``<slug>.metrics.json``.
         """
         summary = self.summary
+        self.tracer.flush()  # the summary counts every record before this one
         self.tracer.emit("trace_end", end_time, records=summary.records + 1)
         self.tracer.close()
         snapshot: dict = {

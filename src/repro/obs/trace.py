@@ -7,17 +7,22 @@ version (``v``), the event name (``ev``), and the virtual timestamp
 as 12-hex-char prefixes — unambiguous within a run and a quarter the
 bytes of the full digest.
 
-``send`` and ``deliver`` are most of a trace, so they have typed entry
-points: the network calls :meth:`Tracer.send` and
-:meth:`Tracer.deliver` with positional values, the tap folds them
-through ``add_send`` / ``add_deliver``, and a sink writes them through
-its own ``send`` / ``deliver`` (:class:`JsonlSink` from a line
-template).  Every other record goes through :meth:`Tracer.emit`, the
-tap's ``add`` and the sink's ``write``.  A sink is anything with
-``write(record)``, ``send(t, src, dst, kind, size, qd, arr)``,
-``deliver(t, src, dst, kind, size)``, ``close()`` and
-``records_written``; either way the bytes are ``json.dumps``'s of the
-one record.
+The tracer keeps what it is handed as plain rows, in emission order:
+
+* :meth:`Tracer.send` — ``(t, src, dst, kind, size, qd, arr)``;
+* :meth:`Tracer.deliver` — ``(t, src, dst, kind, size)``;
+* :meth:`Tracer.emit` — ``(ev, t, fields)``, every other record.
+
+A row's length says which it is.  Every :data:`CHUNK` rows, and at
+:meth:`Tracer.flush` and :meth:`Tracer.close`, the pending rows go to
+the tap's ``fold(rows)`` and then to the sink's ``write_rows(rows)``;
+until then neither has seen them.  A sink is anything with
+``write_rows(rows)``, ``close()`` and ``records_written``.
+:class:`JsonlSink` writes a chunk as one string in one ``write``:
+``send`` and ``deliver`` rows from a line template, the rest through
+one reused encoder, and either way the bytes are ``json.dumps``'s of
+the record.  The network hands ``qd`` and ``arr`` over unrounded; the
+record holds ``round(qd, 6)`` and ``round(arr, 6)``.
 
 Record vocabulary (schema version 1):
 
@@ -70,6 +75,11 @@ from typing import IO
 
 SCHEMA_VERSION = 1
 
+# Rows a tracer holds before it hands them on.  A chunk of 4,096 was no
+# faster end to end and peaked ~1.5 MB higher (docs/observability.md,
+# "Third rewrite").
+CHUNK = 1024
+
 # One encoder for every record the templates below do not write:
 # ``json.dumps`` with keyword arguments builds a new one per call.  A
 # record is built fresh from plain values and never contains itself, so
@@ -82,6 +92,40 @@ _SEND_HEAD = f'{{"v":{SCHEMA_VERSION},"ev":"send","t":'
 _DELIVER_HEAD = f'{{"v":{SCHEMA_VERSION},"ev":"deliver","t":'
 
 
+def _round6_text(x: float) -> str:
+    """``repr(round(x, 6))`` of a finite float, in one conversion.
+
+    In [1e-4, 1e9) the rounded value has at most 15 significant digits,
+    so its shortest ``repr`` is its six-place decimal with the trailing
+    zeros cut; ``%.6f`` and ``round`` both round the exact binary value
+    half-to-even.  Outside that range ``repr`` may switch to exponent
+    form, so it is asked directly.
+    """
+    if 1e-4 <= x < 1e9:
+        text = ("%.6f" % x).rstrip("0")
+        return text + "0" if text[-1] == "." else text
+    return repr(round(x, 6))
+
+
+def _record(row: tuple) -> dict:
+    """The record a tracer row stands for — what its line is the JSON
+    of, ``qd`` and ``arr`` rounded to six places."""
+    if len(row) == 3:
+        ev, t, fields = row
+        return {"v": SCHEMA_VERSION, "ev": ev, "t": t, **fields}
+    if len(row) == 7:
+        t, src, dst, kind, size, qd, arr = row
+        return {
+            "v": SCHEMA_VERSION, "ev": "send", "t": t, "src": src, "dst": dst,
+            "kind": kind, "size": size, "qd": round(qd, 6), "arr": round(arr, 6),
+        }
+    t, src, dst, kind, size = row
+    return {
+        "v": SCHEMA_VERSION, "ev": "deliver", "t": t, "src": src, "dst": dst,
+        "kind": kind, "size": size,
+    }
+
+
 class TraceError(Exception):
     """Raised when a trace cannot be written or understood."""
 
@@ -89,13 +133,14 @@ class TraceError(Exception):
 class JsonlSink:
     """Appends records to a ``.jsonl`` file, one compact object per line.
 
-    :meth:`send` and :meth:`deliver` are most of a trace's lines, so they
+    ``send`` and ``deliver`` rows are most of a trace's lines, so they
     come from a template: ints and finite floats are written with
-    ``repr`` and ``kind`` with ``json``'s own quoting function, which is
-    what the encoder does with them.  A value whose type differs from
-    what :class:`~repro.net.network.Network` passes — a ``bool`` where an
-    int goes, a NaN or infinite float, an int time — sends that line
-    through the encoder instead.
+    ``repr`` (``qd`` and ``arr`` with :func:`_round6_text`) and ``kind``
+    with ``json``'s own quoting function, which is what the encoder does
+    with them.  A value whose type differs from what
+    :class:`~repro.net.network.Network` passes — a ``bool`` where an int
+    goes, a NaN or infinite float, an int time — sends that line through
+    the encoder instead.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -120,62 +165,66 @@ class JsonlSink:
         self._file = self.path.open("w", encoding="utf-8")
         return self._file
 
-    def _stamp(self, t) -> str | None:
-        self._t = t
-        self._t_text = repr(t) if type(t) is float and -_INF < t < _INF else None
-        return self._t_text
-
-    def write(self, record: dict) -> None:
-        (self._file or self._open()).write(_encode(record) + "\n")
-        self.records_written += 1
-
-    def send(self, t, src, dst, kind, size, qd, arr) -> None:
-        t_text = self._t_text if t is self._t else self._stamp(t)
-        if (
-            t_text is not None
-            and type(src) is int
-            and type(dst) is int
-            and type(size) is int
-            and type(kind) is str
-            and type(qd) is float
-            and type(arr) is float
-            and -_INF < qd < _INF
-            and -_INF < arr < _INF
-        ):
-            # An interleaved message never queues: its qd is 0.0.
-            qd_text = "0.0" if qd == 0.0 and copysign(1.0, qd) > 0 else repr(qd)
-            line = (
-                f'{_SEND_HEAD}{t_text},"src":{src},"dst":{dst},'
-                f'"kind":{_quote(kind)},"size":{size},"qd":{qd_text},"arr":{arr!r}}}\n'
-            )
-        else:
-            line = _encode({
-                "v": SCHEMA_VERSION, "ev": "send", "t": t, "src": src,
-                "dst": dst, "kind": kind, "size": size, "qd": qd, "arr": arr,
-            }) + "\n"
-        (self._file or self._open()).write(line)
-        self.records_written += 1
-
-    def deliver(self, t, src, dst, kind, size) -> None:
-        t_text = self._t_text if t is self._t else self._stamp(t)
-        if (
-            t_text is not None
-            and type(src) is int
-            and type(dst) is int
-            and type(size) is int
-            and type(kind) is str
-        ):
-            line = (
-                f'{_DELIVER_HEAD}{t_text},"src":{src},"dst":{dst},'
-                f'"kind":{_quote(kind)},"size":{size}}}\n'
-            )
-        else:
-            line = _encode({
-                "v": SCHEMA_VERSION, "ev": "deliver", "t": t, "src": src,
-                "dst": dst, "kind": kind, "size": size,
-            }) + "\n"
-        (self._file or self._open()).write(line)
-        self.records_written += 1
+    def write_rows(self, rows: list[tuple]) -> None:
+        """Write a chunk of tracer rows, in order, in one ``write``."""
+        lines = []
+        line = lines.append
+        last_t, t_text = self._t, self._t_text
+        for row in rows:
+            width = len(row)
+            if width == 3:
+                line(_encode(_record(row)))
+                continue
+            t = row[0]
+            if t is not last_t:
+                last_t = t
+                t_text = (
+                    repr(t) if type(t) is float and -_INF < t < _INF else None
+                )
+            if width == 7:
+                _, src, dst, kind, size, qd, arr = row
+                if (
+                    t_text is not None
+                    and type(src) is int
+                    and type(dst) is int
+                    and type(size) is int
+                    and type(kind) is str
+                    and type(qd) is float
+                    and type(arr) is float
+                    and -_INF < qd < _INF
+                    and -_INF < arr < _INF
+                ):
+                    # An interleaved message never queues: its qd is 0.0.
+                    if qd == 0.0 and copysign(1.0, qd) > 0:
+                        qd_text = "0.0"
+                    else:
+                        qd_text = _round6_text(qd)
+                    line(
+                        f'{_SEND_HEAD}{t_text},"src":{src},"dst":{dst},'
+                        f'"kind":{_quote(kind)},"size":{size},'
+                        f'"qd":{qd_text},"arr":{_round6_text(arr)}}}'
+                    )
+                else:
+                    line(_encode(_record(row)))
+            else:
+                _, src, dst, kind, size = row
+                if (
+                    t_text is not None
+                    and type(src) is int
+                    and type(dst) is int
+                    and type(size) is int
+                    and type(kind) is str
+                ):
+                    line(
+                        f'{_DELIVER_HEAD}{t_text},"src":{src},"dst":{dst},'
+                        f'"kind":{_quote(kind)},"size":{size}}}'
+                    )
+                else:
+                    line(_encode(_record(row)))
+        self._t, self._t_text = last_t, t_text
+        lines.append("")
+        (self._file or self._open()).write("\n".join(lines))
+        self.records_written += len(rows)
 
     def close(self) -> None:
         self._closed = True
@@ -185,7 +234,11 @@ class JsonlSink:
 
 
 class MemorySink:
-    """Keeps records in a list — unit tests and in-process analysis."""
+    """Keeps records in a list — unit tests and in-process analysis.
+
+    Each record is the dict a saved trace reads back as: ``qd`` and
+    ``arr`` rounded to six places.
+    """
 
     def __init__(self) -> None:
         self.records: list[dict] = []
@@ -194,20 +247,8 @@ class MemorySink:
     def records_written(self) -> int:
         return len(self.records)
 
-    def write(self, record: dict) -> None:
-        self.records.append(record)
-
-    def send(self, t, src, dst, kind, size, qd, arr) -> None:
-        self.records.append({
-            "v": SCHEMA_VERSION, "ev": "send", "t": t, "src": src, "dst": dst,
-            "kind": kind, "size": size, "qd": qd, "arr": arr,
-        })
-
-    def deliver(self, t, src, dst, kind, size) -> None:
-        self.records.append({
-            "v": SCHEMA_VERSION, "ev": "deliver", "t": t, "src": src,
-            "dst": dst, "kind": kind, "size": size,
-        })
+    def write_rows(self, rows: list[tuple]) -> None:
+        self.records.extend(map(_record, rows))
 
     def close(self) -> None:
         pass
@@ -219,50 +260,63 @@ def short_hash(block_hash: bytes) -> str:
 
 
 class Tracer:
-    """Emits schema-versioned records into a sink.
+    """Collects schema-versioned records as rows and hands them on.
 
     Instrumented code holds either a ``Tracer`` or ``None``; hot paths
     guard with ``if tracer is not None`` so a disabled run pays one
-    attribute check and nothing else.  ``tap`` sees every record before
-    the sink does: :meth:`emit` hands it ``tap.add(ev, t, fields)``,
-    :meth:`send` and :meth:`deliver` the positional
-    ``tap.add_send(t, src, dst, kind, size, qd)`` and
-    ``tap.add_deliver(t)``.  An ``Observability`` sets it to its
+    attribute check and nothing else.  Rows reach ``tap.fold(rows)``
+    and then the sink's ``write_rows(rows)`` a chunk at a time (see the
+    module docstring), so a reader of either calls :meth:`flush` first.
+    An ``Observability`` sets ``tap`` to its
     :class:`~repro.obs.analyze.TraceSummary`; with no ``sink`` nothing
     is written.
     """
 
-    __slots__ = ("sink", "tap")
+    __slots__ = ("sink", "tap", "_rows")
 
     def __init__(self, sink=None, tap=None) -> None:
         self.sink = sink
         self.tap = tap
+        self._rows: list[tuple] = []
 
     @property
     def records_written(self) -> int:
+        """Records the sink has been handed — pending rows not yet."""
         return self.sink.records_written if self.sink is not None else 0
 
     def emit(self, ev: str, t: float, **fields) -> None:
-        if self.tap is not None:
-            self.tap.add(ev, t, fields)
-        if self.sink is not None:
-            self.sink.write({"v": SCHEMA_VERSION, "ev": ev, "t": t, **fields})
+        rows = self._rows
+        rows.append((ev, t, fields))
+        if len(rows) >= CHUNK:
+            self.flush()
 
     def send(self, t, src, dst, kind, size, qd, arr) -> None:
         """A message booked onto a link: ``qd`` is its queueing delay,
-        ``arr`` its arrival time."""
-        if self.tap is not None:
-            self.tap.add_send(t, src, dst, kind, size, qd)
-        if self.sink is not None:
-            self.sink.send(t, src, dst, kind, size, qd, arr)
+        ``arr`` its arrival time, both unrounded."""
+        rows = self._rows
+        rows.append((t, src, dst, kind, size, qd, arr))
+        if len(rows) >= CHUNK:
+            self.flush()
 
     def deliver(self, t, src, dst, kind, size) -> None:
         """A message handed to its destination's handler."""
+        rows = self._rows
+        rows.append((t, src, dst, kind, size))
+        if len(rows) >= CHUNK:
+            self.flush()
+
+    def flush(self) -> None:
+        """Hand every pending row to the tap and the sink."""
+        rows = self._rows
+        if not rows:
+            return
+        self._rows = []
         if self.tap is not None:
-            self.tap.add_deliver(t)
+            self.tap.fold(rows)
         if self.sink is not None:
-            self.sink.deliver(t, src, dst, kind, size)
+            self.sink.write_rows(rows)
 
     def close(self) -> None:
+        self.flush()
         if self.sink is not None:
             self.sink.close()

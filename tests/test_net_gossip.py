@@ -381,6 +381,7 @@ def test_complete_mesh_relays_to_everyone_but_the_originator():
     sim, net, nodes, records = _traced_mesh(complete_topology(n))
     nodes[0].announce(b"\x51" * 32, "block", None, 100)
     sim.run()
+    net.tracer.flush()
     sends = _inv_sends(records)
     assert len(sends[0]) == n - 1
     for node in range(1, n):
@@ -396,6 +397,7 @@ def test_ring_node_that_heard_both_neighbors_announces_to_neither():
     sim, net, nodes, records = _traced_mesh(ring_topology(n))
     nodes[0].announce(b"\x52" * 32, "block", None, 100)
     sim.run()
+    net.tracer.flush()
     sends = _inv_sends(records)
     assert sorted(sends[0]) == [1, 7]
     for node in (1, 2, 3):
@@ -413,6 +415,7 @@ def test_flood_relay_excludes_only_the_sender():
     )
     nodes[0].announce(b"\x53" * 32, "block", None, 100)
     sim.run()
+    net.tracer.flush()
     objects = [r for r in records if r["ev"] == "send" and r["kind"] == "object"]
     # deg from the originator, deg - 1 from everyone else.
     assert len(objects) == 2 + 7
@@ -436,6 +439,7 @@ def test_retry_source_is_skipped_and_the_other_neighbors_still_hear():
     sim.schedule(0.01, lambda: nodes[2].announce(obj_id, "block", None, 100))
     sim.schedule(0.055, lambda: net.set_offline(1))
     sim.run()
+    net.tracer.flush()
     assert [r["peer"] for r in records if r["ev"] == "gossip_retry"] == [2]
     assert all(nodes[i].knows(obj_id) for i in (0, 3, 4))
     assert nodes[0].delivered[0][1] == 2
@@ -463,6 +467,7 @@ def test_vetoed_object_forgets_its_announcers():
     sim.run(until=0.07)
     assert nodes[0]._alt_sources == {bad_id: [2]}
     sim.run()
+    net.tracer.flush()
     assert nodes[0].misbehavior == {1: 20}
     assert not nodes[0].knows(bad_id) and not nodes[0]._alt_sources
     assert 0 not in _inv_sends(records)

@@ -167,6 +167,7 @@ def test_traffic_by_node_sums_link_counters():
     net.send(0, 2, Message("b", None, 250))
     net.send(1, 0, Message("c", None, 40))
     sim.run()
+    obs.tracer.flush()
     traffic = obs.summary.per_node
     assert traffic[0] == {
         "bytes_out": 350, "bytes_in": 40,
@@ -187,6 +188,7 @@ def test_traffic_by_node_counts_booked_not_delivered():
     net.send(0, 1, Message("x", None, 500))
     net.set_offline(1)  # goes dark while the message is in flight
     sim.run()
+    obs.tracer.flush()
     assert [r["ev"] for r in sink.records] == ["send", "drop"]
     assert obs.summary.per_node[1]["bytes_in"] == 500
 
@@ -213,6 +215,7 @@ def test_instrumented_send_updates_counters_and_trace():
     sim, net, obs, sink = _obs_network()
     net.send(0, 1, Message("inv", None, 61))
     sim.run()
+    obs.tracer.flush()
     assert obs.summary.sends_by_kind == {"inv": 1}
     assert obs.summary.bytes_by_kind == {"inv": 61}
     events = [r["ev"] for r in sink.records]
@@ -228,6 +231,7 @@ def test_instrumented_drops_are_recorded():
     net.block_link(0, 2)
     net.send(0, 2, Message("inv", None, 61))
     sim.run()
+    obs.tracer.flush()
     assert obs.summary.drops == 2
     assert [r["ev"] for r in sink.records] == ["drop", "drop"]
 

@@ -10,10 +10,11 @@ from repro.obs import (
     NULL_OBS,
     Observability,
     config_slug,
+    format_summary,
     load_records,
     summarize,
 )
-from repro.obs.trace import MemorySink, Tracer
+from repro.obs.trace import CHUNK, JsonlSink, MemorySink, Tracer
 from repro.prof.runtime import ProfilerRuntime
 
 SMALL = ExperimentConfig(
@@ -308,3 +309,40 @@ def test_slug_distinguishes_sweep_axes():
         ),
     }
     assert len(slugs) == 5
+
+
+class _Boom(Exception):
+    pass
+
+
+def test_a_run_that_raises_keeps_every_record_it_emitted(
+    tmp_path, monkeypatch, count_calls
+):
+    """A callback raises halfway through: the same exception comes out
+    of ``run_experiment``, and the file holds every record the tracer
+    was handed — none pending, no ``trace_end`` — so ``summarize``
+    reports it truncated."""
+    boom = _Boom("halfway")
+    config = SMALL.with_(protocol=Protocol.BITCOIN_NG)
+    install = Observability.install
+
+    def install_and_arm(self, sim, network, nodes, horizon, meta=None):
+        install(self, sim, network, nodes, horizon, meta)
+
+        def explode():
+            raise boom
+
+        sim.schedule(horizon / 2, explode)
+
+    monkeypatch.setattr(Observability, "install", install_and_arm)
+    handed = [count_calls(Tracer, name) for name in ("emit", "send", "deliver")]
+    path = tmp_path / "t.trace.jsonl"
+    with pytest.raises(_Boom) as raised:
+        run_experiment(config, obs=Observability(tracer=Tracer(JsonlSink(path))))
+    assert raised.value is boom
+    records = load_records(path)
+    emitted = sum(map(len, handed))
+    assert len(records) == emitted
+    assert emitted > CHUNK and emitted % CHUNK  # rows were pending
+    assert "trace_end" not in {r["ev"] for r in records}
+    assert "truncated:" in format_summary(summarize(records))

@@ -77,13 +77,13 @@ def test_link_sampler_sees_a_busy_link():
     )
     summary = TraceSummary()
     sink = MemorySink()
-    sampler = LinkSampler(
-        network, Tracer(sink, summary), period=1.0, until=3.0
-    )
+    tracer = Tracer(sink, summary)
+    sampler = LinkSampler(network, tracer, period=1.0, until=3.0)
     sampler.start(sim)
     # 8000 bytes at 1000 B/s serializes for 8 s: busy at every sample.
     network.send(0, 1, Message("bulk", None, 8000))
     sim.run()
+    tracer.flush()
     assert sampler.samples_taken == 3
     busy_fractions = [r["frac"] for r in sink.records]
     assert all(f > 0 for f in busy_fractions)
@@ -100,11 +100,11 @@ def test_mempool_sampler_summarizes_depths():
     nodes = [_FakeNode(2, b"x"), _FakeNode(8, b"x"), _FakeNode(5, b"x")]
     summary = TraceSummary()
     sink = MemorySink()
-    sampler = MempoolSampler(
-        nodes, Tracer(sink, summary), period=1.0, until=1.0
-    )
+    tracer = Tracer(sink, summary)
+    sampler = MempoolSampler(nodes, tracer, period=1.0, until=1.0)
     sampler.start(sim)
     sim.run()
+    tracer.flush()
     record = sink.records[0]
     assert record["ev"] == "sample_mempool"
     assert record["total"] == 15
@@ -119,13 +119,13 @@ def test_fork_sampler_counts_distinct_tips_and_peak():
     nodes = [_FakeNode(0, b"a"), _FakeNode(0, b"b"), _FakeNode(0, b"a")]
     summary = TraceSummary()
     sink = MemorySink()
-    sampler = ForkSampler(
-        nodes, Tracer(sink, summary), period=1.0, until=2.0
-    )
+    tracer = Tracer(sink, summary)
+    sampler = ForkSampler(nodes, tracer, period=1.0, until=2.0)
     sampler.start(sim)
     # Converge to one tip between the first and second sample.
     sim.schedule(1.5, lambda: setattr(nodes[1], "tip", b"a"))
     sim.run()
+    tracer.flush()
     assert [r["tips"] for r in sink.records] == [2, 1]
     # The last sample is the last record; the fold keeps the peak.
     assert summary.peak_tips == 2

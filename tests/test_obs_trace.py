@@ -1,7 +1,9 @@
 """The tracer and its sinks: schema-versioned JSONL records."""
 
 import json
+import random
 import tempfile
+from math import nextafter
 from pathlib import Path
 
 import pytest
@@ -11,13 +13,15 @@ from hypothesis import strategies as st
 from repro.experiments import ExperimentConfig, Protocol, run_experiment
 from repro.obs import Observability
 from repro.obs import trace as trace_module
-from repro.obs.analyze import TraceSummary, iter_records, load_records
+from repro.obs.analyze import TraceSummary, iter_records, load_records, summarize
 from repro.obs.trace import (
     SCHEMA_VERSION,
+    CHUNK,
     JsonlSink,
     MemorySink,
     TraceError,
     Tracer,
+    _round6_text,
     short_hash,
 )
 
@@ -26,6 +30,7 @@ def test_emit_stamps_version_event_and_time():
     sink = MemorySink()
     tracer = Tracer(sink)
     tracer.emit("block_gen", 12.5, miner=3, size=1000)
+    tracer.flush()
     assert sink.records == [
         {"v": SCHEMA_VERSION, "ev": "block_gen", "t": 12.5,
          "miner": 3, "size": 1000}
@@ -34,19 +39,13 @@ def test_emit_stamps_version_event_and_time():
 
 
 class _RecordingTap:
-    """A tap that keeps what it is handed, in the shape it is handed."""
+    """A tap that keeps the rows it is handed, in the shape it is handed."""
 
     def __init__(self):
         self.seen = []
 
-    def add(self, ev, t, fields):
-        self.seen.append((ev, t, fields))
-
-    def add_send(self, *values):
-        self.seen.append(("send", *values))
-
-    def add_deliver(self, t):
-        self.seen.append(("deliver", t))
+    def fold(self, rows):
+        self.seen.extend(rows)
 
 
 def test_sinkless_tracer_feeds_the_tap_and_writes_nothing():
@@ -55,13 +54,32 @@ def test_sinkless_tracer_feeds_the_tap_and_writes_nothing():
     tracer.emit("block_gen", 2.0, miner=1)
     tracer.send(2.0, 0, 1, "inv", 61, 0.0, 2.5)
     tracer.deliver(2.5, 0, 1, "inv", 61)
+    tracer.flush()
     assert tap.seen == [
         ("block_gen", 2.0, {"miner": 1}),
-        ("send", 2.0, 0, 1, "inv", 61, 0.0),
-        ("deliver", 2.5),
+        (2.0, 0, 1, "inv", 61, 0.0, 2.5),
+        (2.5, 0, 1, "inv", 61),
     ]
     assert tracer.records_written == 0
     tracer.close()
+
+
+def test_rows_reach_tap_and_sink_a_chunk_at_a_time():
+    """Nothing is handed on until a chunk fills; then the whole chunk
+    goes to both, and ``close`` hands on the rest."""
+    tap = _RecordingTap()
+    sink = MemorySink()
+    tracer = Tracer(sink, tap)
+    for n in range(CHUNK - 1):
+        tracer.deliver(float(n), 0, 1, "inv", 61)
+    assert tap.seen == [] and sink.records == []
+    tracer.send(1.0, 0, 1, "inv", 61, 0.0, 1.5)
+    assert len(tap.seen) == sink.records_written == CHUNK
+    tracer.emit("block_gen", 2.0, miner=1)
+    assert sink.records_written == CHUNK
+    tracer.close()
+    assert len(tap.seen) == sink.records_written == CHUNK + 1
+    assert sink.records[-1]["ev"] == "block_gen"
 
 
 def test_memory_sink_keeps_sends_and_deliveries_as_records():
@@ -69,6 +87,7 @@ def test_memory_sink_keeps_sends_and_deliveries_as_records():
     tracer = Tracer(sink)
     tracer.send(2.0, 0, 1, "inv", 61, 0.25, 2.5)
     tracer.deliver(2.5, 0, 1, "inv", 61)
+    tracer.flush()
     assert sink.records == [
         {"v": SCHEMA_VERSION, "ev": "send", "t": 2.0, "src": 0, "dst": 1,
          "kind": "inv", "size": 61, "qd": 0.25, "arr": 2.5},
@@ -99,7 +118,7 @@ def test_jsonl_sink_round_trips(tmp_path):
 def test_jsonl_sink_writes_compact_lines(tmp_path):
     path = tmp_path / "t.trace.jsonl"
     sink = JsonlSink(path)
-    sink.write({"v": 1, "ev": "x", "t": 0.0})
+    sink.write_rows([("x", 0.0, {})])
     sink.close()
     line = path.read_text().strip()
     assert " " not in line  # compact separators, one object per line
@@ -132,26 +151,47 @@ FIELDS = {
 }
 
 
-def _write(sink, ev, values):
-    """Hand one record to ``sink`` the way the tracer does; return the
-    record ``json.dumps`` is to agree with."""
+def _row(ev, values):
+    """The tracer's row for one record, and the record ``json.dumps`` is
+    to agree with: ``qd`` and ``arr`` rounded by ``round(·, 6)``, as the
+    network rounded them before the writer did."""
+    if ev == "drop":
+        fields = dict(zip(DELIVER_FIELDS[1:], values[1:]))
+        return (ev, values[0], fields), {
+            "v": SCHEMA_VERSION, "ev": ev, "t": values[0], **fields
+        }
     names = SEND_FIELDS if ev == "send" else DELIVER_FIELDS
     record = {"v": SCHEMA_VERSION, "ev": ev, **dict(zip(names, values))}
     if ev == "send":
-        sink.send(*values)
-    elif ev == "deliver":
-        sink.deliver(*values)
-    else:
-        sink.write(record)
-    return record
+        record["qd"] = round(record["qd"], 6)
+        record["arr"] = round(record["arr"], 6)
+    return tuple(values), record
+
+
+def _json_lines(records):
+    return "".join(
+        json.dumps(record, separators=(",", ":")) + "\n" for record in records
+    )
+
+
+def _write_in_chunks(path, rows, cuts):
+    """Write ``rows`` through one sink, split at the indices ``cuts``."""
+    sink = JsonlSink(path)
+    bounds = [0, *sorted(cuts), len(rows)]
+    for start, end in zip(bounds, bounds[1:]):
+        if start < end:
+            sink.write_rows(rows[start:end])
+    sink.close()
+    assert sink.records_written == len(rows)
+    return path.read_text(encoding="utf-8")
 
 
 @st.composite
 def hot_calls(draw):
-    """``send``/``deliver`` calls as the network makes them (and a
-    ``drop`` written as a dict between them), most with one value bent
-    the way a template can get wrong; a call often reuses the previous
-    call's time object, as the records of one event do."""
+    """``send``/``deliver`` rows as the network makes them (and a
+    ``drop`` row from ``emit`` between them), most with one value bent
+    the way a template can get wrong; a row often reuses the previous
+    row's time object, as the records of one event do."""
     calls = []
     for _ in range(draw(st.integers(1, 8))):
         ev = draw(st.sampled_from(["send", "deliver", "drop"]))
@@ -167,18 +207,65 @@ def hot_calls(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(hot_calls())
-@example([("send", [1.0, 0, 1, "inv", 61, 0.0, 1.5])])
-def test_sink_lines_are_json_dumps_lines(calls):
+@given(hot_calls(), st.lists(st.integers(0, 8), max_size=3))
+@example([("send", [1.0, 0, 1, "inv", 61, 0.0, 1.5])], [])
+def test_sink_lines_are_json_dumps_lines(calls, cuts):
+    rows, records = zip(*(_row(ev, values) for ev, values in calls))
     with tempfile.TemporaryDirectory() as scratch:
-        sink = JsonlSink(Path(scratch) / "t.trace.jsonl")
-        records = [_write(sink, ev, values) for ev, values in calls]
-        sink.close()
-        written = sink.path.read_text(encoding="utf-8")
-    assert written == "".join(
-        json.dumps(record, separators=(",", ":")) + "\n" for record in records
-    )
-    assert sink.records_written == len(records)
+        written = _write_in_chunks(Path(scratch) / "t.trace.jsonl", rows, cuts)
+    assert written == _json_lines(records)
+
+
+def _mixed_rows(n, seed):
+    """``n`` rows, ordinary and odd mixed, a third of them sharing the
+    previous row's time object."""
+    rng = random.Random(seed)
+    odd = [True, 2**64 + 1, float("nan"), -float("inf"), -0.0, 5e-324, 3]
+    rows, records = [], []
+    last_t = None
+    for _ in range(n):
+        ev = rng.choice(["send", "send", "deliver", "drop"])
+        width = len(SEND_FIELDS if ev == "send" else DELIVER_FIELDS)
+        values = [
+            rng.uniform(0.0, 1e4), rng.randrange(100), rng.randrange(100),
+            rng.choice(["inv", "getdata", "object"]), rng.randrange(10**6),
+            rng.choice([0.0, rng.uniform(0.0, 1e-6), rng.expovariate(1.0)]),
+            rng.uniform(0.0, 1e4),
+        ][:width]
+        if last_t is not None and rng.random() < 0.3:
+            values[0] = last_t
+        if rng.random() < 0.1:
+            values[rng.randrange(width)] = rng.choice(odd)
+        last_t = values[0]
+        row, record = _row(ev, values)
+        rows.append(row)
+        records.append(record)
+    return rows, records
+
+
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1])
+def test_rows_at_the_chunk_boundary_write_json_dumps_bytes(tmp_path, n):
+    """One row short of a chunk, a chunk, one row over: through a
+    tracer (which hands them on at ``CHUNK``) and through ``write_rows``
+    split at random boundaries, the bytes are ``json.dumps``'s."""
+    rows, records = _mixed_rows(n, seed=n)
+    expected = _json_lines(records)
+    path = tmp_path / "tracer.trace.jsonl"
+    tracer = Tracer(JsonlSink(path))
+    for row in rows:
+        if len(row) == 7:
+            tracer.send(*row)
+        elif len(row) == 5:
+            tracer.deliver(*row)
+        else:
+            tracer.emit(row[0], row[1], **row[2])
+    tracer.close()
+    assert path.read_text(encoding="utf-8") == expected
+    rng = random.Random(-n)
+    for _ in range(3):
+        cuts = rng.sample(range(1, n), 4)
+        written = _write_in_chunks(tmp_path / "cut.trace.jsonl", rows, cuts)
+        assert written == expected
 
 
 def test_every_single_odd_value_writes_json_dumps_bytes(tmp_path):
@@ -196,35 +283,53 @@ def test_every_single_odd_value_writes_json_dumps_bytes(tmp_path):
         for index, value in enumerate(base):
             for bent in odd[type(value)]:
                 calls.append((ev, base[:index] + [bent] + base[index + 1:]))
-    sink = JsonlSink(tmp_path / "t.trace.jsonl")
-    records = [_write(sink, ev, values) for ev, values in calls]
-    sink.close()
-    lines = sink.path.read_text(encoding="utf-8").splitlines(keepends=True)
+    rows, records = zip(*(_row(ev, values) for ev, values in calls))
+    written = _write_in_chunks(tmp_path / "t.trace.jsonl", rows, [])
+    lines = written.splitlines(keepends=True)
     assert len(lines) == len(records) == 66
     for record, line in zip(records, lines):
         assert line == json.dumps(record, separators=(",", ":")) + "\n"
 
 
+@settings(max_examples=10_000, deadline=None)
+@given(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    # Log-uniform over the decades where ``%.6f`` does the work, and
+    # three more on each side of them.
+    st.floats(-7.0, 12.0).map(lambda e: 10.0 ** e),
+))
+@example(1e-4)
+@example(nextafter(1e-4, 0.0))
+@example(nextafter(1e9, 0.0))
+@example(1e9)
+@example(5e-7)
+@example(0.0)
+@example(-0.0)
+@example(1e16)
+def test_one_conversion_text_is_repr_of_round(x):
+    assert _round6_text(x) == repr(round(x, 6))
+
+
 def test_time_text_follows_the_float_object_not_its_value(tmp_path):
     """The text of ``t`` is reused only for the very same object: an
-    equal int, or a zero of the other sign, is written as itself."""
+    equal int, or a zero of the other sign, is written as itself — also
+    when the two rows fall in different chunks."""
     times = [5, 5.0, 5.0, 5, 0.0, -0.0, 0.0]
-    sink = JsonlSink(tmp_path / "t.trace.jsonl")
     shared = 7.5
-    for t in times:
-        sink.deliver(t, 0, 1, "inv", 61)
-    sink.send(shared, 0, 1, "inv", 61, 0.0, 8.0)
-    sink.send(shared, 0, 2, "inv", 61, -0.0, 8.5)
-    sink.deliver(shared, 2, 0, "inv", 61)
-    sink.close()
-    written = [json.loads(line) for line in sink.path.read_text().splitlines()]
-    stamps = [line.split(",")[2] for line in sink.path.read_text().splitlines()]
+    rows = [(t, 0, 1, "inv", 61) for t in times] + [
+        (shared, 0, 1, "inv", 61, 0.0, 8.0),
+        (shared, 0, 2, "inv", 61, -0.0, 8.5),
+        (shared, 2, 0, "inv", 61),
+    ]
+    text = _write_in_chunks(tmp_path / "t.trace.jsonl", rows, [3, 8])
+    written = [json.loads(line) for line in text.splitlines()]
+    stamps = [line.split(",")[2] for line in text.splitlines()]
     assert stamps == [
         '"t":5', '"t":5.0', '"t":5.0', '"t":5', '"t":0.0', '"t":-0.0',
         '"t":0.0', '"t":7.5', '"t":7.5', '"t":7.5',
     ]
     assert [r["qd"] for r in written if r["ev"] == "send"] == [0.0, -0.0]
-    assert '"qd":-0.0' in sink.path.read_text()
+    assert '"qd":-0.0' in text
 
 
 def test_network_sends_and_deliveries_take_the_template(monkeypatch, tmp_path):
@@ -252,34 +357,67 @@ def test_network_sends_and_deliveries_take_the_template(monkeypatch, tmp_path):
     assert "send" not in encoded and "deliver" not in encoded
 
 
-def test_typed_fold_equals_the_record_fold():
-    """``add_send`` / ``add_deliver`` over a run's sends and deliveries
-    leave the summary ``add(ev, t, record)`` makes of the same records."""
-    sink = MemorySink()
+# Queueing delays at the writer's and the fold's edges: four that round
+# to 0.0 (the file says 0.0, so the fold must not count them), and
+# either side of the one-conversion range [1e-4, 1e9).
+EDGE_DELAYS = [
+    4e-7, nextafter(5e-7, 0.0), 5e-7, nextafter(5e-7, 1.0), 1e-6,
+    nextafter(1e-4, 0.0), 1e-4, nextafter(1e-4, 1.0),
+    nextafter(1e9, 0.0), 1e9, nextafter(1e9, 2e9), 0.0,
+]
+
+
+def _fold_in_pieces(rows, piece=700):
+    """Fold ``rows`` in pieces that are not the tracer's chunks."""
+    folded = TraceSummary()
+    for start in range(0, len(rows), piece):
+        folded.fold(rows[start:start + piece])
+    return folded
+
+
+def test_row_fold_equals_the_file_fold(tmp_path):
+    """``fold`` over an NG run's rows leaves the summary ``summarize``
+    makes of the file those rows were written to."""
     config = ExperimentConfig(
         protocol=Protocol.BITCOIN_NG, n_nodes=10, target_blocks=6,
         target_key_blocks=2, block_rate=1.0, key_block_rate=0.05,
         block_size_bytes=40000, cooldown=10.0, seed=3,
     )
-    run_experiment(config, obs=Observability(tracer=Tracer(sink)))
-    records = sink.records
-    assert any(r["ev"] == "send" and r["qd"] > 0 for r in records)
-    typed, keyed = TraceSummary(), TraceSummary()
-    for record in records:
-        ev, t = record["ev"], record["t"]
-        keyed.add(ev, t, record)
-        if ev == "send":
-            typed.add_send(
-                t, record["src"], record["dst"], record["kind"],
-                record["size"], record["qd"],
-            )
-        elif ev == "deliver":
-            typed.add_deliver(t)
-        else:
-            typed.add(ev, t, record)
-    assert typed.to_dict() == keyed.to_dict()
-    assert typed.to_dict()["events"]["send"] > 0
-    assert typed.queue_delay_count > 0
+    path = tmp_path / "t.trace.jsonl"
+    obs = Observability(tracer=Tracer(JsonlSink(path)))
+    rows = []
+    live_fold = obs.summary.fold
+    obs.summary.fold = lambda chunk: (rows.extend(chunk), live_fold(chunk))
+    run_experiment(config, obs=obs)
+    assert any(len(row) == 7 and row[5] > 0 for row in rows)
+    folded = _fold_in_pieces(rows)
+    assert folded.to_dict() == summarize(load_records(path)).to_dict()
+    assert folded.events["send"] > 0 and folded.events["deliver"] > 0
+    assert folded.queue_delay_count > 0
+
+
+def test_row_fold_of_edge_delays_equals_the_file_fold(tmp_path):
+    """Delays that round to 0.0 are not counted — the file says 0.0 —
+    and ones either side of 1e-4 and 1e9 fold as the file reads back."""
+    path = tmp_path / "t.trace.jsonl"
+    tracer = Tracer(JsonlSink(path))
+    tracer.emit("trace_start", 0.0, n_nodes=3)
+    for n, qd in enumerate(EDGE_DELAYS):
+        t = float(n)
+        tracer.send(t, n % 3, (n + 1) % 3, "object", 100, qd, t + qd)
+        tracer.deliver(t + qd, n % 3, (n + 1) % 3, "object", 100)
+    tracer.close()
+    rows = [("trace_start", 0.0, {"n_nodes": 3})] + [
+        row for n, qd in enumerate(EDGE_DELAYS) for row in (
+            (float(n), n % 3, (n + 1) % 3, "object", 100, qd, n + qd),
+            (n + qd, n % 3, (n + 1) % 3, "object", 100),
+        )
+    ]
+    folded = _fold_in_pieces(rows, piece=5)
+    assert folded.to_dict() == summarize(load_records(path)).to_dict()
+    assert folded.queue_delay_count == sum(
+        round(qd, 6) > 0 for qd in EDGE_DELAYS
+    ) == len(EDGE_DELAYS) - 4
 
 
 def test_iter_records_rejects_unknown_schema_version(tmp_path):

@@ -18,6 +18,7 @@ import pytest
 
 from repro.experiments import ExperimentConfig, Protocol, run_experiment
 from repro.obs import config_slug
+from repro.obs.trace import CHUNK, JsonlSink
 
 BASE = ExperimentConfig(n_nodes=20, block_size_bytes=8000, cooldown=300.0, seed=9)
 SHAPES = {
@@ -80,3 +81,42 @@ def test_trace_bytes_are_pinned(tmp_path, protocol):
     if protocol is Protocol.BITCOIN_NG:
         assert {"epoch_start", "epoch_end"} <= events
     assert (hashlib.sha256(data).hexdigest(), len(data)) == PINS[protocol]
+
+
+class _CountingFile:
+    """A trace file that counts the ``write`` calls it is handed."""
+
+    def __init__(self, handle):
+        self.handle = handle
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return self.handle.write(text)
+
+    def close(self):
+        self.handle.close()
+
+
+def test_trace_is_written_a_chunk_per_call(tmp_path, monkeypatch):
+    """The NG pin run's file gets one ``write`` per chunk of rows, plus
+    the partial chunk flushed before ``trace_end`` and ``trace_end``'s
+    own: a count, so it holds on any host."""
+    opened = []
+    real_open = JsonlSink._open
+
+    def counting_open(sink):
+        sink._file = _CountingFile(real_open(sink))
+        opened.append(sink._file)
+        return sink._file
+
+    monkeypatch.setattr(JsonlSink, "_open", counting_open)
+    protocol = Protocol.BITCOIN_NG
+    config = BASE.with_(protocol=protocol, **SHAPES[protocol])
+    config = config.with_(scenario=_schedule(config.duration), obs_dir=str(tmp_path))
+    run_experiment(config)
+    data = (tmp_path / f"{config_slug(config)}.trace.jsonl").read_bytes()
+    records = data.count(b"\n")
+    [trace_file] = opened
+    assert records > 10 * CHUNK
+    assert trace_file.writes <= -(-records // CHUNK) + 2
