@@ -15,6 +15,7 @@ from repro.core.genesis import seed_genesis_coins
 from repro.crypto.hashing import hash160
 from repro.crypto.keys import PrivateKey
 from repro.ledger.transactions import COIN, Transaction, TxInput, TxOutput
+from repro.metrics import ObservationLog
 from repro.net import Network, Simulator, complete_topology, constant_histogram
 
 PARAMS = NGParams(key_block_interval=60.0, min_microblock_interval=5.0)
@@ -26,6 +27,7 @@ def main() -> None:
         sim, complete_topology(4), constant_histogram(0.05), bandwidth_bps=1e6
     )
     genesis = make_ng_genesis()
+    log = ObservationLog(4)
     nodes = [
         NGNode(
             i,
@@ -33,6 +35,7 @@ def main() -> None:
             network,
             genesis,
             PARAMS,
+            log=log,
             policy=MicroblockPolicy(target_bytes=50_000, synthetic=False),
             check_signatures=True,
         )

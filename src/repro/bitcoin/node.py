@@ -28,7 +28,6 @@ from ..ledger.utxo import UndoRecord, UtxoSet
 from ..ledger.validation import compute_fee, validate_spend
 from ..metrics.collector import BlockInfo, ObservationLog
 from ..net.gossip import GossipNode, RelayMode, StoredObject
-from ..obs.trace import short_hash
 from ..net.network import Network
 from ..net.simulator import Simulator
 from .blocks import Block, SyntheticPayload, TxPayload, build_block, check_block
@@ -77,7 +76,7 @@ class ChainNode(GossipNode):
         sim: Simulator,
         network: Network,
         tree: BlockTree,
-        log: ObservationLog | None,
+        log: ObservationLog,
         relay_mode: RelayMode,
         verification_seconds_per_byte: float,
         require_pow: bool,
@@ -99,40 +98,24 @@ class ChainNode(GossipNode):
         self.mempool = Mempool()
         self._undo: dict[bytes, list[UndoRecord]] = {}
         self.blocks_rejected = 0
-        if log is not None:
-            log.record_tip(node_id, tree.genesis_hash, sim.now)
+        log.record_tip(node_id, tree.genesis_hash, sim.now)
 
     # -- generated blocks --------------------------------------------------
 
     def _publish(self, block, kind: str, work: int, n_tx: int) -> None:
         """Report a block this node just created, then gossip it."""
-        now = self.sim.now
-        parent = block.header.prev_hash
-        if self.log is not None:
-            self.log.record_generation(
-                BlockInfo(
-                    hash=block.hash,
-                    parent=parent,
-                    miner=self.node_id,
-                    gen_time=now,
-                    work=work,
-                    kind=kind,
-                    n_tx=n_tx,
-                    size=block.size,
-                )
-            )
-            self.log.record_arrival(self.node_id, block.hash, now)
-        if self._tracer is not None:
-            self._tracer.emit(
-                "block_gen",
-                now,
-                hash=short_hash(block.hash),
-                parent=short_hash(parent),
-                kind=kind,
+        self.log.record_generation(
+            BlockInfo(
+                hash=block.hash,
+                parent=block.header.prev_hash,
                 miner=self.node_id,
-                size=block.size,
+                gen_time=self.sim.now,
+                work=work,
+                kind=kind,
                 n_tx=n_tx,
+                size=block.size,
             )
+        )
         self.announce(block.hash, kind, block, block.size)
 
     # -- received objects --------------------------------------------------
@@ -153,16 +136,7 @@ class ChainNode(GossipNode):
         Returns ``False`` — do not relay — when the block is refused.
         """
         if sender is not None:
-            if self.log is not None:
-                self.log.record_arrival(self.node_id, block.hash, self.sim.now)
-            if self._tracer is not None:
-                self._tracer.emit(
-                    "block_arrival",
-                    self.sim.now,
-                    node=self.node_id,
-                    hash=short_hash(block.hash),
-                    kind=kind,
-                )
+            self.log.record_arrival(self.node_id, block.hash, self.sim.now, kind)
         tree = self.tree
         try:
             if sender is not None:
@@ -204,16 +178,9 @@ class ChainNode(GossipNode):
                 break
             moved = True
         if moved:
-            if self.log is not None:
-                self.log.record_tip(self.node_id, tree.tip, self.sim.now)
-            if self._tracer is not None:
-                self._tracer.emit(
-                    "tip_change",
-                    self.sim.now,
-                    node=self.node_id,
-                    tip=short_hash(tree.tip),
-                    height=tree.tip_record.height,
-                )
+            self.log.record_tip(
+                self.node_id, tree.tip, self.sim.now, tree.tip_record.height
+            )
         return verdict
 
     def _check_block(self, block) -> None:
@@ -317,7 +284,7 @@ class BitcoinNode(ChainNode):
         sim: Simulator,
         network: Network,
         genesis: Block,
-        log: ObservationLog | None = None,
+        log: ObservationLog,
         policy: BlockPolicy | None = None,
         tie_break: TieBreak = TieBreak.FIRST_SEEN,
         relay_mode: RelayMode = RelayMode.INV,

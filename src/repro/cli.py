@@ -194,7 +194,7 @@ def config_from_args(
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = config_from_args(args)
-    result, log = run_experiment(config)
+    result, _log = run_experiment(config)
     # Event rate over the simulate phase only: topology construction is
     # O(n^2) setup work and would dilute the number the dispatch loop
     # actually achieves.
@@ -255,12 +255,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if result.obs is not None:
             print(f"obs trace:               {result.obs.get('trace_path')}")
             print(f"obs records:             {result.obs.get('trace_records')}")
-    if args.save_trace:
-        from .metrics import save_trace
-
-        save_trace(log, args.save_trace)
-        if not args.json:
-            print(f"trace saved:             {args.save_trace}")
     if config.check and result.violations:
         return 1
     return 0
@@ -395,11 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
         run_parser,
         protocol=True,
         instrumentation=("check", "obs", "scenario"),
-    )
-    run_parser.add_argument(
-        "--save-trace",
-        metavar="PATH",
-        help="export the execution's observation log as JSON",
     )
     run_parser.add_argument(
         "--json",

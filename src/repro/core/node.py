@@ -70,7 +70,7 @@ class NGNode(ChainNode):
         network: Network,
         genesis: KeyBlock,
         params: NGParams,
-        log: ObservationLog | None = None,
+        log: ObservationLog,
         policy: MicroblockPolicy | None = None,
         microblock_interval: float | None = None,
         tie_break: TieBreak = TieBreak.RANDOM,
@@ -214,12 +214,14 @@ class NGNode(ChainNode):
         return latest_key.hash == self._leading_epoch
 
     def abdicate(self) -> None:
-        """Drop leadership immediately without a successor key block.
+        """Drop leadership, closing the epoch; a no-op for a non-leader.
 
-        Models the paper's crashed leader: "a benign leader that
-        crashes during his epoch of leadership will publish no
-        microblocks".  The pending generation timer finds
-        ``_leading_epoch`` cleared and dies without rescheduling.
+        The generation timer calls this once a newer key block has
+        ended the epoch.  Called directly, it models the paper's crashed
+        leader: "a benign leader that crashes during his epoch of
+        leadership will publish no microblocks".  The pending generation
+        timer then finds ``_leading_epoch`` cleared and dies without
+        rescheduling.
         """
         if self._leading_epoch is None:
             return
@@ -234,14 +236,7 @@ class NGNode(ChainNode):
 
     def _maybe_generate_microblock(self) -> None:
         if not self.is_leader():
-            if self._leading_epoch is not None and self._tracer is not None:
-                self._tracer.emit(
-                    "epoch_end",
-                    self.sim.now,
-                    leader=self.node_id,
-                    key_block=short_hash(self._leading_epoch),
-                )
-            self._leading_epoch = None
+            self.abdicate()
             return
         tip_record = self.chain.tip_record
         earliest = tip_record.timestamp + self.params.min_microblock_interval

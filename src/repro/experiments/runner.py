@@ -149,7 +149,7 @@ def run_experiment(
 
         sanitizer = sanitizer_for(config, tracer=obs.tracer, profiler=profiler)
     network = build_network(config, sim, obs=obs)
-    log = ObservationLog(config.n_nodes)
+    log = ObservationLog(config.n_nodes, tracer=obs.tracer)
     shares = exponential_shares(config.n_nodes, config.power_exponent)
     nodes, scheduler = adapter.build_nodes(config, sim, network, log, shares)
     horizon = config.duration + config.cooldown

@@ -2,7 +2,6 @@
 
 from .collector import BlockIndex, BlockInfo, ObservationLog, TipHistory
 from .consensus_delay import consensus_delay, point_consensus_delay
-from .export import log_to_dict, save_trace
 from .fairness import fairness
 from .prune import (
     prune_samples,
@@ -24,8 +23,6 @@ __all__ = [
     "ObservationLog",
     "TipHistory",
     "block_rate",
-    "log_to_dict",
-    "save_trace",
     "consensus_delay",
     "fairness",
     "mining_power_utilization",

@@ -1,11 +1,17 @@
 """Observation infrastructure for the paper's metrics (Section 6).
 
 Every experiment wires one :class:`ObservationLog` into all protocol
-nodes.  Nodes report three kinds of events:
+nodes.  It is the one thing a node tells about three kinds of events:
 
 * **generation** — a block was created (globally unique per block);
+  the miner knows it at once, so this is also the miner's arrival;
 * **arrival** — a node first learned of a block;
 * **tip change** — a node's main-chain tip moved.
+
+Built with the run's tracer, the log also writes each event's trace
+row (``block_gen``, ``block_arrival``, ``tip_change``), so a trace
+carries every fact the metrics read except each node's genesis tip,
+which is seeded with no row.
 
 The metric calculators in the sibling modules are pure functions over
 this log, so the same infrastructure serves Bitcoin, GHOST, and
@@ -16,6 +22,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+
+from ..obs.trace import Tracer, short_hash
 
 
 @dataclass(frozen=True)
@@ -107,25 +115,61 @@ class TipHistory:
 class ObservationLog:
     """All events of one execution, shared by every node."""
 
-    def __init__(self, n_nodes: int) -> None:
+    def __init__(self, n_nodes: int, tracer: Tracer | None = None) -> None:
         self.n_nodes = n_nodes
+        self.tracer = tracer
         self.index = BlockIndex()
         self.arrivals: list[dict[bytes, float]] = [{} for _ in range(n_nodes)]
         self.tip_histories: list[TipHistory] = [TipHistory() for _ in range(n_nodes)]
-        self.start_time = 0.0
         self.end_time = 0.0
 
     def record_generation(self, info: BlockInfo) -> None:
+        """A block was created; its miner has it from that instant."""
         self.index.add(info)
-        # The generating node knows its block immediately; its arrival is
-        # recorded by the node itself via record_arrival.
+        self.arrivals[info.miner].setdefault(info.hash, info.gen_time)
+        if self.tracer is not None:
+            self.tracer.emit(
+                "block_gen",
+                info.gen_time,
+                hash=short_hash(info.hash),
+                parent=short_hash(info.parent),
+                kind=info.kind,
+                miner=info.miner,
+                size=info.size,
+                n_tx=info.n_tx,
+            )
 
-    def record_arrival(self, node: int, block_hash: bytes, time: float) -> None:
-        """First time ``node`` learned of ``block_hash``; later calls ignored."""
+    def record_arrival(
+        self, node: int, block_hash: bytes, time: float, kind: str
+    ) -> None:
+        """``node`` received ``block_hash`` from a peer.
+
+        Only the first time counts for the metrics; the trace gets a
+        row for every call.
+        """
         self.arrivals[node].setdefault(block_hash, time)
+        if self.tracer is not None:
+            self.tracer.emit(
+                "block_arrival",
+                time,
+                node=node,
+                hash=short_hash(block_hash),
+                kind=kind,
+            )
 
-    def record_tip(self, node: int, tip: bytes, time: float) -> None:
+    def record_tip(
+        self, node: int, tip: bytes, time: float, height: int | None = None
+    ) -> None:
+        """``node``'s tip moved to ``tip`` at ``height``.
+
+        A call without ``height`` seeds a node's genesis tip and writes
+        no trace row: the trace has never carried it.
+        """
         self.tip_histories[node].record(time, tip)
+        if height is not None and self.tracer is not None:
+            self.tracer.emit(
+                "tip_change", time, node=node, tip=short_hash(tip), height=height
+            )
 
     def arrival_time(self, node: int, block_hash: bytes) -> float | None:
         return self.arrivals[node].get(block_hash)
@@ -136,7 +180,8 @@ class ObservationLog:
 
     @property
     def duration(self) -> float:
-        return self.end_time - self.start_time
+        """The window's length: it opens at time 0."""
+        return self.end_time
 
     def final_consensus_tip(self) -> bytes:
         """The tip most nodes hold at the end — "the" main chain.

@@ -90,7 +90,7 @@ def consensus_delay(
         raise ValueError("delta must be in (0, 1]")
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    start = log.start_time + warmup_fraction * log.duration
+    start = warmup_fraction * log.duration
     end = log.end_time
     if end <= start:
         raise ValueError("empty observation window")

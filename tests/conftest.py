@@ -2,6 +2,18 @@
 
 import pytest
 
+from repro.metrics import (
+    BlockInfo,
+    ObservationLog,
+    consensus_delay,
+    fairness,
+    mining_power_utilization,
+    time_to_prune,
+    time_to_win,
+    transaction_frequency,
+)
+from repro.mining.power import exponential_shares
+
 
 @pytest.fixture
 def count_calls(monkeypatch):
@@ -20,3 +32,68 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+#: Work by block kind at the experiments' fixed difficulty: a trace row
+#: carries the kind, not the work.
+TRACE_WORK = {"block": 2, "key": 2, "micro": 0}
+
+
+def log_from_trace(records: list[dict], n_nodes: int) -> ObservationLog:
+    """The observation log rebuilt from a trace's ``block_gen``,
+    ``block_arrival`` and ``tip_change`` rows, keyed by 6-byte short
+    hashes.  Genesis, which the trace never names as a block, is the one
+    parent among the generated blocks that none of them is; every node
+    holds it from time 0."""
+    gens = [r for r in records if r["ev"] == "block_gen"]
+    [genesis] = {r["parent"] for r in gens} - {r["hash"] for r in gens}
+    log = ObservationLog(n_nodes)
+    for node in range(n_nodes):
+        log.record_tip(node, bytes.fromhex(genesis), 0.0)
+    for r in records:
+        ev = r["ev"]
+        if ev == "block_gen":
+            log.record_generation(
+                BlockInfo(
+                    hash=bytes.fromhex(r["hash"]),
+                    parent=bytes.fromhex(r["parent"]),
+                    miner=r["miner"],
+                    gen_time=r["t"],
+                    work=TRACE_WORK[r["kind"]],
+                    kind=r["kind"],
+                    n_tx=r["n_tx"],
+                    size=r["size"],
+                )
+            )
+        elif ev == "block_arrival":
+            log.record_arrival(r["node"], bytes.fromhex(r["hash"]), r["t"], r["kind"])
+        elif ev == "tip_change":
+            log.record_tip(r["node"], bytes.fromhex(r["tip"]), r["t"], r["height"])
+        elif ev == "trace_end":
+            log.finalize(r["t"])
+    return log
+
+
+@pytest.fixture
+def check_trace_metrics():
+    """``check_trace_metrics(records, result, log)`` asserts that the six
+    Section 6 metrics recomputed from the trace alone equal the run's
+    ``result`` exactly; ``log`` is the run's own log, which must weigh
+    each block as :data:`TRACE_WORK` says."""
+
+    def check(records, result, log):
+        weights = {(info.kind, info.work) for info in log.index.all_blocks()}
+        assert weights <= TRACE_WORK.items()
+        config = result.config
+        rebuilt = log_from_trace(records, config.n_nodes)
+        shares = exponential_shares(config.n_nodes, config.power_exponent)
+        assert {
+            "consensus_delay": consensus_delay(rebuilt),
+            "fairness": fairness(rebuilt, power_shares=shares),
+            "mining_power_utilization": mining_power_utilization(rebuilt),
+            "time_to_prune": time_to_prune(rebuilt),
+            "time_to_win": time_to_win(rebuilt),
+            "transaction_frequency": transaction_frequency(rebuilt),
+        } == result.as_row()
+
+    return check

@@ -31,6 +31,7 @@ OWNER = PrivateKey.from_seed("coin-owner")
 def _cluster(n=3, policy=None, log=None):
     sim = Simulator(seed=0)
     net = Network(sim, complete_topology(n), constant_histogram(0.05), 1e6)
+    log = log or ObservationLog(n)
     nodes = [
         BitcoinNode(i, sim, net, GENESIS, log=log, policy=policy)
         for i in range(n)
@@ -122,8 +123,9 @@ def _funded_node():
     net = Network(sim, complete_topology(2), constant_histogram(0.01), 1e6)
     policy = BlockPolicy(max_block_bytes=100_000, synthetic=False)
     owner = PrivateKey.from_seed("rich")
+    log = ObservationLog(2)
     nodes = [
-        BitcoinNode(i, sim, net, GENESIS, policy=policy, key=owner)
+        BitcoinNode(i, sim, net, GENESIS, log=log, policy=policy, key=owner)
         for i in range(2)
     ]
     # Mine one block: its coinbase pays node 0's key.
@@ -208,7 +210,10 @@ def _node_with_a_spendable_coin(node_type=BitcoinNode, n=2):
     sim = Simulator(seed=0)
     net = Network(sim, complete_topology(n), constant_histogram(0.01), 1e6)
     policy = BlockPolicy(max_block_bytes=100_000, synthetic=False)
-    nodes = [node_type(i, sim, net, GENESIS, policy=policy) for i in range(n)]
+    log = ObservationLog(n)
+    nodes = [
+        node_type(i, sim, net, GENESIS, log=log, policy=policy) for i in range(n)
+    ]
     outpoint = OutPoint(b"\xee" * 32, 0)
     for node in nodes:
         node.utxo.credit(

@@ -144,30 +144,13 @@ def test_parser_rejects_unknown_protocol():
         build_parser().parse_args(["run", "--protocol", "dogecoin"])
 
 
-def test_run_with_trace_export(tmp_path, capsys):
-    import json
-
-    trace = tmp_path / "missing" / "dir" / "t.json"  # parents are created
-    code = main(
-        [
-            "run",
-            "--protocol", "bitcoin",
-            "--nodes", "12",
-            "--blocks", "8",
-            "--block-rate", "0.1",
-            "--block-size", "3000",
-            "--save-trace", str(trace),
-            "--json",
-        ]
-    )
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    saved = json.loads(trace.read_text(encoding="utf-8"))
-    assert saved["version"] == 1
-    assert saved["n_nodes"] == 12
-    assert len(saved["blocks"]) == payload["blocks_generated"] > 0
-    assert len(saved["arrivals"]) == 12
-    assert all(isinstance(arrivals, dict) for arrivals in saved["arrivals"])
+def test_save_trace_is_a_usage_error(capsys):
+    """The observation log is not exported on its own: ``--obs DIR``'s
+    trace carries every fact the six metrics read."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--save-trace", "x"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --save-trace" in capsys.readouterr().err
 
 
 def test_run_json_output(capsys):
@@ -462,7 +445,7 @@ _PROTOCOL_FLAGS = {
 # parameters).  Sharing the block must not silently change a workload.
 _RUN_SURFACES = {
     ("run",): (
-        _PROTOCOL_FLAGS | {"check", "obs", "scenario", "save_trace", "json"},
+        _PROTOCOL_FLAGS | {"check", "obs", "scenario", "json"},
         (100, 60, 0.1, 20_000, 0.01),
     ),
     ("sweep", "frequency"): (

@@ -12,6 +12,7 @@ from repro.core.params import NGParams
 from repro.core.remuneration import build_ng_coinbase
 from repro.crypto.hashing import hash160
 from repro.crypto.keys import PrivateKey
+from repro.metrics.collector import ObservationLog
 
 PARAMS = NGParams(key_block_interval=10.0, min_microblock_interval=1.0)
 GENESIS = make_ng_genesis()
@@ -140,9 +141,11 @@ def test_node_integration_with_ghost_fork_choice():
     sim = Simulator(seed=0)
     net = Network(sim, complete_topology(3), constant_histogram(0.05), 1e6)
     params = NGParams(key_block_interval=50.0, min_microblock_interval=10.0)
+    log = ObservationLog(3)
     nodes = [
         NGNode(
             i, sim, net, GENESIS, params,
+            log=log,
             policy=MicroblockPolicy(target_bytes=2000),
             ghost_fork_choice=True,
         )

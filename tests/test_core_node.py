@@ -31,6 +31,7 @@ GENESIS = make_ng_genesis()
 def _cluster(n=3, params=PARAMS, log=None, check_signatures=True, interval=None):
     sim = Simulator(seed=0)
     net = Network(sim, complete_topology(n), constant_histogram(0.05), 1e6)
+    log = log or ObservationLog(n)
     nodes = [
         NGNode(
             i,
@@ -129,8 +130,10 @@ def test_coinbase_pays_previous_leader_fee_share():
     policy = MicroblockPolicy(
         target_bytes=4760, synthetic_fee_per_tx=100
     )
+    log = ObservationLog(2)
     nodes = [
-        NGNode(i, sim, net, GENESIS, params, policy=policy) for i in range(2)
+        NGNode(i, sim, net, GENESIS, params, log=log, policy=policy)
+        for i in range(2)
     ]
     nodes[0].generate_key_block()
     sim.run(until=25.0)  # two microblocks, 10 tx each
@@ -227,12 +230,12 @@ def test_block_arrival_traced_only_for_relayed_blocks():
     sim, _, nodes = _cluster()
     key = nodes[0].generate_key_block()
     tracer = _RecordingTracer()
-    nodes[1]._tracer = tracer
+    nodes[1].log.tracer = tracer
     nodes[1]._receive(key, KIND_KEY, sender=0)
     assert tracer.events.count("block_arrival") == 1
     # Self-generated objects (sender None) are not arrivals.
     tracer2 = _RecordingTracer()
-    nodes[2]._tracer = tracer2
+    nodes[2].log.tracer = tracer2
     nodes[2]._receive(key, KIND_KEY, sender=None)
     assert tracer2.events.count("block_arrival") == 0
 
@@ -245,11 +248,11 @@ def test_microblock_arrival_traced_only_for_relayed_blocks():
         key.hash, 11.0, SyntheticPayload(n_tx=1, salt=b"t"), nodes[0].key
     )
     tracer = _RecordingTracer()
-    nodes[1]._tracer = tracer
+    nodes[1].log.tracer = tracer
     nodes[1]._receive(micro, KIND_MICRO, sender=0)
     assert tracer.events.count("block_arrival") == 1
     tracer2 = _RecordingTracer()
-    nodes[2]._tracer = tracer2
+    nodes[2].log.tracer = tracer2
     nodes[2]._receive(micro, KIND_MICRO, sender=None)
     assert tracer2.events.count("block_arrival") == 0
 
@@ -420,7 +423,11 @@ def test_signed_microblock_spending_an_unknown_coin_is_refused_not_a_crash():
     sim = Simulator(seed=0)
     net = Network(sim, complete_topology(3), constant_histogram(0.05), 1e6)
     policy = MicroblockPolicy(target_bytes=4760, synthetic=False)
-    nodes = [NGNode(i, sim, net, GENESIS, PARAMS, policy=policy) for i in range(3)]
+    log = ObservationLog(3)
+    nodes = [
+        NGNode(i, sim, net, GENESIS, PARAMS, log=log, policy=policy)
+        for i in range(3)
+    ]
     leader, node = nodes[0], nodes[1]
     key = leader.generate_key_block()
     sim.run(until=1.0)

@@ -14,6 +14,7 @@ from repro.core.params import NGParams
 from repro.core.remuneration import build_ng_coinbase
 from repro.crypto.hashing import hash160
 from repro.crypto.keys import PrivateKey
+from repro.metrics.collector import ObservationLog
 from repro.net.gossip import StoredObject
 from repro.net.latency import constant_histogram
 from repro.net.network import Message, Network
@@ -32,9 +33,11 @@ EVIL = PrivateKey.from_seed("evil")
 def _cluster(n=3):
     sim = Simulator(seed=0)
     net = Network(sim, complete_topology(n), constant_histogram(0.05), 1e6)
+    log = ObservationLog(n)
     nodes = [
         NGNode(
             i, sim, net, GENESIS, PARAMS,
+            log=log,
             policy=MicroblockPolicy(target_bytes=2000),
         )
         for i in range(n)

@@ -18,6 +18,7 @@ GENESIS = make_genesis()
 def _cluster(n=3, log=None):
     sim = Simulator(seed=0)
     net = Network(sim, complete_topology(n), constant_histogram(0.05), 1e6)
+    log = log or ObservationLog(n)
     nodes = [
         GhostNode(i, sim, net, GENESIS, log=log, policy=BlockPolicy(max_block_bytes=5000))
         for i in range(n)
@@ -81,7 +82,10 @@ def test_full_validation_payment_survives_losing_the_subtree_race():
     sim = Simulator(seed=0)
     net = Network(sim, complete_topology(3), constant_histogram(0.05), 1e6)
     policy = BlockPolicy(max_block_bytes=100_000, synthetic=False)
-    nodes = [GhostNode(i, sim, net, GENESIS, policy=policy) for i in range(3)]
+    log = ObservationLog(3)
+    nodes = [
+        GhostNode(i, sim, net, GENESIS, log=log, policy=policy) for i in range(3)
+    ]
     owner = PrivateKey.from_seed("ghost-payer")
     coin = OutPoint(b"\xee" * 32, 0)
     for node in nodes:

@@ -10,6 +10,7 @@ from repro.bitcoin.node import BitcoinNode, BlockPolicy
 from repro.core.genesis import make_ng_genesis
 from repro.core.node import MicroblockPolicy, NGNode
 from repro.core.params import NGParams
+from repro.metrics.collector import ObservationLog
 from repro.net.latency import constant_histogram
 from repro.net.network import Network
 from repro.net.simulator import Simulator
@@ -20,8 +21,11 @@ def _bitcoin_cluster(n=5):
     sim = Simulator(seed=0)
     net = Network(sim, complete_topology(n), constant_histogram(0.05), 1e6)
     genesis = make_genesis()
+    log = ObservationLog(n)
     nodes = [
-        BitcoinNode(i, sim, net, genesis, policy=BlockPolicy(max_block_bytes=2000))
+        BitcoinNode(
+            i, sim, net, genesis, log=log, policy=BlockPolicy(max_block_bytes=2000)
+        )
         for i in range(n)
     ]
     return sim, net, nodes
@@ -136,8 +140,12 @@ def test_ng_leader_crash_epoch_ends_with_next_key_block():
     net = Network(sim, complete_topology(4), constant_histogram(0.05), 1e6)
     params = NGParams(key_block_interval=50.0, min_microblock_interval=10.0)
     genesis = make_ng_genesis()
+    log = ObservationLog(4)
     nodes = [
-        NGNode(i, sim, net, genesis, params, policy=MicroblockPolicy(target_bytes=2000))
+        NGNode(
+            i, sim, net, genesis, params, log=log,
+            policy=MicroblockPolicy(target_bytes=2000),
+        )
         for i in range(4)
     ]
     nodes[0].generate_key_block()
@@ -161,8 +169,12 @@ def test_ng_node_backfills_missed_epoch():
     net = Network(sim, complete_topology(4), constant_histogram(0.05), 1e6)
     params = NGParams(key_block_interval=50.0, min_microblock_interval=10.0)
     genesis = make_ng_genesis()
+    log = ObservationLog(4)
     nodes = [
-        NGNode(i, sim, net, genesis, params, policy=MicroblockPolicy(target_bytes=2000))
+        NGNode(
+            i, sim, net, genesis, params, log=log,
+            policy=MicroblockPolicy(target_bytes=2000),
+        )
         for i in range(4)
     ]
     nodes[0].generate_key_block()

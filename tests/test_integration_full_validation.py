@@ -18,6 +18,7 @@ from repro.core.params import NGParams
 from repro.crypto.keys import PublicKey
 from repro.ledger.transactions import COIN, Transaction, TxInput, TxOutput
 from repro.ledger.utxo import UtxoSet
+from repro.metrics.collector import ObservationLog
 from repro.net.latency import default_histogram
 from repro.net.network import Network
 from repro.net.simulator import Simulator
@@ -47,6 +48,7 @@ class World:
         )
         genesis = make_ng_genesis()
         policy = MicroblockPolicy(target_bytes=50_000, synthetic=False)
+        log = ObservationLog(N_NODES)
         self.nodes = [
             NGNode(
                 node_id,
@@ -54,6 +56,7 @@ class World:
                 network,
                 genesis,
                 PARAMS,
+                log=log,
                 policy=policy,
                 check_signatures=True,
             )

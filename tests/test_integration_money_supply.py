@@ -18,6 +18,7 @@ from repro.core.params import NGParams
 from repro.crypto.hashing import hash160
 from repro.crypto.keys import PrivateKey
 from repro.ledger.transactions import COIN, Transaction, TxInput, TxOutput
+from repro.metrics.collector import ObservationLog
 from repro.net.latency import constant_histogram
 from repro.net.network import Network
 from repro.net.simulator import Simulator
@@ -36,6 +37,7 @@ def network():
     sim = Simulator(seed=5)
     net = Network(sim, complete_topology(3), constant_histogram(0.02), 1e6)
     genesis = make_ng_genesis()
+    log = ObservationLog(3)
     nodes = [
         NGNode(
             i,
@@ -43,6 +45,7 @@ def network():
             net,
             genesis,
             PARAMS,
+            log=log,
             policy=MicroblockPolicy(target_bytes=50_000, synthetic=False),
             check_signatures=True,
         )

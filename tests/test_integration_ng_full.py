@@ -19,6 +19,7 @@ from repro.ledger.transactions import (
     TxInput,
     TxOutput,
 )
+from repro.metrics.collector import ObservationLog
 from repro.net.latency import constant_histogram
 from repro.net.network import Network
 from repro.net.simulator import Simulator
@@ -38,8 +39,12 @@ def cluster():
     net = Network(sim, complete_topology(3), constant_histogram(0.02), 1e6)
     genesis = make_ng_genesis()
     policy = MicroblockPolicy(target_bytes=50_000, synthetic=False)
+    log = ObservationLog(3)
     nodes = [
-        NGNode(i, sim, net, genesis, PARAMS, policy=policy, check_signatures=True)
+        NGNode(
+            i, sim, net, genesis, PARAMS, log=log, policy=policy,
+            check_signatures=True,
+        )
         for i in range(3)
     ]
     # Give the user genesis coins on every node's state, identically.

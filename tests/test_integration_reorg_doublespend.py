@@ -19,6 +19,7 @@ from repro.ledger.transactions import (
     TxOutput,
 )
 from repro.ledger.utxo import UtxoSet
+from repro.metrics.collector import ObservationLog
 from repro.net.latency import constant_histogram
 from repro.net.network import Network
 from repro.net.simulator import Simulator
@@ -36,12 +37,14 @@ def nodes():
     sim = Simulator(seed=0)
     net = Network(sim, complete_topology(2), constant_histogram(0.01), 1e6)
     genesis = make_genesis()
+    log = ObservationLog(2)
     cluster = [
         BitcoinNode(
             i,
             sim,
             net,
             genesis,
+            log=log,
             policy=BlockPolicy(max_block_bytes=100_000, synthetic=False),
         )
         for i in range(2)

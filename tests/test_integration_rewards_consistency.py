@@ -15,6 +15,7 @@ from repro.core.node import MicroblockPolicy, NGNode
 from repro.core.params import NGParams
 from repro.core.remuneration import RewardLedger
 from repro.core.blocks import KeyBlock
+from repro.metrics.collector import ObservationLog
 from repro.net.latency import constant_histogram
 from repro.net.network import Network
 from repro.net.simulator import Simulator
@@ -31,8 +32,9 @@ def _run_epochs(n_epochs=4):
     policy = MicroblockPolicy(
         target_bytes=4760, synthetic_fee_per_tx=FEE_PER_TX
     )
+    log = ObservationLog(3)
     nodes = [
-        NGNode(i, sim, net, genesis, PARAMS, policy=policy)
+        NGNode(i, sim, net, genesis, PARAMS, log=log, policy=policy)
         for i in range(3)
     ]
     t = 0.0

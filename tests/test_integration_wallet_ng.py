@@ -11,6 +11,7 @@ from repro.core.genesis import make_ng_genesis, seed_genesis_coins
 from repro.core.node import KIND_MICRO, MicroblockPolicy, NGNode
 from repro.core.params import NGParams
 from repro.ledger.transactions import COIN
+from repro.metrics.collector import ObservationLog
 from repro.net.latency import constant_histogram
 from repro.net.network import Network
 from repro.net.simulator import Simulator
@@ -27,6 +28,7 @@ def world():
     sim = Simulator(seed=8)
     net = Network(sim, complete_topology(3), constant_histogram(0.03), 1e6)
     genesis = make_ng_genesis()
+    log = ObservationLog(3)
     nodes = [
         NGNode(
             i,
@@ -34,6 +36,7 @@ def world():
             net,
             genesis,
             PARAMS,
+            log=log,
             policy=MicroblockPolicy(target_bytes=50_000, synthetic=False),
             check_signatures=True,
         )

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.metrics.collector import BlockIndex, BlockInfo, ObservationLog, TipHistory
+from repro.obs.trace import MemorySink, Tracer
 
 
 def _info(h, parent, miner=0, t=0.0, work=1, kind="block", n_tx=0, size=100):
@@ -94,10 +95,27 @@ def test_tip_history_requires_order():
 
 def test_arrival_records_first_only():
     log = ObservationLog(2)
-    log.record_arrival(0, b"a", 1.0)
-    log.record_arrival(0, b"a", 5.0)
+    log.record_arrival(0, b"a", 1.0, "block")
+    log.record_arrival(0, b"a", 5.0, "block")
     assert log.arrival_time(0, b"a") == 1.0
     assert log.arrival_time(1, b"a") is None
+
+
+def test_each_report_is_one_trace_row_and_the_genesis_seed_none():
+    sink = MemorySink()
+    tracer = Tracer(sink)
+    log = ObservationLog(2, tracer=tracer)
+    log.record_tip(0, b"\x00" * 32, 0.0)  # the genesis seed
+    log.record_generation(_info(b"\xaa" * 32, b"\x00" * 32, miner=1, t=2.0, n_tx=3))
+    log.record_arrival(0, b"\xaa" * 32, 2.5, "block")
+    log.record_tip(0, b"\xaa" * 32, 2.5, 1)
+    tracer.flush()
+    assert log.arrival_time(1, b"\xaa" * 32) == 2.0  # the miner has it at once
+    assert [(r["ev"], r["t"]) for r in sink.records] == [
+        ("block_gen", 2.0), ("block_arrival", 2.5), ("tip_change", 2.5),
+    ]
+    assert sink.records[0]["hash"] == "aa" * 6
+    assert sink.records[2]["height"] == 1
 
 
 def test_final_consensus_tip_majority():

@@ -29,12 +29,12 @@ def _forked_log():
         log.record_tip(node, b"a", 1.0)
         log.record_tip(node, b"b", 4.5)
     # Node 0 heard the branch early, node 1 late.
-    log.record_arrival(0, b"a", 1.1)
-    log.record_arrival(0, b"x", 2.1)
-    log.record_arrival(0, b"b", 4.2)
-    log.record_arrival(1, b"a", 1.3)
-    log.record_arrival(1, b"x", 3.9)
-    log.record_arrival(1, b"b", 4.4)
+    log.record_arrival(0, b"a", 1.1, "block")
+    log.record_arrival(0, b"x", 2.1, "block")
+    log.record_arrival(0, b"b", 4.2, "block")
+    log.record_arrival(1, b"a", 1.3, "block")
+    log.record_arrival(1, b"x", 3.9, "block")
+    log.record_arrival(1, b"b", 4.4, "block")
     log.finalize(10.0)
     return log
 
@@ -56,9 +56,9 @@ def test_prune_zero_when_branch_arrives_after_winner():
     log.index.add(_info(b"b", b"a", 2.0))
     log.index.add(_info(b"x", b"g", 1.5, miner=1))
     log.record_tip(0, b"b", 2.0)
-    log.record_arrival(0, b"a", 1.0)
-    log.record_arrival(0, b"b", 2.0)
-    log.record_arrival(0, b"x", 5.0)  # already outweighed on arrival
+    log.record_arrival(0, b"a", 1.0, "block")
+    log.record_arrival(0, b"b", 2.0, "block")
+    log.record_arrival(0, b"x", 5.0, "block")  # already outweighed on arrival
     log.finalize(10.0)
     assert prune_samples(log) == [0.0]
 
@@ -67,7 +67,7 @@ def test_no_forks_no_prune_samples():
     log = ObservationLog(1)
     log.index.add(_info(b"a", b"g", 1.0))
     log.record_tip(0, b"a", 1.0)
-    log.record_arrival(0, b"a", 1.0)
+    log.record_arrival(0, b"a", 1.0, "block")
     log.finalize(10.0)
     assert prune_samples(log) == []
     assert time_to_prune(log) == 0.0
@@ -80,8 +80,8 @@ def test_branch_pruned_by_heavier_sibling():
     log.index.add(_info(b"a", b"g", 1.0))
     log.index.add(_info(b"x", b"g", 2.0, work=5, miner=1))
     log.record_tip(0, b"x", 2.0)
-    log.record_arrival(0, b"a", 1.0)
-    log.record_arrival(0, b"x", 2.0)
+    log.record_arrival(0, b"a", 1.0, "block")
+    log.record_arrival(0, b"x", 2.0, "block")
     log.finalize(10.0)
     assert prune_samples(log) == [pytest.approx(1.0)]
 

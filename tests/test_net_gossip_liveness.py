@@ -17,6 +17,7 @@ from repro.core.node import NGNode
 from repro.core.params import NGParams
 from repro.experiments import ExperimentConfig, Protocol, run_experiment
 from repro.experiments.runner import build_network
+from repro.metrics.collector import ObservationLog
 from repro.metrics import ObservationLog
 from repro.mining.power import exponential_shares
 from repro.net.gossip import GossipNode
@@ -139,8 +140,9 @@ def test_key_block_that_overtakes_its_parent_microblock_connects_two_hops_out():
     network = Network(sim, topology, constant_histogram(0.1))
     params = NGParams(key_block_interval=100.0, min_microblock_interval=10.0)
     genesis = make_ng_genesis()
+    log = ObservationLog(3)
     leader, middle, far = (
-        NGNode(i, sim, network, genesis, params, check_signatures=False)
+        NGNode(i, sim, network, genesis, params, log=log, check_signatures=False)
         for i in range(3)
     )
     leader.generate_key_block()  # its first microblock is due at t = 10

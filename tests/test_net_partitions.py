@@ -4,6 +4,7 @@ import pytest
 
 from repro.bitcoin.blocks import make_genesis
 from repro.bitcoin.node import BitcoinNode, BlockPolicy
+from repro.metrics.collector import ObservationLog
 from repro.net.latency import constant_histogram
 from repro.net.network import Message, Network
 from repro.net.partitions import PartitionController
@@ -15,8 +16,11 @@ def _cluster(n=6):
     sim = Simulator(seed=0)
     net = Network(sim, complete_topology(n), constant_histogram(0.05), 1e6)
     genesis = make_genesis()
+    log = ObservationLog(n)
     nodes = [
-        BitcoinNode(i, sim, net, genesis, policy=BlockPolicy(max_block_bytes=2000))
+        BitcoinNode(
+            i, sim, net, genesis, log=log, policy=BlockPolicy(max_block_bytes=2000)
+        )
         for i in range(n)
     ]
     return sim, net, nodes

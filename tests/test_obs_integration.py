@@ -35,8 +35,8 @@ def _run_traced(config):
     return result, log, sink.records
 
 
-def test_ng_run_emits_the_full_vocabulary():
-    result, _, records = _run_traced(SMALL.with_(protocol=Protocol.BITCOIN_NG))
+def test_ng_run_emits_the_full_vocabulary(check_trace_metrics):
+    result, log, records = _run_traced(SMALL.with_(protocol=Protocol.BITCOIN_NG))
     events = {r["ev"] for r in records}
     assert {
         "trace_start", "send", "deliver", "block_gen", "block_arrival",
@@ -53,14 +53,16 @@ def test_ng_run_emits_the_full_vocabulary():
     kinds = {r["kind"] for r in records if r["ev"] == "block_gen"}
     assert kinds == {"key", "micro"}
     assert result.obs is not None
+    check_trace_metrics(records, result, log)
 
 
-def test_bitcoin_run_traces_blocks_and_tips():
-    _, log, records = _run_traced(SMALL.with_(protocol=Protocol.BITCOIN))
+def test_bitcoin_run_traces_blocks_and_tips(check_trace_metrics):
+    result, log, records = _run_traced(SMALL.with_(protocol=Protocol.BITCOIN))
     gens = [r for r in records if r["ev"] == "block_gen"]
     assert len(gens) == len(log.index)
     assert all(r["kind"] == "block" for r in gens)
     assert any(r["ev"] == "tip_change" for r in records)
+    check_trace_metrics(records, result, log)
 
 
 def test_snapshot_carries_metrics_traffic_and_samples():
@@ -151,12 +153,15 @@ LIVE_RUNS = [
 
 
 @pytest.mark.parametrize("protocol, extra, profiled", LIVE_RUNS)
-def test_live_snapshot_is_the_offline_summary(tmp_path, protocol, extra, profiled):
+def test_live_snapshot_is_the_offline_summary(
+    tmp_path, protocol, extra, profiled, check_trace_metrics
+):
     """One fold: what the run reports is what ``repro trace summarize``
-    makes of the file it wrote."""
+    makes of the file it wrote, and the six metrics are what the file's
+    block rows give."""
     config = SMALL.with_(protocol=protocol, obs_dir=str(tmp_path), **extra)
     profiler = ProfilerRuntime() if profiled else None
-    result, _ = run_experiment(config, profiler=profiler)
+    result, log = run_experiment(config, profiler=profiler)
     slug = config_slug(config)
     records = load_records(tmp_path / f"{slug}.trace.jsonl")
     offline = summarize(records)
@@ -165,6 +170,7 @@ def test_live_snapshot_is_the_offline_summary(tmp_path, protocol, extra, profile
     assert result.obs["trace_records"] == len(records) == offline.records
     on_disk = json.loads((tmp_path / f"{slug}.metrics.json").read_text())
     assert on_disk == result.obs
+    check_trace_metrics(records, result, log)
     if protocol is Protocol.BITCOIN_NG:
         # Every NG trace carries its leader epochs, profiled or not.
         metrics = result.obs["metrics"]
@@ -223,6 +229,7 @@ def test_profiled_run_without_obs_keeps_every_tracer_off(monkeypatch, protocol):
     assert built["network"].obs is NULL_OBS
     assert built["network"].tracer is None
     assert built["nodes"] and all(node._tracer is None for node in built["nodes"])
+    assert built["nodes"][0].log.tracer is None
 
 
 def test_obs_results_match_bare_results():

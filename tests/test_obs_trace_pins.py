@@ -8,7 +8,8 @@ produce outside checked mode: ``send``, ``deliver``, ``drop``,
 ``sample_*`` and the fault records.  Each file's sha256 is compared to
 a committed value.  A pin moves only when what is simulated or what a
 record holds changes on purpose, and then it is re-pinned with the
-reason stated.
+reason stated.  The same files, read back, must give the run's six
+Section 6 metrics exactly.
 """
 
 import hashlib
@@ -67,12 +68,13 @@ def _schedule(duration: float) -> dict:
 
 
 @pytest.mark.parametrize("protocol", tuple(Protocol), ids=lambda p: p.value)
-def test_trace_bytes_are_pinned(tmp_path, protocol):
+def test_trace_bytes_are_pinned(tmp_path, protocol, check_trace_metrics):
     config = BASE.with_(protocol=protocol, **SHAPES[protocol])
     config = config.with_(scenario=_schedule(config.duration), obs_dir=str(tmp_path))
-    run_experiment(config)
+    result, log = run_experiment(config)
     data = (tmp_path / f"{config_slug(config)}.trace.jsonl").read_bytes()
-    events = {json.loads(line)["ev"] for line in data.splitlines()}
+    records = [json.loads(line) for line in data.splitlines()]
+    events = {r["ev"] for r in records}
     assert {"send", "deliver", "drop", "block_gen", "block_arrival",
             "tip_change", "sample_links", "sample_mempool",
             "sample_forks"} | FAULTS <= events
@@ -81,6 +83,7 @@ def test_trace_bytes_are_pinned(tmp_path, protocol):
     if protocol is Protocol.BITCOIN_NG:
         assert {"epoch_start", "epoch_end"} <= events
     assert (hashlib.sha256(data).hexdigest(), len(data)) == PINS[protocol]
+    check_trace_metrics(records, result, log)
 
 
 class _CountingFile:
