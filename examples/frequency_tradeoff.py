@@ -9,7 +9,7 @@ at the optimum.  Full-scale sweeps live in benchmarks/.
 Run:  python examples/frequency_tradeoff.py
 """
 
-from repro.api import (
+from repro.experiments import (
     ExperimentConfig,
     Protocol,
     format_series,
@@ -35,6 +35,14 @@ def main() -> None:
     print(format_series(sweep, "mining_power_utilization"))
     print("\ntime to prune (seconds):\n")
     print(format_series(sweep, "time_to_prune"))
+    at_half = {p.protocol: p for p in sweep.points if p.x == 0.5}
+    ng, bitcoin = (
+        at_half[protocol].mean("mining_power_utilization")
+        for protocol in (Protocol.BITCOIN_NG, Protocol.BITCOIN)
+    )
+    assert ng >= bitcoin, (ng, bitcoin)
+    print(f"\nat 0.5 blocks/s NG keeps utilization {ng:.3f} "
+          f">= Bitcoin's {bitcoin:.3f}")
 
 
 if __name__ == "__main__":

@@ -23,13 +23,14 @@ Package map
     mining (exponential scheduler, pool-shaped power).
 ``repro.metrics``
     The Section 6 metrics: consensus delay, fairness, mining power
-    utilization, time to prune, time to win.
+    utilization, time to prune, time to win, transaction frequency.
 ``repro.experiments``
     The Figure 7/8 harness: runner, sweeps, propagation study,
     reporting.
 ``repro.protocols``
-    The protocol-adapter registry the runner builds nodes through;
-    register an adapter to plug a new protocol into every experiment.
+    The closed map from each protocol to the adapter the runner builds
+    its nodes through; a new protocol is a ``Protocol`` member plus an
+    adapter class there.
 ``repro.scenarios``
     Deterministic fault injection: declarative JSON scenarios scheduling
     crashes, restarts, partitions, link degradation, and message loss.
@@ -43,15 +44,10 @@ Package map
     Closed-form fork/growth models and shared statistics helpers.
 ``repro.cli``
     The ``python -m repro`` command line.
-``repro.api``
-    The stable public facade: one import surface re-exporting the
-    supported names (configs, runner, sweeps, adapter registry,
-    sanitizer, profiler).  Scripts and notebooks should import from
-    here; internal module layout may shift, these names will not.
 
 Quickstart
 ----------
->>> from repro.api import ExperimentConfig, Protocol, run_experiment
+>>> from repro.experiments import ExperimentConfig, Protocol, run_experiment
 >>> config = ExperimentConfig(protocol=Protocol.BITCOIN_NG, n_nodes=50,
 ...                           block_rate=0.1, block_size_bytes=20_000,
 ...                           target_blocks=40)
@@ -64,7 +60,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "analysis",
-    "api",
     "attacks",
     "bitcoin",
     "core",

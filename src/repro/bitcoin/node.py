@@ -269,9 +269,6 @@ class ChainNode(GossipNode):
     def tip(self) -> bytes:
         return self.tree.tip
 
-    def balance_of(self, pubkey_hash: bytes) -> int:
-        return self.utxo.balance(pubkey_hash)
-
 
 class BitcoinNode(ChainNode):
     """A miner/relay node running the Bitcoin blockchain protocol."""

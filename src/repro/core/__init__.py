@@ -23,7 +23,6 @@ from .blocks import (
 from .chain import FraudProof, NGChain, NGRecord
 from .genesis import GENESIS_LEADER_KEY, make_ng_genesis, seed_genesis_coins
 from .ghost_ng import GhostNGChain
-from .spv import InclusionProof, LightClient, SpvError, build_inclusion_proof
 from .incentives import (
     BYZANTINE_BOUND,
     OPTIMAL_NETWORK_BOUND,
@@ -61,10 +60,6 @@ __all__ = [
     "FraudProof",
     "GhostNGChain",
     "IncentiveWindow",
-    "InclusionProof",
-    "LightClient",
-    "SpvError",
-    "build_inclusion_proof",
     "InvalidNGBlock",
     "InvalidPoison",
     "KeyBlock",

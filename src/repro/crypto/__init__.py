@@ -8,7 +8,7 @@ arithmetic.
 
 from .hashing import DIGEST_SIZE, hash160, sha256, sha256d, tagged_hash
 from .keys import PrivateKey, PublicKey
-from .merkle import EMPTY_ROOT, merkle_proof, merkle_root, verify_proof
+from .merkle import EMPTY_ROOT, merkle_root
 from .pow import (
     GENESIS_TARGET,
     MAX_TARGET,
@@ -29,13 +29,11 @@ __all__ = [
     "PublicKey",
     "compact_from_target",
     "hash160",
-    "merkle_proof",
     "merkle_root",
     "meets_target",
     "sha256",
     "sha256d",
     "tagged_hash",
     "target_from_compact",
-    "verify_proof",
     "work_from_target",
 ]

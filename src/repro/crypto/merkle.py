@@ -3,11 +3,10 @@
 Blocks commit to their contents through the Merkle root of the entry
 hashes, exactly as in Bitcoin.  Bitcoin-NG microblock headers carry "a
 cryptographic hash of its ledger entries"; we use the same Merkle
-construction for both protocols so entry-inclusion proofs work uniformly.
+construction for both protocols.
 
 The tree duplicates the final hash of an odd level, matching Bitcoin's
-(historically quirky) rule.  ``merkle_proof``/``verify_proof`` provide
-logarithmic inclusion proofs for light-client style checks.
+(historically quirky) rule.
 """
 
 from __future__ import annotations
@@ -31,40 +30,3 @@ def merkle_root(leaves: list[bytes]) -> bytes:
         ]
     return level[0]
 
-
-def merkle_proof(leaves: list[bytes], index: int) -> list[tuple[bytes, bool]]:
-    """Build an inclusion proof for ``leaves[index]``.
-
-    Returns a list of (sibling_hash, sibling_is_right) pairs from leaf to
-    root.  An empty list proves membership in a single-leaf tree.
-    """
-    if not 0 <= index < len(leaves):
-        raise IndexError(f"leaf index {index} out of range for {len(leaves)} leaves")
-    proof: list[tuple[bytes, bool]] = []
-    level = list(leaves)
-    position = index
-    while len(level) > 1:
-        if len(level) % 2:
-            level.append(level[-1])
-        if position % 2 == 0:
-            proof.append((level[position + 1], True))
-        else:
-            proof.append((level[position - 1], False))
-        level = [
-            sha256d(level[i] + level[i + 1]) for i in range(0, len(level), 2)
-        ]
-        position //= 2
-    return proof
-
-
-def verify_proof(
-    leaf: bytes, proof: list[tuple[bytes, bool]], root: bytes
-) -> bool:
-    """Check that ``leaf`` hashes up to ``root`` via ``proof``."""
-    current = leaf
-    for sibling, sibling_is_right in proof:
-        if sibling_is_right:
-            current = sha256d(current + sibling)
-        else:
-            current = sha256d(sibling + current)
-    return current == root

@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import dataclass, field, replace
@@ -250,13 +251,15 @@ class ShadowTree:
 _WORKER: dict[str, Any] = {}
 
 
+def _shadow_dir(repo_root: Path, pid: int) -> Path:
+    return repo_root / ".mutate-shadow" / f"w{pid}"
+
+
 def _worker_state(task: MutantTask) -> dict[str, Any]:
     key = (task.repo_root, task.tree_sha)
     if _WORKER.get("key") != key:
         repo_root = Path(task.repo_root)
-        shadow_dir = (
-            repo_root / ".mutate-shadow" / f"w{os.getpid()}"
-        )
+        shadow_dir = _shadow_dir(repo_root, os.getpid())
         shadow_dir.mkdir(parents=True, exist_ok=True)
         _WORKER.clear()
         _WORKER.update(
@@ -647,7 +650,17 @@ class MutationEngine:
         fresh: list[MutantVerdict] = []
         if tasks:
             executor = SweepExecutor(self.jobs)
-            fresh = executor.map_tasks(_evaluate_mutant, tasks, progress)
+            before = set(self.repo_root.glob(".mutate-shadow/w*"))
+            try:
+                fresh = executor.map_tasks(_evaluate_mutant, tasks, progress)
+            finally:
+                # The run's trees: its pool workers', and this process's
+                # when the tasks ran in-process, whose memo goes too.
+                ours = set(self.repo_root.glob(".mutate-shadow/w*")) - before
+                ours.add(_shadow_dir(self.repo_root, os.getpid()))
+                for tree in ours:
+                    shutil.rmtree(tree, ignore_errors=True)
+                _WORKER.clear()
         for verdict in fresh:
             self.cache.store(file_shas[verdict.path], verdict)
         self.cache.save()

@@ -101,14 +101,6 @@ class Wallet:
                 )
         return coins
 
-    def balance(self, utxo: UtxoSet, height: int | None = None) -> int:
-        """Total wallet funds; with ``height``, only mature coins count."""
-        if height is not None:
-            return sum(c.value for c in self.spendable_coins(utxo, height))
-        return sum(
-            utxo.balance(self.pubkey_hash(i)) for i in range(self.n_keys)
-        )
-
     # -- payments -----------------------------------------------------------
 
     def build_payment(

@@ -138,7 +138,7 @@ def test_full_mode_coinbase_credited():
     sim, nodes, owner, block = _funded_node()
     pkh = hash160(owner.public_key().to_bytes())
     for node in nodes:
-        assert node.balance_of(pkh) == block.coinbase.outputs[0].value
+        assert node.utxo.balance(pkh) == block.coinbase.outputs[0].value
 
 
 def test_full_mode_spend_flows_into_block():
@@ -158,7 +158,7 @@ def test_full_mode_spend_flows_into_block():
     sim.run()
     assert mined.n_tx == 1
     for node in nodes:
-        assert node.balance_of(dest) == 10 * COIN
+        assert node.utxo.balance(dest) == 10 * COIN
 
 
 def test_full_mode_double_spend_rejected_in_mempool():
@@ -310,7 +310,6 @@ def test_nodes_inherit_the_ledger_rather_than_copy_it():
         "deliver",  # the "tx" branch, and the dispatch on KINDS
         "_receive",  # the reorg replay, and the refusal when it fails
         "_disconnect_block",
-        "balance_of",
         "submit_transaction",
         "_accept_relayed_transaction",
     )
@@ -425,5 +424,5 @@ def test_refused_orphan_does_not_take_the_delivered_block_with_it(node_type):
     assert node.tip == parent.hash
     assert node.blocks_rejected == 1
     assert orphan.hash not in node.tree
-    assert node.balance_of(bytes(20)) == 25 * COIN  # parent's coinbase connected
+    assert node.utxo.balance(bytes(20)) == 25 * COIN  # parent's coinbase connected
     node.tree.assert_consistent()

@@ -1,9 +1,7 @@
-"""Merkle tree construction and inclusion proofs."""
-
-import pytest
+"""Merkle tree construction."""
 
 from repro.crypto.hashing import sha256d
-from repro.crypto.merkle import EMPTY_ROOT, merkle_proof, merkle_root, verify_proof
+from repro.crypto.merkle import EMPTY_ROOT, merkle_root
 
 
 def _leaves(n):
@@ -34,36 +32,3 @@ def test_root_depends_on_order():
     a, b = _leaves(2)
     assert merkle_root([a, b]) != merkle_root([b, a])
 
-
-def test_proofs_verify_for_all_positions():
-    for n in (1, 2, 3, 4, 5, 8, 13):
-        leaves = _leaves(n)
-        root = merkle_root(leaves)
-        for i, leaf in enumerate(leaves):
-            proof = merkle_proof(leaves, i)
-            assert verify_proof(leaf, proof, root), (n, i)
-
-
-def test_proof_fails_for_wrong_leaf():
-    leaves = _leaves(8)
-    root = merkle_root(leaves)
-    proof = merkle_proof(leaves, 3)
-    assert not verify_proof(leaves[4], proof, root)
-
-
-def test_proof_fails_for_wrong_root():
-    leaves = _leaves(8)
-    proof = merkle_proof(leaves, 0)
-    assert not verify_proof(leaves[0], proof, sha256d(b"other"))
-
-
-def test_proof_length_is_logarithmic():
-    leaves = _leaves(16)
-    assert len(merkle_proof(leaves, 0)) == 4
-
-
-def test_proof_index_bounds():
-    with pytest.raises(IndexError):
-        merkle_proof(_leaves(4), 4)
-    with pytest.raises(IndexError):
-        merkle_proof(_leaves(4), -1)

@@ -1,9 +1,10 @@
-"""Smoke tests: every example must run clean end to end.
+"""Every example shows one paper claim, and tier-1 checks that it holds.
 
-Each script in ``examples/`` runs as a subprocess, so a refactor cannot
-silently break a documented entry point, and the scripts that print a
-claim must still print it: the poison and SPV examples are the only
-end-to-end checks of fraud-proof and light-client signatures.
+Each script in ``examples/`` runs as a subprocess and must print the
+line it prints only once its claim is asserted.  An example with no
+entry in ``CLAIMS`` fails ``test_all_examples_present``: a script that
+shows nothing the paper claims keeps no code alive, since the use audit
+counts every example as a reader.
 """
 
 import pathlib
@@ -14,10 +15,18 @@ import pytest
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
+#: script -> (paper section, a line printed only once the claim holds)
 CLAIMS = {
-    "doublespend_poison.py": "the fraud did not pay.",
-    "light_client.py": "a forged 500-coin proof is rejected ✓",
-    "payment_network.py": "(all agree)",
+    "doublespend_poison.py": ("§4.5", "the fraud did not pay."),
+    "power_variation.py": (
+        "§5.2",
+        "microblocks keep the ledger moving while only leader election",
+    ),
+    "frequency_tradeoff.py": ("§8", "at 0.5 blocks/s NG keeps utilization"),
+    "ghost_ambiguity.py": (
+        "Appendix A",
+        "no node's local choice matches the global main chain: True",
+    ),
 }
 
 
@@ -33,12 +42,10 @@ def test_example_runs_clean(script):
         timeout=180,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip()
-    assert CLAIMS.get(script, "") in result.stdout
+    _, claim = CLAIMS[script]
+    assert claim in result.stdout
 
 
 def test_all_examples_present():
     scripts = {path.name for path in EXAMPLES.glob("*.py")}
-    assert "quickstart.py" in scripts
-    assert set(CLAIMS) <= scripts
-    assert len(scripts) >= 5  # the deliverable floor, with room above
+    assert set(CLAIMS) == scripts

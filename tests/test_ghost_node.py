@@ -108,7 +108,7 @@ def test_full_validation_payment_survives_losing_the_subtree_race():
     majority_tip = nodes[1].generate_block()
     sim.run()
     assert lonely.n_tx == 1 and nodes[2].tip == lonely.hash
-    assert [node.balance_of(dest) for node in nodes] == [0, 0, 90]
+    assert [node.utxo.balance(dest) for node in nodes] == [0, 0, 90]
 
     net.unblock_link(0, 2)
     net.unblock_link(1, 2)
@@ -116,14 +116,14 @@ def test_full_validation_payment_survives_losing_the_subtree_race():
     sim.run()
     assert {node.tip for node in nodes} == {majority_tip.hash}
     assert lonely.hash in nodes[2].tree  # pruned, still weighed
-    assert [node.balance_of(dest) for node in nodes] == [0, 0, 0]
+    assert [node.utxo.balance(dest) for node in nodes] == [0, 0, 0]
     assert pay.txid in nodes[2].mempool  # back in line, not lost
 
     confirmed = nodes[2].generate_block()
     sim.run()
     assert confirmed.n_tx == 1
     assert {node.tip for node in nodes} == {confirmed.hash}
-    assert [node.balance_of(dest) for node in nodes] == [90, 90, 90]
+    assert [node.utxo.balance(dest) for node in nodes] == [90, 90, 90]
     assert all(len(node.mempool) == 0 for node in nodes)
     for node in nodes:
         node.tree.assert_consistent()

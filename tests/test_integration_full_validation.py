@@ -146,7 +146,7 @@ def test_network_pays_one_verify_per_signed_input_and_microblock(count_calls):
         assert committed == {tx.txid for tx in world.payments}
         # Each wallet paid once, 2,000 units of fee on top.
         assert [
-            nodes[2].balance_of(wallet.pubkey_hash()) for wallet in world.wallets
+            nodes[2].utxo.balance(wallet.pubkey_hash()) for wallet in world.wallets
         ] == [coins * COIN - 2_000 for coins in (10, 29, 19, 22)]
 
         # The forged spend reached every other node, was refused by each

@@ -111,7 +111,7 @@ def test_fee_shares_traceable_to_leaders(network):
     sim.run(until=40.0)
     # The closing coinbase paid 40% of the fee to leader 0 and
     # subsidy + 60% to leader 1 — visible as balances.
-    leader0 = nodes[2].balance_of(nodes[0].pubkey_hash)
-    leader1 = nodes[2].balance_of(nodes[1].pubkey_hash)
+    leader0 = nodes[2].utxo.balance(nodes[0].pubkey_hash)
+    leader1 = nodes[2].utxo.balance(nodes[1].pubkey_hash)
     assert leader0 == PARAMS.key_block_reward + int(fee * 0.4)
     assert leader1 == PARAMS.key_block_reward + (fee - int(fee * 0.4))

@@ -64,8 +64,8 @@ def test_transaction_serialized_in_microblock(cluster):
     nodes[0].submit_transaction(spend)
     sim.run(until=15.0)  # the first microblock carries it
     for node in nodes:
-        assert node.balance_of(MERCHANT) == 4 * COIN
-        assert node.balance_of(USER_PKH) == 6 * COIN
+        assert node.utxo.balance(MERCHANT) == 4 * COIN
+        assert node.utxo.balance(USER_PKH) == 6 * COIN
 
 
 def test_invalid_signature_never_enters_chain(cluster):
@@ -113,18 +113,18 @@ def test_state_survives_microblock_pruning(cluster):
     # The leader emits the spend's microblock at t=20 but node 2 mines a
     # key block at t=20.05 on the earlier tip, pruning it.
     sim.run(until=20.01)
-    assert nodes[0].balance_of(MERCHANT) == 10 * COIN  # leader applied it
+    assert nodes[0].utxo.balance(MERCHANT) == 10 * COIN  # leader applied it
     nodes[2].generate_key_block()
     sim.run(until=25.0)
     # The new key block wins; the spend is rolled back everywhere and
     # sits in mempools for re-inclusion.
     for node in nodes:
         assert node.tip == nodes[2].tip
-    assert nodes[0].balance_of(MERCHANT) == 0
+    assert nodes[0].utxo.balance(MERCHANT) == 0
     assert spend.txid in nodes[0].mempool
     # The new leader eventually re-serializes it.
     sim.run(until=45.0)
-    assert nodes[2].balance_of(MERCHANT) == 10 * COIN
+    assert nodes[2].utxo.balance(MERCHANT) == 10 * COIN
 
 
 def test_coinbase_maturity_in_ng(cluster):

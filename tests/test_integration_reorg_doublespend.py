@@ -71,7 +71,7 @@ def test_reorg_swaps_conflicting_spends(nodes):
     node0.submit_transaction(pay_a)
     block_a = node0.generate_block()
     sim.run()
-    assert node0.balance_of(MERCHANT_A) == 10 * COIN
+    assert node0.utxo.balance(MERCHANT_A) == 10 * COIN
 
     # Branch B: node 1, never having seen branch A, mines pay_b twice —
     # the heavier branch.
@@ -82,7 +82,7 @@ def test_reorg_swaps_conflicting_spends(nodes):
     sim.run()
     block_b2 = node1.generate_block()
     sim.run()
-    assert node1.balance_of(MERCHANT_B) == 10 * COIN
+    assert node1.utxo.balance(MERCHANT_B) == 10 * COIN
 
     # Reconnect: node 0 hears the heavier branch and must reorg.
     node0.network.set_offline(0, offline=False)
@@ -95,8 +95,8 @@ def test_reorg_swaps_conflicting_spends(nodes):
     sim.run()
     assert node0.tip == block_b2.hash
     # The A-spend was rolled back; the B-spend is now the real one.
-    assert node0.balance_of(MERCHANT_A) == 0
-    assert node0.balance_of(MERCHANT_B) == 10 * COIN
+    assert node0.utxo.balance(MERCHANT_A) == 0
+    assert node0.utxo.balance(MERCHANT_B) == 10 * COIN
     # The conflicting A-spend cannot re-enter the mempool (its coin is
     # gone), so it is not resurrected.
     assert pay_a.txid not in node0.mempool

@@ -73,7 +73,7 @@ def test_payment_lifecycle(world):
         tx.txid for tx in record.block.payload.transactions  # type: ignore[union-attr]
     ]
     # Funds are visible at the merchant's node.
-    assert merchant_node.balance_of(merchant.pubkey_hash()) == 12 * COIN
+    assert merchant_node.utxo.balance(merchant.pubkey_hash()) == 12 * COIN
 
 
 def test_merchant_wallet_can_respend(world):
@@ -90,7 +90,8 @@ def test_merchant_wallet_can_respend(world):
     # The merchant's wallet sees the coin through its node's UTXO set
     # and can spend it onward.
     height = nodes[2].chain.tip_record.height + 1
-    assert merchant.balance(nodes[2].utxo, height) == 12 * COIN
+    coins = merchant.spendable_coins(nodes[2].utxo, height)
+    assert sum(coin.value for coin in coins) == 12 * COIN
     onward = merchant.build_payment(
         nodes[2].utxo,
         [(customer.pubkey_hash(), 3 * COIN)],
@@ -99,6 +100,6 @@ def test_merchant_wallet_can_respend(world):
     )
     nodes[2].submit_transaction(onward)
     sim.run(until=45.0)
-    assert nodes[0].balance_of(customer.pubkey_hash()) == (
+    assert nodes[0].utxo.balance(customer.pubkey_hash()) == (
         30 * COIN - 12 * COIN + 3 * COIN
     )

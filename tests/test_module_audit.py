@@ -185,7 +185,7 @@ class _Uses(ast.NodeVisitor):
         self.module = (
             module_name(path) if path.is_relative_to(SRC / "repro") else None
         )
-        self.reexports = path.name == "__init__.py" or self.module == "repro.api"
+        self.reexports = path.name == "__init__.py"
         self.definitions = definitions
         self.inside = inside
         self.roots = roots

@@ -427,3 +427,23 @@ def test_verdict_cache_makes_reruns_warm(mini_repo):
     assert [v.to_dict() for v in warm.verdicts] == [
         v.to_dict() for v in cold.verdicts
     ]
+
+
+def test_serial_runs_remove_their_shadow_trees(mini_repo):
+    """A run removes its shadow trees.  In-process (``jobs=1``) the
+    worker memo outlives the run, so it is cleared too: otherwise the
+    next run would plant its mutants in the deleted tree."""
+    for _ in range(2):
+        run = MutationEngine(
+            mini_repo,
+            cache_path=None,
+            jobs=1,
+            tiers=("sanitizer", "golden"),
+            operators=(OPERATORS_BY_NAME["arith-swap"],),
+        ).run(
+            ("repro.core",),
+            only_files=["src/repro/core/remuneration.py"],
+        )
+        split = [v for v in run.verdicts if v.qualname == "split_fee"]
+        assert split and all(v.status == "killed" for v in split)
+        assert not list(mini_repo.glob(".mutate-shadow/w*"))

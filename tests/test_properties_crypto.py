@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from repro.crypto import ecdsa
 from repro.crypto.hashing import sha256d, tagged_hash
 from repro.crypto.keys import PrivateKey
-from repro.crypto.merkle import merkle_proof, merkle_root, verify_proof
+from repro.crypto.merkle import merkle_root
 from repro.crypto.pow import (
     MAX_TARGET,
     compact_from_target,
@@ -26,26 +26,21 @@ def test_tagged_hash_never_collides_with_plain(tag, data):
     assert tagged_hash(tag, data) != sha256d(data)
 
 
+def _oracle_root(leaves, depth):
+    """Bitcoin's tree read top-down: a node with no right subtree hashes
+    its left one twice, at every level, not only above the leaves."""
+    if depth == 0:
+        return leaves[0]
+    half = 1 << (depth - 1)
+    left = _oracle_root(leaves[:half], depth - 1)
+    right = _oracle_root(leaves[half:], depth - 1) if len(leaves) > half else left
+    return sha256d(left + right)
+
+
 @given(st.lists(st.binary(min_size=32, max_size=32), min_size=1, max_size=24))
-def test_merkle_proofs_always_verify(leaves):
-    root = merkle_root(leaves)
-    for index, leaf in enumerate(leaves):
-        proof = merkle_proof(leaves, index)
-        assert verify_proof(leaf, proof, root)
-
-
-@given(
-    st.lists(st.binary(min_size=32, max_size=32), min_size=2, max_size=12, unique=True),
-    st.data(),
-)
-def test_merkle_proof_position_binding(leaves, data):
-    # A proof for one position never verifies a different unique leaf.
-    root = merkle_root(leaves)
-    index = data.draw(st.integers(0, len(leaves) - 1))
-    other = data.draw(st.integers(0, len(leaves) - 1))
-    proof = merkle_proof(leaves, index)
-    if leaves[other] != leaves[index]:
-        assert not verify_proof(leaves[other], proof, root)
+def test_merkle_root_matches_the_recursive_oracle(leaves):
+    depth = (len(leaves) - 1).bit_length()
+    assert merkle_root(leaves) == _oracle_root(leaves, depth)
 
 
 @settings(max_examples=20, deadline=None)

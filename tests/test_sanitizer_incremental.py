@@ -598,17 +598,3 @@ def test_leader_crash_scenario_clean_under_incremental_check():
     result, _log = run_experiment(config)
     assert result.faults_injected >= 1  # the crash actually fired
     assert result.violations == ()
-
-
-# -- the stable facade --------------------------------------------------------
-
-
-def test_api_facade_exports_resolve():
-    import repro.api as api
-
-    for name in api.__all__:
-        assert getattr(api, name) is not None, name
-    # The facade's names are the same objects the internals use.
-    assert api.run_experiment is run_experiment
-    assert api.SanitizerRuntime is SanitizerRuntime
-
