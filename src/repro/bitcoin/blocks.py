@@ -106,15 +106,19 @@ class BlockHeader:
     def hash(self) -> bytes:
         return sha256d(self.serialize())
 
-    @property
+    @cached_property
     def target(self) -> int:
         return target_from_compact(self.bits)
 
-    @property
+    @cached_property
     def work(self) -> int:
         return work_from_target(self.target)
 
     def meets_pow(self) -> bool:
+        return self._meets_pow
+
+    @cached_property
+    def _meets_pow(self) -> bool:
         return meets_target(self.hash, self.target)
 
 
@@ -134,7 +138,7 @@ class Block:
     def n_tx(self) -> int:
         return self.payload.n_tx
 
-    @property
+    @cached_property
     def size(self) -> int:
         """Total on-wire size in bytes."""
         return HEADER_SIZE + self.coinbase.size + self.payload.payload_bytes

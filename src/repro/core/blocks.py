@@ -10,6 +10,15 @@ cryptographic hash of its ledger entries, and a cryptographic signature
 of the header.  The signature uses the private key that matches the
 public key in the latest key block in the chain."  Microblocks carry no
 proof of work and therefore no chain weight.
+
+The leader's key signs a microblock header the first time the signature
+is read — by a receiver that checks signatures, a fraud proof being
+verified, the sanitizer's signature cache — and the block then drops the
+key.  RFC 6979 signing is deterministic, so the bytes are those that
+signing at build time would make; a run that checks no signature (the
+paper's testbed did not) signs nothing.  A header's target, work and
+proof-of-work verdict, and a block's size, are worked out once per
+object.
 """
 
 from __future__ import annotations
@@ -59,15 +68,19 @@ class KeyBlockHeader:
     def hash(self) -> bytes:
         return tagged_hash("repro/ng-keyblock", self.serialize())
 
-    @property
+    @cached_property
     def target(self) -> int:
         return target_from_compact(self.bits)
 
-    @property
+    @cached_property
     def work(self) -> int:
         return work_from_target(self.target)
 
     def meets_pow(self) -> bool:
+        return self._meets_pow
+
+    @cached_property
+    def _meets_pow(self) -> bool:
         return meets_target(self.hash, self.target)
 
 
@@ -82,7 +95,7 @@ class KeyBlock:
     def hash(self) -> bytes:
         return self.header.hash
 
-    @property
+    @cached_property
     def size(self) -> int:
         """Key blocks are small — header plus coinbase only."""
         return KEY_HEADER_SIZE + self.coinbase.size
@@ -145,19 +158,46 @@ class MicroblockHeader:
         return tagged_hash("repro/ng-microblock", body)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Microblock:
-    """Ledger entries signed by the epoch leader; carries no weight."""
+    """Ledger entries signed by the epoch leader; carries no weight.
+
+    ``seal`` is the 64-byte header signature, or the leader's private
+    key that makes it the first time :attr:`signature` is read (see
+    :func:`build_microblock`).
+    """
 
     header: MicroblockHeader
-    signature: bytes
+    seal: bytes | PrivateKey
     payload: TxPayload | SyntheticPayload
+
+    @property
+    def signature(self) -> bytes:
+        """The leader's signature over the header; made from the key on
+        first read, after which the bytes replace the key."""
+        seal = self.seal
+        if isinstance(seal, PrivateKey):
+            seal = seal.sign(self.header.signing_payload())
+            object.__setattr__(self, "seal", seal)
+        return seal
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Microblock):
+            return NotImplemented
+        if self.header != other.header or self.payload != other.payload:
+            return False
+        # One key signs one header to one signature: equal seals need
+        # no signing, anything else compares the signature bytes.
+        return self.seal == other.seal or self.signature == other.signature
+
+    def __hash__(self) -> int:
+        return hash((self.header, self.payload))
 
     @property
     def hash(self) -> bytes:
         return self.header.hash
 
-    @property
+    @cached_property
     def size(self) -> int:
         return MICRO_HEADER_SIZE + self.payload.payload_bytes
 
@@ -235,10 +275,16 @@ def build_microblock(
     payload: TxPayload | SyntheticPayload,
     leader_key: PrivateKey,
 ) -> Microblock:
-    """Assemble and sign a microblock with the leader's private key."""
+    """Assemble a microblock that the leader's private key signs when
+    its signature is first read.
+
+    Only a reader of :attr:`Microblock.signature` pays for the ECDSA
+    sign: a receiver checking signatures, a fraud proof or poison being
+    verified, the sanitizer's signature cache.  A run that checks none
+    (the paper's testbed did not) signs nothing.
+    """
     header = MicroblockHeader(prev_hash, timestamp, payload.root())
-    signature = leader_key.sign(header.signing_payload())
-    return Microblock(header, signature, payload)
+    return Microblock(header, leader_key, payload)
 
 
 def mine_key_block(block: KeyBlock, max_iterations: int = 10_000_000) -> KeyBlock:

@@ -15,7 +15,7 @@ from .engine import (
     MutationEngine,
     MutationRun,
     ShadowTree,
-    companion_test,
+    companion_tests,
 )
 from .operators import OPERATORS, Mutant, generate_mutants
 from .report import (
@@ -34,7 +34,7 @@ __all__ = [
     "MutationEngine",
     "MutationRun",
     "ShadowTree",
-    "companion_test",
+    "companion_tests",
     "OPERATORS",
     "Mutant",
     "generate_mutants",

@@ -12,9 +12,10 @@ the first kill:
    scores nothing, so ``--tiers golden,tests`` measures what the later
    tiers kill without the sanitizer.
 3. **tests** — the mutated file's companion tier-1 module
-   (``src/repro/core/chain.py`` → ``tests/test_core_chain.py``) under
-   ``pytest -x``; a failure kills, and files with no companion skip the
-   tier.
+   (``src/repro/core/chain.py`` → ``tests/test_core_chain.py``), plus
+   any cross-module oracle :data:`ORACLE_TESTS` names for the file,
+   under ``pytest -x``; a failure kills, and a file with neither skips
+   the tier.
 
 Mutants that outlive all three tiers are *survivors*: each must either
 grow a new rule/invariant that kills it or be catalogued with a
@@ -62,6 +63,16 @@ TIERS: tuple[str, ...] = ("sanitizer", "golden", "tests")
 #: past them is killed, not waited on.
 PROBE_TIMEOUT = 30.0
 PYTEST_TIMEOUT = 60.0
+
+#: Cross-module oracles the tests tier runs after a file's companion:
+#: Bitcoin is NG without microblocks (both fork-choice paths), and the
+#: recursive Merkle oracle is the only check of duplication above the
+#: leaves.
+ORACLE_TESTS: dict[str, tuple[str, ...]] = {
+    "src/repro/bitcoin/chain.py": ("tests/test_ng_without_microblocks.py",),
+    "src/repro/core/chain.py": ("tests/test_ng_without_microblocks.py",),
+    "src/repro/crypto/merkle.py": ("tests/test_properties_crypto.py",),
+}
 
 #: The source tree, relative to the repo root a run is given.
 SRC_ROOT = "src"
@@ -339,21 +350,27 @@ def _probe_kills(
         yield ("golden", "state fingerprint diverged from clean baseline")
 
 
-def companion_test(display_path: str) -> str:
-    """``src/repro/<pkg>/<mod>.py`` → ``tests/test_<pkg>_<mod>.py``."""
+def companion_tests(display_path: str) -> tuple[str, ...]:
+    """``src/repro/<pkg>/<mod>.py`` → ``tests/test_<pkg>_<mod>.py``,
+    then the file's :data:`ORACLE_TESTS`."""
     parts = Path(display_path).with_suffix("").parts
     if "repro" in parts:
         anchor = len(parts) - 1 - parts[::-1].index("repro")
         tail = parts[anchor + 1 :]
     else:
         tail = parts[-1:]
-    return f"tests/test_{'_'.join(tail)}.py"
+    companion = f"tests/test_{'_'.join(tail)}.py"
+    return (companion, *ORACLE_TESTS.get(display_path, ()))
 
 
 def _tests_tier(task: MutantTask, state: dict[str, Any]) -> str | None:
     shadow: ShadowTree = state["shadow"]
-    test_file = companion_test(task.mutant.path)
-    if not (Path(task.repo_root) / test_file).exists():
+    test_files = [
+        test_file
+        for test_file in companion_tests(task.mutant.path)
+        if (Path(task.repo_root) / test_file).exists()
+    ]
+    if not test_files:
         return None
     try:
         completed = subprocess.run(
@@ -361,7 +378,7 @@ def _tests_tier(task: MutantTask, state: dict[str, Any]) -> str | None:
                 sys.executable,
                 "-m",
                 "pytest",
-                test_file,
+                *test_files,
                 "-x",
                 "-q",
                 "-p",
@@ -374,13 +391,13 @@ def _tests_tier(task: MutantTask, state: dict[str, Any]) -> str | None:
             timeout=PYTEST_TIMEOUT,
         )
     except subprocess.TimeoutExpired:
-        return f"{test_file} timed out"
+        return f"{' '.join(test_files)} timed out"
     if completed.returncode == 0:
         return None
     for line in completed.stdout.splitlines():
         if line.startswith("FAILED") or line.startswith("ERROR"):
             return line[:160]
-    return f"{test_file} failed (exit {completed.returncode})"
+    return f"{' '.join(test_files)} failed (exit {completed.returncode})"
 
 
 def _evaluate_mutant(task: MutantTask) -> MutantVerdict:
@@ -445,13 +462,14 @@ def _tree_sha(src: Path) -> str:
 
 def _config_sig(tiers: tuple[str, ...]) -> str:
     """What a cached verdict depends on beyond the file and mutant:
-    engine, catalog, probe source, and the tiers that scored it (a
-    survivor of ``--tiers golden,tests`` may die at the sanitizer)."""
+    engine, catalog, probe source, the tiers that scored it (a
+    survivor of ``--tiers golden,tests`` may die at the sanitizer) and
+    the oracles the tests tier runs."""
     probe_src = (Path(__file__).parent / "probe.py").read_bytes()
     basis = (
         f"engine={ENGINE_VERSION}:catalog={CATALOG_VERSION}:"
         f"probe={hashlib.sha256(probe_src).hexdigest()[:12]}:"
-        f"tiers={','.join(tiers)}"
+        f"tiers={','.join(tiers)}:oracles={sorted(ORACLE_TESTS.items())}"
     )
     return hashlib.sha256(basis.encode()).hexdigest()[:12]
 

@@ -191,6 +191,32 @@ def test_require_pow_is_the_receivers_and_never_memoised():
     check_block(block, require_pow=False)
 
 
+def test_header_facts_are_worked_out_once_per_header(count_calls):
+    import dataclasses
+
+    import repro.bitcoin.blocks as blocks_mod
+    from repro.bitcoin.blocks import Block
+
+    mined = mine(_block())
+    sound = Block(dataclasses.replace(mined.header), mined.coinbase, mined.payload)
+    hard = _hard(sound)
+    decodes = count_calls(blocks_mod, "target_from_compact")
+    verdicts = count_calls(blocks_mod, "meets_target")
+    for _receiver in range(3):
+        for block in (sound, hard):
+            assert block.header.work == 2**256 // (block.header.target + 1)
+            assert block.size == (
+                HEADER_SIZE + block.coinbase.size + block.payload.payload_bytes
+            )
+            check_block(block, require_pow=False)
+        check_block(sound, require_pow=True)
+        with pytest.raises(InvalidBlock, match="header hash does not meet"):
+            check_block(hard, require_pow=True)
+    # ``_hard`` asked its own header once already.
+    assert decodes == [(0x207FFFFF,)]
+    assert len(verdicts) == 1
+
+
 def test_first_failing_check_order_survives_the_memo():
     # A broken commitment is reported ahead of a missed target, a missed
     # target ahead of a second coinbase -- whichever receiver asked first.

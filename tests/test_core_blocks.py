@@ -1,6 +1,8 @@
 """Key block and microblock structure, signatures, mining."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.bitcoin.blocks import SyntheticPayload, TxPayload
 from repro.core.blocks import (
@@ -16,6 +18,7 @@ from repro.core.blocks import (
 )
 from repro.core.remuneration import build_ng_coinbase
 from repro.core.params import NGParams
+from repro.crypto import ecdsa
 from repro.crypto.hashing import hash160
 from repro.crypto.keys import PrivateKey
 
@@ -287,6 +290,28 @@ def test_require_pow_is_the_receivers_and_never_memoised():
     check_key_block(block, require_pow=False)
 
 
+def test_header_facts_are_worked_out_once_per_header(count_calls):
+    import dataclasses
+
+    import repro.core.blocks as blocks_mod
+
+    mined = mine_key_block(_key_block())
+    sound = KeyBlock(dataclasses.replace(mined.header), mined.coinbase)
+    hard = _forged(bits=HARD_BITS)
+    decodes = count_calls(blocks_mod, "target_from_compact")
+    verdicts = count_calls(blocks_mod, "meets_target")
+    for _receiver in range(3):
+        for block in (sound, hard):
+            assert block.header.work == 2**256 // (block.header.target + 1)
+            assert block.size == KEY_HEADER_SIZE + block.coinbase.size
+            check_key_block(block, require_pow=False)
+        check_key_block(sound, require_pow=True)
+        with pytest.raises(InvalidNGBlock, match="does not meet its target"):
+            check_key_block(hard, require_pow=True)
+    assert decodes == [(0x207FFFFF,), (HARD_BITS,)]
+    assert len(verdicts) == 2
+
+
 def test_first_failing_check_order_survives_the_memo():
     # A commitment fault is reported ahead of a missed target, a missed
     # target ahead of an undecodable key -- whichever receiver asked first.
@@ -399,10 +424,80 @@ def test_signature_verdict_belongs_to_the_microblock_object(count_calls):
     verifies = count_calls(PublicKey, "verify")
     # An equal object and a forged copy are each judged for themselves.
     assert twin.verify_signature(leader)
-    forged = dataclasses.replace(micro, signature=_micro(bytes(32), key=OTHER).signature)
+    forged = dataclasses.replace(micro, seal=_micro(bytes(32), key=OTHER).signature)
     assert not forged.verify_signature(leader)
     assert micro.verify_signature(leader)
     assert len(verifies) == 2
+
+
+_SECRETS = st.integers(min_value=1, max_value=ecdsa.N - 1)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    secret=_SECRETS,
+    other=_SECRETS,
+    timestamp=st.floats(allow_nan=False, allow_infinity=False),
+    payload=st.builds(
+        SyntheticPayload,
+        n_tx=st.integers(0, 10_000),
+        tx_size=st.integers(1, 2_000),
+        salt=st.binary(max_size=40),
+    ),
+)
+def test_signature_made_on_first_read_is_the_eager_signature(
+    secret, other, timestamp, payload
+):
+    from repro.core.blocks import Microblock
+
+    assume(other != secret)
+    key = PrivateKey(secret)
+    micro = build_microblock(bytes(32), timestamp, payload, key)
+    assert micro.seal is key
+    eager = key.sign(micro.header.signing_payload())
+    assert micro.signature == eager
+    assert micro.seal == eager  # the key is dropped once it has signed
+    assert micro == Microblock(micro.header, eager, payload)
+    assert micro.verify_signature(key.public_key().to_bytes())
+    assert not micro.verify_signature(PrivateKey(other).public_key().to_bytes())
+
+
+def test_identity_and_transport_sign_nothing(count_calls):
+    import dataclasses
+    import pickle
+
+    from repro.core.blocks import Microblock
+
+    signs = count_calls(PrivateKey, "sign")
+    micro = _micro(bytes(32))
+    twin = _micro(bytes(32))
+    other_payload = dataclasses.replace(
+        micro, payload=SyntheticPayload(n_tx=9, salt=b"z")
+    )
+    other_header = _micro(bytes(32), t=11.0)
+    copy = pickle.loads(pickle.dumps(micro))
+    assert (micro.hash, micro.size, repr(micro)) == (
+        twin.hash,
+        twin.size,
+        repr(twin),
+    )
+    assert micro == micro and micro == twin and micro == copy
+    assert micro != other_payload and micro != other_header
+    assert hash(micro) == hash(twin) == hash(copy)
+    assert micro != "microblock"
+    check_microblock_structure(micro, max_bytes=1_000_000)
+    assert signs == []
+    assert isinstance(copy.seal, PrivateKey)
+    # The first read signs, once; later reads and the pickled copy read
+    # the same bytes.
+    signature = micro.signature
+    assert micro.signature == signature and len(signs) == 1
+    assert copy.signature == signature and len(signs) == 2
+    assert micro == Microblock(micro.header, signature, micro.payload)
+    assert len(signs) == 2
+    # Under another key the header signs to other bytes: not equal.
+    assert _micro(bytes(32), key=OTHER) != _micro(bytes(32))
+    assert len(signs) == 4
 
 
 # The next two tests cover code the per-object verdicts did not touch.

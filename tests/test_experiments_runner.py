@@ -145,6 +145,35 @@ def test_back_to_back_runs_share_no_identity_or_verdict(count_calls):
     assert len(spies["leader-key verdicts"]) <= first.blocks_generated
 
 
+def test_microblocks_are_signed_when_read_and_targets_decoded_once(count_calls):
+    """A bare NG run reads no microblock signature, so it signs none; a
+    checked run's signature cache reads each one, so it signs each
+    microblock once.  A header's target is decoded once per PoW block,
+    not once per receiver."""
+    import repro.core.blocks as blocks_mod
+    import repro.core.node as node_mod
+    from repro.crypto.keys import PrivateKey
+
+    spies = {
+        "signs": count_calls(PrivateKey, "sign"),
+        "target decodes": count_calls(blocks_mod, "target_from_compact"),
+        "microblocks": count_calls(node_mod, "build_microblock"),
+        "key blocks": count_calls(node_mod, "build_key_block"),
+    }
+    config = SMALL.with_(protocol=Protocol.BITCOIN_NG, key_block_rate=0.02)
+    counts = {}
+    for check in (False, True):
+        for calls in spies.values():
+            del calls[:]
+        run_experiment(config.with_(check=check))
+        counts[check] = {what: len(calls) for what, calls in spies.items()}
+    bare, checked = counts[False], counts[True]
+    assert bare["microblocks"] > 0 and bare["signs"] == 0
+    assert checked["signs"] == checked["microblocks"] == bare["microblocks"]
+    for run in (bare, checked):
+        assert run["target decodes"] == run["key blocks"] > 0
+
+
 @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
 def test_a_finished_run_leaves_no_world_for_the_collector(protocol, monkeypatch):
     """Nodes <-> network and simulator -> queued events are cut when the

@@ -17,12 +17,15 @@ from types import SimpleNamespace
 import pytest
 
 from repro.mutate.engine import (
+    ORACLE_TESTS,
+    TIERS,
     MutantTask,
     MutationEngine,
     MutantVerdict,
     ShadowTree,
+    _config_sig,
     _probe_tier,
-    companion_test,
+    companion_tests,
 )
 from repro.mutate.operators import (
     OPERATORS,
@@ -219,14 +222,34 @@ def test_sites_respect_package_filter():
 
 
 def test_companion_test_mapping():
-    assert (
-        companion_test("src/repro/core/chain.py")
-        == "tests/test_core_chain.py"
+    assert companion_tests("src/repro/ledger/utxo.py") == (
+        "tests/test_ledger_utxo.py",
     )
-    assert (
-        companion_test("src/repro/ledger/utxo.py")
-        == "tests/test_ledger_utxo.py"
+    # A cross-module oracle runs after the companion, for each file it
+    # judges.
+    ng_is_bitcoin = "tests/test_ng_without_microblocks.py"
+    assert companion_tests("src/repro/core/chain.py") == (
+        "tests/test_core_chain.py",
+        ng_is_bitcoin,
     )
+    assert companion_tests("src/repro/bitcoin/chain.py") == (
+        "tests/test_bitcoin_chain.py",
+        ng_is_bitcoin,
+    )
+    assert companion_tests("src/repro/crypto/merkle.py") == (
+        "tests/test_crypto_merkle.py",
+        "tests/test_properties_crypto.py",
+    )
+    for files in ORACLE_TESTS.values():
+        assert all((REPO / test_file).is_file() for test_file in files)
+
+
+def test_oracle_table_is_in_the_cache_signature(monkeypatch):
+    before = _config_sig(TIERS)
+    monkeypatch.setitem(
+        ORACLE_TESTS, "src/repro/core/node.py", ("tests/test_x.py",)
+    )
+    assert _config_sig(TIERS) != before
 
 
 # -- shadow trees ------------------------------------------------------------
