@@ -130,7 +130,7 @@ class Block:
     coinbase: Transaction
     payload: TxPayload | SyntheticPayload
 
-    @property
+    @cached_property
     def hash(self) -> bytes:
         return self.header.hash
 

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .blocks import Block, InvalidBlock
 
@@ -40,13 +41,15 @@ class BlockRecord:
     """A block plus its position in the tree.
 
     The fields every protocol's record has; GHOST's and Bitcoin-NG's
-    extend it with their own bookkeeping.
+    extend it with their own bookkeeping.  No field has a default, so a
+    subclass adds fields positionally and every record is built with
+    positional arguments (``children`` starts as a fresh ``[]``).
     """
 
     block: Block
     height: int
     cumulative_work: int
-    children: list[bytes] = field(default_factory=list)
+    children: list[bytes]
 
     @property
     def hash(self) -> bytes:
@@ -57,13 +60,13 @@ class BlockRecord:
         return self.block.header.prev_hash
 
 
-@dataclass(frozen=True, slots=True)
-class Reorg:
+class Reorg(NamedTuple):
     """A tip change: blocks leaving and entering the main chain.
 
     ``disconnected`` is ordered tip-first (the order state must be
     unwound); ``connected`` is ordered fork-point-first (the order state
-    must be applied).
+    must be applied).  A named tuple: every receiver of every block
+    builds one, and a tuple is the cheapest immutable record to build.
     """
 
     old_tip: bytes
@@ -180,31 +183,39 @@ class BlockTree:
 
         A refusal of ``block`` itself propagates to the caller; a
         refused orphan is dropped, and with it whatever waits on it.
+        The usual block has no orphan waiting on it and builds nothing
+        but its record and the returned list.
         """
-        if block.hash in self._records:
+        block_hash = block.hash
+        records = self._records
+        if block_hash in records:
             return []
         prev_hash = block.header.prev_hash
         refused = self._refused
-        if refused and (block.hash in refused or prev_hash in refused):
-            refused.add(block.hash)
+        if refused and (block_hash in refused or prev_hash in refused):
+            refused.add(block_hash)
             raise self.invalid("block is, or builds on, one that did not connect")
-        parent = self._records.get(prev_hash)
+        parent = records.get(prev_hash)
+        orphans = self._orphans
         if parent is None:
-            self._orphans.setdefault(prev_hash, []).append(block)
+            orphans.setdefault(prev_hash, []).append(block)
             return []
-        reorgs = [self._connect(block, parent, context)]
-        # Adopt any orphans waiting on this block, recursively.
-        pending = [block.hash]
-        while pending:
-            parent_hash = pending.pop()
-            for orphan in self._orphans.pop(parent_hash, []):
-                try:
-                    reorg = self._connect(orphan, self._records[parent_hash], context)
-                except self.invalid:
-                    continue
-                reorgs.append(reorg)
-                pending.append(orphan.hash)
-        return [r for r in reorgs if r is not None]
+        reorg = self._connect(block, parent, context)
+        reorgs = [] if reorg is None else [reorg]
+        if block_hash in orphans:
+            # Adopt the orphans waiting on this block, recursively.
+            pending = [block_hash]
+            while pending:
+                parent_hash = pending.pop()
+                for orphan in orphans.pop(parent_hash, ()):
+                    try:
+                        reorg = self._connect(orphan, records[parent_hash], context)
+                    except self.invalid:
+                        continue
+                    if reorg is not None:
+                        reorgs.append(reorg)
+                    pending.append(orphan.hash)
+        return reorgs
 
     def _connect(self, block, parent, context) -> Reorg | None:
         record = self._record_for(block, parent, context)
@@ -218,7 +229,7 @@ class BlockTree:
     # -- what a protocol decides ----------------------------------------
 
     def _genesis_record(self, genesis: Block) -> BlockRecord:
-        return BlockRecord(genesis, height=0, cumulative_work=0)
+        return BlockRecord(genesis, 0, 0, [])
 
     def _record_for(self, block: Block, parent: BlockRecord, context) -> BlockRecord:
         """The record ``block`` gets under ``parent``, not yet linked in.
@@ -227,8 +238,9 @@ class BlockTree:
         """
         return BlockRecord(
             block,
-            height=parent.height + 1,
-            cumulative_work=parent.cumulative_work + block.header.work,
+            parent.height + 1,
+            parent.cumulative_work + block.header.work,
+            [],
         )
 
     def _choose_tip(self, candidate: BlockRecord) -> bytes:

@@ -17,8 +17,8 @@ verified, the sanitizer's signature cache — and the block then drops the
 key.  RFC 6979 signing is deterministic, so the bytes are those that
 signing at build time would make; a run that checks no signature (the
 paper's testbed did not) signs nothing.  A header's target, work and
-proof-of-work verdict, and a block's size, are worked out once per
-object.
+proof-of-work verdict, and a block's id and size, are worked out once
+per object: the id is read at every hop, by gossip and the block tree.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ class KeyBlock:
     header: KeyBlockHeader
     coinbase: Transaction
 
-    @property
+    @cached_property
     def hash(self) -> bytes:
         return self.header.hash
 
@@ -193,7 +193,7 @@ class Microblock:
     def __hash__(self) -> int:
         return hash((self.header, self.payload))
 
-    @property
+    @cached_property
     def hash(self) -> bytes:
         return self.header.hash
 

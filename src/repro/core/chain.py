@@ -28,12 +28,14 @@ from .params import NGParams
 NGBlock = KeyBlock | Microblock
 
 
-@dataclass(kw_only=True, slots=True)
+@dataclass(slots=True)
 class NGRecord(BlockRecord):
     """One block's position in the NG block tree.
 
     ``height`` counts blocks of any kind since genesis;
-    ``cumulative_work`` is aggregated over key blocks only.
+    ``cumulative_work`` is aggregated over key blocks only.  Built
+    positionally: ``(block, height, cumulative_work, children, is_key,
+    key_height, leader_pubkey)``.
     """
 
     block: NGBlock
@@ -141,14 +143,7 @@ class NGChain(BlockTree):
     # -- what Bitcoin-NG decides ----------------------------------------
 
     def _genesis_record(self, genesis: KeyBlock) -> NGRecord:
-        return NGRecord(
-            block=genesis,
-            is_key=True,
-            height=0,
-            key_height=0,
-            cumulative_work=0,
-            leader_pubkey=genesis.header.leader_pubkey,
-        )
+        return NGRecord(genesis, 0, 0, [], True, 0, genesis.header.leader_pubkey)
 
     def _record_for(
         self,
@@ -158,27 +153,31 @@ class NGChain(BlockTree):
     ) -> NGRecord:
         if isinstance(block, KeyBlock):
             return NGRecord(
-                block=block,
-                is_key=True,
-                height=parent.height + 1,
-                key_height=parent.key_height + 1,
-                cumulative_work=parent.cumulative_work + block.header.work,
-                leader_pubkey=block.header.leader_pubkey,
+                block,
+                parent.height + 1,
+                parent.cumulative_work + block.header.work,
+                [],
+                True,
+                parent.key_height + 1,
+                block.header.leader_pubkey,
             )
         assert isinstance(block, Microblock)
         self.validate_microblock(block, *context)
-        self._detect_equivocation(parent, block)
+        if parent.children:
+            self._detect_equivocation(parent, block)
         return NGRecord(
-            block=block,
-            is_key=False,
-            height=parent.height + 1,
-            key_height=parent.key_height,
-            cumulative_work=parent.cumulative_work,
-            leader_pubkey=parent.leader_pubkey,
+            block,
+            parent.height + 1,
+            parent.cumulative_work,
+            [],
+            False,
+            parent.key_height,
+            parent.leader_pubkey,
         )
 
     def _detect_equivocation(self, parent: NGRecord, new_micro: Microblock) -> None:
-        """Two leader-signed microblocks on one parent is fraud."""
+        """Two leader-signed microblocks on one parent is fraud (only
+        called when ``parent`` already has a child)."""
         siblings = [
             self._records[child]
             for child in parent.children

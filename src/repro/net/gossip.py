@@ -240,7 +240,13 @@ class GossipNode:
             return
         kind = message.kind
         if kind == "inv":
-            self._on_inv(sender, message.payload)
+            # An inv for an object already held (or refused) needs
+            # nothing: drop it here, before any call.
+            payload = message.payload
+            obj_id = payload[0]
+            if obj_id in self._store or obj_id in self._rejected:
+                return
+            self._on_inv(sender, payload)
         elif kind == "getdata":
             self._on_getdata(sender, message.payload)
         elif kind == "object":
@@ -255,8 +261,7 @@ class GossipNode:
 
     def _relay(self, stored: StoredObject, exclude: tuple[int, ...]) -> None:
         # One immutable message shared by every neighbor send; the
-        # network books the whole fan-out as a single batched
-        # event-queue call instead of per-peer scheduling.
+        # network books each delivery straight onto the event heap.
         if self.relay_mode is RelayMode.FLOOD:
             message = Message("object", stored, stored.size)
         else:
@@ -302,9 +307,10 @@ class GossipNode:
             self._request_from(peer, obj_id)
 
     def _on_inv(self, sender: int, payload: tuple[bytes, str]) -> None:
-        obj_id, _kind = payload
-        if obj_id in self._store or obj_id in self._rejected:
-            return
+        """An announcement of an object neither stored nor rejected
+        (:meth:`on_message` drops the others): fetch it, or remember
+        ``sender`` as a fallback source."""
+        obj_id = payload[0]
         if obj_id in self._requested:
             # Already being fetched; remember this announcer as a
             # fallback in case the outstanding request times out.

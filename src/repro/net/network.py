@@ -12,8 +12,11 @@ link a dense *edge id*, and per-link ``latency`` / ``bandwidth`` /
 ``busy_until`` are flat lists indexed by it.  A
 1000-node, 5-degree run has ~10k directed links; touching three list
 slots per send beats a tuple-keyed dict lookup plus attribute access on
-a per-link object, and :meth:`Network.multicast` books a whole
-neighborhood fan-out as one batched scheduling call.  The link rule of
+a per-link object.  :meth:`Network.send` and :meth:`Network.multicast`
+book each delivery straight onto the simulator's heap — one
+``heappush`` of the entry :meth:`Simulator.schedule_at` would push,
+through the booking handle :meth:`Simulator.booking` hands out — so a
+neighborhood fan-out makes no scheduling call at all.  The link rule of
 :mod:`repro.net.links` (bulk queues FIFO, small interleaves) is applied
 in :meth:`Network.send` and :meth:`Network.multicast`.
 :meth:`Network.link` is the one per-link accessor: it hands out a
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Collection
+from heapq import heappush
 from typing import Any, Protocol
 
 from ..obs.facade import NULL_OBS
@@ -74,6 +78,9 @@ class Network:
         if bandwidth_bps <= 0:
             raise ValueError("bandwidth must be positive")
         self.sim = sim
+        # Every delivery is booked straight onto the simulator's heap
+        # (see Simulator.booking): one push per send, no method call.
+        self._heap, self._sequence = sim.booking()
         self.topology = topology
         # Observability: a single boolean guards the hot send path, so
         # the disabled default costs one attribute check per message.
@@ -294,7 +301,10 @@ class Network:
             self.tracer.send(
                 now, src, dst, message.kind, size, queue_delay, arrival
             )
-        self.sim.schedule_at(arrival, self._deliver, src, dst, message)
+        heappush(
+            self._heap,
+            (arrival, next(self._sequence), self._deliver, (src, dst, message), None),
+        )
 
     def multicast(
         self, src: int, message: Message, exclude: Collection[int] = ()
@@ -306,9 +316,9 @@ class Network:
         Equivalent to calling :meth:`send` once per neighbor in sorted
         order — same per-peer drop checks, loss draws, link booking
         math, and event-sequence order — but the per-link state is
-        touched directly by edge id and all deliveries are booked in
-        one batched scheduling call.  This is the gossip relay fan-out,
-        the hottest path in a large run.
+        touched directly by edge id and each delivery is pushed onto the
+        heap inside the loop, with no per-peer call.  This is the gossip
+        relay fan-out, the hottest path in a large run.
         """
         indptr = self._indptr
         start, end = indptr[src], indptr[src + 1]
@@ -328,10 +338,9 @@ class Network:
         busy_arr = self._busy
         small = size <= self._interleave_cutoff
         src_offline = bool(offline) and src in offline
-        times: list[float] = []
-        args_list: list[tuple[Any, ...]] = []
-        book = times.append
-        book_args = args_list.append
+        heap = self._heap
+        sequence = self._sequence
+        deliver = self._deliver
         for eid in range(start, end):
             dst = indices[eid]
             if dst in exclude:
@@ -364,10 +373,9 @@ class Network:
                 arrival = busy + lat[eid]
             if obs_on:
                 tracer.send(now, src, dst, kind, size, queue_delay, arrival)
-            book(arrival)
-            book_args((src, dst, message))
-        if times:
-            self.sim.schedule_batch(times, self._deliver, args_list)
+            heappush(
+                heap, (arrival, next(sequence), deliver, (src, dst, message), None)
+            )
 
     def broadcast(self, src: int, message: Message) -> None:
         """Send to every neighbor of ``src``."""

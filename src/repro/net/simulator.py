@@ -12,8 +12,10 @@ determinism.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import random
+from collections.abc import Iterator
 from typing import Any, Callable, Protocol
 
 from .events import Event
@@ -63,7 +65,9 @@ class Simulator:
         self._heap: list[HeapEntry] = []
         # Entries in the heap whose handle is cancelled.
         self._cancelled = 0
-        self._sequence = 0
+        # Ties in time pop in booking order: every entry takes the next
+        # number from this one counter, whoever books it.
+        self._sequence = itertools.count()
         self._now = 0.0
         self.rng = random.Random(seed)
         self._events_processed = 0
@@ -121,11 +125,10 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        sequence = self._sequence
-        self._sequence = sequence + 1
         handle = Event(self)
         heapq.heappush(
-            self._heap, (self._now + delay, sequence, callback, args, handle)
+            self._heap,
+            (self._now + delay, next(self._sequence), callback, args, handle),
         )
         return handle
 
@@ -134,40 +137,29 @@ class Simulator:
     ) -> None:
         """Run ``callback(*args)`` at absolute virtual ``time`` (>= now).
 
-        Not cancellable: no caller cancels a message delivery, so none
-        pays for a handle.
+        Not cancellable, so no handle is built; message deliveries book
+        the same bare entry through :meth:`booking`.
         """
         if time < self._now:
             raise ValueError(f"cannot schedule in the past ({time} < {self._now})")
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        heapq.heappush(self._heap, (time, sequence, callback, args, None))
+        heapq.heappush(
+            self._heap, (time, next(self._sequence), callback, args, None)
+        )
 
-    def schedule_batch(
-        self,
-        times: list[float],
-        callback: Callable[..., Any],
-        args_list: list[tuple[Any, ...]],
-    ) -> None:
-        """Schedule one ``callback(*args)`` per ``(time, args)`` pair.
+    def booking(self) -> tuple[list[HeapEntry], Iterator[int]]:
+        """The heap and its sequence counter, for booking in a hot loop.
 
-        Equivalent to calling :meth:`schedule_at` once per entry (same
-        sequence-number order, so dispatch order is unchanged), but the
-        heap/sequence lookups are hoisted out of the loop — the relay
-        fan-out in :class:`~repro.net.network.Network` books a whole
-        neighborhood this way.
+        The one way past :meth:`schedule_at` onto the heap: the caller
+        pushes ``(time, next(sequence), callback, args, None)`` with
+        :func:`heapq.heappush`, which is :meth:`schedule_at` without the
+        method call and the past-time check — so ``time`` must already
+        be ``>= now``.  Both objects live as long as the simulator
+        (compaction and :meth:`discard_pending` work in place), so the
+        pair can be fetched once and kept.  The network's delivery
+        booking (``Network.send`` / ``Network.multicast``) is the one
+        caller.
         """
-        if times and min(times) < self._now:
-            raise ValueError(
-                f"cannot schedule in the past ({min(times)} < {self._now})"
-            )
-        heap = self._heap
-        heappush = heapq.heappush
-        sequence = self._sequence
-        for time, args in zip(times, args_list):
-            heappush(heap, (time, sequence, callback, args, None))
-            sequence += 1
-        self._sequence = sequence
+        return self._heap, self._sequence
 
     def _count_cancelled(self) -> None:
         """One more heap entry was cancelled (called by :meth:`Event.cancel`).

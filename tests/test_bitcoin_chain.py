@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.bitcoin.blocks import SyntheticPayload, build_block, make_genesis
-from repro.bitcoin.chain import BlockTree, TieBreak
+from repro.bitcoin.chain import BlockTree, Reorg, TieBreak
 
 GENESIS = make_genesis()
 
@@ -111,10 +111,14 @@ def test_orphan_buffered_until_parent():
     tree = BlockTree(GENESIS)
     parent = _block(GENESIS.hash, "p")
     child = _block(parent.hash, "c")
-    tree.add_block(child)
+    assert tree.add_block(child) == []
     assert child.hash not in tree
     assert tree.orphan_count() == 1
-    tree.add_block(parent)
+    # One tip move per connected block, the adopted orphan's included.
+    assert tree.add_block(parent) == [
+        Reorg(GENESIS.hash, parent.hash, (), (parent.hash,)),
+        Reorg(parent.hash, child.hash, (), (child.hash,)),
+    ]
     assert child.hash in tree
     assert tree.tip == child.hash
     assert tree.orphan_count() == 0

@@ -1,5 +1,6 @@
 """Event ordering and cancellation in the simulator's event heap."""
 
+import heapq
 import math
 
 import pytest
@@ -64,10 +65,8 @@ def test_negative_time_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
         sim.schedule_at(-1.0, lambda: None)
-    with pytest.raises(ValueError):
-        sim.schedule_batch([1.0, -1.0], lambda: None, [(), ()])
     sim.run()
-    assert sim.events_processed == 0  # the rejected batch booked nothing
+    assert sim.events_processed == 0  # the rejected call booked nothing
 
 
 # -- the event core against a naive reference ---------------------------------
@@ -145,11 +144,14 @@ _OPS = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_OPS, max_size=25))
 def test_event_core_matches_sorted_list_reference(program):
-    """Random schedule / schedule_at / schedule_batch / cancel programs —
+    """Random schedule / schedule_at / booked-batch / cancel programs —
     double cancels, cancels after firing, cancels from inside callbacks
     (compaction mid-loop) — fire what the reference fires, in its order,
-    with its clock and its event count."""
+    with its clock and its event count.  A batch is pushed through
+    :meth:`Simulator.booking`, the way the network books deliveries,
+    and shares the one sequence counter with the scheduling calls."""
     sim = Simulator()
+    heap, sequence = sim.booking()
     ref = _Reference()
     handles = []
     fired = []
@@ -193,14 +195,13 @@ def test_event_core_matches_sorted_list_reference(program):
             assert sim.schedule_at(sim.now + op[1], fire, label, *op[2]) is None
             ref.push(ref.now + op[1], label, *op[2], cancellable=False)
         elif kind == "batch":
-            batch = [(ref.now + delay, next(labels)) for delay in op[1]]
-            assert sim.schedule_batch(
-                [time for time, _ in batch],
-                fire,
-                [(label, *op[2]) for _, label in batch],
-            ) is None
-            for time, label in batch:
-                ref.push(time, label, *op[2], cancellable=False)
+            for delay in op[1]:
+                label = next(labels)
+                heapq.heappush(
+                    heap,
+                    (sim.now + delay, next(sequence), fire, (label, *op[2]), None),
+                )
+                ref.push(ref.now + delay, label, *op[2], cancellable=False)
         elif kind == "timers":
             for index in range(op[1]):
                 label = next(labels)

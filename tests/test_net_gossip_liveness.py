@@ -7,7 +7,9 @@ relay does, after the cooldown the network has one tip, no orphans, no
 violations, and no handshake left half-open.  The neutrality tests tap
 a fault-free 60-node run and check the filter's two promises: no inv
 goes to a peer already recorded as an announcer of that id, and every
-node still receives every object.
+node still receives every object.  The count guard taps the same NG run:
+every inv that reaches ``_on_inv`` sends a getdata or records an
+announcer.
 """
 
 import pytest
@@ -197,3 +199,43 @@ def test_no_inv_to_a_recorded_announcer_and_everyone_gets_everything(
     assert len(everything) == result.blocks_generated
     for arrivals in log.arrivals:
         assert set(arrivals) == everything
+
+
+def test_every_handled_inv_sends_a_getdata_or_records_an_announcer(monkeypatch):
+    """``on_message`` drops an inv for an object already stored or
+    rejected, so each ``_on_inv`` call does work: it sends a getdata or
+    records one more announcer.  A count, not a wall: an inv let through
+    to a handler that then ignores it shows up here on any host."""
+    calls = 0
+    idle: list[tuple[int, int]] = []
+    on_inv = GossipNode._on_inv
+
+    def counting_on_inv(self, sender, payload):
+        nonlocal calls
+        calls += 1
+        obj_id = payload[0]
+        was_requested = obj_id in self._requested
+        announcers = len(self._alt_sources.get(obj_id, ()))
+        on_inv(self, sender, payload)
+        if was_requested:
+            did_work = len(self._alt_sources.get(obj_id, ())) > announcers
+        else:
+            did_work = obj_id in self._requested
+        if not did_work:
+            idle.append((self.node_id, sender))
+
+    monkeypatch.setattr(GossipNode, "_on_inv", counting_on_inv)
+    config = ExperimentConfig(
+        protocol=Protocol.BITCOIN_NG,
+        n_nodes=60,
+        seed=11,
+        target_blocks=24,
+        target_key_blocks=3,
+        block_rate=0.2,
+        key_block_rate=0.02,
+        block_size_bytes=8000,
+        cooldown=15.0,
+    )
+    run_experiment(config)
+    assert calls > 0
+    assert not idle, f"{len(idle):,} of {calls:,} _on_inv calls did nothing"

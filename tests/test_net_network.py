@@ -1,8 +1,13 @@
 """Network message delivery, churn, and statistics."""
 
-import pytest
+import random
 
-from repro.net.latency import constant_histogram
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.net.latency import LatencyHistogram, constant_histogram
+from repro.net.links import SMALL_MESSAGE_CUTOFF
 from repro.net.network import Message, Network
 from repro.net.simulator import Simulator
 from repro.net.topology import Topology, complete_topology, ring_topology
@@ -305,3 +310,111 @@ def test_link_latencies_independent_of_edge_insertion_order():
         expected[(a, b)] = latency
         expected[(b, a)] = latency
     assert latencies(forward) == expected
+
+
+# -- multicast is send once per neighbor --------------------------------------
+
+
+_N_NODES = 7
+_PAIRS = [(a, b) for a in range(_N_NODES) for b in range(a + 1, _N_NODES)]
+_NODE_SETS = st.sets(st.integers(0, _N_NODES - 1))
+_SIZES = st.sampled_from(
+    [0, 1, 61, SMALL_MESSAGE_CUTOFF - 1, SMALL_MESSAGE_CUTOFF]
+    + [SMALL_MESSAGE_CUTOFF + 1, 8_000, 80_000]
+)
+
+
+def _fanout_world(edges, bandwidth, backlog, obs_on, loss_rate, offline, blocked):
+    """A network with some bulk traffic still on its links at t = 0.5."""
+    from repro.obs import Observability
+    from repro.obs.trace import MemorySink, Tracer
+
+    sim = Simulator(seed=0)
+    topology = Topology(_N_NODES)
+    for a, b in edges:
+        topology.add_edge(a, b)
+    sink = MemorySink()
+    obs = Observability(tracer=Tracer(sink)) if obs_on else None
+    histogram = LatencyHistogram([0.01, 0.05, 0.2, 1.0], [3, 2, 1])
+    net = Network(sim, topology, histogram, bandwidth, obs=obs)
+    sinks = [Recorder(sim) for _ in range(_N_NODES)]
+    for node, recorder in enumerate(sinks):
+        net.attach(node, recorder)
+    for src, dst, size in backlog:
+        if dst in net.neighbors(src):
+            net.send(src, dst, Message("backlog", None, size))
+    sim.run(until=0.5)
+    for node in offline:
+        net.set_offline(node)
+    for a, b in blocked:
+        net.block_link(a, b)
+    loss_rng = random.Random(3)
+    if loss_rate:
+        net.set_loss(loss_rate, loss_rng)
+    return sim, net, sinks, sink, loss_rng
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    edges=st.sets(st.sampled_from(_PAIRS), min_size=1),
+    bandwidth=st.sampled_from([1_000.0, 12_500.0, 1e6]),
+    backlog=st.lists(
+        st.tuples(
+            st.integers(0, _N_NODES - 1),
+            st.integers(0, _N_NODES - 1),
+            st.sampled_from([500, 4_000, 20_000]),
+        ),
+        max_size=6,
+    ),
+    obs_on=st.booleans(),
+    loss_rate=st.sampled_from([0.0, 0.3, 0.7]),
+    offline=_NODE_SETS,
+    blocked=st.sets(st.sampled_from(_PAIRS)),
+    src=st.integers(0, _N_NODES - 1),
+    exclude=_NODE_SETS,
+    size=_SIZES,
+)
+def test_multicast_equals_one_send_per_neighbor_in_sorted_order(
+    edges, bandwidth, backlog, obs_on, loss_rate, offline, blocked, src, exclude, size
+):
+    """Two twin worlds, one fan-out each: ``multicast`` in one, a
+    ``send`` per non-excluded neighbor (sorted) in the other.  They book
+    the same heap entries under the same sequence numbers, leave every
+    link equally busy, draw the loss RNG equally often, write the same
+    send and drop records, and deliver at the same times."""
+    world = (edges, bandwidth, backlog, obs_on, loss_rate, offline, blocked)
+    message = Message("inv", None, size)
+    sim_m, net_m, sinks_m, sink_m, loss_m = _fanout_world(*world)
+    sim_s, net_s, sinks_s, sink_s, loss_s = _fanout_world(*world)
+    net_m.multicast(src, message, exclude)
+    for dst in sorted(net_s.neighbors(src)):
+        if dst not in exclude:
+            net_s.send(src, dst, message)
+
+    def booked(sim):
+        heap, _ = sim.booking()
+        return sorted(
+            (time, seq, a, b, m.kind, m.size) for time, seq, _, (a, b, m), _ in heap
+        )
+
+    def delivered(sinks):
+        return [
+            [(sender, m.kind, m.size, time) for sender, m, time in r.received]
+            for r in sinks
+        ]
+
+    assert booked(sim_m) == booked(sim_s)
+    assert next(sim_m.booking()[1]) == next(sim_s.booking()[1])
+    links = [(a, b) for a, b in _PAIRS if (a, b) in edges]
+    links += [(b, a) for a, b in links]
+    assert [net_m.link(a, b).busy_until for a, b in links] == [
+        net_s.link(a, b).busy_until for a, b in links
+    ]
+    assert loss_m.getstate() == loss_s.getstate()
+    if obs_on:
+        net_m.tracer.flush()
+        net_s.tracer.flush()
+        assert sink_m.records == sink_s.records
+    sim_m.run()
+    sim_s.run()
+    assert delivered(sinks_m) == delivered(sinks_s)
