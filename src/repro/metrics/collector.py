@@ -149,13 +149,7 @@ class ObservationLog:
         """
         self.arrivals[node].setdefault(block_hash, time)
         if self.tracer is not None:
-            self.tracer.emit(
-                "block_arrival",
-                time,
-                node=node,
-                hash=short_hash(block_hash),
-                kind=kind,
-            )
+            self.tracer.block_arrival(time, node, short_hash(block_hash), kind)
 
     def record_tip(
         self, node: int, tip: bytes, time: float, height: int | None = None
@@ -167,9 +161,7 @@ class ObservationLog:
         """
         self.tip_histories[node].record(time, tip)
         if height is not None and self.tracer is not None:
-            self.tracer.emit(
-                "tip_change", time, node=node, tip=short_hash(tip), height=height
-            )
+            self.tracer.tip_change(time, node, short_hash(tip), height)
 
     def arrival_time(self, node: int, block_hash: bytes) -> float | None:
         return self.arrivals[node].get(block_hash)

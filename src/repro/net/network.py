@@ -399,14 +399,7 @@ class Network:
     # -- observability ------------------------------------------------------
 
     def _record_drop(self, src: int, dst: int, message: Message) -> None:
-        self.tracer.emit(
-            "drop",
-            self.sim.now,
-            src=src,
-            dst=dst,
-            kind=message.kind,
-            size=message.size,
-        )
+        self.tracer.drop(self.sim.now, src, dst, message.kind, message.size)
 
     def link_utilization(self, now: float) -> tuple[int, int, float]:
         """``(busy_links, total_links, queued_bytes)`` at instant ``now``.

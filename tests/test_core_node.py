@@ -181,6 +181,12 @@ class _RecordingTracer:
     def emit(self, name, t, **fields):
         self.events.append(name)
 
+    def block_arrival(self, t, node, hash, kind):
+        self.events.append("block_arrival")
+
+    def tip_change(self, t, node, tip, height):
+        self.events.append("tip_change")
+
 
 def test_mined_key_blocks_are_counted():
     sim, _, nodes = _cluster()

@@ -342,7 +342,10 @@ def test_a_run_that_raises_keeps_every_record_it_emitted(
         sim.schedule(horizon / 2, explode)
 
     monkeypatch.setattr(Observability, "install", install_and_arm)
-    handed = [count_calls(Tracer, name) for name in ("emit", "send", "deliver")]
+    handed = [
+        count_calls(Tracer, name)
+        for name in ("emit", "send", "deliver", "block_arrival", "tip_change", "drop")
+    ]
     path = tmp_path / "t.trace.jsonl"
     with pytest.raises(_Boom) as raised:
         run_experiment(config, obs=Observability(tracer=Tracer(JsonlSink(path))))

@@ -1,5 +1,6 @@
 """The tracer and its sinks: schema-versioned JSONL records."""
 
+import collections
 import json
 import random
 import tempfile
@@ -15,8 +16,11 @@ from repro.obs import Observability
 from repro.obs import trace as trace_module
 from repro.obs.analyze import TraceSummary, iter_records, load_records, summarize
 from repro.obs.trace import (
+    ARRIVAL,
+    DROP,
     SCHEMA_VERSION,
     CHUNK,
+    TIP,
     JsonlSink,
     MemorySink,
     TraceError,
@@ -127,6 +131,18 @@ def test_jsonl_sink_writes_compact_lines(tmp_path):
 
 SEND_FIELDS = ("t", "src", "dst", "kind", "size", "qd", "arr")
 DELIVER_FIELDS = SEND_FIELDS[:5]
+# The typed rows besides send and deliver end in their event name.
+TAGGED = {
+    "block_arrival": (("t", "node", "hash", "kind"), ARRIVAL),
+    "tip_change": (("t", "node", "tip", "height"), TIP),
+    "drop": (DELIVER_FIELDS, DROP),
+}
+NAMES = {
+    "send": SEND_FIELDS,
+    "deliver": DELIVER_FIELDS,
+    "emit": DELIVER_FIELDS,
+    **{ev: names for ev, (names, _) in TAGGED.items()},
+}
 ODD_INTS = st.one_of(
     st.booleans(), st.integers(2**64, 2**80), st.integers(-(2**70), -1)
 )
@@ -139,13 +155,19 @@ ODD_KINDS = st.one_of(
     st.sampled_from(['q"uote', "back\\slash", "naïve", "\x7f", "tab\t", "\U0001f600"]),
     st.text(max_size=6),
 )
-# What the network passes, and what else each field could hold.
+HEX12 = st.binary(min_size=32, max_size=32).map(short_hash)
+# What the network and the observation log pass, and what else each
+# field could hold.
 FIELDS = {
     "t": (st.floats(0.0, 1e4), ODD_FLOATS),
     "src": (st.integers(0, 999), ODD_INTS),
     "dst": (st.integers(0, 999), ODD_INTS),
+    "node": (st.integers(0, 999), ODD_INTS),
     "kind": (st.sampled_from(["inv", "getdata", "object", "gettip"]), ODD_KINDS),
+    "hash": (HEX12, ODD_KINDS),
+    "tip": (HEX12, ODD_KINDS),
     "size": (st.integers(0, 10**6), ODD_INTS),
+    "height": (st.integers(0, 10**4), ODD_INTS),
     "qd": (st.one_of(st.just(0.0), st.floats(0.0, 100.0)), ODD_FLOATS),
     "arr": (st.floats(0.0, 1e4), ODD_FLOATS),
 }
@@ -154,18 +176,37 @@ FIELDS = {
 def _row(ev, values):
     """The tracer's row for one record, and the record ``json.dumps`` is
     to agree with: ``qd`` and ``arr`` rounded by ``round(·, 6)``, as the
-    network rounded them before the writer did."""
-    if ev == "drop":
-        fields = dict(zip(DELIVER_FIELDS[1:], values[1:]))
-        return (ev, values[0], fields), {
-            "v": SCHEMA_VERSION, "ev": ev, "t": values[0], **fields
+    network rounded them before the writer did.  An ``emit`` row stands
+    for the rare records, here a ``gossip_retry``."""
+    names = NAMES[ev]
+    if ev == "emit":
+        fields = dict(zip(names[1:], values[1:]))
+        return ("gossip_retry", values[0], fields), {
+            "v": SCHEMA_VERSION, "ev": "gossip_retry", "t": values[0], **fields
         }
-    names = SEND_FIELDS if ev == "send" else DELIVER_FIELDS
     record = {"v": SCHEMA_VERSION, "ev": ev, **dict(zip(names, values))}
     if ev == "send":
         record["qd"] = round(record["qd"], 6)
         record["arr"] = round(record["arr"], 6)
+    if ev in TAGGED:
+        return (*values, TAGGED[ev][1]), record
     return tuple(values), record
+
+
+def _trace(tracer, row):
+    """Hand ``row`` to ``tracer`` through the entry point that makes it."""
+    if len(row) == 3:
+        tracer.emit(row[0], row[1], **row[2])
+    elif len(row) == 7:
+        tracer.send(*row)
+    elif len(row) == 6:
+        tracer.drop(*row[:5])
+    elif row[4] is ARRIVAL:
+        tracer.block_arrival(*row[:4])
+    elif row[4] is TIP:
+        tracer.tip_change(*row[:4])
+    else:
+        tracer.deliver(*row)
 
 
 def _json_lines(records):
@@ -188,14 +229,14 @@ def _write_in_chunks(path, rows, cuts):
 
 @st.composite
 def hot_calls(draw):
-    """``send``/``deliver`` rows as the network makes them (and a
-    ``drop`` row from ``emit`` between them), most with one value bent
+    """Typed rows as the network and the observation log make them (and
+    a rare record from ``emit`` between them), most with one value bent
     the way a template can get wrong; a row often reuses the previous
     row's time object, as the records of one event do."""
     calls = []
     for _ in range(draw(st.integers(1, 8))):
-        ev = draw(st.sampled_from(["send", "deliver", "drop"]))
-        names = SEND_FIELDS if ev == "send" else DELIVER_FIELDS
+        ev = draw(st.sampled_from(sorted(NAMES)))
+        names = NAMES[ev]
         values = [draw(FIELDS[name][0]) for name in names]
         if draw(st.booleans()):
             index = draw(st.integers(0, len(names) - 1))
@@ -209,11 +250,22 @@ def hot_calls(draw):
 @settings(max_examples=300, deadline=None)
 @given(hot_calls(), st.lists(st.integers(0, 8), max_size=3))
 @example([("send", [1.0, 0, 1, "inv", 61, 0.0, 1.5])], [])
+@example([("block_arrival", [2.0, 3, "aa" * 6, "micro"]),
+          ("tip_change", [2.0, 3, "aa" * 6, 7]),
+          ("drop", [2.0, 3, 4, "inv", 61])], [1])
 def test_sink_lines_are_json_dumps_lines(calls, cuts):
     rows, records = zip(*(_row(ev, values) for ev, values in calls))
     with tempfile.TemporaryDirectory() as scratch:
         written = _write_in_chunks(Path(scratch) / "t.trace.jsonl", rows, cuts)
     assert written == _json_lines(records)
+    sink = MemorySink()
+    tracer = Tracer(sink)
+    for row in rows:
+        _trace(tracer, row)
+    tracer.flush()
+    # The same dicts, compared as text: NaN is not equal to itself, and
+    # -0.0 and True must not pass for 0.0 and 1.
+    assert _json_lines(sink.records) == _json_lines(records)
 
 
 def _mixed_rows(n, seed):
@@ -221,21 +273,40 @@ def _mixed_rows(n, seed):
     previous row's time object."""
     rng = random.Random(seed)
     odd = [True, 2**64 + 1, float("nan"), -float("inf"), -0.0, 5e-324, 3]
+    odd_text = ['q"uote', "naïve", "\U0001f600"]
     rows, records = [], []
     last_t = None
     for _ in range(n):
-        ev = rng.choice(["send", "send", "deliver", "drop"])
-        width = len(SEND_FIELDS if ev == "send" else DELIVER_FIELDS)
-        values = [
-            rng.uniform(0.0, 1e4), rng.randrange(100), rng.randrange(100),
-            rng.choice(["inv", "getdata", "object"]), rng.randrange(10**6),
-            rng.choice([0.0, rng.uniform(0.0, 1e-6), rng.expovariate(1.0)]),
-            rng.uniform(0.0, 1e4),
-        ][:width]
+        ev = rng.choice([
+            "send", "send", "deliver", "deliver", "drop", "block_arrival",
+            "tip_change", "emit",
+        ])
+        width = len(NAMES[ev])
+        if ev == "block_arrival":
+            values = [
+                rng.uniform(0.0, 1e4), rng.randrange(100),
+                short_hash(rng.randbytes(32)), rng.choice(["key", "micro"]),
+            ]
+        elif ev == "tip_change":
+            values = [
+                rng.uniform(0.0, 1e4), rng.randrange(100),
+                short_hash(rng.randbytes(32)), rng.randrange(10**4),
+            ]
+        else:
+            values = [
+                rng.uniform(0.0, 1e4), rng.randrange(100), rng.randrange(100),
+                rng.choice(["inv", "getdata", "object"]), rng.randrange(10**6),
+                rng.choice([0.0, rng.uniform(0.0, 1e-6), rng.expovariate(1.0)]),
+                rng.uniform(0.0, 1e4),
+            ][:width]
         if last_t is not None and rng.random() < 0.3:
             values[0] = last_t
         if rng.random() < 0.1:
-            values[rng.randrange(width)] = rng.choice(odd)
+            index = rng.randrange(width)
+            # Text only where the record holds text: qd and arr are
+            # rounded.
+            bent = odd + odd_text if type(values[index]) is str else odd
+            values[index] = rng.choice(bent)
         last_t = values[0]
         row, record = _row(ev, values)
         rows.append(row)
@@ -252,15 +323,15 @@ def test_rows_at_the_chunk_boundary_write_json_dumps_bytes(tmp_path, n):
     expected = _json_lines(records)
     path = tmp_path / "tracer.trace.jsonl"
     tracer = Tracer(JsonlSink(path))
+    memory = MemorySink()
+    kept = Tracer(memory)
     for row in rows:
-        if len(row) == 7:
-            tracer.send(*row)
-        elif len(row) == 5:
-            tracer.deliver(*row)
-        else:
-            tracer.emit(row[0], row[1], **row[2])
+        _trace(tracer, row)
+        _trace(kept, row)
     tracer.close()
+    kept.close()
     assert path.read_text(encoding="utf-8") == expected
+    assert _json_lines(memory.records) == expected
     rng = random.Random(-n)
     for _ in range(3):
         cuts = rng.sample(range(1, n), 4)
@@ -270,7 +341,9 @@ def test_rows_at_the_chunk_boundary_write_json_dumps_bytes(tmp_path, n):
 
 def test_every_single_odd_value_writes_json_dumps_bytes(tmp_path):
     """The template's boundary, field by field: each odd value in turn
-    in an otherwise ordinary ``send`` and ``deliver``."""
+    in an otherwise ordinary ``send``, ``deliver``, ``drop``,
+    ``block_arrival`` and ``tip_change`` — written by the sink and
+    kept by a ``MemorySink``, both through the tracer's entry points."""
     odd = {
         int: [True, False, 2**64 + 1, -(2**70)],
         float: [float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 5e-324, 3],
@@ -278,7 +351,11 @@ def test_every_single_odd_value_writes_json_dumps_bytes(tmp_path):
     }
     send = [0.25, 0, 1, "inv", 61, 0.5, 2.75]
     deliver = send[:5]
-    calls = [("send", send), ("deliver", deliver)]
+    calls = [
+        ("send", send), ("deliver", deliver), ("drop", deliver),
+        ("block_arrival", [0.25, 3, "0a1b2c3d4e5f", "micro"]),
+        ("tip_change", [0.25, 3, "0a1b2c3d4e5f", 17]),
+    ]
     for ev, base in calls[:]:
         for index, value in enumerate(base):
             for bent in odd[type(value)]:
@@ -286,9 +363,20 @@ def test_every_single_odd_value_writes_json_dumps_bytes(tmp_path):
     rows, records = zip(*(_row(ev, values) for ev, values in calls))
     written = _write_in_chunks(tmp_path / "t.trace.jsonl", rows, [])
     lines = written.splitlines(keepends=True)
-    assert len(lines) == len(records) == 66
+    assert len(lines) == len(records) == 66 + 26 + 24 + 22
     for record, line in zip(records, lines):
         assert line == json.dumps(record, separators=(",", ":")) + "\n"
+    path = tmp_path / "tracer.trace.jsonl"
+    tracer = Tracer(JsonlSink(path))
+    memory = MemorySink()
+    kept = Tracer(memory)
+    for row in rows:
+        _trace(tracer, row)
+        _trace(kept, row)
+    tracer.close()
+    kept.close()
+    assert path.read_text(encoding="utf-8") == written
+    assert _json_lines(memory.records) == written
 
 
 @settings(max_examples=10_000, deadline=None)
@@ -332,10 +420,22 @@ def test_time_text_follows_the_float_object_not_its_value(tmp_path):
     assert '"qd":-0.0' in text
 
 
-def test_network_sends_and_deliveries_take_the_template(monkeypatch, tmp_path):
-    """What the network emits fits the template; everything else is
-    encoded.  A float time turned int, say, would send every line
-    back through the encoder without changing a byte."""
+PARTITION_HEAL = json.loads(
+    (Path(__file__).parent.parent / "examples" / "partition_heal.json")
+    .read_text(encoding="utf-8")
+)
+TYPED = ("send", "deliver", "block_arrival", "tip_change", "drop")
+
+
+def test_network_sends_and_deliveries_take_the_template(
+    monkeypatch, tmp_path, count_calls
+):
+    """What the network and the observation log write fits a template;
+    everything else is encoded.  A float time turned int, say, would send
+    every line back through the encoder without changing a byte.  Under
+    a partition, so drops are written too: no typed record comes through
+    ``emit`` or the encoder, and each typed call is one line of its
+    ``ev``."""
     encoded = []
     encode = trace_module._encode
 
@@ -344,17 +444,21 @@ def test_network_sends_and_deliveries_take_the_template(monkeypatch, tmp_path):
         return encode(record)
 
     monkeypatch.setattr(trace_module, "_encode", spying_encode)
+    calls = {name: count_calls(Tracer, name) for name in TYPED}
+    emitted = count_calls(Tracer, "emit")
     config = ExperimentConfig(
         protocol=Protocol.BITCOIN_NG, n_nodes=10, target_blocks=6,
-        target_key_blocks=2, block_rate=0.2, key_block_rate=0.05,
-        block_size_bytes=4000, cooldown=10.0, seed=3,
+        target_key_blocks=6, block_rate=0.2, key_block_rate=0.02,
+        block_size_bytes=4000, cooldown=10.0, seed=3, scenario=PARTITION_HEAL,
     )
     sink = JsonlSink(tmp_path / "t.trace.jsonl")
     run_experiment(config, obs=Observability(tracer=Tracer(sink)))
-    events = {r["ev"] for r in load_records(sink.path)}
-    assert {"send", "deliver"} <= events
-    assert "block_gen" in encoded
-    assert "send" not in encoded and "deliver" not in encoded
+    written = collections.Counter(r["ev"] for r in load_records(sink.path))
+    assert "block_gen" in encoded and "partition" in written
+    for name in TYPED:
+        assert len(calls[name]) == written[name] > 0, name
+        assert name not in encoded, name
+    assert not {args[1] for args in emitted} & set(TYPED)
 
 
 # Queueing delays at the writer's and the fold's edges: four that round
@@ -365,6 +469,13 @@ EDGE_DELAYS = [
     nextafter(1e-4, 0.0), 1e-4, nextafter(1e-4, 1.0),
     nextafter(1e9, 0.0), 1e9, nextafter(1e9, 2e9), 0.0,
 ]
+
+
+def _assert_same_summary(folded, read_back):
+    """Equal field by field and, as JSON text, key order too: the
+    metrics file a run writes is that text."""
+    assert folded.to_dict() == read_back.to_dict()
+    assert json.dumps(folded.to_dict()) == json.dumps(read_back.to_dict())
 
 
 def _fold_in_pieces(rows, piece=700):
@@ -391,7 +502,7 @@ def test_row_fold_equals_the_file_fold(tmp_path):
     run_experiment(config, obs=obs)
     assert any(len(row) == 7 and row[5] > 0 for row in rows)
     folded = _fold_in_pieces(rows)
-    assert folded.to_dict() == summarize(load_records(path)).to_dict()
+    _assert_same_summary(folded, summarize(load_records(path)))
     assert folded.events["send"] > 0 and folded.events["deliver"] > 0
     assert folded.queue_delay_count > 0
 
@@ -414,7 +525,7 @@ def test_row_fold_of_edge_delays_equals_the_file_fold(tmp_path):
         )
     ]
     folded = _fold_in_pieces(rows, piece=5)
-    assert folded.to_dict() == summarize(load_records(path)).to_dict()
+    _assert_same_summary(folded, summarize(load_records(path)))
     assert folded.queue_delay_count == sum(
         round(qd, 6) > 0 for qd in EDGE_DELAYS
     ) == len(EDGE_DELAYS) - 4

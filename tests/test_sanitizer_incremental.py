@@ -598,3 +598,48 @@ def test_leader_crash_scenario_clean_under_incremental_check():
     result, _log = run_experiment(config)
     assert result.faults_injected >= 1  # the crash actually fired
     assert result.violations == ()
+
+
+def test_state_checks_follow_an_independent_poll_of_moved_tips(monkeypatch):
+    """On a checked NG run every sweep calls the state checkers on
+    exactly the nodes whose tip hash moved since the last sweep, as a
+    poll of ``node.chain.tip_record.hash`` taken here finds them, and a
+    sweep in which no tip moved calls no checker."""
+    checked = []
+
+    class Counting(InvariantChecker):
+        code = "INV997"
+
+        def check_state(self, node, node_id, now):
+            checked.append(node_id)
+            return []
+
+    last_tips = {}
+    sweeps = []
+    sweep = SanitizerRuntime._sweep_incremental
+
+    def polled_sweep(runtime):
+        moved = []
+        for node in runtime.nodes:
+            tip = node.chain.tip_record.hash
+            if last_tips.get(node.node_id) != tip:
+                last_tips[node.node_id] = tip
+                moved.append(node.node_id)
+        before = len(checked)
+        sweep(runtime)
+        sweeps.append((moved, checked[before:]))
+
+    monkeypatch.setattr(SanitizerRuntime, "_sweep_incremental", polled_sweep)
+    config = ExperimentConfig(check=True, check_stride=1, **CHECKED)
+    runtime = SanitizerRuntime(
+        [*get_adapter(config.protocol).invariant_checkers(), Counting()],
+        stride=config.check_stride,
+    )
+    result, _log = run_experiment(config, sanitizer=runtime)
+    assert result.violations == ()
+    assert len(sweeps) == runtime.sweeps
+    for moved, calls in sweeps:
+        assert calls == moved
+    quiet = sum(not moved for moved, _ in sweeps)
+    assert 0 < quiet < len(sweeps)
+    assert len(checked) == sum(len(moved) for moved, _ in sweeps)
