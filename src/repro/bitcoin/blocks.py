@@ -130,9 +130,22 @@ class Block:
     coinbase: Transaction
     payload: TxPayload | SyntheticPayload
 
+    # Tree facts: the block's height and chain work (the genesis counts
+    # 0), the same in every node's tree, so the first tree to connect
+    # this object sets them (``BlockTree._admit``); -1 until then.
+    height = cumulative_work = -1
+
     @cached_property
     def hash(self) -> bytes:
         return self.header.hash
+
+    @cached_property
+    def ledger_entries(self) -> tuple[Transaction, tuple] | None:
+        """``(coinbase, transactions)``; ``None`` for synthetic contents,
+        whose ledger state experiment mode does not track."""
+        if isinstance(self.payload, TxPayload):
+            return self.coinbase, self.payload.transactions
+        return None
 
     @property
     def n_tx(self) -> int:

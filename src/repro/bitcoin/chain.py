@@ -12,11 +12,11 @@ for the time-to-prune metric.
 
 :class:`BlockTree` is also the one block-tree implementation behind
 every protocol here.  GHOST (Section 9) and Bitcoin-NG (Section 4.1)
-are this tree with a different answer to two questions — *what record
-does a block get under its parent* (:meth:`BlockTree._record_for`, with
-:meth:`BlockTree._genesis_record` for the root) and *which tip to hold
-once a record has connected* (:meth:`BlockTree._choose_tip`) — so their
-trees subclass it and override only those.
+are this tree with a different answer to two questions — *is a block
+admitted under its parent, and what are its tree facts*
+(:meth:`BlockTree._admit`) and *which tip to hold once a block has
+connected* (:meth:`BlockTree._choose_tip`) — so their trees subclass it
+and override only those.
 """
 
 from __future__ import annotations
@@ -38,17 +38,15 @@ class TieBreak(enum.Enum):
 
 @dataclass(slots=True)
 class BlockRecord:
-    """A block plus its position in the tree.
+    """A block as one node's tree holds it: the block and its children.
 
-    The fields every protocol's record has; GHOST's and Bitcoin-NG's
-    extend it with their own bookkeeping.  No field has a default, so a
-    subclass adds fields positionally and every record is built with
-    positional arguments (``children`` starts as a fresh ``[]``).
+    What every tree says of a block lives on the block, and a tree keeps
+    only its ``blocks`` and ``children`` maps; a record is a view onto
+    both for readers off the insert path (tests, the sanitizer).  The
+    Bitcoin-NG facts exist on NG blocks only.
     """
 
     block: Block
-    height: int
-    cumulative_work: int
     children: list[bytes]
 
     @property
@@ -58,6 +56,30 @@ class BlockRecord:
     @property
     def parent_hash(self) -> bytes:
         return self.block.header.prev_hash
+
+    @property
+    def timestamp(self) -> float:
+        return self.block.header.timestamp
+
+    @property
+    def height(self) -> int:
+        return self.block.height
+
+    @property
+    def cumulative_work(self) -> int:
+        return self.block.cumulative_work
+
+    @property
+    def is_key(self) -> bool:
+        return self.block.is_key  # type: ignore[attr-defined]
+
+    @property
+    def key_height(self) -> int:
+        return self.block.key_height  # type: ignore[attr-defined]
+
+    @property
+    def leader_pubkey(self) -> bytes:
+        return self.block.leader_pubkey  # type: ignore[attr-defined]
 
 
 class Reorg(NamedTuple):
@@ -69,16 +91,16 @@ class Reorg(NamedTuple):
     builds one, and a tuple is the cheapest immutable record to build.
     """
 
-    old_tip: bytes
-    new_tip: bytes
-    disconnected: tuple[bytes, ...]
-    connected: tuple[bytes, ...]
+    old_tip: Block
+    new_tip: Block
+    disconnected: tuple[Block, ...]
+    connected: tuple[Block, ...]
 
 
 class BlockTree:
     """One node's view of all blocks it knows, with fork choice."""
 
-    # What ``_record_for`` raises to refuse a block.
+    # What ``_admit`` raises to refuse a block.
     invalid: type[Exception] = InvalidBlock
 
     def __init__(
@@ -93,18 +115,19 @@ class BlockTree:
         self.tie_break = tie_break
         self.rng = rng or random.Random(0)
         self.genesis_hash = genesis.hash
-        self._records: dict[bytes, BlockRecord] = {
-            genesis.hash: self._genesis_record(genesis)
-        }
+        if genesis.height == -1:  # the root's tree facts
+            genesis.__dict__.update(height=0, cumulative_work=0)
+        self._blocks: dict[bytes, Block] = {genesis.hash: genesis}
+        self._children: dict[bytes, list[bytes]] = {genesis.hash: []}
         self._tip = genesis.hash
 
     # -- queries --------------------------------------------------------
 
     def __contains__(self, block_hash: bytes) -> bool:
-        return block_hash in self._records
+        return block_hash in self._blocks
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._blocks)
 
     @property
     def tip(self) -> bytes:
@@ -112,95 +135,96 @@ class BlockTree:
 
     @property
     def tip_record(self) -> BlockRecord:
-        return self._records[self._tip]
+        return self.record(self._tip)
 
     def record(self, block_hash: bytes) -> BlockRecord:
-        return self._records[block_hash]
+        return BlockRecord(self._blocks[block_hash], self._children[block_hash])
 
     def get(self, block_hash: bytes) -> BlockRecord | None:
-        return self._records.get(block_hash)
+        return self.record(block_hash) if block_hash in self._blocks else None
 
     def height_of(self, block_hash: bytes) -> int:
-        return self._records[block_hash].height
+        return self._blocks[block_hash].height
 
     def main_chain(self, tip: bytes | None = None) -> list[bytes]:
         """Hashes from genesis to ``tip`` (default: current tip)."""
         chain: list[bytes] = []
         cursor = tip if tip is not None else self._tip
         while True:
-            record = self._records[cursor]
             chain.append(cursor)
             if cursor == self.genesis_hash:
                 break
-            cursor = record.parent_hash
+            cursor = self._blocks[cursor].header.prev_hash
         chain.reverse()
         return chain
 
     def is_in_main_chain(self, block_hash: bytes) -> bool:
         """True when the block is an ancestor-or-equal of the tip."""
-        record = self._records.get(block_hash)
-        if record is None:
+        if block_hash not in self._blocks:
             return False
-        cursor = self._records[self._tip]
-        while cursor.height > record.height:
-            cursor = self._records[cursor.parent_hash]
-        return cursor.hash == block_hash
+        return self.find_fork_point(self._tip, block_hash) == block_hash
 
     def find_fork_point(self, a: bytes, b: bytes) -> bytes:
         """Lowest common ancestor of two blocks."""
-        ra, rb = self._records[a], self._records[b]
-        while ra.height > rb.height:
-            ra = self._records[ra.parent_hash]
-        while rb.height > ra.height:
-            rb = self._records[rb.parent_hash]
-        while ra.hash != rb.hash:
-            ra = self._records[ra.parent_hash]
-            rb = self._records[rb.parent_hash]
-        return ra.hash
+        return self._branches(self._blocks[a], self._blocks[b])[0].hash
+
+    def _branches(self, a: Block, b: Block) -> tuple[Block, list, list]:
+        """The fork point of ``a`` and ``b``, and the blocks above it on
+        each side, tip-first: one walk, which a tip switch also takes."""
+        blocks = self._blocks
+        above_a: list[Block] = []
+        above_b: list[Block] = []
+        while a.height > b.height:
+            above_a.append(a)
+            a = blocks[a.header.prev_hash]
+        while b.height > a.height:
+            above_b.append(b)
+            b = blocks[b.header.prev_hash]
+        while a is not b:
+            above_a.append(a)
+            above_b.append(b)
+            a = blocks[a.header.prev_hash]
+            b = blocks[b.header.prev_hash]
+        return a, above_a, above_b
 
     def leaves(self) -> list[bytes]:
         """All blocks without children — the heads of every branch."""
-        return [h for h, record in self._records.items() if not record.children]
+        return [h for h, children in self._children.items() if not children]
 
     def pruned_blocks(self) -> list[bytes]:
         """All known blocks not on the current main chain."""
         main = set(self.main_chain())
-        return [h for h in self._records if h not in main]
+        return [h for h in self._blocks if h not in main]
 
     # -- mutation -------------------------------------------------------
 
-    def add_block(self, block: Block) -> list[Reorg]:
+    def add_block(
+        self, block: Block, local_time: float = 0.0, check_signature: bool = True
+    ) -> list[Reorg]:
         """Insert a block (and any orphans it unlocks); return tip changes.
 
+        ``_admit`` may judge a block by ``local_time`` and
+        ``check_signature`` (Bitcoin-NG's microblock rules do).
         Unknown-parent blocks are buffered and connected when the parent
         arrives, so out-of-order gossip delivery is handled here rather
-        than by every caller.
-        """
-        return self._insert(block, None)
-
-    def _insert(self, block, context) -> list[Reorg]:
-        """``add_block`` proper; ``context`` goes to ``_record_for`` as is.
-
-        A refusal of ``block`` itself propagates to the caller; a
-        refused orphan is dropped, and with it whatever waits on it.
-        The usual block has no orphan waiting on it and builds nothing
-        but its record and the returned list.
+        than by every caller.  A refusal of ``block`` itself propagates;
+        a refused orphan is dropped, with whatever waits on it.
         """
         block_hash = block.hash
-        records = self._records
-        if block_hash in records:
+        blocks = self._blocks
+        if block_hash in blocks:
             return []
         prev_hash = block.header.prev_hash
         refused = self._refused
         if refused and (block_hash in refused or prev_hash in refused):
             refused.add(block_hash)
             raise self.invalid("block is, or builds on, one that did not connect")
-        parent = records.get(prev_hash)
+        parent = blocks.get(prev_hash)
         orphans = self._orphans
         if parent is None:
             orphans.setdefault(prev_hash, []).append(block)
             return []
-        reorg = self._connect(block, parent, context)
+        reorg = self._connect(block, parent, local_time, check_signature)
         reorgs = [] if reorg is None else [reorg]
         if block_hash in orphans:
             # Adopt the orphans waiting on this block, recursively.
@@ -209,7 +233,9 @@ class BlockTree:
                 parent_hash = pending.pop()
                 for orphan in orphans.pop(parent_hash, ()):
                     try:
-                        reorg = self._connect(orphan, records[parent_hash], context)
+                        reorg = self._connect(
+                            orphan, blocks[parent_hash], local_time, check_signature
+                        )
                     except self.invalid:
                         continue
                     if reorg is not None:
@@ -217,59 +243,48 @@ class BlockTree:
                     pending.append(orphan.hash)
         return reorgs
 
-    def _connect(self, block, parent, context) -> Reorg | None:
-        record = self._record_for(block, parent, context)
-        self._records[block.hash] = record
-        parent.children.append(block.hash)
-        new_tip = self._choose_tip(record)
-        if new_tip == self._tip:
+    def _connect(
+        self, block, parent, local_time: float, check_signature: bool
+    ) -> Reorg | None:
+        self._admit(block, parent, local_time, check_signature)
+        block_hash = block.hash
+        self._blocks[block_hash] = block
+        self._children[block_hash] = []
+        self._children[parent.hash].append(block_hash)
+        current = self._blocks[self._tip]
+        new = self._choose_tip(block, current)
+        if new is current:
             return None
-        return self._switch_tip(new_tip)
+        _, disconnected, connected = self._branches(current, new)
+        connected.reverse()
+        self._tip = new.hash
+        return Reorg(current, new, tuple(disconnected), tuple(connected))
 
     # -- what a protocol decides ----------------------------------------
 
-    def _genesis_record(self, genesis: Block) -> BlockRecord:
-        return BlockRecord(genesis, 0, 0, [])
+    def _admit(
+        self, block: Block, parent: Block, local_time: float, check_signature: bool
+    ) -> None:
+        """Take ``block`` under ``parent``, or raise :attr:`invalid`.
 
-    def _record_for(self, block: Block, parent: BlockRecord, context) -> BlockRecord:
-        """The record ``block`` gets under ``parent``, not yet linked in.
-
-        Raise :attr:`invalid` to refuse the block.
+        The first tree to connect a block object sets its tree facts
+        from the parent's; every later tree reads them.
         """
-        return BlockRecord(
-            block,
-            parent.height + 1,
-            parent.cumulative_work + block.header.work,
-            [],
-        )
+        if block.height == -1:
+            block.__dict__.update(
+                height=parent.height + 1,
+                cumulative_work=parent.cumulative_work + block.header.work,
+            )
 
-    def _choose_tip(self, candidate: BlockRecord) -> bytes:
+    def _choose_tip(self, candidate: Block, current: Block) -> Block:
         """The tip to hold now that ``candidate`` has connected."""
-        current = self._records[self._tip]
         if candidate.cumulative_work < current.cumulative_work:
-            return self._tip
+            return current
         if candidate.cumulative_work == current.cumulative_work and (
             self.tie_break is TieBreak.FIRST_SEEN or self.rng.random() < 0.5
         ):
-            return self._tip
-        return candidate.hash
-
-    def _switch_tip(self, new_tip: bytes) -> Reorg:
-        old_tip = self._tip
-        fork = self.find_fork_point(old_tip, new_tip)
-        disconnected = []
-        cursor = old_tip
-        while cursor != fork:
-            disconnected.append(cursor)
-            cursor = self._records[cursor].parent_hash
-        connected = []
-        cursor = new_tip
-        while cursor != fork:
-            connected.append(cursor)
-            cursor = self._records[cursor].parent_hash
-        connected.reverse()
-        self._tip = new_tip
-        return Reorg(old_tip, new_tip, tuple(disconnected), tuple(connected))
+            return current
+        return candidate
 
     def forget(self, block_hash: bytes, tip: bytes) -> set[bytes]:
         """Drop a block that did not connect, and everything built on it.
@@ -282,13 +297,14 @@ class BlockTree:
         remembered: a second copy, or a later child, is refused like
         any invalid block.
         """
-        parent = self._records[self._records[block_hash].parent_hash]
-        parent.children.remove(block_hash)
+        children = self._children
+        children[self._blocks[block_hash].header.prev_hash].remove(block_hash)
         forgotten: set[bytes] = set()
         pending = [block_hash]
         while pending:
             gone = pending.pop()
-            pending.extend(self._records.pop(gone).children)
+            del self._blocks[gone]
+            pending.extend(children.pop(gone))
             forgotten.add(gone)
         self._refused |= forgotten
         self._tip = tip
@@ -299,20 +315,20 @@ class BlockTree:
 
     def assert_consistent(self) -> None:
         """Structural invariants, used by property-based tests."""
-        for block_hash, record in self._records.items():
+        for block_hash, block in self._blocks.items():
             if block_hash == self.genesis_hash:
                 continue
-            parent = self._records.get(record.parent_hash)
+            parent = self._blocks.get(block.header.prev_hash)
             if parent is None:
                 raise InvalidBlock("dangling parent pointer in tree")
-            if record.height != parent.height + 1:
+            if block.height != parent.height + 1:
                 raise InvalidBlock("height does not increment from parent")
-            expected = parent.cumulative_work + record.block.header.work
-            if record.cumulative_work != expected:
+            expected = parent.cumulative_work + block.header.work
+            if block.cumulative_work != expected:
                 raise InvalidBlock("cumulative work mismatch")
-            if block_hash not in parent.children:
+            if block_hash not in self._children[parent.hash]:
                 raise InvalidBlock("child not registered with parent")
-        tip_work = self._records[self._tip].cumulative_work
-        best = max(r.cumulative_work for r in self._records.values())
+        tip_work = self._blocks[self._tip].cumulative_work
+        best = max(b.cumulative_work for b in self._blocks.values())
         if tip_work != best:
             raise InvalidBlock("tip is not a heaviest block")

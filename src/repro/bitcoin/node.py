@@ -31,7 +31,7 @@ from ..net.gossip import GossipNode, RelayMode, StoredObject
 from ..net.network import Network
 from ..net.simulator import Simulator
 from .blocks import Block, SyntheticPayload, TxPayload, build_block, check_block
-from .chain import BlockTree, Reorg, TieBreak
+from .chain import BlockTree, TieBreak
 
 # Default block subsidy (25 BTC, the 2015 value).
 DEFAULT_BLOCK_REWARD = 25 * COIN
@@ -62,10 +62,9 @@ class ChainNode(GossipNode):
     connect, reporting the tip change; and admitting transactions.
     A protocol's node builds its blocks and supplies the hooks:
     :attr:`KINDS` (the object kinds its blocks travel as),
-    :meth:`_check_block` (validation that needs no chain context),
-    :meth:`_add_to_tree` when its tree wants more than the arrival time,
-    :meth:`_ledger_entries` (what a block does to the ledger) and
-    ``_spend_fee(tx, height)`` (validate a spend, return its fee).
+    :meth:`_check_block` (validation that needs no chain context) and
+    ``_spend_fee(tx, height)`` (validate a spend, return its fee).  What
+    a block does to the ledger is the block's own ``ledger_entries``.
     """
 
     KINDS: tuple[str, ...]
@@ -135,80 +134,76 @@ class ChainNode(GossipNode):
 
         Returns ``False`` — do not relay — when the block is refused.
         """
+        now = self.sim.now
+        block_hash = block.hash
         if sender is not None:
-            self.log.record_arrival(self.node_id, block.hash, self.sim.now, kind)
+            self.log.record_arrival(self.node_id, block_hash, now, kind)
         tree = self.tree
         try:
             if sender is not None:
                 self._check_block(block)
-            reorgs = self._add_to_tree(block)
+            reorgs = tree.add_block(block, now, self.check_signatures)
         except tree.invalid:
             self.blocks_rejected += 1
             return False
-        parent_hash = block.header.prev_hash
-        if (
-            sender is not None
-            and block.hash not in tree
-            and parent_hash not in tree
-        ):
-            # Orphan: backfill the gap from whoever sent this block.
-            self.request_object(sender, parent_hash)
+        if not reorgs:
+            # Only a block that moved no tip can have been buffered.
+            parent_hash = block.header.prev_hash
+            if (
+                sender is not None
+                and block_hash not in tree
+                and parent_hash not in tree
+            ):
+                # Orphan: backfill the gap from whoever sent this block.
+                self.request_object(sender, parent_hash)
+            return None
         verdict = None
-        moved = False
+        tip = None
         for reorg in reorgs:
-            for block_hash in reorg.disconnected:
-                self._disconnect_block(block_hash)
+            for gone in reorg.disconnected:
+                if gone.ledger_entries is not None:
+                    self._disconnect_block(gone)
             try:
-                for block_hash in reorg.connected:
-                    self._connect_block(block_hash)
+                for joined in reorg.connected:
+                    if joined.ledger_entries is not None:
+                        self._connect_block(joined)
             except tree.invalid:
                 # A block on the new branch does not connect: refused
                 # like any invalid block, only later — the tree had
                 # adopted it.  The ledger goes back on ``old_tip``; the
                 # tree drops the block with what was built on it (this
                 # insertion's remaining reorgs too) and holds that tip.
-                done = reorg.connected.index(block_hash)
+                done = reorg.connected.index(joined)
                 for connected in reversed(reorg.connected[:done]):
-                    self._disconnect_block(connected)
+                    if connected.ledger_entries is not None:
+                        self._disconnect_block(connected)
                 for disconnected in reversed(reorg.disconnected):
-                    self._connect_block(disconnected)
+                    if disconnected.ledger_entries is not None:
+                        self._connect_block(disconnected)
                 self.blocks_rejected += 1
-                if block.hash in tree.forget(block_hash, reorg.old_tip):
+                if block_hash in tree.forget(joined.hash, reorg.old_tip.hash):
                     verdict = False
                 break
-            moved = True
-        if moved:
-            self.log.record_tip(
-                self.node_id, tree.tip, self.sim.now, tree.tip_record.height
-            )
+            tip = reorg.new_tip
+        if tip is not None:
+            self.log.record_tip(self.node_id, tip.hash, now, tip.height)
         return verdict
 
     def _check_block(self, block) -> None:
         """Contextless validation; raise the tree's ``invalid`` to refuse."""
         raise NotImplementedError
 
-    def _add_to_tree(self, block) -> list[Reorg]:
-        return self.tree.add_block(block)
-
     # -- ledger state ------------------------------------------------------
 
-    def _ledger_entries(self, block):
-        """What ``block`` does to the ledger: ``(coinbase or None,
-        transactions)``, or ``None`` when it carries no ledger entries."""
-        raise NotImplementedError
-
-    def _connect_block(self, block_hash: bytes) -> int:
-        """Apply a block that joined the main chain; return the fees paid.
+    def _connect_block(self, block) -> int:
+        """Apply a block with ledger entries that joined the main chain;
+        return the fees paid.
 
         Raises the tree's ``invalid``, with the UTXO set as it was, when
         one of the block's spends does not connect.
         """
-        record = self.tree.record(block_hash)
-        entries = self._ledger_entries(record.block)
-        if entries is None:
-            return 0
-        coinbase, transactions = entries
-        height = record.height
+        coinbase, transactions = block.ledger_entries
+        height = block.height
         undo_records: list[UndoRecord] = []
         if coinbase is not None:
             undo_records.append(self.utxo.apply(coinbase, height))
@@ -221,25 +216,24 @@ class ChainNode(GossipNode):
                 for done in reversed(undo_records):
                     self.utxo.undo(done)
                 raise self.tree.invalid(
-                    f"block {block_hash.hex()[:8]} contains an invalid spend"
+                    f"block {block.hash.hex()[:8]} contains an invalid spend"
                 )
             undo_records.append(self.utxo.apply(tx, height))
             self.mempool.evict_conflicts(tx)
-        self._undo[block_hash] = undo_records
+        self._undo[block.hash] = undo_records
         return fees
 
-    def _disconnect_block(self, block_hash: bytes) -> None:
-        """Unwind a block that left the main chain."""
-        undo_records = self._undo.pop(block_hash, None)
+    def _disconnect_block(self, block) -> None:
+        """Unwind a block with ledger entries that left the main chain."""
+        undo_records = self._undo.pop(block.hash, None)
         if undo_records is None:
             return
         for undo in reversed(undo_records):
             self.utxo.undo(undo)
-        record = self.tree.record(block_hash)
         # Returned transactions compete for inclusion again.
-        for tx in self._ledger_entries(record.block)[1]:
+        for tx in block.ledger_entries[1]:
             try:
-                fee = compute_fee(tx, self.utxo, record.height)
+                fee = compute_fee(tx, self.utxo, block.height)
                 self.mempool.add(tx, fee)
             except LedgerError:
                 continue
@@ -360,11 +354,6 @@ class BitcoinNode(ChainNode):
 
     def _check_block(self, block: Block) -> None:
         check_block(block, require_pow=self.require_pow)
-
-    def _ledger_entries(self, block: Block):
-        if isinstance(block.payload, TxPayload):
-            return block.coinbase, block.payload.transactions
-        return None  # synthetic payload: experiment mode tracks no state
 
     def _spend_fee(self, tx: Transaction, height: int) -> int:
         return validate_spend(

@@ -20,7 +20,7 @@ from .blocks import (
     check_microblock_structure,
     mine_key_block,
 )
-from .chain import FraudProof, NGChain, NGRecord
+from .chain import FraudProof, NGChain
 from .genesis import GENESIS_LEADER_KEY, make_ng_genesis, seed_genesis_coins
 from .ghost_ng import GhostNGChain
 from .incentives import (
@@ -70,7 +70,6 @@ __all__ = [
     "NGChain",
     "NGNode",
     "NGParams",
-    "NGRecord",
     "PoisonEntry",
     "PoisonRegistry",
     "RewardLedger",

@@ -91,9 +91,22 @@ class KeyBlock:
     header: KeyBlockHeader
     coinbase: Transaction
 
+    # Tree facts, set by the first tree that connects this object
+    # (``NGChain._admit``): blocks of any kind since the genesis, work of
+    # key blocks only, the epoch number, and the epoch key in force
+    # after this block.  Microblocks carry the same.
+    is_key = True
+    height = cumulative_work = key_height = -1
+    leader_pubkey = b""
+
     @cached_property
     def hash(self) -> bytes:
         return self.header.hash
+
+    @cached_property
+    def ledger_entries(self) -> tuple[Transaction, tuple]:
+        """``(coinbase, transactions)``: a key block only mints."""
+        return self.coinbase, ()
 
     @cached_property
     def size(self) -> int:
@@ -171,6 +184,11 @@ class Microblock:
     seal: bytes | PrivateKey
     payload: TxPayload | SyntheticPayload
 
+    # Tree facts, as on a key block.
+    is_key = False
+    height = cumulative_work = key_height = -1
+    leader_pubkey = b""
+
     @property
     def signature(self) -> bytes:
         """The leader's signature over the header; made from the key on
@@ -200,6 +218,13 @@ class Microblock:
     @cached_property
     def size(self) -> int:
         return MICRO_HEADER_SIZE + self.payload.payload_bytes
+
+    @cached_property
+    def ledger_entries(self) -> tuple[None, tuple] | None:
+        """``(None, transactions)``; ``None`` for synthetic contents."""
+        if isinstance(self.payload, TxPayload):
+            return None, self.payload.transactions
+        return None
 
     @property
     def n_tx(self) -> int:

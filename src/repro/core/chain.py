@@ -21,31 +21,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..bitcoin.chain import BlockRecord, BlockTree, Reorg, TieBreak
+from ..bitcoin.chain import BlockRecord, BlockTree, TieBreak
 from .blocks import InvalidNGBlock, KeyBlock, Microblock
 from .params import NGParams
 
 NGBlock = KeyBlock | Microblock
-
-
-@dataclass(slots=True)
-class NGRecord(BlockRecord):
-    """One block's position in the NG block tree.
-
-    ``height`` counts blocks of any kind since genesis;
-    ``cumulative_work`` is aggregated over key blocks only.  Built
-    positionally: ``(block, height, cumulative_work, children, is_key,
-    key_height, leader_pubkey)``.
-    """
-
-    block: NGBlock
-    is_key: bool
-    key_height: int  # key blocks on the path (epoch number)
-    leader_pubkey: bytes  # epoch key in force after this block
-
-    @property
-    def timestamp(self) -> float:
-        return self.block.header.timestamp
 
 
 @dataclass(frozen=True)
@@ -70,7 +50,7 @@ class NGChain(BlockTree):
     """One node's view of the Bitcoin-NG block tree."""
 
     invalid = InvalidNGBlock
-    _records: dict[bytes, NGRecord]
+    _blocks: dict[bytes, NGBlock]
 
     def __init__(
         self,
@@ -80,17 +60,22 @@ class NGChain(BlockTree):
         rng: random.Random | None = None,
     ) -> None:
         super().__init__(genesis, tie_break, rng)
+        if genesis.key_height == -1:  # the root's epoch facts
+            genesis.__dict__.update(
+                key_height=0, leader_pubkey=genesis.header.leader_pubkey
+            )
         self.params = params
         self._equivocations: list[FraudProof] = []
 
     # -- queries --------------------------------------------------------
 
-    def latest_key_block(self, start: bytes | None = None) -> NGRecord:
+    def latest_key_block(self, start: bytes | None = None) -> BlockRecord:
         """The most recent key block at or above ``start`` (default tip)."""
-        cursor = self._records[start if start is not None else self._tip]
+        blocks = self._blocks
+        cursor = blocks[start if start is not None else self._tip]
         while not cursor.is_key:
-            cursor = self._records[cursor.parent_hash]
-        return cursor
+            cursor = blocks[cursor.header.prev_hash]
+        return BlockRecord(cursor, self._children[cursor.hash])
 
     def equivocations(self) -> list[FraudProof]:
         """Fraud proofs discovered so far (one per offense observed)."""
@@ -109,7 +94,7 @@ class NGChain(BlockTree):
         Raises :class:`InvalidNGBlock`; the parent must already be in
         the tree (orphans are validated when adopted).
         """
-        parent = self._records.get(micro.header.prev_hash)
+        parent = self._blocks.get(micro.header.prev_hash)
         if parent is None:
             raise InvalidNGBlock("microblock parent unknown")
         # "if the timestamp of a microblock is in the future ... invalid"
@@ -117,7 +102,7 @@ class NGChain(BlockTree):
             raise InvalidNGBlock("microblock timestamp in the future")
         # "or if its difference with its predecessor's timestamp is
         # smaller than the minimum"
-        gap = micro.header.timestamp - parent.timestamp
+        gap = micro.header.timestamp - parent.header.timestamp
         if gap < self.params.min_microblock_interval - 1e-9:
             raise InvalidNGBlock(
                 f"microblock interval {gap:.3f}s below the minimum "
@@ -126,85 +111,60 @@ class NGChain(BlockTree):
         if check_signature and not micro.verify_signature(parent.leader_pubkey):
             raise InvalidNGBlock("microblock not signed by the epoch leader")
 
-    # -- mutation -------------------------------------------------------
-
-    def add_block(
-        self,
-        block: NGBlock,
-        local_time: float,
-        check_signature: bool = True,
-    ) -> list[Reorg]:
-        """Insert a key block or microblock; returns resulting tip moves.
-
-        Invalid microblocks raise; unknown-parent blocks are buffered.
-        """
-        return self._insert(block, (local_time, check_signature))
-
     # -- what Bitcoin-NG decides ----------------------------------------
 
-    def _genesis_record(self, genesis: KeyBlock) -> NGRecord:
-        return NGRecord(genesis, 0, 0, [], True, 0, genesis.header.leader_pubkey)
-
-    def _record_for(
+    def _admit(
         self,
         block: NGBlock,
-        parent: NGRecord,
-        context: tuple[float, bool],
-    ) -> NGRecord:
+        parent: NGBlock,
+        local_time: float,
+        check_signature: bool,
+    ) -> None:
         if isinstance(block, KeyBlock):
-            return NGRecord(
-                block,
-                parent.height + 1,
-                parent.cumulative_work + block.header.work,
-                [],
-                True,
-                parent.key_height + 1,
-                block.header.leader_pubkey,
-            )
+            if block.height == -1:
+                block.__dict__.update(
+                    height=parent.height + 1,
+                    cumulative_work=parent.cumulative_work + block.header.work,
+                    key_height=parent.key_height + 1,
+                    leader_pubkey=block.header.leader_pubkey,
+                )
+            return
         assert isinstance(block, Microblock)
-        self.validate_microblock(block, *context)
-        if parent.children:
+        self.validate_microblock(block, local_time, check_signature)
+        if self._children[parent.hash]:
             self._detect_equivocation(parent, block)
-        return NGRecord(
-            block,
-            parent.height + 1,
-            parent.cumulative_work,
-            [],
-            False,
-            parent.key_height,
-            parent.leader_pubkey,
-        )
+        if block.height == -1:
+            block.__dict__.update(
+                height=parent.height + 1,
+                cumulative_work=parent.cumulative_work,
+                key_height=parent.key_height,
+                leader_pubkey=parent.leader_pubkey,
+            )
 
-    def _detect_equivocation(self, parent: NGRecord, new_micro: Microblock) -> None:
+    def _detect_equivocation(self, parent: NGBlock, new_micro: Microblock) -> None:
         """Two leader-signed microblocks on one parent is fraud (only
         called when ``parent`` already has a child)."""
-        siblings = [
-            self._records[child]
-            for child in parent.children
-            if not self._records[child].is_key
-        ]
-        for sibling in siblings:
-            assert isinstance(sibling.block, Microblock)
-            self._equivocations.append(
-                FraudProof(
-                    offender_pubkey=parent.leader_pubkey,
-                    pruned_micro=new_micro,
-                    retained_micro_hash=sibling.hash,
+        for child in self._children[parent.hash]:
+            if not self._blocks[child].is_key:
+                self._equivocations.append(
+                    FraudProof(
+                        offender_pubkey=parent.leader_pubkey,
+                        pruned_micro=new_micro,
+                        retained_micro_hash=child,
+                    )
                 )
-            )
 
-    def _choose_tip(self, candidate: NGRecord) -> bytes:
-        current = self._records[self._tip]
+    def _choose_tip(self, candidate: NGBlock, current: NGBlock) -> NGBlock:
         if candidate.cumulative_work > current.cumulative_work:
-            return candidate.hash
+            return candidate
         if candidate.cumulative_work < current.cumulative_work:
-            return self._tip
+            return current
         # Equal weight: adopt a microblock that extends the current tip;
         # anything else is a genuine fork.  (The tip is always a leaf —
         # a valid child of it connects as heavier or as this extension —
         # so extending it means being its child.)
-        if candidate.parent_hash == self._tip:
-            return candidate.hash
+        if candidate.header.prev_hash == self._tip:
+            return candidate
         # Competing key blocks (Figure 3): tie-break policy applies.  A
         # competing microblock (leader equivocation) loses to the first seen.
         if (
@@ -212,34 +172,34 @@ class NGChain(BlockTree):
             and self.tie_break is not TieBreak.FIRST_SEEN
             and self.rng.random() >= 0.5
         ):
-            return candidate.hash
-        return self._tip
+            return candidate
+        return current
 
     # -- invariants -------------------------------------------------------
 
     def assert_consistent(self) -> None:
         """Structural invariants for property-based tests."""
-        for block_hash, record in self._records.items():
+        for block_hash, block in self._blocks.items():
             if block_hash == self.genesis_hash:
                 continue
-            parent = self._records.get(record.parent_hash)
+            parent = self._blocks.get(block.header.prev_hash)
             if parent is None:
                 raise InvalidNGBlock("dangling parent pointer")
-            if record.height != parent.height + 1:
+            if block.height != parent.height + 1:
                 raise InvalidNGBlock("height mismatch")
-            expected_key_height = parent.key_height + (1 if record.is_key else 0)
-            if record.key_height != expected_key_height:
+            expected_key_height = parent.key_height + (1 if block.is_key else 0)
+            if block.key_height != expected_key_height:
                 raise InvalidNGBlock("key height mismatch")
-            if record.is_key:
-                expected_work = parent.cumulative_work + record.block.header.work
-                expected_leader = record.block.header.leader_pubkey  # type: ignore[union-attr]
+            if isinstance(block, KeyBlock):
+                expected_work = parent.cumulative_work + block.header.work
+                expected_leader = block.header.leader_pubkey
             else:
                 expected_work = parent.cumulative_work
                 expected_leader = parent.leader_pubkey
-            if record.cumulative_work != expected_work:
+            if block.cumulative_work != expected_work:
                 raise InvalidNGBlock("cumulative work mismatch")
-            if record.leader_pubkey != expected_leader:
+            if block.leader_pubkey != expected_leader:
                 raise InvalidNGBlock("leader key mismatch")
-        best = max(r.cumulative_work for r in self._records.values())
-        if self._records[self._tip].cumulative_work != best:
+        best = max(b.cumulative_work for b in self._blocks.values())
+        if self._blocks[self._tip].cumulative_work != best:
             raise InvalidNGBlock("tip does not carry maximal key work")

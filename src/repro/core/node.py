@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ..bitcoin.blocks import SyntheticPayload, TxPayload
-from ..bitcoin.chain import Reorg, TieBreak
+from ..bitcoin.chain import TieBreak
 from ..bitcoin.node import ChainNode
 from ..crypto.hashing import hash160
 from ..crypto.keys import PrivateKey
@@ -165,9 +165,7 @@ class NGNode(ChainNode):
 
     def _prev_leader_payout_hash(self, tip: bytes) -> bytes | None:
         """Payout hash for the leader whose epoch this key block closes."""
-        latest_key = self.chain.latest_key_block(tip)
-        pubkey = latest_key.block.header.leader_pubkey  # type: ignore[union-attr]
-        return hash160(pubkey)
+        return hash160(self.chain.latest_key_block(tip).leader_pubkey)
 
     def _epoch_fees_behind(self, tip: bytes) -> int:
         """Total entry fees in the epoch ending at ``tip``."""
@@ -292,16 +290,6 @@ class NGNode(ChainNode):
         else:
             check_microblock_structure(block, self.params.max_microblock_bytes)
 
-    def _add_to_tree(self, block: KeyBlock | Microblock) -> list[Reorg]:
-        return self.chain.add_block(block, self.sim.now, self.check_signatures)
-
-    def _ledger_entries(self, block: KeyBlock | Microblock):
-        if isinstance(block, KeyBlock):
-            return block.coinbase, ()
-        if isinstance(block.payload, TxPayload):
-            return None, block.payload.transactions
-        return None
-
     def _spend_fee(self, tx: Transaction, height: int) -> int:
         # Goes through this module's ``validate_spend`` binding, which is
         # where the benchmark's ledger span taps NG's spend validation.
@@ -309,8 +297,8 @@ class NGNode(ChainNode):
             tx, self.utxo, height, check_signatures=self.check_signatures
         )
 
-    def _connect_block(self, block_hash: bytes) -> int:
-        fees = super()._connect_block(block_hash)
+    def _connect_block(self, block: KeyBlock | Microblock) -> int:
+        fees = super()._connect_block(block)
         if fees:
-            self._fees_by_micro[block_hash] = fees
+            self._fees_by_micro[block.hash] = fees
         return fees

@@ -21,9 +21,9 @@ import struct
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from ..bitcoin.chain import BlockRecord
 from ..ledger.transactions import Transaction, make_coinbase
 from .blocks import KeyBlock, Microblock
-from .chain import NGRecord
 from .params import NGParams
 
 
@@ -101,7 +101,7 @@ class RewardLedger:
 
     def compute(
         self,
-        chain: Iterable[NGRecord],
+        chain: Iterable[BlockRecord],
         revoked_leaders: dict[bytes, int] | None = None,
     ) -> tuple[list[EpochReward], dict[int, int]]:
         """Attribute revenue along ``chain`` (genesis-first records).

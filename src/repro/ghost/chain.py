@@ -13,7 +13,7 @@ descending into the heaviest subtree from the genesis.
 
 from __future__ import annotations
 
-from ..bitcoin.chain import BlockRecord, BlockTree, TieBreak
+from ..bitcoin.chain import BlockTree, TieBreak
 
 
 class HeaviestSubtree:
@@ -34,32 +34,33 @@ class HeaviestSubtree:
     def subtree_work(self, block_hash: bytes) -> int:
         return self._subtree[block_hash]
 
-    def _credit(self, record: BlockRecord, work: int) -> None:
-        """Add ``work`` to the subtree of ``record`` and of each ancestor."""
+    def _credit(self, block_hash: bytes, work: int) -> None:
+        """Add ``work`` to the subtree of ``block_hash`` and of each ancestor."""
+        subtree = self._subtree
         while True:
-            self._subtree[record.hash] += work
-            if record.hash == self.genesis_hash:
+            subtree[block_hash] += work
+            if block_hash == self.genesis_hash:
                 return
-            record = self._records[record.parent_hash]
+            block_hash = self._blocks[block_hash].header.prev_hash
 
-    def _record_for(self, block, parent: BlockRecord, context):
-        record = super()._record_for(block, parent, context)
+    def _admit(self, block, parent, local_time, check_signature) -> None:
+        super()._admit(block, parent, local_time, check_signature)
         # What the block adds to its chain: every block's work under
         # Bitcoin, a key block's under NG, nothing for a microblock.
-        work = record.cumulative_work - parent.cumulative_work
+        work = block.cumulative_work - parent.cumulative_work
         self._subtree[block.hash] = work
         if work:
-            self._credit(parent, work)
-        return record
+            self._credit(parent.hash, work)
 
-    def _choose_tip(self, candidate: BlockRecord) -> bytes:
+    def _choose_tip(self, candidate, current):
         """Greedy heaviest-subtree descent from the genesis."""
         subtree = self._subtree
-        cursor = self._records[self.genesis_hash]
-        while cursor.children:
+        children = self._children
+        cursor = self.genesis_hash
+        while children[cursor]:
             best_children: list[bytes] = []
             best_weight = -1
-            for child in cursor.children:
+            for child in children[cursor]:
                 weight = subtree[child]
                 if weight > best_weight:
                     best_weight = weight
@@ -67,11 +68,11 @@ class HeaviestSubtree:
                 elif weight == best_weight:
                     best_children.append(child)
             if len(best_children) > 1 and self.tie_break is TieBreak.RANDOM:
-                cursor = self._records[self.rng.choice(best_children)]
+                cursor = self.rng.choice(best_children)
             else:
                 # FIRST_SEEN: children are in arrival order; keep the first.
-                cursor = self._records[best_children[0]]
-        return cursor.hash
+                cursor = best_children[0]
+        return self._blocks[cursor]
 
     def forget(self, block_hash: bytes, tip: bytes) -> set[bytes]:
         """Take the dropped subtree's work back as well.
@@ -79,7 +80,7 @@ class HeaviestSubtree:
         It also counted for the held tip's ancestors against *their*
         siblings, so the next insertion's descent may move the tip.
         """
-        parent = self._records[self._records[block_hash].parent_hash]
+        parent = self._blocks[block_hash].header.prev_hash
         self._credit(parent, -self._subtree[block_hash])
         forgotten = super().forget(block_hash, tip)
         for gone in forgotten:
@@ -89,14 +90,19 @@ class HeaviestSubtree:
     def assert_consistent(self) -> None:
         """Subtree weights must equal the sum over descendants."""
         total: dict[bytes, int] = {}
-        for record in sorted(self._records.values(), key=lambda r: -r.height):
-            total[record.hash] = sum(total[child] for child in record.children)
-            if record.hash != self.genesis_hash:
-                parent = self._records[record.parent_hash]
-                total[record.hash] += record.cumulative_work - parent.cumulative_work
-            if total[record.hash] != self._subtree[record.hash]:
+        blocks = self._blocks
+        for block in sorted(blocks.values(), key=lambda b: -b.height):
+            block_hash = block.hash
+            total[block_hash] = sum(
+                total[child] for child in self._children[block_hash]
+            )
+            if block_hash != self.genesis_hash:
+                parent = blocks[block.header.prev_hash]
+                total[block_hash] += block.cumulative_work - parent.cumulative_work
+            if total[block_hash] != self._subtree[block_hash]:
                 raise self.invalid("subtree work out of sync")
-        if self._tip != self._choose_tip(self.tip_record):
+        tip = blocks[self._tip]
+        if tip is not self._choose_tip(tip, tip):
             raise self.invalid("tip diverges from GHOST descent")
 
 

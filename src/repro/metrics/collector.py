@@ -98,12 +98,6 @@ class TipHistory:
     times: list[float] = field(default_factory=list)
     tips: list[bytes] = field(default_factory=list)
 
-    def record(self, time: float, tip: bytes) -> None:
-        if self.times and time < self.times[-1]:
-            raise ValueError("tip history must be recorded in time order")
-        self.times.append(time)
-        self.tips.append(tip)
-
     def tip_at(self, time: float) -> bytes | None:
         """The tip in force at ``time`` (None before the first record)."""
         index = bisect.bisect_right(self.times, time) - 1
@@ -159,7 +153,12 @@ class ObservationLog:
         A call without ``height`` seeds a node's genesis tip and writes
         no trace row: the trace has never carried it.
         """
-        self.tip_histories[node].record(time, tip)
+        history = self.tip_histories[node]
+        times = history.times
+        if times and time < times[-1]:
+            raise ValueError("tip history must be recorded in time order")
+        times.append(time)
+        history.tips.append(tip)
         if height is not None and self.tracer is not None:
             self.tracer.tip_change(time, node, short_hash(tip), height)
 

@@ -65,14 +65,28 @@ PROBE_TIMEOUT = 30.0
 PYTEST_TIMEOUT = 60.0
 
 #: Cross-module oracles the tests tier runs after a file's companion:
-#: Bitcoin is NG without microblocks (both fork-choice paths), and the
+#: Bitcoin is NG without microblocks (both fork-choice paths), the
 #: recursive Merkle oracle is the only check of duplication above the
-#: leaves.
+#: leaves, and the contention-free propagation oracle times every
+#: delivery (ready for when ``repro.net`` joins the sites).
 ORACLE_TESTS: dict[str, tuple[str, ...]] = {
     "src/repro/bitcoin/chain.py": ("tests/test_ng_without_microblocks.py",),
     "src/repro/core/chain.py": ("tests/test_ng_without_microblocks.py",),
     "src/repro/crypto/merkle.py": ("tests/test_properties_crypto.py",),
+    "src/repro/net/gossip.py": ("tests/test_net_propagation_oracle.py",),
+    "src/repro/net/network.py": ("tests/test_net_propagation_oracle.py",),
 }
+
+#: How the tests tier runs pytest.  Plain asserts skip the rewriting of
+#: every imported test and plugin module, most of a run's start-up; a
+#: failing test still fails, with a shorter message.
+PYTEST_ARGS: tuple[str, ...] = (
+    "-x",
+    "-q",
+    "-p",
+    "no:cacheprovider",
+    "--assert=plain",
+)
 
 #: The source tree, relative to the repo root a run is given.
 SRC_ROOT = "src"
@@ -379,10 +393,7 @@ def _tests_tier(task: MutantTask, state: dict[str, Any]) -> str | None:
                 "-m",
                 "pytest",
                 *test_files,
-                "-x",
-                "-q",
-                "-p",
-                "no:cacheprovider",
+                *PYTEST_ARGS,
             ],
             cwd=task.repo_root,
             env=_probe_env(shadow.src_path),
@@ -463,13 +474,14 @@ def _tree_sha(src: Path) -> str:
 def _config_sig(tiers: tuple[str, ...]) -> str:
     """What a cached verdict depends on beyond the file and mutant:
     engine, catalog, probe source, the tiers that scored it (a
-    survivor of ``--tiers golden,tests`` may die at the sanitizer) and
-    the oracles the tests tier runs."""
+    survivor of ``--tiers golden,tests`` may die at the sanitizer), and
+    the oracles and pytest flags the tests tier runs."""
     probe_src = (Path(__file__).parent / "probe.py").read_bytes()
     basis = (
         f"engine={ENGINE_VERSION}:catalog={CATALOG_VERSION}:"
         f"probe={hashlib.sha256(probe_src).hexdigest()[:12]}:"
-        f"tiers={','.join(tiers)}:oracles={sorted(ORACLE_TESTS.items())}"
+        f"tiers={','.join(tiers)}:oracles={sorted(ORACLE_TESTS.items())}:"
+        f"pytest={' '.join(PYTEST_ARGS)}"
     )
     return hashlib.sha256(basis.encode()).hexdigest()[:12]
 

@@ -68,15 +68,12 @@ class Simulator:
         # Ties in time pop in booking order: every entry takes the next
         # number from this one counter, whoever books it.
         self._sequence = itertools.count()
-        self._now = 0.0
+        # Current virtual time in seconds.  A plain attribute, read on
+        # every hop; only this class assigns it.
+        self.now = 0.0
         self.rng = random.Random(seed)
         self._events_processed = 0
         self._observers: list[DispatchObserver] = []
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -128,7 +125,7 @@ class Simulator:
         handle = Event(self)
         heapq.heappush(
             self._heap,
-            (self._now + delay, next(self._sequence), callback, args, handle),
+            (self.now + delay, next(self._sequence), callback, args, handle),
         )
         return handle
 
@@ -140,8 +137,8 @@ class Simulator:
         Not cancellable, so no handle is built; message deliveries book
         the same bare entry through :meth:`booking`.
         """
-        if time < self._now:
-            raise ValueError(f"cannot schedule in the past ({time} < {self._now})")
+        if time < self.now:
+            raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
         heapq.heappush(
             self._heap, (time, next(self._sequence), callback, args, None)
         )
@@ -195,8 +192,8 @@ class Simulator:
         and compaction rebuilds that list in place, so holding the
         reference across iterations is safe.
         """
-        if until is not None and until < self._now:
-            raise ValueError(f"cannot run until the past ({until} < {self._now})")
+        if until is not None and until < self.now:
+            raise ValueError(f"cannot run until the past ({until} < {self.now})")
         heap = self._heap
         heappop: HeapPop = heapq.heappop
         probe: Probe | None = None
@@ -219,7 +216,7 @@ class Simulator:
                 heappop(heap)
                 if handle is not None:
                     handle._sim = None
-                self._now = time
+                self.now = time
                 if args:
                     callback(*args)
                 else:
@@ -230,7 +227,7 @@ class Simulator:
         finally:
             self._events_processed += processed
         if until is not None:
-            self._now = until
+            self.now = until
 
     def exponential(self, rate: float) -> float:
         """Sample an exponential interval with the given rate (1/mean)."""

@@ -287,7 +287,7 @@ class BitcoinNGAdapter(ProtocolAdapter):
         # Between a leader learning of its dethroning and anyone taking
         # over, fall back to whoever signed the latest key block.
         latest = ng_nodes[0].chain.latest_key_block()
-        pubkey = latest.block.header.leader_pubkey
+        pubkey = latest.leader_pubkey
         for node in ng_nodes:
             if node.pubkey_bytes == pubkey:
                 return node.node_id

@@ -71,8 +71,10 @@ def test_reorg_paths_correct():
         new_blocks.append(block)
         prev = block.hash
     final = reorgs[-1]
-    assert final.disconnected == (old[1].hash, old[0].hash)  # tip first
-    assert final.connected == tuple(b.hash for b in new_blocks)
+    # The blocks themselves, as the tree holds them.
+    assert final.old_tip is old[1] and final.new_tip is new_blocks[-1]
+    assert final.disconnected == (old[1], old[0])  # tip first
+    assert final.connected == tuple(new_blocks)
     assert final.disconnected
 
 
@@ -81,7 +83,7 @@ def test_extension_reorg_flag():
     block = _block(GENESIS.hash, "a")
     (reorg,) = tree.add_block(block)
     assert not reorg.disconnected
-    assert reorg.connected == (block.hash,)
+    assert reorg.connected == (block,)
 
 
 def test_first_seen_tie_break_keeps_current():
@@ -116,8 +118,8 @@ def test_orphan_buffered_until_parent():
     assert tree.orphan_count() == 1
     # One tip move per connected block, the adopted orphan's included.
     assert tree.add_block(parent) == [
-        Reorg(GENESIS.hash, parent.hash, (), (parent.hash,)),
-        Reorg(parent.hash, child.hash, (), (child.hash,)),
+        Reorg(GENESIS, parent, (), (parent,)),
+        Reorg(parent, child, (), (child,)),
     ]
     assert child.hash in tree
     assert tree.tip == child.hash

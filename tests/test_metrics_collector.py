@@ -76,10 +76,12 @@ def test_chain_is_the_parent_walk_on_a_random_tree():
 
 
 def test_tip_history_queries():
-    history = TipHistory()
-    history.record(0.0, b"g")
-    history.record(5.0, b"a")
-    history.record(9.0, b"b")
+    log = ObservationLog(1)
+    log.record_tip(0, b"g", 0.0)
+    log.record_tip(0, b"a", 5.0)
+    log.record_tip(0, b"b", 9.0)
+    history = log.tip_histories[0]
+    assert isinstance(history, TipHistory)
     assert history.tip_at(-1.0) is None
     assert history.tip_at(0.0) == b"g"
     assert history.tip_at(7.0) == b"a"
@@ -87,10 +89,11 @@ def test_tip_history_queries():
 
 
 def test_tip_history_requires_order():
-    history = TipHistory()
-    history.record(5.0, b"a")
+    log = ObservationLog(1)
+    log.record_tip(0, b"a", 5.0)
     with pytest.raises(ValueError):
-        history.record(4.0, b"b")
+        log.record_tip(0, b"b", 4.0)
+    assert log.tip_histories[0].tips == [b"a"]
 
 
 def test_arrival_records_first_only():

@@ -252,6 +252,17 @@ def test_oracle_table_is_in_the_cache_signature(monkeypatch):
     assert _config_sig(TIERS) != before
 
 
+def test_pytest_flags_are_in_the_cache_signature(monkeypatch):
+    # Verdicts from rewritten and plain asserts never mix in one cache.
+    from repro.mutate import engine
+
+    assert "--assert=plain" in engine.PYTEST_ARGS
+    before = _config_sig(TIERS)
+    rewritten = tuple(a for a in engine.PYTEST_ARGS if a != "--assert=plain")
+    monkeypatch.setattr(engine, "PYTEST_ARGS", rewritten)
+    assert _config_sig(TIERS) != before
+
+
 # -- shadow trees ------------------------------------------------------------
 
 

@@ -1,9 +1,12 @@
 """Simulator clock, scheduling, determinism."""
 
 import heapq
+import re
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.net.simulator import Simulator
 
 
@@ -14,6 +17,18 @@ def test_time_advances_with_events():
     sim.schedule(2.0, lambda: seen.append(sim.now))
     sim.run()
     assert seen == [2.0, 5.0]
+
+
+def test_only_the_simulator_sets_the_clock():
+    # ``now`` is a plain attribute, read on every hop: nothing under
+    # src/repro but the simulator itself may assign it.
+    root = Path(repro.__file__).parent
+    writers = {
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*.py")
+        if re.search(r"\.now\s*=[^=]", path.read_text(encoding="utf-8"))
+    }
+    assert writers == {"net/simulator.py"}
 
 
 def test_run_until_stops_clock():
