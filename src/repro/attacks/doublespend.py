@@ -118,19 +118,19 @@ def run_doublespend_scenario(
     registry = PoisonRegistry()
     poison = PoisonEntry(proof=proofs[0], reporter_miner=2)
     poison_accepted = registry.register(
-        chain, poison, placement_key_height=chain.tip_record.key_height
+        chain, poison, placement_key_height=chain.tip_block.key_height
     )
     duplicate_rejected = not registry.register(
         chain,
         PoisonEntry(proof=proofs[0], reporter_miner=2),
-        placement_key_height=chain.tip_record.key_height,
+        placement_key_height=chain.tip_block.key_height,
     )
 
     # 5. Revenue with and without the poison.
     ledger = RewardLedger(params, fee_of=lambda m: m.n_tx * fee_per_tx)
-    records = [chain.record(h) for h in chain.main_chain()]
-    _, revenue_with = ledger.compute(records, registry.revocations())
-    _, revenue_without = ledger.compute(records, {})
+    blocks = [chain.get(h) for h in chain.main_chain()]
+    _, revenue_with = ledger.compute(blocks, registry.revocations())
+    _, revenue_without = ledger.compute(blocks, {})
     bounty = revenue_with.get(2, 0) - revenue_without.get(2, 0)
     return DoubleSpendReport(
         equivocation_detected=equivocation_detected,

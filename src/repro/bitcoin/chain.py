@@ -40,46 +40,13 @@ class TieBreak(enum.Enum):
 class BlockRecord:
     """A block as one node's tree holds it: the block and its children.
 
-    What every tree says of a block lives on the block, and a tree keeps
-    only its ``blocks`` and ``children`` maps; a record is a view onto
-    both for readers off the insert path (tests, the sanitizer).  The
-    Bitcoin-NG facts exist on NG blocks only.
+    What every tree says of a block (height, chain work, and on NG
+    blocks the key flag, epoch number and epoch key) lives on the block
+    itself, and a tree keeps only its ``blocks`` and ``children`` maps.
     """
 
     block: Block
     children: list[bytes]
-
-    @property
-    def hash(self) -> bytes:
-        return self.block.hash
-
-    @property
-    def parent_hash(self) -> bytes:
-        return self.block.header.prev_hash
-
-    @property
-    def timestamp(self) -> float:
-        return self.block.header.timestamp
-
-    @property
-    def height(self) -> int:
-        return self.block.height
-
-    @property
-    def cumulative_work(self) -> int:
-        return self.block.cumulative_work
-
-    @property
-    def is_key(self) -> bool:
-        return self.block.is_key  # type: ignore[attr-defined]
-
-    @property
-    def key_height(self) -> int:
-        return self.block.key_height  # type: ignore[attr-defined]
-
-    @property
-    def leader_pubkey(self) -> bytes:
-        return self.block.leader_pubkey  # type: ignore[attr-defined]
 
 
 class Reorg(NamedTuple):
@@ -134,17 +101,14 @@ class BlockTree:
         return self._tip
 
     @property
-    def tip_record(self) -> BlockRecord:
-        return self.record(self._tip)
+    def tip_block(self) -> Block:
+        return self._blocks[self._tip]
 
     def record(self, block_hash: bytes) -> BlockRecord:
         return BlockRecord(self._blocks[block_hash], self._children[block_hash])
 
-    def get(self, block_hash: bytes) -> BlockRecord | None:
-        return self.record(block_hash) if block_hash in self._blocks else None
-
-    def height_of(self, block_hash: bytes) -> int:
-        return self._blocks[block_hash].height
+    def get(self, block_hash: bytes) -> Block | None:
+        return self._blocks.get(block_hash)
 
     def main_chain(self, tip: bytes | None = None) -> list[bytes]:
         """Hashes from genesis to ``tip`` (default: current tip)."""

@@ -53,7 +53,8 @@ class BlockPolicy:
 
 
 class ChainNode(GossipNode):
-    """What every blockchain node here does around its tree and ledger.
+    """What every blockchain node here does around its tree (``chain``)
+    and ledger.
 
     Reporting a generated block and gossiping it, reporting an arrival,
     and everything that follows an insertion: orphan backfill, replaying
@@ -74,7 +75,7 @@ class ChainNode(GossipNode):
         node_id: int,
         sim: Simulator,
         network: Network,
-        tree: BlockTree,
+        chain: BlockTree,
         log: ObservationLog,
         relay_mode: RelayMode,
         verification_seconds_per_byte: float,
@@ -89,7 +90,7 @@ class ChainNode(GossipNode):
             relay_mode=relay_mode,
             verification_seconds_per_byte=verification_seconds_per_byte,
         )
-        self.tree = tree
+        self.chain = chain
         self.log = log
         self.require_pow = require_pow
         self.check_signatures = check_signatures
@@ -97,7 +98,7 @@ class ChainNode(GossipNode):
         self.mempool = Mempool()
         self._undo: dict[bytes, list[UndoRecord]] = {}
         self.blocks_rejected = 0
-        log.record_tip(node_id, tree.genesis_hash, sim.now)
+        log.record_tip(node_id, chain.genesis_hash, sim.now)
 
     # -- generated blocks --------------------------------------------------
 
@@ -138,12 +139,12 @@ class ChainNode(GossipNode):
         block_hash = block.hash
         if sender is not None:
             self.log.record_arrival(self.node_id, block_hash, now, kind)
-        tree = self.tree
+        chain = self.chain
         try:
             if sender is not None:
                 self._check_block(block)
-            reorgs = tree.add_block(block, now, self.check_signatures)
-        except tree.invalid:
+            reorgs = chain.add_block(block, now, self.check_signatures)
+        except chain.invalid:
             self.blocks_rejected += 1
             return False
         if not reorgs:
@@ -151,8 +152,8 @@ class ChainNode(GossipNode):
             parent_hash = block.header.prev_hash
             if (
                 sender is not None
-                and block_hash not in tree
-                and parent_hash not in tree
+                and block_hash not in chain
+                and parent_hash not in chain
             ):
                 # Orphan: backfill the gap from whoever sent this block.
                 self.request_object(sender, parent_hash)
@@ -167,7 +168,7 @@ class ChainNode(GossipNode):
                 for joined in reorg.connected:
                     if joined.ledger_entries is not None:
                         self._connect_block(joined)
-            except tree.invalid:
+            except chain.invalid:
                 # A block on the new branch does not connect: refused
                 # like any invalid block, only later — the tree had
                 # adopted it.  The ledger goes back on ``old_tip``; the
@@ -181,7 +182,7 @@ class ChainNode(GossipNode):
                     if disconnected.ledger_entries is not None:
                         self._connect_block(disconnected)
                 self.blocks_rejected += 1
-                if block_hash in tree.forget(joined.hash, reorg.old_tip.hash):
+                if block_hash in chain.forget(joined.hash, reorg.old_tip.hash):
                     verdict = False
                 break
             tip = reorg.new_tip
@@ -215,7 +216,7 @@ class ChainNode(GossipNode):
                 # Unwind the partial connect, then surface the failure.
                 for done in reversed(undo_records):
                     self.utxo.undo(done)
-                raise self.tree.invalid(
+                raise self.chain.invalid(
                     f"block {block.hash.hex()[:8]} contains an invalid spend"
                 )
             undo_records.append(self.utxo.apply(tx, height))
@@ -242,14 +243,14 @@ class ChainNode(GossipNode):
 
     def submit_transaction(self, tx: Transaction) -> None:
         """Accept a locally submitted transaction and gossip it."""
-        fee = self._spend_fee(tx, self.tree.tip_record.height + 1)
+        fee = self._spend_fee(tx, self.chain.tip_block.height + 1)
         self.mempool.add(tx, fee)
         self.announce(tx.txid, "tx", tx, tx.size)
 
     def _accept_relayed_transaction(self, tx: Transaction) -> None:
         """Admit a gossiped transaction if it validates; drop otherwise."""
         try:
-            fee = self._spend_fee(tx, self.tree.tip_record.height + 1)
+            fee = self._spend_fee(tx, self.chain.tip_block.height + 1)
             self.mempool.add(tx, fee)
         except LedgerError:
             return
@@ -257,11 +258,11 @@ class ChainNode(GossipNode):
     # -- introspection ------------------------------------------------------
 
     def best_object_id(self) -> bytes | None:
-        return self.tree.tip
+        return self.chain.tip
 
     @property
     def tip(self) -> bytes:
-        return self.tree.tip
+        return self.chain.tip
 
 
 class BitcoinNode(ChainNode):
@@ -315,7 +316,7 @@ class BitcoinNode(ChainNode):
         Called by the mining controller when this miner wins a
         proof-of-work event (the paper's in-situ controller analogue).
         """
-        tip = self.tree.tip
+        tip = self.chain.tip
         if self.policy.synthetic:
             payload: TxPayload | SyntheticPayload = SyntheticPayload(
                 n_tx=self.policy.synthetic_tx_count(),
@@ -325,7 +326,7 @@ class BitcoinNode(ChainNode):
             reward = self.policy.reward
         else:
             selected = self.mempool.select(self.policy.max_block_bytes)
-            height = self.tree.height_of(tip) + 1
+            height = self.chain.tip_block.height + 1
             fees = sum(
                 compute_fee(tx, self.utxo, height) for tx in selected
             )
@@ -364,4 +365,4 @@ class BitcoinNode(ChainNode):
 
     @property
     def height(self) -> int:
-        return self.tree.height_of(self.tree.tip)
+        return self.chain.tip_block.height

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..bitcoin.chain import BlockRecord, BlockTree, TieBreak
+from ..bitcoin.chain import BlockTree, TieBreak
 from .blocks import InvalidNGBlock, KeyBlock, Microblock
 from .params import NGParams
 
@@ -69,13 +69,13 @@ class NGChain(BlockTree):
 
     # -- queries --------------------------------------------------------
 
-    def latest_key_block(self, start: bytes | None = None) -> BlockRecord:
+    def latest_key_block(self, start: bytes | None = None) -> KeyBlock:
         """The most recent key block at or above ``start`` (default tip)."""
         blocks = self._blocks
         cursor = blocks[start if start is not None else self._tip]
-        while not cursor.is_key:
+        while not isinstance(cursor, KeyBlock):
             cursor = blocks[cursor.header.prev_hash]
-        return BlockRecord(cursor, self._children[cursor.hash])
+        return cursor
 
     def equivocations(self) -> list[FraudProof]:
         """Fraud proofs discovered so far (one per offense observed)."""

@@ -62,6 +62,7 @@ class NGNode(ChainNode):
     """A Bitcoin-NG miner/relay node."""
 
     KINDS = (KIND_KEY, KIND_MICRO)
+    chain: NGChain
 
     def __init__(
         self,
@@ -102,7 +103,6 @@ class NGNode(ChainNode):
             check_signatures,
             UtxoSet(coinbase_maturity=params.coinbase_maturity),
         )
-        self.chain = chain  # the name NG code knows ``tree`` by
         self.params = params
         self.policy = policy or MicroblockPolicy()
         self.bits = bits
@@ -170,12 +170,11 @@ class NGNode(ChainNode):
     def _epoch_fees_behind(self, tip: bytes) -> int:
         """Total entry fees in the epoch ending at ``tip``."""
         fees = 0
-        cursor = self.chain.record(tip)
-        while not cursor.is_key:
-            micro = cursor.block
-            assert isinstance(micro, Microblock)
-            fees += self._microblock_fees(micro)
-            cursor = self.chain.record(cursor.parent_hash)
+        get = self.chain.get
+        cursor = get(tip)
+        while isinstance(cursor, Microblock):
+            fees += self._microblock_fees(cursor)
+            cursor = get(cursor.header.prev_hash)
         return fees
 
     def _microblock_fees(self, micro: Microblock) -> int:
@@ -208,8 +207,7 @@ class NGNode(ChainNode):
         """True while our key block heads the epoch at the tip."""
         if self._leading_epoch is None:
             return False
-        latest_key = self.chain.latest_key_block()
-        return latest_key.hash == self._leading_epoch
+        return self.chain.latest_key_block().hash == self._leading_epoch
 
     def abdicate(self) -> None:
         """Drop leadership, closing the epoch; a no-op for a non-leader.
@@ -236,8 +234,8 @@ class NGNode(ChainNode):
         if not self.is_leader():
             self.abdicate()
             return
-        tip_record = self.chain.tip_record
-        earliest = tip_record.timestamp + self.params.min_microblock_interval
+        tip = self.chain.tip_block
+        earliest = tip.header.timestamp + self.params.min_microblock_interval
         if self.sim.now < earliest - 1e-9:
             self._schedule_microblock(at=earliest)
             return
@@ -269,7 +267,7 @@ class NGNode(ChainNode):
 
     def _publish_poisons(self) -> None:
         """As leader, claim any outstanding fraud proofs (Section 4.5)."""
-        placement_height = self.chain.tip_record.key_height
+        placement_height = self.chain.tip_block.key_height
         for proof in self.chain.equivocations():
             if proof.offender_pubkey in self.poison_registry:
                 continue

@@ -67,7 +67,7 @@ def validate_poison(
     if parent.leader_pubkey != proof.offender_pubkey:
         raise InvalidPoison("offender key does not match the epoch leader")
     sibling = chain.get(proof.retained_micro_hash)
-    if sibling is None or sibling.parent_hash != pruned.header.prev_hash:
+    if sibling is None or sibling.header.prev_hash != pruned.header.prev_hash:
         raise InvalidPoison("no conflicting sibling microblock known")
     # Placement window: after the subsequent key block...
     offender_epoch = parent.key_height

@@ -21,7 +21,6 @@ import struct
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from ..bitcoin.chain import BlockRecord
 from ..ledger.transactions import Transaction, make_coinbase
 from .blocks import KeyBlock, Microblock
 from .params import NGParams
@@ -101,10 +100,10 @@ class RewardLedger:
 
     def compute(
         self,
-        chain: Iterable[BlockRecord],
+        chain: Iterable[KeyBlock | Microblock],
         revoked_leaders: dict[bytes, int] | None = None,
     ) -> tuple[list[EpochReward], dict[int, int]]:
-        """Attribute revenue along ``chain`` (genesis-first records).
+        """Attribute revenue along ``chain`` (genesis-first blocks).
 
         ``revoked_leaders`` maps an offender's epoch pubkey to the
         reporter's miner id (from validated poison entries).  Returns the
@@ -116,10 +115,8 @@ class RewardLedger:
         current_leader: tuple[int, bytes, bytes] | None = None  # miner, pubkey, hash
         epoch_fees = 0
         prev_fees = 0
-        for record in chain:
-            if record.is_key:
-                block = record.block
-                assert isinstance(block, KeyBlock)
+        for block in chain:
+            if isinstance(block, KeyBlock):
                 if current_leader is not None:
                     miner, pubkey, key_hash = current_leader
                     placed_cut, _ = split_fee(
@@ -147,9 +144,7 @@ class RewardLedger:
                     block.hash,
                 )
             else:
-                micro = record.block
-                assert isinstance(micro, Microblock)
-                epoch_fees += self.fee_of(micro)
+                epoch_fees += self.fee_of(block)
         # The final (open) epoch: subsidy plus 60% of the one before it;
         # its own placed fees are not yet payable (no subsequent leader).
         if current_leader is not None:

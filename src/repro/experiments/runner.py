@@ -129,7 +129,8 @@ def run_experiment(
     :data:`~repro.obs.facade.NULL_OBS` unless ``config.obs_dir`` is
     set.  ``sanitizer`` overrides the checked-mode wiring the same way:
     pass a prepared :class:`~repro.sanitizer.runtime.SanitizerRuntime`
-    (digest recording does this), or leave it to be built from the
+    (one with no checkers keeps the nodes readable as ``nodes`` for an
+    end-of-run state fingerprint), or leave it to be built from the
     protocol adapter's checker set when ``config.check`` is on.
     ``profiler`` (a :class:`~repro.prof.runtime.ProfilerRuntime`)
     attaches to the simulator's dispatch loop after the sanitizer and —

@@ -253,11 +253,7 @@ class GossipNode:
             self._on_object(sender, message.payload)
         elif kind == "gettip":
             self._on_gettip(sender)
-        else:
-            self.handle_protocol_message(sender, message)
-
-    def handle_protocol_message(self, sender: int, message: Message) -> None:
-        """Hook for subclasses with extra message kinds; default drops."""
+        # The network carries no other kind; anything else is dropped.
 
     def _relay(self, stored: StoredObject, exclude: tuple[int, ...]) -> None:
         # One immutable message shared by every neighbor send; the

@@ -11,7 +11,10 @@ emits one trace record; the run's summary keeps the peaks.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:
+    from ..bitcoin.node import ChainNode
 
 
 class PeriodicSampler:
@@ -83,7 +86,7 @@ class MempoolSampler(PeriodicSampler):
 
     def __init__(
         self,
-        nodes: Sequence,
+        nodes: Sequence[ChainNode],
         tracer,
         period: float = 1.0,
         until: float | None = None,
@@ -93,9 +96,7 @@ class MempoolSampler(PeriodicSampler):
         self.tracer = tracer
 
     def sample(self, now: float) -> None:
-        # Not every protocol node keeps a mempool (GHOST nodes mine
-        # synthetic payloads directly); treat those as empty.
-        depths = [len(getattr(node, "mempool", ())) for node in self.nodes]
+        depths = [len(node.mempool) for node in self.nodes]
         total = sum(depths)
         self.tracer.emit(
             "sample_mempool",
@@ -116,7 +117,7 @@ class ForkSampler(PeriodicSampler):
 
     def __init__(
         self,
-        nodes: Sequence,
+        nodes: Sequence[ChainNode],
         tracer,
         period: float = 1.0,
         until: float | None = None,

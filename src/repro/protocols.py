@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, NoReturn
 
 from .bitcoin.blocks import make_genesis
 from .bitcoin.chain import TieBreak
-from .bitcoin.node import BitcoinNode, BlockPolicy
+from .bitcoin.node import BitcoinNode, BlockPolicy, ChainNode
 from .core.genesis import make_ng_genesis
 from .core.node import MicroblockPolicy, NGNode
 from .core.params import NGParams
@@ -80,7 +80,7 @@ class ProtocolAdapter(abc.ABC):
         network: Network,
         log: ObservationLog,
         shares: list[float],
-    ) -> tuple[Sequence[GossipNode], MiningScheduler]:
+    ) -> tuple[Sequence[ChainNode], MiningScheduler]:
         """Build the protocol's nodes and the scheduler that mines for them."""
 
     def current_leader(self, nodes: Sequence[GossipNode]) -> int | None:

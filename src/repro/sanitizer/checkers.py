@@ -39,17 +39,28 @@ INV109    tip-monotonicity            Section 3 (heaviest chain)
 
 :func:`ng_checkers` builds the Bitcoin-NG set.  Plain Bitcoin runs
 INV109 alone; GHOST runs none, because heaviest-subtree fork choice may
-legitimately lower a tip's chain work.
+legitimately lower a tip's chain work.  The protocol adapters are a
+closed set, so a checker's node is always a
+:class:`~repro.bitcoin.node.ChainNode`, and the NG checkers' is always
+an :class:`~repro.core.node.NGNode`; the block hooks read the tree facts
+on the block itself.
 """
 
 from __future__ import annotations
 
-from typing import ClassVar
+from typing import TYPE_CHECKING, ClassVar
 
 from ..bitcoin.blocks import SyntheticPayload
+from ..core.blocks import KeyBlock, Microblock
 from ..core.remuneration import split_fee
 from ..obs.trace import short_hash
 from .violations import ViolationRecord, make_violation
+
+if TYPE_CHECKING:
+    from ..bitcoin.blocks import Block
+    from ..bitcoin.node import ChainNode
+    from ..core.chain import NGBlock
+    from ..core.node import NGNode
 
 
 class SignatureCache:
@@ -89,19 +100,13 @@ class SignatureCache:
         self.hits = 0
         self.misses = 0
 
-    def verify(self, block: object, leader_pubkey: bytes) -> bool:
+    def verify(self, block: Microblock, leader_pubkey: bytes) -> bool:
         """``block.verify_signature(leader_pubkey)``, memoized."""
-        key = (
-            leader_pubkey,
-            block.hash,  # type: ignore[attr-defined]
-            block.signature,  # type: ignore[attr-defined]
-        )
+        key = (leader_pubkey, block.hash, block.signature)
         verdict = self._verdicts.get(key)
         if verdict is None:
             self.misses += 1
-            verdict = bool(
-                block.verify_signature(leader_pubkey)  # type: ignore[attr-defined]
-            )
+            verdict = bool(block.verify_signature(leader_pubkey))
             if len(self._verdicts) >= self.max_entries:
                 # Bounded: dropping memoized verdicts of a pure function
                 # is always safe — they refill on demand.
@@ -120,40 +125,27 @@ def shared_signature_cache() -> SignatureCache:
     return _SHARED_SIGNATURE_CACHE
 
 
-def chain_of(node: object) -> object:
-    """The node's block-tree view: ``.chain`` (NG) or ``.tree`` (bitcoin)."""
-    chain = getattr(node, "chain", None)
-    if chain is not None:
-        return chain
-    return node.tree  # type: ignore[attr-defined]
-
-
-def _microblock_fees(node: object, micro: object) -> int:
+def _microblock_fees(node: NGNode, micro: Microblock) -> int:
     """Total entry fees a microblock carries, as the node accounts them.
 
     Mirrors ``NGNode._microblock_fees``: synthetic payloads price at the
     node's per-tx policy fee; real payloads use the fee total the node
     recorded when the microblock connected.
     """
-    payload = getattr(micro, "payload", None)
-    if isinstance(payload, SyntheticPayload):
-        policy = getattr(node, "policy", None)
-        per_tx = getattr(policy, "synthetic_fee_per_tx", 0)
-        return int(getattr(micro, "n_tx", 0)) * int(per_tx)
-    recorded = getattr(node, "_fees_by_micro", None)
-    if recorded is None:
-        return 0
-    return int(recorded.get(micro.hash, 0))  # type: ignore[attr-defined]
+    if isinstance(micro.payload, SyntheticPayload):
+        return micro.n_tx * node.policy.synthetic_fee_per_tx
+    return node._fees_by_micro.get(micro.hash, 0)
 
 
-def _epoch_fees_behind(node: object, chain: object, parent_hash: bytes) -> int:
+def _epoch_fees_behind(node: NGNode, parent_hash: bytes) -> int:
     """Fees in the microblock run ending at ``parent_hash`` (exclusive of
     the key block that opened the epoch)."""
     fees = 0
-    cursor = chain.get(parent_hash)  # type: ignore[attr-defined]
-    while cursor is not None and not cursor.is_key:
-        fees += _microblock_fees(node, cursor.block)
-        cursor = chain.get(cursor.parent_hash)  # type: ignore[attr-defined]
+    chain = node.chain
+    cursor = chain.get(parent_hash)
+    while isinstance(cursor, Microblock):
+        fees += _microblock_fees(node, cursor)
+        cursor = chain.get(cursor.header.prev_hash)
     return fees
 
 
@@ -165,13 +157,13 @@ class InvariantChecker:
     description: ClassVar[str] = ""
 
     def check_block(
-        self, node: object, node_id: int, record: object, now: float
+        self, node: ChainNode, node_id: int, block: Block | NGBlock, now: float
     ) -> list[ViolationRecord]:
         """Called once per block newly adopted onto the node's main chain."""
         return []
 
     def check_state(
-        self, node: object, node_id: int, now: float
+        self, node: ChainNode, node_id: int, now: float
     ) -> list[ViolationRecord]:
         """Called against the node's live state: by the sweep when the
         node's tip moved, and unconditionally by every audit."""
@@ -193,19 +185,16 @@ class ValueConservation(InvariantChecker):
     )
 
     def check_block(
-        self, node: object, node_id: int, record: object, now: float
+        self, node: NGNode, node_id: int, block: NGBlock, now: float
     ) -> list[ViolationRecord]:
-        if not getattr(record, "is_key", False):
+        if not isinstance(block, KeyBlock):
             return []
-        chain = chain_of(node)
-        parent = chain.get(record.parent_hash)  # type: ignore[attr-defined]
-        if parent is None:
+        parent_hash = block.header.prev_hash
+        if parent_hash not in node.chain:
             return []  # genesis
-        coinbase = getattr(record.block, "coinbase", None)  # type: ignore[attr-defined]
-        if coinbase is None:
-            return []
-        params = node.params  # type: ignore[attr-defined]
-        fees = _epoch_fees_behind(node, chain, record.parent_hash)  # type: ignore[attr-defined]
+        coinbase = block.coinbase
+        params = node.params
+        fees = _epoch_fees_behind(node, parent_hash)
         expected = params.key_block_reward + fees
         minted = sum(out.value for out in coinbase.outputs)
         if minted != expected:
@@ -216,7 +205,7 @@ class ValueConservation(InvariantChecker):
                     now,
                     "coinbase mints a different total than subsidy plus "
                     "closed-epoch fees",
-                    block=short_hash(record.hash),  # type: ignore[attr-defined]
+                    block=short_hash(block.hash),
                     minted=minted,
                     expected=expected,
                     epoch_fees=fees,
@@ -236,19 +225,18 @@ class FeeSplit(InvariantChecker):
     )
 
     def check_block(
-        self, node: object, node_id: int, record: object, now: float
+        self, node: NGNode, node_id: int, block: NGBlock, now: float
     ) -> list[ViolationRecord]:
-        if not getattr(record, "is_key", False):
+        if not isinstance(block, KeyBlock):
             return []
-        chain = chain_of(node)
-        parent = chain.get(record.parent_hash)  # type: ignore[attr-defined]
-        if parent is None:
+        parent_hash = block.header.prev_hash
+        if parent_hash not in node.chain:
             return []  # genesis
-        coinbase = getattr(record.block, "coinbase", None)  # type: ignore[attr-defined]
-        if coinbase is None or not coinbase.outputs:
+        coinbase = block.coinbase
+        if not coinbase.outputs:
             return []
-        params = node.params  # type: ignore[attr-defined]
-        fees = _epoch_fees_behind(node, chain, record.parent_hash)  # type: ignore[attr-defined]
+        params = node.params
+        fees = _epoch_fees_behind(node, parent_hash)
         prev_cut, _self_cut = split_fee(fees, params.leader_fee_fraction)
         paid_prev = sum(out.value for out in coinbase.outputs[1:])
         if paid_prev != prev_cut:
@@ -259,7 +247,7 @@ class FeeSplit(InvariantChecker):
                     now,
                     "previous leader's fee share differs from the "
                     "integer-exact split",
-                    block=short_hash(record.hash),  # type: ignore[attr-defined]
+                    block=short_hash(block.hash),
                     paid=paid_prev,
                     expected=prev_cut,
                     epoch_fees=fees,
@@ -284,21 +272,20 @@ class MicroblockSignature(InvariantChecker):
         # verified once; the audit's replica is built without one.
         self.cache = cache
 
-    def _verify(self, block: object, leader_pubkey: bytes) -> bool:
+    def _verify(self, block: Microblock, leader_pubkey: bytes) -> bool:
         if self.cache is not None:
             return self.cache.verify(block, leader_pubkey)
-        return bool(block.verify_signature(leader_pubkey))  # type: ignore[attr-defined]
+        return bool(block.verify_signature(leader_pubkey))
 
     def check_block(
-        self, node: object, node_id: int, record: object, now: float
+        self, node: NGNode, node_id: int, block: NGBlock, now: float
     ) -> list[ViolationRecord]:
-        if getattr(record, "is_key", True):
+        if not isinstance(block, Microblock):
             return []
-        chain = chain_of(node)
-        parent = chain.get(record.parent_hash)  # type: ignore[attr-defined]
+        parent = node.chain.get(block.header.prev_hash)
         if parent is None:
             return []
-        if not self._verify(record.block, parent.leader_pubkey):  # type: ignore[attr-defined]
+        if not self._verify(block, parent.leader_pubkey):
             return [
                 make_violation(
                     self,
@@ -306,8 +293,8 @@ class MicroblockSignature(InvariantChecker):
                     now,
                     "microblock signature does not verify under the epoch "
                     "leader's key",
-                    block=short_hash(record.hash),  # type: ignore[attr-defined]
-                    parent=short_hash(record.parent_hash),  # type: ignore[attr-defined]
+                    block=short_hash(block.hash),
+                    parent=short_hash(block.header.prev_hash),
                 )
             ]
         return []
@@ -330,9 +317,9 @@ class TipMonotonicity(InvariantChecker):
         self._last_weight: dict[int, int] = {}
 
     def check_state(
-        self, node: object, node_id: int, now: float
+        self, node: ChainNode, node_id: int, now: float
     ) -> list[ViolationRecord]:
-        weight = chain_of(node).tip_record.cumulative_work  # type: ignore[attr-defined]
+        weight = node.chain.tip_block.cumulative_work
         previous = self._last_weight.get(node_id)
         self._last_weight[node_id] = weight
         if previous is not None and weight < previous:

@@ -16,10 +16,14 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from hashlib import sha256
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from ..obs.trace import short_hash
-from .checkers import chain_of
+
+if TYPE_CHECKING:
+    from ..bitcoin.node import ChainNode
+    from ..ledger.mempool import Mempool
+    from ..ledger.utxo import UtxoSet
 
 #: Hex characters kept from each sha256 fingerprint.
 DIGEST_HEX = 12
@@ -43,18 +47,18 @@ class NodeDigest:
         )
 
 
-def mempool_fingerprint(mempool: object) -> str:
+def mempool_fingerprint(mempool: Mempool) -> str:
     """Order-independent fingerprint of the pool's transaction ids."""
     hasher = sha256()
-    for txid in sorted(mempool.txids()):  # type: ignore[attr-defined]
+    for txid in sorted(mempool.txids()):
         hasher.update(txid)
     return hasher.hexdigest()[:DIGEST_HEX]
 
 
-def utxo_root(utxo: object) -> str:
+def utxo_root(utxo: UtxoSet) -> str:
     """Order-independent fingerprint of the full coin map."""
     hasher = sha256()
-    coins = utxo.snapshot()  # type: ignore[attr-defined]
+    coins = utxo.snapshot()
     for outpoint in sorted(coins, key=lambda op: (op.txid, op.index)):
         coin = coins[outpoint]
         hasher.update(outpoint.serialize())
@@ -63,39 +67,33 @@ def utxo_root(utxo: object) -> str:
     return hasher.hexdigest()[:DIGEST_HEX]
 
 
-def node_digest(node: object, node_id: int) -> NodeDigest:
+def node_digest(node: ChainNode, node_id: int) -> NodeDigest:
     """Compute one node's digest from its live state.
 
-    Every in-tree node keeps a ledger (in experiments it stays empty
-    for Bitcoin and GHOST, whose synthetic blocks carry no ledger
-    entries).  A node from a registered adapter that has none digests as
-    ``"-"`` for the mempool/UTXO fields — constant, so divergence can
-    still only come from fields the node actually has.
+    Every node keeps a ledger (in experiments it stays empty for
+    Bitcoin and GHOST, whose synthetic blocks carry no ledger entries).
     """
-    tip_record = chain_of(node).tip_record  # type: ignore[attr-defined]
-    mempool = getattr(node, "mempool", None)
-    utxo = getattr(node, "utxo", None)
+    tip = node.chain.tip_block
     return NodeDigest(
         node=node_id,
-        tip=short_hash(tip_record.hash),
-        weight=tip_record.cumulative_work,
-        height=tip_record.height,
-        mempool=mempool_fingerprint(mempool) if mempool is not None else "-",
-        utxo=utxo_root(utxo) if utxo is not None else "-",
+        tip=short_hash(tip.hash),
+        weight=tip.cumulative_work,
+        height=tip.height,
+        mempool=mempool_fingerprint(node.mempool),
+        utxo=utxo_root(node.utxo),
     )
 
 
-def state_fingerprint(nodes: Iterable[object]) -> tuple[list[str], str]:
+def state_fingerprint(nodes: Iterable[ChainNode]) -> tuple[list[str], str]:
     """(sorted distinct tips, 16-hex sha256 over every node's digest).
 
-    Nodes are hashed in the order given, each under its ``node_id``
-    (falling back to its position), as one :meth:`NodeDigest.format`
-    line per node.
+    Nodes are hashed in the order given, each under its ``node_id``, as
+    one :meth:`NodeDigest.format` line per node.
     """
     state = sha256()
     tips = set()
-    for index, node in enumerate(nodes):
-        digest = node_digest(node, getattr(node, "node_id", index))
+    for node in nodes:
+        digest = node_digest(node, node.node_id)
         state.update(digest.format().encode())
         tips.add(digest.tip)
     return sorted(tips), state.hexdigest()[:16]

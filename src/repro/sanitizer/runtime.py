@@ -45,11 +45,18 @@ unobservable to the simulation.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..clock import wall_clock
-from .checkers import InvariantChecker, chain_of
+from .checkers import InvariantChecker
 from .violations import ViolationRecord, make_violation
+
+if TYPE_CHECKING:
+    from ..bitcoin.blocks import Block
+    from ..bitcoin.node import ChainNode
+    from ..net.simulator import Simulator
+    from ..obs.trace import Tracer
+    from ..prof.runtime import ProfilerRuntime
 
 #: Check modes the runtime understands (``audit`` = incremental sweeps
 #: + periodic from-scratch cross-checks).
@@ -61,6 +68,10 @@ RUNTIME_MODES = ("incremental", "audit")
 #: this is one audit per ~64k simulator events, plus the unconditional
 #: audit at finalize.
 DEFAULT_AUDIT_STRIDE = 1024
+
+#: A node's tip hash, read with no Python-level call: the ``_tip``
+#: behind its block tree's ``tip`` property.
+_tip_of = attrgetter("chain._tip")
 
 
 class AuditDivergence(InvariantChecker):
@@ -91,22 +102,24 @@ class _TimedChecker:
     unprofiled checked runs never pay the clock reads.
     """
 
-    def __init__(self, checker: InvariantChecker, profiler: object) -> None:
+    def __init__(
+        self, checker: InvariantChecker, profiler: ProfilerRuntime
+    ) -> None:
         self.code = checker.code
         self._check_block = checker.check_block
         self._check_state = checker.check_state
-        self._record = profiler.record_checker  # type: ignore[attr-defined]
+        self._record = profiler.record_checker
 
     def check_block(
-        self, node: object, node_id: int, record: object, now: float
+        self, node: ChainNode, node_id: int, block: Block, now: float
     ) -> list[ViolationRecord]:
         started = wall_clock()
-        violations = self._check_block(node, node_id, record, now)
+        violations = self._check_block(node, node_id, block, now)
         self._record(self.code, wall_clock() - started)
         return violations
 
     def check_state(
-        self, node: object, node_id: int, now: float
+        self, node: ChainNode, node_id: int, now: float
     ) -> list[ViolationRecord]:
         started = wall_clock()
         violations = self._check_state(node, node_id, now)
@@ -124,8 +137,8 @@ class SanitizerRuntime:
         stride: int = 64,
         mode: str = "incremental",
         audit_stride: int | None = None,
-        tracer: object | None = None,
-        profiler: object | None = None,
+        tracer: Tracer | None = None,
+        profiler: ProfilerRuntime | None = None,
     ) -> None:
         if mode not in RUNTIME_MODES:
             raise ValueError(
@@ -142,9 +155,8 @@ class SanitizerRuntime:
         self.sweeps = 0
         self.audits = 0
         self.events_seen = 0
-        self._sim: object | None = None
-        self.nodes: Sequence[object] = ()
-        self._node_ids: list[int] = []
+        self._sim: Simulator | None = None
+        self.nodes: Sequence[ChainNode] = ()
         self._seen_blocks: list[set[bytes]] = []
         self._reported: set[tuple[str, int]] = set()
         self._sweep_countdown = self.stride
@@ -152,7 +164,6 @@ class SanitizerRuntime:
         # Dirty tracking: the tip hash each node had at its last
         # sweep; None = never swept.
         self._last_tip: list[bytes | None] = []
-        self._tip_readers: list[attrgetter] = []
         # Fresh uncached replicas for the periodic audit, built lazily.
         self._audit_checkers: list[InvariantChecker] | None = None
         self._audit_marker = AuditDivergence()
@@ -185,29 +196,13 @@ class SanitizerRuntime:
 
     # -- lifecycle ------------------------------------------------------
 
-    def install(self, sim: object, nodes: Sequence[object]) -> None:
+    def install(self, sim: Simulator, nodes: Sequence[ChainNode]) -> None:
         """Attach to a simulator and the nodes to sweep."""
         self._sim = sim
         self.nodes = list(nodes)
-        self._node_ids = [
-            getattr(node, "node_id", index)
-            for index, node in enumerate(self.nodes)
-        ]
         self._seen_blocks = [set() for _ in self.nodes]
         self._last_tip = [None for _ in self.nodes]
-        # Each node's tip hash, read with no Python-level call: the
-        # ``_tip`` behind its block tree's ``tip`` property, the tree
-        # found under the name ``chain_of`` reads it by.  An attrgetter
-        # re-reads the tree each time, so a swapped tree is seen.
-        self._tip_readers = [
-            attrgetter(
-                "chain._tip"
-                if getattr(node, "chain", None) is not None
-                else "tree._tip"
-            )
-            for node in self.nodes
-        ]
-        sim.attach(self)  # type: ignore[attr-defined]
+        sim.attach(self)
 
     def finalize(self) -> None:
         """Final sweep (+ audit), then detach from the simulator."""
@@ -216,7 +211,7 @@ class SanitizerRuntime:
         self._sweep()
         if self.checkers and self.audit_stride > 0:
             self._audit()
-        self._sim.detach(self)  # type: ignore[attr-defined]
+        self._sim.detach(self)
         self._sim = None
 
     # -- the probe ------------------------------------------------------
@@ -258,29 +253,28 @@ class SanitizerRuntime:
     def _sweep_incremental(self) -> None:
         self.sweeps += 1
         nodes = self.nodes
-        tips = [read(node) for read, node in zip(self._tip_readers, nodes)]
+        tips = list(map(_tip_of, nodes))
         last = self._last_tip
         if tips == last:
             return
         moved = [index for index, tip in enumerate(tips) if tip != last[index]]
         self._last_tip = tips
-        now = self._sim.now  # type: ignore[attr-defined]
+        now = self._sim.now
         for index in moved:
             node = nodes[index]
-            chain = chain_of(node)
-            tip = chain.tip_record  # type: ignore[attr-defined]
-            node_id = self._node_ids[index]
+            get = node.chain.get
+            node_id = node.node_id
             seen = self._seen_blocks[index]
             fresh = []
-            cursor = tip
+            cursor = get(tips[index])
             while cursor is not None and cursor.hash not in seen:
                 fresh.append(cursor)
-                cursor = chain.get(cursor.parent_hash)  # type: ignore[attr-defined]
-            for record in reversed(fresh):
-                seen.add(record.hash)
+                cursor = get(cursor.header.prev_hash)
+            for block in reversed(fresh):
+                seen.add(block.hash)
                 for checker in self._block_checkers:
                     for violation in checker.check_block(
-                        node, node_id, record, now
+                        node, node_id, block, now
                     ):
                         self._record(violation)
             for checker in self._state_checkers:
@@ -318,22 +312,22 @@ class SanitizerRuntime:
         """
         if self._sim is None:
             return
-        now = self._sim.now  # type: ignore[attr-defined]
+        now = self._sim.now
         self.audits += 1
         replicas = self._audit_replicas()
         findings: list[ViolationRecord] = []
-        for index, node in enumerate(self.nodes):
-            node_id = self._node_ids[index]
-            chain = chain_of(node)
-            cursor = chain.tip_record  # type: ignore[attr-defined]
-            records = []
+        for node in self.nodes:
+            node_id = node.node_id
+            chain = node.chain
+            cursor: Block | None = chain.tip_block
+            blocks = []
             while cursor is not None:
-                records.append(cursor)
-                cursor = chain.get(cursor.parent_hash)  # type: ignore[attr-defined]
-            for record in reversed(records):
+                blocks.append(cursor)
+                cursor = chain.get(cursor.header.prev_hash)
+            for block in reversed(blocks):
                 for checker in replicas:
                     findings.extend(
-                        checker.check_block(node, node_id, record, now)
+                        checker.check_block(node, node_id, block, now)
                     )
             for checker in replicas:
                 findings.extend(checker.check_state(node, node_id, now))
@@ -360,7 +354,7 @@ class SanitizerRuntime:
         self._reported.add(key)
         self.violations.append(violation)
         if self.tracer is not None:
-            self.tracer.emit(  # type: ignore[attr-defined]
+            self.tracer.emit(
                 "invariant_violation", violation.time, **violation.to_dict()
             )
 
@@ -368,8 +362,8 @@ class SanitizerRuntime:
 def sanitizer_for(
     config,
     *,
-    tracer: object | None = None,
-    profiler: object | None = None,
+    tracer: Tracer | None = None,
+    profiler: ProfilerRuntime | None = None,
 ) -> SanitizerRuntime | None:
     """The runtime ``config`` asks for, or ``None`` for an unchecked one.
 

@@ -13,6 +13,10 @@ violated invariant, not just the first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .checkers import InvariantChecker
 
 
 @dataclass(frozen=True)
@@ -47,7 +51,7 @@ class ViolationRecord:
 
 
 def make_violation(
-    checker: object,
+    checker: InvariantChecker,
     node: int,
     time: float,
     message: str,
@@ -55,8 +59,8 @@ def make_violation(
 ) -> ViolationRecord:
     """Build a record from a checker instance plus context."""
     return ViolationRecord(
-        code=getattr(checker, "code", "INV000"),
-        name=getattr(checker, "name", "unknown"),
+        code=checker.code,
+        name=checker.name,
         node=node,
         time=time,
         message=message,

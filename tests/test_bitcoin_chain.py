@@ -36,7 +36,7 @@ def test_extension_advances_tip():
     tree = BlockTree(GENESIS)
     blocks = _chain(tree, GENESIS.hash, ["a", "b", "c"])
     assert tree.tip == blocks[-1].hash
-    assert tree.height_of(tree.tip) == 3
+    assert tree.tip_block.height == 3
 
 
 def test_main_chain_order():
@@ -180,7 +180,7 @@ def test_leaves():
 def test_cumulative_work_accrues():
     tree = BlockTree(GENESIS)
     blocks = _chain(tree, GENESIS.hash, ["a", "b"])
-    work = tree.record(blocks[1].hash).cumulative_work
+    work = tree.get(blocks[1].hash).cumulative_work
     assert work == 2 * blocks[0].header.work
 
 

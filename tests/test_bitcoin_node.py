@@ -360,20 +360,20 @@ def test_block_spending_an_unknown_coin_is_refused_not_a_crash(node_type):
     node.on_message(0, _object_message(bad))  # used to raise InvalidBlock
     sim.run()
     assert node.blocks_rejected == 1
-    assert bad.hash not in node.tree
+    assert bad.hash not in node.chain
     assert node.tip == good.hash
     assert utxo_root(node.utxo) == root_before
     assert node.misbehavior == {0: node.invalid_object_penalty}
     # Dropped, remembered as rejected, never relayed.
     assert not node.knows(bad.hash)
     assert not nodes[2].knows(bad.hash)
-    node.tree.assert_consistent()
+    node.chain.assert_consistent()
     # A second copy is refused by the tree itself, and so is a child.
     assert node._receive(bad, "block", sender=2) is False
     child = _tx_block(bad.hash, [], timestamp=2.0)
     assert node._receive(child, "block", sender=2) is False
     assert node.blocks_rejected == 3
-    assert node.tree.orphan_count() == 0
+    assert node.chain.orphan_count() == 0
 
 
 def test_side_branch_with_a_double_spend_leaves_the_node_where_it_was(node_type):
@@ -395,7 +395,7 @@ def test_side_branch_with_a_double_spend_leaves_the_node_where_it_was(node_type)
     assert utxo_root(node.utxo) == root_before
     assert node.mempool.txids() == []
     assert kept.hash in node._undo and first.hash not in node._undo
-    tree = node.tree
+    tree = node.chain
     assert first.hash in tree and second.hash not in tree
     assert tree.record(first.hash).children == []
     tree.assert_consistent()
@@ -419,10 +419,10 @@ def test_refused_orphan_does_not_take_the_delivered_block_with_it(node_type):
     phantom = _spend(OutPoint(b"\xdd" * 32, 0), 1)
     orphan = _tx_block(parent.hash, [phantom], timestamp=2.0)
     node._receive(orphan, "block", sender=1)
-    assert node.tree.orphan_count() == 1
+    assert node.chain.orphan_count() == 1
     assert node._receive(parent, "block", sender=1) is None
     assert node.tip == parent.hash
     assert node.blocks_rejected == 1
-    assert orphan.hash not in node.tree
+    assert orphan.hash not in node.chain
     assert node.utxo.balance(bytes(20)) == 25 * COIN  # parent's coinbase connected
-    node.tree.assert_consistent()
+    node.chain.assert_consistent()

@@ -15,18 +15,21 @@ re-pinned, so the next rise is measured from the new floor.  The count
 screens a prototype in seconds; it never stands in for the ten pairs a
 speed claim needs.
 
-The configurations are the quick sizes of three benchmark workloads,
-spelled out here; CI's ``scale-smoke`` job checks :data:`SCALE_SMOKE`,
-its own 1000-node run, against :data:`SCALE_SMOKE_CALLS`.
+The configurations are the quick sizes of five benchmark workloads,
+spelled out here: three plain runs, a checked and observed run under a
+crash/partition/loss scenario, and two cells of Figure 8a's sweep run
+serially.  CI's ``scale-smoke`` job checks :data:`SCALE_SMOKE`, its own
+1000-node run, against :data:`SCALE_SMOKE_CALLS`.
 """
 
 from __future__ import annotations
 
 import sys
 from pathlib import Path
+from typing import Callable
 
 import repro
-from repro.experiments import ExperimentConfig, run_experiment
+from repro.experiments import ExperimentConfig, frequency_sweep, run_experiment
 from repro.protocols import Protocol
 
 SRC = str(Path(repro.__file__).resolve().parent)
@@ -62,13 +65,73 @@ CONFIGS = {
     ),
 }
 
-#: ``(calls, blocks generated)`` per configuration.  Pinned when a
-#: received block became one pass through the tree (each fell
-#: 27-31%, from 89,173, 216,561 and 325,008; see CHANGES.md).
+#: The instrumented workload's bare twin; :func:`instrumented` turns
+#: the sanitizer and the trace on and adds its fault scenario.
+INSTRUMENTED = ExperimentConfig(
+    protocol=Protocol.BITCOIN_NG,
+    n_nodes=30,
+    target_blocks=60,
+    target_key_blocks=4,
+    block_rate=0.4,
+    key_block_rate=0.025,
+    block_size_bytes=8000,
+    cooldown=30.0,
+    seed=7,
+    latency_seed=11,
+)
+
+#: The sweep's base cell; :func:`sweep_cells` runs it at one frequency
+#: for both protocols.
+SWEEP = ExperimentConfig(
+    n_nodes=12,
+    target_blocks=10,
+    target_key_blocks=3,
+    cooldown=30.0,
+    seed=7,
+    latency_seed=11,
+)
+
+
+def instrumented(obs_dir: Path) -> ExperimentConfig:
+    """Checked, traced into ``obs_dir``, with a leader crash, a
+    partition and a lossy window placed as shares of the mining time."""
+    duration = INSTRUMENTED.duration
+    scenario = {
+        "version": 1,
+        "name": "crash-partition-loss",
+        "faults": [
+            {
+                "at": 0.15 * duration,
+                "kind": "crash",
+                "node": "leader",
+                "down_for": 0.30 * duration,
+            },
+            {"at": 0.375 * duration, "kind": "partition", "split": "halves"},
+            {"at": 0.65 * duration, "kind": "heal"},
+            {"at": 0.75 * duration, "kind": "loss", "rate": 0.05},
+            {"at": 0.95 * duration, "kind": "loss", "rate": 0.0},
+        ],
+    }
+    return INSTRUMENTED.with_(scenario=scenario, check=True, obs_dir=str(obs_dir))
+
+
+def sweep_cells() -> int:
+    """Blocks generated by two serial cells of Figure 8a's sweep."""
+    grid = frequency_sweep(SWEEP, frequencies=(0.1,), seeds=(SWEEP.seed,), jobs=1)
+    return sum(
+        result.blocks_generated for point in grid.points for result in point.results
+    )
+
+
+#: ``(calls, blocks generated)`` per configuration.  Re-pinned when a
+#: tree began to hand out blocks instead of record views (the NG rows
+#: fell, from 63,702, 149,622, 205,221 and 31,042; see CHANGES.md).
 PINNED = {
-    "ng_micro_60": (63_702, 63),
-    "ng_scale_1000": (149_622, 20),
+    "ng_micro_60": (63_258, 63),
+    "ng_scale_1000": (149_479, 20),
     "btc_scale_1000": (235_764, 31),
+    "ng_instrumented_100": (183_747, 62),
+    "fig8_sweep_60": (30_828, 47),
 }
 
 #: CI's 1000-node ``scale-smoke`` run, and its pinned count.
@@ -82,17 +145,23 @@ SCALE_SMOKE = ExperimentConfig(
     key_block_rate=0.05,
     block_size_bytes=8000,
 )
-SCALE_SMOKE_CALLS = (1_266_482, 26)
+SCALE_SMOKE_CALLS = (1_266_291, 26)
 
 
 def count_calls(config: ExperimentConfig) -> tuple[int, int]:
-    """``(calls into src/repro, blocks generated)`` for one run.
+    """``(calls into src/repro, blocks generated)`` for one run."""
+    return count_run(lambda: run_experiment(config)[0].blocks_generated)
+
+
+def count_run(run: Callable[[], int]) -> tuple[int, int]:
+    """``(calls into src/repro, blocks generated)`` for ``run()``, which
+    returns the blocks it generated.
 
     The counted run is the second of two: the first pays what a process
-    pays once (lazy imports, the latency histogram's cache), whatever
-    ran before it.
+    pays once (lazy imports, the latency histogram's cache, the
+    sanitizer's signature verdicts), whatever ran before it.
     """
-    run_experiment(config)
+    run()
     ours: dict[object, bool] = {}
     calls = 0
 
@@ -108,10 +177,10 @@ def count_calls(config: ExperimentConfig) -> tuple[int, int]:
 
     sys.setprofile(profile)
     try:
-        result, _ = run_experiment(config)
+        blocks = run()
     finally:
         sys.setprofile(None)
-    return calls, result.blocks_generated
+    return calls, blocks
 
 
 def verdict(name: str, counted: tuple[int, int], pinned: tuple[int, int]) -> str:
@@ -128,11 +197,13 @@ def verdict(name: str, counted: tuple[int, int], pinned: tuple[int, int]) -> str
     )
 
 
-def test_calls_per_block_match_the_table():
+def test_calls_per_block_match_the_table(tmp_path):
     counted = {name: count_calls(config) for name, config in CONFIGS.items()}
+    counted["ng_instrumented_100"] = count_calls(instrumented(tmp_path))
+    counted["fig8_sweep_60"] = count_run(sweep_cells)
     moved = [
         verdict(name, counted[name], PINNED[name])
-        for name in CONFIGS
+        for name in PINNED
         if counted[name] != PINNED[name]
     ]
     assert not moved, "\n".join(moved)

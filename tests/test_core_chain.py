@@ -56,8 +56,8 @@ def test_key_block_becomes_tip_and_leader():
     key1 = _key(GENESIS.hash, ALICE, 10.0)
     chain.add_block(key1, 10.0)
     assert chain.tip == key1.hash
-    assert chain.tip_record.leader_pubkey == ALICE.public_key().to_bytes()
-    assert chain.tip_record.key_height == 1
+    assert chain.tip_block.leader_pubkey == ALICE.public_key().to_bytes()
+    assert chain.tip_block.key_height == 1
 
 
 def test_microblock_extends_tip_without_weight():
@@ -68,8 +68,8 @@ def test_microblock_extends_tip_without_weight():
     chain.add_block(micro, 20.0)
     assert chain.tip == micro.hash
     assert (
-        chain.tip_record.cumulative_work
-        == chain.record(key1.hash).cumulative_work
+        chain.tip_block.cumulative_work
+        == chain.get(key1.hash).cumulative_work
     )
 
 
@@ -148,12 +148,12 @@ def test_epoch_leader_tracked_through_microblocks():
     chain.add_block(m1, 10.0)
     key2 = _key(m1.hash, BOB, 50.0, miner=2)
     chain.add_block(key2, 50.0)
-    assert chain.tip_record.leader_pubkey == BOB.public_key().to_bytes()
+    assert chain.tip_block.leader_pubkey == BOB.public_key().to_bytes()
     # A microblock on the new epoch must be signed by Bob.
     m2 = _micro(key2.hash, BOB, 60.0)
     chain.add_block(m2, 60.0)
     assert chain.tip == m2.hash
-    assert chain.latest_key_block().hash == key2.hash
+    assert chain.latest_key_block() is key2
 
 
 def test_equivocation_detected():

@@ -56,7 +56,7 @@ def test_key_block_propagates_and_elects_leader():
     assert nodes[0].is_leader()
     for node in nodes:
         assert node.tip == key.hash
-        assert node.chain.tip_record.leader_pubkey == nodes[0].pubkey_bytes
+        assert node.chain.tip_block.leader_pubkey == nodes[0].pubkey_bytes
 
 
 def test_leader_generates_microblocks_at_interval():
@@ -66,7 +66,7 @@ def test_leader_generates_microblocks_at_interval():
     # Microblocks at t=10, 20, 30.
     assert nodes[0].microblocks_generated == 3
     for node in nodes:
-        assert node.chain.tip_record.height == 4  # key + 3 micros
+        assert node.chain.tip_block.height == 4  # key + 3 micros
 
 
 def test_non_leader_never_generates_microblocks():
@@ -97,9 +97,9 @@ def test_microblocks_signed_and_verified():
     nodes[0].generate_key_block()
     sim.run(until=25.0)
     assert all(node.blocks_rejected == 0 for node in nodes)
-    tip_record = nodes[1].chain.tip_record
-    assert not tip_record.is_key
-    assert tip_record.block.verify_signature(nodes[0].pubkey_bytes)
+    tip = nodes[1].chain.tip_block
+    assert not tip.is_key
+    assert tip.verify_signature(nodes[0].pubkey_bytes)
 
 
 def test_observation_log_kinds():
@@ -155,7 +155,7 @@ def test_equivocating_leader_poisoned_by_next():
     from repro.bitcoin.blocks import SyntheticPayload
     from repro.core.blocks import build_microblock
 
-    tip_parent = cheater.chain.tip_record.parent_hash
+    tip_parent = cheater.chain.tip_block.header.prev_hash
     fork = build_microblock(
         tip_parent,
         timestamp=10.0,
@@ -340,7 +340,7 @@ def test_invalid_poison_is_skipped_but_any_other_failure_surfaces(monkeypatch):
     cheater.generate_key_block()
     sim.run(until=15.0)
     fork = build_microblock(
-        cheater.chain.tip_record.parent_hash,
+        cheater.chain.tip_block.header.prev_hash,
         timestamp=10.0,
         payload=SyntheticPayload(n_tx=2, salt=b"evil"),
         leader_key=cheater.key,
@@ -446,7 +446,7 @@ def test_signed_microblock_spending_an_unknown_coin_is_refused_not_a_crash():
     sim.run(until=5.0)
     assert node.blocks_rejected == 1
     assert bad.hash not in node.chain
-    assert node.tip == key.hash and node.chain.tip_record.is_key
+    assert node.tip == key.hash and node.chain.tip_block.is_key
     assert utxo_root(node.utxo) == root_before
     assert bad.hash not in node._fees_by_micro
     assert node.misbehavior == {0: node.invalid_object_penalty}

@@ -99,7 +99,7 @@ def test_rate_violating_microblock_rejected_by_node():
     nodes[0].generate_key_block()
     sim.run(until=15.0)  # one legit microblock at t=10
     tip = nodes[1].tip
-    tip_ts = nodes[1].chain.tip_record.timestamp
+    tip_ts = nodes[1].chain.tip_block.header.timestamp
     too_soon = build_microblock(
         tip, tip_ts + 1.0, SyntheticPayload(n_tx=1, salt=b"fast"), nodes[0].key
     )
@@ -162,4 +162,4 @@ def test_malicious_flood_gets_peer_banned_honest_traffic_continues():
     assert nodes[1].is_banned(2)
     # Honest operation continues: the leader's microblocks still land.
     sim.run(until=35.0)
-    assert nodes[1].chain.tip_record.height >= 3
+    assert nodes[1].chain.tip_block.height >= 3

@@ -114,8 +114,8 @@ def _build_two_epoch_chain():
 def test_reward_ledger_epoch_attribution():
     chain = _build_two_epoch_chain()
     ledger = RewardLedger(PARAMS, fee_of=lambda m: m.n_tx * FEE_PER_TX)
-    records = [chain.record(h) for h in chain.main_chain()]
-    epochs, revenue = ledger.compute(records)
+    blocks = [chain.get(h) for h in chain.main_chain()]
+    epochs, revenue = ledger.compute(blocks)
     # Genesis epoch (0 fees) + alice + bob + carol.
     by_miner = {epoch.leader_miner: epoch for epoch in epochs if epoch.leader_miner > 0}
     alice_fees = 20 * FEE_PER_TX  # 2 microblocks × 10 tx
@@ -131,8 +131,8 @@ def test_reward_ledger_epoch_attribution():
 def test_reward_ledger_subsidies():
     chain = _build_two_epoch_chain()
     ledger = RewardLedger(PARAMS, fee_of=lambda m: m.n_tx * FEE_PER_TX)
-    records = [chain.record(h) for h in chain.main_chain()]
-    epochs, revenue = ledger.compute(records)
+    blocks = [chain.get(h) for h in chain.main_chain()]
+    epochs, revenue = ledger.compute(blocks)
     for epoch in epochs:
         if not epoch.revoked:
             assert epoch.subsidy == PARAMS.key_block_reward
@@ -142,8 +142,8 @@ def test_reward_ledger_total_conservation():
     chain = _build_two_epoch_chain()
     fee_of = lambda m: m.n_tx * FEE_PER_TX
     ledger = RewardLedger(PARAMS, fee_of)
-    records = [chain.record(h) for h in chain.main_chain()]
-    epochs, revenue = ledger.compute(records)
+    blocks = [chain.get(h) for h in chain.main_chain()]
+    epochs, revenue = ledger.compute(blocks)
     # All placed fees of closed epochs are fully distributed 40/60.
     closed_fees = 25 * FEE_PER_TX  # alice 20 + bob 5 (both epochs closed)
     fee_payout = sum(e.placed_fee_share + e.next_fee_share for e in epochs)
@@ -153,10 +153,10 @@ def test_reward_ledger_total_conservation():
 def test_revocation_voids_offender_and_pays_bounty():
     chain = _build_two_epoch_chain()
     ledger = RewardLedger(PARAMS, fee_of=lambda m: m.n_tx * FEE_PER_TX)
-    records = [chain.record(h) for h in chain.main_chain()]
+    blocks = [chain.get(h) for h in chain.main_chain()]
     alice_pub = ALICE.public_key().to_bytes()
-    _, honest = ledger.compute(records)
-    _, punished = ledger.compute(records, revoked_leaders={alice_pub: 3})
+    _, honest = ledger.compute(blocks)
+    _, punished = ledger.compute(blocks, revoked_leaders={alice_pub: 3})
     assert punished[1] == 0  # alice loses everything
     would_have = honest[1]
     bounty = punished[3] - honest[3]
@@ -199,10 +199,10 @@ def test_revoking_a_leader_with_carried_fees_prices_the_bounty_fully():
     # fraction of the *sum*, not of the difference.
     chain = _build_two_epoch_chain()
     ledger = RewardLedger(PARAMS, fee_of=lambda m: m.n_tx * FEE_PER_TX)
-    records = [chain.record(h) for h in chain.main_chain()]
+    blocks = [chain.get(h) for h in chain.main_chain()]
     bob_pub = BOB.public_key().to_bytes()
-    _, honest = ledger.compute(records)
-    _, punished = ledger.compute(records, revoked_leaders={bob_pub: 3})
+    _, honest = ledger.compute(blocks)
+    _, punished = ledger.compute(blocks, revoked_leaders={bob_pub: 3})
     assert punished[2] == 0
     alice_fees = 20 * FEE_PER_TX
     bob_fees = 5 * FEE_PER_TX

@@ -61,7 +61,7 @@ def test_subtree_work_propagates_to_ancestors():
     assert tree.subtree_work(blocks[0].hash) == 3 * unit
     assert tree.subtree_work(blocks[2].hash) == unit
     # Chain work along the path is kept too, for protocol-agnostic tools.
-    assert tree.record(blocks[2].hash).cumulative_work == 3 * unit
+    assert tree.get(blocks[2].hash).cumulative_work == 3 * unit
 
 
 def test_ghost_prefers_heavy_subtree_over_long_chain():

@@ -62,8 +62,8 @@ def test_pruned_blocks_still_relayed():
     b = nodes[1].generate_block()
     sim.run()
     for node in nodes:
-        assert a.hash in node.tree
-        assert b.hash in node.tree
+        assert a.hash in node.chain
+        assert b.hash in node.chain
 
 
 def test_observation_log():
@@ -115,7 +115,7 @@ def test_full_validation_payment_survives_losing_the_subtree_race():
     nodes[2].request_tips()
     sim.run()
     assert {node.tip for node in nodes} == {majority_tip.hash}
-    assert lonely.hash in nodes[2].tree  # pruned, still weighed
+    assert lonely.hash in nodes[2].chain  # pruned, still weighed
     assert [node.utxo.balance(dest) for node in nodes] == [0, 0, 0]
     assert pay.txid in nodes[2].mempool  # back in line, not lost
 
@@ -126,4 +126,4 @@ def test_full_validation_payment_survives_losing_the_subtree_race():
     assert [node.utxo.balance(dest) for node in nodes] == [90, 90, 90]
     assert all(len(node.mempool) == 0 for node in nodes)
     for node in nodes:
-        node.tree.assert_consistent()
+        node.chain.assert_consistent()

@@ -45,7 +45,7 @@ def test_offline_node_catches_up_via_ancestor_backfill():
     b3 = nodes[1].generate_block()
     sim.run()
     assert nodes[4].tip == b3.hash
-    assert b2.hash in nodes[4].tree
+    assert b2.hash in nodes[4].chain
 
 
 def test_backfill_recovers_multi_block_gap():
@@ -59,7 +59,7 @@ def test_backfill_recovers_multi_block_gap():
     # Recursive backfill walks the whole gap parent by parent.
     assert nodes[4].tip == tip.hash
     for block in missed:
-        assert block.hash in nodes[4].tree
+        assert block.hash in nodes[4].chain
 
 
 def test_majority_keeps_consensus_under_churn():
@@ -89,7 +89,7 @@ def test_offline_node_resyncs_via_tip_solicitation_without_new_block():
     sim.run()
     assert nodes[4].tip == missed[-1].hash
     for block in missed:
-        assert block.hash in nodes[4].tree
+        assert block.hash in nodes[4].chain
 
 
 def test_reset_relay_state_clears_stale_request_wedge():
@@ -152,16 +152,16 @@ def test_ng_leader_crash_epoch_ends_with_next_key_block():
     sim.run(until=15.0)
     # Leader 0 crashes.
     net.set_offline(0)
-    count_at_crash = nodes[1].chain.tip_record.height
+    count_at_crash = nodes[1].chain.tip_block.height
     sim.run(until=45.0)
     # No new microblocks reach anyone.
-    assert nodes[1].chain.tip_record.height == count_at_crash
+    assert nodes[1].chain.tip_block.height == count_at_crash
     # The next key block restores service.
     nodes[1].generate_key_block()
     sim.run(until=80.0)
     assert nodes[1].is_leader()
     assert nodes[1].microblocks_generated > 0
-    assert nodes[2].chain.tip_record.height > count_at_crash
+    assert nodes[2].chain.tip_block.height > count_at_crash
 
 
 def test_ng_node_backfills_missed_epoch():
@@ -185,4 +185,4 @@ def test_ng_node_backfills_missed_epoch():
     sim.run(until=56.0)  # the t=50 microblock arrives as an orphan
     # Backfill walks the missed microblocks; all tips agree.
     assert len({node.tip for node in nodes}) == 1
-    assert nodes[3].chain.tip_record.height == nodes[0].chain.tip_record.height
+    assert nodes[3].chain.tip_block.height == nodes[0].chain.tip_block.height

@@ -12,6 +12,7 @@ law across leader switches and microblock pruning.
 
 import pytest
 
+from repro.core.blocks import KeyBlock
 from repro.core.genesis import make_ng_genesis, seed_genesis_coins
 from repro.core.node import MicroblockPolicy, NGNode
 from repro.core.params import NGParams
@@ -78,11 +79,9 @@ def test_supply_equals_genesis_plus_minting(network):
         # Count coinbases that are connected on this node's main chain.
         minted = 0
         for block_hash in node.chain.main_chain():
-            record = node.chain.record(block_hash)
-            if record.is_key and block_hash != node.chain.genesis_hash:
-                minted += sum(
-                    out.value for out in record.block.coinbase.outputs  # type: ignore[union-attr]
-                )
+            block = node.chain.get(block_hash)
+            if isinstance(block, KeyBlock) and block_hash != node.chain.genesis_hash:
+                minted += sum(out.value for out in block.coinbase.outputs)
         expected = GENESIS_FUNDS - fee + minted
         assert node.utxo.total_value() == expected
 

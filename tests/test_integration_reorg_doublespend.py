@@ -86,7 +86,7 @@ def test_reorg_swaps_conflicting_spends(nodes):
 
     # Reconnect: node 0 hears the heavier branch and must reorg.
     node0.network.set_offline(0, offline=False)
-    stored1 = node1.get_object(node1.tree.main_chain()[1])
+    stored1 = node1.get_object(node1.chain.main_chain()[1])
     stored2 = node1.get_object(block_b2.hash)
     from repro.net.network import Message
 

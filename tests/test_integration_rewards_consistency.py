@@ -50,19 +50,17 @@ def test_reward_ledger_matches_minted_coinbases():
     nodes = _run_epochs()
     observer = nodes[2]
     chain = observer.chain
-    records = [chain.record(h) for h in chain.main_chain()]
+    blocks = [chain.get(h) for h in chain.main_chain()]
     ledger = RewardLedger(PARAMS, fee_of=lambda m: m.n_tx * FEE_PER_TX)
-    epochs, analyzed_revenue = ledger.compute(records)
+    epochs, analyzed_revenue = ledger.compute(blocks)
 
     # Independently: sum what the coinbases actually minted per miner,
     # attributing each output to the wallet that can spend it.
     minted: dict[int, int] = {}
     pkh_to_miner = {node.pubkey_hash: node.node_id for node in nodes}
-    for record in records:
-        if not record.is_key or record.hash == chain.genesis_hash:
+    for block in blocks:
+        if not isinstance(block, KeyBlock) or block.hash == chain.genesis_hash:
             continue
-        block = record.block
-        assert isinstance(block, KeyBlock)
         for out in block.coinbase.outputs:
             miner = pkh_to_miner.get(out.pubkey_hash)
             if miner is not None:
@@ -81,17 +79,17 @@ def test_reward_ledger_matches_minted_coinbases():
 def test_epoch_breakdown_fee_conservation():
     nodes = _run_epochs()
     chain = nodes[0].chain
-    records = [chain.record(h) for h in chain.main_chain()]
+    blocks = [chain.get(h) for h in chain.main_chain()]
     ledger = RewardLedger(PARAMS, fee_of=lambda m: m.n_tx * FEE_PER_TX)
-    epochs, _ = ledger.compute(records)
+    epochs, _ = ledger.compute(blocks)
     # Every closed epoch's fees split exactly 40/60 across two epochs.
     total_fees_closed = 0
     cursor_fees = {}
-    for record in records:
-        if not record.is_key:
-            cursor_fees.setdefault(record.key_height, 0)
-            cursor_fees[record.key_height] += record.block.n_tx * FEE_PER_TX
-    last_height = max(r.key_height for r in records)
+    for block in blocks:
+        if not block.is_key:
+            cursor_fees.setdefault(block.key_height, 0)
+            cursor_fees[block.key_height] += block.n_tx * FEE_PER_TX
+    last_height = max(b.key_height for b in blocks)
     for height, fees in cursor_fees.items():
         if height < last_height:
             total_fees_closed += fees

@@ -60,17 +60,17 @@ def test_payment_lifecycle(world):
         nodes[1].utxo,
         [(merchant.pubkey_hash(), 12 * COIN)],
         fee=int(0.1 * COIN),
-        height=nodes[1].chain.tip_record.height + 1,
+        height=nodes[1].chain.tip_block.height + 1,
     )
     nodes[1].submit_transaction(payment)
 
     # The leader's next microblock serializes it; the merchant node
     # sees it arrive.
     sim.run(until=11.0)
-    record = merchant_node.chain.tip_record
-    assert not record.is_key
+    tip = merchant_node.chain.tip_block
+    assert not tip.is_key
     assert payment.txid in [
-        tx.txid for tx in record.block.payload.transactions  # type: ignore[union-attr]
+        tx.txid for tx in tip.payload.transactions  # type: ignore[union-attr]
     ]
     # Funds are visible at the merchant's node.
     assert merchant_node.utxo.balance(merchant.pubkey_hash()) == 12 * COIN
@@ -89,7 +89,7 @@ def test_merchant_wallet_can_respend(world):
     sim.run(until=25.0)
     # The merchant's wallet sees the coin through its node's UTXO set
     # and can spend it onward.
-    height = nodes[2].chain.tip_record.height + 1
+    height = nodes[2].chain.tip_block.height + 1
     coins = merchant.spendable_coins(nodes[2].utxo, height)
     assert sum(coin.value for coin in coins) == 12 * COIN
     onward = merchant.build_payment(

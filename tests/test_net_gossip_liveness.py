@@ -112,7 +112,7 @@ def test_crash_partition_heal_loss_converges_with_nothing_outstanding(protocol):
     else:
         assert runtime.audits > 0
     assert len({node.tip for node in nodes}) == 1
-    assert [node.tree.orphan_count() for node in nodes] == [0] * len(nodes)
+    assert [node.chain.orphan_count() for node in nodes] == [0] * len(nodes)
     for node in nodes:
         assert not node._requested
         assert not node._alt_sources
@@ -152,9 +152,9 @@ def test_key_block_that_overtakes_its_parent_microblock_connects_two_hops_out():
     sim.schedule_at(11.0, lambda: mined.append(leader.generate_key_block()))
     sim.run(until=60.0)
     [key] = mined
-    assert key.hash in middle.tree
-    assert far.tree.orphan_count() == 0
-    assert key.hash in far.tree
+    assert key.hash in middle.chain
+    assert far.chain.orphan_count() == 0
+    assert key.hash in far.chain
 
 
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS, ids=lambda p: p.value)

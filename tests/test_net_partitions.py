@@ -58,7 +58,7 @@ def test_split_creates_diverging_chains_and_heal_merges():
     assert nodes[1].tip != nodes[4].tip  # split brains
     partition.heal()
     # Re-announce side B's chain to side A.
-    for block_hash in nodes[3].tree.main_chain()[1:]:
+    for block_hash in nodes[3].chain.main_chain()[1:]:
         stored = nodes[3].get_object(block_hash)
         net.send(3, 0, Message("object", stored, stored.size))
     sim.run()

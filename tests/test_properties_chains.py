@@ -109,8 +109,8 @@ def test_tree_invariants_any_arrival_order(tree_type, seed, n_blocks, shuffle_se
     tree.assert_consistent()
     if tree_type is BlockTree:
         # Tip height equals the DAG's maximal depth.
-        max_height = max(tree.height_of(b.hash) for b in blocks)
-        assert tree.height_of(tree.tip) == max_height
+        max_height = max(b.height for b in blocks)
+        assert tree.tip_block.height == max_height
     elif tree_type is GhostTree:
         # Genesis subtree holds all the work.
         unit = blocks[0].header.work
@@ -145,9 +145,9 @@ def test_bitcoin_main_chain_is_heaviest_path(seed, n_blocks):
     tree = BlockTree(GENESIS)
     for block in blocks:
         tree.add_block(block)
-    tip_work = tree.record(tree.tip).cumulative_work
+    tip_work = tree.tip_block.cumulative_work
     for block in blocks:
-        assert tree.record(block.hash).cumulative_work <= tip_work
+        assert block.cumulative_work <= tip_work
 
 
 @settings(max_examples=30, deadline=None)

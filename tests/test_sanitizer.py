@@ -15,10 +15,12 @@ from types import SimpleNamespace
 import pytest
 
 from repro.bitcoin.blocks import SyntheticPayload
-from repro.bitcoin.chain import TieBreak
+from repro.bitcoin.chain import BlockTree, TieBreak
+from repro.bitcoin.node import ChainNode
 from repro.core.blocks import build_key_block, build_microblock
 from repro.core.chain import NGChain
 from repro.core.genesis import make_ng_genesis
+from repro.core.node import NGNode
 from repro.core.params import NGParams
 from repro.core.remuneration import build_ng_coinbase, split_fee
 from repro.crypto.hashing import hash160
@@ -28,10 +30,12 @@ from repro.ledger.mempool import Mempool
 from repro.ledger.transactions import OutPoint, TxOutput, make_coinbase
 from repro.ledger.utxo import UtxoSet
 from repro.mining.scheduler import MiningScheduler
+from repro.protocols import Protocol
 from repro.sanitizer import (
     SanitizerRuntime,
     ng_checkers,
     node_digest,
+    sanitizer_for,
     state_fingerprint,
 )
 from repro.sanitizer.checkers import TipMonotonicity
@@ -90,15 +94,15 @@ def _sweep(node):
     """Run the full NG catalog over one node, mirroring the runtime walk."""
     checkers = ng_checkers()
     chain = node.chain
-    records = []
-    cursor = chain.tip_record
+    blocks = []
+    cursor = chain.tip_block
     while cursor is not None:
-        records.append(cursor)
-        cursor = chain.get(cursor.parent_hash)
+        blocks.append(cursor)
+        cursor = chain.get(cursor.header.prev_hash)
     violations = []
-    for record in reversed(records):
+    for block in reversed(blocks):
         for checker in checkers:
-            violations.extend(checker.check_block(node, 0, record, 99.0))
+            violations.extend(checker.check_block(node, 0, block, 99.0))
     for checker in checkers:
         violations.extend(checker.check_state(node, 0, 99.0))
     return violations
@@ -284,14 +288,26 @@ CHECKED = dict(
 )
 
 
-@pytest.mark.parametrize("protocol", ["bitcoin", "bitcoin-ng", "ghost"])
+@pytest.mark.parametrize("protocol", [p.value for p in Protocol])
 def test_checked_run_is_clean(protocol):
+    """A clean run, and the typed sanitizer's precondition: every node
+    the adapter builds is a ``ChainNode`` over a ``BlockTree`` (an
+    ``NGNode`` under NG), which ``install`` and ``state_fingerprint``
+    read with no fallback."""
     config = ExperimentConfig(
         protocol=protocol, check=True, check_stride=32, **CHECKED
     )
-    result, _log = run_experiment(config)
+    runtime = sanitizer_for(config)
+    result, _log = run_experiment(config, sanitizer=runtime)
     assert len(result.violations) == 0
     assert result.violations == ()
+    node_type = NGNode if config.protocol is Protocol.BITCOIN_NG else ChainNode
+    assert len(runtime.nodes) == config.n_nodes
+    for node in runtime.nodes:
+        assert isinstance(node, node_type)
+        assert isinstance(node.chain, BlockTree)
+    tips, state = state_fingerprint(runtime.nodes)
+    assert tips and len(state) == 16
 
 
 # -- injected nondeterminism, end to end --------------------------------------

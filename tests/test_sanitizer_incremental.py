@@ -603,7 +603,7 @@ def test_leader_crash_scenario_clean_under_incremental_check():
 def test_state_checks_follow_an_independent_poll_of_moved_tips(monkeypatch):
     """On a checked NG run every sweep calls the state checkers on
     exactly the nodes whose tip hash moved since the last sweep, as a
-    poll of ``node.chain.tip_record.hash`` taken here finds them, and a
+    poll of ``node.chain.tip`` taken here finds them, and a
     sweep in which no tip moved calls no checker."""
     checked = []
 
@@ -621,7 +621,7 @@ def test_state_checks_follow_an_independent_poll_of_moved_tips(monkeypatch):
     def polled_sweep(runtime):
         moved = []
         for node in runtime.nodes:
-            tip = node.chain.tip_record.hash
+            tip = node.chain.tip
             if last_tips.get(node.node_id) != tip:
                 last_tips[node.node_id] = tip
                 moved.append(node.node_id)

@@ -362,7 +362,7 @@ def test_partition_heal_leaves_one_tip_and_no_orphans(protocol):
     scheduler.stop()
     sim.run(until=830.0)
     assert len({node.tip for node in nodes}) == 1
-    assert [node.tree.orphan_count() for node in nodes] == [0] * len(nodes)
+    assert [node.chain.orphan_count() for node in nodes] == [0] * len(nodes)
 
 
 def test_partition_explicit_groups_and_resplit():

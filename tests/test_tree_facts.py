@@ -48,10 +48,10 @@ def test_log_and_tree_agree_on_every_blocks_chain_work(protocol, scenario):
     _, log = run_experiment(config, sanitizer=runtime)
     connected = {}
     for node in runtime.nodes:
-        tree = node.tree
+        tree = node.chain
         tree.assert_consistent()
         for block_hash in tree.main_chain() + tree.pruned_blocks():
-            connected[block_hash] = tree.record(block_hash).block
+            connected[block_hash] = tree.get(block_hash)
     generated = {info.hash for info in log.index.all_blocks()}
     assert generated <= connected.keys()  # every block reached some tree
     assert len(connected) == len(generated) + 1  # and the genesis
@@ -60,4 +60,4 @@ def test_log_and_tree_agree_on_every_blocks_chain_work(protocol, scenario):
         if block_hash in generated:
             assert block.height >= 1
     # Forks happened, so facts were set off the main chain too.
-    assert any(tree.pruned_blocks() for tree in (n.tree for n in runtime.nodes))
+    assert any(tree.pruned_blocks() for tree in (n.chain for n in runtime.nodes))
