@@ -222,7 +222,11 @@ class BlockTree:
         _, disconnected, connected = self._branches(current, new)
         connected.reverse()
         self._tip = new.hash
-        return Reorg(current, new, tuple(disconnected), tuple(connected))
+        # The named tuple's generated __new__ is a Python frame that only
+        # packs its four arguments; tuple.__new__ builds the same Reorg.
+        return tuple.__new__(
+            Reorg, (current, new, tuple(disconnected), tuple(connected))
+        )
 
     # -- what a protocol decides ----------------------------------------
 

@@ -23,13 +23,15 @@ same way.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappush
 from typing import Any
 
 from ..obs.trace import short_hash
 from .events import Event
 from .network import Message, Network
-from .simulator import Simulator
+from .simulator import MIN_CANCELLED_TO_COMPACT, Simulator
 
 # Wire sizes for control messages, matching Bitcoin's protocol framing:
 # an inv/getdata with one entry is 24 byte header + 37 byte payload.
@@ -68,6 +70,101 @@ class StoredObject:
         )
 
 
+class RequestTimers:
+    """The retry timers of every getdata a run books with one timeout.
+
+    A getdata's timer is a ``(deadline, sequence, node, obj_id)`` tuple
+    in a FIFO, in booking order; with one delay the deadlines never
+    decrease, so the FIFO is in the heap's ``(time, sequence)`` order.
+    The timer is live while ``node._requested[obj_id]`` holds its
+    sequence number, so satisfying, replacing or resetting a request is
+    a dict operation on the node and touches no timer.  Only the oldest
+    live timer is on the event heap, as the entry
+    :meth:`Simulator.schedule` would have pushed for it, with a handle
+    that re-arms: when that entry leaves the heap, fired or popped
+    cancelled, the next live timer is pushed with its own deadline and
+    sequence number, which are later than the entry's, so every timer
+    fires exactly when and in the order a scheduled one would.  Dead
+    timers are dropped as the queue is walked, and the whole queue is
+    rebuilt without them once it passes twice what was live at the
+    last rebuild, so it stays within a constant factor of the requests
+    outstanding.
+
+    One queue per ``(simulator, timeout)``, found in
+    :attr:`Simulator.timer_queues`; every :class:`GossipNode` fetches
+    its own once, at construction, so ``request_timeout`` is fixed for
+    the node's life.
+    """
+
+    __slots__ = ("delay", "entries", "armed", "armed_seq", "limit", "_heap")
+
+    def __init__(self, sim: Simulator, delay: float) -> None:
+        # Every timer's deadline is its booking time plus this.
+        self.delay = delay
+        self.entries: deque[tuple[float, int, GossipNode, bytes]] = deque()
+        # The handle of the queue's one heap entry; None when the heap
+        # holds none (and then ``entries`` is empty).
+        self.armed: Event | None = None
+        # That entry's sequence number while its request is live, -1
+        # once it is cancelled (or when nothing is armed).
+        self.armed_seq = -1
+        # ``entries`` is rebuilt without its dead timers once longer than this.
+        self.limit = MIN_CANCELLED_TO_COMPACT
+        self._heap = sim.booking()[0]
+
+    def arm(
+        self, deadline: float, seq: int, node: GossipNode, obj_id: bytes
+    ) -> None:
+        """Put one timer on the heap as this queue's entry."""
+        handle = Event(None, self._rearm)
+        self.armed = handle
+        self.armed_seq = seq
+        heappush(
+            self._heap,
+            (deadline, seq, node._on_request_timeout, (obj_id,), handle),
+        )
+
+    def disarm(self) -> None:
+        """Cancel the armed timer, whose request is no longer live.
+
+        Its entry stays on the heap until it reaches the top; the next
+        live timer is armed then.
+        """
+        if self.armed is not None:
+            self.armed.cancelled = True
+        self.armed_seq = -1
+
+    def _rearm(self) -> None:
+        """Arm the oldest live timer; the armed entry left the heap."""
+        entries = self.entries
+        while entries:
+            deadline, seq, node, obj_id = entries.popleft()
+            if node._requested.get(obj_id) == seq:
+                self.arm(deadline, seq, node, obj_id)
+                return
+        self.armed = None
+        self.armed_seq = -1
+
+    def trim(self) -> None:
+        """Rebuild the queue without its dead timers."""
+        entries = self.entries
+        live = [
+            entry
+            for entry in entries
+            if entry[2]._requested.get(entry[3]) == entry[1]
+        ]
+        entries.clear()
+        entries.extend(live)
+        self.limit = max(MIN_CANCELLED_TO_COMPACT, 2 * len(live))
+
+    def clear(self) -> None:
+        """Forget every timer (the run is over; see
+        :meth:`Simulator.discard_pending`)."""
+        self.entries.clear()
+        self.armed = None
+        self.armed_seq = -1
+
+
 class GossipNode:
     """Base class providing de-duplicated epidemic relay.
 
@@ -97,16 +194,30 @@ class GossipNode:
         # that peer and retrying elsewhere (0 disables).  Generous by
         # default: a 1 MB block takes ~80 s to serialize at the paper's
         # 100 kbit/s, and a premature timeout would duplicate traffic.
+        # Fixed for the node's life: its timers join the run's queue
+        # for this timeout, which sets their deadlines.
         self.request_timeout = request_timeout
+        self._timers: RequestTimers | None = None
+        if request_timeout > 0:
+            queues = sim.timer_queues
+            timers = queues.get(request_timeout)
+            if timers is None:
+                timers = queues[request_timeout] = RequestTimers(
+                    sim, request_timeout
+                )
+            self._timers = timers
+        self._sequence = sim.booking()[1]
         self._store: dict[bytes, StoredObject] = {}
-        self._requested: set[bytes] = set()
+        # Outstanding getdatas: object id -> the sequence number of its
+        # retry timer (None with no timer).  A timer is live while the
+        # entry holds its number.
+        self._requested: dict[bytes, int | None] = {}
         self._rejected: set[bytes] = set()
         # While a getdata is outstanding, remember *other* peers that
         # announced the same object: a request that times out (response
         # lost to churn or a partition) is retried from the next one, and
         # relay skips them all — bitcoind's per-peer setInventoryKnown.
         self._alt_sources: dict[bytes, list[int]] = {}
-        self._request_timers: dict[bytes, Event] = {}
         # Adjacency never changes mid-run (churn is modelled as offline
         # sets, not edge removal), so the neighbor list is cached once
         # instead of looked up per relayed object.
@@ -176,10 +287,12 @@ class GossipNode:
         announcements of exactly the objects the node is missing until
         the stale timers expire.  Validation verdicts (``_rejected``)
         and peer bans survive — they are judgements, not bookkeeping.
+        Clearing ``_requested`` kills every timer of this node; only
+        the armed one is on the heap, and it is cancelled.
         """
-        for timer in self._request_timers.values():
-            timer.cancel()
-        self._request_timers.clear()
+        timers = self._timers
+        if timers is not None and timers.armed_seq in self._requested.values():
+            timers.disarm()
         self._requested.clear()
         self._alt_sources.clear()
 
@@ -265,28 +378,42 @@ class GossipNode:
         self.network.multicast(self.node_id, message, exclude)
 
     def _request_from(self, peer: int, obj_id: bytes) -> None:
-        """Send a getdata and arm the retry timer for it."""
-        self._requested.add(obj_id)
-        if self.request_timeout > 0:
-            old = self._request_timers.get(obj_id)
-            if old is not None:
-                old.cancel()
-            self._request_timers[obj_id] = self.sim.schedule(
-                self.request_timeout, self._on_request_timeout, obj_id
-            )
+        """Send a getdata and book its retry timer.
+
+        The timer takes its sequence number before the getdata's
+        delivery does, and ``now + request_timeout`` as its deadline,
+        as a :meth:`Simulator.schedule` call would; a request already
+        outstanding for ``obj_id`` loses its timer.
+        """
+        timers = self._timers
+        if timers is None:
+            self._requested[obj_id] = None
+        else:
+            requested = self._requested
+            if requested.get(obj_id) == timers.armed_seq:
+                timers.disarm()
+            seq = next(self._sequence)
+            requested[obj_id] = seq
+            deadline = self.sim.now + timers.delay
+            if timers.armed is None:
+                timers.arm(deadline, seq, self, obj_id)
+            else:
+                entries = timers.entries
+                entries.append((deadline, seq, self, obj_id))
+                if len(entries) > timers.limit:
+                    timers.trim()
         self.network.send(
             self.node_id, peer, Message("getdata", obj_id, GETDATA_SIZE)
         )
 
     def _on_request_timeout(self, obj_id: bytes) -> None:
-        self._request_timers.pop(obj_id, None)
         if obj_id in self._store or obj_id in self._rejected:
             self._alt_sources.pop(obj_id, None)
             return
         # The response was lost (churn, partition, or an offline peer):
         # clear the outstanding mark so future invs can retrigger, and
         # retry immediately from the next peer that announced it.
-        self._requested.discard(obj_id)
+        self._requested.pop(obj_id, None)
         alternates = self._alt_sources.get(obj_id)
         if alternates:
             peer = alternates.pop(0)
@@ -336,10 +463,11 @@ class GossipNode:
 
     def _on_object(self, sender: int, stored: StoredObject) -> None:
         obj_id = stored.obj_id
-        self._requested.discard(obj_id)
-        timer = self._request_timers.pop(obj_id, None)
-        if timer is not None:
-            timer.cancel()
+        seq = self._requested.pop(obj_id, None)
+        if seq is not None:
+            timers = self._timers
+            if timers is not None and seq == timers.armed_seq:
+                timers.disarm()
         if obj_id in self._store or obj_id in self._rejected:
             self._alt_sources.pop(obj_id, None)
             if obj_id in self._rejected:

@@ -16,9 +16,12 @@ import itertools
 import math
 import random
 from collections.abc import Iterator
-from typing import Any, Callable, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Protocol
 
 from .events import Event
+
+if TYPE_CHECKING:
+    from .gossip import RequestTimers
 
 # (time, sequence, callback, args, handle); see repro.net.events.
 HeapEntry = tuple[float, int, Callable[..., Any], tuple[Any, ...], Event | None]
@@ -74,6 +77,10 @@ class Simulator:
         self.rng = random.Random(seed)
         self._events_processed = 0
         self._observers: list[DispatchObserver] = []
+        # The gossip layer's getdata retry timers, one queue per request
+        # timeout; each keeps only its earliest live timer on the heap.
+        # Emptied by discard_pending.
+        self.timer_queues: dict[float, RequestTimers] = {}
 
     @property
     def events_processed(self) -> int:
@@ -84,7 +91,11 @@ class Simulator:
 
         The pop it wraps takes and returns ``(time, sequence, callback,
         args, handle)`` entries; ``callback(*args)`` is what the entry
-        runs.  Observers must be pure: scheduling events, drawing from
+        runs.  A cancelled entry is popped too; if it is the one entry a
+        timer queue keeps on the heap, the loop then pushes the queue's
+        next timer (as it does when such an entry fires), so a pop can
+        be followed by a push that no callback made.  Observers must be
+        pure: scheduling events, drawing from
         ``rng`` or mutating node state from a pop or a probe breaks the
         guarantee that observed runs are bit-identical to bare runs,
         ``events_processed`` included.  With none attached the loop
@@ -102,7 +113,9 @@ class Simulator:
 
         A queued event holds its callback's receiver — a node, the
         network — so this is one of the two links that keep a finished
-        world alive (:meth:`Network.detach_all` cuts the other).
+        world alive (:meth:`Network.detach_all` cuts the other); a timer
+        queue holds the nodes whose timers it keeps, so every queue is
+        emptied too.
         """
         for entry in self._heap:
             handle = entry[4]
@@ -110,6 +123,8 @@ class Simulator:
                 handle._sim = None
         self._heap.clear()
         self._cancelled = 0
+        for queue in self.timer_queues.values():
+            queue.clear()
 
     def schedule(
         self, delay: float, callback: Callable[..., Any], *args: Any
@@ -118,7 +133,10 @@ class Simulator:
 
         Returns the handle that cancels it.  Passing the arguments here
         (rather than closing over them in a lambda) avoids one closure
-        allocation per scheduled event.
+        allocation per scheduled event.  A timer that is booked once per
+        message and nearly always cancelled (a getdata's retry timer)
+        does not come here: it joins a queue of its delay in
+        :attr:`timer_queues`, which keeps one heap entry for all of them.
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
@@ -165,7 +183,9 @@ class Simulator:
         and half the heap, the heap is rebuilt in place without them.
         Pop order is by the unique ``(time, sequence)`` key, so this
         moves no event; it keeps every push and pop shallow and frees
-        the dead entries' callbacks and arguments early.
+        the dead entries' callbacks and arguments early.  An entry whose
+        handle re-arms is kept even when cancelled: it was never
+        counted, and its queue books its next timer when it is popped.
         """
         cancelled = self._cancelled + 1
         heap = self._heap
@@ -173,7 +193,9 @@ class Simulator:
             heap[:] = [
                 entry
                 for entry in heap
-                if entry[4] is None or not entry[4].cancelled
+                if entry[4] is None
+                or not entry[4].cancelled
+                or entry[4].rearm is not None
             ]
             heapq.heapify(heap)
             cancelled = 0
@@ -190,7 +212,10 @@ class Simulator:
 
         Callbacks scheduling new events push onto the same heap list,
         and compaction rebuilds that list in place, so holding the
-        reference across iterations is safe.
+        reference across iterations is safe.  An entry whose handle
+        re-arms calls it as it leaves the heap, before its callback
+        when it fires; the re-armed timer is later than the entry, so
+        it is on the heap before it could be due.
         """
         if until is not None and until < self.now:
             raise ValueError(f"cannot run until the past ({until} < {self.now})")
@@ -207,7 +232,10 @@ class Simulator:
                 time, _seq, callback, args, handle = heap[0]
                 if handle is not None and handle.cancelled:
                     heappop(heap)
-                    self._cancelled -= 1
+                    if handle.rearm is None:
+                        self._cancelled -= 1
+                    else:
+                        handle.rearm()
                     continue
                 if time > horizon:
                     break
@@ -216,6 +244,8 @@ class Simulator:
                 heappop(heap)
                 if handle is not None:
                     handle._sim = None
+                    if handle.rearm is not None:
+                        handle.rearm()
                 self.now = time
                 if args:
                     callback(*args)

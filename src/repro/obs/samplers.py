@@ -92,11 +92,14 @@ class MempoolSampler(PeriodicSampler):
         until: float | None = None,
     ) -> None:
         super().__init__(period, until)
-        self.nodes = nodes
+        # Each pool's entry map, read once: a node binds its mempool, and
+        # a mempool its map, only at construction, so a sample takes
+        # every depth in one C-level pass.
+        self._entry_maps = [node.mempool._entries for node in nodes]
         self.tracer = tracer
 
     def sample(self, now: float) -> None:
-        depths = [len(node.mempool) for node in self.nodes]
+        depths = list(map(len, self._entry_maps))
         total = sum(depths)
         self.tracer.emit(
             "sample_mempool",

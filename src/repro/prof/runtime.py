@@ -99,12 +99,13 @@ class ProfilerRuntime:
         read.  A pop never followed by a probe was a cancelled entry's:
         its time stays unattributed inside the loop wall, so it lands —
         with the loop's own work and this bookkeeping — in the
-        ``dispatch`` residual, also when it is one of the cancelled
-        request timers a drained queue ends on.  Since the simulator
-        compacts cancelled entries out of the heap there are few: 11
-        after a 1000-node Bitcoin run (``btc_scale_1000``'s config,
-        seed 11), where 19,981 were popped before, 1.1–1.2% of its
-        simulate wall.
+        ``dispatch`` residual, also when it is the cancelled entry of a
+        getdata retry timer queue — whose re-arm, pushing the queue's
+        next timer, lands there too.  A queue keeps one entry on the
+        heap, so there are few: 2 after a 1000-node Bitcoin run
+        (``btc_scale_1000``'s config, seed 11), where a scheduled timer
+        per getdata left 11 once the simulator compacted cancelled
+        entries out and 19,981 before, 1.1–1.2% of its simulate wall.
         """
         clock = wall_clock
         attribute = self._attribute

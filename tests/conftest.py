@@ -34,6 +34,23 @@ def count_calls(monkeypatch):
     return install
 
 
+def nothing_armed(node) -> bool:
+    """No getdata of ``node`` is outstanding and none of its retry
+    timers is live on the event heap.
+
+    Its run's timer queue holds at most one heap entry; an entry for a
+    request that was satisfied or reset stays there, cancelled, until
+    it reaches the top, and the queue's other timers are live only
+    while ``_requested`` holds their sequence numbers.
+    """
+    return not node._requested and not any(
+        getattr(callback, "__self__", None) is node
+        and handle is not None
+        and not handle.cancelled
+        for _time, _seq, callback, _args, handle in node.sim._heap
+    )
+
+
 #: Work by block kind at the experiments' fixed difficulty: a trace row
 #: carries the kind, not the work.
 TRACE_WORK = {"block": 2, "key": 2, "micro": 0}

@@ -202,3 +202,39 @@ def test_a_finished_run_leaves_no_world_for_the_collector(protocol, monkeypatch)
     finally:
         gc.enable()
     assert result.blocks_generated == len(log.index) > 0
+
+
+def test_a_finished_run_frees_every_node_its_timer_queue_held(monkeypatch):
+    """The getdata retry timers of a run share one queue, which holds
+    the nodes whose timers it keeps; ``discard_pending`` empties it, so
+    no node outlives the run either."""
+    import gc
+    import weakref
+
+    from repro.net.gossip import RequestTimers
+    from repro.net.network import Network
+
+    nodes, queues, arms = [], [], []
+    attach, arm = Network.attach, RequestTimers.arm
+
+    def remembering(self, node_id, handler):
+        nodes.append(weakref.ref(handler))
+        queues.extend(handler.sim.timer_queues.values())
+        attach(self, node_id, handler)
+
+    def counting(self, *args):
+        arms.append(1)  # not the arguments: they hold a node
+        arm(self, *args)
+
+    monkeypatch.setattr(Network, "attach", remembering)
+    monkeypatch.setattr(RequestTimers, "arm", counting)
+    gc.collect()
+    gc.disable()  # reference counts alone must do it
+    try:
+        result, _log = run_experiment(SMALL)
+        assert nodes and all(node() is None for node in nodes)
+    finally:
+        gc.enable()
+    [queue, *_] = queues
+    assert arms and not queue.entries and queue.armed is None
+    assert result.blocks_generated > 0

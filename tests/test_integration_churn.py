@@ -16,6 +16,8 @@ from repro.net.network import Network
 from repro.net.simulator import Simulator
 from repro.net.topology import complete_topology
 
+from .conftest import nothing_armed
+
 
 def _bitcoin_cluster(n=5):
     sim = Simulator(seed=0)
@@ -115,7 +117,7 @@ def test_reset_relay_state_clears_stale_request_wedge():
     assert nodes[4].has_requested(block.hash)
     nodes[4].reset_relay_state()
     assert not nodes[4].has_requested(block.hash)
-    assert not nodes[4]._request_timers
+    assert nothing_armed(nodes[4])
     # ...and once cleared, the tip solicitation heals the node now
     # rather than after the request timeout.
     nodes[4].request_tips()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.net.events import Event
 from repro.net.simulator import MIN_CANCELLED_TO_COMPACT, Simulator
 
 
@@ -261,3 +262,43 @@ def test_discard_pending_detaches_handles():
     sim.discard_pending()
     timer.cancel()
     assert sim._cancelled == 0
+
+
+def _queue_entry(sim, time, log):
+    """Push one entry whose handle re-arms, as a timer queue does."""
+    heap, sequence = sim.booking()
+    handle = Event(None, lambda: log.append(("rearm", sim.now)))
+    heapq.heappush(heap, (time, next(sequence), log.append, (("fire", time),), handle))
+    return handle
+
+
+def test_an_entry_that_rearms_calls_it_before_its_callback():
+    sim = Simulator()
+    log = []
+    _queue_entry(sim, 2.0, log)
+    sim.run()
+    # The re-arm runs as the entry leaves the heap: before the clock
+    # moves to the entry's time and before its callback.
+    assert log == [("rearm", 0.0), ("fire", 2.0)]
+    assert sim.events_processed == 1
+
+
+def test_a_cancelled_entry_that_rearms_is_kept_by_compaction():
+    """It is never counted as cancelled, so compaction keeps it, and it
+    still re-arms (without firing) when it reaches the top."""
+    sim = Simulator()
+    log = []
+    handle = _queue_entry(sim, 5.0, log)
+    handle.cancel()  # built with no simulator: counts nothing
+    assert handle.cancelled and sim._cancelled == 0
+    timers = [sim.schedule(10.0, log.append, i) for i in range(200)]
+    for timer in timers[:150]:
+        timer.cancel()
+    # The 101st cancel rebuilt the heap with the 99 timers left and the
+    # re-arming entry; the 49 cancels after it are under the floor.
+    assert (len(sim._heap), sim._cancelled) == (99 + 1, 49)
+    assert any(entry[4] is handle for entry in sim._heap)
+    sim.run(until=6.0)
+    assert log == [("rearm", 0.0)] and sim.events_processed == 0
+    sim.run()
+    assert log[1:] == list(range(150, 200))

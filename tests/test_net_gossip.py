@@ -1,14 +1,20 @@
 """Gossip relay: dedup, inv/getdata handshake, flood mode."""
 
+import random
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.net.gossip import GossipNode, RelayMode, StoredObject
 from repro.net.latency import constant_histogram
-from repro.net.network import Network
-from repro.net.simulator import Simulator
+from repro.net.network import Message, Network
+from repro.net.simulator import MIN_CANCELLED_TO_COMPACT, Simulator
 from repro.net.topology import Topology, complete_topology, ring_topology
 from repro.obs.facade import Observability
 from repro.obs.trace import MemorySink, Tracer
+
+from .conftest import nothing_armed
 
 
 class CountingNode(GossipNode):
@@ -135,7 +141,7 @@ def test_probes_on_unseen_ids_leave_no_trace():
     assert node.get_object(unseen) is None
     assert node.has_requested(unseen) is False
     assert not node._store and not node._requested and not node._rejected
-    assert not node._alt_sources and not node._request_timers
+    assert not node._alt_sources and nothing_armed(node)
 
 
 def test_verification_delay_slows_relay():
@@ -343,7 +349,7 @@ def test_timely_delivery_cancels_retry_timer():
     nodes[0].announce(obj_id, "block", None, 100)
     sim.run()
     assert all(node.knows(obj_id) for node in nodes)
-    assert all(not node._request_timers for node in nodes)
+    assert all(nothing_armed(node) for node in nodes)
     assert all(not node._alt_sources for node in nodes)
     # Exactly one delivery each despite timers having been armed.
     assert all(len(node.delivered) == 1 for node in nodes)
@@ -450,7 +456,7 @@ def test_retry_source_is_skipped_and_the_other_neighbors_still_hear():
     assert sorted(hub_invs) == [1, 3, 4]
     for node in nodes:
         assert not node._requested and not node._alt_sources
-        assert not node._request_timers
+        assert nothing_armed(node)
 
 
 def test_vetoed_object_forgets_its_announcers():
@@ -497,3 +503,260 @@ def test_announcer_that_restarts_still_catches_up():
     sim.run()
     assert nodes[1].knows(second)
     assert all(not node._requested and not node._alt_sources for node in nodes)
+
+
+# -- request timers: one queue per timeout against one schedule per getdata --
+
+_TIMEOUTS = (0.0, 0.3, 1.0, 2.5)
+_IDS = [bytes([i]) * 32 for i in (0x61, 0x62, 0x63)] + [b"\xbb" * 32]
+_TWIN_NODES = 5
+
+
+class _TimedNode(VetoingNode):
+    """Logs every retry timer that fires as ``(time, node, obj_id)``."""
+
+    def __init__(self, *args, fired, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.fired = fired
+
+    def _on_request_timeout(self, obj_id):
+        self.fired.append((self.sim.now, self.node_id, obj_id))
+        super()._on_request_timeout(obj_id)
+
+
+class _ScheduledNode(_TimedNode):
+    """The oracle: one cancellable ``Simulator.schedule`` per getdata,
+    booked where the queue books its timer, cancelled wherever the
+    request is satisfied, replaced or reset."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._timers = None  # the base class books no queued timer
+        self.scheduled = {}
+
+    def _request_from(self, peer, obj_id):
+        if self.request_timeout > 0:
+            old = self.scheduled.get(obj_id)
+            if old is not None:
+                old.cancel()
+            self.scheduled[obj_id] = self.sim.schedule(
+                self.request_timeout, self._on_request_timeout, obj_id
+            )
+        super()._request_from(peer, obj_id)
+
+    def _on_request_timeout(self, obj_id):
+        self.scheduled.pop(obj_id, None)
+        super()._on_request_timeout(obj_id)
+
+    def _on_object(self, sender, stored):
+        timer = self.scheduled.pop(stored.obj_id, None)
+        if timer is not None:
+            timer.cancel()
+        super()._on_object(sender, stored)
+
+    def reset_relay_state(self):
+        for timer in self.scheduled.values():
+            timer.cancel()
+        self.scheduled.clear()
+        super().reset_relay_state()
+
+
+class _Dispatched:
+    """Keeps the ``(time, sequence)`` key of every entry that fires."""
+
+    def __init__(self):
+        self.keys = []
+
+    def wrap_dispatch(self, heappop, probe):
+        popped = None
+
+        def pop(heap):
+            nonlocal popped
+            popped = heappop(heap)
+            return popped
+
+        def after():
+            self.keys.append(popped[:2])
+            if probe is not None:
+                probe()
+
+        return pop, after
+
+
+class _TwinWorld:
+    def __init__(self, node_class, timeouts):
+        self.sim = Simulator(seed=0)
+        self.sink = MemorySink()
+        self.net = Network(
+            self.sim, complete_topology(_TWIN_NODES), constant_histogram(0.05),
+            bandwidth_bps=1e5, obs=Observability(tracer=Tracer(self.sink)),
+        )
+        self.fired = []
+        self.nodes = [
+            node_class(i, self.sim, self.net, request_timeout=timeout, fired=self.fired)
+            for i, timeout in enumerate(timeouts)
+        ]
+        self.dispatched = _Dispatched()
+        self.sim.attach(self.dispatched)
+
+    def apply(self, op):
+        kind = op[0]
+        sim, net, nodes = self.sim, self.net, self.nodes
+        if kind == "announce":
+            nodes[op[1]].announce(_IDS[op[2]], "block", None, 100)
+        elif kind == "inv":  # answered only if the sender holds it
+            net.send(op[1], _peer(op), Message("inv", (_IDS[op[3]], "block"), 61))
+        elif kind == "object":
+            stored = StoredObject(_IDS[op[3]], "block", None, 100)
+            net.send(op[1], _peer(op), Message("object", stored, 100))
+        elif kind == "request":  # each re-request kills the one before
+            for _ in range(op[4]):
+                nodes[op[1]].request_object(_peer(op), _IDS[op[3]])
+        elif kind == "reset":
+            nodes[op[1]].reset_relay_state()
+        elif kind == "crash":
+            net.set_offline(op[1])
+        elif kind == "restart":
+            net.set_online(op[1])
+            nodes[op[1]].reset_relay_state()
+        elif kind == "loss":
+            net.set_loss(op[1], random.Random(op[2]) if op[1] else None)
+        else:
+            sim.run(until=None if op[1] is None else sim.now + op[1], max_events=op[2])
+
+    def live_keys(self):
+        """``(time, sequence, is a retry timer)`` of each live heap entry."""
+        return sorted(
+            (time, seq, getattr(callback, "__name__", "") == "_on_request_timeout")
+            for time, seq, callback, _args, handle in self.sim._heap
+            if handle is None or not handle.cancelled
+        )
+
+    def observed(self):
+        self.net.tracer.flush()
+        return (
+            self.fired,
+            self.sim.events_processed,
+            self.sim.now,
+            self.dispatched.keys,
+            self.sink.records,
+            [
+                (sorted(node._requested), sorted(node._store), node.delivered)
+                for node in self.nodes
+            ],
+        )
+
+
+def _peer(op):
+    """The node ``op[2]`` steps past ``op[1]``: never ``op[1]`` itself."""
+    return (op[1] + op[2]) % _TWIN_NODES
+
+
+_NODE = st.integers(0, _TWIN_NODES - 1)
+_STEP = st.integers(1, _TWIN_NODES - 1)
+_OBJ = st.integers(0, len(_IDS) - 1)
+_TWIN_OPS = st.one_of(
+    st.tuples(st.just("announce"), _NODE, _OBJ),
+    st.tuples(st.just("inv"), _NODE, _STEP, _OBJ),
+    st.tuples(st.just("object"), _NODE, _STEP, _OBJ),
+    st.tuples(
+        st.just("request"), _NODE, _STEP, _OBJ, st.sampled_from((1, 2, 70))
+    ),
+    st.tuples(st.just("reset"), _NODE),
+    st.tuples(st.just("crash"), _NODE),
+    st.tuples(st.just("restart"), _NODE),
+    st.tuples(st.just("loss"), st.sampled_from((0.0, 0.3)), st.integers(0, 3)),
+    st.tuples(
+        st.just("run"),
+        st.none() | st.sampled_from((0.02, 0.05, 0.1, 0.3, 1.0, 2.5)),
+        st.none() | st.integers(0, 30),
+    ),
+)
+
+
+# A getdata lost to a peer that lacks the object, then its node reset,
+# restarted, re-requesting, or flooding the queue with dead timers.
+_LOST = [("inv", 0, 1, 0), ("run", 0.1, None)]
+
+
+@settings(max_examples=200, deadline=None)
+@example([1.0] * _TWIN_NODES, [*_LOST, ("reset", 1)])
+@example(
+    [1.0] * _TWIN_NODES,
+    [*_LOST, ("crash", 1), ("run", 0.5, None), ("restart", 1)],
+)
+@example([0.3, 1.0, 0.0, 2.5, 1.0], [*_LOST, ("request", 1, 1, 0, 2)])
+@example(
+    [1.0, 0.3, 0.0, 1.0, 2.5],
+    [
+        ("request", 0, 1, 0, 70),
+        ("request", 3, 1, 1, 70),
+        ("run", 0.3, None),
+        ("announce", 1, 0),
+    ],
+)
+@given(
+    st.lists(st.sampled_from(_TIMEOUTS), min_size=_TWIN_NODES, max_size=_TWIN_NODES),
+    st.lists(_TWIN_OPS, max_size=40),
+)
+def test_request_timers_fire_as_one_schedule_per_getdata(timeouts, program):
+    """Random invs, getdatas lost to a peer that lacks the object or to
+    churn and loss, explicit re-requests, resets and restarts, on nodes
+    with mixed timeouts (0 among them): the queued timers fire at the
+    oracle's times, for the same objects, in the same order, and leave
+    every dispatched ``(time, sequence)`` key, the event count and the
+    trace (its ``gossip_retry`` rows among them) as the oracle's.  The
+    heap holds no live entry the oracle lacks, and at most one retry
+    timer per timeout.  A drained run leaves every queue empty."""
+    queued = _TwinWorld(_TimedNode, timeouts)
+    oracle = _TwinWorld(_ScheduledNode, timeouts)
+    for op in [*program, ("run", None, None)]:
+        queued.apply(op)
+        oracle.apply(op)
+        assert queued.observed() == oracle.observed()
+        live = queued.live_keys()
+        assert set(live) <= set(oracle.live_keys())
+        assert [key for key in live if not key[2]] == [
+            key for key in oracle.live_keys() if not key[2]
+        ]
+        timer_entries = [
+            entry for entry in queued.sim._heap
+            if getattr(entry[2], "__name__", "") == "_on_request_timeout"
+        ]
+        assert len(timer_entries) <= len({t for t in timeouts if t > 0})
+    assert not queued.sim._heap
+    assert all(
+        not queue.entries and queue.armed is None
+        for queue in queued.sim.timer_queues.values()
+    )
+
+
+def test_dead_timers_are_trimmed_from_the_queue():
+    """Each re-request kills the timer before it; the queue is rebuilt
+    without the dead ones as it passes the floor, so between requests
+    it never holds more than the floor."""
+    sim, net, nodes = _stall_mesh(request_timeout=5.0)
+    timers = nodes[1]._timers
+    lengths = []
+    for _ in range(500):
+        nodes[1].request_object(0, b"\x48" * 32)
+        lengths.append(len(timers.entries))
+    assert max(lengths) == MIN_CANCELLED_TO_COMPACT
+    assert timers.limit == MIN_CANCELLED_TO_COMPACT
+    sim.run()
+    # The one live request timed out (node 0 never had the object) and
+    # nothing else fired.
+    assert sim.events_processed == 500 + 1
+    assert not timers.entries and timers.armed is None
+
+
+def test_discard_pending_empties_the_timer_queue():
+    sim, net, nodes = _stall_mesh(request_timeout=5.0)
+    for node in nodes[1:]:
+        node.request_object(0, b"\x49" * 32)
+    [timers] = sim.timer_queues.values()
+    assert timers.armed is not None and len(timers.entries) == 1
+    net.detach_all()
+    sim.discard_pending()
+    assert not sim._heap and not timers.entries
+    assert (timers.armed, timers.armed_seq) == (None, -1)

@@ -31,6 +31,8 @@ from repro.protocols import get_adapter
 from repro.sanitizer.runtime import sanitizer_for
 from repro.scenarios import ScenarioEngine
 
+from .conftest import nothing_armed
+
 ALL_PROTOCOLS = tuple(Protocol)
 
 # Two request timeouts (120 s each) fit in the cooldown, so a getdata
@@ -116,7 +118,7 @@ def test_crash_partition_heal_loss_converges_with_nothing_outstanding(protocol):
     for node in nodes:
         assert not node._requested
         assert not node._alt_sources
-        assert not node._request_timers
+        assert nothing_armed(node)
 
 
 @pytest.mark.xfail(

@@ -1,7 +1,10 @@
 """Periodic samplers: cadence, trace records, folded peaks, non-interference."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.ledger.mempool import Mempool
 from repro.net.latency import constant_histogram
 from repro.net.network import Message, Network
 from repro.net.simulator import Simulator
@@ -27,7 +30,9 @@ class _CountingSampler(PeriodicSampler):
 
 class _FakeNode:
     def __init__(self, mempool_depth, tip):
-        self.mempool = list(range(mempool_depth))
+        self.mempool = Mempool()
+        for i in range(mempool_depth):
+            self.mempool.add(SimpleNamespace(txid=bytes([i]) * 32, inputs=()))
         self.tip = tip
 
 
