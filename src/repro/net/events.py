@@ -13,19 +13,16 @@ which is the single hottest comparison site in a million-event run.
 The pair ``(time, sequence)`` is unique, so a comparison never reaches
 the callback.  ``handle`` is an :class:`Event` for entries booked
 through :meth:`~repro.net.simulator.Simulator.schedule` — the one call
-whose return value anyone cancels (the mining scheduler does) — and
-for the one entry a queue of fixed-delay timers keeps on the heap
-(the gossip layer's getdata retry timers, see
-:class:`repro.net.gossip.RequestTimers`); it is ``None`` for every
-message delivery.
+whose return value anyone cancels (the mining scheduler does, once per
+run) — and for the one entry the run's queue of getdata retry timers
+keeps on the heap (see :class:`repro.net.gossip.RequestTimers`); it is
+``None`` for every message delivery.  A cancelled entry stays in the
+heap until it reaches the top and is popped unfired.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
-
-if TYPE_CHECKING:
-    from .simulator import Simulator
+from typing import Callable
 
 
 class Event:
@@ -33,34 +30,15 @@ class Event:
 
     ``rearm``, when set, is called as the entry leaves the heap, whether
     it fires or is popped cancelled: a timer queue that keeps only its
-    earliest timer on the heap books the next one there.  Such an entry
-    stands for its queue, not for one dead event, so the simulator
-    neither counts it as cancelled nor compacts it away; it is built
-    with no simulator, and its queue cancels it by setting
-    ``cancelled``.
+    earliest timer on the heap books the next one there.
     """
 
-    __slots__ = ("cancelled", "_sim", "rearm")
+    __slots__ = ("cancelled", "rearm")
 
-    def __init__(
-        self, sim: Simulator | None, rearm: Callable[[], None] | None = None
-    ) -> None:
+    def __init__(self, rearm: Callable[[], None] | None = None) -> None:
         self.cancelled = False
-        # The simulator whose heap holds the entry; None once the entry
-        # has fired, been cancelled or been discarded, and always for an
-        # entry that re-arms.
-        self._sim: Simulator | None = sim
         self.rearm = rearm
 
     def cancel(self) -> None:
-        """Drop the event instead of firing it.
-
-        Only the first cancel of an entry still in the heap is counted
-        by the simulator, so cancelling twice, or after the event fired,
-        changes nothing.
-        """
+        """Drop the event instead of firing it (a no-op once it fired)."""
         self.cancelled = True
-        sim = self._sim
-        if sim is not None:
-            self._sim = None
-            sim._count_cancelled()

@@ -31,7 +31,7 @@ from typing import Any
 from ..obs.trace import short_hash
 from .events import Event
 from .network import Message, Network
-from .simulator import MIN_CANCELLED_TO_COMPACT, Simulator
+from .simulator import Simulator
 
 # Wire sizes for control messages, matching Bitcoin's protocol framing:
 # an inv/getdata with one entry is 24 byte header + 37 byte payload.
@@ -39,6 +39,15 @@ INV_SIZE = 61
 GETDATA_SIZE = 61
 # A tip solicitation is an empty getheaders in miniature: header only.
 GETTIP_SIZE = 24
+
+# How long a node waits for a requested object before it gives up on
+# that peer and retries from the next one that announced it.  Generous:
+# a 1 MB block takes ~80 s to serialize at the paper's 100 kbit/s, and
+# a premature timeout would duplicate traffic.
+REQUEST_TIMEOUT = 120.0
+# A timer queue is rebuilt without its dead timers once it holds more
+# than this many, or twice what was live at its last rebuild.
+MIN_TIMERS_TO_TRIM = 64
 
 
 class RelayMode(enum.Enum):
@@ -71,11 +80,12 @@ class StoredObject:
 
 
 class RequestTimers:
-    """The retry timers of every getdata a run books with one timeout.
+    """The retry timers of every getdata a run books.
 
     A getdata's timer is a ``(deadline, sequence, node, obj_id)`` tuple
-    in a FIFO, in booking order; with one delay the deadlines never
-    decrease, so the FIFO is in the heap's ``(time, sequence)`` order.
+    in a FIFO, in booking order; every timer waits
+    :data:`REQUEST_TIMEOUT`, so the deadlines never decrease and the
+    FIFO is in the heap's ``(time, sequence)`` order.
     The timer is live while ``node._requested[obj_id]`` holds its
     sequence number, so satisfying, replacing or resetting a request is
     a dict operation on the node and touches no timer.  Only the oldest
@@ -87,20 +97,17 @@ class RequestTimers:
     fires exactly when and in the order a scheduled one would.  Dead
     timers are dropped as the queue is walked, and the whole queue is
     rebuilt without them once it passes twice what was live at the
-    last rebuild, so it stays within a constant factor of the requests
-    outstanding.
+    last rebuild (at least :data:`MIN_TIMERS_TO_TRIM`), so it stays
+    within a constant factor of the requests outstanding.
 
-    One queue per ``(simulator, timeout)``, found in
-    :attr:`Simulator.timer_queues`; every :class:`GossipNode` fetches
-    its own once, at construction, so ``request_timeout`` is fixed for
-    the node's life.
+    One queue per simulator, in :attr:`Simulator.request_timers`; the
+    run's first :class:`GossipNode` builds it and every node keeps a
+    reference.
     """
 
-    __slots__ = ("delay", "entries", "armed", "armed_seq", "limit", "_heap")
+    __slots__ = ("entries", "armed", "armed_seq", "limit", "_heap")
 
-    def __init__(self, sim: Simulator, delay: float) -> None:
-        # Every timer's deadline is its booking time plus this.
-        self.delay = delay
+    def __init__(self, sim: Simulator) -> None:
         self.entries: deque[tuple[float, int, GossipNode, bytes]] = deque()
         # The handle of the queue's one heap entry; None when the heap
         # holds none (and then ``entries`` is empty).
@@ -109,14 +116,14 @@ class RequestTimers:
         # once it is cancelled (or when nothing is armed).
         self.armed_seq = -1
         # ``entries`` is rebuilt without its dead timers once longer than this.
-        self.limit = MIN_CANCELLED_TO_COMPACT
+        self.limit = MIN_TIMERS_TO_TRIM
         self._heap = sim.booking()[0]
 
     def arm(
         self, deadline: float, seq: int, node: GossipNode, obj_id: bytes
     ) -> None:
         """Put one timer on the heap as this queue's entry."""
-        handle = Event(None, self._rearm)
+        handle = Event(self._rearm)
         self.armed = handle
         self.armed_seq = seq
         heappush(
@@ -155,7 +162,7 @@ class RequestTimers:
         ]
         entries.clear()
         entries.extend(live)
-        self.limit = max(MIN_CANCELLED_TO_COMPACT, 2 * len(live))
+        self.limit = max(MIN_TIMERS_TO_TRIM, 2 * len(live))
 
     def clear(self) -> None:
         """Forget every timer (the run is over; see
@@ -180,7 +187,6 @@ class GossipNode:
         network: Network,
         relay_mode: RelayMode = RelayMode.INV,
         verification_seconds_per_byte: float = 0.0,
-        request_timeout: float = 120.0,
     ) -> None:
         self.node_id = node_id
         self.sim = sim
@@ -190,38 +196,21 @@ class GossipNode:
         # the paper notes large blocks "take longer to verify and
         # propagate", so the delay is proportional to size.
         self.verification_seconds_per_byte = verification_seconds_per_byte
-        # How long to wait for a requested object before giving up on
-        # that peer and retrying elsewhere (0 disables).  Generous by
-        # default: a 1 MB block takes ~80 s to serialize at the paper's
-        # 100 kbit/s, and a premature timeout would duplicate traffic.
-        # Fixed for the node's life: its timers join the run's queue
-        # for this timeout, which sets their deadlines.
-        self.request_timeout = request_timeout
-        self._timers: RequestTimers | None = None
-        if request_timeout > 0:
-            queues = sim.timer_queues
-            timers = queues.get(request_timeout)
-            if timers is None:
-                timers = queues[request_timeout] = RequestTimers(
-                    sim, request_timeout
-                )
-            self._timers = timers
+        timers = sim.request_timers
+        if timers is None:
+            timers = sim.request_timers = RequestTimers(sim)
+        self._timers = timers
         self._sequence = sim.booking()[1]
         self._store: dict[bytes, StoredObject] = {}
         # Outstanding getdatas: object id -> the sequence number of its
-        # retry timer (None with no timer).  A timer is live while the
-        # entry holds its number.
-        self._requested: dict[bytes, int | None] = {}
+        # retry timer.  A timer is live while the entry holds its number.
+        self._requested: dict[bytes, int] = {}
         self._rejected: set[bytes] = set()
         # While a getdata is outstanding, remember *other* peers that
         # announced the same object: a request that times out (response
         # lost to churn or a partition) is retried from the next one, and
         # relay skips them all — bitcoind's per-peer setInventoryKnown.
         self._alt_sources: dict[bytes, list[int]] = {}
-        # Adjacency never changes mid-run (churn is modelled as offline
-        # sets, not edge removal), so the neighbor list is cached once
-        # instead of looked up per relayed object.
-        self._neighbors: list[int] = network.neighbors(node_id)
         # Observability: None when disabled, so tracing costs one
         # attribute check at the (rare) sites that emit records.
         self._tracer = network.tracer
@@ -291,7 +280,7 @@ class GossipNode:
         the armed one is on the heap, and it is cancelled.
         """
         timers = self._timers
-        if timers is not None and timers.armed_seq in self._requested.values():
+        if timers.armed_seq in self._requested.values():
             timers.disarm()
         self._requested.clear()
         self._alt_sources.clear()
@@ -381,27 +370,24 @@ class GossipNode:
         """Send a getdata and book its retry timer.
 
         The timer takes its sequence number before the getdata's
-        delivery does, and ``now + request_timeout`` as its deadline,
+        delivery does, and ``now + REQUEST_TIMEOUT`` as its deadline,
         as a :meth:`Simulator.schedule` call would; a request already
         outstanding for ``obj_id`` loses its timer.
         """
         timers = self._timers
-        if timers is None:
-            self._requested[obj_id] = None
+        requested = self._requested
+        if requested.get(obj_id) == timers.armed_seq:
+            timers.disarm()
+        seq = next(self._sequence)
+        requested[obj_id] = seq
+        deadline = self.sim.now + REQUEST_TIMEOUT
+        if timers.armed is None:
+            timers.arm(deadline, seq, self, obj_id)
         else:
-            requested = self._requested
-            if requested.get(obj_id) == timers.armed_seq:
-                timers.disarm()
-            seq = next(self._sequence)
-            requested[obj_id] = seq
-            deadline = self.sim.now + timers.delay
-            if timers.armed is None:
-                timers.arm(deadline, seq, self, obj_id)
-            else:
-                entries = timers.entries
-                entries.append((deadline, seq, self, obj_id))
-                if len(entries) > timers.limit:
-                    timers.trim()
+            entries = timers.entries
+            entries.append((deadline, seq, self, obj_id))
+            if len(entries) > timers.limit:
+                timers.trim()
         self.network.send(
             self.node_id, peer, Message("getdata", obj_id, GETDATA_SIZE)
         )
@@ -463,11 +449,9 @@ class GossipNode:
 
     def _on_object(self, sender: int, stored: StoredObject) -> None:
         obj_id = stored.obj_id
-        seq = self._requested.pop(obj_id, None)
-        if seq is not None:
-            timers = self._timers
-            if timers is not None and seq == timers.armed_seq:
-                timers.disarm()
+        timers = self._timers
+        if self._requested.pop(obj_id, None) == timers.armed_seq:
+            timers.disarm()
         if obj_id in self._store or obj_id in self._rejected:
             self._alt_sources.pop(obj_id, None)
             if obj_id in self._rejected:

@@ -87,7 +87,6 @@ class Network:
         self.obs = obs if obs is not None else NULL_OBS
         self.tracer = self.obs.tracer
         self._obs_on = self.obs.enabled
-        self._adjacency = topology.neighbor_map()
         # Indexed by node id (None = nothing attached): delivery is the
         # single most frequent dispatch in a run, and a list index beats
         # a dict probe there.
@@ -155,9 +154,6 @@ class Network:
         garbage collection to find.
         """
         self._handlers = [None] * len(self._handlers)
-
-    def neighbors(self, node_id: int) -> list[int]:
-        return self._adjacency[node_id]
 
     def link(self, src: int, dst: int) -> LinkView:
         """The directed link src→dst; raises KeyError if not adjacent."""
@@ -376,10 +372,6 @@ class Network:
             heappush(
                 heap, (arrival, next(sequence), deliver, (src, dst, message), None)
             )
-
-    def broadcast(self, src: int, message: Message) -> None:
-        """Send to every neighbor of ``src``."""
-        self.multicast(src, message)
 
     def _deliver(self, src: int, dst: int, message: Message) -> None:
         offline = self._offline

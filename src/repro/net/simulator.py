@@ -28,12 +28,6 @@ HeapEntry = tuple[float, int, Callable[..., Any], tuple[Any, ...], Event | None]
 HeapPop = Callable[[list[HeapEntry]], HeapEntry]
 Probe = Callable[[], None]
 
-# Cancelled entries stay in the heap until popped, unless there are more
-# than this many and they are more than half of it: then the heap is
-# rebuilt without them.  asyncio's BaseEventLoop uses the same rule
-# (_MIN_CANCELLED_TIMER_HANDLES_FRACTION = 0.5).
-MIN_CANCELLED_TO_COMPACT = 64
-
 
 class DispatchObserver(Protocol):
     """Something that watches the dispatch loop (see :meth:`Simulator.attach`).
@@ -50,9 +44,8 @@ class DispatchObserver(Protocol):
 
         ``heappop`` removes the next heap entry, a ``(time, sequence,
         callback, args, handle)`` tuple; the loop calls it once per live
-        event and once per cancelled entry that reaches the heap top
-        (cancelled entries the simulator compacts away are never
-        popped).  ``probe`` — ``None`` when nobody before this observer
+        event and once per cancelled entry that reaches the heap top.
+        ``probe`` — ``None`` when nobody before this observer
         wants one — runs after every dispatched event's callback.  The
         returned pop must return what the given pop returns and the
         returned probe must call the given probe, so observers stack in
@@ -66,8 +59,6 @@ class Simulator:
 
     def __init__(self, seed: int = 0) -> None:
         self._heap: list[HeapEntry] = []
-        # Entries in the heap whose handle is cancelled.
-        self._cancelled = 0
         # Ties in time pop in booking order: every entry takes the next
         # number from this one counter, whoever books it.
         self._sequence = itertools.count()
@@ -77,10 +68,10 @@ class Simulator:
         self.rng = random.Random(seed)
         self._events_processed = 0
         self._observers: list[DispatchObserver] = []
-        # The gossip layer's getdata retry timers, one queue per request
-        # timeout; each keeps only its earliest live timer on the heap.
-        # Emptied by discard_pending.
-        self.timer_queues: dict[float, RequestTimers] = {}
+        # The gossip layer's getdata retry timers, built by the run's
+        # first GossipNode; the queue keeps only its earliest live timer
+        # on the heap.  Emptied by discard_pending.
+        self.request_timers: RequestTimers | None = None
 
     @property
     def events_processed(self) -> int:
@@ -91,12 +82,12 @@ class Simulator:
 
         The pop it wraps takes and returns ``(time, sequence, callback,
         args, handle)`` entries; ``callback(*args)`` is what the entry
-        runs.  A cancelled entry is popped too; if it is the one entry a
-        timer queue keeps on the heap, the loop then pushes the queue's
-        next timer (as it does when such an entry fires), so a pop can
-        be followed by a push that no callback made.  Observers must be
-        pure: scheduling events, drawing from
-        ``rng`` or mutating node state from a pop or a probe breaks the
+        runs.  A cancelled entry is popped too; if it is the one entry
+        the timer queue keeps on the heap, the loop then pushes the
+        queue's next timer (as it does when such an entry fires), so a
+        pop can be followed by a push that no callback made.  Observers
+        must be pure: scheduling events, drawing from ``rng`` or
+        mutating node state from a pop or a probe breaks the
         guarantee that observed runs are bit-identical to bare runs,
         ``events_processed`` included.  With none attached the loop
         pays one ``None`` check per event (bounded in
@@ -113,18 +104,13 @@ class Simulator:
 
         A queued event holds its callback's receiver — a node, the
         network — so this is one of the two links that keep a finished
-        world alive (:meth:`Network.detach_all` cuts the other); a timer
-        queue holds the nodes whose timers it keeps, so every queue is
+        world alive (:meth:`Network.detach_all` cuts the other); the
+        timer queue holds the nodes whose timers it keeps, so it is
         emptied too.
         """
-        for entry in self._heap:
-            handle = entry[4]
-            if handle is not None:
-                handle._sim = None
         self._heap.clear()
-        self._cancelled = 0
-        for queue in self.timer_queues.values():
-            queue.clear()
+        if self.request_timers is not None:
+            self.request_timers.clear()
 
     def schedule(
         self, delay: float, callback: Callable[..., Any], *args: Any
@@ -133,14 +119,17 @@ class Simulator:
 
         Returns the handle that cancels it.  Passing the arguments here
         (rather than closing over them in a lambda) avoids one closure
-        allocation per scheduled event.  A timer that is booked once per
-        message and nearly always cancelled (a getdata's retry timer)
-        does not come here: it joins a queue of its delay in
-        :attr:`timer_queues`, which keeps one heap entry for all of them.
+        allocation per scheduled event.  A cancelled entry stays in the
+        heap until it reaches the top: a run cancels about one (the
+        mining scheduler's last draw), so nothing compacts the heap.  A
+        timer that is booked once per message and nearly always
+        satisfied (a getdata's retry timer) does not come here: it joins
+        :attr:`request_timers`, which keeps one heap entry for all of
+        them.
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        handle = Event(self)
+        handle = Event()
         heapq.heappush(
             self._heap,
             (self.now + delay, next(self._sequence), callback, args, handle),
@@ -169,37 +158,12 @@ class Simulator:
         :func:`heapq.heappush`, which is :meth:`schedule_at` without the
         method call and the past-time check — so ``time`` must already
         be ``>= now``.  Both objects live as long as the simulator
-        (compaction and :meth:`discard_pending` work in place), so the
-        pair can be fetched once and kept.  The network's delivery
+        (:meth:`discard_pending` clears the heap in place), so the pair
+        can be fetched once and kept.  The network's delivery
         booking (``Network.send`` / ``Network.multicast``) is the one
         caller.
         """
         return self._heap, self._sequence
-
-    def _count_cancelled(self) -> None:
-        """One more heap entry was cancelled (called by :meth:`Event.cancel`).
-
-        When the cancelled entries pass :data:`MIN_CANCELLED_TO_COMPACT`
-        and half the heap, the heap is rebuilt in place without them.
-        Pop order is by the unique ``(time, sequence)`` key, so this
-        moves no event; it keeps every push and pop shallow and frees
-        the dead entries' callbacks and arguments early.  An entry whose
-        handle re-arms is kept even when cancelled: it was never
-        counted, and its queue books its next timer when it is popped.
-        """
-        cancelled = self._cancelled + 1
-        heap = self._heap
-        if cancelled > MIN_CANCELLED_TO_COMPACT and 2 * cancelled > len(heap):
-            heap[:] = [
-                entry
-                for entry in heap
-                if entry[4] is None
-                or not entry[4].cancelled
-                or entry[4].rearm is not None
-            ]
-            heapq.heapify(heap)
-            cancelled = 0
-        self._cancelled = cancelled
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Process events in order until the queue empties.
@@ -211,11 +175,10 @@ class Simulator:
         clock at the last event it processed.
 
         Callbacks scheduling new events push onto the same heap list,
-        and compaction rebuilds that list in place, so holding the
-        reference across iterations is safe.  An entry whose handle
-        re-arms calls it as it leaves the heap, before its callback
-        when it fires; the re-armed timer is later than the entry, so
-        it is on the heap before it could be due.
+        so holding the reference across iterations is safe.  An entry
+        whose handle re-arms calls it as it leaves the heap, before its
+        callback when it fires; the re-armed timer is later than the
+        entry, so it is on the heap before it could be due.
         """
         if until is not None and until < self.now:
             raise ValueError(f"cannot run until the past ({until} < {self.now})")
@@ -232,9 +195,7 @@ class Simulator:
                 time, _seq, callback, args, handle = heap[0]
                 if handle is not None and handle.cancelled:
                     heappop(heap)
-                    if handle.rearm is None:
-                        self._cancelled -= 1
-                    else:
+                    if handle.rearm is not None:
                         handle.rearm()
                     continue
                 if time > horizon:
@@ -242,10 +203,8 @@ class Simulator:
                 if processed == budget:
                     return
                 heappop(heap)
-                if handle is not None:
-                    handle._sim = None
-                    if handle.rearm is not None:
-                        handle.rearm()
+                if handle is not None and handle.rearm is not None:
+                    handle.rearm()
                 self.now = time
                 if args:
                     callback(*args)

@@ -87,14 +87,6 @@ class Topology:
         indptr, indices = self.csr()
         return indices[indptr[node] : indptr[node + 1]]
 
-    def neighbor_map(self) -> dict[int, list[int]]:
-        """Precomputed adjacency lists for the whole graph."""
-        indptr, indices = self.csr()
-        return {
-            node: indices[indptr[node] : indptr[node + 1]]
-            for node in range(self.n_nodes)
-        }
-
     def degree(self, node: int) -> int:
         indptr, _ = self.csr()
         return indptr[node + 1] - indptr[node]

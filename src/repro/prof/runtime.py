@@ -101,11 +101,11 @@ class ProfilerRuntime:
         with the loop's own work and this bookkeeping — in the
         ``dispatch`` residual, also when it is the cancelled entry of a
         getdata retry timer queue — whose re-arm, pushing the queue's
-        next timer, lands there too.  A queue keeps one entry on the
-        heap, so there are few: 2 after a 1000-node Bitcoin run
-        (``btc_scale_1000``'s config, seed 11), where a scheduled timer
-        per getdata left 11 once the simulator compacted cancelled
-        entries out and 19,981 before, 1.1–1.2% of its simulate wall.
+        next timer, lands there too.  The queue keeps one entry on the
+        heap and a run cancels one event of its own, so there are few:
+        2 after a 1000-node Bitcoin run (``btc_scale_1000``'s config,
+        seed 11), where one scheduled timer per getdata, uncompacted,
+        left 19,981, 1.1–1.2% of its simulate wall.
         """
         clock = wall_clock
         attribute = self._attribute

@@ -154,7 +154,6 @@ class SanitizerRuntime:
         self.violations: list[ViolationRecord] = []
         self.sweeps = 0
         self.audits = 0
-        self.events_seen = 0
         self._sim: Simulator | None = None
         self.nodes: Sequence[ChainNode] = ()
         self._seen_blocks: list[set[bytes]] = []
@@ -232,7 +231,6 @@ class SanitizerRuntime:
         return heappop, chained
 
     def _probe(self) -> None:
-        self.events_seen += 1
         self._sweep_countdown -= 1
         if self._sweep_countdown <= 0:
             self._sweep_countdown = self.stride

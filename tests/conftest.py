@@ -38,10 +38,11 @@ def nothing_armed(node) -> bool:
     """No getdata of ``node`` is outstanding and none of its retry
     timers is live on the event heap.
 
-    Its run's timer queue holds at most one heap entry; an entry for a
-    request that was satisfied or reset stays there, cancelled, until
-    it reaches the top, and the queue's other timers are live only
-    while ``_requested`` holds their sequence numbers.
+    The run's one timer queue (``sim.request_timers``) holds at most
+    one heap entry; an entry for a request that was satisfied or reset
+    stays there, cancelled, until it reaches the top, and the queue's
+    other timers are live only while ``_requested`` holds their
+    sequence numbers.
     """
     return not node._requested and not any(
         getattr(callback, "__self__", None) is node

@@ -219,7 +219,7 @@ def test_a_finished_run_frees_every_node_its_timer_queue_held(monkeypatch):
 
     def remembering(self, node_id, handler):
         nodes.append(weakref.ref(handler))
-        queues.extend(handler.sim.timer_queues.values())
+        queues.append(handler.sim.request_timers)
         attach(self, node_id, handler)
 
     def counting(self, *args):
@@ -236,5 +236,6 @@ def test_a_finished_run_frees_every_node_its_timer_queue_held(monkeypatch):
     finally:
         gc.enable()
     [queue, *_] = queues
+    assert all(other is queue for other in queues)
     assert arms and not queue.entries and queue.armed is None
     assert result.blocks_generated > 0

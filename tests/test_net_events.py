@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.events import Event
-from repro.net.simulator import MIN_CANCELLED_TO_COMPACT, Simulator
+from repro.net.simulator import Simulator
 
 
 def test_fires_in_time_order():
@@ -73,21 +73,9 @@ def test_negative_time_rejected():
 # -- the event core against a naive reference ---------------------------------
 
 
-def _live(sim):
-    return sum(
-        1 for entry in sim._heap if entry[4] is None or not entry[4].cancelled
-    )
-
-
-def _assert_heap_bounded(sim):
-    """Cancelled entries never outnumber both the floor and the live ones."""
-    live = _live(sim)
-    assert len(sim._heap) <= live + max(MIN_CANCELLED_TO_COMPACT, live)
-
-
 class _Reference:
     """The event core as a dict scanned for its minimum on every step:
-    no heap, no handles, no compaction."""
+    no heap and no handles."""
 
     def __init__(self):
         self.pending = {}  # sequence -> (time, sequence, label, lo, hi)
@@ -146,9 +134,9 @@ _OPS = st.one_of(
 @given(st.lists(_OPS, max_size=25))
 def test_event_core_matches_sorted_list_reference(program):
     """Random schedule / schedule_at / booked-batch / cancel programs —
-    double cancels, cancels after firing, cancels from inside callbacks
-    (compaction mid-loop) — fire what the reference fires, in its order,
-    with its clock and its event count.  A batch is pushed through
+    double cancels, cancels after firing, cancels from inside callbacks —
+    fire what the reference fires, in its order, with its clock and its
+    event count.  A batch is pushed through
     :meth:`Simulator.booking`, the way the network books deliveries,
     and shares the one sequence counter with the scheduling calls."""
     sim = Simulator()
@@ -158,23 +146,10 @@ def test_event_core_matches_sorted_list_reference(program):
     fired = []
     labels = iter(range(10**9))
 
-    def cancel(index):
-        # Cancelling a pending entry restores the bound.  Firing live
-        # entries can leave the cancelled ones above half the heap until
-        # then, as in asyncio, so a no-op cancel (double, after firing,
-        # after discard_pending) is checked to count and compact nothing.
-        pending = handles[index]._sim is not None
-        before = (len(sim._heap), sim._cancelled)
-        handles[index].cancel()
-        if pending:
-            _assert_heap_bounded(sim)
-        else:
-            assert (len(sim._heap), sim._cancelled) == before
-
     def fire(label, lo, hi):
         fired.append((label, sim.now))
         for index in range(lo, min(hi, len(handles))):
-            cancel(index)
+            handles[index].cancel()
 
     def run(until, max_events):
         sim.run(until=until, max_events=max_events)
@@ -211,63 +186,19 @@ def test_event_core_matches_sorted_list_reference(program):
                 ref.push(ref.now + delay, label, 0, 0, cancellable=True)
         elif kind == "cancel":
             for index in range(op[1], min(op[2], len(handles))):
-                cancel(index)
+                handles[index].cancel()
                 ref.cancel(index)
         else:
             until = None if op[1] is None else sim.now + op[1]
             run(until, op[2])
     run(None, None)
-    assert sim._heap == [] and sim._cancelled == 0
-
-
-def test_cancel_inside_a_callback_compacts_mid_loop():
-    sim = Simulator()
-    fired = []
-    timers = [sim.schedule(10.0 + i, fired.append, i) for i in range(200)]
-
-    def cancel_most():
-        for timer in timers[:150]:
-            timer.cancel()
-        fired.append("cancelled")
-
-    sim.schedule(1.0, cancel_most)
-    sim.schedule_at(10.5, fired.append, "message")
-    sim.run(until=5.0)
-    # The 101st cancel is more than 64 and more than half of the 201
-    # entries, so the heap was rebuilt with the other 100; the 49
-    # cancels after it are under the floor and stay.
-    assert (len(sim._heap), _live(sim), sim._cancelled) == (100, 51, 49)
-    sim.run()
-    assert fired == ["cancelled", "message", *range(150, 200)]
-    assert sim.events_processed == 52
-
-
-def test_double_cancel_and_cancel_after_firing_count_nothing():
-    sim = Simulator()
-    fired = []
-    early = sim.schedule(1.0, fired.append, "early")
-    late = sim.schedule(2.0, fired.append, "late")
-    sim.run(until=1.5)
-    early.cancel()  # already fired
-    late.cancel()
-    late.cancel()  # twice
-    assert sim._cancelled == 1
-    sim.run()
-    assert fired == ["early"] and sim._cancelled == 0 and sim.now == 1.5
-
-
-def test_discard_pending_detaches_handles():
-    sim = Simulator()
-    timer = sim.schedule(1.0, lambda: None)
-    sim.discard_pending()
-    timer.cancel()
-    assert sim._cancelled == 0
+    assert sim._heap == []
 
 
 def _queue_entry(sim, time, log):
     """Push one entry whose handle re-arms, as a timer queue does."""
     heap, sequence = sim.booking()
-    handle = Event(None, lambda: log.append(("rearm", sim.now)))
+    handle = Event(lambda: log.append(("rearm", sim.now)))
     heapq.heappush(heap, (time, next(sequence), log.append, (("fire", time),), handle))
     return handle
 
@@ -283,22 +214,14 @@ def test_an_entry_that_rearms_calls_it_before_its_callback():
     assert sim.events_processed == 1
 
 
-def test_a_cancelled_entry_that_rearms_is_kept_by_compaction():
-    """It is never counted as cancelled, so compaction keeps it, and it
-    still re-arms (without firing) when it reaches the top."""
+def test_a_cancelled_entry_that_rearms_calls_it_without_firing():
+    """It stays in the heap until it reaches the top; there it re-arms
+    and is dropped unfired, uncounted."""
     sim = Simulator()
     log = []
-    handle = _queue_entry(sim, 5.0, log)
-    handle.cancel()  # built with no simulator: counts nothing
-    assert handle.cancelled and sim._cancelled == 0
-    timers = [sim.schedule(10.0, log.append, i) for i in range(200)]
-    for timer in timers[:150]:
-        timer.cancel()
-    # The 101st cancel rebuilt the heap with the 99 timers left and the
-    # re-arming entry; the 49 cancels after it are under the floor.
-    assert (len(sim._heap), sim._cancelled) == (99 + 1, 49)
-    assert any(entry[4] is handle for entry in sim._heap)
+    _queue_entry(sim, 5.0, log).cancel()
+    sim.schedule(10.0, log.append, "late")
     sim.run(until=6.0)
     assert log == [("rearm", 0.0)] and sim.events_processed == 0
     sim.run()
-    assert log[1:] == list(range(150, 200))
+    assert log == [("rearm", 0.0), "late"] and sim.events_processed == 1

@@ -6,10 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.net.gossip import GossipNode, RelayMode, StoredObject
+from repro.net.gossip import (
+    GETDATA_SIZE,
+    MIN_TIMERS_TO_TRIM,
+    REQUEST_TIMEOUT,
+    GossipNode,
+    RelayMode,
+    StoredObject,
+)
 from repro.net.latency import constant_histogram
 from repro.net.network import Message, Network
-from repro.net.simulator import MIN_CANCELLED_TO_COMPACT, Simulator
+from repro.net.simulator import Simulator
 from repro.net.topology import Topology, complete_topology, ring_topology
 from repro.obs.facade import Observability
 from repro.obs.trace import MemorySink, Tracer
@@ -286,13 +293,10 @@ def test_locally_announced_invalid_object_not_relayed():
     assert not nodes[0].knows(bad_id)
 
 
-def _stall_mesh(request_timeout=5.0):
+def _stall_mesh():
     sim = Simulator(seed=0)
     net = Network(sim, complete_topology(3), constant_histogram(0.05), 1e6)
-    nodes = [
-        CountingNode(i, sim, net, request_timeout=request_timeout)
-        for i in range(3)
-    ]
+    nodes = [CountingNode(i, sim, net) for i in range(3)]
     return sim, net, nodes
 
 
@@ -328,18 +332,6 @@ def test_request_timeout_clears_stuck_requested_entry():
     nodes[2].announce(obj_id, "block", None, 100)
     sim.run()
     assert nodes[1].knows(obj_id)
-
-
-def test_request_timeout_zero_disables_retry():
-    """timeout=0 reproduces the old stalling behaviour (opt-out)."""
-    sim, net, nodes = _stall_mesh(request_timeout=0.0)
-    obj_id = b"\x44" * 32
-    nodes[0].announce(obj_id, "block", None, 100)
-    sim.schedule(0.06, lambda: net.set_offline(0))
-    sim.schedule(1.0, lambda: nodes[2].announce(obj_id, "block", None, 100))
-    sim.run()
-    # Node 1's request is wedged forever: node 2's inv was ignored.
-    assert not nodes[1].knows(obj_id)
 
 
 def test_timely_delivery_cancels_retry_timer():
@@ -439,7 +431,7 @@ def test_retry_source_is_skipped_and_the_other_neighbors_still_hear():
     """Hub 0 hears X from leaves 1 and 2; its getdata to 1 is lost (1
     goes offline), the timeout retries from 2, and the relay that
     follows skips 2 but reaches leaves 3 and 4 (and tries 1 again)."""
-    sim, net, nodes, records = _traced_mesh(_star(4), request_timeout=5.0)
+    sim, net, nodes, records = _traced_mesh(_star(4))
     obj_id = b"\x54" * 32
     nodes[1].announce(obj_id, "block", None, 100)
     sim.schedule(0.01, lambda: nodes[2].announce(obj_id, "block", None, 100))
@@ -505,9 +497,8 @@ def test_announcer_that_restarts_still_catches_up():
     assert all(not node._requested and not node._alt_sources for node in nodes)
 
 
-# -- request timers: one queue per timeout against one schedule per getdata --
+# -- request timers: one queue per run against one schedule per getdata -----
 
-_TIMEOUTS = (0.0, 0.3, 1.0, 2.5)
 _IDS = [bytes([i]) * 32 for i in (0x61, 0x62, 0x63)] + [b"\xbb" * 32]
 _TWIN_NODES = 5
 
@@ -527,37 +518,31 @@ class _TimedNode(VetoingNode):
 class _ScheduledNode(_TimedNode):
     """The oracle: one cancellable ``Simulator.schedule`` per getdata,
     booked where the queue books its timer, cancelled wherever the
-    request is satisfied, replaced or reset."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._timers = None  # the base class books no queued timer
-        self.scheduled = {}
+    request is satisfied, replaced or reset.  ``_requested`` holds the
+    handle where the base class holds a sequence number, so the base
+    class never takes it for the armed timer, and the run's queue stays
+    empty."""
 
     def _request_from(self, peer, obj_id):
-        if self.request_timeout > 0:
-            old = self.scheduled.get(obj_id)
-            if old is not None:
-                old.cancel()
-            self.scheduled[obj_id] = self.sim.schedule(
-                self.request_timeout, self._on_request_timeout, obj_id
-            )
-        super()._request_from(peer, obj_id)
-
-    def _on_request_timeout(self, obj_id):
-        self.scheduled.pop(obj_id, None)
-        super()._on_request_timeout(obj_id)
+        old = self._requested.get(obj_id)
+        if old is not None:
+            old.cancel()
+        self._requested[obj_id] = self.sim.schedule(
+            REQUEST_TIMEOUT, self._on_request_timeout, obj_id
+        )
+        self.network.send(
+            self.node_id, peer, Message("getdata", obj_id, GETDATA_SIZE)
+        )
 
     def _on_object(self, sender, stored):
-        timer = self.scheduled.pop(stored.obj_id, None)
+        timer = self._requested.get(stored.obj_id)
         if timer is not None:
             timer.cancel()
         super()._on_object(sender, stored)
 
     def reset_relay_state(self):
-        for timer in self.scheduled.values():
+        for timer in self._requested.values():
             timer.cancel()
-        self.scheduled.clear()
         super().reset_relay_state()
 
 
@@ -584,7 +569,7 @@ class _Dispatched:
 
 
 class _TwinWorld:
-    def __init__(self, node_class, timeouts):
+    def __init__(self, node_class):
         self.sim = Simulator(seed=0)
         self.sink = MemorySink()
         self.net = Network(
@@ -593,8 +578,8 @@ class _TwinWorld:
         )
         self.fired = []
         self.nodes = [
-            node_class(i, self.sim, self.net, request_timeout=timeout, fired=self.fired)
-            for i, timeout in enumerate(timeouts)
+            node_class(i, self.sim, self.net, fired=self.fired)
+            for i in range(_TWIN_NODES)
         ]
         self.dispatched = _Dispatched()
         self.sim.attach(self.dispatched)
@@ -668,7 +653,9 @@ _TWIN_OPS = st.one_of(
     st.tuples(st.just("loss"), st.sampled_from((0.0, 0.3)), st.integers(0, 3)),
     st.tuples(
         st.just("run"),
-        st.none() | st.sampled_from((0.02, 0.05, 0.1, 0.3, 1.0, 2.5)),
+        # Hops take about 0.05 s; a timer is due REQUEST_TIMEOUT after
+        # its getdata.
+        st.none() | st.sampled_from((0.02, 0.05, 0.1, 0.3, 1.0, 60.0, 120.0)),
         st.none() | st.integers(0, 30),
     ),
 )
@@ -680,36 +667,29 @@ _LOST = [("inv", 0, 1, 0), ("run", 0.1, None)]
 
 
 @settings(max_examples=200, deadline=None)
-@example([1.0] * _TWIN_NODES, [*_LOST, ("reset", 1)])
+@example([*_LOST, ("reset", 1)])
+@example([*_LOST, ("crash", 1), ("run", 0.5, None), ("restart", 1)])
+@example([*_LOST, ("request", 1, 1, 0, 2)])
 @example(
-    [1.0] * _TWIN_NODES,
-    [*_LOST, ("crash", 1), ("run", 0.5, None), ("restart", 1)],
-)
-@example([0.3, 1.0, 0.0, 2.5, 1.0], [*_LOST, ("request", 1, 1, 0, 2)])
-@example(
-    [1.0, 0.3, 0.0, 1.0, 2.5],
     [
         ("request", 0, 1, 0, 70),
         ("request", 3, 1, 1, 70),
         ("run", 0.3, None),
         ("announce", 1, 0),
-    ],
+    ]
 )
-@given(
-    st.lists(st.sampled_from(_TIMEOUTS), min_size=_TWIN_NODES, max_size=_TWIN_NODES),
-    st.lists(_TWIN_OPS, max_size=40),
-)
-def test_request_timers_fire_as_one_schedule_per_getdata(timeouts, program):
+@given(st.lists(_TWIN_OPS, max_size=40))
+def test_request_timers_fire_as_one_schedule_per_getdata(program):
     """Random invs, getdatas lost to a peer that lacks the object or to
-    churn and loss, explicit re-requests, resets and restarts, on nodes
-    with mixed timeouts (0 among them): the queued timers fire at the
-    oracle's times, for the same objects, in the same order, and leave
-    every dispatched ``(time, sequence)`` key, the event count and the
-    trace (its ``gossip_retry`` rows among them) as the oracle's.  The
-    heap holds no live entry the oracle lacks, and at most one retry
-    timer per timeout.  A drained run leaves every queue empty."""
-    queued = _TwinWorld(_TimedNode, timeouts)
-    oracle = _TwinWorld(_ScheduledNode, timeouts)
+    churn and loss, explicit re-requests, resets and restarts: the
+    queued timers fire at the oracle's times, for the same objects, in
+    the same order, and leave every dispatched ``(time, sequence)``
+    key, the event count and the trace (its ``gossip_retry`` rows among
+    them) as the oracle's.  The heap holds no live entry the oracle
+    lacks, and at most one retry timer.  A drained run leaves the queue
+    empty."""
+    queued = _TwinWorld(_TimedNode)
+    oracle = _TwinWorld(_ScheduledNode)
     for op in [*program, ("run", None, None)]:
         queued.apply(op)
         oracle.apply(op)
@@ -723,26 +703,24 @@ def test_request_timers_fire_as_one_schedule_per_getdata(timeouts, program):
             entry for entry in queued.sim._heap
             if getattr(entry[2], "__name__", "") == "_on_request_timeout"
         ]
-        assert len(timer_entries) <= len({t for t in timeouts if t > 0})
+        assert len(timer_entries) <= 1
     assert not queued.sim._heap
-    assert all(
-        not queue.entries and queue.armed is None
-        for queue in queued.sim.timer_queues.values()
-    )
+    timers = queued.sim.request_timers
+    assert not timers.entries and timers.armed is None
 
 
 def test_dead_timers_are_trimmed_from_the_queue():
     """Each re-request kills the timer before it; the queue is rebuilt
     without the dead ones as it passes the floor, so between requests
     it never holds more than the floor."""
-    sim, net, nodes = _stall_mesh(request_timeout=5.0)
-    timers = nodes[1]._timers
+    sim, net, nodes = _stall_mesh()
+    timers = sim.request_timers
     lengths = []
     for _ in range(500):
         nodes[1].request_object(0, b"\x48" * 32)
         lengths.append(len(timers.entries))
-    assert max(lengths) == MIN_CANCELLED_TO_COMPACT
-    assert timers.limit == MIN_CANCELLED_TO_COMPACT
+    assert max(lengths) == MIN_TIMERS_TO_TRIM
+    assert timers.limit == MIN_TIMERS_TO_TRIM
     sim.run()
     # The one live request timed out (node 0 never had the object) and
     # nothing else fired.
@@ -751,10 +729,10 @@ def test_dead_timers_are_trimmed_from_the_queue():
 
 
 def test_discard_pending_empties_the_timer_queue():
-    sim, net, nodes = _stall_mesh(request_timeout=5.0)
+    sim, net, nodes = _stall_mesh()
     for node in nodes[1:]:
         node.request_object(0, b"\x49" * 32)
-    [timers] = sim.timer_queues.values()
+    timers = sim.request_timers
     assert timers.armed is not None and len(timers.entries) == 1
     net.detach_all()
     sim.discard_pending()

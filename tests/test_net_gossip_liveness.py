@@ -176,7 +176,7 @@ def test_no_inv_to_a_recorded_announcer_and_everyone_gets_everything(
     def checking_multicast(self, src, message, exclude=()):
         if message.kind == "inv":
             announcers = heard.get((src, message.payload[0]), set())
-            told = set(self.neighbors(src)) - set(exclude)
+            told = set(self.topology.neighbors(src)) - set(exclude)
             resent.extend((src, peer) for peer in told & announcers)
         multicast(self, src, message, exclude)
 

@@ -44,7 +44,7 @@ def test_send_delivers_after_latency_and_serialization():
 
 def test_broadcast_reaches_all_neighbors():
     sim, net, sinks = _network(n=4)
-    net.broadcast(0, Message("hello", 42, 10))
+    net.multicast(0, Message("hello", 42, 10))
     sim.run()
     for sink in sinks[1:]:
         assert len(sink.received) == 1
@@ -341,7 +341,7 @@ def _fanout_world(edges, bandwidth, backlog, obs_on, loss_rate, offline, blocked
     for node, recorder in enumerate(sinks):
         net.attach(node, recorder)
     for src, dst, size in backlog:
-        if dst in net.neighbors(src):
+        if dst in topology.neighbors(src):
             net.send(src, dst, Message("backlog", None, size))
     sim.run(until=0.5)
     for node in offline:
@@ -387,7 +387,7 @@ def test_multicast_equals_one_send_per_neighbor_in_sorted_order(
     sim_m, net_m, sinks_m, sink_m, loss_m = _fanout_world(*world)
     sim_s, net_s, sinks_s, sink_s, loss_s = _fanout_world(*world)
     net_m.multicast(src, message, exclude)
-    for dst in sorted(net_s.neighbors(src)):
+    for dst in net_s.topology.neighbors(src):
         if dst not in exclude:
             net_s.send(src, dst, message)
 

@@ -48,7 +48,7 @@ def oracle_arrivals(network, miner, gen_time, size, verify_per_byte):
         if u in done or at != arrival[u]:
             continue  # finalized already, or a superseded estimate
         done.add(u)
-        for w in network.neighbors(u):
+        for w in network.topology.neighbors(u):
             if w in done:
                 continue
             out, back = network.link(u, w), network.link(w, u)

@@ -247,9 +247,14 @@ def _scripted_run(observers=()):
     runs dry; a cancelled event sits at the heap top when leg one
     starts and more are cancelled along the way.
     """
+    from repro.sanitizer.runtime import SanitizerRuntime
+
     sim = Simulator(seed=3)
     for observer in observers:
-        sim.attach(observer)
+        if isinstance(observer, SanitizerRuntime):
+            observer.install(sim, [])  # it sweeps only once installed
+        else:
+            sim.attach(observer)
     fired = []
 
     def tick(name, depth):
@@ -326,10 +331,11 @@ def test_observed_scripted_run_equals_bare(stack):
     """Shipped observers, alone and stacked, never perturb a run — cut by
     ``max_events``, cut by ``until``, or with cancelled events on top."""
     from repro.prof.runtime import ProfilerRuntime
+    from repro.sanitizer.checkers import InvariantChecker
     from repro.sanitizer.runtime import SanitizerRuntime
 
     observers = [
-        SanitizerRuntime((), stride=1)
+        SanitizerRuntime((InvariantChecker(),), stride=1)
         if name == "sanitizer"
         else ProfilerRuntime()
         for name in stack.split("-")
@@ -338,7 +344,7 @@ def test_observed_scripted_run_equals_bare(stack):
     assert (fired, legs) == _scripted_run()
     for observer in observers:
         if isinstance(observer, SanitizerRuntime):
-            assert observer.events_seen == len(fired)
+            assert observer.sweeps == len(fired)
         else:
             profile = observer.build_profile({}, 0.0, 1.0, len(fired))
             assert profile.phases["heappop"].calls == len(fired)

@@ -39,7 +39,7 @@ def test_random_topology_validation():
 
 def test_neighbors_sorted_and_symmetric():
     topo = random_topology(20, rng=random.Random(1))
-    adjacency = topo.neighbor_map()
+    adjacency = {node: topo.neighbors(node) for node in range(topo.n_nodes)}
     for node, peers in adjacency.items():
         assert peers == sorted(peers)
         for peer in peers:

@@ -266,10 +266,12 @@ def test_loop_wall_covers_the_cancelled_pops_a_drained_queue_ends_on(monkeypatch
 
 def test_profiler_times_a_sanitizer_attached_first():
     from repro.net.simulator import Simulator
-    from repro.sanitizer import SanitizerRuntime
+    from repro.sanitizer import InvariantChecker, SanitizerRuntime
 
     sim = Simulator()
-    sanitizer = SanitizerRuntime((), stride=4)
+    # A checker and stride 1, so the sanitizer sweeps once per event
+    # the profiler hands its probe.
+    sanitizer = SanitizerRuntime((InvariantChecker(),), stride=1)
     sanitizer.install(sim, [])
     runtime = ProfilerRuntime()
     runtime.install(sim, 0)
@@ -277,9 +279,9 @@ def test_profiler_times_a_sanitizer_attached_first():
         sim.schedule(index, lambda: None)
     sim.schedule(3.5, lambda: None).cancel()
     sim.run()
+    assert sanitizer.sweeps == sim.events_processed == 30
     sanitizer.finalize()
     profile = runtime.build_profile({}, 0.0, 1.0, sim.events_processed)
-    assert sanitizer.events_seen == sim.events_processed == 30
     assert profile.phases["sanitize"].calls == 30
     assert profile.phases["heappop"].calls == 30
     assert profile.attributed_seconds == pytest.approx(
