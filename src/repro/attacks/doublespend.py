@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..bitcoin.blocks import SyntheticPayload
-from ..bitcoin.chain import TieBreak
 from ..crypto.hashing import hash160
 from ..crypto.keys import PrivateKey
 from ..core.blocks import Microblock, build_key_block, build_microblock
@@ -65,7 +64,7 @@ def run_doublespend_scenario(
         key_block_interval=100.0, min_microblock_interval=10.0
     )
     genesis = make_ng_genesis()
-    chain = NGChain(genesis, params, tie_break=TieBreak.FIRST_SEEN)
+    chain = NGChain(genesis, params)
     cheater_key = PrivateKey.from_seed("cheating-leader")
     honest_key = PrivateKey.from_seed("honest-leader")
 

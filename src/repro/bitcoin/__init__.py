@@ -13,7 +13,7 @@ from .blocks import (
     make_genesis,
     mine,
 )
-from .chain import BlockRecord, BlockTree, Reorg, TieBreak
+from .chain import BlockRecord, BlockTree, Reorg
 from .node import DEFAULT_BLOCK_REWARD, BitcoinNode, BlockPolicy
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "InvalidBlock",
     "Reorg",
     "SyntheticPayload",
-    "TieBreak",
     "TxPayload",
     "build_block",
     "check_block",

@@ -3,8 +3,10 @@
 "To resolve forks ... the winning chain is the heaviest one, that is,
 the one that required (in expectancy) the most mining power to generate.
 All miners add blocks to the heaviest chain of which they know, with
-random tie-breaking" (Section 3).  The operational client instead keeps
-the first branch it heard of (footnote 2); both policies are provided.
+random tie-breaking" (Section 3).  Every tree here breaks a tie that
+way, once: one draw when a newcomer draws level with the branch the
+node holds, and a low draw keeps the held branch.  (The operational
+client keeps the first branch it heard of, footnote 2.)
 
 The tree tracks cumulative work, computes reorganization paths, buffers
 orphans whose parents have not arrived yet, and reports pruned branches
@@ -21,19 +23,11 @@ and override only those.
 
 from __future__ import annotations
 
-import enum
 import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .blocks import Block, InvalidBlock
-
-
-class TieBreak(enum.Enum):
-    """Policy when two branches have exactly equal cumulative work."""
-
-    FIRST_SEEN = "first-seen"  # operational Bitcoin client
-    RANDOM = "random"  # the paper's (and [21]'s) recommendation
 
 
 @dataclass(slots=True)
@@ -73,13 +67,11 @@ class BlockTree:
     def __init__(
         self,
         genesis: Block,
-        tie_break: TieBreak = TieBreak.FIRST_SEEN,
         rng: random.Random | None = None,
     ) -> None:
         self._orphans: dict[bytes, list[Block]] = {}
         # Blocks dropped by :meth:`forget`; empty on an honest network.
         self._refused: set[bytes] = set()
-        self.tie_break = tie_break
         self.rng = rng or random.Random(0)
         self.genesis_hash = genesis.hash
         if genesis.height == -1:  # the root's tree facts
@@ -248,10 +240,10 @@ class BlockTree:
         """The tip to hold now that ``candidate`` has connected."""
         if candidate.cumulative_work < current.cumulative_work:
             return current
-        if candidate.cumulative_work == current.cumulative_work and (
-            self.tie_break is TieBreak.FIRST_SEEN or self.rng.random() < 0.5
-        ):
-            return current
+        if candidate.cumulative_work == current.cumulative_work:
+            # A tie: one draw, and a low one keeps the held branch.
+            if self.rng.random() < 0.5:
+                return current
         return candidate
 
     def forget(self, block_hash: bytes, tip: bytes) -> set[bytes]:

@@ -31,7 +31,7 @@ from ..net.gossip import GossipNode, RelayMode, StoredObject
 from ..net.network import Network
 from ..net.simulator import Simulator
 from .blocks import Block, SyntheticPayload, TxPayload, build_block, check_block
-from .chain import BlockTree, TieBreak
+from .chain import BlockTree
 
 # Default block subsidy (25 BTC, the 2015 value).
 DEFAULT_BLOCK_REWARD = 25 * COIN
@@ -278,7 +278,6 @@ class BitcoinNode(ChainNode):
         genesis: Block,
         log: ObservationLog,
         policy: BlockPolicy | None = None,
-        tie_break: TieBreak = TieBreak.FIRST_SEEN,
         relay_mode: RelayMode = RelayMode.INV,
         require_pow: bool = False,
         check_signatures: bool = True,
@@ -289,7 +288,7 @@ class BitcoinNode(ChainNode):
             node_id,
             sim,
             network,
-            self._build_tree(genesis, tie_break, sim.rng),
+            self._build_tree(genesis, sim.rng),
             log,
             relay_mode,
             verification_seconds_per_byte,
@@ -302,11 +301,9 @@ class BitcoinNode(ChainNode):
         self._block_counter = 0
         self.blocks_mined = 0
 
-    def _build_tree(
-        self, genesis: Block, tie_break: TieBreak, rng: random.Random
-    ) -> BlockTree:
+    def _build_tree(self, genesis: Block, rng: random.Random) -> BlockTree:
         """The fork-choice rule this node runs (GHOST's node overrides)."""
-        return BlockTree(genesis, tie_break=tie_break, rng=rng)
+        return BlockTree(genesis, rng)
 
     # -- mining ----------------------------------------------------------
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..bitcoin.chain import BlockTree, TieBreak
+from ..bitcoin.chain import BlockTree
 from .blocks import InvalidNGBlock, KeyBlock, Microblock
 from .params import NGParams
 
@@ -56,10 +56,9 @@ class NGChain(BlockTree):
         self,
         genesis: KeyBlock,
         params: NGParams,
-        tie_break: TieBreak = TieBreak.RANDOM,
         rng: random.Random | None = None,
     ) -> None:
-        super().__init__(genesis, tie_break, rng)
+        super().__init__(genesis, rng)
         if genesis.key_height == -1:  # the root's epoch facts
             genesis.__dict__.update(
                 key_height=0, leader_pubkey=genesis.header.leader_pubkey
@@ -165,13 +164,10 @@ class NGChain(BlockTree):
         # so extending it means being its child.)
         if candidate.header.prev_hash == self._tip:
             return candidate
-        # Competing key blocks (Figure 3): tie-break policy applies.  A
-        # competing microblock (leader equivocation) loses to the first seen.
-        if (
-            candidate.is_key
-            and self.tie_break is not TieBreak.FIRST_SEEN
-            and self.rng.random() >= 0.5
-        ):
+        # Competing key blocks (Figure 3): one draw, and a high one takes
+        # the tip.  A competing microblock (leader equivocation) loses to
+        # the first seen, with no draw.
+        if candidate.is_key and self.rng.random() >= 0.5:
             return candidate
         return current
 

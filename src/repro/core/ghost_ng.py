@@ -19,8 +19,8 @@ from .chain import NGChain
 
 
 class GhostNGChain(HeaviestSubtree, NGChain):
-    """An NG chain whose key-block fork choice is heaviest-subtree."""
+    """An NG chain whose key-block fork choice is heaviest-subtree.
 
-    # Under NG only key blocks add to a chain's work, so this is the
-    # aggregate *key* work in each block's subtree.
-    subtree_key_work = HeaviestSubtree.subtree_work
+    Under NG only key blocks add to a chain's work, so a block's subtree
+    work is the aggregate *key* work under it.
+    """

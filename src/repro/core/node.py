@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ..bitcoin.blocks import SyntheticPayload, TxPayload
-from ..bitcoin.chain import TieBreak
 from ..bitcoin.node import ChainNode
 from ..crypto.hashing import hash160
 from ..crypto.keys import PrivateKey
@@ -43,6 +42,9 @@ from .remuneration import build_ng_coinbase
 
 KIND_KEY = "key"
 KIND_MICRO = "micro"
+# Key-block difficulty: the mining scheduler decides who wins, so every
+# key block carries the regtest target, as Bitcoin's BlockPolicy does.
+KEY_BLOCK_BITS = 0x207FFFFF
 
 
 @dataclass
@@ -74,23 +76,19 @@ class NGNode(ChainNode):
         log: ObservationLog,
         policy: MicroblockPolicy | None = None,
         microblock_interval: float | None = None,
-        tie_break: TieBreak = TieBreak.RANDOM,
         relay_mode: RelayMode = RelayMode.INV,
         require_pow: bool = False,
         check_signatures: bool = True,
         verification_seconds_per_byte: float = 0.0,
         key: PrivateKey | None = None,
-        bits: int = 0x207FFFFF,
         ghost_fork_choice: bool = False,
     ) -> None:
         if ghost_fork_choice:
             # Section 9 future work: GHOST over key blocks, enabling
             # higher key-block frequencies.
-            chain: NGChain = GhostNGChain(
-                genesis, params, tie_break=tie_break, rng=sim.rng
-            )
+            chain: NGChain = GhostNGChain(genesis, params, sim.rng)
         else:
-            chain = NGChain(genesis, params, tie_break=tie_break, rng=sim.rng)
+            chain = NGChain(genesis, params, sim.rng)
         super().__init__(
             node_id,
             sim,
@@ -105,7 +103,6 @@ class NGNode(ChainNode):
         )
         self.params = params
         self.policy = policy or MicroblockPolicy()
-        self.bits = bits
         # The rate the leader actually generates at; must respect the cap.
         self.microblock_interval = (
             microblock_interval
@@ -154,7 +151,7 @@ class NGNode(ChainNode):
         block = build_key_block(
             prev_hash=tip,
             timestamp=self.sim.now,
-            bits=self.bits,
+            bits=KEY_BLOCK_BITS,
             leader_pubkey=self.pubkey_bytes,
             coinbase=coinbase,
         )

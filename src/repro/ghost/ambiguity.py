@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..bitcoin.blocks import Block, SyntheticPayload, build_block
-from ..bitcoin.chain import TieBreak
 from .chain import GhostTree
 
 
@@ -77,7 +76,7 @@ def build_appendix_a() -> AppendixAScenario:
     }
 
     def tree_with(labels: list[str]) -> GhostTree:
-        tree = GhostTree(genesis, tie_break=TieBreak.FIRST_SEEN)
+        tree = GhostTree(genesis)
         for label in labels:
             tree.add_block(blocks[label])
         return tree

@@ -7,13 +7,14 @@ Sompolinsky & Zohar [45]).
 
 The rule is written once, as a mix-in over any :class:`BlockTree`: it
 keeps per-block *subtree work* incrementally — adding a block bumps
-every ancestor's subtree weight — and reads the main chain by greedily
-descending into the heaviest subtree from the genesis.
+every ancestor's subtree weight — and holds the tip that a greedy
+descent into the heaviest subtree from the genesis reaches, weighing a
+newcomer where its branch leaves the held one.
 """
 
 from __future__ import annotations
 
-from ..bitcoin.chain import BlockTree, TieBreak
+from ..bitcoin.chain import BlockTree
 
 
 class HeaviestSubtree:
@@ -53,32 +54,41 @@ class HeaviestSubtree:
             self._credit(parent.hash, work)
 
     def _choose_tip(self, candidate, current):
-        """Greedy heaviest-subtree descent from the genesis."""
+        """The held tip, unless ``candidate``'s side outweighs it where
+        the two branches part (``candidate`` raised weights only on its
+        own path).  A side that draws level with work of its own takes
+        the k-way tie among the fork's children with one draw, with
+        probability 1/k; a weightless one never does."""
+        fork, held, rival = self._branches(current, candidate)
+        if not held:  # an extension of the tip
+            return candidate
         subtree = self._subtree
         children = self._children
-        cursor = self.genesis_hash
+        held_weight = subtree[held[-1].hash]
+        cursor = rival[-1].hash
+        if subtree[cursor] < held_weight:
+            return current
+        if subtree[cursor] == held_weight:
+            if not subtree[candidate.hash]:  # an NG microblock
+                return current
+            ties = sum(subtree[c] == held_weight for c in children[fork.hash])
+            # As in Bitcoin's tree, a low draw keeps the held side.
+            if self.rng.random() * ties < ties - 1:
+                return current
+        # The rival side wins: descend greedily into it, drawing only
+        # among children that tie.
         while children[cursor]:
-            best_children: list[bytes] = []
-            best_weight = -1
-            for child in children[cursor]:
-                weight = subtree[child]
-                if weight > best_weight:
-                    best_weight = weight
-                    best_children = [child]
-                elif weight == best_weight:
-                    best_children.append(child)
-            if len(best_children) > 1 and self.tie_break is TieBreak.RANDOM:
-                cursor = self.rng.choice(best_children)
-            else:
-                # FIRST_SEEN: children are in arrival order; keep the first.
-                cursor = best_children[0]
+            best = max(subtree[c] for c in children[cursor])
+            tied = [c for c in children[cursor] if subtree[c] == best]
+            cursor = tied[0] if len(tied) == 1 else self.rng.choice(tied)
         return self._blocks[cursor]
 
     def forget(self, block_hash: bytes, tip: bytes) -> set[bytes]:
         """Take the dropped subtree's work back as well.
 
         It also counted for the held tip's ancestors against *their*
-        siblings, so the next insertion's descent may move the tip.
+        siblings; the tip moves only when a later rival outweighs it at
+        the fork.
         """
         parent = self._blocks[block_hash].header.prev_hash
         self._credit(parent, -self._subtree[block_hash])
@@ -88,22 +98,25 @@ class HeaviestSubtree:
         return forgotten
 
     def assert_consistent(self) -> None:
-        """Subtree weights must equal the sum over descendants."""
+        """Subtree weights equal the sum over descendants, and the tip
+        is a leaf reached by always stepping to a heaviest child."""
         total: dict[bytes, int] = {}
         blocks = self._blocks
+        children = self._children
         for block in sorted(blocks.values(), key=lambda b: -b.height):
             block_hash = block.hash
-            total[block_hash] = sum(
-                total[child] for child in self._children[block_hash]
-            )
+            total[block_hash] = sum(total[child] for child in children[block_hash])
             if block_hash != self.genesis_hash:
                 parent = blocks[block.header.prev_hash]
                 total[block_hash] += block.cumulative_work - parent.cumulative_work
             if total[block_hash] != self._subtree[block_hash]:
                 raise self.invalid("subtree work out of sync")
-        tip = blocks[self._tip]
-        if tip is not self._choose_tip(tip, tip):
-            raise self.invalid("tip diverges from GHOST descent")
+        if children[self._tip]:
+            raise self.invalid("tip is not a leaf")
+        path = self.main_chain()
+        for parent, child in zip(path, path[1:]):
+            if total[child] != max(total[c] for c in children[parent]):
+                raise self.invalid("tip diverges from GHOST descent")
 
 
 class GhostTree(HeaviestSubtree, BlockTree):

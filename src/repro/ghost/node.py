@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 
 from ..bitcoin.blocks import Block
-from ..bitcoin.chain import TieBreak
 from ..bitcoin.node import BitcoinNode
 from .chain import GhostTree
 
@@ -19,7 +18,5 @@ from .chain import GhostTree
 class GhostNode(BitcoinNode):
     """A miner/relay node running the GHOST selection rule."""
 
-    def _build_tree(
-        self, genesis: Block, tie_break: TieBreak, rng: random.Random
-    ) -> GhostTree:
-        return GhostTree(genesis, tie_break=tie_break, rng=rng)
+    def _build_tree(self, genesis: Block, rng: random.Random) -> GhostTree:
+        return GhostTree(genesis, rng)

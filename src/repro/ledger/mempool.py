@@ -1,11 +1,9 @@
 """The mempool: transactions awaiting serialization into blocks.
 
-The paper pre-fills every node's mempool "with the same set of
-independent transactions that can be serialized in arbitrary order" and
-then disables transaction propagation.  This mempool supports both that
-experimental mode (bulk seeding, FIFO draining) and normal operation
-(fee-rate-ordered block template construction, double-spend rejection,
-eviction of conflicting entries after a block connects).
+Fee-rate-ordered block template construction, double-spend rejection,
+and eviction of conflicting entries after a block connects.  (The
+paper's pre-filled pools of independent transactions are the blocks'
+``SyntheticPayload``, not mempool entries.)
 """
 
 from __future__ import annotations
@@ -34,9 +32,6 @@ class Mempool:
 
     def __contains__(self, txid: bytes) -> bool:
         return txid in self._entries
-
-    def get(self, txid: bytes) -> Transaction | None:
-        return self._entries.get(txid)
 
     def txids(self) -> list[bytes]:
         """Pool transaction ids in insertion order (a copy; state digests)."""
@@ -87,22 +82,15 @@ class Mempool:
         self.remove(tx.txid)
         return evicted
 
-    def select(self, max_bytes: int, by_fee_rate: bool = True) -> list[Transaction]:
-        """Choose transactions for a block template within ``max_bytes``.
-
-        With ``by_fee_rate`` (normal operation) the highest fee-per-byte
-        entries win; without it (the paper's experiment mode) insertion
-        order is kept so all nodes drain identically-seeded pools the
-        same way.  Selected entries stay in the pool until confirmed.
-        """
-        if by_fee_rate:
-            ordered = sorted(
-                self._entries.values(),
-                key=lambda tx: self._fees[tx.txid] / max(tx.size, 1),
-                reverse=True,
-            )
-        else:
-            ordered = list(self._entries.values())
+    def select(self, max_bytes: int) -> list[Transaction]:
+        """Choose transactions for a block template within ``max_bytes``:
+        the highest fee-per-byte entries win.  Selected entries stay in
+        the pool until confirmed."""
+        ordered = sorted(
+            self._entries.values(),
+            key=lambda tx: self._fees[tx.txid] / max(tx.size, 1),
+            reverse=True,
+        )
         selected: list[Transaction] = []
         used = 0
         for tx in ordered:
@@ -111,13 +99,3 @@ class Mempool:
             selected.append(tx)
             used += tx.size
         return selected
-
-    def seed(self, transactions: list[Transaction]) -> None:
-        """Bulk-load independent transactions (experiment initialization)."""
-        for tx in transactions:
-            self.add(tx, fee=0)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._fees.clear()
-        self._spends.clear()

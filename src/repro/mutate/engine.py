@@ -65,14 +65,17 @@ PROBE_TIMEOUT = 30.0
 PYTEST_TIMEOUT = 60.0
 
 #: Cross-module oracles the tests tier runs after a file's companion:
-#: Bitcoin is NG without microblocks (both fork-choice paths), the
+#: Bitcoin is NG without microblocks (both fork-choice paths), and so
+#: is GHOST under GHOST-NG (one rule over both trees), the
 #: recursive Merkle oracle is the only check of duplication above the
 #: leaves, and the contention-free propagation oracle times every
 #: delivery (ready for when ``repro.net`` joins the sites).
 ORACLE_TESTS: dict[str, tuple[str, ...]] = {
     "src/repro/bitcoin/chain.py": ("tests/test_ng_without_microblocks.py",),
     "src/repro/core/chain.py": ("tests/test_ng_without_microblocks.py",),
+    "src/repro/core/ghost_ng.py": ("tests/test_ng_without_microblocks.py",),
     "src/repro/crypto/merkle.py": ("tests/test_properties_crypto.py",),
+    "src/repro/ghost/chain.py": ("tests/test_ng_without_microblocks.py",),
     "src/repro/net/gossip.py": ("tests/test_net_propagation_oracle.py",),
     "src/repro/net/network.py": ("tests/test_net_propagation_oracle.py",),
 }

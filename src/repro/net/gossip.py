@@ -308,6 +308,11 @@ class GossipNode:
         """
         if obj_id in self._store or obj_id in self._rejected:
             return
+        # A getdata still outstanding for it ends here, as on arrival.
+        timers = self._timers
+        if self._requested.pop(obj_id, None) == timers.armed_seq:
+            timers.disarm()
+        announcers = self._alt_sources.pop(obj_id, ())
         stored = StoredObject(obj_id, kind, data, size)
         self._store[obj_id] = stored
         if self.deliver(stored, sender=None) is False:
@@ -323,7 +328,7 @@ class GossipNode:
                     sender=-1,
                 )
             return
-        self._relay(stored, ())
+        self._relay(stored, tuple(announcers))
 
     # -- network plumbing ---------------------------------------------------
 

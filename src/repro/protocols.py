@@ -18,12 +18,10 @@ from __future__ import annotations
 
 import abc
 import enum
-import functools
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, NoReturn
 
 from .bitcoin.blocks import make_genesis
-from .bitcoin.chain import TieBreak
 from .bitcoin.node import BitcoinNode, BlockPolicy, ChainNode
 from .core.genesis import make_ng_genesis
 from .core.node import MicroblockPolicy, NGNode
@@ -187,7 +185,7 @@ class BitcoinAdapter(ProtocolAdapter):
         shares: list[float],
     ) -> tuple[list[BitcoinNode], MiningScheduler]:
         return _build_block_nodes(
-            functools.partial(BitcoinNode, tie_break=TieBreak.RANDOM),
+            BitcoinNode,
             config,
             sim,
             network,
@@ -219,9 +217,11 @@ class GhostAdapter(ProtocolAdapter):
     def invariant_checkers(self) -> list[InvariantChecker]:
         # Heaviest-subtree fork choice may adopt a tip whose *chain*
         # work is lower than the old tip's, so the default tip-
-        # monotonicity checker does not apply and a checked GHOST run
-        # checks nothing.
-        return []
+        # monotonicity checker does not apply; the tree's own from-
+        # scratch check of weights and tip does.
+        from .sanitizer.checkers import HeaviestSubtreeTip
+
+        return [HeaviestSubtreeTip()]
 
 
 class BitcoinNGAdapter(ProtocolAdapter):

@@ -20,12 +20,13 @@ verified exactly once per process — a reorg that moves a microblock
 under a different epoch leader produces a *different* cache key, so
 entries can never be served stale (see the class docstring).
 
-The catalog keeps four checkers.  Nothing else checks the fee rules or
-microblock signatures on received blocks in a synthetic run, and INV109
-is the one check of a node's tip across sweeps.  Rules the node already
-enforces before it connects a block (microblock rate and size, chain
-weight, poison proofs, coinbase maturity, mempool bookkeeping) are
-pinned by tier-1 tests instead (``docs/sanitizer.md`` → "Which
+The catalog keeps five checkers.  Nothing else checks the fee rules or
+microblock signatures on received blocks in a synthetic run, INV109 is
+the one check of a node's tip across sweeps, and INV111 the one check
+of a GHOST node's subtree weights and tip in a run.  Rules the node
+already enforces before it connects a block (microblock rate and size,
+chain weight, poison proofs, coinbase maturity, mempool bookkeeping)
+are pinned by tier-1 tests instead (``docs/sanitizer.md`` → "Which
 checkers stay"):
 
 ========  ==========================  ==============================
@@ -35,12 +36,13 @@ INV101    value-conservation          Section 4.4 (subsidy + fees)
 INV102    fee-split                   Section 4.4 (40%/60% split)
 INV104    microblock-leader-sig       Section 4.2 (epoch key signs)
 INV109    tip-monotonicity            Section 3 (heaviest chain)
+INV111    heaviest-subtree-tip        Section 9 (GHOST)
 ========  ==========================  ==============================
 
 :func:`ng_checkers` builds the Bitcoin-NG set.  Plain Bitcoin runs
-INV109 alone; GHOST runs none, because heaviest-subtree fork choice may
-legitimately lower a tip's chain work.  The protocol adapters are a
-closed set, so a checker's node is always a
+INV109 alone; GHOST runs INV111 alone, because heaviest-subtree fork
+choice may legitimately lower a tip's chain work.  The protocol
+adapters are a closed set, so a checker's node is always a
 :class:`~repro.bitcoin.node.ChainNode`, and the NG checkers' is always
 an :class:`~repro.core.node.NGNode`; the block hooks read the tree facts
 on the block itself.
@@ -333,6 +335,25 @@ class TipMonotonicity(InvariantChecker):
                     previous=previous,
                 )
             ]
+        return []
+
+
+class HeaviestSubtreeTip(InvariantChecker):
+    code = "INV111"
+    name = "heaviest-subtree-tip"
+    description = (
+        "A GHOST node's subtree weights sum over their descendants, and "
+        "its tip ends a heaviest-child descent from the genesis."
+    )
+
+    def check_state(
+        self, node: ChainNode, node_id: int, now: float
+    ) -> list[ViolationRecord]:
+        chain = node.chain
+        try:
+            chain.assert_consistent()
+        except chain.invalid as error:
+            return [make_violation(self, node_id, now, str(error))]
         return []
 
 

@@ -34,6 +34,28 @@ def count_calls(monkeypatch):
     return install
 
 
+class StubRng:
+    """A scripted rng for tie tests.
+
+    ``random()`` returns ``draws`` in turn (the last one repeats),
+    ``choice`` takes the first option, and ``calls`` counts both.  At a
+    two-way tie every tree keeps the held branch on a draw below 0.5 and
+    takes the newcomer on one at or above it.
+    """
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return self.draws.pop(0) if len(self.draws) > 1 else self.draws[0]
+
+    def choice(self, options):
+        self.calls += 1
+        return options[0]
+
+
 def nothing_armed(node) -> bool:
     """No getdata of ``node`` is outstanding and none of its retry
     timers is live on the event heap.

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from repro.bitcoin.blocks import SyntheticPayload, build_block, make_genesis
-from repro.bitcoin.chain import BlockTree, Reorg, TieBreak
+from repro.bitcoin.chain import BlockTree, Reorg
+
+from .conftest import StubRng
 
 GENESIS = make_genesis()
 
@@ -60,7 +62,7 @@ def test_heavier_branch_triggers_reorg():
 
 
 def test_reorg_paths_correct():
-    tree = BlockTree(GENESIS)
+    tree = BlockTree(GENESIS, StubRng(0.0))  # "y" ties "b" and loses
     old = _chain(tree, GENESIS.hash, ["a", "b"])
     new_blocks = []
     prev = GENESIS.hash
@@ -87,20 +89,23 @@ def test_extension_reorg_flag():
 
 
 def test_first_seen_tie_break_keeps_current():
-    tree = BlockTree(GENESIS, tie_break=TieBreak.FIRST_SEEN)
+    # One draw at the tie: a low one keeps the first seen, a high one
+    # hands the tip to the newcomer.
     first = _block(GENESIS.hash, "first")
     second = _block(GENESIS.hash, "second")
-    tree.add_block(first)
-    tree.add_block(second)
-    assert tree.tip == first.hash
+    for draw, winner in ((0.0, first), (0.4999, first), (0.5, second)):
+        rng = StubRng(draw)
+        tree = BlockTree(GENESIS, rng)
+        tree.add_block(first)
+        tree.add_block(second)
+        assert tree.tip == winner.hash
+        assert rng.calls == 1
 
 
 def test_random_tie_break_switches_sometimes():
     outcomes = set()
     for seed in range(30):
-        tree = BlockTree(
-            GENESIS, tie_break=TieBreak.RANDOM, rng=random.Random(seed)
-        )
+        tree = BlockTree(GENESIS, random.Random(seed))
         first = _block(GENESIS.hash, "first")
         second = _block(GENESIS.hash, "second")
         tree.add_block(first)
@@ -194,7 +199,7 @@ def test_consistency_invariant():
 def test_forget_drops_the_block_and_everything_built_on_it():
     from repro.bitcoin.blocks import InvalidBlock
 
-    tree = BlockTree(GENESIS)
+    tree = BlockTree(GENESIS, StubRng(0.0))  # every tie keeps the tip
     kept = _chain(tree, GENESIS.hash, ["a"])
     side = _chain(tree, GENESIS.hash, ["x", "y", "z"])
     fork = _chain(tree, side[1].hash, ["y2"])

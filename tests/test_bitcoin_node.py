@@ -24,6 +24,8 @@ from repro.net.simulator import Simulator
 from repro.net.topology import complete_topology
 from repro.sanitizer.digests import utxo_root
 
+from .conftest import StubRng
+
 GENESIS = make_genesis()
 OWNER = PrivateKey.from_seed("coin-owner")
 
@@ -387,6 +389,7 @@ def test_side_branch_with_a_double_spend_leaves_the_node_where_it_was(node_type)
     # carries the same payment), the second spends the same coin again.
     first = _tx_block(GENESIS.hash, [pay], timestamp=1.0)
     second = _tx_block(first.hash, [_spend(outpoint, 80)], timestamp=2.0)
+    node.chain.rng = StubRng(0.0)  # the tie keeps the held branch
     assert node._receive(first, "block", sender=1) is None  # a tie: not adopted
     assert node.tip == kept.hash
     assert node._receive(second, "block", sender=1) is False

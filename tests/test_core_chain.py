@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.bitcoin.blocks import SyntheticPayload
-from repro.bitcoin.chain import TieBreak
 from repro.core.blocks import InvalidNGBlock, build_key_block, build_microblock
 from repro.core.chain import NGChain
 from repro.core.genesis import make_ng_genesis
@@ -14,14 +13,16 @@ from repro.core.remuneration import build_ng_coinbase
 from repro.crypto.hashing import hash160
 from repro.crypto.keys import PrivateKey
 
+from .conftest import StubRng
+
 PARAMS = NGParams(key_block_interval=100.0, min_microblock_interval=10.0)
 GENESIS = make_ng_genesis()
 ALICE = PrivateKey.from_seed("alice")
 BOB = PrivateKey.from_seed("bob")
 
 
-def _chain(tie_break=TieBreak.FIRST_SEEN):
-    return NGChain(GENESIS, PARAMS, tie_break=tie_break)
+def _chain(rng=None):
+    return NGChain(GENESIS, PARAMS, rng)
 
 
 def _key(prev, key, t, miner=1):
@@ -127,17 +128,21 @@ def test_new_key_block_prunes_unseen_microblocks():
 
 
 def test_key_block_fork_first_seen():
-    # Figure 3: competing key blocks, equal weight.
-    chain = _chain(tie_break=TieBreak.FIRST_SEEN)
+    # Figure 3: competing key blocks, equal weight.  One draw: a low one
+    # keeps the first seen, a high one takes the newcomer.
     key_a = _key(GENESIS.hash, ALICE, 1.0)
     key_b = _key(GENESIS.hash, BOB, 1.0, miner=2)
-    chain.add_block(key_a, 1.0)
-    chain.add_block(key_b, 2.0)
-    assert chain.tip == key_a.hash
-    # Resolution: the next key block decides.
     key_c = _key(key_b.hash, BOB, 101.0, miner=2)
-    chain.add_block(key_c, 101.0)
-    assert chain.tip == key_c.hash
+    for draw, winner in ((0.0, key_a), (0.5, key_b)):
+        rng = StubRng(draw)
+        chain = _chain(rng)
+        chain.add_block(key_a, 1.0)
+        chain.add_block(key_b, 2.0)
+        assert chain.tip == winner.hash
+        # Resolution: the next key block decides, with no second draw.
+        chain.add_block(key_c, 101.0)
+        assert chain.tip == key_c.hash
+        assert rng.calls == 1
 
 
 def test_epoch_leader_tracked_through_microblocks():
@@ -264,19 +269,12 @@ def test_microblock_timestamp_at_the_exact_drift_limit_is_valid():
 
 
 def test_random_key_tie_break_is_seeded_and_deterministic():
-    from repro.bitcoin.chain import TieBreak as TB
-
     # Under the RANDOM policy, a competing equal-work key block stays
     # or wins exactly as the seeded coin flip dictates: < 0.5 keeps the
     # incumbent, otherwise the newcomer takes the tip.
     for seed in (0, 1, 2, 3):
         draw = random.Random(seed).random()
-        chain = NGChain(
-            GENESIS,
-            PARAMS,
-            tie_break=TB.RANDOM,
-            rng=random.Random(seed),
-        )
+        chain = NGChain(GENESIS, PARAMS, random.Random(seed))
         a = _key(GENESIS.hash, ALICE, 10.0)
         b = _key(GENESIS.hash, BOB, 11.0, miner=2)
         chain.add_block(a, 10.0)
@@ -286,15 +284,11 @@ def test_random_key_tie_break_is_seeded_and_deterministic():
 
 
 def test_equivocating_microblock_never_steals_the_tip():
-    from repro.bitcoin.chain import TieBreak as TB
-
     # The coin flip applies to competing *key* blocks only; a leader's
     # equivocating sibling microblock always loses to the first seen,
     # whatever the rng says (seed 0's first draw is >= 0.5, which
     # would switch if the policy were misapplied).
-    chain = NGChain(
-        GENESIS, PARAMS, tie_break=TB.RANDOM, rng=random.Random(0)
-    )
+    chain = NGChain(GENESIS, PARAMS, random.Random(0))
     k1 = _key(GENESIS.hash, ALICE, 0.0)
     chain.add_block(k1, 0.0)
     m_a = _micro(k1.hash, ALICE, 10.0, salt=b"a")

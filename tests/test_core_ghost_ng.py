@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bitcoin.blocks import SyntheticPayload
-from repro.bitcoin.chain import TieBreak
 from repro.core.blocks import build_key_block, build_microblock
 from repro.core.ghost_ng import GhostNGChain
 from repro.core.chain import NGChain
@@ -13,6 +12,8 @@ from repro.core.remuneration import build_ng_coinbase
 from repro.crypto.hashing import hash160
 from repro.crypto.keys import PrivateKey
 from repro.metrics.collector import ObservationLog
+
+from .conftest import StubRng
 
 PARAMS = NGParams(key_block_interval=10.0, min_microblock_interval=1.0)
 GENESIS = make_ng_genesis()
@@ -47,8 +48,8 @@ def _micro(prev, who, t, salt=b"m"):
 
 
 def test_simple_extension_matches_plain_ng():
-    ghost = GhostNGChain(GENESIS, PARAMS, tie_break=TieBreak.FIRST_SEEN)
-    plain = NGChain(GENESIS, PARAMS, tie_break=TieBreak.FIRST_SEEN)
+    ghost = GhostNGChain(GENESIS, PARAMS)
+    plain = NGChain(GENESIS, PARAMS)
     k1 = _key(GENESIS.hash, 0, 10.0)
     m1 = _micro(k1.hash, 0, 11.0)
     for chain in (ghost, plain):
@@ -58,57 +59,59 @@ def test_simple_extension_matches_plain_ng():
 
 
 def test_subtree_work_accumulates():
-    chain = GhostNGChain(GENESIS, PARAMS, tie_break=TieBreak.FIRST_SEEN)
+    chain = GhostNGChain(GENESIS, PARAMS)
     k1 = _key(GENESIS.hash, 0, 10.0)
     k2 = _key(k1.hash, 1, 20.0)
     chain.add_block(k1, 10.0)
     chain.add_block(k2, 20.0)
     unit = k1.header.work
-    assert chain.subtree_key_work(GENESIS.hash) == 2 * unit
-    assert chain.subtree_key_work(k1.hash) == 2 * unit
-    assert chain.subtree_key_work(k2.hash) == unit
+    assert chain.subtree_work(GENESIS.hash) == 2 * unit
+    assert chain.subtree_work(k1.hash) == 2 * unit
+    assert chain.subtree_work(k2.hash) == unit
 
 
 def test_microblocks_carry_no_subtree_weight():
-    chain = GhostNGChain(GENESIS, PARAMS, tie_break=TieBreak.FIRST_SEEN)
+    chain = GhostNGChain(GENESIS, PARAMS)
     k1 = _key(GENESIS.hash, 0, 10.0)
     m1 = _micro(k1.hash, 0, 11.0)
     chain.add_block(k1, 10.0)
     chain.add_block(m1, 11.0)
-    assert chain.subtree_key_work(m1.hash) == 0
-    assert chain.subtree_key_work(k1.hash) == k1.header.work
+    assert chain.subtree_work(m1.hash) == 0
+    assert chain.subtree_work(k1.hash) == k1.header.work
 
 
 def test_bushy_key_subtree_beats_longer_key_chain():
     # The defining GHOST-NG behaviour: two sibling key blocks under k_a
     # outweigh the two-deep chain under k_b.
-    chain = GhostNGChain(GENESIS, PARAMS, tie_break=TieBreak.FIRST_SEEN)
     k_b = _key(GENESIS.hash, 1, 10.0)
     kb2 = _key(k_b.hash, 1, 20.0, miner=1)
-    chain.add_block(k_b, 10.0)
-    chain.add_block(kb2, 20.0)
     k_a = _key(GENESIS.hash, 0, 10.5)
-    chain.add_block(k_a, 10.5)
-    assert chain.tip == kb2.hash  # chain b leads 2 vs 1
     # Two competing children under k_a arrive (siblings: a fork of key
     # blocks mined on k_a by different miners).
     ka2 = _key(k_a.hash, 2, 21.0, miner=2)
     ka3 = _key(k_a.hash, 3, 22.0, miner=3)
-    chain.add_block(ka2, 21.0)
-    assert chain.tip == kb2.hash  # still tied 2-2, first seen holds
-    chain.add_block(ka3, 22.0)
-    # subtree(k_a) = 3 key blocks > subtree(k_b) = 2: GHOST switches.
-    assert chain.tip in (ka2.hash, ka3.hash)
+    for draw, tied_winner in ((0.0, kb2), (0.5, ka2)):
+        chain = GhostNGChain(GENESIS, PARAMS, StubRng(draw))
+        chain.add_block(k_b, 10.0)
+        chain.add_block(kb2, 20.0)
+        chain.add_block(k_a, 10.5)
+        assert chain.tip == kb2.hash  # chain b leads 2 vs 1
+        chain.add_block(ka2, 21.0)
+        # Tied 2-2: the draw keeps the held side or hands it to k_a's.
+        assert chain.tip == tied_winner.hash
+        chain.add_block(ka3, 22.0)
+        # subtree(k_a) = 3 key blocks > subtree(k_b) = 2: GHOST switches.
+        assert chain.tip in (ka2.hash, ka3.hash)
+        chain.assert_consistent()
     # Plain NG would NOT have switched (chains are equal length 2 < 2).
-    plain = NGChain(GENESIS, PARAMS, tie_break=TieBreak.FIRST_SEEN)
+    plain = NGChain(GENESIS, PARAMS, StubRng(0.0))
     for block, t in ((k_b, 10.0), (kb2, 20.0), (k_a, 10.5), (ka2, 21.0), (ka3, 22.0)):
         plain.add_block(block, t)
     assert plain.tip == kb2.hash
-    chain.assert_consistent()
 
 
 def test_descent_follows_microblocks_to_tip():
-    chain = GhostNGChain(GENESIS, PARAMS, tie_break=TieBreak.FIRST_SEEN)
+    chain = GhostNGChain(GENESIS, PARAMS)
     k1 = _key(GENESIS.hash, 0, 10.0)
     m1 = _micro(k1.hash, 0, 11.0, salt=b"1")
     m2 = _micro(m1.hash, 0, 12.0, salt=b"2")
@@ -119,7 +122,7 @@ def test_descent_follows_microblocks_to_tip():
 
 def test_new_key_block_still_prunes_unseen_microblocks():
     # Figure 2's dynamic must survive the fork-choice change.
-    chain = GhostNGChain(GENESIS, PARAMS, tie_break=TieBreak.FIRST_SEEN)
+    chain = GhostNGChain(GENESIS, PARAMS)
     k1 = _key(GENESIS.hash, 0, 10.0)
     m1 = _micro(k1.hash, 0, 11.0, salt=b"1")
     m2 = _micro(m1.hash, 0, 12.0, salt=b"2")
@@ -176,26 +179,19 @@ def test_experiment_runner_supports_ghost_ng():
     assert result.mining_power_utilization > 0.5
 
 
-class _AlwaysLowRng:
-    """A coin that always says 'adopt' — any draw would be below 0.5."""
-
-    def random(self):
-        return 0.0
-
-
 def test_unequal_subtrees_never_consult_the_rng():
-    # The RANDOM tie-break may only fire at *exact* subtree-weight
-    # ties.  With a rigged always-adopt rng, descending past a strictly
-    # lighter sibling would flip the tip — so the heavy branch winning
+    # A tie may only be broken at an *exact* subtree-weight tie.  With
+    # a rigged always-adopt rng, drawing past a strictly lighter sibling
+    # would flip the tip — so the heavy branch winning, with no draw,
     # proves the tie branch stayed cold.
-    chain = GhostNGChain(
-        GENESIS, PARAMS, tie_break=TieBreak.RANDOM, rng=_AlwaysLowRng()
-    )
+    rng = StubRng(0.99)
+    chain = GhostNGChain(GENESIS, PARAMS, rng)
     a = _key(GENESIS.hash, 0, 10.0)
     chain.add_block(a, 10.0)
     c = _key(a.hash, 1, 20.0)
     chain.add_block(c, 20.0)
     b = _key(GENESIS.hash, 2, 21.0)
     chain.add_block(b, 21.0)
-    assert chain.subtree_key_work(a.hash) > chain.subtree_key_work(b.hash)
+    assert chain.subtree_work(a.hash) > chain.subtree_work(b.hash)
     assert chain.tip == c.hash
+    assert rng.calls == 0

@@ -49,6 +49,24 @@ def _cluster(n=3, params=PARAMS, log=None, check_signatures=True, interval=None)
     return sim, net, nodes
 
 
+def test_ghost_fork_choice_selects_the_key_fork_rule():
+    # Plain NG runs the heaviest key chain; the flag swaps in GHOST over
+    # key blocks.  The two agree on most runs (one coin breaks a tie in
+    # both), so only the tree type tells a swapped flag.
+    from repro.core.chain import NGChain
+    from repro.core.ghost_ng import GhostNGChain
+
+    sim = Simulator(seed=0)
+    net = Network(sim, complete_topology(2), constant_histogram(0.05), 1e6)
+    for flag, tree in ((False, NGChain), (True, GhostNGChain)):
+        node = NGNode(
+            0, sim, net, GENESIS, PARAMS, log=ObservationLog(2),
+            ghost_fork_choice=flag,
+        )
+        assert type(node.chain) is tree
+        assert node.chain.rng is sim.rng
+
+
 def test_key_block_propagates_and_elects_leader():
     sim, _, nodes = _cluster()
     key = nodes[0].generate_key_block()

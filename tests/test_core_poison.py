@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bitcoin.blocks import SyntheticPayload
-from repro.bitcoin.chain import TieBreak
 from repro.core.blocks import build_key_block, build_microblock
 from repro.core.chain import FraudProof, NGChain
 from repro.core.genesis import make_ng_genesis
@@ -28,7 +27,7 @@ HONEST = PrivateKey.from_seed("honest")
 def _scenario():
     """Chain with a detected equivocation and a closing key block."""
     genesis = make_ng_genesis()
-    chain = NGChain(genesis, PARAMS, tie_break=TieBreak.FIRST_SEEN)
+    chain = NGChain(genesis, PARAMS)
 
     def key(prev, who, t, miner):
         block = build_key_block(

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bitcoin.blocks import SyntheticPayload
-from repro.bitcoin.chain import TieBreak
 from repro.core.blocks import build_key_block, build_microblock
 from repro.core.chain import NGChain
 from repro.core.genesis import make_ng_genesis
@@ -72,7 +71,7 @@ def test_coinbase_without_fees_single_output():
 def _build_two_epoch_chain():
     """Genesis → K1(alice) → m1,m2 → K2(bob) → m3 → K3(carol)."""
     genesis = make_ng_genesis()
-    chain = NGChain(genesis, PARAMS, tie_break=TieBreak.FIRST_SEEN)
+    chain = NGChain(genesis, PARAMS)
 
     def key(prev, who, t, miner):
         block = build_key_block(

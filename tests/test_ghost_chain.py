@@ -11,7 +11,6 @@ import random
 import pytest
 
 from repro.bitcoin.blocks import SyntheticPayload, build_block, make_genesis
-from repro.bitcoin.chain import TieBreak
 from repro.core.blocks import build_key_block, build_microblock
 from repro.core.genesis import make_ng_genesis
 from repro.core.ghost_ng import GhostNGChain
@@ -19,6 +18,8 @@ from repro.core.params import NGParams
 from repro.core.remuneration import build_ng_coinbase
 from repro.crypto.keys import PrivateKey
 from repro.ghost.chain import GhostTree
+
+from .conftest import StubRng
 
 GENESIS = make_genesis()
 NG_GENESIS = make_ng_genesis()
@@ -90,20 +91,23 @@ def test_ghost_prefers_heavy_subtree_over_long_chain():
 
 
 def test_equal_subtrees_first_seen():
-    tree = GhostTree(GENESIS, tie_break=TieBreak.FIRST_SEEN)
+    # One draw when the tie forms: a low one keeps the first seen, a
+    # high one takes the newcomer, as in Bitcoin's tree.
     first = _block(GENESIS.hash, "first")
     second = _block(GENESIS.hash, "second")
-    tree.add_block(first)
-    tree.add_block(second)
-    assert tree.tip == first.hash
+    for draw, winner in ((0.0, first), (0.4999, first), (0.5, second)):
+        rng = StubRng(draw)
+        tree = GhostTree(GENESIS, rng)
+        tree.add_block(first)
+        tree.add_block(second)
+        assert tree.tip == winner.hash
+        assert rng.calls == 1
 
 
 def test_equal_subtrees_random_tie_break_goes_both_ways():
     second_won = set()
     for seed in range(20):
-        tree = GhostTree(
-            GENESIS, tie_break=TieBreak.RANDOM, rng=random.Random(seed)
-        )
+        tree = GhostTree(GENESIS, random.Random(seed))
         tree.add_block(_block(GENESIS.hash, "first"))
         second = _block(GENESIS.hash, "second")
         tree.add_block(second)
@@ -114,7 +118,7 @@ def test_equal_subtrees_random_tie_break_goes_both_ways():
 def test_random_tie_break_draws_only_at_ties():
     for kit in KITS:
         rng = random.Random(5)
-        tree = kit.tree(TieBreak.RANDOM, rng)
+        tree = kit.tree(rng)
         before = rng.getstate()
         heavy = kit.grow(tree, kit.genesis.hash, ["a", "b", "c"])
         kit.grow(tree, heavy[0].hash, ["lighter"])
@@ -123,7 +127,7 @@ def test_random_tie_break_draws_only_at_ties():
 
 
 def test_reorg_reported():
-    tree = GhostTree(GENESIS)
+    tree = GhostTree(GENESIS, StubRng(0.0))  # "x" ties "a" and loses
     a = _block(GENESIS.hash, "a")
     tree.add_block(a)
     x = _block(GENESIS.hash, "x")
@@ -168,8 +172,8 @@ class _GhostKit:
 
     genesis = GENESIS
 
-    def tree(self, tie_break=TieBreak.FIRST_SEEN, rng=None):
-        return GhostTree(GENESIS, tie_break=tie_break, rng=rng)
+    def tree(self, rng=None):
+        return GhostTree(GENESIS, rng)
 
     def block(self, prev, label, t=0.0):
         return _block(prev, label)
@@ -186,8 +190,8 @@ class _GhostNGKit:
 
     genesis = NG_GENESIS
 
-    def tree(self, tie_break=TieBreak.FIRST_SEEN, rng=None):
-        return GhostNGChain(NG_GENESIS, NG_PARAMS, tie_break=tie_break, rng=rng)
+    def tree(self, rng=None):
+        return GhostNGChain(NG_GENESIS, NG_PARAMS, rng)
 
     def block(self, prev, label, t=10.0):
         return build_key_block(
@@ -242,15 +246,17 @@ def test_three_way_tie_is_broken_uniformly(kit):
     children = [kit.block(root.hash, label) for label in ("c1", "c2", "c3")]
     wins = {child.hash: 0 for child in children}
     for seed in range(600):
-        tree = kit.tree(TieBreak.RANDOM, random.Random(seed))
+        tree = kit.tree(random.Random(seed))
         for block in (root, *children):
             kit.add(tree, block)
         wins[tree.tip] += 1
     assert all(150 <= count <= 250 for count in wins.values()), wins
-    first_seen = kit.tree(TieBreak.FIRST_SEEN)
-    for block in (root, *children):
-        kit.add(first_seen, block)
-    assert first_seen.tip == children[0].hash
+    # Low draws keep the first seen; high ones hand the tip on each time.
+    for draw, winner in ((0.0, children[0]), (0.99, children[2])):
+        tree = kit.tree(StubRng(draw))
+        for block in (root, *children):
+            kit.add(tree, block)
+        assert tree.tip == winner.hash
 
 
 def test_forgetting_a_subtree_takes_its_weight_back(kit):
@@ -287,6 +293,9 @@ def test_consistency_check_catches_a_stale_weight_or_tip(kit):
     tree._tip = side[0].hash
     with pytest.raises(tree.invalid, match="tip diverges"):
         tree.assert_consistent()
+    tree._tip = main[0].hash
+    with pytest.raises(tree.invalid, match="tip is not a leaf"):
+        tree.assert_consistent()
 
 
 def test_ng_microblocks_credit_nothing_and_the_descent_follows_them():
@@ -301,7 +310,6 @@ def test_ng_microblocks_credit_nothing_and_the_descent_follows_them():
     assert tree.tip == m2.hash  # within a branch, out to its last microblock
     assert tree.subtree_work(m1.hash) == tree.subtree_work(m2.hash) == 0
     assert tree.subtree_work(key.hash) == tree.subtree_work(NG_GENESIS.hash) == unit
-    assert tree.subtree_key_work(key.hash) == unit  # the name NG code uses
     # A key block mined on m1 (its miner had not seen m2) outweighs the
     # weightless microblock beside it, and is credited through m1.
     k2 = ng.block(m1.hash, "k2", t=13.0)
@@ -315,17 +323,69 @@ def test_ng_microblocks_credit_nothing_and_the_descent_follows_them():
 
 def test_ng_weight_counts_key_blocks_only():
     # A long run of microblocks under one key block never outweighs a
-    # single competing key block's subtree: ties stay ties.
+    # single competing key block's subtree: ties stay ties, and a
+    # weightless newcomer on the tied rival side neither moves the tip
+    # nor draws.  The one draw is the key blocks' own tie.
     ng = _GhostNGKit()
-    tree = ng.tree(TieBreak.FIRST_SEEN)
     first, second = (ng.block(NG_GENESIS.hash, label) for label in ("first", "second"))
-    tree.add_block(first, 10.0)
-    tree.add_block(second, 10.5)
+    micros = []
     prev = second.hash
     for i in range(3):
-        micro = _micro(prev, 11.0 + i, bytes([i]))
-        tree.add_block(micro, 11.0 + i)
-        prev = micro.hash
-    assert tree.subtree_work(first.hash) == tree.subtree_work(second.hash)
-    assert tree.tip == first.hash  # first seen holds against microblocks
+        micros.append(_micro(prev, 11.0 + i, bytes([i])))
+        prev = micros[-1].hash
+    for draw, tip in ((0.0, first), (0.5, micros[-1])):
+        rng = StubRng(draw)
+        tree = ng.tree(rng)
+        tree.add_block(first, 10.0)
+        tree.add_block(second, 10.5)
+        for i, micro in enumerate(micros):
+            tree.add_block(micro, 11.0 + i)
+        assert tree.subtree_work(first.hash) == tree.subtree_work(second.hash)
+        assert tree.tip == tip.hash
+        assert rng.calls == 1
+        tree.assert_consistent()
+
+
+# -- the rule, case by case --------------------------------------------------
+
+
+def test_a_lighter_rival_keeps_the_tip(kit):
+    rng = StubRng(0.99)  # would take any tie it were asked about
+    tree = kit.tree(rng)
+    held = kit.grow(tree, kit.genesis.hash, ["a", "b", "c"])
+    kit.grow(tree, kit.genesis.hash, ["x", "x1"])
+    kit.grow(tree, held[0].hash, ["b2"])
+    assert tree.tip == held[2].hash
+    assert rng.calls == 0
     tree.assert_consistent()
+
+
+def test_a_heavier_rival_takes_the_tip_and_the_descent_draws_only_at_ties(kit):
+    rng = StubRng(0.0)  # every tie keeps what it holds
+    tree = kit.tree(rng)
+    a = kit.grow(tree, kit.genesis.hash, ["a"])[0]
+    x = kit.grow(tree, kit.genesis.hash, ["x"])[0]  # ties a: one draw
+    assert (tree.tip, rng.calls) == (a.hash, 1)
+    x1 = kit.grow(tree, x.hash, ["x1"])[0]  # x outweighs a: no draw
+    assert (tree.tip, rng.calls) == (x1.hash, 1)
+    a1 = kit.grow(tree, a.hash, ["a1"])[0]  # a draws level: one draw
+    assert (tree.tip, rng.calls) == (x1.hash, 2)
+    # a outweighs x, and its two children tie: the descent's one draw.
+    kit.grow(tree, a.hash, ["a2"])
+    assert (tree.tip, rng.calls) == (a1.hash, 3)
+    tree.assert_consistent()
+
+
+def test_a_k_way_tie_is_won_with_probability_one_in_k(kit):
+    root = kit.block(kit.genesis.hash, "root")
+    children = [kit.block(root.hash, label) for label in ("c1", "c2", "c3")]
+    # The third sibling makes a 3-way tie: it wins on the top third of
+    # the draw, and the held child keeps the rest.
+    for draw, winner in ((0.66, children[0]), (0.67, children[2])):
+        rng = StubRng(0.0, draw)
+        tree = kit.tree(rng)
+        for block in (root, *children):
+            kit.add(tree, block)
+        assert tree.tip == winner.hash
+        assert rng.calls == 2
+

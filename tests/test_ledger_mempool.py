@@ -1,4 +1,4 @@
-"""Mempool policy: conflicts, selection, eviction, seeding."""
+"""Mempool policy: conflicts, selection, eviction."""
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +19,12 @@ def _tx(prev_byte, index=0, padding=b"", n_outputs=1):
     )
 
 
-def test_add_and_get():
+def test_add_and_contains():
     pool = Mempool()
     tx = _tx(1)
     pool.add(tx, fee=5)
     assert tx.txid in pool
-    assert pool.get(tx.txid) == tx
+    assert pool.txids() == [tx.txid]
     assert len(pool) == 1
 
 
@@ -100,31 +100,6 @@ def test_select_respects_size_budget():
     assert len(selected) == 2
 
 
-def test_select_fifo_mode():
-    pool = Mempool()
-    first = _tx(1, padding=b"large" * 20)
-    second = _tx(2)
-    pool.add(first, fee=0)
-    pool.add(second, fee=100)
-    selected = pool.select(max_bytes=10_000, by_fee_rate=False)
-    assert selected[0] == first  # insertion order kept
-
-
-def test_seed_bulk_load():
-    pool = Mempool()
-    txs = [_tx(i) for i in range(1, 11)]
-    pool.seed(txs)
-    assert len(pool) == 10
-
-
-def test_clear():
-    pool = Mempool()
-    pool.add(_tx(1))
-    pool.clear()
-    assert len(pool) == 0
-    pool.add(_tx(1))  # outpoint index also cleared
-
-
 # -- the pool against a naive model -------------------------------------------
 
 #: A six-outpoint universe, so random transactions conflict often.
@@ -181,10 +156,10 @@ class _ModelPool:
         self.remove(tx.txid)
         return evicted
 
-    def select(self, max_bytes, by_fee_rate):
-        ordered = list(self.entries)
-        if by_fee_rate:
-            ordered.sort(key=lambda e: e[1] / max(e[0].size, 1), reverse=True)
+    def select(self, max_bytes):
+        ordered = sorted(
+            self.entries, key=lambda e: e[1] / max(e[0].size, 1), reverse=True
+        )
         selected, used = [], 0
         for tx, _fee in ordered:
             if used + tx.size <= max_bytes:
@@ -198,11 +173,11 @@ class _ModelPool:
 def test_pool_matches_naive_model(max_entries, data):
     """A conflicting spend is refused iff a pool entry spends that
     outpoint, and ``select`` returns exactly the model's entries in the
-    model's fee-rate order, under random add/remove/evict/seed/clear."""
+    model's fee-rate order, under random add/remove/evict."""
     pool, model = Mempool(max_entries=max_entries), _ModelPool(max_entries)
     for _ in range(data.draw(st.integers(1, 25))):
         op = data.draw(st.sampled_from(
-            ["add", "add", "add", "remove", "evict", "seed", "clear"]
+            ["add", "add", "add", "remove", "evict"]
         ))
         if op == "add":
             tx, fee = data.draw(_txs), data.draw(st.integers(0, 500))
@@ -215,31 +190,13 @@ def test_pool_matches_naive_model(max_entries, data):
             known = [tx.txid for tx, _ in model.entries]
             txid = data.draw(st.sampled_from(known + [b"\xee" * 32]))
             assert pool.remove(txid) == model.remove(txid)
-        elif op == "evict":
+        else:
             confirmed = data.draw(_txs)
             assert pool.evict_conflicts(confirmed) == model.evict_conflicts(
                 confirmed
             )
-        elif op == "seed":
-            batch = data.draw(st.lists(_txs, max_size=3))
-            accepted = 0
-            for tx in batch:
-                if not model.add(tx, 0):
-                    break
-                accepted += 1
-            if accepted == len(batch):
-                pool.seed(batch)
-            else:
-                with pytest.raises(MempoolError):
-                    pool.seed(batch)
-        else:
-            pool.clear()
-            model.entries.clear()
         assert pool.txids() == [tx.txid for tx, _ in model.entries]
         # The last budget is met exactly by the first two entries.
         exact = sum(tx.size for tx, _ in model.entries[:2])
-        for by_fee_rate in (True, False):
-            for budget in (10**9, 400, exact):
-                assert pool.select(budget, by_fee_rate) == model.select(
-                    budget, by_fee_rate
-                )
+        for budget in (10**9, 400, exact):
+            assert pool.select(budget) == model.select(budget)

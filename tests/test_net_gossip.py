@@ -347,6 +347,25 @@ def test_timely_delivery_cancels_retry_timer():
     assert all(len(node.delivered) == 1 for node in nodes)
 
 
+def test_announcing_a_requested_object_ends_its_request():
+    """An object a node made itself while its getdata for it was still
+    out ends that request: the entry, its timer and its fallback
+    sources go, and the announcers are not announced to."""
+    sim, net, nodes = _mesh(3)
+    obj_id = b"\x46" * 32
+    nodes[0].request_object(1, obj_id)  # node 1 lacks it: no answer
+    nodes[0]._on_inv(2, (obj_id, "block"))  # a fallback source
+    assert nodes[0].has_requested(obj_id)
+    nodes[0].announce(obj_id, "block", None, 100)
+    assert not nodes[0]._requested and not nodes[0]._alt_sources
+    sim.run()
+    assert all(node.knows(obj_id) for node in nodes)
+    assert all(nothing_armed(node) for node in nodes)
+    assert not any(node._alt_sources for node in nodes)
+    assert all(len(node.delivered) == 1 for node in nodes)
+    assert sim.now < REQUEST_TIMEOUT  # no timer ran out
+
+
 # -- relay skips known announcers (bitcoind's setInventoryKnown) -------------
 
 
@@ -539,6 +558,13 @@ class _ScheduledNode(_TimedNode):
         if timer is not None:
             timer.cancel()
         super()._on_object(sender, stored)
+
+    def announce(self, obj_id, kind, data, size):
+        timer = self._requested.get(obj_id)
+        held = obj_id in self._store or obj_id in self._rejected
+        if timer is not None and not held:
+            timer.cancel()
+        super().announce(obj_id, kind, data, size)
 
     def reset_relay_state(self):
         for timer in self._requested.values():

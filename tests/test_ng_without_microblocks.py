@@ -12,6 +12,11 @@ The near-infinite bandwidth makes a 128-byte Bitcoin block and a
 bandwidth the size difference moves arrival times, so which ties occur,
 and the runs diverge as they should.  The time metrics keep float fuzz
 from those sizes, hence the tolerance.
+
+The fork-choice axis pairs GHOST with NG under GHOST over key blocks
+(``ng_ghost_fork_choice``): one rule (``HeaviestSubtree._choose_tip``)
+over two trees, so it checks that each tree hands the rule the same
+weights, and that a tie is broken by the same one draw in both.
 """
 
 import json
@@ -31,13 +36,11 @@ BLOCKS = 40
 TIME_METRICS = ("consensus_delay", "time_to_prune", "time_to_win")
 
 
-@pytest.mark.parametrize("scenario", [None, SCENARIO], ids=["bare", "partition_heal"])
-@pytest.mark.parametrize("seed", range(8))
-def test_ng_without_microblocks_builds_bitcoins_tree(seed, scenario):
+def _assert_same_tree(block_protocol, seed, scenario, ng_ghost_fork_choice):
     common = dict(n_nodes=30, bandwidth_bps=1e15, seed=seed, scenario=scenario)
-    bitcoin, bitcoin_log = run_experiment(
+    blocks, blocks_log = run_experiment(
         ExperimentConfig(
-            protocol=Protocol.BITCOIN,
+            protocol=block_protocol,
             block_rate=RATE,
             target_blocks=BLOCKS,
             **common,
@@ -50,20 +53,39 @@ def test_ng_without_microblocks_builds_bitcoins_tree(seed, scenario):
             target_key_blocks=BLOCKS,
             target_blocks=1,
             block_rate=RATE / BLOCKS,
+            ng_ghost_fork_choice=ng_ghost_fork_choice,
             **common,
         )
     )
     ng_blocks = ng_log.index.all_blocks()
     assert not any(info.kind == "micro" for info in ng_blocks)
     assert [(info.gen_time, info.miner) for info in ng_blocks] == [
-        (info.gen_time, info.miner) for info in bitcoin_log.index.all_blocks()
+        (info.gen_time, info.miner) for info in blocks_log.index.all_blocks()
     ]
     # Every pair forks, so both fork-choice paths were exercised.
-    assert bitcoin.mining_power_utilization < 1
-    assert ng.main_chain_length == bitcoin.main_chain_length
-    assert ng.mining_power_utilization == bitcoin.mining_power_utilization
-    assert ng.fairness == bitcoin.fairness
+    assert blocks.mining_power_utilization < 1
+    assert ng.main_chain_length == blocks.main_chain_length
+    assert ng.mining_power_utilization == blocks.mining_power_utilization
+    assert ng.fairness == blocks.fairness
     for metric in TIME_METRICS:
         assert getattr(ng, metric) == pytest.approx(
-            getattr(bitcoin, metric), abs=1e-6
+            getattr(blocks, metric), abs=1e-6
         ), metric
+
+
+SEEDS = pytest.mark.parametrize("seed", range(8))
+SCENARIOS = pytest.mark.parametrize(
+    "scenario", [None, SCENARIO], ids=["bare", "partition_heal"]
+)
+
+
+@SCENARIOS
+@SEEDS
+def test_ng_without_microblocks_builds_bitcoins_tree(seed, scenario):
+    _assert_same_tree(Protocol.BITCOIN, seed, scenario, ng_ghost_fork_choice=False)
+
+
+@SCENARIOS
+@SEEDS
+def test_ghost_ng_without_microblocks_builds_ghosts_tree(seed, scenario):
+    _assert_same_tree(Protocol.GHOST, seed, scenario, ng_ghost_fork_choice=True)

@@ -38,9 +38,14 @@ PINS = {
         "2f3afbe7a8ef2eb9a8badaeaed619306bf2083ec58dfbacb53daea79b8fcafc0",
         5587469,
     ),
+    # Re-pinned when GHOST broke ties with one draw instead of keeping
+    # the first seen (from 4cd5c169…e7ed, 593,721 bytes).  The run now
+    # matches Bitcoin's line for line except ``trace_start``'s protocol
+    # name: no fork in it sets the heaviest subtree against the heaviest
+    # chain, and both rules spend the same draw on each tie.
     Protocol.GHOST: (
-        "4cd5c169087d2d0042467cbaa8e07a531e3f3f092b1712f79d6c2b00bec7e7ed",
-        593721,
+        "ad464478b20003f25653dc1720e60888b2736a6a457c47773002a870e9cba742",
+        575418,
     ),
 }
 FAULTS = {

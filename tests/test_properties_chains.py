@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bitcoin.blocks import SyntheticPayload, build_block, make_genesis
-from repro.bitcoin.chain import BlockTree, TieBreak
+from repro.bitcoin.chain import BlockTree
 from repro.core.blocks import build_key_block, build_microblock
 from repro.core.chain import NGChain
 from repro.core.genesis import make_ng_genesis
@@ -92,10 +92,10 @@ def test_tree_invariants_any_arrival_order(tree_type, seed, n_blocks, shuffle_se
     ends consistent under its own fork-choice rule."""
     if issubclass(tree_type, NGChain):
         blocks = _random_ng_dag(seed, n_blocks)
-        tree = tree_type(NG_GENESIS, NG_PARAMS, tie_break=TieBreak.FIRST_SEEN)
+        tree = tree_type(NG_GENESIS, NG_PARAMS)
     else:
         blocks = _random_dag(seed, n_blocks)
-        tree = tree_type(GENESIS, tie_break=TieBreak.FIRST_SEEN)
+        tree = tree_type(GENESIS)
     arrival = list(blocks)
     random.Random(shuffle_seed).shuffle(arrival)
     for t, block in enumerate(arrival):

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.bitcoin.blocks import SyntheticPayload
-from repro.bitcoin.chain import BlockTree, TieBreak
+from repro.bitcoin.chain import BlockTree
 from repro.bitcoin.node import ChainNode
 from repro.core.blocks import build_key_block, build_microblock
 from repro.core.chain import NGChain
@@ -118,7 +118,7 @@ def _epoch_chain(coinbase2=None):
     ``coinbase2`` overrides key2's coinbase; the default one honestly
     closes the epoch (subsidy plus 3 tx of fees, 40% to ALICE).
     """
-    chain = NGChain(GENESIS, PARAMS, tie_break=TieBreak.FIRST_SEEN)
+    chain = NGChain(GENESIS, PARAMS)
     key1 = _key(GENESIS.hash, ALICE, 10.0)
     chain.add_block(key1, 10.0)
     micro = _micro(key1.hash, ALICE, 20.0)

@@ -25,7 +25,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.bitcoin.blocks import SyntheticPayload
-from repro.bitcoin.chain import TieBreak
 from repro.core.blocks import build_key_block, build_microblock
 from repro.core.chain import NGChain
 from repro.core.genesis import make_ng_genesis
@@ -143,7 +142,7 @@ def _incremental_codes(node, mode="incremental", sweeps=1):
 
 
 def _epoch_chain(coinbase2=None):
-    chain = NGChain(GENESIS, PARAMS, tie_break=TieBreak.FIRST_SEEN)
+    chain = NGChain(GENESIS, PARAMS)
     key1 = _key(GENESIS.hash, ALICE, 10.0)
     chain.add_block(key1, 10.0)
     micro = _micro(key1.hash, ALICE, 20.0)
